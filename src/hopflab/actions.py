@@ -25,6 +25,8 @@ from .ambient import AmbientPoint, AmbientTangent, GeometryError, SectionChart, 
 LABELS = ("cp2-torus", "ch2-torus", "ch2-g0", "ch2-k0-g2a", "ch2-line-g2a")
 
 REGULARITY_TOL = 1e-10
+# eigenvalue half-gap below which a 2x2 orbit shape matrix counts as umbilic
+EIG_DEGENERATE_TOL = 1e-14
 
 
 class SingularOrbitError(GeometryError):
@@ -153,7 +155,11 @@ def _make_section(space: SpaceForm, gens, seed) -> SectionChart:
 
 @dataclass(frozen=True, eq=False)
 class OrbitGeometry:
-    """Second-order data of the orbit H.p at p (independent of any normal)."""
+    """Second-order data of the orbit H.p at p (independent of any normal).
+
+    For a batch of points every field carries a leading point axis (N, ...)
+    and ``gram_det`` is an (N,) array.
+    """
 
     spec: PolarActionSpec
     z: np.ndarray
@@ -164,46 +170,61 @@ class OrbitGeometry:
     gram_det: float
 
     def shape_matrix(self, xi):
-        """2x2 matrix of S_xi in the orthonormal orbit basis."""
+        """2x2 matrix of S_xi in the orthonormal orbit basis.
+
+        xi is (3,), or (N, 3) against a batch; the result is (2, 2) or (N, 2, 2).
+        """
         sp = self.spec.space
-        return np.real(np.einsum("abk,k->ab",
-                                 np.conj(self.second_fundamental) * sp._sig, xi))
+        sxi = sp._sig * np.asarray(xi)
+        return np.real(np.sum(np.conj(self.second_fundamental) * sxi[..., None, None, :],
+                              axis=-1))
 
 
 def orbit_geometry(spec: PolarActionSpec, z, require_regular=True) -> OrbitGeometry:
+    """Orbit data at a representative z (3,) or at a batch of them (N, 3).
+
+    With ``require_regular`` a point whose Killing gram determinant is at most
+    REGULARITY_TOL raises SingularOrbitError. Without it such points return
+    meaningless (possibly non-finite) data that the caller must mask by
+    ``gram_det``.
+    """
     sp = spec.space
     z = np.asarray(z, dtype=complex)
-    k = spec.killing_basis(z)
-    g11 = sp.g(k[0], k[0])
-    g12 = sp.g(k[0], k[1])
-    g22 = sp.g(k[1], k[1])
+    single = z.ndim == 1
+    zb = z.reshape(-1, 3)
+    gens = spec.generators
+    kap = sp.kappa
+    gz = np.einsum("jkl,nl->njk", gens, zb)           # (N, j, 3): G_j z
+    rot = sp.herm(zb[:, None, :], gz) / kap            # (N, j)
+    k = gz - rot[..., None] * zb[:, None, :]           # Killing vectors P(G_j z)
+    k0, k1 = k[:, 0], k[:, 1]
+    gram = sp.g(k[:, :, None, :], k[:, None, :, :])
+    g11, g12, g22 = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
     det = g11 * g22 - g12 ** 2
-    if require_regular and det <= REGULARITY_TOL:
-        raise SingularOrbitError(f"orbit through the given point has rank < 2 (gram det {det:.3e})")
-    x1 = k[0] / np.sqrt(g11)
-    x2p = k[1] - sp.g(k[1], x1) * x1
+    if require_regular and np.any(det <= REGULARITY_TOL):
+        raise SingularOrbitError(
+            f"orbit through the given point has rank < 2 (gram det {np.min(det):.3e})")
+    r11 = np.sqrt(g11)
+    x1 = k0 / r11[:, None]
+    x2p = k1 - sp.g(k1, x1)[:, None] * x1
     n2 = sp.norm(x2p)
-    x2 = x2p / n2
-    basis = np.stack([x1, x2])
-    # X_a = sum_j coeff[a, j] K_j
-    coeff = np.array([
-        [1.0 / np.sqrt(g11), 0.0],
-        [-g12 / (g11 * n2), 1.0 / n2],
-    ])
-    rot = np.array([sp.herm(z, g @ z) / sp.kappa for g in spec.generators])
-    nabla = np.empty((2, 2, 3), dtype=complex)  # nabla_{X_a} K_j
-    for a in range(2):
-        for j in range(2):
-            v = sp.project_horizontal(z, spec.generators[j] @ basis[a]) - rot[j] * basis[a]
-            nabla[a, j] = v
-    def normal_part(u):
-        return u - sp.g(u, x1) * x1 - sp.g(u, x2) * x2
-    ii = np.empty((2, 2, 3), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            ii[a, b] = normal_part(coeff[b, 0] * nabla[a, 0] + coeff[b, 1] * nabla[a, 1])
-    mean = ii[0, 0] + ii[1, 1]
-    return OrbitGeometry(spec, z, k, basis, ii, mean, float(det))
+    x2 = x2p / n2[:, None]
+    basis = np.stack([x1, x2], axis=1)                 # (N, a, 3)
+    # nabla_{X_a} K_j = P(G_j X_a) - rot_j X_a
+    gx = np.einsum("jkl,nal->najk", gens, basis)       # (N, a, j, 3)
+    nabla = (gx - (sp.herm(zb[:, None, None, :], gx) / kap)[..., None] * zb[:, None, None, :]
+             - rot[:, None, :, None] * basis[:, :, None, :])
+    # X_0 = K_0 / sqrt(g11), X_1 = (K_1 - g12/g11 K_0) / n2, so
+    # nabla_{X_a} X_b = sum_j coeff[b, j] nabla_{X_a} K_j
+    t = np.stack([nabla[:, :, 0] / r11[:, None, None],
+                  (nabla[:, :, 1] - (g12 / g11)[:, None, None] * nabla[:, :, 0])
+                  / n2[:, None, None]], axis=2)        # (N, a, b, 3)
+    # II(X_a, X_b): the part normal to the orbit
+    ii = t - np.einsum("nabi,nik->nabk", sp.g(t[:, :, :, None, :], basis[:, None, None]), basis)
+    mean = ii[:, 0, 0] + ii[:, 1, 1]
+    if single:
+        return OrbitGeometry(spec, z, k[0], basis[0], ii[0], mean[0], float(det[0]))
+    return OrbitGeometry(spec, z, k, basis, ii, mean, det)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,21 +243,29 @@ class OrbitData:
 
 
 def _eig2(s):
-    m = 0.5 * (s[0, 0] + s[1, 1])
-    d = 0.5 * (s[0, 0] - s[1, 1])
-    r = np.hypot(d, s[0, 1])
-    lam1, lam2 = m + r, m - r
-    if r < 1e-300:
-        vecs = np.eye(2)
-    elif abs(s[0, 1]) > abs(d):
-        v1 = np.array([s[0, 1], lam1 - s[0, 0]])
-        v1 = v1 / np.linalg.norm(v1)
-        vecs = np.stack([v1, np.array([-v1[1], v1[0]])], axis=1)
-    else:
-        v1 = np.array([lam1 - s[1, 1], s[0, 1]])
-        v1 = v1 / np.linalg.norm(v1)
-        vecs = np.stack([v1, np.array([-v1[1], v1[0]])], axis=1)
-    return (lam1, lam2), vecs
+    """Eigen-decomposition of symmetric 2x2 matrices s, (2, 2) or (..., 2, 2).
+
+    Reads the upper triangle. Returns ((lam1, lam2), vecs) with lam1 >= lam2;
+    the columns of vecs (..., 2, 2) are unit eigenvectors, the second the +90
+    degree rotation of the first. Below an eigenvalue half-gap of
+    EIG_DEGENERATE_TOL the spectrum counts as degenerate and vecs is the
+    identity.
+    """
+    s = np.asarray(s, dtype=float)
+    s00, s01, s11 = s[..., 0, 0], s[..., 0, 1], s[..., 1, 1]
+    m = 0.5 * (s00 + s11)
+    d = 0.5 * (s00 - s11)
+    r = np.hypot(d, s01)
+    # eigenvector of m + r from the row of s - (m + r) I that avoids
+    # cancellation: both candidates have norm >= r
+    neg = d < 0
+    degenerate = r < EIG_DEGENERATE_TOL
+    v0 = np.where(degenerate, 1.0, np.where(neg, s01, r + d))
+    v1 = np.where(degenerate, 0.0, np.where(neg, r - d, s01))
+    nv = np.hypot(v0, v1)
+    c, sn = v0 / nv, v1 / nv
+    vecs = np.stack([c, -sn, sn, c], axis=-1).reshape(s.shape)
+    return (m + r, m - r), vecs
 
 
 def orbit_shape_operator(spec: PolarActionSpec, p, xi) -> OrbitData:
@@ -294,7 +323,7 @@ def rotate90(spec: PolarActionSpec, z, w):
     """+90 degree rotation of a section-tangent vector in the chart orientation."""
     f1, f2 = spec.section.tangent_frame(z)
     sp = spec.space
-    return -sp.g(w, f2) * f1 + sp.g(w, f1) * f2
+    return -sp.g(w, f2)[..., None] * f1 + sp.g(w, f1)[..., None] * f2
 
 
 def phi_profile(spec: PolarActionSpec, p, thetas):
@@ -306,8 +335,7 @@ def phi_profile(spec: PolarActionSpec, p, thetas):
     thetas = np.asarray(thetas, dtype=float)
     ct, st = np.cos(thetas), np.sin(thetas)
     # S_xi is linear in xi; precontract II against the frame normals
-    p1 = np.real(np.einsum("abk,k->ab", np.conj(geo.second_fundamental) * sp._sig, f1))
-    p2 = np.real(np.einsum("abk,k->ab", np.conj(geo.second_fundamental) * sp._sig, f2))
+    p1, p2 = geo.shape_matrix(f1), geo.shape_matrix(f2)
     jf1 = np.array([sp.g(1j * f1, geo.basis[0]), sp.g(1j * f1, geo.basis[1])])
     jf2 = np.array([sp.g(1j * f2, geo.basis[0]), sp.g(1j * f2, geo.basis[1])])
     # xi_w = -sin f1 + cos f2, w = cos f1 + sin f2

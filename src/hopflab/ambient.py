@@ -13,6 +13,7 @@ on SpaceForm are batched over a leading axis wherever useful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,9 +60,12 @@ class SpaceForm:
 
     # -- array-level primitives (batched over leading axes) ------------------
 
-    @property
+    @cached_property
     def _sig(self):
-        return np.array(self.hermitian_signature)
+        """Read-only signature array, built once per instance."""
+        sig = np.array(self.hermitian_signature)
+        sig.flags.writeable = False
+        return sig
 
     def herm(self, z, w):
         """Hermitian form <z,w>, conjugate-linear in the first slot."""

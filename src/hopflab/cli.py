@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -48,6 +49,13 @@ class ConfigError(ValueError):
         super().__init__(f"config field '{fld}': {message}")
 
 
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        return False
+
+
 @dataclass
 class RunConfig:
     action: str = "cp2-torus"
@@ -66,6 +74,12 @@ class RunConfig:
     seed: int = 7
 
     def validate(self):
+        numbers = {"step": [self.step], "eta": [self.eta], "theta": [self.theta],
+                   "s_extent": [self.s_extent], "c": [] if self.c is None else [self.c],
+                   "point": list(self.point)}
+        for key, vals in numbers.items():
+            if not all(_finite(v) for v in vals):
+                raise ConfigError(key, "must be finite")
         if self.action not in LABELS:
             raise ConfigError("action", f"must be one of {LABELS}")
         if self.law not in LAW_KINDS:

@@ -12,6 +12,15 @@ The curve state (z, w, xi) obeys the exact model equations
 
 valid because sections are totally geodesic and totally real; gamma is the
 law's target curvature evaluated on the orbit data at the current point.
+
+Every curve comes from one lane core, ``_integrate_lanes``: classical RK4
+advancing B launches (lanes) in lockstep over (B, 3) arrays, with the orbit
+data of all live lanes evaluated in one batched ``orbit_geometry`` call per
+stage. Each lane keeps its own row count and stops, with a truncation
+reason, at the first step that leaves the regular set or turns non-finite,
+while the others go on. ``integrate_sigma`` runs the two sides of a curve as
+two lanes; ``austere_search`` runs all its short probes as one batch, then
+the launches that pass them as another.
 """
 
 from __future__ import annotations
@@ -22,7 +31,14 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels as kernels
-from .actions import OrbitGeometry, PolarActionSpec, SingularOrbitError, orbit_geometry, rotate90
+from .actions import (
+    REGULARITY_TOL,
+    PolarActionSpec,
+    SingularOrbitError,
+    _eig2,
+    orbit_geometry,
+    rotate90,
+)
 from .ambient import AmbientPoint, AmbientTangent, GeometryError, SpaceForm
 from .hypersurface import (
     DEFAULT_TOLERANCES,
@@ -57,28 +73,15 @@ class CurveLaw:
 
 
 def _orbit_invariants(spec: PolarActionSpec, z, xi):
-    """(alpha, beta, a, b, mean_curvature_vec, gram_det) at (z, xi)."""
-    geo = orbit_geometry(spec, z)
-    sp = spec.space
-    s = geo.shape_matrix(xi)
-    m = 0.5 * (s[0, 0] + s[1, 1])
-    d = 0.5 * (s[0, 0] - s[1, 1])
-    rad = np.hypot(d, s[0, 1])
-    alpha, beta = m + rad, m - rad
-    if rad < 1e-14:
-        u1, u2 = geo.basis
-    else:
-        if abs(s[0, 1]) > abs(d):
-            e = np.array([s[0, 1], alpha - s[0, 0]])
-        else:
-            e = np.array([alpha - s[1, 1], s[0, 1]])
-        e = e / np.linalg.norm(e)
-        u1 = e[0] * geo.basis[0] + e[1] * geo.basis[1]
-        u2 = -e[1] * geo.basis[0] + e[0] * geo.basis[1]
-    jxi = 1j * xi
-    a = abs(sp.g(jxi, u1))
-    b = abs(sp.g(jxi, u2))
-    return float(alpha), float(beta), a, b, geo.mean_curvature, geo.gram_det
+    """(alpha, beta, a, b, mean_curvature_vec, gram_det) at a batch (z, xi), each (N, 3).
+
+    Regularity is not enforced: the caller masks points by gram_det.
+    """
+    geo = orbit_geometry(spec, z, require_regular=False)
+    (alpha, beta), vecs = _eig2(geo.shape_matrix(xi))
+    jxi = spec.space.g(1j * xi[:, None, :], geo.basis)          # (N, 2): <J xi, X_i>
+    ab = np.abs(np.einsum("nij,ni->nj", vecs, jxi))
+    return alpha, beta, ab[:, 0], ab[:, 1], geo.mean_curvature, geo.gram_det
 
 
 @dataclass(eq=False)
@@ -132,11 +135,6 @@ class SigmaCurve:
 
         return query
 
-    def sample_frame(self, t):
-        """(z, w, xi) at a sample parameter (nearest stored sample)."""
-        i = int(np.clip(round((t - self.ts[0]) / self.step), 0, len(self.ts) - 1))
-        return self.zs[i], self.ws[i], self.xis[i]
-
     def to_dict(self):
         def c2l(arr):
             return [[float(v.real), float(v.imag)] for v in arr]
@@ -160,56 +158,121 @@ class SigmaCurve:
         }
 
 
-def _integrate_one_direction(spec, law, z0, w0, xi0, step, n_steps):
-    """RK4 on (z, w, xi); returns sample arrays including t = 0."""
+def _integrate_lanes(spec, law, z0, w0, xi0, step, n_steps):
+    """RK4 on (z, w, xi) for B launches (lanes) in lockstep; z0, w0, xi0 are (B, 3).
+
+    A lane stops at the first step whose stage or accepted state is
+    non-finite or leaves the regular set (gram det <= REGULARITY_TOL). The
+    invariants of a stored row double as the next step's first stage, and
+    the row computed for an accepted point supplies its regularity test.
+    Returns (rows, counts, reasons): rows maps each SigmaCurve sample field
+    to an array with lane and row axes leading, of which lane k holds
+    counts[k] valid rows; an empty reason means the lane ran all n_steps.
+    """
     sp = spec.space
     kap = sp.kappa
+    n_lanes = len(z0)
 
-    def gamma_of(z, xi):
-        alpha, beta, a, b, mean, det = _orbit_invariants(spec, z, xi)
-        return law.target(alpha, beta, a, b), (alpha, beta, a, b, mean, det)
+    def evaluate(y):
+        alpha, beta, a, b, mean, det = _orbit_invariants(spec, y[:, 0], y[:, 2])
+        gam = np.broadcast_to(law.target(alpha, beta, a, b), det.shape)
+        return gam, (alpha, beta, a, b, mean), det
 
-    def rhs(state):
-        z, w, xi = state
-        g, _ = gamma_of(z, xi)
-        return np.stack([w, g * xi - z / kap, -g * w])
+    def rhs(y, gam):
+        z, w, xi = y[:, 0], y[:, 1], y[:, 2]
+        g = gam[:, None]
+        return np.stack([w, g * xi - z / kap, -g * w], axis=1)
 
-    def renorm(state):
-        z, w, xi = state
-        z = sp.normalize_rep(z)
-        w = sp.project_horizontal(z, w)
-        w = w / sp.norm(w)
-        xi = sp.project_horizontal(z, xi)
-        xi = xi - sp.g(xi, w) * w
-        xi = xi / sp.norm(xi)
-        return np.stack([z, w, xi])
+    def renorm(y):
+        z = sp.normalize_rep(y[:, 0])
+        w = sp.project_horizontal(z, y[:, 1])
+        w = w / sp.norm(w)[:, None]
+        xi = sp.project_horizontal(z, y[:, 2])
+        xi = xi - sp.g(xi, w)[:, None] * w
+        xi = xi / sp.norm(xi)[:, None]
+        return np.stack([z, w, xi], axis=1)
 
-    state = renorm(np.stack([z0, w0, xi0]))
-    rows = []
-    truncated = False
-    reason = ""
-    for i in range(n_steps + 1):
-        z, w, xi = state
-        g, (alpha, beta, a, b, mean, det) = gamma_of(z, xi)
-        rows.append((z, w, xi, g, alpha, beta, a, b, float(sp.g(mean, xi)), det))
-        if i == n_steps:
-            break
-        try:
-            k1 = rhs(state)
-            k2 = rhs(state + 0.5 * step * k1)
-            k3 = rhs(state + 0.5 * step * k2)
-            k4 = rhs(state + step * k3)
-            nxt = renorm(state + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
-        except SingularOrbitError:
-            truncated = True
-            reason = f"left the regular set after {i + 1} steps"
-            break
-        if not spec.is_regular(nxt[0]):
-            truncated = True
-            reason = f"left the regular set after {i + 1} steps"
-            break
-        state = nxt
-    return rows, truncated, reason
+    rows = {key: np.zeros((n_lanes, n_steps + 1, 3), dtype=complex)
+            for key in ("zs", "ws", "xis")}
+    for key in ("gammas", "alphas", "betas", "hopf_a", "hopf_b", "mean_align"):
+        rows[key] = np.zeros((n_lanes, n_steps + 1))
+
+    def store(lanes, i, y, gam, inv):
+        alpha, beta, a, b, mean = inv
+        for key, val in (("zs", y[:, 0]), ("ws", y[:, 1]), ("xis", y[:, 2]), ("gammas", gam),
+                         ("alphas", alpha), ("betas", beta), ("hopf_a", a), ("hopf_b", b),
+                         ("mean_align", sp.g(mean, y[:, 2]))):
+            rows[key][lanes, i] = val
+
+    counts = np.ones(n_lanes, dtype=int)
+    reasons = [""] * n_lanes
+    # dying lanes compute with singular or non-finite data; they are masked out
+    with np.errstate(all="ignore"):
+        y = renorm(np.stack([z0, w0, xi0], axis=1))
+        gam, inv, det = evaluate(y)
+        if not np.all(det > REGULARITY_TOL):
+            raise SingularOrbitError("initial point is not regular")
+        alive = np.arange(n_lanes)
+        store(alive, 0, y, gam, inv)
+        for i in range(n_steps):
+            # a lane's reason is its first failure: stages in order, then the
+            # accepted point; a non-finite state has a NaN gram det
+            dead = np.zeros(len(alive), dtype=bool)
+            nonfinite = np.zeros(len(alive), dtype=bool)
+            ks = [rhs(y, gam)]
+            for frac in (0.5, 0.5, 1.0):
+                y_s = y + frac * step * ks[-1]
+                g_s, _, det_s = evaluate(y_s)
+                nonfinite |= ~dead & np.isnan(det_s)
+                dead |= ~(det_s > REGULARITY_TOL)
+                ks.append(rhs(y_s, g_s))
+            k1, k2, k3, k4 = ks
+            nxt = renorm(y + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
+            gam, inv, det = evaluate(nxt)
+            nonfinite |= ~dead & ~np.isfinite(nxt).all(axis=(1, 2))
+            dead |= nonfinite | ~(det > REGULARITY_TOL)
+            y = nxt
+            if dead.any():
+                for lane, bad in zip(alive[dead], nonfinite[dead]):
+                    reasons[lane] = ("non-finite state" if bad
+                                     else f"left the regular set after {i + 1} steps")
+                ok = ~dead
+                alive, y, gam = alive[ok], y[ok], gam[ok]
+                inv = tuple(v[ok] for v in inv)
+                if not len(alive):
+                    break
+            store(alive, i + 1, y, gam, inv)
+            counts[alive] += 1
+    return rows, counts, reasons
+
+
+def _launch_sigmas(spec, law, z0, w0, step, n_steps, two_sided=True):
+    """One SigmaCurve per launch, in order, integrated as one lane batch.
+
+    z0: (B, 3) start representatives; w0: (B, 3) section-tangent directions,
+    normalized here. A launch is one lane, or two (w0 and -w0) when
+    ``two_sided``.
+    """
+    sp = spec.space
+    w0 = w0 / sp.norm(w0)[:, None]
+    xi0 = rotate90(spec, z0, w0)
+    n = len(z0)
+    if two_sided:
+        z0, w0, xi0 = (np.concatenate(pair) for pair in ((z0, z0), (w0, -w0), (xi0, xi0)))
+    rows, counts, reasons = _integrate_lanes(spec, law, z0, w0, xi0, step, n_steps)
+    curves = []
+    for k in range(n):
+        b = n + k if two_sided else k
+        nf, nb = counts[k], (counts[b] if two_sided else 1)
+        # the backward side reversed, less its copy of the t = 0 row, then the forward side
+        cols = {key: np.concatenate([val[b, nb - 1:0:-1], val[k, :nf]])
+                for key, val in rows.items()}
+        cols["ws"][:nb - 1] *= -1
+        reason = [reasons[k], reasons[b]] if two_sided else [reasons[k]]
+        curves.append(SigmaCurve(
+            spec=spec, law=law, ts=np.arange(1 - nb, nf) * step, **cols, step=step,
+            truncated=any(reason), truncation_reason="; ".join(x for x in reason if x)))
+    return curves
 
 
 def integrate_sigma(spec: PolarActionSpec, p0, w0, law: CurveLaw,
@@ -220,11 +283,11 @@ def integrate_sigma(spec: PolarActionSpec, p0, w0, law: CurveLaw,
     p0: section point (AmbientPoint, representative, or chart coordinates).
     w0: unit tangent to the section at p0. The Frenet normal starts at the
     +90 degree rotation of w0 in the chart orientation. With ``two_sided``
-    the curve covers t in [-n_steps*step, n_steps*step].
+    the curve covers t in [-n_steps*step, n_steps*step]; the two sides run
+    as two lanes of one batch.
     """
     if step <= 0:
         raise GeometryError("step must be positive")
-    sp = spec.space
     if isinstance(p0, AmbientPoint):
         z0 = p0.rep
     else:
@@ -234,41 +297,7 @@ def integrate_sigma(spec: PolarActionSpec, p0, w0, law: CurveLaw,
     if not spec.is_regular(z0):
         raise SingularOrbitError("initial point is not regular")
     w0 = w0.vec if isinstance(w0, AmbientTangent) else np.asarray(w0, dtype=complex)
-    w0 = w0 / sp.norm(w0)
-    xi0 = rotate90(spec, z0, w0)
-    fwd, tr_f, reason_f = _integrate_one_direction(spec, law, z0, w0, xi0, step, n_steps)
-    if two_sided:
-        bwd, tr_b, reason_b = _integrate_one_direction(spec, law, z0, -w0, xi0, step, n_steps)
-    else:
-        bwd, tr_b, reason_b = [], False, ""
-
-    rows = []
-    ts = []
-    for k, row in enumerate(reversed(bwd[1:])):
-        idx = len(bwd) - 1 - k
-        z, w, xi, g, alpha, beta, a, b, al, det = row
-        rows.append((z, -w, xi, g, alpha, beta, a, b, al, det))
-        ts.append(-idx * step)
-    for k, row in enumerate(fwd):
-        rows.append(row)
-        ts.append(k * step)
-    ts = np.asarray(ts)
-    curve = SigmaCurve(
-        spec=spec, law=law, ts=ts,
-        zs=np.array([r[0] for r in rows]),
-        ws=np.array([r[1] for r in rows]),
-        xis=np.array([r[2] for r in rows]),
-        gammas=np.array([r[3] for r in rows]),
-        alphas=np.array([r[4] for r in rows]),
-        betas=np.array([r[5] for r in rows]),
-        hopf_a=np.array([r[6] for r in rows]),
-        hopf_b=np.array([r[7] for r in rows]),
-        mean_align=np.array([r[8] for r in rows]),
-        step=step,
-        truncated=tr_f or tr_b,
-        truncation_reason="; ".join(x for x in (reason_f, reason_b) if x),
-    )
-    return curve
+    return _launch_sigmas(spec, law, z0[None], w0[None], step, n_steps, two_sided)[0]
 
 
 # -- sweeping ------------------------------------------------------------------
@@ -565,51 +594,47 @@ def austere_search(spec: PolarActionSpec, grid_coords, tol: float = 2e-3,
     if grid_coords.size == 0:
         raise GeometryError("empty search grid")
     sp = spec.space
+    law = CurveLaw("austere")
+    zs = spec.section.point(grid_coords)
+    regular = np.flatnonzero(spec.is_regular(zs))
+    if not len(regular):
+        return []
+    hvecs = orbit_geometry(spec, zs[regular]).mean_curvature
+    starts, dirs, coords = [], [], []
+    for k, hvec in zip(regular, hvecs):
+        hn = float(sp.norm(hvec))
+        if hn > h_floor:
+            cands = [hvec / hn]
+        else:
+            f1, f2 = spec.section.tangent_frame(zs[k])
+            cands = [np.cos(theta) * f1 + np.sin(theta) * f2
+                     for theta in np.linspace(0.0, np.pi, 6, endpoint=False)]
+        for w0 in cands:
+            starts.append(zs[k])
+            dirs.append(w0)
+            coords.append(grid_coords[k])
+    starts, dirs = np.array(starts), np.array(dirs)
+
+    # cheap short probes first; most launches fail the alignment filter early
+    probes = _launch_sigmas(spec, law, starts, dirs, step, max(10, n_steps // 8))
+    keep = [k for k, probe in enumerate(probes)
+            if float(np.max(np.abs(probe.mean_align))) < tol]
+    if not keep:
+        return []
+    sigmas = _launch_sigmas(spec, law, starts[keep], dirs[keep], step, n_steps)
     found: list[AustereCandidate] = []
-
-    probe_steps = max(10, n_steps // 8)
-
-    def consider(z0, w0, start):
-        # cheap short probe first; most starts fail the alignment filter early
-        probe = integrate_sigma(spec, AmbientPoint(sp, z0), w0,
-                                CurveLaw("austere"), step=step, n_steps=probe_steps)
-        if float(np.max(np.abs(probe.mean_align))) >= tol:
-            return None
-        sigma = integrate_sigma(spec, AmbientPoint(sp, z0), w0,
-                                CurveLaw("austere"), step=step, n_steps=n_steps)
+    for k, sigma in zip(keep, sigmas):
         resid = float(np.max(np.abs(sigma.mean_align)))
         if resid >= tol:
-            return None
-        if sigma.truncated and len(sigma.ts) < n_steps:
-            return None
-        ab = float(np.max(np.abs(sigma.hopf_a - sigma.hopf_b)))
-        if ab > 0.05:   # Prop 5.2 filter: austere forces a = b = 1/sqrt(2)
-            return None
-        return AustereCandidate(curve=sigma, start_coords=np.asarray(start),
-                                alignment_residual=resid)
-
-    for q in grid_coords:
-        z0 = spec.section.point(q)
-        if not spec.is_regular(z0):
             continue
-        geo = orbit_geometry(spec, z0)
-        hvec = geo.mean_curvature
-        hn = float(sp.norm(hvec))
-        cands = []
-        if hn > h_floor:
-            cands.append(hvec / hn)
-        else:
-            f1, f2 = spec.section.tangent_frame(z0)
-            for theta in np.linspace(0.0, np.pi, 6, endpoint=False):
-                cands.append(np.cos(theta) * f1 + np.sin(theta) * f2)
-        for w0 in cands:
-            cand = consider(z0, w0, q)
-            if cand is None:
-                continue
-            if any(_curves_close(spec, cand.curve, other.curve, dedupe_distance)
-                   for other in found):
-                continue
-            found.append(cand)
+        if sigma.truncated and len(sigma.ts) < n_steps:
+            continue
+        if float(np.max(np.abs(sigma.hopf_a - sigma.hopf_b))) > 0.05:
+            continue   # Prop 5.2 filter: austere forces a = b = 1/sqrt(2)
+        if any(_curves_close(spec, sigma, other.curve, dedupe_distance) for other in found):
+            continue
+        found.append(AustereCandidate(curve=sigma, start_coords=coords[k],
+                                      alignment_residual=resid))
     return found
 
 

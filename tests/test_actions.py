@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopflab.actions import (
+    EIG_DEGENERATE_TOL,
     LABELS,
     InconclusiveDegeneracyError,
     SingularOrbitError,
+    _eig2,
     hopf_directions,
     killing_field,
     load_action,
@@ -18,6 +20,7 @@ from hopflab.actions import (
     rotate90,
 )
 from hopflab.ambient import AmbientPoint, GeometryError
+import oracles
 
 
 @pytest.mark.parametrize("label", LABELS)
@@ -102,6 +105,89 @@ def test_orbit_shape_operator_rejects_bad_normal():
     k = spec.killing_vec(0, z)
     with pytest.raises(GeometryError):
         orbit_shape_operator(spec, p, k / sp.norm(k))      # tangent, not normal
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_batched_orbit_geometry_matches_scalar_copy(label):
+    spec = load_action(label)
+    qs = np.array([[0.12, 0.07], [-0.2, 0.15], [0.25, -0.1], [0.0, 0.3]])
+    zs = spec.section.point(qs)
+    batch = orbit_geometry(spec, zs)
+    assert batch.second_fundamental.shape == (4, 2, 2, 3) and batch.gram_det.shape == (4,)
+    for k, z in enumerate(zs):
+        basis, ii, mean, det = oracles.scalar_orbit_geometry(spec, z)
+        one = orbit_geometry(spec, z)
+        assert one.second_fundamental.shape == (2, 2, 3) and isinstance(one.gram_det, float)
+        for geo in (one, batch):
+            idx = () if geo is one else (k,)
+            assert np.abs(geo.basis[idx] - basis).max() < 1e-12
+            assert np.abs(geo.second_fundamental[idx] - ii).max() < 1e-12
+            assert np.abs(geo.mean_curvature[idx] - mean).max() < 1e-12
+            assert abs(np.asarray(geo.gram_det)[idx] - det) < 1e-12
+        _, f2 = spec.section.tangent_frame(z)
+        ref = np.real(np.einsum("abk,k->ab", np.conj(ii) * spec.space._sig, f2))
+        assert np.abs(one.shape_matrix(f2) - ref).max() < 1e-12
+        assert np.abs(batch.shape_matrix(np.broadcast_to(f2, (4, 3)))[k] - ref).max() < 1e-12
+
+
+def test_batched_orbit_geometry_rejects_any_singular_point():
+    spec = load_action("cp2-torus")
+    fp = spec.space.normalize_rep(np.eye(3, dtype=complex)[0])
+    zs = np.stack([spec.section.point(np.array([0.12, 0.07])), fp])
+    with pytest.raises(SingularOrbitError):
+        orbit_geometry(spec, zs)
+    with np.errstate(all="ignore"):   # the singular point's data is meaningless
+        dets = orbit_geometry(spec, zs, require_regular=False).gram_det
+    assert dets[0] > 1e-10 >= dets[1]
+
+
+def _check_eig2(s):
+    (lam1, lam2), vecs = _eig2(s)
+    ref_vals, ref_vecs = np.linalg.eigh(s, UPLO="U")
+    scale = np.abs(s).max(axis=(-2, -1))
+    assert np.all(np.abs(lam1 - ref_vals[..., 1]) <= 1e-14 * scale)
+    assert np.all(np.abs(lam2 - ref_vals[..., 0]) <= 1e-14 * scale)
+    # orthonormal columns, the second the +90 degree rotation of the first
+    assert np.abs(np.einsum("...ki,...kj->...ij", vecs, vecs) - np.eye(2)).max() < 1e-14
+    assert np.array_equal(vecs[..., 0, 1], -vecs[..., 1, 0])
+    assert np.array_equal(vecs[..., 1, 1], vecs[..., 0, 0])
+    # each column is an eigenvector: compare with eigh up to sign
+    for col, ref_col in ((0, 1), (1, 0)):
+        overlap = np.abs(np.sum(vecs[..., :, col] * ref_vecs[..., :, ref_col], axis=-1))
+        assert np.abs(overlap - 1.0).max() < 1e-12
+    return (lam1, lam2), vecs
+
+
+def test_eig2_matches_eigh_on_random_batches():
+    rng = np.random.default_rng(5)
+    s = rng.standard_normal((4000, 2, 2))
+    s = 0.5 * (s + np.swapaxes(s, -1, -2))
+    d = 0.5 * (s[:, 0, 0] - s[:, 1, 1])
+    s01 = s[:, 0, 1]
+    # every sign of d against both orderings of |s01| and |d| is sampled
+    for big_off in (True, False):
+        for neg in (True, False):
+            assert np.any(((np.abs(s01) > np.abs(d)) == big_off) & ((d < 0) == neg))
+    _check_eig2(s)
+
+
+def test_eig2_strongly_anisotropic_and_diagonal():
+    # |s01| << |d| for either sign of d, down to exactly diagonal
+    for s01 in (1e-3, 1e-9, 0.0):
+        for s00, s11 in ((-478.0, -29.0), (-29.0, -478.0), (1.0, 3.0), (3.0, 1.0)):
+            s = np.array([[s00, s01], [s01, s11]])
+            (lam1, lam2), vecs = _check_eig2(s)
+            assert vecs.shape == (2, 2) and np.ndim(lam1) == 0
+
+
+def test_eig2_degenerate_spectrum_gives_identity():
+    s = np.array([[[2.0, 0.0], [0.0, 2.0]],
+                  [[1.5, 0.25 * EIG_DEGENERATE_TOL], [0.25 * EIG_DEGENERATE_TOL, 1.5]],
+                  [[-3.0, 0.0], [0.0, -3.0 + EIG_DEGENERATE_TOL]]])
+    (lam1, lam2), vecs = _eig2(s)
+    assert np.array_equal(vecs, np.broadcast_to(np.eye(2), (3, 2, 2)))
+    assert np.allclose(lam1, [2.0, 1.5, -3.0 + 0.5 * EIG_DEGENERATE_TOL], rtol=0, atol=1e-14)
+    assert np.all(lam1 >= lam2)
 
 
 def test_singular_point_rejected():

@@ -213,3 +213,18 @@ def test_point_phase_equality(c, rng):
     q = AmbientPoint(sp, np.exp(1j * 1.234) * z)
     assert p.same_point(q)
     assert distance(p, q) < 1e-7
+
+
+@pytest.mark.parametrize("c", BOTH)
+def test_signature_array_cached_read_only(c):
+    sp = SpaceForm(c)
+    sig = sp._sig
+    assert sp._sig is sig
+    assert not sig.flags.writeable
+    assert sig.tolist() == list(sp.hermitian_signature)
+    with pytest.raises(ValueError):
+        sig[0] = 0.0
+    # the cache is not a field: equality and hash still see only c
+    fresh = SpaceForm(c)
+    assert fresh == sp and hash(fresh) == hash(sp)
+    assert SpaceForm(-c) != sp

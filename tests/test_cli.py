@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +178,23 @@ def test_validation_exit_codes(capsys, tmp_path):
     capsys.readouterr()
     rc = run_cli(["classify", "--scene", str(tmp_path / "missing.json")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("field, flags", [
+    ("step", ["--step", "nan"]),
+    ("eta", ["--eta", "nan"]),
+    ("theta", ["--theta", "nan"]),
+    ("s_extent", ["--s-extent", "inf"]),
+    ("c", ["--c", "nan"]),
+    ("point", ["--point", "0.12", "nan"]),
+])
+def test_construct_rejects_non_finite_config(field, flags, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli(["construct", *flags])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: config field '{field}': must be finite"]
 
 
 def test_scene_error_on_wrong_schema(tmp_path):

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from hopflab.actions import SingularOrbitError, load_action
+from hopflab.actions import LABELS, SingularOrbitError, load_action
 from hopflab.ambient import AmbientPoint, GeometryError
 from hopflab.constructor import (
     CurveLaw,
@@ -13,6 +15,7 @@ from hopflab.constructor import (
     strongly_2hopf_certify,
 )
 from hopflab.hypersurface import shape_data
+import oracles
 
 
 def launch(label, theta=0.45, coords=(0.12, 0.07)):
@@ -180,3 +183,75 @@ def test_austere_search_finds_lohnherr_curve():
     sigma = found[0].curve
     assert np.abs(sigma.hopf_a - 1 / np.sqrt(2)).max() < 1e-6
     assert np.abs(sigma.gammas).max() < 1e-12   # pregeodesic
+
+
+# -- the lane core against the scalar integrator it replaced ------------------------
+
+LAWS = (CurveLaw("geodesic"), CurveLaw("cmc", eta=1.0), CurveLaw("levi-flat"),
+        CurveLaw("austere"))
+SIGMA_ARRAYS = ("ts", "zs", "ws", "xis", "gammas", "alphas", "betas", "hopf_a", "hopf_b",
+                "mean_align")
+
+
+def assert_same_sigma(new, ref, names=SIGMA_ARRAYS):
+    assert new.ts.shape == ref.ts.shape
+    for name in names:
+        assert np.abs(getattr(new, name) - getattr(ref, name)).max() <= 1e-12, name
+    assert new.truncated == ref.truncated
+    assert new.truncation_reason == ref.truncation_reason
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_lane_core_matches_scalar_integrator(label):
+    spec, p0, w0 = launch(label)
+    for law in LAWS:
+        assert_same_sigma(integrate_sigma(spec, p0, w0, law, n_steps=30),
+                          oracles.scalar_integrate_sigma(spec, p0.rep, w0, law, n_steps=30))
+
+
+def test_lane_core_matches_scalar_when_one_side_truncates():
+    # close to an edge of the cp2-torus orbit triangle: the backward side
+    # keeps 22 steps and leaves the regular set on the 23rd, the forward side
+    # runs all 40
+    spec, p0, w0 = launch("cp2-torus", theta=0.0, coords=(-0.463, -0.802))
+    sigma = integrate_sigma(spec, p0, w0, CurveLaw("geodesic"), n_steps=40)
+    assert sigma.truncation_reason == "left the regular set after 23 steps"
+    assert sigma.ts[0] == -22 * sigma.step and len(sigma.ts) == 22 + 1 + 40
+    ref = oracles.scalar_integrate_sigma(spec, p0.rep, w0, CurveLaw("geodesic"), n_steps=40)
+    hopf = ("hopf_a", "hopf_b")
+    assert_same_sigma(sigma, ref, [name for name in SIGMA_ARRAYS if name not in hopf])
+    # Near the edge the orbit shape matrix has |s01| << -d. The scalar copy's
+    # eigenvector formula cancels there (errors near 5e-12 in a and b); the
+    # Hopf components are pinned to eigh on the same points instead.
+    exact = np.array([oracles.eigh_hopf_components(spec, z, xi)
+                      for z, xi in zip(ref.zs, ref.xis)])
+    assert np.abs(sigma.hopf_a - exact[:, 0]).max() <= 1e-12
+    assert np.abs(sigma.hopf_b - exact[:, 1]).max() <= 1e-12
+
+
+def test_lane_core_truncates_non_finite_lanes_without_warnings():
+    spec, p0, w0 = launch("ch2-g0")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sigma = integrate_sigma(spec, p0, w0, CurveLaw("cmc", eta=np.nan), n_steps=20)
+        stepped = integrate_sigma(spec, p0, w0, CurveLaw("geodesic"), step=np.nan, n_steps=20)
+    for curve in (sigma, stepped):
+        assert curve.truncated
+        assert curve.truncation_reason == "non-finite state; non-finite state"
+        assert len(curve.ts) == 1
+
+
+@pytest.mark.parametrize("label, grid, n_found", [
+    # the origin of cp2-torus has H = 0 and launches the six-direction fan
+    ("cp2-torus", [[0.0, 0.0], [0.1, 0.0], [0.15, 0.1]], 2),
+    ("ch2-k0-g2a", [[0.0, 0.0], [0.1, 0.0], [-0.2, 0.1]], 0),
+])
+def test_austere_search_matches_scalar_search(label, grid, n_found):
+    spec = load_action(label)
+    found = austere_search(spec, grid, n_steps=40)
+    ref = oracles.scalar_austere_search(spec, grid, n_steps=40)
+    assert len(found) == len(ref) == n_found
+    for new, old in zip(found, ref):
+        assert np.array_equal(new.start_coords, old.start_coords)
+        assert abs(new.alignment_residual - old.alignment_residual) <= 1e-12
+        assert_same_sigma(new.curve, old.curve)
