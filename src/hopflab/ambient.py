@@ -98,6 +98,24 @@ class SpaceForm:
             raise GeometryError("phase alignment of antipodal/orthogonal representatives")
         return np.sign(self.kappa) * np.conj(w) / mag
 
+    def covariant_difference(self, z0, w0, zp, wp, zm, wm, step):
+        """Central covariant difference of a tangent field along a curve.
+
+        The curve passes through z0 and reaches zp / zm at +step / -step,
+        where the field takes the values w0, wp, wm (wp and wm as computed at
+        the representatives zp and zm). The displaced samples are
+        phase-aligned to z0, differenced, projected horizontally at z0 and
+        corrected by the model term <z0, zdot>/kappa * w0; the result is
+        second-order accurate in ``step``. All arguments are batched over
+        matching (broadcastable) leading axes.
+        """
+        up = self.phase_align(z0, zp)[..., None]
+        um = self.phase_align(z0, zm)[..., None]
+        zdot = (up * zp - um * zm) / (2.0 * step)
+        wdot = (up * wp - um * wm) / (2.0 * step)
+        vec = self.project_horizontal(z0, wdot) - (self.herm(z0, zdot) / self.kappa)[..., None] * w0
+        return self.project_horizontal(z0, vec)
+
     def exp(self, z, v, t=1.0):
         """Geodesic exp_z(t v) in representatives (closed form)."""
         z = np.asarray(z, dtype=complex)
@@ -267,19 +285,12 @@ def covariant_derivative(curve, fld, t0: float, step: float = DEFAULT_FD_STEP) -
         raise GeometryError("step must be positive")
     p0 = curve(t0)
     sp = p0.space
-    zs, ws = [], []
-    for s in (-step, step):
-        pt = curve(t0 + s)
-        w = fld(t0 + s)
-        u = sp.phase_align(p0.rep, pt.rep)
-        zs.append(u * pt.rep)
-        ws.append(u * w.vec)
-    zdot = (zs[1] - zs[0]) / (2.0 * step)
-    wdot = (ws[1] - ws[0]) / (2.0 * step)
     w0 = fld(t0)
-    u0 = sp.phase_align(p0.rep, w0.point.rep)
-    vec = sp.project_horizontal(p0.rep, wdot) - (sp.herm(p0.rep, zdot) / sp.kappa) * (u0 * w0.vec)
-    return AmbientTangent(p0, sp.project_horizontal(p0.rep, vec))
+    wp, wm = fld(t0 + step), fld(t0 - step)
+    vec = sp.covariant_difference(
+        p0.rep, sp.phase_align(p0.rep, w0.point.rep) * w0.vec,
+        curve(t0 + step).rep, wp.vec, curve(t0 - step).rep, wm.vec, step)
+    return AmbientTangent(p0, vec)
 
 
 def parallel_transport_along_geodesic(p: AmbientPoint, direction: AmbientTangent,

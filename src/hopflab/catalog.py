@@ -310,8 +310,6 @@ def clifford_cone(space: SpaceForm, vertex=None) -> CatalogEntry:
         raise GeometryError("cone vertex must be a fixed point of the torus action")
     r = sp.radius
     if sp.c > 0:
-        # place the vertex axis last by a coordinate permutation
-        perm = np.argsort(np.abs(vertex))  # vertex is a coordinate axis
         iv = int(np.argmax(np.abs(vertex)))
         others = [i for i in range(3) if i != iv]
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -49,11 +50,17 @@ class ConfigError(ValueError):
         super().__init__(f"config field '{fld}': {message}")
 
 
-def _finite(value) -> bool:
-    try:
-        return math.isfinite(value)
-    except TypeError:
-        return False
+def _number_problem(value):
+    """Why a config value is not a usable real number (None when it is)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return "must be a number"
+    if not math.isfinite(value):
+        return "must be finite"
+    return None
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -74,12 +81,20 @@ class RunConfig:
     seed: int = 7
 
     def validate(self):
-        numbers = {"step": [self.step], "eta": [self.eta], "theta": [self.theta],
-                   "s_extent": [self.s_extent], "c": [] if self.c is None else [self.c],
-                   "point": list(self.point)}
-        for key, vals in numbers.items():
-            if not all(_finite(v) for v in vals):
-                raise ConfigError(key, "must be finite")
+        reals = {"step": [self.step], "eta": [self.eta], "theta": [self.theta],
+                 "s_extent": [self.s_extent], "c": [] if self.c is None else [self.c],
+                 "point": list(self.point)}
+        for key, vals in reals.items():
+            for val in vals:
+                problem = _number_problem(val)
+                if problem:
+                    raise ConfigError(key, problem)
+        for key in ("n_steps", "seed"):
+            if not _is_int(getattr(self, key)):
+                raise ConfigError(key, "must be an integer")
+        for key in ("out_scene", "out_csv"):
+            if not isinstance(getattr(self, key), (str, type(None))):
+                raise ConfigError(key, "must be a file path")
         if self.action not in LABELS:
             raise ConfigError("action", f"must be one of {LABELS}")
         if self.law not in LAW_KINDS:
@@ -90,12 +105,14 @@ class RunConfig:
             raise ConfigError("n_steps", "must exceed 4")
         if self.s_extent <= 0:
             raise ConfigError("s_extent", "must be positive")
-        if len(self.grid) != 3 or any(int(g) < 2 for g in self.grid):
-            raise ConfigError("grid", "needs three sizes, each at least 2")
+        if len(self.grid) != 3 or not all(_is_int(g) and g >= 2 for g in self.grid):
+            raise ConfigError("grid", "needs three integer sizes, each at least 2")
         if len(self.point) != 2:
             raise ConfigError("point", "needs two section coordinates")
+        if not isinstance(self.tolerances, dict):
+            raise ConfigError("tolerances", "must map names to numbers")
         for key, val in self.tolerances.items():
-            if not val > 0:
+            if _number_problem(val) or not val > 0:
                 raise ConfigError("tolerances", f"{key} must be positive")
 
     def to_dict(self):
@@ -118,7 +135,11 @@ def _merge_config(args) -> RunConfig:
     for key, val in file_vals.items():
         if not hasattr(cfg, key):
             raise ConfigError(key, "unknown config key")
-        setattr(cfg, key, tuple(val) if isinstance(getattr(cfg, key), tuple) else val)
+        if isinstance(getattr(cfg, key), tuple):
+            if not isinstance(val, list):
+                raise ConfigError(key, "must be a list")
+            val = tuple(val)
+        setattr(cfg, key, val)
     for key in ("action", "c", "point", "theta", "law", "eta", "step", "n_steps",
                 "grid", "s_extent", "out_scene", "out_csv", "seed"):
         val = getattr(args, key, None)

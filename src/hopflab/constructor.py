@@ -44,7 +44,6 @@ from .hypersurface import (
     DEFAULT_TOLERANCES,
     HypersurfacePatch,
     _frame_of,
-    _phases,
     frame_derivative_data,
     shape_data,
 )
@@ -373,7 +372,7 @@ def build_hypersurface(spec: PolarActionSpec, sigma: SigmaCurve,
     mid_t = 0.5 * (t_lo + t_hi)
     sd = shape_data(patch, np.array([[mid_t, 0.0, 0.0]]))
     i = int(np.clip(round((mid_t - sigma.ts[0]) / sigma.step), 0, len(sigma.ts) - 1))
-    u = _phases(sp, sd.frames.z[0], sigma.zs[i])
+    u = sp.phase_align(sd.frames.z[0], sigma.zs[i])
     agree = sp.g(sd.frames.xi[0], u * sigma.xis[i])
     if agree < 0:
         patch.orientation = -patch.orientation
@@ -443,7 +442,7 @@ def strongly_2hopf_certify(ehs: EquivariantHypersurface, tol=None,
     sample = idx2[::stride][:derivative_points]
     integ = spec_const = tangency = 0.0
     for i in sample:
-        fr, scalars, nabla, _ = frame_derivative_data(
+        fr, scalars, nabla = frame_derivative_data(
             patch, sd, i, step=1e-3, tau_proj=tols["tau_proj"], tau_mult=tols["tau_mult"])
         bracket = nabla[("U", "V")] - nabla[("V", "U")]
         integ = max(integ, abs(float(sp.g(bracket, fr.A))))
@@ -476,7 +475,7 @@ def strongly_2hopf_certify(ehs: EquivariantHypersurface, tol=None,
     # Prop 4.4: integral curves of A are geodesics of M with curvature gamma xi
     naa = 0.0
     for i in sample[:2]:
-        fr, _, nabla, _ = frame_derivative_data(
+        fr, _, nabla = frame_derivative_data(
             patch, sd, i, step=1e-3, tau_proj=tols["tau_proj"], tau_mult=tols["tau_mult"])
         naa = max(naa, float(sp.norm(nabla[("A", "A")])))
     res["nabla_AA"] = float(naa)

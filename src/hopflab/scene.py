@@ -76,7 +76,22 @@ def load_scene(path) -> dict:
     return doc
 
 
+_SIGMA_FIELDS = ("action", "c", "law", "step", "truncated", "ts", "zs", "ws", "xis",
+                 "gammas", "alphas", "betas", "hopf_a", "hopf_b")
+
+
+def _require(d, keys, where):
+    """Raise SceneError naming the first of ``keys`` missing from ``d``."""
+    if not isinstance(d, dict):
+        raise SceneError(f"scene field '{where}' must be an object")
+    for key in keys:
+        if key not in d:
+            raise SceneError(f"scene field '{where}.{key}' is missing")
+
+
 def sigma_from_dict(d: dict) -> SigmaCurve:
+    _require(d, _SIGMA_FIELDS, "sigma")
+    _require(d["law"], ("kind", "eta"), "sigma.law")
     spec = load_action(d["action"], d["c"])
 
     def arr(key):
@@ -105,6 +120,7 @@ def patch_from_scene(doc: dict) -> EquivariantHypersurface:
         raise SceneError("scene has no construction to rebuild")
     sigma = sigma_from_dict(doc["sigma"])
     meta = doc["patch"]
+    _require(meta, ("s_extent",), "patch")
     ehs = build_hypersurface(sigma.spec, sigma, s_extent=float(meta["s_extent"]))
     return ehs
 

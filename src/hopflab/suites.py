@@ -422,7 +422,7 @@ def suite_connection(ws: Workspace) -> SuiteResult:
             res.expect(f"{label}:{mode}_derivative_identities", rep["max_identity_residual"], 1e-3)
         # Prop 4.2 strongly-2-Hopf specifics
         sd = shape_data(ehs.patch, np.array(mid)[None])
-        fr, scalars, nabla, _ = frame_derivative_data(ehs.patch, sd, 0)
+        fr, scalars, nabla = frame_derivative_data(ehs.patch, sd, 0)
         sp = ehs.space
         res.expect(f"{label}:nabla_AA", float(sp.norm(nabla[("A", "A")])), 1e-4)
         res.expect(f"{label}:D_derivatives_vanish",

@@ -287,3 +287,222 @@ def eigh_hopf_components(spec, z, xi):
     _, vecs = np.linalg.eigh(s, UPLO="U")          # ascending: beta, alpha
     jxi = np.array([sp.g(1j * xi, basis[0]), sp.g(1j * xi, basis[1])])
     return abs(vecs[:, 1] @ jxi), abs(vecs[:, 0] @ jxi)
+
+
+# -- one-point covariant differences ---------------------------------------------
+# Frozen copies of frame_derivative_data and verify_gauss_codazzi from before
+# hopflab.hypersurface routed them through SpaceForm.covariant_difference and
+# batched their stencils: every displaced frame is a one-point chart call and
+# every covariant difference is written out by hand. Tests pin the batched
+# versions against them.
+
+
+def _phases(sp, z_ref, z):
+    w = sp.herm(z_ref, z)
+    return np.sign(sp.kappa) * np.conj(w) / np.abs(w)
+
+
+def scalar_frame_derivative_data(patch, sd, n, step=1e-3,
+                                 tau_proj=1e-4, tau_mult=1e-4, fd_patch=None):
+    """Directional derivatives of (alpha, beta, gamma, a, b) and the frame
+    fields along U, V, A, plus covariant derivatives nabla_X Y for
+    X, Y in {U, V, A}. Returns (frame, scalars dict, nabla dict, extras).
+
+    Displaced frames are evaluated on a coarser-step twin patch so that the
+    differencing amplifies ~1e-9 noise instead of ~1e-8.
+    """
+    from hopflab.hypersurface import FD_FRAME_STEP, _displaced_params, _frame_of, shape_data
+
+    sp = sd._sp
+    if fd_patch is None:
+        fd_patch = patch.with_diff_step(max(patch.diff_step, FD_FRAME_STEP))
+    fr = _frame_of(sd, n, tau_proj, tau_mult)
+    dirs = {"U": fr.U, "V": fr.V, "A": fr.A}
+    frames_pm = {}
+    for name, u in dirs.items():
+        pp, pm = _displaced_params(sd, n, u, step)
+        sd_p = shape_data(fd_patch, pp[None])
+        sd_m = shape_data(fd_patch, pm[None])
+        frames_pm[name] = (_frame_of(sd_p, 0, tau_proj, tau_mult), sd_p,
+                           _frame_of(sd_m, 0, tau_proj, tau_mult), sd_m)
+    scalars = {}
+    for name in dirs:
+        frp, _, frm, _ = frames_pm[name]
+        for attr in ("alpha", "beta", "gamma", "a", "b"):
+            scalars[f"{name}{attr}"] = (getattr(frp, attr) - getattr(frm, attr)) / (2.0 * step)
+    nabla = {}
+    z0 = sd.frames.z[n]
+    xi0 = sd.frames.xi[n]
+    for xname, u in dirs.items():
+        pp, pm = _displaced_params(sd, n, u, step)
+        frp, sd_p, frm, sd_m = frames_pm[xname]
+        up = _phases(sp, z0, sd_p.frames.z[0])
+        um = _phases(sp, z0, sd_m.frames.z[0])
+        zdot = (up * sd_p.frames.z[0] - um * sd_m.frames.z[0]) / (2.0 * step)
+        for yname in dirs:
+            wp = up * getattr(frp, yname)
+            wm = um * getattr(frm, yname)
+            wdot = (wp - wm) / (2.0 * step)
+            vec = sp.project_horizontal(z0, wdot) - (sp.herm(z0, zdot) / sp.kappa) * dirs[yname]
+            vec = sp.project_horizontal(z0, vec)
+            tang = vec - sp.g(vec, xi0) * xi0
+            nabla[(xname, yname)] = tang
+    return fr, scalars, nabla, frames_pm
+
+
+def scalar_verify_gauss_codazzi(patch, params, rng=None, n_random=20,
+                                step=None, shape_perturbation=None) -> dict:
+    """Residuals of the Gauss and Codazzi equations at one parameter point.
+
+    The intrinsic curvature R(X,Y)Z and the covariant derivative of S are
+    computed by nested central differences on coordinate fields; the ambient
+    curvature uses the closed form. ``shape_perturbation`` (a 3x3 symmetric
+    array added to S in the E basis) exists for negative controls in tests.
+    """
+    from hopflab.hypersurface import frames_at, shape_data
+
+    sp = patch.space
+    rng = np.random.default_rng(0) if rng is None else rng
+    params = np.atleast_2d(np.asarray(params, dtype=float))[0]
+    h = step if step is not None else max(patch.diff_step * 10, 5e-4)
+    sd0 = shape_data(patch, params[None])
+
+    def perturbed_S(sd, n=0):
+        s = sd.S[n]
+        if shape_perturbation is not None:
+            s = s + np.asarray(shape_perturbation)
+        return s
+
+    def tangents_at(p):
+        return frames_at(patch, p[None])
+
+    def nabla_coord_field(p, i, k):
+        """nabla_{v_i} v_k at p (tangential), via covariant FD."""
+        fz = tangents_at(p)
+        z0, v0, xi0 = fz.z[0], fz.v[0], fz.xi[0]
+        pp = p.copy(); pp[i] += h
+        pm = p.copy(); pm[i] -= h
+        fp = tangents_at(pp)
+        fm = tangents_at(pm)
+        up = _phases(sp, z0, fp.z[0])
+        um = _phases(sp, z0, fm.z[0])
+        wdot = (up * fp.v[0, k] - um * fm.v[0, k]) / (2 * h)
+        zdot = (up * fp.z[0] - um * fm.z[0]) / (2 * h)
+        vec = sp.project_horizontal(z0, wdot) - (sp.herm(z0, zdot) / sp.kappa) * v0[k]
+        vec = sp.project_horizontal(z0, vec)
+        return vec - sp.g(vec, xi0) * xi0, fz
+
+    # second covariant derivatives of coordinate fields: R(v_i, v_j)v_k
+    def curv_coord(i, j, k):
+        def F(p, a, b):
+            return nabla_coord_field(p, a, b)[0]
+
+        z0 = sd0.frames.z[0]
+        xi0 = sd0.frames.xi[0]
+
+        def outer(a, bfun_idx):
+            pp = params.copy(); pp[a] += h
+            pm = params.copy(); pm[a] -= h
+            wp = F(pp, *bfun_idx)
+            wm = F(pm, *bfun_idx)
+            zp = patch.eval(pp[None])[0]
+            zm = patch.eval(pm[None])[0]
+            up = _phases(sp, z0, zp)
+            um = _phases(sp, z0, zm)
+            wdot = (up * wp - um * wm) / (2 * h)
+            zdot = (up * zp - um * zm) / (2 * h)
+            w0 = F(params, *bfun_idx)
+            vec = sp.project_horizontal(z0, wdot) - (sp.herm(z0, zdot) / sp.kappa) * w0
+            vec = sp.project_horizontal(z0, vec)
+            return vec - sp.g(vec, xi0) * xi0
+
+        return outer(i, (j, k)) - outer(j, (i, k))
+
+    v = sd0.frames.v[0]
+    xi = sd0.frames.xi[0]
+    E = sd0.E[0]
+    curv = {}
+    for i in range(3):
+        for j in range(i + 1, 3):
+            for k in range(3):
+                curv[(i, j, k)] = curv_coord(i, j, k)
+
+    def r_intrinsic(ci, cj, ck):
+        out = np.zeros(3, dtype=complex)
+        for i in range(3):
+            for j in range(3):
+                if i == j:
+                    continue
+                sgn = 1.0 if i < j else -1.0
+                key = (min(i, j), max(i, j))
+                for k in range(3):
+                    out = out + sgn * ci[i] * cj[j] * ck[k] * curv[(key[0], key[1], k)]
+        return out
+
+    # Codazzi pieces: nabla_{v_i}(S v_j) fields
+    def shape_apply_at(p, j):
+        sd = shape_data(patch, p[None])
+        coords = np.array([sp.g(sd.frames.v[0, j], sd.E[0, a]) for a in range(3)])
+        out = perturbed_S(sd) @ coords
+        return np.einsum("a,ak->k", out, sd.E[0])
+
+    def nabla_S_field(i, j):
+        z0 = sd0.frames.z[0]
+        xi0 = sd0.frames.xi[0]
+        pp = params.copy(); pp[i] += h
+        pm = params.copy(); pm[i] -= h
+        wp = shape_apply_at(pp, j)
+        wm = shape_apply_at(pm, j)
+        zp = patch.eval(pp[None])[0]
+        zm = patch.eval(pm[None])[0]
+        up = _phases(sp, z0, zp)
+        um = _phases(sp, z0, zm)
+        wdot = (up * wp - um * wm) / (2 * h)
+        zdot = (up * zp - um * zm) / (2 * h)
+        w0 = shape_apply_at(params, j)
+        vec = sp.project_horizontal(z0, wdot) - (sp.herm(z0, zdot) / sp.kappa) * w0
+        vec = sp.project_horizontal(z0, vec)
+        return vec - sp.g(vec, xi0) * xi0
+
+    def s_apply(u):
+        coords = np.array([sp.g(u, E[a]) for a in range(3)])
+        return np.einsum("a,ak->k", perturbed_S(sd0) @ coords, E)
+
+    nabla_sv = {}
+    nabla_vv = {}
+    for i in range(3):
+        for j in range(3):
+            nabla_sv[(i, j)] = nabla_S_field(i, j)
+            nabla_vv[(i, j)] = nabla_coord_field(params, i, j)[0]
+
+    def nabla_S(i, j):
+        """(nabla_{v_i} S) v_j."""
+        return nabla_sv[(i, j)] - s_apply(nabla_vv[(i, j)])
+
+    gauss_worst = 0.0
+    codazzi_worst = 0.0
+    for _ in range(n_random):
+        ci, cj, ck, cl = rng.standard_normal((4, 3))
+        X = ci @ v; Y = cj @ v; Z = ck @ v; Wv = cl @ E
+        nx = max(sp.norm(X), 1e-9); ny = max(sp.norm(Y), 1e-9)
+        nz = max(sp.norm(Z), 1e-9); nw = max(sp.norm(Wv), 1e-9)
+        rbar = sp.curvature(X, Y, Z)
+        # Codazzi: <Rbar(X,Y)Z, xi> = <(nabla_X S)Y - (nabla_Y S)X, Z>
+        lhs = sp.g(rbar, xi)
+        nsx = np.zeros(3, dtype=complex)
+        nsy = np.zeros(3, dtype=complex)
+        for i in range(3):
+            for j in range(3):
+                nsx = nsx + ci[i] * cj[j] * nabla_S(i, j)
+                nsy = nsy + cj[i] * ci[j] * nabla_S(i, j)
+        rhs = sp.g(nsx - nsy, Z)
+        codazzi_worst = max(codazzi_worst, abs(lhs - rhs) / (nx * ny * nz))
+        # Gauss: <Rbar(X,Y)Z, W> = <R(X,Y)Z, W> + <SX,Z><SY,W> - <SX,W><SY,Z>
+        rint = r_intrinsic(ci, cj, ck)
+        sx, sy = s_apply(X), s_apply(Y)
+        grhs = (sp.g(rint, Wv) + sp.g(sx, Z) * sp.g(sy, Wv)
+                - sp.g(sx, Wv) * sp.g(sy, Z))
+        glhs = sp.g(rbar, Wv)
+        gauss_worst = max(gauss_worst, abs(glhs - grhs) / (nx * ny * nz * nw))
+    return {"gauss": float(gauss_worst), "codazzi": float(codazzi_worst),
+            "params": params.tolist(), "step": h}

@@ -139,6 +139,36 @@ def test_covariant_derivative_on_geodesics(c, rng):
 
 
 @pytest.mark.parametrize("c", BOTH)
+def test_covariant_difference_batch_matches_rows_and_derivative(c, rng):
+    sp = SpaceForm(c)
+    # a (4, 3) batch of unrelated samples: every row stands alone
+    z0, zp, zm = (np.stack([sp.random_point(rng) for _ in range(4)]) for _ in range(3))
+    w0, wp, wm = (np.stack([sp.random_tangent(rng, z) for z in zs]) for zs in (z0, zp, zm))
+    batch = sp.covariant_difference(z0, w0, zp, wp, zm, wm, 1e-3)
+    assert batch.shape == (4, 3)
+    for n in range(4):
+        row = sp.covariant_difference(z0[n], w0[n], zp[n], wp[n], zm[n], wm[n], 1e-3)
+        assert np.array_equal(batch[n], row)
+    # covariant_derivative is the primitive applied to curve/field samples
+    p, (v,) = point_and_tangents(sp, rng, 1)
+
+    def curve(t):
+        return exp_map(p, v, t)
+
+    def velocity(t):
+        return AmbientTangent(curve(t), sp.exp_velocity(p.rep, v.vec, t))
+
+    t0, h = 0.3, 1e-5
+    res = covariant_derivative(curve, velocity, t0, step=h)
+    direct = sp.covariant_difference(curve(t0).rep, velocity(t0).vec,
+                                     curve(t0 + h).rep, velocity(t0 + h).vec,
+                                     curve(t0 - h).rep, velocity(t0 - h).vec, h)
+    # covariant_derivative also phase-aligns fld(t0), a no-op here up to rounding
+    assert np.abs(res.vec - direct).max() < 1e-15
+    assert sp.norm(direct) < 1e-6
+
+
+@pytest.mark.parametrize("c", BOTH)
 def test_kahler_identity_along_curve(c, rng):
     sp = SpaceForm(c)
     p, (v, w) = point_and_tangents(sp, rng)

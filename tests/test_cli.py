@@ -197,6 +197,42 @@ def test_construct_rejects_non_finite_config(field, flags, capsys):
     assert err == [f"error: config field '{field}': must be finite"]
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("point", 0.5, "must be a list"),
+    ("n_steps", "abc", "must be an integer"),
+    ("c", "abc", "must be a number"),
+    ("grid", [6, "3", 3], "needs three integer sizes, each at least 2"),
+    ("tolerances", {"integrable": "x"}, "integrable must be positive"),
+    ("out_scene", 5, "must be a file path"),
+])
+def test_construct_rejects_wrong_typed_config_file(field, value, message, tmp_path, capsys):
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({field: value}))
+    rc = run_cli(["construct", "--config", str(cfgfile)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: config field '{field}': {message}"]
+
+
+@pytest.mark.parametrize("where, key", [
+    ("sigma", "c"),
+    ("sigma.law", "eta"),
+    ("patch", "s_extent"),
+])
+def test_classify_scene_missing_field(where, key, cmc_ehs, tmp_path, capsys):
+    doc = json.loads(dumps_scene(scene_document({}, sigma=cmc_ehs.sigma, ehs=cmc_ehs)))
+    parent = doc
+    for part in where.split("."):
+        parent = parent[part]
+    del parent[key]
+    scene = tmp_path / "scene.json"
+    save_scene(scene, doc)
+    rc = run_cli(["classify", "--scene", str(scene)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: scene field '{where}.{key}' is missing"]
+
+
 def test_scene_error_on_wrong_schema(tmp_path):
     f = tmp_path / "x.json"
     f.write_text(json.dumps({"schema_version": 99}))

@@ -11,6 +11,7 @@ from hopflab.hypersurface import (
     ImmersionError,
     adapted_frame,
     classify,
+    frame_derivative_data,
     hopf_cmc_relation_check,
     hopf_projection_count,
     levi_form,
@@ -19,7 +20,12 @@ from hopflab.hypersurface import (
     verify_connection_formulas,
     verify_gauss_codazzi,
 )
-from oracles import sphere_spectrum_oracle, tube_spectrum_oracle
+from oracles import (
+    scalar_frame_derivative_data,
+    scalar_verify_gauss_codazzi,
+    sphere_spectrum_oracle,
+    tube_spectrum_oracle,
+)
 
 
 # -- shape operator against the radial Jacobi oracle ---------------------------
@@ -182,6 +188,43 @@ def test_gauss_codazzi_on_catalog_and_corruption(sphere_entry, rng):
     bad = verify_gauss_codazzi(sphere_entry.patch, p, rng=rng, n_random=20,
                                shape_perturbation=pert)
     assert max(bad["gauss"], bad["codazzi"]) > 1e-2
+
+
+@pytest.mark.parametrize("name, perturbed", [
+    ("lohnherr", False),
+    ("tube-ch1", False),
+    ("geodesic-sphere", True),
+])
+def test_gauss_codazzi_matches_one_point_stencils(name, perturbed):
+    entry = get_entry(name)
+    p = entry.patch.grid((2, 2, 2), margin=0.25)[3]
+    pert = None
+    if perturbed:
+        pert = np.zeros((3, 3))
+        pert[0, 1] = pert[1, 0] = 0.05
+    rng_new, rng_old = np.random.default_rng(5), np.random.default_rng(5)
+    new = verify_gauss_codazzi(entry.patch, p, rng=rng_new, n_random=6, shape_perturbation=pert)
+    old = scalar_verify_gauss_codazzi(entry.patch, p, rng=rng_old, n_random=6,
+                                      shape_perturbation=pert)
+    for key in ("gauss", "codazzi"):
+        assert abs(new[key] - old[key]) < 1e-10
+    assert new["step"] == old["step"] and new["params"] == old["params"]
+    # both draw the same random vectors, so a shared rng stays in step
+    assert rng_new.standard_normal() == rng_old.standard_normal()
+
+
+def test_frame_derivative_data_matches_one_point_stencils(cmc_ehs):
+    grid = cmc_ehs.patch.grid((2, 2, 2), margin=0.2)
+    sd = shape_data(cmc_ehs.patch, grid)
+    for n in (0, 7):
+        fr, scalars, nabla = frame_derivative_data(cmc_ehs.patch, sd, n)
+        fr_old, scalars_old, nabla_old, _ = scalar_frame_derivative_data(cmc_ehs.patch, sd, n)
+        assert np.array_equal(fr.A, fr_old.A)
+        assert scalars.keys() == scalars_old.keys() and nabla.keys() == nabla_old.keys()
+        for key in scalars:
+            assert abs(scalars[key] - scalars_old[key]) < 1e-10
+        for key in nabla:
+            assert np.abs(nabla[key] - nabla_old[key]).max() < 1e-10
 
 
 def test_hopf_cmc_relation(sphere_entry):
