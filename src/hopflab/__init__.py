@@ -6,7 +6,6 @@ sections with a two-parameter isometry group, plus numeric classification
 suites for the underlying tensor identities.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .ambient import (
     AmbientPoint,
     AmbientTangent,
@@ -54,7 +53,6 @@ def __getattr__(name):
 
 
 __all__ = [
-    "KERNEL_BACKEND",
     "AmbientPoint",
     "AmbientTangent",
     "GeometryError",

@@ -1,34 +1,8 @@
-"""Kernel backend selection.
+"""L0 kernels: batched 3x3 complex matrix exponentials (pure NumPy).
 
-The compiled extension is preferred; ``HOPFLAB_PURE_PYTHON=1`` (or a missing
-build) selects the pure-NumPy twin. Both implement the same contract.
+``BACKEND`` names the implementation for run records; there is only one.
 """
 
-import os
+from .pure import expm3_batch, group_orbit_apply
 
-from . import pure as _pure
-
-if os.environ.get("HOPFLAB_PURE_PYTHON", "").lower() in ("1", "true", "yes"):
-    _impl = _pure
-else:
-    try:
-        from . import _fast as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _pure
-
-BACKEND = _impl.BACKEND_NAME
-
-expm3 = _impl.expm3
-expm3_batch = _impl.expm3_batch
-group_orbit_apply = _impl.group_orbit_apply
-
-
-def get_backend(name):
-    """Return a specific backend module ("python" or "cython") for benchmarks."""
-    if name == "python":
-        return _pure
-    if name == "cython":
-        from . import _fast
-
-        return _fast
-    raise ValueError(f"unknown backend {name!r}")
+BACKEND = "python"

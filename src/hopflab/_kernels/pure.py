@@ -1,12 +1,10 @@
 """Pure-NumPy kernels: batched 3x3 complex matrix exponentials.
 
-Twin of the compiled ``_fast`` extension; both expose the same functions and
-must agree to near machine precision (see tests/test_kernels.py).
+Taylor scaling and squaring (Moler & Van Loan, SIAM Review 2003), pinned
+against ``scipy.linalg.expm`` in tests/test_kernels.py.
 """
 
 import numpy as np
-
-BACKEND_NAME = "python"
 
 _TAYLOR_ORDER = 12
 _SCALE_LIMIT = 0.5
@@ -38,11 +36,6 @@ def expm3_batch(ms):
         else:
             acc[mask] = acc[mask] @ acc[mask]
     return acc
-
-
-def expm3(m):
-    """exp(M) for a single 3x3 complex matrix."""
-    return expm3_batch(np.asarray(m, dtype=np.complex128)[None])[0]
 
 
 def group_orbit_apply(g1, g2, s1, s2, z):

@@ -122,6 +122,17 @@ class RunConfig:
         return d
 
 
+def _env_seed(default: int) -> int:
+    """The seed from HOPFLAB_SEED, or ``default`` when it is unset."""
+    raw = os.environ.get("HOPFLAB_SEED")
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError("seed", f"HOPFLAB_SEED={raw!r} is not an integer") from None
+
+
 def _merge_config(args) -> RunConfig:
     """Defaults < config file < command-line flags."""
     cfg = RunConfig()
@@ -146,7 +157,7 @@ def _merge_config(args) -> RunConfig:
         if val is not None:
             setattr(cfg, key, tuple(val) if isinstance(val, list) else val)
     if getattr(args, "seed", None) is None and "seed" not in file_vals:
-        cfg.seed = int(os.environ.get("HOPFLAB_SEED", cfg.seed))
+        cfg.seed = _env_seed(cfg.seed)
     cfg.validate()
     return cfg
 
@@ -268,7 +279,7 @@ def _cmd_hopf_directions(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    seed = args.seed if args.seed is not None else int(os.environ.get("HOPFLAB_SEED", 7))
+    seed = args.seed if args.seed is not None else _env_seed(7)
     try:
         results = run_suites(args.suite, seed=seed)
     except KeyError as exc:

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .actions import load_action
+from .actions import LABELS, load_action
 from .ambient import GeometryError
 from .constructor import CurveLaw, EquivariantHypersurface, SigmaCurve, build_hypersurface
 from .hypersurface import TAU_MULT, TAU_PROJ, FrameError, _frame_of, shape_data
@@ -92,6 +92,8 @@ def _require(d, keys, where):
 def sigma_from_dict(d: dict) -> SigmaCurve:
     _require(d, _SIGMA_FIELDS, "sigma")
     _require(d["law"], ("kind", "eta"), "sigma.law")
+    if d["action"] not in LABELS:
+        raise SceneError(f"scene field 'sigma.action': unknown action label {d['action']!r}")
     spec = load_action(d["action"], d["c"])
 
     def arr(key):

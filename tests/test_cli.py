@@ -157,6 +157,15 @@ def test_env_seed_fallback(tmp_path, monkeypatch, capsys):
     assert "seed 11" in out
 
 
+@pytest.mark.parametrize("command", [["verify", "frames"], ["construct"]])
+def test_non_integer_env_seed(command, monkeypatch, capsys):
+    monkeypatch.setenv("HOPFLAB_SEED", "abc")
+    rc = run_cli(command)
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: config field 'seed': HOPFLAB_SEED='abc' is not an integer"]
+
+
 def test_sample_csv(tmp_path, capsys):
     out = tmp_path / "mesh.csv"
     rc = run_cli(["sample", "--catalog", "horosphere", "--grid", "3", "2", "2",
@@ -231,6 +240,20 @@ def test_classify_scene_missing_field(where, key, cmc_ehs, tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"error: scene field '{where}.{key}' is missing"]
+
+
+@pytest.mark.parametrize("command", ["classify", "sample"])
+def test_scene_unknown_action_label(command, cmc_ehs, tmp_path, capsys):
+    doc = json.loads(dumps_scene(scene_document({}, sigma=cmc_ehs.sigma, ehs=cmc_ehs)))
+    doc["sigma"]["action"] = "bogus"
+    scene = tmp_path / "scene.json"
+    save_scene(scene, doc)
+    out = ["--out", str(tmp_path / "mesh.csv")] if command == "sample" else []
+    rc = run_cli([command, "--scene", str(scene), *out])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: scene field 'sigma.action': unknown action label 'bogus'"]
+    assert not (tmp_path / "mesh.csv").exists()
 
 
 def test_scene_error_on_wrong_schema(tmp_path):
