@@ -9,6 +9,8 @@ import numpy as np
 _TAYLOR_ORDER = 12
 _SCALE_LIMIT = 0.5
 _IDENTITY = np.eye(3, dtype=np.complex128)
+# one (s1, s2) float64 pair as a single opaque 16-byte value
+_PAIR_KEY = np.dtype((np.void, 16))
 
 
 def expm3_batch(ms):
@@ -44,9 +46,18 @@ def group_orbit_apply(g1, g2, s1, s2, z):
     g1, g2 : (3, 3) complex generators.
     s1, s2 : (N,) real parameters.
     z      : (N, 3) complex vectors.
+
+    The group element depends on (s1, s2) only, and chart batches repeat
+    each pair across many t-samples and stencil offsets, so each distinct
+    pair is exponentiated once and the results are gathered back. Pairs are
+    keyed by their raw bytes rather than by value: ``-0.0`` and ``0.0`` stay
+    apart, so every output row is bit-identical to exponentiating it alone.
+    Nothing is kept between calls.
     """
     s1 = np.asarray(s1, dtype=np.float64)
     s2 = np.asarray(s2, dtype=np.float64)
     z = np.asarray(z, dtype=np.complex128)
-    ms = s1[:, None, None] * np.asarray(g1) + s2[:, None, None] * np.asarray(g2)
-    return np.einsum("nij,nj->ni", expm3_batch(ms), z)
+    keys = np.stack([s1, s2], axis=-1).view(_PAIR_KEY)[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    ms = s1[first, None, None] * np.asarray(g1) + s2[first, None, None] * np.asarray(g2)
+    return np.einsum("nij,nj->ni", expm3_batch(ms)[inverse], z)

@@ -69,11 +69,11 @@ class SpaceForm:
 
     def herm(self, z, w):
         """Hermitian form <z,w>, conjugate-linear in the first slot."""
-        return np.sum(self._sig * np.conj(z) * w, axis=-1)
+        return np.add.reduce(self._sig * np.conj(z) * w, axis=-1)
 
     def g(self, v, w):
         """Riemannian metric on horizontal vectors."""
-        return np.real(self.herm(v, w))
+        return self.herm(v, w).real
 
     def norm(self, v):
         return np.sqrt(np.maximum(self.g(v, v), 0.0))

@@ -34,14 +34,7 @@ def scene_document(config: dict, sigma: SigmaCurve | None = None,
     if sigma is not None:
         doc["sigma"] = sigma.to_dict()
     if ehs is not None:
-        doc["patch"] = {
-            "box": [list(b) for b in ehs.patch.box],
-            "orientation": ehs.patch.orientation,
-            "diff_step": ehs.patch.diff_step,
-            "s_extent": ehs.s_extent,
-            "action": ehs.spec.label,
-            "c": ehs.space.c,
-        }
+        doc["patch"] = dict(_patch_fields(ehs), s_extent=ehs.s_extent)
     if classification is not None:
         doc["classification"] = classification
     if certification is not None:
@@ -49,6 +42,20 @@ def scene_document(config: dict, sigma: SigmaCurve | None = None,
     if residual_tables is not None:
         doc["residual_tables"] = residual_tables
     return doc
+
+
+_PATCH_FIELDS = ("box", "orientation", "diff_step", "action", "c")
+
+
+def _patch_fields(ehs: EquivariantHypersurface) -> dict:
+    """The stored patch fields that a rebuild from sigma must reproduce."""
+    return {
+        "box": [list(b) for b in ehs.patch.box],
+        "orientation": ehs.patch.orientation,
+        "diff_step": ehs.patch.diff_step,
+        "action": ehs.spec.label,
+        "c": ehs.space.c,
+    }
 
 
 def dumps_scene(doc: dict) -> str:
@@ -122,8 +129,14 @@ def patch_from_scene(doc: dict) -> EquivariantHypersurface:
         raise SceneError("scene has no construction to rebuild")
     sigma = sigma_from_dict(doc["sigma"])
     meta = doc["patch"]
-    _require(meta, ("s_extent",), "patch")
+    _require(meta, ("s_extent",) + _PATCH_FIELDS, "patch")
     ehs = build_hypersurface(sigma.spec, sigma, s_extent=float(meta["s_extent"]))
+    # the rebuild is deterministic, so an unedited scene matches exactly
+    rebuilt = _patch_fields(ehs)
+    for key in _PATCH_FIELDS:
+        if meta[key] != rebuilt[key]:
+            raise SceneError(f"scene field 'patch.{key}': stored {meta[key]!r} "
+                             f"does not match the rebuilt {rebuilt[key]!r}")
     return ehs
 
 

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -9,6 +10,17 @@ sys.path.insert(0, str(Path(__file__).parent))
 from hopflab.actions import load_action
 from hopflab.ambient import AmbientPoint, SpaceForm
 from hopflab.constructor import CurveLaw, build_hypersurface, integrate_sigma
+
+
+def subprocess_env(**extra):
+    """os.environ with src/ first on PYTHONPATH, for ``python -m hopflab.cli``.
+
+    pytest's ``pythonpath`` setting reaches only the test process, so CLI
+    subprocesses need the checkout's sources passed on explicitly.
+    """
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 @pytest.fixture(scope="session")

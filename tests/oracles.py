@@ -8,6 +8,8 @@ its own first-order system.
 
 import numpy as np
 
+from hopflab._kernels.pure import expm3_batch
+
 
 def jacobi_principal_curvature(k_sec: float, r: float, core_tangent: bool,
                                n_steps: int = 4000) -> float:
@@ -506,3 +508,16 @@ def scalar_verify_gauss_codazzi(patch, params, rng=None, n_random=20,
         gauss_worst = max(gauss_worst, abs(glhs - grhs) / (nx * ny * nz * nw))
     return {"gauss": float(gauss_worst), "codazzi": float(codazzi_worst),
             "params": params.tolist(), "step": h}
+
+
+# -- per-point group orbit kernel ------------------------------------------------
+# Frozen copy of hopflab._kernels.pure.group_orbit_apply from before it
+# exponentiated each distinct (s1, s2) pair once: one matrix per point.
+
+
+def pointwise_group_orbit_apply(g1, g2, s1, s2, z):
+    s1 = np.asarray(s1, dtype=np.float64)
+    s2 = np.asarray(s2, dtype=np.float64)
+    z = np.asarray(z, dtype=np.complex128)
+    ms = s1[:, None, None] * np.asarray(g1) + s2[:, None, None] * np.asarray(g2)
+    return np.einsum("nij,nj->ni", expm3_batch(ms), z)

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import subprocess_env
 from hopflab.actions import LABELS
 from hopflab.suites import run_suites
 
@@ -153,7 +154,7 @@ def test_criterion_12_determinism(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "hopflab.cli", "verify", "all",
              "--seed", str(SEED), "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=subprocess_env())
         assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 import warnings
@@ -7,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import subprocess_env
 from hopflab.cli import RunConfig, ConfigError, main
 from hopflab.scene import (
     SceneError,
@@ -136,14 +136,13 @@ def test_verify_unknown_suite(capsys):
 
 
 def test_verify_small_suite_deterministic(tmp_path):
-    env = dict(os.environ, PYTHONHASHSEED="0")
     outs = []
     for k in (1, 2):
         out = tmp_path / f"r{k}.json"
         proc = subprocess.run(
             [sys.executable, "-m", "hopflab.cli", "verify", "frames",
              "--seed", "3", "--out", str(out)],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONHASHSEED=str(k)))
+            capture_output=True, text=True, env=subprocess_env(PYTHONHASHSEED=str(k)))
         assert proc.returncode == 0, proc.stdout + proc.stderr
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
@@ -240,6 +239,24 @@ def test_classify_scene_missing_field(where, key, cmc_ehs, tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"error: scene field '{where}.{key}' is missing"]
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("box", lambda box: [box[0], [2 * b for b in box[1]], box[2]]),
+    ("orientation", lambda orientation: -orientation),
+], ids=["box", "orientation"])
+def test_classify_scene_edited_patch_field(key, edit, cmc_ehs, tmp_path, capsys):
+    doc = json.loads(dumps_scene(scene_document({}, sigma=cmc_ehs.sigma, ehs=cmc_ehs)))
+    # the unedited document rebuilds to the stored fields
+    patch_from_scene(doc)
+    doc["patch"][key] = edit(doc["patch"][key])
+    scene = tmp_path / "scene.json"
+    save_scene(scene, doc)
+    rc = run_cli(["classify", "--scene", str(scene)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: scene field 'patch.{key}': stored ")
 
 
 @pytest.mark.parametrize("command", ["classify", "sample"])

@@ -1,7 +1,12 @@
 import numpy as np
+import pytest
 import scipy.linalg as sla
 
-from hopflab._kernels import expm3_batch, group_orbit_apply
+from hopflab._kernels import expm3_batch, group_orbit_apply, pure
+from oracles import pointwise_group_orbit_apply
+
+_G1 = 1j * np.diag([1.0, 1.0, -2.0])
+_G2 = 1j * np.array([[1, -1, 0], [1, -1, 0], [0, 0, 0]], dtype=complex)
 
 
 def _complex_normal(rng, shape):
@@ -54,8 +59,7 @@ def test_expm3_batch_empty_stack():
 
 def test_group_orbit_apply_group_law(rng):
     # commuting generators: applying (s, 0) then (0, t) equals (s, t)
-    g1 = 1j * np.diag([1.0, 1.0, -2.0])
-    g2 = 1j * np.array([[1, -1, 0], [1, -1, 0], [0, 0, 0]], dtype=complex)
+    g1, g2 = _G1, _G2
     z = _complex_normal(rng, (5, 3))
     s = rng.uniform(-1, 1, 5)
     t = rng.uniform(-1, 1, 5)
@@ -63,3 +67,50 @@ def test_group_orbit_apply_group_law(rng):
     twice = group_orbit_apply(g1, g2, np.zeros(5), t,
                               group_orbit_apply(g1, g2, s, np.zeros(5), z))
     assert np.abs(once - twice).max() < 1e-13
+
+
+def _repeated_pairs(rng):
+    # 4 distinct pairs over 12 rows, each with its own z
+    s1 = np.array([0.3, -0.7, 0.3, 1.1, -0.7, 0.3, 1.1, 0.3, -0.7, 0.3, 1.1, 0.3])
+    s2 = np.array([0.2, 0.5, 0.2, -0.4, 0.5, 0.9, -0.4, 0.2, 0.5, 0.9, -0.4, 0.2])
+    return s1, s2, _complex_normal(rng, (12, 3))
+
+
+def _signed_zeros(rng):
+    # 0.0 and -0.0 are distinct keys: rows stay bit-identical to the copy
+    s1 = np.array([0.0, -0.0, 0.0, -0.0, 0.4, 0.0])
+    s2 = np.array([0.0, 0.0, -0.0, -0.0, -0.0, 0.4])
+    return s1, s2, _complex_normal(rng, (6, 3))
+
+
+def _one_row(rng):
+    return np.array([0.8]), np.array([-1.3]), _complex_normal(rng, (1, 3))
+
+
+def _empty(rng):
+    return np.zeros(0), np.zeros(0), np.zeros((0, 3), dtype=complex)
+
+
+@pytest.mark.parametrize("batch", [_repeated_pairs, _signed_zeros, _one_row, _empty])
+def test_group_orbit_apply_matches_pointwise_copy(batch, rng):
+    s1, s2, z = batch(rng)
+    out = group_orbit_apply(_G1, _G2, s1, s2, z)
+    ref = pointwise_group_orbit_apply(_G1, _G2, s1, s2, z)
+    assert out.shape == z.shape
+    assert np.array_equal(out, ref)
+    assert out.tobytes() == ref.tobytes()
+
+
+def test_group_orbit_apply_exponentiates_distinct_pairs_once(rng, monkeypatch):
+    sizes = []
+
+    def counting_expm3_batch(ms):
+        sizes.append(len(ms))
+        return expm3_batch(ms)
+
+    monkeypatch.setattr(pure, "expm3_batch", counting_expm3_batch)
+    s1, s2, z = _repeated_pairs(rng)
+    group_orbit_apply(_G1, _G2, s1, s2, z)
+    s1, s2, z = _signed_zeros(rng)
+    group_orbit_apply(_G1, _G2, s1, s2, z)
+    assert sizes == [4, 6]
