@@ -43,7 +43,7 @@ from .ambient import AmbientPoint, AmbientTangent, GeometryError, SpaceForm
 from .hypersurface import (
     DEFAULT_TOLERANCES,
     HypersurfacePatch,
-    _frame_of,
+    adapted_frames,
     frame_derivative_data,
     shape_data,
 )
@@ -154,6 +154,7 @@ class SigmaCurve:
             "betas": [float(g) for g in self.betas],
             "hopf_a": [float(g) for g in self.hopf_a],
             "hopf_b": [float(g) for g in self.hopf_b],
+            "mean_align": [float(g) for g in self.mean_align],
         }
 
 
@@ -422,16 +423,13 @@ def strongly_2hopf_certify(ehs: EquivariantHypersurface, tol=None,
     sp = ehs.space
     grid = patch.grid(grid_shape, margin=0.02)
     sd = shape_data(patch, grid)
-    n = grid.shape[0]
-    from .hypersurface import _h_of   # local import to keep namespace tidy
-
-    hs = np.array([_h_of(sd, i, tols["tau_proj"], tols["tau_mult"]) for i in range(n)])
+    hs = adapted_frames(sd, tols["tau_proj"], tols["tau_mult"]).h
     h_ok = bool(np.all(hs == 2))
     res = {
         "h_values": sorted(set(int(x) for x in hs)),
         "h2_fraction": float((hs == 2).mean()),
     }
-    idx2 = [i for i in range(n) if hs[i] == 2]
+    idx2 = np.flatnonzero(hs == 2).tolist()
     # derivative probes biased toward the interior, where the finite
     # differences are best conditioned; the report records the sample size
     centers = np.array([0.5 * (lo + hi) for lo, hi in patch.box])
@@ -441,15 +439,18 @@ def strongly_2hopf_certify(ehs: EquivariantHypersurface, tol=None,
     stride = max(1, len(idx2) // derivative_points)
     sample = idx2[::stride][:derivative_points]
     integ = spec_const = tangency = 0.0
+    derivs, geos = [], []
     for i in sample:
         fr, scalars, nabla = frame_derivative_data(
             patch, sd, i, step=1e-3, tau_proj=tols["tau_proj"], tau_mult=tols["tau_mult"])
+        derivs.append(nabla)
         bracket = nabla[("U", "V")] - nabla[("V", "U")]
         integ = max(integ, abs(float(sp.g(bracket, fr.A))))
         spec_const = max(spec_const, abs(scalars["Ualpha"]), abs(scalars["Valpha"]),
                          abs(scalars["Ubeta"]), abs(scalars["Vbeta"]))
         # D = span{U, V} must be tangent to the orbit through the point
         geo = orbit_geometry(ehs.spec, sd.frames.z[i])
+        geos.append(geo)
         for vec in (fr.U, fr.V):
             out = vec - sp.g(vec, geo.basis[0]) * geo.basis[0] \
                       - sp.g(vec, geo.basis[1]) * geo.basis[1]
@@ -460,8 +461,7 @@ def strongly_2hopf_certify(ehs: EquivariantHypersurface, tol=None,
 
     # leaf geometry (Prop 4.3): flat, totally real orbit leaves
     leaf_flat = leaf_real = 0.0
-    for i in sample[: max(1, len(sample) // 2)]:
-        geo = orbit_geometry(ehs.spec, sd.frames.z[i])
+    for geo in geos[: max(1, len(sample) // 2)]:
         x1, x2 = geo.basis
         ii = geo.second_fundamental
         k_amb = float(sp.g(sp.curvature(x1, x2, x2), x1))
@@ -474,9 +474,7 @@ def strongly_2hopf_certify(ehs: EquivariantHypersurface, tol=None,
 
     # Prop 4.4: integral curves of A are geodesics of M with curvature gamma xi
     naa = 0.0
-    for i in sample[:2]:
-        fr, _, nabla = frame_derivative_data(
-            patch, sd, i, step=1e-3, tau_proj=tols["tau_proj"], tau_mult=tols["tau_mult"])
+    for nabla in derivs[:2]:
         naa = max(naa, float(sp.norm(nabla[("A", "A")])))
     res["nabla_AA"] = float(naa)
 
@@ -500,12 +498,9 @@ def leviflat_cmc_certify(ehs: EquivariantHypersurface, eta: float,
     austere examples); a nonminimal attempt fails with the mean-curvature or
     Levi-form residuals as witnesses.
     """
-    from .hypersurface import _levi_scalar
-
     grid = ehs.patch.grid(grid_shape, margin=0.03)
     sd = shape_data(ehs.patch, grid)
-    n = grid.shape[0]
-    levi = np.array([_levi_scalar(sd, i) for i in range(n)])
+    levi = adapted_frames(sd).levi
     traces = sd.eigvals.sum(axis=1)
     res = {
         "levi_sup": float(np.max(np.abs(levi))),
@@ -655,13 +650,11 @@ def _curves_close(spec, c1: SigmaCurve, c2: SigmaCurve, tol) -> bool:
 
 
 def _orbit_distance(spec, z, curve: SigmaCurve):
-    sp = spec.space
+    """Least distance from z to the group mesh swept through the sampled curve points."""
     ss = np.linspace(-0.5, 0.5, 9)
-    best = np.inf
     mesh = np.stack([m.ravel() for m in np.meshgrid(ss, ss, indexing="ij")], axis=-1)
-    for zc in curve.zs[:: max(1, len(curve.zs) // 12)]:
-        pts = kernels.group_orbit_apply(spec.generators[0], spec.generators[1],
-                                        mesh[:, 0], mesh[:, 1],
-                                        np.broadcast_to(zc, (len(mesh), 3)))
-        best = min(best, float(np.min(sp.dist(pts, z))))
-    return best
+    zcs = curve.zs[:: max(1, len(curve.zs) // 12)]
+    s1, s2 = np.tile(mesh, (len(zcs), 1)).T
+    pts = kernels.group_orbit_apply(spec.generators[0], spec.generators[1], s1, s2,
+                                    np.repeat(zcs, len(mesh), axis=0))
+    return float(np.min(spec.space.dist(pts, z)))

@@ -2,10 +2,17 @@
 
 A patch is a batched chart ``params (N,3) -> representatives (N,3)`` over a
 rectangular box. Shape operators come from central differences of the unit
-normal (phase-aligned representatives, horizontally projected), the adapted
-frame {U, V, A} and the functions a, b follow the positive-projection
-conventions, and the classification predicates (Hopf, austere, Levi-flat,
-ruled, CMC) are decided at explicit, reported tolerances.
+normal (phase-aligned representatives, horizontally projected), and the
+classification predicates (Hopf, austere, Levi-flat, ruled, CMC) are decided
+at explicit, reported tolerances.
+
+Everything pointwise about the h = 2 structure comes from one batched
+primitive, ``adapted_frames``, over the point axis of a ShapeData: the
+eigenvalue clusters, h, the adapted frame {U, V, A} with the functions a, b
+(positive-projection conventions), alpha, beta, gamma, the frame-identity
+residuals, and the Levi scalar and ruled residual on the complex
+distribution. ``adapted_frame`` and ``hopf_projection_count`` are its
+one-point wrappers.
 
 Covariant derivatives of tangent fields (the frame connection nabla_X Y,
 the nested Gauss-Codazzi stencils) all go through the batched
@@ -204,6 +211,17 @@ class ShapeData:
     asym: np.ndarray       # (N,) symmetry defect of S before symmetrization
     _sp: SpaceForm = None
 
+    def take(self, idx) -> "ShapeData":
+        """The same data at the points idx."""
+        f = self.frames
+        frames = PointFrames(params=f.params[idx], z=f.z[idx], v=f.v[idx], xi=f.xi[idx],
+                             gram_det=f.gram_det[idx])
+        out = ShapeData(frames=frames, E=self.E[idx], W=self.W[idx], S=self.S[idx],
+                        eigvals=self.eigvals[idx], eigvecs=self.eigvecs[idx],
+                        jxi_coords=self.jxi_coords[idx], asym=self.asym[idx])
+        out._sp = self._sp
+        return out
+
 
 def _gram_schmidt_with_coeffs(sp: SpaceForm, v):
     """Orthonormalize coordinate tangents, tracking E_a = sum_k W[k,a] v_k."""
@@ -259,7 +277,7 @@ def shape_data(patch: HypersurfacePatch, params) -> ShapeData:
     return out
 
 
-# -- spectrum, clusters, Hopf count ------------------------------------------
+# -- spectrum, clusters, adapted frames --------------------------------------
 
 
 @dataclass(frozen=True)
@@ -274,51 +292,6 @@ class ShapeSpectrum:
     @property
     def multiplicities(self):
         return tuple(len(cl) for cl in self.clusters)
-
-
-def _clusters(vals, tau_mult):
-    spread = float(vals[0] - vals[-1])
-    thr = tau_mult * max(spread, 1e-6)
-    groups = [[0]]
-    for i in range(1, len(vals)):
-        if vals[i - 1] - vals[i] > thr:
-            groups.append([i])
-        else:
-            groups[-1].append(i)
-    return tuple(tuple(g) for g in groups)
-
-
-def _cluster_projections(sd: ShapeData, n, tau_mult):
-    clusters = _clusters(sd.eigvals[n], tau_mult)
-    coords = np.array([float(np.real(sd._sp.herm(sd.eigvecs[n, i], 1j * sd.frames.xi[n])))
-                       for i in range(3)])
-    norms = [float(np.sqrt(np.sum(coords[list(cl)] ** 2))) for cl in clusters]
-    return clusters, coords, norms
-
-
-def shape_operator(patch: HypersurfacePatch, params, tau_mult=TAU_MULT):
-    """Public per-point shape operator: (ShapeSpectrum, unit normal)."""
-    sd = shape_data(patch, np.atleast_2d(params)[:1])
-    clusters = _clusters(sd.eigvals[0], tau_mult)
-    point = AmbientPoint(patch.space, sd.frames.z[0])
-    spectrum = ShapeSpectrum(tuple(float(x) for x in sd.eigvals[0]),
-                             sd.eigvecs[0], clusters, tau_mult)
-    return spectrum, AmbientTangent(point, sd.frames.xi[0])
-
-
-def hopf_projection_count(patch: HypersurfacePatch, params,
-                          tau_proj=TAU_PROJ, tau_mult=TAU_MULT) -> int:
-    """h = number of eigenvalue clusters onto which J xi projects."""
-    sd = shape_data(patch, np.atleast_2d(params)[:1])
-    return _h_of(sd, 0, tau_proj, tau_mult)
-
-
-def _h_of(sd: ShapeData, n, tau_proj, tau_mult):
-    _, _, norms = _cluster_projections(sd, n, tau_mult)
-    return int(sum(1 for x in norms if x > tau_proj))
-
-
-# -- adapted frame ------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,88 +310,175 @@ class AdaptedFrame:
     residuals: dict
 
 
-def _frame_of(sd: ShapeData, n, tau_proj=TAU_PROJ, tau_mult=TAU_MULT) -> AdaptedFrame:
+def _require_h2(h):
+    """Raise FrameError at the first entry of h that is not 2."""
+    bad = h[h != 2]
+    if len(bad):
+        raise FrameError(f"adapted frame needs h = 2, found h = {bad[0]}")
+
+
+@dataclass(eq=False)
+class AdaptedFrames:
+    """The h = 2 structure at every point of a ShapeData (leading point axis).
+
+    The frame fields U, V, A, a, b, alpha, beta, gamma and the identity
+    residuals are NaN where h != 2; levi and ruled are defined everywhere.
+    """
+
+    h: np.ndarray          # (N,) number of clusters onto which J xi projects
+    labels: np.ndarray     # (N, 3) cluster index of each eigenvalue, 0 at the top
+    coords: np.ndarray     # (N, 3) J xi coordinates on the eigenvectors
+    norms: np.ndarray      # (N, 3) norm of the J xi projection on each cluster
+    mask: np.ndarray       # (N,) h == 2
+    xi: np.ndarray         # (N, 3)
+    U: np.ndarray          # (N, 3)
+    V: np.ndarray          # (N, 3)
+    A: np.ndarray          # (N, 3)
+    a: np.ndarray          # (N,)
+    b: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+    residuals: dict        # identity name -> (N,)
+    levi: np.ndarray       # (N,) L(X, X) for the unit X of the complex distribution
+    ruled: np.ndarray      # (N,) larger part of S X, S JX orthogonal to J xi
+
+    @property
+    def worst_residual(self):
+        """(N,) largest frame-identity residual, NaN where h != 2."""
+        return np.max(list(self.residuals.values()), axis=0)
+
+    def at(self, n) -> AdaptedFrame:
+        """The frame at point n; FrameError unless h = 2 there."""
+        _require_h2(self.h[[n]])
+        return AdaptedFrame(U=self.U[n], V=self.V[n], A=self.A[n], xi=self.xi[n],
+                            a=float(self.a[n]), b=float(self.b[n]),
+                            alpha=float(self.alpha[n]), beta=float(self.beta[n]),
+                            gamma=float(self.gamma[n]),
+                            residuals={k: float(v[n]) for k, v in self.residuals.items()})
+
+
+def _apply_shape(sd: ShapeData, u):
+    """S u for tangent vectors u of shape (N, k, 3) at the N points of sd."""
+    coords = sd._sp.g(u[:, :, None, :], sd.E[:, None])
+    out = np.matmul(sd.S[:, None], coords[..., None])[..., 0]
+    return np.einsum("nka,nal->nkl", out, sd.E)
+
+
+def adapted_frames(sd: ShapeData, tau_proj=TAU_PROJ, tau_mult=TAU_MULT) -> AdaptedFrames:
+    """h, the adapted frame and the Levi/ruled data at every point of sd.
+
+    Neighbouring eigenvalues share a cluster when their gap is at most
+    tau_mult * max(spread, 1e-6), so the two gaps of the descending spectrum
+    give four cluster patterns; h counts the clusters onto which J xi
+    projects with norm above tau_proj. Where h = 2, J xi = a U + b V with U
+    on the upper and V on the lower projected cluster.
+    """
     sp = sd._sp
-    clusters, coords, norms = _cluster_projections(sd, n, tau_mult)
-    proj_idx = [i for i, x in enumerate(norms) if x > tau_proj]
-    if len(proj_idx) != 2:
-        raise FrameError(f"adapted frame needs h = 2, found h = {len(proj_idx)}")
-    ca, cb = proj_idx[0], proj_idx[1]   # clusters sorted by descending eigenvalue
+    n = len(sd.eigvals)
+    vals, xi = sd.eigvals, sd.frames.xi
+    jxi = 1j * xi
+    gaps = vals[:, :-1] - vals[:, 1:]
+    thr = tau_mult * np.maximum(vals[:, 0] - vals[:, -1], 1e-6)
+    labels = np.zeros((n, 3), dtype=int)
+    labels[:, 1:] = np.cumsum(gaps > thr[:, None], axis=1)
+    coords = sp.g(sd.eigvecs, jxi[:, None, :])
+    member = labels[:, None, :] == np.arange(3)[:, None]        # (N, cluster, i)
+    norms = np.sqrt(np.add.reduce(np.where(member, coords[:, None, :] ** 2, 0.0), axis=-1))
+    proj = norms > tau_proj
+    h = proj.sum(axis=1)
+    mask = h == 2
 
-    def cluster_vec(cl):
-        vec = np.zeros(3, dtype=complex)
-        for i in cl:
-            vec += coords[i] * sd.eigvecs[n, i]
-        return vec
+    k = np.flatnonzero(mask)
+    lab, vk, gk, xk = labels[k], vals[k], gaps[k], xi[k]
 
-    def isolation(cl):
-        ins = [sd.eigvals[n, i] for i in cl]
-        outs = [sd.eigvals[n, i] for c2 in clusters for i in c2 if i not in cl]
-        return min(abs(x - y) for x in ins for y in outs) if outs else np.inf
+    def cluster(c):
+        inside = lab == c[:, None]
+        # a contiguous cluster is isolated by the smaller of its boundary gaps
+        iso = np.min(np.where(inside[:, :-1] != inside[:, 1:], gk, np.inf), axis=1)
+        mean = np.add.reduce(np.where(inside, vk, 0.0), axis=1) / inside.sum(axis=1)
+        return inside, iso, mean
 
+    in_a, iso_a, alpha = cluster(np.argmax(proj[k], axis=1))
+    in_b, iso_b, beta = cluster(2 - np.argmax(proj[k, ::-1], axis=1))
+    terms = coords[k, :, None] * sd.eigvecs[k]                  # c_i e_i
+    full = terms[:, 0] + terms[:, 1] + terms[:, 2]
     # J xi has no component outside the two projected clusters, so the
     # second vector is the complement of the better-isolated projection:
     # this stays well conditioned when the third eigenvalue nearly crosses
     # one of the projected ones.
-    full = cluster_vec(range(3))
-    if isolation(clusters[ca]) >= isolation(clusters[cb]):
-        uvec = cluster_vec(clusters[ca])
-        vvec = full - uvec
-    else:
-        vvec = cluster_vec(clusters[cb])
-        uvec = full - vvec
-    a = float(sp.norm(uvec))
-    b = float(sp.norm(vvec))
-    U = uvec / a
-    V = vvec / b
-    alpha = float(np.mean([sd.eigvals[n, i] for i in clusters[ca]]))
-    beta = float(np.mean([sd.eigvals[n, i] for i in clusters[cb]]))
-    xi = sd.frames.xi[n]
-    A = -(1j * U + a * xi) / b
+    first = iso_a >= iso_b
+    part = np.where(np.where(first[:, None], in_a, in_b)[..., None], terms, 0)
+    part = part[:, 0] + part[:, 1] + part[:, 2]
+    uvec = np.where(first[:, None], part, full - part)
+    vvec = np.where(first[:, None], full - part, part)
+    a, b = sp.norm(uvec), sp.norm(vvec)
+    ac, bc = a[:, None], b[:, None]
+    U, V = uvec / ac, vvec / bc
+    A = -(1j * U + ac * xk) / bc
     # gamma from the quadratic form; robust when gamma's cluster merged
-    acoords = np.array([sp.g(A, sd.E[n, k]) for k in range(3)])
-    gamma = float(acoords @ sd.S[n] @ acoords)
-    jxi = 1j * xi
-    res = {
-        "frame_jxi": float(sp.norm(jxi - a * U - b * V)),
-        "frame_ju": float(sp.norm(1j * U + b * A + a * xi)),
-        "frame_jv": float(sp.norm(1j * V - a * A + b * xi)),
-        "frame_ja": float(sp.norm(1j * A - b * U + a * V)),
-        "a2b2": float(abs(a * a + b * b - 1.0)),
-        "A_unit": float(abs(sp.norm(A) - 1.0)),
+    acoords = sp.g(A[:, None, :], sd.E[k])
+    gamma = np.matmul(np.matmul(acoords[:, None, :], sd.S[k]), acoords[:, :, None])[:, 0, 0]
+    residuals = {
+        "frame_jxi": sp.norm(jxi[k] - ac * U - bc * V),
+        "frame_ju": sp.norm(1j * U + bc * A + ac * xk),
+        "frame_jv": sp.norm(1j * V - ac * A + bc * xk),
+        "frame_ja": sp.norm(1j * A - bc * U + ac * V),
+        "a2b2": np.abs(a * a + b * b - 1.0),
+        "A_unit": np.abs(sp.norm(A) - 1.0),
     }
-    return AdaptedFrame(U=U, V=V, A=A, xi=xi, a=a, b=b,
-                        alpha=alpha, beta=beta, gamma=gamma, residuals=res)
+
+    def scatter(x):
+        out = np.full((n,) + x.shape[1:], np.nan, dtype=x.dtype)
+        out[k] = x
+        return out
+
+    # unit X orthogonal to J xi, from the E_a with the largest such part;
+    # (X, JX) spans the complex distribution
+    cands = sd.E - sp.g(sd.E, jxi[:, None, :])[..., None] * jxi[:, None, :]
+    cn = sp.norm(cands)
+    best = np.argmax(cn, axis=1)
+    rows = np.arange(n)
+    x = cands[rows, best] / cn[rows, best, None]
+    X = np.stack([x, 1j * x], axis=1)
+    SX = _apply_shape(sd, X)
+    levi = sp.g(SX, X)
+    normal = SX - sp.g(SX, jxi[:, None, :])[..., None] * jxi[:, None, :]
+    return AdaptedFrames(
+        h=h, labels=labels, coords=coords, norms=norms, mask=mask, xi=xi,
+        U=scatter(U), V=scatter(V), A=scatter(A), a=scatter(a), b=scatter(b),
+        alpha=scatter(alpha), beta=scatter(beta), gamma=scatter(gamma),
+        residuals={key: scatter(r) for key, r in residuals.items()},
+        levi=levi[:, 0] + levi[:, 1], ruled=np.max(sp.norm(normal), axis=1))
+
+
+def shape_operator(patch: HypersurfacePatch, params, tau_mult=TAU_MULT):
+    """Public per-point shape operator: (ShapeSpectrum, unit normal)."""
+    sd = shape_data(patch, np.atleast_2d(params)[:1])
+    labels = adapted_frames(sd, tau_mult=tau_mult).labels[0]
+    clusters = tuple(tuple(np.flatnonzero(labels == c).tolist())
+                     for c in range(labels[-1] + 1))
+    point = AmbientPoint(patch.space, sd.frames.z[0])
+    spectrum = ShapeSpectrum(tuple(float(x) for x in sd.eigvals[0]),
+                             sd.eigvecs[0], clusters, tau_mult)
+    return spectrum, AmbientTangent(point, sd.frames.xi[0])
+
+
+def hopf_projection_count(patch: HypersurfacePatch, params,
+                          tau_proj=TAU_PROJ, tau_mult=TAU_MULT) -> int:
+    """h = number of eigenvalue clusters onto which J xi projects."""
+    sd = shape_data(patch, np.atleast_2d(params)[:1])
+    return int(adapted_frames(sd, tau_proj, tau_mult).h[0])
 
 
 def adapted_frame(patch: HypersurfacePatch, params,
                   tau_proj=TAU_PROJ, tau_mult=TAU_MULT) -> AdaptedFrame:
     """Adapted frame of the h = 2 structure at a single parameter point."""
     sd = shape_data(patch, np.atleast_2d(params)[:1])
-    return _frame_of(sd, 0, tau_proj, tau_mult)
+    return adapted_frames(sd, tau_proj, tau_mult).at(0)
 
 
-# -- Levi form and pointwise predicates ----------------------------------------
-
-
-def _complex_distribution_basis(sd: ShapeData, n):
-    """Unit X tangent with g(X, J xi) = 0; (X, JX) spans (J xi)^perp cap TM."""
-    sp = sd._sp
-    jxi = 1j * sd.frames.xi[n]
-    best, best_norm = None, -1.0
-    for a in range(3):
-        cand = sd.E[n, a] - sp.g(sd.E[n, a], jxi) * jxi
-        nn = float(sp.norm(cand))
-        if nn > best_norm:
-            best, best_norm = cand, nn
-    return best / best_norm
-
-
-def _apply_S(sd: ShapeData, n, u):
-    sp = sd._sp
-    coords = np.array([sp.g(u, sd.E[n, a]) for a in range(3)])
-    out_coords = sd.S[n] @ coords
-    return np.einsum("a,ak->k", out_coords, sd.E[n])
+# -- Levi form ------------------------------------------------------------------
 
 
 def levi_form(patch: HypersurfacePatch, params, X, Y, tol=1e-6) -> float:
@@ -431,24 +491,8 @@ def levi_form(patch: HypersurfacePatch, params, X, Y, tol=1e-6) -> float:
     for u in (xv, yv):
         if abs(sp.g(u, jxi)) > tol * max(1.0, float(sp.norm(u))):
             raise GeometryError("Levi form arguments must be orthogonal to J xi")
-    return float(sp.g(_apply_S(sd, 0, xv), yv) + sp.g(_apply_S(sd, 0, 1j * xv), 1j * yv))
-
-
-def _levi_scalar(sd: ShapeData, n) -> float:
-    x = _complex_distribution_basis(sd, n)
-    sp = sd._sp
-    return float(sp.g(_apply_S(sd, n, x), x) + sp.g(_apply_S(sd, n, 1j * x), 1j * x))
-
-
-def _ruled_residual(sd: ShapeData, n) -> float:
-    sp = sd._sp
-    jxi = 1j * sd.frames.xi[n]
-    x = _complex_distribution_basis(sd, n)
-    worst = 0.0
-    for u in (x, 1j * x):
-        su = _apply_S(sd, n, u)
-        worst = max(worst, float(sp.norm(su - sp.g(su, jxi) * jxi)))
-    return worst
+    sx = _apply_shape(sd, np.stack([xv, 1j * xv])[None])[0]
+    return float(sp.g(sx[0], yv) + sp.g(sx[1], 1j * yv))
 
 
 # -- directional machinery -----------------------------------------------------
@@ -503,17 +547,6 @@ class ClassificationReport:
         }
 
 
-def _frame_field_fn(patch, which, tau_proj, tau_mult):
-    """Pointwise evaluator of one adapted-frame vector as a field."""
-
-    def fn(params):
-        sd = shape_data(patch, params[None])
-        fr = _frame_of(sd, 0, tau_proj, tau_mult)
-        return getattr(fr, which)
-
-    return fn
-
-
 FD_FRAME_STEP = 4e-4   # diff step of the twin patch used for frame-field FD
 
 
@@ -530,19 +563,19 @@ def frame_derivative_data(patch, sd: ShapeData, n, step=1e-3,
     sp = sd._sp
     if fd_patch is None:
         fd_patch = patch.with_diff_step(max(patch.diff_step, FD_FRAME_STEP))
-    fr = _frame_of(sd, n, tau_proj, tau_mult)
+    fr = adapted_frames(sd.take([n]), tau_proj, tau_mult).at(0)
     names = ("U", "V", "A")
     dirs = np.stack([fr.U, fr.V, fr.A])
     displaced = np.stack([_displaced_params(sd, n, u, step) for u in dirs])  # (X, +-, 3)
     sd_pm = shape_data(fd_patch, displaced.reshape(6, 3))
-    frames = [_frame_of(sd_pm, k, tau_proj, tau_mult) for k in range(6)]
-    scalars = {}
-    for x, name in enumerate(names):
-        frp, frm = frames[2 * x], frames[2 * x + 1]
-        for attr in ("alpha", "beta", "gamma", "a", "b"):
-            scalars[f"{name}{attr}"] = (getattr(frp, attr) - getattr(frm, attr)) / (2.0 * step)
+    pm = adapted_frames(sd_pm, tau_proj, tau_mult)
+    _require_h2(pm.h)
+    diffs = {attr: (getattr(pm, attr)[0::2] - getattr(pm, attr)[1::2]) / (2.0 * step)
+             for attr in ("alpha", "beta", "gamma", "a", "b")}
+    scalars = {f"{name}{attr}": float(d[x])
+               for x, name in enumerate(names) for attr, d in diffs.items()}
     # fields[x, +-, y]: frame vector Y at the displacement along X
-    fields = np.array([[f.U, f.V, f.A] for f in frames]).reshape(3, 2, 3, 3)
+    fields = np.stack([pm.U, pm.V, pm.A], axis=1).reshape(3, 2, 3, 3)
     z_pm = sd_pm.frames.z.reshape(3, 2, 1, 3)
     vec = sp.covariant_difference(sd.frames.z[n], dirs, z_pm[:, 0], fields[:, 0],
                                   z_pm[:, 1], fields[:, 1], step)
@@ -562,24 +595,16 @@ def classify(patch: HypersurfacePatch, params_grid, tolerances=None,
     if not patch.contains(params_grid):
         raise GeometryError("classification grid leaves the parameter box")
     sd = shape_data(patch, params_grid)
-    n = params_grid.shape[0]
     tau_proj, tau_mult = tols["tau_proj"], tols["tau_mult"]
-    hs = np.array([_h_of(sd, i, tau_proj, tau_mult) for i in range(n)])
+    af = adapted_frames(sd, tau_proj, tau_mult)
+    hs, levi, ruled_res = af.h, af.levi, af.ruled
     traces = sd.eigvals.sum(axis=1)
-    levi = np.array([_levi_scalar(sd, i) for i in range(n)])
-    ruled_res = np.array([_ruled_residual(sd, i) for i in range(n)])
-    austere_res = np.empty(n)
-    frame_res = np.zeros(n)
-    for i in range(n):
-        if hs[i] == 2:
-            fr = _frame_of(sd, i, tau_proj, tau_mult)
-            austere_res[i] = max(abs(fr.alpha + fr.beta), abs(fr.gamma))
-            frame_res[i] = max(fr.residuals.values())
-        else:
-            austere_res[i] = max(abs(sd.eigvals[i, 0] + sd.eigvals[i, 2]),
-                                 abs(sd.eigvals[i, 1]))
+    vals = sd.eigvals
+    austere_res = np.where(af.mask, np.maximum(np.abs(af.alpha + af.beta), np.abs(af.gamma)),
+                           np.maximum(np.abs(vals[:, 0] + vals[:, 2]), np.abs(vals[:, 1])))
+    frame_res = np.where(af.mask, af.worst_residual, 0.0)
     # directional data on a deterministic subsample of h=2 points
-    idx2 = [i for i in range(n) if hs[i] == 2]
+    idx2 = np.flatnonzero(af.mask).tolist()
     take = idx2[:: max(1, len(idx2) // derivative_subsample)] if idx2 else []
     integ = spec_const = 0.0
     for i in take:
@@ -637,16 +662,14 @@ def hopf_cmc_relation_check(patch: HypersurfacePatch, params, tol=1e-6,
     remaining ones. Raises unless the point is Hopf (h = 1).
     """
     sd = shape_data(patch, np.atleast_2d(params)[:1])
-    clusters, coords, norms = _cluster_projections(sd, 0, tau_mult)
-    proj = [i for i, x in enumerate(norms) if x > tau_proj]
-    if len(proj) != 1:
-        raise GeometryError(f"hopf_cmc_relation_check requires a Hopf point (h = {len(proj)})")
-    hopf_cluster = clusters[proj[0]]
-    alpha = float(np.mean([sd.eigvals[0, i] for i in hopf_cluster]))
-    others = [sd.eigvals[0, i] for cl in clusters for i in cl if i not in hopf_cluster]
-    if len(others) == 1:   # Hopf cluster has multiplicity 2
-        others = others + [alpha]
-    beta, gamma = float(others[0]), float(others[1])
+    af = adapted_frames(sd, tau_proj, tau_mult)
+    if af.h[0] != 1:
+        raise GeometryError(f"hopf_cmc_relation_check requires a Hopf point (h = {af.h[0]})")
+    hopf = af.labels[0] == np.argmax(af.norms[0])
+    alpha = float(np.mean(sd.eigvals[0, hopf]))
+    others = sd.eigvals[0, ~hopf].tolist()
+    others += [alpha] * (2 - len(others))   # the Hopf cluster's multiplicity repeats alpha
+    beta, gamma = others
     c = patch.space.c
     return abs(2.0 * alpha * (beta + gamma) - 4.0 * beta * gamma + c)
 

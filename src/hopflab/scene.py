@@ -14,7 +14,7 @@ import numpy as np
 from .actions import LABELS, load_action
 from .ambient import GeometryError
 from .constructor import CurveLaw, EquivariantHypersurface, SigmaCurve, build_hypersurface
-from .hypersurface import TAU_MULT, TAU_PROJ, FrameError, _frame_of, shape_data
+from .hypersurface import TAU_MULT, TAU_PROJ, adapted_frames, shape_data
 
 SCHEMA_VERSION = 1
 MESH_COLUMNS = ("t", "s1", "s2", "re0", "im0", "re1", "im1", "re2", "im2",
@@ -84,7 +84,7 @@ def load_scene(path) -> dict:
 
 
 _SIGMA_FIELDS = ("action", "c", "law", "step", "truncated", "ts", "zs", "ws", "xis",
-                 "gammas", "alphas", "betas", "hopf_a", "hopf_b")
+                 "gammas", "alphas", "betas", "hopf_a", "hopf_b", "mean_align")
 
 
 def _require(d, keys, where):
@@ -116,7 +116,7 @@ def sigma_from_dict(d: dict) -> SigmaCurve:
         betas=np.asarray(d["betas"], dtype=float),
         hopf_a=np.asarray(d["hopf_a"], dtype=float),
         hopf_b=np.asarray(d["hopf_b"], dtype=float),
-        mean_align=np.zeros(len(d["ts"])),
+        mean_align=np.asarray(d["mean_align"], dtype=float),
         step=float(d["step"]),
         truncated=bool(d["truncated"]),
         truncation_reason=d.get("truncation_reason", ""),
@@ -150,21 +150,13 @@ def mesh_rows(patch, params_grid, tau_proj=TAU_PROJ, tau_mult=TAU_MULT):
     """
     params_grid = np.atleast_2d(np.asarray(params_grid, dtype=float))
     sd = shape_data(patch, params_grid)
-    rows = []
-    for i, p in enumerate(params_grid):
-        z = sd.frames.z[i]
-        try:
-            fr = _frame_of(sd, i, tau_proj, tau_mult)
-            alpha, beta, gamma = fr.alpha, fr.beta, fr.gamma
-            a, b = fr.a, fr.b
-            resid = max(fr.residuals.values())
-        except FrameError:
-            alpha, beta, gamma = (float(x) for x in sd.eigvals[i])
-            a = b = resid = float("nan")
-        rows.append((p[0], p[1], p[2],
-                     z[0].real, z[0].imag, z[1].real, z[1].imag, z[2].real, z[2].imag,
-                     alpha, beta, gamma, a, b, resid))
-    return rows
+    af = adapted_frames(sd, tau_proj, tau_mult)
+    spectrum = np.where(af.mask[:, None], np.stack([af.alpha, af.beta, af.gamma], axis=1),
+                        sd.eigvals)
+    z = sd.frames.z
+    reim = np.stack([z.real, z.imag], axis=-1).reshape(len(z), 6)   # re0, im0, ..., im2
+    return np.column_stack([params_grid, reim, spectrum, af.a, af.b,
+                            af.worst_residual]).tolist()
 
 
 def write_mesh_csv(path, rows):

@@ -25,8 +25,8 @@ from .constructor import (
 from .hypersurface import (
     TAU_MULT,
     TAU_PROJ,
-    _frame_of,
-    _h_of,
+    adapted_frame,
+    adapted_frames,
     bracket_by_flows,
     frame_derivative_data,
     hopf_cmc_relation_check,
@@ -377,26 +377,21 @@ def suite_frames(ws: Workspace) -> SuiteResult:
     ehs = ws.cmc_patch("cp2-torus")
     grid = ehs.patch.grid((6, 3, 3), margin=0.05)
     sd = shape_data(ehs.patch, grid)
-    worst = ab = 0.0
-    for i in range(len(grid)):
-        fr = _frame_of(sd, i, TAU_PROJ, TAU_MULT)
-        worst = max(worst, max(fr.residuals.values()))
-        ab = max(ab, abs(fr.a ** 2 + fr.b ** 2 - 1.0))
-    res.expect("cmc_patch:prop_frame_identities", worst, 1e-6)
-    res.expect("cmc_patch:a2_plus_b2", ab, 1e-10)
+    af = adapted_frames(sd, TAU_PROJ, TAU_MULT)   # NaN frame fields fail the checks
+    res.expect("cmc_patch:prop_frame_identities", float(np.max(af.worst_residual)), 1e-6)
+    res.expect("cmc_patch:a2_plus_b2", float(np.max(np.abs(af.a ** 2 + af.b ** 2 - 1.0))), 1e-10)
     res.expect("cmc_patch:shape_symmetry", float(np.max(sd.asym)), 1e-8)
     loh = ws.catalog_entry("lohnherr")
     sdl = shape_data(loh.patch, loh.patch.grid((4, 3, 3), margin=0.06))
-    frl = _frame_of(sdl, 0, TAU_PROJ, TAU_MULT)
+    frl = adapted_frames(sdl, TAU_PROJ, TAU_MULT).at(0)
     res.expect("lohnherr:a_equals_b_1_over_sqrt2",
                max(abs(frl.a - 1 / np.sqrt(2)), abs(frl.b - 1 / np.sqrt(2))), 1e-6)
     sphere = ws.catalog_entry("geodesic-sphere")
     probe = sphere.patch.grid((2, 2, 2), margin=0.2)
-    sds = shape_data(sphere.patch, probe)
-    hvals = {_h_of(sds, i, TAU_PROJ, TAU_MULT) for i in range(len(probe))}
-    res.expect_true("geodesic_sphere:h_equals_1", hvals == {1})
+    afs = adapted_frames(shape_data(sphere.patch, probe), TAU_PROJ, TAU_MULT)
+    res.expect_true("geodesic_sphere:h_equals_1", set(afs.h.tolist()) == {1})
     try:
-        _frame_of(sds, 0, TAU_PROJ, TAU_MULT)
+        afs.at(0)
         raised = False
     except Exception:
         raised = True
@@ -430,10 +425,10 @@ def suite_connection(ws: Workspace) -> SuiteResult:
                        abs(scalars["Ubeta"]), abs(scalars["Vbeta"])), 1e-4)
         # independent flow-composition bracket versus the connection route
         def u_fn(p, _patch=ehs.patch):
-            return _frame_of(shape_data(_patch, p[None]), 0, TAU_PROJ, TAU_MULT).U
+            return adapted_frame(_patch, p).U
 
         def v_fn(p, _patch=ehs.patch):
-            return _frame_of(shape_data(_patch, p[None]), 0, TAU_PROJ, TAU_MULT).V
+            return adapted_frame(_patch, p).V
 
         br_flow = bracket_by_flows(ehs.patch, np.array(mid), u_fn, v_fn)
         br_conn = nabla[("U", "V")] - nabla[("V", "U")]
@@ -501,15 +496,14 @@ def suite_austere(ws: Workspace) -> SuiteResult:
         res.expect_true(f"{label}:ruled", rep.ruled)
         res.expect_true(f"{label}:levi_flat", rep.levi_flat)
         sd = shape_data(ehs.patch, ehs.patch.grid((3, 2, 2), margin=0.1))
-        fr = _frame_of(sd, 0, TAU_PROJ, TAU_MULT)
+        af = adapted_frames(sd, TAU_PROJ, TAU_MULT)
+        fr = af.at(0)
         res.expect(f"{label}:a_b_sqrt2",
                    max(abs(fr.a - 1 / np.sqrt(2)), abs(fr.b - 1 / np.sqrt(2))), 1e-4)
         # Prop 5.2 exclusion: no J xi projection onto the 0-eigenvalue space
         mid_idx = np.argsort(np.abs(sd.eigvals[0]))[0]
-        coords = np.array([float(np.real(sd._sp.herm(sd.eigvecs[0, i], 1j * sd.frames.xi[0])))
-                           for i in range(3)])
         res.expect(f"{label}:no_projection_on_zero_eigenspace",
-                   abs(coords[mid_idx]), TAU_PROJ)
+                   abs(float(af.coords[0, mid_idx])), TAU_PROJ)
     # Lohnherr spectrum at 20 grid points (c = -4)
     loh = ws.catalog_entry("lohnherr")
     grid = loh.patch.grid((20, 1, 1), margin=0.03)
@@ -577,7 +571,7 @@ def suite_cmc(ws: Workspace) -> SuiteResult:
         wp = ws.wp_patch(label)
         sd = shape_data(wp.patch, np.array([[0.0, 0.0, 0.0]]))
         res.expect_true(f"{label}:wp_launch_hopf_at_p",
-                        _h_of(sd, 0, TAU_PROJ, TAU_MULT) == 1)
+                        adapted_frames(sd, TAU_PROJ, TAU_MULT).h[0] == 1)
     # Hopf rigidity across the catalog (Theorem-level relation + constancy)
     for name in ("geodesic-sphere", "horosphere", "tube-rp2", "tube-ch1"):
         entry = ws.catalog_entry(name)
@@ -629,14 +623,10 @@ def suite_leviflat(ws: Workspace) -> SuiteResult:
         res.expect_true("minimal_leviflat_certifies", cert.passed)
         res.expect("minimal_leviflat_levi_sup", cert.residuals["levi_sup"], 1e-3)
         grid = ehs.patch.grid((5, 3, 3), margin=0.05)
-        sd = shape_data(ehs.patch, grid)
-        gam = beta_plus_alpha = 0.0
-        for i in range(len(grid)):
-            fr = _frame_of(sd, i, TAU_PROJ, TAU_MULT)
-            gam = max(gam, abs(fr.gamma))
-            beta_plus_alpha = max(beta_plus_alpha, abs(fr.alpha + fr.beta))
-        res.expect("minimal_leviflat_gamma_eq_eta_over_4", gam, 1e-3)
-        res.expect("minimal_leviflat_beta_eq_minus_alpha", beta_plus_alpha, 1e-3)
+        af = adapted_frames(shape_data(ehs.patch, grid), TAU_PROJ, TAU_MULT)
+        res.expect("minimal_leviflat_gamma_eq_eta_over_4", float(np.max(np.abs(af.gamma))), 1e-3)
+        res.expect("minimal_leviflat_beta_eq_minus_alpha",
+                   float(np.max(np.abs(af.alpha + af.beta))), 1e-3)
     # Levi-flat law from a generic start: Levi form vanishes along the patch
     spec2, p0, z0, zeros = ws.launch_data("ch2-g0")
     f1, f2 = spec2.section.tangent_frame(z0)
@@ -655,9 +645,7 @@ def suite_leviflat(ws: Workspace) -> SuiteResult:
     # pointwise Levi form: symmetry and the frame formula
     ehs3 = ws.cmc_patch("cp2-torus")
     mid = np.array([0.02, 0.01, -0.03])
-    sd = shape_data(ehs3.patch, mid[None])
-    fr = _frame_of(sd, 0, TAU_PROJ, TAU_MULT)
-    sp = ehs3.space
+    fr = adapted_frame(ehs3.patch, mid)
     laa = levi_form(ehs3.patch, mid, fr.A, fr.A)
     res.expect("levi_form_frame_formula",
                abs(laa - (fr.gamma + fr.b ** 2 * fr.alpha + fr.a ** 2 * fr.beta)), 1e-6)
@@ -667,11 +655,8 @@ def suite_leviflat(ws: Workspace) -> SuiteResult:
                1e-8)
     loh = ws.catalog_entry("lohnherr")
     gridl = loh.patch.grid((4, 2, 2), margin=0.1)
-    sdl = shape_data(loh.patch, gridl)
-    from .hypersurface import _levi_scalar
-
     res.expect("lohnherr_levi_flat",
-               max(abs(_levi_scalar(sdl, i)) for i in range(len(gridl))), 1e-4)
+               float(np.max(np.abs(adapted_frames(shape_data(loh.patch, gridl)).levi))), 1e-4)
     return res
 
 

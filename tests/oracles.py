@@ -313,20 +313,20 @@ def scalar_frame_derivative_data(patch, sd, n, step=1e-3,
     Displaced frames are evaluated on a coarser-step twin patch so that the
     differencing amplifies ~1e-9 noise instead of ~1e-8.
     """
-    from hopflab.hypersurface import FD_FRAME_STEP, _displaced_params, _frame_of, shape_data
+    from hopflab.hypersurface import FD_FRAME_STEP, _displaced_params, shape_data
 
     sp = sd._sp
     if fd_patch is None:
         fd_patch = patch.with_diff_step(max(patch.diff_step, FD_FRAME_STEP))
-    fr = _frame_of(sd, n, tau_proj, tau_mult)
+    fr = pointwise_frame_of(sd, n, tau_proj, tau_mult)
     dirs = {"U": fr.U, "V": fr.V, "A": fr.A}
     frames_pm = {}
     for name, u in dirs.items():
         pp, pm = _displaced_params(sd, n, u, step)
         sd_p = shape_data(fd_patch, pp[None])
         sd_m = shape_data(fd_patch, pm[None])
-        frames_pm[name] = (_frame_of(sd_p, 0, tau_proj, tau_mult), sd_p,
-                           _frame_of(sd_m, 0, tau_proj, tau_mult), sd_m)
+        frames_pm[name] = (pointwise_frame_of(sd_p, 0, tau_proj, tau_mult), sd_p,
+                           pointwise_frame_of(sd_m, 0, tau_proj, tau_mult), sd_m)
     scalars = {}
     for name in dirs:
         frp, _, frm, _ = frames_pm[name]
@@ -521,3 +521,143 @@ def pointwise_group_orbit_apply(g1, g2, s1, s2, z):
     z = np.asarray(z, dtype=np.complex128)
     ms = s1[:, None, None] * np.asarray(g1) + s2[:, None, None] * np.asarray(g2)
     return np.einsum("nij,nj->ni", expm3_batch(ms), z)
+
+
+# -- per-point adapted frame -----------------------------------------------------
+# Frozen copies of the per-point helpers hopflab.hypersurface used before
+# adapted_frames batched them over the point axis: clusters by a Python walk
+# down the spectrum, J xi projections, the h = 2 frame with its isolation
+# choice, and the Levi scalar and ruled residual on the complex distribution.
+
+
+def pointwise_clusters(vals, tau_mult):
+    spread = float(vals[0] - vals[-1])
+    thr = tau_mult * max(spread, 1e-6)
+    groups = [[0]]
+    for i in range(1, len(vals)):
+        if vals[i - 1] - vals[i] > thr:
+            groups.append([i])
+        else:
+            groups[-1].append(i)
+    return tuple(tuple(g) for g in groups)
+
+
+def pointwise_cluster_projections(sd, n, tau_mult):
+    clusters = pointwise_clusters(sd.eigvals[n], tau_mult)
+    coords = np.array([float(np.real(sd._sp.herm(sd.eigvecs[n, i], 1j * sd.frames.xi[n])))
+                       for i in range(3)])
+    norms = [float(np.sqrt(np.sum(coords[list(cl)] ** 2))) for cl in clusters]
+    return clusters, coords, norms
+
+
+def pointwise_h_of(sd, n, tau_proj, tau_mult):
+    _, _, norms = pointwise_cluster_projections(sd, n, tau_mult)
+    return int(sum(1 for x in norms if x > tau_proj))
+
+
+def pointwise_frame_of(sd, n, tau_proj=1e-4, tau_mult=1e-4):
+    from hopflab.hypersurface import AdaptedFrame, FrameError
+
+    sp = sd._sp
+    clusters, coords, norms = pointwise_cluster_projections(sd, n, tau_mult)
+    proj_idx = [i for i, x in enumerate(norms) if x > tau_proj]
+    if len(proj_idx) != 2:
+        raise FrameError(f"adapted frame needs h = 2, found h = {len(proj_idx)}")
+    ca, cb = proj_idx[0], proj_idx[1]
+
+    def cluster_vec(cl):
+        vec = np.zeros(3, dtype=complex)
+        for i in cl:
+            vec += coords[i] * sd.eigvecs[n, i]
+        return vec
+
+    def isolation(cl):
+        ins = [sd.eigvals[n, i] for i in cl]
+        outs = [sd.eigvals[n, i] for c2 in clusters for i in c2 if i not in cl]
+        return min(abs(x - y) for x in ins for y in outs) if outs else np.inf
+
+    full = cluster_vec(range(3))
+    if isolation(clusters[ca]) >= isolation(clusters[cb]):
+        uvec = cluster_vec(clusters[ca])
+        vvec = full - uvec
+    else:
+        vvec = cluster_vec(clusters[cb])
+        uvec = full - vvec
+    a = float(sp.norm(uvec))
+    b = float(sp.norm(vvec))
+    U = uvec / a
+    V = vvec / b
+    alpha = float(np.mean([sd.eigvals[n, i] for i in clusters[ca]]))
+    beta = float(np.mean([sd.eigvals[n, i] for i in clusters[cb]]))
+    xi = sd.frames.xi[n]
+    A = -(1j * U + a * xi) / b
+    acoords = np.array([sp.g(A, sd.E[n, k]) for k in range(3)])
+    gamma = float(acoords @ sd.S[n] @ acoords)
+    jxi = 1j * xi
+    res = {
+        "frame_jxi": float(sp.norm(jxi - a * U - b * V)),
+        "frame_ju": float(sp.norm(1j * U + b * A + a * xi)),
+        "frame_jv": float(sp.norm(1j * V - a * A + b * xi)),
+        "frame_ja": float(sp.norm(1j * A - b * U + a * V)),
+        "a2b2": float(abs(a * a + b * b - 1.0)),
+        "A_unit": float(abs(sp.norm(A) - 1.0)),
+    }
+    return AdaptedFrame(U=U, V=V, A=A, xi=xi, a=a, b=b,
+                        alpha=alpha, beta=beta, gamma=gamma, residuals=res)
+
+
+def pointwise_complex_distribution_basis(sd, n):
+    sp = sd._sp
+    jxi = 1j * sd.frames.xi[n]
+    best, best_norm = None, -1.0
+    for a in range(3):
+        cand = sd.E[n, a] - sp.g(sd.E[n, a], jxi) * jxi
+        nn = float(sp.norm(cand))
+        if nn > best_norm:
+            best, best_norm = cand, nn
+    return best / best_norm
+
+
+def pointwise_apply_S(sd, n, u):
+    sp = sd._sp
+    coords = np.array([sp.g(u, sd.E[n, a]) for a in range(3)])
+    out_coords = sd.S[n] @ coords
+    return np.einsum("a,ak->k", out_coords, sd.E[n])
+
+
+def pointwise_levi_scalar(sd, n):
+    x = pointwise_complex_distribution_basis(sd, n)
+    sp = sd._sp
+    return float(sp.g(pointwise_apply_S(sd, n, x), x)
+                 + sp.g(pointwise_apply_S(sd, n, 1j * x), 1j * x))
+
+
+def pointwise_ruled_residual(sd, n):
+    sp = sd._sp
+    jxi = 1j * sd.frames.xi[n]
+    x = pointwise_complex_distribution_basis(sd, n)
+    worst = 0.0
+    for u in (x, 1j * x):
+        su = pointwise_apply_S(sd, n, u)
+        worst = max(worst, float(sp.norm(su - sp.g(su, jxi) * jxi)))
+    return worst
+
+
+# -- per-point orbit distance ----------------------------------------------------
+# Frozen copy of hopflab.constructor._orbit_distance from before it swept all
+# sampled curve points in one kernel call: one call per sampled point.
+
+
+def pointwise_orbit_distance(spec, z, curve):
+    from hopflab import _kernels as kernels
+
+    sp = spec.space
+    ss = np.linspace(-0.5, 0.5, 9)
+    best = np.inf
+    mesh = np.stack([m.ravel() for m in np.meshgrid(ss, ss, indexing="ij")], axis=-1)
+    for zc in curve.zs[:: max(1, len(curve.zs) // 12)]:
+        pts = kernels.group_orbit_apply(spec.generators[0], spec.generators[1],
+                                        mesh[:, 0], mesh[:, 1],
+                                        np.broadcast_to(zc, (len(mesh), 3)))
+        best = min(best, float(np.min(sp.dist(pts, z))))
+    return best

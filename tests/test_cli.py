@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -55,6 +56,20 @@ def test_construct_scene_roundtrip(tmp_path, capsys):
     header = csv.read_text().splitlines()
     assert header[0].startswith("# hopflab mesh")
     assert header[1].split(",")[0] == "t"
+
+
+def test_sigma_scene_roundtrip_keeps_every_field(cmc_ehs):
+    sigma = cmc_ehs.sigma
+    loaded = sigma_from_dict(json.loads(dumps_scene(scene_document({}, sigma=sigma)))["sigma"])
+    assert np.abs(sigma.mean_align).max() > 0
+    for f in dataclasses.fields(sigma):
+        old, new = getattr(sigma, f.name), getattr(loaded, f.name)
+        if f.name == "spec":
+            assert (new.label, new.space.c) == (old.label, old.space.c)
+        elif isinstance(old, np.ndarray):
+            assert new.dtype == old.dtype and np.array_equal(new, old), f.name
+        else:
+            assert new == old, f.name
 
 
 def test_construct_config_file_and_flag_override(tmp_path, capsys):
@@ -224,6 +239,7 @@ def test_construct_rejects_wrong_typed_config_file(field, value, message, tmp_pa
 
 @pytest.mark.parametrize("where, key", [
     ("sigma", "c"),
+    ("sigma", "mean_align"),
     ("sigma.law", "eta"),
     ("patch", "s_extent"),
 ])

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hopflab import constructor
 from hopflab.actions import LABELS, SingularOrbitError, load_action
 from hopflab.ambient import AmbientPoint, GeometryError
 from hopflab.constructor import (
@@ -146,7 +147,7 @@ def test_sigma_interpolant_accuracy(cmc_ehs):
 
 def test_strongly_2hopf_certify_detects_wp_launch():
     from hopflab.actions import hopf_directions
-    from hopflab.hypersurface import TAU_MULT, TAU_PROJ, _h_of
+    from hopflab.hypersurface import TAU_MULT, TAU_PROJ, adapted_frames
 
     spec = load_action("ch2-torus")
     z0 = spec.section.point(np.array([0.12, 0.07]))
@@ -156,7 +157,33 @@ def test_strongly_2hopf_certify_detects_wp_launch():
                             CurveLaw("cmc", eta=1.0), n_steps=60)
     ehs = build_hypersurface(spec, sigma, s_extent=0.1, t_margin=0.005)
     sd = shape_data(ehs.patch, np.array([[0.0, 0.0, 0.0]]))
-    assert _h_of(sd, 0, TAU_PROJ, TAU_MULT) == 1
+    assert adapted_frames(sd, TAU_PROJ, TAU_MULT).h[0] == 1
+
+
+def test_orbit_distance_matches_per_point_loop(cmc_ehs):
+    spec, sigma = cmc_ehs.spec, cmc_ehs.sigma
+    for z in (sigma.zs[len(sigma.zs) // 2], sigma.zs[0], cmc_ehs.patch.eval([0.01, 0.2, -0.1])):
+        assert constructor._orbit_distance(spec, z, sigma) == \
+            oracles.pointwise_orbit_distance(spec, z, sigma)
+
+
+def test_strongly_2hopf_certify_differentiates_each_sample_once(cmc_ehs, monkeypatch):
+    calls = {"frame_derivative_data": 0, "orbit_geometry": 0}
+
+    def counting(name):
+        fn = getattr(constructor, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(constructor, name, counting(name))
+    cert = strongly_2hopf_certify(cmc_ehs, grid_shape=(8, 3, 3), derivative_points=4)
+    assert cert.grids["derivative_sample"] == 4
+    assert calls == {"frame_derivative_data": 4, "orbit_geometry": 4}
 
 
 def test_equidistance_spot_check(cmc_ehs):

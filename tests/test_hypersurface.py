@@ -3,13 +3,17 @@ import pytest
 
 from hopflab.ambient import AmbientPoint, AmbientTangent, GeometryError, SpaceForm
 from hopflab.catalog import get_entry
+from hopflab.catalog import CATALOG_NAMES
 from hopflab.hypersurface import (
     TAU_MULT,
     TAU_PROJ,
     FrameError,
     HypersurfacePatch,
     ImmersionError,
+    PointFrames,
+    ShapeData,
     adapted_frame,
+    adapted_frames,
     classify,
     frame_derivative_data,
     hopf_cmc_relation_check,
@@ -20,6 +24,7 @@ from hopflab.hypersurface import (
     verify_connection_formulas,
     verify_gauss_codazzi,
 )
+import oracles
 from oracles import (
     scalar_frame_derivative_data,
     scalar_verify_gauss_codazzi,
@@ -104,6 +109,131 @@ def test_adapted_frame_identities(cmc_ehs):
 def test_adapted_frame_rejects_hopf_input(sphere_entry):
     with pytest.raises(FrameError):
         adapted_frame(sphere_entry.patch, [0.7, 0.7, 0.7])
+
+
+def test_frame_derivative_data_rejects_hopf_input(sphere_entry):
+    sd = shape_data(sphere_entry.patch, np.array([[0.7, 0.7, 0.7]]))
+    with pytest.raises(FrameError, match="adapted frame needs h = 2, found h = 1"):
+        frame_derivative_data(sphere_entry.patch, sd, 0)
+
+
+# -- adapted_frames against the frozen per-point helpers ------------------------
+
+
+_FRAME_SCALARS = ("a", "b", "alpha", "beta", "gamma")
+
+
+def assert_matches_pointwise(sd, af):
+    """adapted_frames agrees with the frozen per-point copies at every point:
+    h exactly, U, V, A bit for bit, scalars to 1e-15, NaN frames where h != 2."""
+    for n in range(len(sd.eigvals)):
+        assert af.h[n] == oracles.pointwise_h_of(sd, n, TAU_PROJ, TAU_MULT)
+        assert abs(af.levi[n] - oracles.pointwise_levi_scalar(sd, n)) <= 1e-15
+        assert abs(af.ruled[n] - oracles.pointwise_ruled_residual(sd, n)) <= 1e-15
+        if af.h[n] != 2:
+            assert not af.mask[n]
+            assert np.isnan(af.U[n]).all() and np.isnan(af.gamma[n])
+            assert np.isnan(af.worst_residual[n])
+            with pytest.raises(FrameError, match=f"found h = {af.h[n]}"):
+                oracles.pointwise_frame_of(sd, n)
+            with pytest.raises(FrameError, match=f"found h = {af.h[n]}"):
+                af.at(n)
+            continue
+        old, new = oracles.pointwise_frame_of(sd, n), af.at(n)
+        for key in ("U", "V", "A", "xi"):
+            assert np.array_equal(getattr(new, key), getattr(old, key)), key
+        for key in _FRAME_SCALARS:
+            assert abs(getattr(new, key) - getattr(old, key)) <= 1e-15, key
+        assert new.residuals.keys() == old.residuals.keys()
+        for key in old.residuals:
+            assert abs(new.residuals[key] - old.residuals[key]) <= 1e-15, key
+
+
+# h on each catalog entry's 4x4x4 grid: the Hopf entries and the h = 2 ones
+CATALOG_H = {"geodesic-sphere": 1, "horosphere": 1, "tube-rp2": 1, "tube-ch1": 1,
+             "lohnherr": 2, "bisector": 2, "clifford-cone-cp2": 2, "clifford-cone-ch2": 2}
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_adapted_frames_match_pointwise_copies_on_catalog(name):
+    patch = get_entry(name).patch
+    sd = shape_data(patch, patch.grid((4, 4, 4), margin=0.05))
+    af = adapted_frames(sd)
+    assert set(af.h.tolist()) == {CATALOG_H[name]}
+    assert_matches_pointwise(sd, af)
+
+
+def _synthetic_shape_data(cases, seed=3):
+    """One-point ShapeData per (descending eigenvalues, J xi coordinates) case.
+
+    All points share z, xi and a randomly rotated tangent basis E; the
+    eigenvectors carry the prescribed J xi coordinates.
+    """
+    sp = SpaceForm(4.0)
+    rng = np.random.default_rng(seed)
+    z = sp.random_point(rng)
+    xi = sp.random_tangent(rng, z)
+    xi = xi / sp.norm(xi)
+    w = sp.random_tangent(rng, z)
+    x = w - sp.herm(xi, w) * xi
+    x = x / sp.norm(x)
+    base = np.stack([1j * xi, x, 1j * x])                    # orthonormal tangents, J xi first
+    rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    E = rot @ base
+    vals, vecs, S = [], [], []
+    for eig, c in cases:
+        c = np.asarray(c, dtype=float) / np.linalg.norm(c)
+        q, _ = np.linalg.qr(np.column_stack([c, rng.standard_normal((3, 2))]))
+        P = (q * np.sign(q[:, 0] @ c)).T                      # orthogonal, first row c
+        Q = rot @ P                                           # eigenvectors in the E basis
+        vals.append(eig)
+        vecs.append(P.T @ base)
+        S.append(Q @ np.diag(eig) @ Q.T)
+    n = len(cases)
+    frames = PointFrames(params=np.zeros((n, 3)), z=np.tile(z, (n, 1)),
+                         v=np.tile(E, (n, 1, 1)), xi=np.tile(xi, (n, 1)), gram_det=np.ones(n))
+    sd = ShapeData(frames=frames, E=np.tile(E, (n, 1, 1)), W=np.tile(np.eye(3), (n, 1, 1)),
+                   S=np.array(S), eigvals=np.array(vals, dtype=float), eigvecs=np.array(vecs),
+                   jxi_coords=np.tile(rot[:, 0], (n, 1)), asym=np.zeros(n))
+    sd._sp = sp
+    return sd
+
+
+def test_adapted_frames_match_pointwise_copies_on_synthetic_spectra():
+    near = 3e-4   # a few clustering thresholds (1e-4 times a spread of 0.7 to 1.3)
+    cases = [
+        # J xi on eigenvalues 0 and 1; eigenvalue 2 nearly crosses 1, so
+        # cluster 0 is the better isolated: U is its projection, V the complement
+        ((1.0, 0.3, 0.3 - near), (0.6, 0.8, 0.0)),
+        # J xi on eigenvalues 1 and 2; eigenvalue 0 nearly crosses 1:
+        # cluster 2 is the better isolated, V is its projection, U the complement
+        ((0.3 + near, 0.3, -1.0), (0.0, 0.6, 0.8)),
+        # eigenvalues 1 and 2 merged into one cluster that carries J xi
+        ((1.0, 0.3, 0.3 - 1e-7), (0.6, 0.48, 0.64)),
+        # h = 1 inside the batch: J xi is an eigenvector
+        ((1.0, 0.3, -0.2), (1.0, 0.0, 0.0)),
+        # fully merged spectrum: one cluster, h = 1
+        ((0.5, 0.5, 0.5), (0.6, 0.48, 0.64)),
+        # h = 3: J xi projects on three distinct eigenvalues
+        ((1.0, 0.3, -0.2), (0.6, 0.48, 0.64)),
+    ]
+    sd = _synthetic_shape_data(cases)
+    af = adapted_frames(sd)
+    assert af.h.tolist() == [2, 2, 2, 1, 1, 3]
+    assert af.labels.tolist() == [[0, 1, 2], [0, 1, 2], [0, 1, 1], [0, 1, 2],
+                                  [0, 0, 0], [0, 1, 2]]
+    assert_matches_pointwise(sd, af)
+    # the isolation choice: J xi = a U + b V with U the projection on the upper
+    # cluster, whichever of the two vectors is built as a complement
+    for n in (0, 1):
+        fr = af.at(n)
+        c = np.asarray(cases[n][1])
+        upper = c[:2] if n == 0 else c[1:]
+        assert abs(fr.a - upper[0]) < 1e-12 and abs(fr.b - upper[1]) < 1e-12
+        assert max(fr.residuals.values()) < 1e-12
+    # the result at a point does not depend on the rest of the batch
+    shuffled = sd.take([5, 3, 0, 4, 1, 2])
+    assert_matches_pointwise(shuffled, adapted_frames(shuffled))
 
 
 # -- Levi form ------------------------------------------------------------------
