@@ -315,14 +315,34 @@ def _cmd_sample(args) -> int:
     return 0
 
 
+MAX_SAMPLES = 10 ** 6
+
+
+def _arg_type(convert, ok, requirement):
+    """argparse type: convert(text), rejected with one line unless ok(value)."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+    return parse
+
+
+_finite_float = _arg_type(float, math.isfinite, "a finite number")
+_positive_int = _arg_type(int, lambda n: n >= 1, "a positive integer")
+_sample_count = _arg_type(int, lambda n: n <= MAX_SAMPLES, f"an integer of at most {MAX_SAMPLES}")
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped to exit code 1 (not 2).
+    """argparse whose usage errors print one line and exit with code 1 (not 2).
 
     Exit code 2 is reserved for certification/verification failures.
     """
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
@@ -351,17 +371,17 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser("classify", help="classify a scene or catalog patch")
     pl.add_argument("--catalog", choices=CATALOG_NAMES)
     pl.add_argument("--scene")
-    pl.add_argument("--c", type=float)
-    pl.add_argument("--r", type=float, help="radius for sphere/tube entries")
-    pl.add_argument("--grid", type=int, nargs=3)
+    pl.add_argument("--c", type=_finite_float)
+    pl.add_argument("--r", type=_finite_float, help="radius for sphere/tube entries")
+    pl.add_argument("--grid", type=_positive_int, nargs=3)
     pl.add_argument("--out")
     pl.set_defaults(func=_cmd_classify)
 
     ph = sub.add_parser("hopf-directions", help="zero set of the Phi obstruction")
     ph.add_argument("--action", choices=LABELS, required=True)
-    ph.add_argument("--c", type=float)
-    ph.add_argument("--point", type=float, nargs=2, default=(0.12, 0.07))
-    ph.add_argument("--samples", type=int, default=720)
+    ph.add_argument("--c", type=_finite_float)
+    ph.add_argument("--point", type=_finite_float, nargs=2, default=(0.12, 0.07))
+    ph.add_argument("--samples", type=_sample_count, default=720)
     ph.add_argument("--out", help="CSV profile output")
     ph.set_defaults(func=_cmd_hopf_directions)
 
@@ -375,9 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("sample", help="export a CSV mesh of samples")
     ps.add_argument("--catalog", choices=CATALOG_NAMES)
     ps.add_argument("--scene")
-    ps.add_argument("--c", type=float)
-    ps.add_argument("--r", type=float)
-    ps.add_argument("--grid", type=int, nargs=3)
+    ps.add_argument("--c", type=_finite_float)
+    ps.add_argument("--r", type=_finite_float)
+    ps.add_argument("--grid", type=_positive_int, nargs=3)
     ps.add_argument("--out", required=True)
     ps.set_defaults(func=_cmd_sample)
     return ap

@@ -44,6 +44,7 @@ from .hypersurface import (
     DEFAULT_TOLERANCES,
     HypersurfacePatch,
     adapted_frames,
+    d_invariants,
     frame_derivative_data,
     shape_data,
 )
@@ -438,45 +439,34 @@ def strongly_2hopf_certify(ehs: EquivariantHypersurface, tol=None,
     idx2 = sorted(idx2, key=lambda i: (cornerness[i], i))
     stride = max(1, len(idx2) // derivative_points)
     sample = idx2[::stride][:derivative_points]
-    integ = spec_const = tangency = 0.0
-    derivs, geos = [], []
-    for i in sample:
-        fr, scalars, nabla = frame_derivative_data(
-            patch, sd, i, step=1e-3, tau_proj=tols["tau_proj"], tau_mult=tols["tau_mult"])
-        derivs.append(nabla)
-        bracket = nabla[("U", "V")] - nabla[("V", "U")]
-        integ = max(integ, abs(float(sp.g(bracket, fr.A))))
-        spec_const = max(spec_const, abs(scalars["Ualpha"]), abs(scalars["Valpha"]),
-                         abs(scalars["Ubeta"]), abs(scalars["Vbeta"]))
-        # D = span{U, V} must be tangent to the orbit through the point
-        geo = orbit_geometry(ehs.spec, sd.frames.z[i])
-        geos.append(geo)
-        for vec in (fr.U, fr.V):
-            out = vec - sp.g(vec, geo.basis[0]) * geo.basis[0] \
-                      - sp.g(vec, geo.basis[1]) * geo.basis[1]
-            tangency = max(tangency, float(sp.norm(out)))
-    res["integrability"] = float(integ)
-    res["spectrum_constancy_D"] = float(spec_const)
-    res["orbit_tangency"] = float(tangency)
+    af, scalars, nabla = frame_derivative_data(patch, sd, sample, tols["tau_proj"],
+                                               tols["tau_mult"])
+    integ, spec_const = (float(np.max(x, initial=0.0))
+                         for x in d_invariants(sp, af, scalars, nabla))
+    geo = orbit_geometry(ehs.spec, sd.frames.z[sample])
+    # D = span{U, V} must be tangent to the orbit through the point
+    x1, x2 = geo.basis[:, None, 0], geo.basis[:, None, 1]
+    d = np.stack([af.U, af.V], axis=1)
+    out = d - sp.g(d, x1)[..., None] * x1 - sp.g(d, x2)[..., None] * x2
+    tangency = float(np.max(sp.norm(out), initial=0.0))
+    res["integrability"] = integ
+    res["spectrum_constancy_D"] = spec_const
+    res["orbit_tangency"] = tangency
 
     # leaf geometry (Prop 4.3): flat, totally real orbit leaves
-    leaf_flat = leaf_real = 0.0
-    for geo in geos[: max(1, len(sample) // 2)]:
-        x1, x2 = geo.basis
-        ii = geo.second_fundamental
-        k_amb = float(sp.g(sp.curvature(x1, x2, x2), x1))
-        k_leaf = k_amb + float(np.real(
-            sp.herm(ii[0, 0], ii[1, 1]) - sp.herm(ii[0, 1], ii[0, 1])))
-        leaf_flat = max(leaf_flat, abs(k_leaf))
-        leaf_real = max(leaf_real, abs(sp.g(1j * x1, x2)))
-    res["leaf_intrinsic_curvature"] = float(leaf_flat)
-    res["leaf_totally_real_defect"] = float(leaf_real)
+    half = max(1, len(sample) // 2)
+    x1, x2 = geo.basis[:half, 0], geo.basis[:half, 1]
+    ii = geo.second_fundamental[:half]
+    k_amb = sp.g(sp.curvature(x1, x2, x2), x1)
+    k_leaf = k_amb + np.real(sp.herm(ii[:, 0, 0], ii[:, 1, 1]) - sp.herm(ii[:, 0, 1], ii[:, 0, 1]))
+    leaf_flat = float(np.max(np.abs(k_leaf), initial=0.0))
+    leaf_real = float(np.max(np.abs(sp.g(1j * x1, x2)), initial=0.0))
+    res["leaf_intrinsic_curvature"] = leaf_flat
+    res["leaf_totally_real_defect"] = leaf_real
 
     # Prop 4.4: integral curves of A are geodesics of M with curvature gamma xi
-    naa = 0.0
-    for nabla in derivs[:2]:
-        naa = max(naa, float(sp.norm(nabla[("A", "A")])))
-    res["nabla_AA"] = float(naa)
+    naa = float(np.max(sp.norm(nabla[("A", "A")][:2]), initial=0.0))
+    res["nabla_AA"] = naa
 
     passed = (h_ok and integ < tols["integrable"]
               and spec_const < tols["spectrum_constancy"]

@@ -14,6 +14,11 @@ residuals, and the Levi scalar and ruled residual on the complex
 distribution. ``adapted_frame`` and ``hopf_projection_count`` are its
 one-point wrappers.
 
+The frame's derivatives come from ``frame_derivative_data`` at an index
+array of points (one shape_data call over all displaced points), and
+``d_invariants`` reduces them to the strongly 2-Hopf D-invariants shared by
+classify, the certifier and the connection suite.
+
 Covariant derivatives of tangent fields (the frame connection nabla_X Y,
 the nested Gauss-Codazzi stencils) all go through the batched
 SpaceForm.covariant_difference, with each stencil gathered into one chart
@@ -498,19 +503,14 @@ def levi_form(patch: HypersurfacePatch, params, X, Y, tol=1e-6) -> float:
 # -- directional machinery -----------------------------------------------------
 
 
-def tangent_param_coords(sd: ShapeData, n, u):
-    """Coordinates c with u = sum_k c_k v_k (solve the Gram system)."""
+def tangent_param_coords(sd: ShapeData, u):
+    """Coordinates c with u = sum_k c_k v_k (solve the Gram system), for
+    tangent vectors u of shape (N, k, 3) at the N points of sd."""
     sp = sd._sp
-    v = sd.frames.v[n]
-    g = np.real(sp.herm(v[:, None, :], v[None, :, :]))
-    rhs = np.array([sp.g(v[k], u) for k in range(3)])
-    return np.linalg.solve(g, rhs)
-
-
-def _displaced_params(sd: ShapeData, n, u, step):
-    c = tangent_param_coords(sd, n, u)
-    p0 = sd.frames.params[n]
-    return p0 + step * c, p0 - step * c
+    v = sd.frames.v
+    g = np.real(sp.herm(v[:, :, None, :], v[:, None, :, :]))
+    rhs = sp.g(v[:, None, :, :], u[:, :, None, :])
+    return np.linalg.solve(g[:, None], rhs[..., None])[..., 0]
 
 
 # -- classification ------------------------------------------------------------
@@ -548,45 +548,59 @@ class ClassificationReport:
 
 
 FD_FRAME_STEP = 4e-4   # diff step of the twin patch used for frame-field FD
+FD_FRAME_SHIFT = 1e-3  # displacement along U, V, A differenced by frame_derivative_data
 
 
-def frame_derivative_data(patch, sd: ShapeData, n, step=1e-3,
-                          tau_proj=TAU_PROJ, tau_mult=TAU_MULT, fd_patch=None):
+def frame_derivative_data(patch, sd: ShapeData, idx, tau_proj=TAU_PROJ, tau_mult=TAU_MULT):
     """Directional derivatives of (alpha, beta, gamma, a, b) and the frame
     fields along U, V, A, plus covariant derivatives nabla_X Y for
-    X, Y in {U, V, A}. Returns (frame, scalars dict, nabla dict).
+    X, Y in {U, V, A}, at the k points idx of sd.
 
-    The six displaced frames (+-step along U, V, A) come from one shape_data
-    call on a coarser-step twin patch, so that the differencing amplifies
-    ~1e-9 noise instead of ~1e-8.
+    Returns (AdaptedFrames at idx, scalars name -> (k,), nabla (X, Y) -> (k, 3)).
+    The 6 k displaced frames (+-FD_FRAME_SHIFT along U, V, A) come from one
+    shape_data call on a coarser-step twin patch, so that the differencing
+    amplifies ~1e-9 noise instead of ~1e-8.
     """
     sp = sd._sp
-    if fd_patch is None:
-        fd_patch = patch.with_diff_step(max(patch.diff_step, FD_FRAME_STEP))
-    fr = adapted_frames(sd.take([n]), tau_proj, tau_mult).at(0)
+    step = FD_FRAME_SHIFT
+    base = sd.take(idx)
+    af = adapted_frames(base, tau_proj, tau_mult)
+    _require_h2(af.h)
     names = ("U", "V", "A")
-    dirs = np.stack([fr.U, fr.V, fr.A])
-    displaced = np.stack([_displaced_params(sd, n, u, step) for u in dirs])  # (X, +-, 3)
-    sd_pm = shape_data(fd_patch, displaced.reshape(6, 3))
+    dirs = np.stack([af.U, af.V, af.A], axis=1)                      # (k, X, 3)
+    shift = step * tangent_param_coords(base, dirs)
+    displaced = base.frames.params[:, None, None] + np.stack([shift, -shift], axis=2)
+    fd_patch = patch.with_diff_step(max(patch.diff_step, FD_FRAME_STEP))
+    sd_pm = shape_data(fd_patch, displaced.reshape(-1, 3))            # k x (X, +-)
     pm = adapted_frames(sd_pm, tau_proj, tau_mult)
     _require_h2(pm.h)
-    diffs = {attr: (getattr(pm, attr)[0::2] - getattr(pm, attr)[1::2]) / (2.0 * step)
+    diffs = {attr: getattr(pm, attr).reshape(-1, 3, 2)
              for attr in ("alpha", "beta", "gamma", "a", "b")}
-    scalars = {f"{name}{attr}": float(d[x])
+    scalars = {f"{name}{attr}": (d[:, x, 0] - d[:, x, 1]) / (2.0 * step)
                for x, name in enumerate(names) for attr, d in diffs.items()}
-    # fields[x, +-, y]: frame vector Y at the displacement along X
-    fields = np.stack([pm.U, pm.V, pm.A], axis=1).reshape(3, 2, 3, 3)
-    z_pm = sd_pm.frames.z.reshape(3, 2, 1, 3)
-    vec = sp.covariant_difference(sd.frames.z[n], dirs, z_pm[:, 0], fields[:, 0],
-                                  z_pm[:, 1], fields[:, 1], step)
-    xi0 = sd.frames.xi[n]
+    # fields[:, x, +-, y]: frame vector Y at the displacement along X
+    fields = np.stack([pm.U, pm.V, pm.A], axis=1).reshape(-1, 3, 2, 3, 3)
+    z_pm = sd_pm.frames.z.reshape(-1, 3, 2, 1, 3)
+    vec = sp.covariant_difference(base.frames.z[:, None, None], dirs[:, None], z_pm[:, :, 0],
+                                  fields[:, :, 0], z_pm[:, :, 1], fields[:, :, 1], step)
+    xi0 = base.frames.xi[:, None, None, :]
     tang = vec - sp.g(vec, xi0)[..., None] * xi0
-    nabla = {(xn, yn): tang[x, y] for x, xn in enumerate(names) for y, yn in enumerate(names)}
-    return fr, scalars, nabla
+    nabla = {(xn, yn): tang[:, x, y] for x, xn in enumerate(names) for y, yn in enumerate(names)}
+    return af, scalars, nabla
+
+
+def d_invariants(sp: SpaceForm, af: AdaptedFrames, scalars, nabla):
+    """(k,) integrability |<nabla_U V - nabla_V U, A>| of D = span{U, V} and
+    D-spectrum constancy max(|U alpha|, |V alpha|, |U beta|, |V beta|) from
+    the output of frame_derivative_data."""
+    bracket = nabla[("U", "V")] - nabla[("V", "U")]
+    integ = np.abs(sp.g(bracket, af.A))
+    spec = np.max(np.abs([scalars[k] for k in ("Ualpha", "Valpha", "Ubeta", "Vbeta")]), axis=0)
+    return integ, spec
 
 
 def classify(patch: HypersurfacePatch, params_grid, tolerances=None,
-             derivative_subsample=8, derivative_step=1e-3) -> ClassificationReport:
+             derivative_subsample=8) -> ClassificationReport:
     """Evaluate the classification predicates over a parameter grid."""
     tols = dict(DEFAULT_TOLERANCES)
     if tolerances:
@@ -607,14 +621,9 @@ def classify(patch: HypersurfacePatch, params_grid, tolerances=None,
     idx2 = np.flatnonzero(af.mask).tolist()
     take = idx2[:: max(1, len(idx2) // derivative_subsample)] if idx2 else []
     integ = spec_const = 0.0
-    for i in take:
-        fr, scalars, nabla = frame_derivative_data(
-            patch, sd, i, step=derivative_step, tau_proj=tau_proj, tau_mult=tau_mult)
-        sp = sd._sp
-        bracket = nabla[("U", "V")] - nabla[("V", "U")]
-        integ = max(integ, abs(float(sp.g(bracket, fr.A))))
-        spec_const = max(spec_const, abs(scalars["Ualpha"]), abs(scalars["Valpha"]),
-                         abs(scalars["Ubeta"]), abs(scalars["Vbeta"]))
+    if take:
+        integ, spec_const = (float(np.max(x)) for x in d_invariants(
+            sd._sp, *frame_derivative_data(patch, sd, take, tau_proj, tau_mult)))
     h_counts = {int(k): int((hs == k).sum()) for k in sorted(set(hs.tolist()))}
     h_mode = max(h_counts, key=lambda k: (h_counts[k], -k))
     all_h1 = bool(np.all(hs == 1))
@@ -636,8 +645,8 @@ def classify(patch: HypersurfacePatch, params_grid, tolerances=None,
         mean_curvature=float(np.mean(traces)),
         residuals={
             "h_counts": [[k, v] for k, v in sorted(h_counts.items())],
-            "integrability": float(integ),
-            "spectrum_constancy_D": float(spec_const),
+            "integrability": integ,
+            "spectrum_constancy_D": spec_const,
             "austere": float(np.max(austere_res)),
             "levi_sup": float(np.max(np.abs(levi))),
             "ruled": float(np.max(ruled_res)),
@@ -654,7 +663,7 @@ def classify(patch: HypersurfacePatch, params_grid, tolerances=None,
 # -- CMC / Hopf relation -------------------------------------------------------
 
 
-def hopf_cmc_relation_check(patch: HypersurfacePatch, params, tol=1e-6,
+def hopf_cmc_relation_check(patch: HypersurfacePatch, params,
                             tau_proj=TAU_PROJ, tau_mult=TAU_MULT) -> float:
     """|2 alpha (beta+gamma) - 4 beta gamma + c| at a Hopf point.
 
@@ -774,8 +783,7 @@ def _derivative_identities_strong(c, fr, s):
     return out
 
 
-def verify_connection_formulas(patch: HypersurfacePatch, params, tol=1e-3,
-                               step=1e-3, mode="auto",
+def verify_connection_formulas(patch: HypersurfacePatch, params, tol=1e-3, mode="auto",
                                tau_proj=TAU_PROJ, tau_mult=TAU_MULT) -> dict:
     """Compare the numeric Levi-Civita connection against the h = 2 tables.
 
@@ -789,11 +797,10 @@ def verify_connection_formulas(patch: HypersurfacePatch, params, tol=1e-3,
     report = {"params": np.atleast_2d(params)[0].tolist(), "mode": mode,
               "skipped_degenerate": False, "entries": {}, "identities": {},
               "max_entry_residual": 0.0, "max_identity_residual": 0.0}
-    fr, scalars, nabla = frame_derivative_data(patch, sd, 0, step=step,
-                                               tau_proj=tau_proj, tau_mult=tau_mult)
-    s = dict(scalars)
+    af, scalars, nabla = frame_derivative_data(patch, sd, [0], tau_proj, tau_mult)
+    fr, s = af.at(0), {key: float(val[0]) for key, val in scalars.items()}
     if mode == "auto":
-        dmax = max(abs(s["Ualpha"]), abs(s["Valpha"]), abs(s["Ubeta"]), abs(s["Vbeta"]))
+        dmax = d_invariants(sd._sp, af, scalars, nabla)[1][0]
         mode = "strong" if dmax < 10 * tol else "generic"
         report["mode"] = mode
     c = patch.space.c
@@ -806,7 +813,7 @@ def verify_connection_formulas(patch: HypersurfacePatch, params, tol=1e-3,
     worst = 0.0
     for (xn, yn), coeffs in table.items():
         rhs = coeffs[0] * basis["U"] + coeffs[1] * basis["V"] + coeffs[2] * basis["A"]
-        lhs = nabla[(xn, yn)]
+        lhs = nabla[(xn, yn)][0]
         scale = max(1.0, float(sp.norm(rhs)))
         resid = float(sp.norm(lhs - rhs)) / scale
         report["entries"][f"nabla_{xn}{yn}"] = resid
@@ -843,7 +850,7 @@ def bracket_by_flows(patch: HypersurfacePatch, params, x_fn, y_fn, h=1e-3,
         for _ in range(rk_steps):
             def vel(q):
                 sdq = shape_data(patch, q[None])
-                return tangent_param_coords(sdq, 0, fn(q))
+                return tangent_param_coords(sdq, fn(q)[None, None])[0, 0]
             k1 = vel(cur)
             k2 = vel(cur + 0.5 * dt * k1)
             k3 = vel(cur + 0.5 * dt * k2)

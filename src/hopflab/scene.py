@@ -8,6 +8,8 @@ embedded, so identical runs give byte-identical files.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 
 import numpy as np
 
@@ -96,28 +98,57 @@ def _require(d, keys, where):
             raise SceneError(f"scene field '{where}.{key}' is missing")
 
 
+def _is_finite(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _finite(value, where) -> float:
+    """value as a float; SceneError naming the field unless it is a finite number."""
+    if not _is_finite(value):
+        raise SceneError(f"scene field '{where}' must be a finite number")
+    return float(value)
+
+
 def sigma_from_dict(d: dict) -> SigmaCurve:
     _require(d, _SIGMA_FIELDS, "sigma")
     _require(d["law"], ("kind", "eta"), "sigma.law")
     if d["action"] not in LABELS:
         raise SceneError(f"scene field 'sigma.action': unknown action label {d['action']!r}")
-    spec = load_action(d["action"], d["c"])
+    spec = load_action(d["action"], _finite(d["c"], "sigma.c"))
+    ts = d["ts"]
+    if not (isinstance(ts, list) and ts and all(map(_is_finite, ts))):
+        raise SceneError("scene field 'sigma.ts' must be a non-empty list of finite numbers")
+    n = len(ts)
 
-    def arr(key):
-        return np.array([[complex(re, im) for re, im in row] for row in d[key]])
+    def reals(key):
+        vals = d[key]
+        if not (isinstance(vals, list) and len(vals) == n and all(map(_is_finite, vals))):
+            raise SceneError(f"scene field 'sigma.{key}' must be a list of {n} finite numbers")
+        return np.array(vals, dtype=float)
+
+    def complex_rows(key):
+        rows = d[key]
+        if not (isinstance(rows, list) and len(rows) == n and all(
+                isinstance(row, list) and len(row) == 3 and all(
+                    isinstance(pair, list) and len(pair) == 2 and all(map(_is_finite, pair))
+                    for pair in row) for row in rows)):
+            raise SceneError(f"scene field 'sigma.{key}' must be {n} rows of 3 finite "
+                             f"[re, im] pairs")
+        return np.array([[complex(re, im) for re, im in row] for row in rows])
 
     return SigmaCurve(
         spec=spec,
-        law=CurveLaw(d["law"]["kind"], d["law"]["eta"]),
-        ts=np.asarray(d["ts"], dtype=float),
-        zs=arr("zs"), ws=arr("ws"), xis=arr("xis"),
-        gammas=np.asarray(d["gammas"], dtype=float),
-        alphas=np.asarray(d["alphas"], dtype=float),
-        betas=np.asarray(d["betas"], dtype=float),
-        hopf_a=np.asarray(d["hopf_a"], dtype=float),
-        hopf_b=np.asarray(d["hopf_b"], dtype=float),
-        mean_align=np.asarray(d["mean_align"], dtype=float),
-        step=float(d["step"]),
+        law=CurveLaw(d["law"]["kind"], _finite(d["law"]["eta"], "sigma.law.eta")),
+        ts=np.array(ts, dtype=float),
+        zs=complex_rows("zs"), ws=complex_rows("ws"), xis=complex_rows("xis"),
+        gammas=reals("gammas"),
+        alphas=reals("alphas"),
+        betas=reals("betas"),
+        hopf_a=reals("hopf_a"),
+        hopf_b=reals("hopf_b"),
+        mean_align=reals("mean_align"),
+        step=_finite(d["step"], "sigma.step"),
         truncated=bool(d["truncated"]),
         truncation_reason=d.get("truncation_reason", ""),
     )
@@ -130,7 +161,8 @@ def patch_from_scene(doc: dict) -> EquivariantHypersurface:
     sigma = sigma_from_dict(doc["sigma"])
     meta = doc["patch"]
     _require(meta, ("s_extent",) + _PATCH_FIELDS, "patch")
-    ehs = build_hypersurface(sigma.spec, sigma, s_extent=float(meta["s_extent"]))
+    s_extent = _finite(meta["s_extent"], "patch.s_extent")
+    ehs = build_hypersurface(sigma.spec, sigma, s_extent=s_extent)
     # the rebuild is deterministic, so an unedited scene matches exactly
     rebuilt = _patch_fields(ehs)
     for key in _PATCH_FIELDS:

@@ -28,6 +28,7 @@ from .hypersurface import (
     adapted_frame,
     adapted_frames,
     bracket_by_flows,
+    d_invariants,
     frame_derivative_data,
     hopf_cmc_relation_check,
     shape_data,
@@ -417,12 +418,11 @@ def suite_connection(ws: Workspace) -> SuiteResult:
             res.expect(f"{label}:{mode}_derivative_identities", rep["max_identity_residual"], 1e-3)
         # Prop 4.2 strongly-2-Hopf specifics
         sd = shape_data(ehs.patch, np.array(mid)[None])
-        fr, scalars, nabla = frame_derivative_data(ehs.patch, sd, 0)
+        af, scalars, nabla = frame_derivative_data(ehs.patch, sd, [0])
         sp = ehs.space
-        res.expect(f"{label}:nabla_AA", float(sp.norm(nabla[("A", "A")])), 1e-4)
-        res.expect(f"{label}:D_derivatives_vanish",
-                   max(abs(scalars["Ualpha"]), abs(scalars["Valpha"]),
-                       abs(scalars["Ubeta"]), abs(scalars["Vbeta"])), 1e-4)
+        integ, dspec = d_invariants(sp, af, scalars, nabla)
+        res.expect(f"{label}:nabla_AA", float(sp.norm(nabla[("A", "A")][0])), 1e-4)
+        res.expect(f"{label}:D_derivatives_vanish", dspec[0], 1e-4)
         # independent flow-composition bracket versus the connection route
         def u_fn(p, _patch=ehs.patch):
             return adapted_frame(_patch, p).U
@@ -431,11 +431,10 @@ def suite_connection(ws: Workspace) -> SuiteResult:
             return adapted_frame(_patch, p).V
 
         br_flow = bracket_by_flows(ehs.patch, np.array(mid), u_fn, v_fn)
-        br_conn = nabla[("U", "V")] - nabla[("V", "U")]
+        br_conn = nabla[("U", "V")][0] - nabla[("V", "U")][0]
         res.expect(f"{label}:bracket_flow_vs_connection",
                    float(sp.norm(br_flow - br_conn)), 1e-5)
-        res.expect(f"{label}:integrability",
-                   abs(float(sp.g(br_conn, fr.A))), 1e-5)
+        res.expect(f"{label}:integrability", integ[0], 1e-5)
     return res
 
 

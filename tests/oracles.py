@@ -294,14 +294,29 @@ def eigh_hopf_components(spec, z, xi):
 # -- one-point covariant differences ---------------------------------------------
 # Frozen copies of frame_derivative_data and verify_gauss_codazzi from before
 # hopflab.hypersurface routed them through SpaceForm.covariant_difference and
-# batched their stencils: every displaced frame is a one-point chart call and
-# every covariant difference is written out by hand. Tests pin the batched
-# versions against them.
+# batched their stencils: every displaced frame is a one-point chart call,
+# every displacement a one-point Gram solve, and every covariant difference is
+# written out by hand. Tests pin the batched versions against them.
 
 
 def _phases(sp, z_ref, z):
     w = sp.herm(z_ref, z)
     return np.sign(sp.kappa) * np.conj(w) / np.abs(w)
+
+
+def pointwise_tangent_param_coords(sd, n, u):
+    """Coordinates c with u = sum_k c_k v_k at point n (solve the Gram system)."""
+    sp = sd._sp
+    v = sd.frames.v[n]
+    g = np.real(sp.herm(v[:, None, :], v[None, :, :]))
+    rhs = np.array([sp.g(v[k], u) for k in range(3)])
+    return np.linalg.solve(g, rhs)
+
+
+def pointwise_displaced_params(sd, n, u, step):
+    c = pointwise_tangent_param_coords(sd, n, u)
+    p0 = sd.frames.params[n]
+    return p0 + step * c, p0 - step * c
 
 
 def scalar_frame_derivative_data(patch, sd, n, step=1e-3,
@@ -313,7 +328,7 @@ def scalar_frame_derivative_data(patch, sd, n, step=1e-3,
     Displaced frames are evaluated on a coarser-step twin patch so that the
     differencing amplifies ~1e-9 noise instead of ~1e-8.
     """
-    from hopflab.hypersurface import FD_FRAME_STEP, _displaced_params, shape_data
+    from hopflab.hypersurface import FD_FRAME_STEP, shape_data
 
     sp = sd._sp
     if fd_patch is None:
@@ -322,7 +337,7 @@ def scalar_frame_derivative_data(patch, sd, n, step=1e-3,
     dirs = {"U": fr.U, "V": fr.V, "A": fr.A}
     frames_pm = {}
     for name, u in dirs.items():
-        pp, pm = _displaced_params(sd, n, u, step)
+        pp, pm = pointwise_displaced_params(sd, n, u, step)
         sd_p = shape_data(fd_patch, pp[None])
         sd_m = shape_data(fd_patch, pm[None])
         frames_pm[name] = (pointwise_frame_of(sd_p, 0, tau_proj, tau_mult), sd_p,
@@ -336,7 +351,7 @@ def scalar_frame_derivative_data(patch, sd, n, step=1e-3,
     z0 = sd.frames.z[n]
     xi0 = sd.frames.xi[n]
     for xname, u in dirs.items():
-        pp, pm = _displaced_params(sd, n, u, step)
+        pp, pm = pointwise_displaced_params(sd, n, u, step)
         frp, sd_p, frm, sd_m = frames_pm[xname]
         up = _phases(sp, z0, sd_p.frames.z[0])
         um = _phases(sp, z0, sd_m.frames.z[0])

@@ -193,14 +193,36 @@ def test_sample_csv(tmp_path, capsys):
     assert len(vals) == 15
 
 
-def test_validation_exit_codes(capsys, tmp_path):
-    # nonexistent flag value
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["construct", "--action", "bogus"])
-    assert exc.value.code == 1
-    capsys.readouterr()
-    rc = run_cli(["classify", "--scene", str(tmp_path / "missing.json")])
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "--action", "bogus"], "argument --action: invalid choice: 'bogus'"),
+    (["classify", "--scene", "{tmp}/missing.json"], "cannot read scene"),
+    (["classify", "--catalog", "geodesic-sphere", "--c", "nan"],
+     "argument --c: must be a finite number, got 'nan'"),
+    (["hopf-directions", "--action", "cp2-torus", "--c", "inf"],
+     "argument --c: must be a finite number, got 'inf'"),
+    (["hopf-directions", "--action", "cp2-torus", "--point", "nan", "0"],
+     "argument --point: must be a finite number, got 'nan'"),
+    (["sample", "--catalog", "geodesic-sphere", "--r", "inf", "--out", "{tmp}/m.csv"],
+     "argument --r: must be a finite number, got 'inf'"),
+    (["classify", "--catalog", "bisector", "--grid", "0", "4", "4"],
+     "argument --grid: must be a positive integer, got '0'"),
+    (["sample", "--catalog", "bisector", "--grid", "-1", "2", "2", "--out", "{tmp}/m.csv"],
+     "argument --grid: must be a positive integer, got '-1'"),
+    (["hopf-directions", "--action", "cp2-torus", "--samples", "100000000000"],
+     "argument --samples: must be an integer of at most 1000000, got '100000000000'"),
+], ids=["bad-action", "missing-scene", "classify-c-nan", "hopf-c-inf", "hopf-point-nan",
+        "sample-r-inf", "classify-grid-0", "sample-grid-negative", "hopf-samples-huge"])
+def test_validation_exit_codes(argv, message, capsys, tmp_path):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rc = run_cli(argv)
+        except SystemExit as exc:
+            rc = exc.code
     assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
 
 
 @pytest.mark.parametrize("field, flags", [
@@ -273,6 +295,33 @@ def test_classify_scene_edited_patch_field(key, edit, cmc_ehs, tmp_path, capsys)
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"error: scene field 'patch.{key}': stored ")
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("where, edit", [
+    ("sigma.ts", lambda doc: doc["sigma"].update(ts=[str(t) for t in doc["sigma"]["ts"]])),
+    ("sigma.zs", lambda doc: doc["sigma"]["zs"][3].pop()),
+    ("sigma.zs", lambda doc: doc["sigma"]["zs"][3][1].append(0.0)),
+    ("sigma.zs", lambda doc: doc["sigma"]["zs"][5][0].__setitem__(1, NAN)),
+    ("sigma.gammas", lambda doc: doc["sigma"]["gammas"].__setitem__(7, NAN)),
+    ("sigma.alphas", lambda doc: doc["sigma"]["alphas"].pop()),
+    ("sigma.c", lambda doc: doc["sigma"].update(c="x")),
+    ("sigma.step", lambda doc: doc["sigma"].update(step=None)),
+    ("sigma.law.eta", lambda doc: doc["sigma"]["law"].update(eta="1.0")),
+    ("patch.s_extent", lambda doc: doc["patch"].update(s_extent="big")),
+], ids=["ts-strings", "zs-short-row", "zs-long-pair", "zs-nan", "gammas-nan", "alphas-short",
+        "c-string", "step-null", "eta-string", "s_extent-string"])
+def test_classify_scene_rejects_bad_values(where, edit, cmc_ehs, tmp_path, capsys):
+    doc = json.loads(dumps_scene(scene_document({}, sigma=cmc_ehs.sigma, ehs=cmc_ehs)))
+    edit(doc)
+    scene = tmp_path / "scene.json"
+    save_scene(scene, doc)
+    rc = run_cli(["classify", "--scene", str(scene)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: scene field '{where}' must be ")
 
 
 @pytest.mark.parametrize("command", ["classify", "sample"])

@@ -114,7 +114,7 @@ def test_adapted_frame_rejects_hopf_input(sphere_entry):
 def test_frame_derivative_data_rejects_hopf_input(sphere_entry):
     sd = shape_data(sphere_entry.patch, np.array([[0.7, 0.7, 0.7]]))
     with pytest.raises(FrameError, match="adapted frame needs h = 2, found h = 1"):
-        frame_derivative_data(sphere_entry.patch, sd, 0)
+        frame_derivative_data(sphere_entry.patch, sd, [0])
 
 
 # -- adapted_frames against the frozen per-point helpers ------------------------
@@ -346,15 +346,30 @@ def test_gauss_codazzi_matches_one_point_stencils(name, perturbed):
 def test_frame_derivative_data_matches_one_point_stencils(cmc_ehs):
     grid = cmc_ehs.patch.grid((2, 2, 2), margin=0.2)
     sd = shape_data(cmc_ehs.patch, grid)
-    for n in (0, 7):
-        fr, scalars, nabla = frame_derivative_data(cmc_ehs.patch, sd, n)
+    af, scalars, nabla = frame_derivative_data(cmc_ehs.patch, sd, [0, 7])
+    for k, n in enumerate((0, 7)):
         fr_old, scalars_old, nabla_old, _ = scalar_frame_derivative_data(cmc_ehs.patch, sd, n)
-        assert np.array_equal(fr.A, fr_old.A)
+        assert np.array_equal(af.A[k], fr_old.A)
         assert scalars.keys() == scalars_old.keys() and nabla.keys() == nabla_old.keys()
         for key in scalars:
-            assert abs(scalars[key] - scalars_old[key]) < 1e-10
+            assert abs(scalars[key][k] - scalars_old[key]) < 1e-10
         for key in nabla:
-            assert np.abs(nabla[key] - nabla_old[key]).max() < 1e-10
+            assert np.abs(nabla[key][k] - nabla_old[key]).max() < 1e-10
+
+
+@pytest.mark.parametrize("name", ["bisector", "clifford-cone-ch2", "cmc"])
+def test_batched_frame_derivative_data_equals_per_index_calls(name, cmc_ehs):
+    patch = cmc_ehs.patch if name == "cmc" else get_entry(name).patch
+    sd = shape_data(patch, patch.grid((3, 3, 3), margin=0.1))
+    idx = np.flatnonzero(adapted_frames(sd).mask)[::4]
+    assert len(idx) >= 5
+    af, scalars, nabla = frame_derivative_data(patch, sd, idx)
+    for k, n in enumerate(idx):
+        one, scalars1, nabla1 = frame_derivative_data(patch, sd, [n])
+        for attr in ("U", "V", "A", "xi") + _FRAME_SCALARS:
+            assert np.array_equal(getattr(af, attr)[k], getattr(one, attr)[0])
+        assert all(np.array_equal(scalars[key][k], scalars1[key][0]) for key in scalars)
+        assert all(np.array_equal(nabla[key][k], nabla1[key][0]) for key in nabla)
 
 
 def test_hopf_cmc_relation(sphere_entry):
