@@ -23,6 +23,7 @@ from .actions import LABELS, hopf_directions, load_action
 from .ambient import AmbientPoint, GeometryError
 from .catalog import CATALOG_NAMES, get_entry
 from .constructor import (
+    LAW_KINDS,
     CurveLaw,
     build_hypersurface,
     integrate_sigma,
@@ -40,8 +41,6 @@ from .scene import (
     write_mesh_csv,
 )
 from .suites import SUITE_NAMES, run_suites
-
-LAW_KINDS = ("geodesic", "cmc", "levi-flat", "austere")
 
 
 class ConfigError(ValueError):

@@ -19,8 +19,9 @@ data of all live lanes evaluated in one batched ``orbit_geometry`` call per
 stage. Each lane keeps its own row count and stops, with a truncation
 reason, at the first step that leaves the regular set or turns non-finite,
 while the others go on. ``integrate_sigma`` runs the two sides of a curve as
-two lanes; ``austere_search`` runs all its short probes as one batch, then
-the launches that pass them as another.
+two lanes; ``austere_search`` runs all its launches as one batch, in which a
+launch stops at its first row whose alignment |<H, xi>| with the orbit
+mean-curvature field is not below the search tolerance.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .hypersurface import (
 
 DEFAULT_STEP = 1e-3
 INJECTIVITY_SEPARATION = 1e-6
+LAW_KINDS = ("geodesic", "cmc", "levi-flat", "austere")
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,7 @@ class CurveLaw:
     eta: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("geodesic", "cmc", "levi-flat", "austere"):
+        if self.kind not in LAW_KINDS:
             raise GeometryError(f"unknown curve law {self.kind!r}")
 
     def target(self, alpha, beta, a, b):
@@ -159,20 +161,26 @@ class SigmaCurve:
         }
 
 
-def _integrate_lanes(spec, law, z0, w0, xi0, step, n_steps):
+def _integrate_lanes(spec, law, z0, w0, xi0, step, n_steps, n_launches, align_tol=None):
     """RK4 on (z, w, xi) for B launches (lanes) in lockstep; z0, w0, xi0 are (B, 3).
 
     A lane stops at the first step whose stage or accepted state is
     non-finite or leaves the regular set (gram det <= REGULARITY_TOL). The
     invariants of a stored row double as the next step's first stage, and
     the row computed for an accepted point supplies its regularity test.
-    Returns (rows, counts, reasons): rows maps each SigmaCurve sample field
-    to an array with lane and row axes leading, of which lane k holds
-    counts[k] valid rows; an empty reason means the lane ran all n_steps.
+    Lane l is a side of launch l % n_launches. With ``align_tol``, a launch
+    is rejected at the first stored row of any of its lanes that fails
+    |<H, xi>| < align_tol (so a NaN rejects), and all its lanes stop there.
+    Returns (rows, counts, reasons, rejected_at): rows maps each SigmaCurve
+    sample field to an array with lane and row axes leading, of which lane k
+    holds counts[k] valid rows; an empty reason means the lane ran all
+    n_steps; rejected_at[j] is the row at which launch j was rejected, or -1.
     """
     sp = spec.space
     kap = sp.kappa
     n_lanes = len(z0)
+    launch = np.arange(n_lanes) % n_launches
+    rejected_at = np.full(n_launches, -1)
 
     def evaluate(y):
         alpha, beta, a, b, mean, det = _orbit_invariants(spec, y[:, 0], y[:, 2])
@@ -205,6 +213,14 @@ def _integrate_lanes(spec, law, z0, w0, xi0, step, n_steps):
                          ("mean_align", sp.g(mean, y[:, 2]))):
             rows[key][lanes, i] = val
 
+    def rejected(lanes, i, kept):
+        """Mask over lanes of rejected launches, after rejecting those misaligned on row i."""
+        if align_tol is None:
+            return np.zeros(len(lanes), dtype=bool)
+        bad = kept & ~(np.abs(rows["mean_align"][lanes, i]) < align_tol)
+        rejected_at[launch[lanes[bad]]] = i
+        return rejected_at[launch[lanes]] >= 0
+
     counts = np.ones(n_lanes, dtype=int)
     reasons = [""] * n_lanes
     # dying lanes compute with singular or non-finite data; they are masked out
@@ -215,7 +231,14 @@ def _integrate_lanes(spec, law, z0, w0, xi0, step, n_steps):
             raise SingularOrbitError("initial point is not regular")
         alive = np.arange(n_lanes)
         store(alive, 0, y, gam, inv)
+        drop = rejected(alive, 0, True)
         for i in range(n_steps):
+            if drop.any():
+                ok = ~drop
+                alive, y, gam = alive[ok], y[ok], gam[ok]
+                inv = tuple(v[ok] for v in inv)
+                if not len(alive):
+                    break
             # a lane's reason is its first failure: stages in order, then the
             # accepted point; a non-finite state has a NaN gram det
             dead = np.zeros(len(alive), dtype=bool)
@@ -233,36 +256,41 @@ def _integrate_lanes(spec, law, z0, w0, xi0, step, n_steps):
             nonfinite |= ~dead & ~np.isfinite(nxt).all(axis=(1, 2))
             dead |= nonfinite | ~(det > REGULARITY_TOL)
             y = nxt
-            if dead.any():
-                for lane, bad in zip(alive[dead], nonfinite[dead]):
-                    reasons[lane] = ("non-finite state" if bad
-                                     else f"left the regular set after {i + 1} steps")
-                ok = ~dead
-                alive, y, gam = alive[ok], y[ok], gam[ok]
-                inv = tuple(v[ok] for v in inv)
-                if not len(alive):
-                    break
+            # a dead lane's row lands past its count, where no reader looks
             store(alive, i + 1, y, gam, inv)
-            counts[alive] += 1
-    return rows, counts, reasons
+            counts[alive[~dead]] += 1
+            for lane, bad in zip(alive[dead], nonfinite[dead]):
+                reasons[lane] = ("non-finite state" if bad
+                                 else f"left the regular set after {i + 1} steps")
+            drop = dead | rejected(alive, i + 1, ~dead)
+    return rows, counts, reasons, rejected_at
 
 
-def _launch_sigmas(spec, law, z0, w0, step, n_steps, two_sided=True):
+def _launch_sigmas(spec, law, z0, w0, step, n_steps, two_sided=True, align_tol=None):
     """One SigmaCurve per launch, in order, integrated as one lane batch.
 
     z0: (B, 3) start representatives; w0: (B, 3) section-tangent directions,
     normalized here. A launch is one lane, or two (w0 and -w0) when
-    ``two_sided``.
+    ``two_sided``. With ``align_tol``, a launch whose alignment |<H, xi>|
+    fails to stay below it stops at that row and its entry is None.
     """
+    if step <= 0:
+        raise GeometryError("step must be positive")
+    if n_steps < 1:
+        raise GeometryError("n_steps must be at least 1")
     sp = spec.space
     w0 = w0 / sp.norm(w0)[:, None]
     xi0 = rotate90(spec, z0, w0)
     n = len(z0)
     if two_sided:
         z0, w0, xi0 = (np.concatenate(pair) for pair in ((z0, z0), (w0, -w0), (xi0, xi0)))
-    rows, counts, reasons = _integrate_lanes(spec, law, z0, w0, xi0, step, n_steps)
+    rows, counts, reasons, rejected_at = _integrate_lanes(spec, law, z0, w0, xi0, step,
+                                                          n_steps, n, align_tol)
     curves = []
     for k in range(n):
+        if rejected_at[k] >= 0:
+            curves.append(None)
+            continue
         b = n + k if two_sided else k
         nf, nb = counts[k], (counts[b] if two_sided else 1)
         # the backward side reversed, less its copy of the t = 0 row, then the forward side
@@ -287,8 +315,6 @@ def integrate_sigma(spec: PolarActionSpec, p0, w0, law: CurveLaw,
     the curve covers t in [-n_steps*step, n_steps*step]; the two sides run
     as two lanes of one batch.
     """
-    if step <= 0:
-        raise GeometryError("step must be positive")
     if isinstance(p0, AmbientPoint):
         z0 = p0.rep
     else:
@@ -573,6 +599,11 @@ def austere_search(spec: PolarActionSpec, grid_coords, tol: float = 2e-3,
     geodesic along H and keep it if max_t |<H(sigma(t)), xi(t)>| < tol. Where
     ||H|| < h_floor on an open set, geodesics in a fan of directions are
     admitted and filtered the same way plus the a = b criterion.
+
+    All launches run as one lane batch of n_steps per side, and a launch
+    stops at its first row with |<H, xi>| not below tol. The launches that
+    stay aligned are then filtered in order: truncated short of n_steps
+    rows, a != b (Prop 5.2), and curves close to one already found.
     """
     grid_coords = np.atleast_2d(np.asarray(grid_coords, dtype=float))
     if grid_coords.size == 0:
@@ -599,15 +630,11 @@ def austere_search(spec: PolarActionSpec, grid_coords, tol: float = 2e-3,
             coords.append(grid_coords[k])
     starts, dirs = np.array(starts), np.array(dirs)
 
-    # cheap short probes first; most launches fail the alignment filter early
-    probes = _launch_sigmas(spec, law, starts, dirs, step, max(10, n_steps // 8))
-    keep = [k for k, probe in enumerate(probes)
-            if float(np.max(np.abs(probe.mean_align))) < tol]
-    if not keep:
-        return []
-    sigmas = _launch_sigmas(spec, law, starts[keep], dirs[keep], step, n_steps)
+    sigmas = _launch_sigmas(spec, law, starts, dirs, step, n_steps, align_tol=tol)
     found: list[AustereCandidate] = []
-    for k, sigma in zip(keep, sigmas):
+    for k, sigma in enumerate(sigmas):
+        if sigma is None:
+            continue
         resid = float(np.max(np.abs(sigma.mean_align)))
         if resid >= tol:
             continue

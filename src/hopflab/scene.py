@@ -15,7 +15,13 @@ import numpy as np
 
 from .actions import LABELS, load_action
 from .ambient import GeometryError
-from .constructor import CurveLaw, EquivariantHypersurface, SigmaCurve, build_hypersurface
+from .constructor import (
+    LAW_KINDS,
+    CurveLaw,
+    EquivariantHypersurface,
+    SigmaCurve,
+    build_hypersurface,
+)
 from .hypersurface import TAU_MULT, TAU_PROJ, adapted_frames, shape_data
 
 SCHEMA_VERSION = 1
@@ -85,8 +91,8 @@ def load_scene(path) -> dict:
     return doc
 
 
-_SIGMA_FIELDS = ("action", "c", "law", "step", "truncated", "ts", "zs", "ws", "xis",
-                 "gammas", "alphas", "betas", "hopf_a", "hopf_b", "mean_align")
+_SIGMA_FIELDS = ("action", "c", "law", "step", "truncated", "truncation_reason", "ts", "zs",
+                 "ws", "xis", "gammas", "alphas", "betas", "hopf_a", "hopf_b", "mean_align")
 
 
 def _require(d, keys, where):
@@ -115,6 +121,12 @@ def sigma_from_dict(d: dict) -> SigmaCurve:
     _require(d["law"], ("kind", "eta"), "sigma.law")
     if d["action"] not in LABELS:
         raise SceneError(f"scene field 'sigma.action': unknown action label {d['action']!r}")
+    if d["law"]["kind"] not in LAW_KINDS:
+        raise SceneError(f"scene field 'sigma.law.kind' must be one of {', '.join(LAW_KINDS)}")
+    if not isinstance(d["truncated"], bool):
+        raise SceneError("scene field 'sigma.truncated' must be true or false")
+    if not isinstance(d["truncation_reason"], str):
+        raise SceneError("scene field 'sigma.truncation_reason' must be a string")
     spec = load_action(d["action"], _finite(d["c"], "sigma.c"))
     ts = d["ts"]
     if not (isinstance(ts, list) and ts and all(map(_is_finite, ts))):
@@ -149,8 +161,8 @@ def sigma_from_dict(d: dict) -> SigmaCurve:
         hopf_b=reals("hopf_b"),
         mean_align=reals("mean_align"),
         step=_finite(d["step"], "sigma.step"),
-        truncated=bool(d["truncated"]),
-        truncation_reason=d.get("truncation_reason", ""),
+        truncated=d["truncated"],
+        truncation_reason=d["truncation_reason"],
     )
 
 

@@ -523,25 +523,35 @@ def suite_austere(ws: Workspace) -> SuiteResult:
 
 
 def _one_sided_hausdorff(ehs, cone_entry, n_probe=5):
-    """Max over probe points of the distance to the cone patch (refined)."""
+    """Max over probe points of the distance to the cone patch (refined).
+
+    Each probe starts Nelder-Mead from the nearest point of the seed grid.
+    """
     from scipy.optimize import minimize
 
     sp = ehs.space
     probes = ehs.patch.eval(ehs.patch.grid((n_probe, 1, 1), margin=0.2))
-    box = cone_entry.patch.box
+    lo, hi = np.array(cone_entry.patch.box).T
+    seeds, d0 = _seed_distances(sp, cone_entry.patch, probes)
     worst = 0.0
-    for z in probes:
+    for z, dz in zip(probes, d0):
         def obj(q):
-            qq = np.clip(q, [b[0] for b in box], [b[1] for b in box])
-            return float(sp.dist(cone_entry.patch.eval(qq[None])[0], z))
+            return float(sp.dist(cone_entry.patch.eval(np.clip(q, lo, hi)[None])[0], z))
 
-        seeds = cone_entry.patch.grid((4, 4, 4), margin=0.05)
-        d0 = [obj(s) for s in seeds]
-        best = seeds[int(np.argmin(d0))]
-        r = minimize(obj, best, method="Nelder-Mead",
+        r = minimize(obj, seeds[int(np.argmin(dz))], method="Nelder-Mead",
                      options={"xatol": 1e-12, "fatol": 1e-16, "maxiter": 600})
         worst = max(worst, float(r.fun))
     return worst
+
+
+def _seed_distances(sp, patch, probes):
+    """A 4x4x4 seed grid on ``patch`` and the (n_probe, 64) distances of the probes to it.
+
+    One chart call over the seeds and one distance call over all pairs.
+    """
+    lo, hi = np.array(patch.box).T
+    seeds = patch.grid((4, 4, 4), margin=0.05)
+    return seeds, sp.dist(patch.eval(np.clip(seeds, lo, hi))[None], probes[:, None])
 
 
 # -- cmc -------------------------------------------------------------------------

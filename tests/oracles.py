@@ -676,3 +676,42 @@ def pointwise_orbit_distance(spec, z, curve):
                                         np.broadcast_to(zc, (len(mesh), 3)))
         best = min(best, float(np.min(sp.dist(pts, z))))
     return best
+
+
+# -- per-seed Hausdorff scan -----------------------------------------------------
+# Frozen copy of hopflab.suites._one_sided_hausdorff from before its seed scan
+# was batched: one chart evaluation and one distance per seed and probe.
+
+
+def pointwise_seed_distances(sp, patch, probes):
+    """The seed grid and, per probe, the list of its distances to each seed."""
+    box = patch.box
+    seeds = patch.grid((4, 4, 4), margin=0.05)
+    dists = []
+    for z in probes:
+        def obj(q):
+            qq = np.clip(q, [b[0] for b in box], [b[1] for b in box])
+            return float(sp.dist(patch.eval(qq[None])[0], z))
+
+        dists.append([obj(s) for s in seeds])
+    return seeds, dists
+
+
+def pointwise_one_sided_hausdorff(ehs, cone_entry, n_probe=5):
+    from scipy.optimize import minimize
+
+    sp = ehs.space
+    probes = ehs.patch.eval(ehs.patch.grid((n_probe, 1, 1), margin=0.2))
+    box = cone_entry.patch.box
+    seeds, dists = pointwise_seed_distances(sp, cone_entry.patch, probes)
+    worst = 0.0
+    for z, d0 in zip(probes, dists):
+        def obj(q):
+            qq = np.clip(q, [b[0] for b in box], [b[1] for b in box])
+            return float(sp.dist(cone_entry.patch.eval(qq[None])[0], z))
+
+        best = seeds[int(np.argmin(d0))]
+        r = minimize(obj, best, method="Nelder-Mead",
+                     options={"xatol": 1e-12, "fatol": 1e-16, "maxiter": 600})
+        worst = max(worst, float(r.fun))
+    return worst

@@ -13,7 +13,13 @@ from hopflab.catalog import (
     tube_spectrum,
 )
 from hopflab.hypersurface import classify, hopf_cmc_relation_check, shape_data
-from oracles import sphere_spectrum_oracle, tube_spectrum_oracle
+from hopflab.suites import _one_sided_hausdorff, _seed_distances
+from oracles import (
+    pointwise_one_sided_hausdorff,
+    pointwise_seed_distances,
+    sphere_spectrum_oracle,
+    tube_spectrum_oracle,
+)
 
 
 def test_catalog_registry_complete():
@@ -110,3 +116,29 @@ def test_hopf_entries_satisfy_relation():
         entry = get_entry(name, **kwargs)
         p = entry.patch.grid((2, 2, 2), margin=0.2)[1]
         assert hopf_cmc_relation_check(entry.patch, p) < 1e-6
+
+
+def test_one_sided_hausdorff_matches_per_seed_scan():
+    # the cross-construction of the austere suite (distance 0 to the cone)
+    # and a CMC patch off the cone, whose probes start from different seeds
+    from hopflab.actions import load_action
+    from hopflab.constructor import CurveLaw, austere_search, build_hypersurface, integrate_sigma
+
+    spec = load_action("ch2-torus")
+    cone = get_entry("clifford-cone-ch2")
+    z0 = spec.section.point(np.array([0.2, -0.1]))
+    f1, f2 = spec.section.tangent_frame(z0)
+    cmc = integrate_sigma(spec, AmbientPoint(spec.space, z0), np.cos(1.2) * f1 + np.sin(1.2) * f2,
+                          CurveLaw("cmc", eta=0.5), n_steps=100)
+    austere = austere_search(spec, [[-0.3, 0.0]], n_steps=120)[0].curve
+    nearest = set()
+    for sigma, n_probe in ((austere, 5), (cmc, 3)):
+        ehs = build_hypersurface(spec, sigma, s_extent=0.15)
+        probes = ehs.patch.eval(ehs.patch.grid((n_probe, 1, 1), margin=0.2))
+        seeds, dists = _seed_distances(ehs.space, cone.patch, probes)
+        ref_seeds, ref_dists = pointwise_seed_distances(ehs.space, cone.patch, probes)
+        assert np.array_equal(seeds, ref_seeds) and np.array_equal(dists, ref_dists)
+        nearest.update(np.argmin(dists, axis=1).tolist())
+        assert _one_sided_hausdorff(ehs, cone, n_probe) == \
+            pointwise_one_sided_hausdorff(ehs, cone, n_probe)
+    assert len(nearest) > 1

@@ -262,6 +262,8 @@ def test_construct_rejects_wrong_typed_config_file(field, value, message, tmp_pa
 @pytest.mark.parametrize("where, key", [
     ("sigma", "c"),
     ("sigma", "mean_align"),
+    ("sigma", "truncated"),
+    ("sigma", "truncation_reason"),
     ("sigma.law", "eta"),
     ("patch", "s_extent"),
 ])
@@ -311,8 +313,13 @@ NAN = float("nan")
     ("sigma.step", lambda doc: doc["sigma"].update(step=None)),
     ("sigma.law.eta", lambda doc: doc["sigma"]["law"].update(eta="1.0")),
     ("patch.s_extent", lambda doc: doc["patch"].update(s_extent="big")),
+    ("sigma.truncated", lambda doc: doc["sigma"].update(truncated="false")),
+    ("sigma.truncated", lambda doc: doc["sigma"].update(truncated=0)),
+    ("sigma.truncation_reason", lambda doc: doc["sigma"].update(truncation_reason=5)),
+    ("sigma.law.kind", lambda doc: doc["sigma"]["law"].update(kind="bogus")),
 ], ids=["ts-strings", "zs-short-row", "zs-long-pair", "zs-nan", "gammas-nan", "alphas-short",
-        "c-string", "step-null", "eta-string", "s_extent-string"])
+        "c-string", "step-null", "eta-string", "s_extent-string", "truncated-string",
+        "truncated-int", "truncation_reason-int", "law-kind-unknown"])
 def test_classify_scene_rejects_bad_values(where, edit, cmc_ehs, tmp_path, capsys):
     doc = json.loads(dumps_scene(scene_document({}, sigma=cmc_ehs.sigma, ehs=cmc_ehs)))
     edit(doc)

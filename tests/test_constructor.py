@@ -89,10 +89,26 @@ def test_integrate_requires_regular_start():
         integrate_sigma(spec, fp, f1, CurveLaw("geodesic"))
 
 
-def test_integrate_rejects_bad_step():
+def _integrate_entry(bad):
     spec, p0, w0 = launch("cp2-torus")
-    with pytest.raises(GeometryError):
-        integrate_sigma(spec, p0, w0, CurveLaw("geodesic"), step=-1e-3)
+    return integrate_sigma(spec, p0, w0, CurveLaw("geodesic"), **bad)
+
+
+def _search_entry(bad):
+    return austere_search(load_action("cp2-torus"), [[0.1, 0.0], [0.15, 0.1]], **bad)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"step": -1e-3}, "step must be positive"),
+    ({"step": 0.0}, "step must be positive"),
+    ({"n_steps": 0}, "n_steps must be at least 1"),
+    ({"n_steps": -5}, "n_steps must be at least 1"),
+], ids=["step-negative", "step-zero", "n_steps-zero", "n_steps-negative"])
+@pytest.mark.parametrize("entry", [_integrate_entry, _search_entry],
+                         ids=["integrate_sigma", "austere_search"])
+def test_integrate_rejects_bad_step(entry, bad, message):
+    with pytest.raises(GeometryError, match=message):
+        entry(bad)
 
 
 def test_truncation_near_singular_set():
@@ -272,6 +288,10 @@ def test_lane_core_truncates_non_finite_lanes_without_warnings():
     # the origin of cp2-torus has H = 0 and launches the six-direction fan
     ("cp2-torus", [[0.0, 0.0], [0.1, 0.0], [0.15, 0.1]], 2),
     ("ch2-k0-g2a", [[0.0, 0.0], [0.1, 0.0], [-0.2, 0.1]], 0),
+    # rejected past the oracle's 10-step probe: both launches at step 16
+    ("ch2-k0-g2a", [[-0.3, 0.0], [-0.3, -0.2]], 0),
+    # [0.05, 0.1] is rejected at step 22 and [-0.1, 0.15] at step 11
+    ("cp2-torus", [[0.0, 0.0], [0.1, 0.0], [0.05, 0.1], [-0.1, 0.15]], 2),
 ])
 def test_austere_search_matches_scalar_search(label, grid, n_found):
     spec = load_action(label)
@@ -282,3 +302,33 @@ def test_austere_search_matches_scalar_search(label, grid, n_found):
         assert np.array_equal(new.start_coords, old.start_coords)
         assert abs(new.alignment_residual - old.alignment_residual) <= 1e-12
         assert_same_sigma(new.curve, old.curve)
+
+
+def _count_invariant_calls(monkeypatch):
+    calls = []
+    invariants = constructor._orbit_invariants
+
+    def counting(*args):
+        calls.append(1)
+        return invariants(*args)
+
+    monkeypatch.setattr(constructor, "_orbit_invariants", counting)
+    return calls
+
+
+def test_austere_search_stops_misaligned_launch_early(monkeypatch):
+    # the launch at [-0.3, 0.0] fails alignment at step 16 of 120 forward and
+    # at step 17 backward, and stops at the first: one start row plus four
+    # RK4 stages per step make 65 evaluations, where probing and then
+    # re-integrating it in full made 542
+    calls = _count_invariant_calls(monkeypatch)
+    assert austere_search(load_action("ch2-k0-g2a"), [[-0.3, 0.0]], n_steps=120) == []
+    assert len(calls) == 65
+
+
+def test_austere_search_nan_tolerance_keeps_nothing(monkeypatch):
+    # |<H, xi>| < nan is false, so every launch stops on its start row
+    calls = _count_invariant_calls(monkeypatch)
+    spec = load_action("cp2-torus")
+    assert austere_search(spec, [[0.0, 0.0], [0.1, 0.0]], tol=np.nan, n_steps=40) == []
+    assert len(calls) == 1
