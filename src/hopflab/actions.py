@@ -27,6 +27,8 @@ LABELS = ("cp2-torus", "ch2-torus", "ch2-g0", "ch2-k0-g2a", "ch2-line-g2a")
 REGULARITY_TOL = 1e-10
 # eigenvalue half-gap below which a 2x2 orbit shape matrix counts as umbilic
 EIG_DEGENERATE_TOL = 1e-14
+# max |Phi| on the sample circle below which Phi counts as identically zero
+PHI_DEGENERACY_FLOOR = 1e-6
 
 
 class SingularOrbitError(GeometryError):
@@ -355,8 +357,7 @@ def phi_map(spec: PolarActionSpec, p, w) -> float:
     return float(phi_profile(spec, z, [theta])[0])
 
 
-def hopf_directions(spec: PolarActionSpec, p, n_samples: int = 720, tol: float = 1e-10,
-                    degeneracy_floor: float = 1e-6):
+def hopf_directions(spec: PolarActionSpec, p, n_samples: int = 720, tol: float = 1e-10):
     """Zero set w_p of Phi on the unit circle of the section tangent space.
 
     Sign-change brackets on a uniform sample refined by bisection. Returns a
@@ -368,7 +369,7 @@ def hopf_directions(spec: PolarActionSpec, p, n_samples: int = 720, tol: float =
     z = p.rep if isinstance(p, AmbientPoint) else np.asarray(p, dtype=complex)
     thetas = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
     vals = phi_profile(spec, z, thetas)
-    if np.max(np.abs(vals)) < max(tol, degeneracy_floor):
+    if np.max(np.abs(vals)) < max(tol, PHI_DEGENERACY_FLOOR):
         raise InconclusiveDegeneracyError(
             "Phi is numerically zero on the whole circle; the action data is degenerate")
 

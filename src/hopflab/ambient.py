@@ -179,12 +179,11 @@ class SpaceForm:
             z[0] = np.sqrt(s + u * u) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         return self.normalize_rep(z)
 
-    def random_tangent(self, rng, z, unit=True):
+    def random_tangent(self, rng, z):
+        """Random unit horizontal vector at z (for tests and suites)."""
         v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         v = self.project_horizontal(z, v)
-        if unit:
-            v = v / self.norm(v)
-        return v
+        return v / self.norm(v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,11 +202,11 @@ class AmbientPoint:
     def of(cls, space: SpaceForm, rep) -> "AmbientPoint":
         return cls(space, space.normalize_rep(np.asarray(rep, dtype=complex)))
 
-    def same_point(self, other: "AmbientPoint", tol: float = 1e-8) -> bool:
+    def same_point(self, other: "AmbientPoint") -> bool:
         if self.space != other.space:
             return False
         ratio = abs(self.space.herm(self.rep, other.rep)) / abs(self.space.kappa)
-        return bool(abs(ratio - 1.0) < tol)
+        return bool(abs(ratio - 1.0) < 1e-8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,9 +394,10 @@ class SectionChart:
         scale = np.where(rad < 1e-14, 0.0, r * theta / np.where(rad < 1e-14, 1.0, rad))
         return np.stack([c1 * scale, c2 * scale], axis=-1) / r
 
-    def second_fundamental_form_residual(self, u, step: float = 1e-4) -> float:
+    def second_fundamental_form_residual(self, u) -> float:
         """Max norm of the chart surface's II at coordinates u (should be ~0)."""
         sp = self.space
+        step = 1e-4
         u = np.asarray(u, dtype=float)
         z0 = self.point(u)
         f10, f20 = self.tangent_frame(z0)

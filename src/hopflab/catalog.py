@@ -69,17 +69,14 @@ def sphere_spectrum(c: float, r: float):
     return (s / np.tanh(s * r), (s / 2) / np.tanh(s * r / 2), (s / 2) / np.tanh(s * r / 2))
 
 
-def geodesic_sphere(space: SpaceForm, center=None, r: float = 0.5) -> CatalogEntry:
-    """Distance sphere of radius r; Hopf with constant principal curvatures."""
+def geodesic_sphere(space: SpaceForm, r: float = 0.5) -> CatalogEntry:
+    """Distance sphere of radius r about [1:0:0]; Hopf with constant principal curvatures."""
     sp = space
     if sp.c > 0 and not 0 < r < np.pi / np.sqrt(sp.c):
         raise GeometryError(f"radius must lie in (0, pi/sqrt(c)) = (0, {np.pi / np.sqrt(sp.c):.4f})")
     if r <= 0:
         raise GeometryError("radius must be positive")
-    if center is None:
-        center = sp.normalize_rep(np.eye(3, dtype=complex)[0])
-    elif isinstance(center, AmbientPoint):
-        center = center.rep
+    center = sp.normalize_rep(np.eye(3, dtype=complex)[0])
     f, g = _horizontal_unit_frame(sp, center)
 
     def chart(params):
@@ -130,15 +127,13 @@ def horosphere(space: SpaceForm) -> CatalogEntry:
 
 
 def tube_spectrum(c: float, r: float, core: str):
-    """Tube principal curvatures, inward normal, for core rp2 / ch1 / rh2."""
+    """Tube principal curvatures, inward normal, for core rp2 / ch1."""
     if core == "rp2":
         s = np.sqrt(c)
         return (-s * np.tan(s * r), -(s / 2) * np.tan(s * r / 2), (s / 2) / np.tan(s * r / 2))
     s = np.sqrt(-c)
     if core == "ch1":
         return (s / np.tanh(s * r), (s / 2) * np.tanh(s * r / 2), (s / 2) * np.tanh(s * r / 2))
-    if core == "rh2":
-        return (s * np.tanh(s * r), (s / 2) * np.tanh(s * r / 2), (s / 2) / np.tanh(s * r / 2))
     raise GeometryError(f"unknown tube core {core!r}")
 
 
@@ -200,15 +195,14 @@ def tube_ch1(space: SpaceForm, r: float = 0.4) -> CatalogEntry:
     )
 
 
-def lohnherr(space: SpaceForm | None = None, c: float = -4.0) -> CatalogEntry:
+def lohnherr(space: SpaceForm) -> CatalogEntry:
     """The minimal ruled hypersurface of CH^2 with constant curvatures.
 
     Built equivariantly: the geodesic-law sweep of the ch2-line-g2a action
     launched along the direction where the orbit mean-curvature field is
     aligned with the curve.
     """
-    if space is not None:
-        c = space.c
+    c = space.c
     if c >= 0:
         raise GeometryError("the Lohnherr hypersurface lives in CH^2 (c < 0)")
     spec = load_action("ch2-line-g2a", c)
@@ -362,7 +356,7 @@ def get_entry(name: str, c: float | None = None, **params) -> CatalogEntry:
     if name == "tube-ch1":
         return tube_ch1(SpaceForm(-4.0 if c is None else c), r=params.get("r", 0.4))
     if name == "lohnherr":
-        return lohnherr(c=-4.0 if c is None else c)
+        return lohnherr(SpaceForm(-4.0 if c is None else c))
     if name == "bisector":
         return bisector(SpaceForm(-4.0 if c is None else c))
     if name == "clifford-cone-cp2":

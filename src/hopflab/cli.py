@@ -23,6 +23,7 @@ from .actions import LABELS, hopf_directions, load_action
 from .ambient import AmbientPoint, GeometryError
 from .catalog import CATALOG_NAMES, get_entry
 from .constructor import (
+    CERTIFY_TOLERANCES,
     LAW_KINDS,
     CurveLaw,
     build_hypersurface,
@@ -91,6 +92,8 @@ class RunConfig:
         for key in ("n_steps", "seed"):
             if not _is_int(getattr(self, key)):
                 raise ConfigError(key, "must be an integer")
+        if self.seed < 0:
+            raise ConfigError("seed", "must not be negative")
         for key in ("out_scene", "out_csv"):
             if not isinstance(getattr(self, key), (str, type(None))):
                 raise ConfigError(key, "must be a file path")
@@ -111,6 +114,9 @@ class RunConfig:
         if not isinstance(self.tolerances, dict):
             raise ConfigError("tolerances", "must map names to numbers")
         for key, val in self.tolerances.items():
+            if key not in CERTIFY_TOLERANCES:
+                raise ConfigError("tolerances", f"unknown name {key!r}; allowed: "
+                                                f"{', '.join(sorted(CERTIFY_TOLERANCES))}")
             if _number_problem(val) or not val > 0:
                 raise ConfigError("tolerances", f"{key} must be positive")
 
@@ -127,9 +133,12 @@ def _env_seed(default: int) -> int:
     if raw is None:
         return default
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise ConfigError("seed", f"HOPFLAB_SEED={raw!r} is not an integer") from None
+    if seed < 0:
+        raise ConfigError("seed", f"HOPFLAB_SEED={raw!r} must not be negative")
+    return seed
 
 
 def _merge_config(args) -> RunConfig:
@@ -333,6 +342,7 @@ def _arg_type(convert, ok, requirement):
 _finite_float = _arg_type(float, math.isfinite, "a finite number")
 _positive_int = _arg_type(int, lambda n: n >= 1, "a positive integer")
 _sample_count = _arg_type(int, lambda n: n <= MAX_SAMPLES, f"an integer of at most {MAX_SAMPLES}")
+_seed = _arg_type(int, lambda n: n >= 0, "a non-negative integer")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -387,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a named invariant suite")
     pv.add_argument("suite", nargs="?", default="all",
                     help=f"one of {SUITE_NAMES + ('all',)}")
-    pv.add_argument("--seed", type=int)
+    pv.add_argument("--seed", type=_seed)
     pv.add_argument("--out", help="JSON report output")
     pv.set_defaults(func=_cmd_verify)
 

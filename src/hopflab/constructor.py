@@ -52,7 +52,30 @@ from .hypersurface import (
 
 DEFAULT_STEP = 1e-3
 INJECTIVITY_SEPARATION = 1e-6
+SWEEP_GRID_CHECK = 5          # samples per box axis in the sweep's regularity check
 LAW_KINDS = ("geodesic", "cmc", "levi-flat", "austere")
+
+# strongly_2hopf_certify: default tolerances (the names a caller may override)
+# and the size of the derivative subsample
+CERTIFY_TOLERANCES = {
+    "tau_proj": DEFAULT_TOLERANCES["tau_proj"],
+    "tau_mult": DEFAULT_TOLERANCES["tau_mult"],
+    "integrable": 1e-5,
+    "spectrum_constancy": 1e-4,
+    "leaf_flat": 1e-3,
+    "leaf_totally_real": 1e-6,
+    "nabla_AA": 1e-4,
+    "orbit_tangency": 1e-5,
+}
+DERIVATIVE_POINTS = 6
+LEVIFLAT_GRID = (10, 4, 4)
+LEVIFLAT_TOL = 1e-3
+
+# austere_search: alignment tolerance on |<H, xi>|, the ||H|| below which a
+# grid point launches the fan of directions, and the dedupe distance
+AUSTERE_TOL = 2e-3
+H_FLOOR = 1e-8
+DEDUPE_DISTANCE = 5e-2
 
 
 @dataclass(frozen=True)
@@ -338,7 +361,6 @@ class EquivariantHypersurface:
     sigma: SigmaCurve
     patch: HypersurfacePatch
     s_extent: float
-    orientation_matched: bool = True
 
     @property
     def space(self):
@@ -346,8 +368,7 @@ class EquivariantHypersurface:
 
 
 def build_hypersurface(spec: PolarActionSpec, sigma: SigmaCurve,
-                       s_extent: float = 0.15, t_margin: float = 0.02,
-                       grid_check: int = 5) -> EquivariantHypersurface:
+                       s_extent: float = 0.15, t_margin: float = 0.02) -> EquivariantHypersurface:
     """Patch map Psi(t, s1, s2) = exp(s1 G1 + s2 G2) . sigma(t).
 
     The s-extent is shrunk until all box samples stay regular and pairwise
@@ -372,8 +393,8 @@ def build_hypersurface(spec: PolarActionSpec, sigma: SigmaCurve,
     extent = s_extent
     for _ in range(8):
         box = ((t_lo, t_hi), (-extent, extent), (-extent, extent))
-        tt = np.linspace(t_lo, t_hi, grid_check)
-        ss = np.linspace(-extent, extent, grid_check)
+        tt = np.linspace(t_lo, t_hi, SWEEP_GRID_CHECK)
+        ss = np.linspace(-extent, extent, SWEEP_GRID_CHECK)
         mesh = np.stack([m.ravel() for m in np.meshgrid(tt, ss, ss, indexing="ij")], axis=-1)
         zs = chart(mesh)
         if not np.all(spec.gram_det(zs) > 1e-10):
@@ -381,9 +402,9 @@ def build_hypersurface(spec: PolarActionSpec, sigma: SigmaCurve,
             continue
         # injectivity of the sweep on one orbit: pairwise separation of the
         # s-grid images of the middle sample
-        mid = np.full((grid_check * grid_check, 3), 0.5 * (t_lo + t_hi))
-        mid[:, 1] = np.repeat(ss, grid_check)
-        mid[:, 2] = np.tile(ss, grid_check)
+        mid = np.full((SWEEP_GRID_CHECK ** 2, 3), 0.5 * (t_lo + t_hi))
+        mid[:, 1] = np.repeat(ss, SWEEP_GRID_CHECK)
+        mid[:, 2] = np.tile(ss, SWEEP_GRID_CHECK)
         pts = chart(mid)
         d = sp.dist(pts[:, None, :], pts[None, :, :])
         np.fill_diagonal(d, np.inf)
@@ -427,23 +448,16 @@ class CertificationReport:
 
 
 def strongly_2hopf_certify(ehs: EquivariantHypersurface, tol=None,
-                           grid_shape=(20, 5, 5), derivative_points=6) -> CertificationReport:
+                           grid_shape=(20, 5, 5)) -> CertificationReport:
     """Certify conditions (C1)-(C3) plus the leaf geometry spot checks.
 
     Checks h = 2 on the full grid; integrability, D-derivatives of the
     spectrum, leaf flatness/total realness and the A-geodesic property on a
-    deterministic subsample. Failures are reported as residuals, not raised.
+    deterministic subsample of DERIVATIVE_POINTS points. ``tol`` overrides
+    entries of CERTIFY_TOLERANCES. Failures are reported as residuals, not
+    raised.
     """
-    tols = {
-        "tau_proj": DEFAULT_TOLERANCES["tau_proj"],
-        "tau_mult": DEFAULT_TOLERANCES["tau_mult"],
-        "integrable": 1e-5,
-        "spectrum_constancy": 1e-4,
-        "leaf_flat": 1e-3,
-        "leaf_totally_real": 1e-6,
-        "nabla_AA": 1e-4,
-        "orbit_tangency": 1e-5,
-    }
+    tols = dict(CERTIFY_TOLERANCES)
     if tol:
         tols.update(tol)
     patch = ehs.patch
@@ -463,8 +477,8 @@ def strongly_2hopf_certify(ehs: EquivariantHypersurface, tol=None,
     spans = np.array([max(hi - lo, 1e-12) for lo, hi in patch.box])
     cornerness = (np.abs(grid - centers) / spans).max(axis=1)
     idx2 = sorted(idx2, key=lambda i: (cornerness[i], i))
-    stride = max(1, len(idx2) // derivative_points)
-    sample = idx2[::stride][:derivative_points]
+    stride = max(1, len(idx2) // DERIVATIVE_POINTS)
+    sample = idx2[::stride][:DERIVATIVE_POINTS]
     af, scalars, nabla = frame_derivative_data(patch, sd, sample, tols["tau_proj"],
                                                tols["tau_mult"])
     integ, spec_const = (float(np.max(x, initial=0.0))
@@ -506,15 +520,14 @@ def strongly_2hopf_certify(ehs: EquivariantHypersurface, tol=None,
                                tolerances=tols, grids=grids)
 
 
-def leviflat_cmc_certify(ehs: EquivariantHypersurface, eta: float,
-                         grid_shape=(10, 4, 4), tol=1e-3) -> CertificationReport:
+def leviflat_cmc_certify(ehs: EquivariantHypersurface, eta: float) -> CertificationReport:
     """Certify that a patch is Levi-flat with constant mean curvature eta.
 
     By the combined classification this can only pass for eta = 0 (the
     austere examples); a nonminimal attempt fails with the mean-curvature or
     Levi-form residuals as witnesses.
     """
-    grid = ehs.patch.grid(grid_shape, margin=0.03)
+    grid = ehs.patch.grid(LEVIFLAT_GRID, margin=0.03)
     sd = shape_data(ehs.patch, grid)
     levi = adapted_frames(sd).levi
     traces = sd.eigvals.sum(axis=1)
@@ -525,10 +538,11 @@ def leviflat_cmc_certify(ehs: EquivariantHypersurface, eta: float,
         "mean_curvature_error": float(abs(traces.mean() - eta)),
         "spectrum_spread": float(np.max(sd.eigvals.max(axis=0) - sd.eigvals.min(axis=0))),
     }
-    tols = {"levi_sup": tol, "mean_curvature_spread": tol, "mean_curvature_error": tol}
+    tols = dict.fromkeys(("levi_sup", "mean_curvature_spread", "mean_curvature_error"),
+                         LEVIFLAT_TOL)
     passed = all(res[k] < tols[k] for k in tols)
     return CertificationReport(passed=bool(passed), residuals=res, tolerances=tols,
-                               grids={"grid_shape": list(grid_shape)})
+                               grids={"grid_shape": list(LEVIFLAT_GRID)})
 
 
 def equidistance_spot_check(ehs: EquivariantHypersurface, t1: float, t2: float,
@@ -589,25 +603,26 @@ class AustereCandidate:
         }
 
 
-def austere_search(spec: PolarActionSpec, grid_coords, tol: float = 2e-3,
-                   step: float = DEFAULT_STEP, n_steps: int = 150,
-                   h_floor: float = 1e-8, dedupe_distance: float = 5e-2):
+def austere_search(spec: PolarActionSpec, grid_coords, n_steps: int = 150):
     """Curves sigma with H.sigma austere: pregeodesics aligned with the
     orbit mean-curvature field.
 
     At every grid point with nonvanishing mean-curvature field H, launch the
-    geodesic along H and keep it if max_t |<H(sigma(t)), xi(t)>| < tol. Where
-    ||H|| < h_floor on an open set, geodesics in a fan of directions are
-    admitted and filtered the same way plus the a = b criterion.
+    geodesic along H and keep it if max_t |<H(sigma(t)), xi(t)>| < AUSTERE_TOL.
+    Where ||H|| < H_FLOOR on an open set, geodesics in a fan of directions
+    are admitted and filtered the same way plus the a = b criterion.
 
-    All launches run as one lane batch of n_steps per side, and a launch
-    stops at its first row with |<H, xi>| not below tol. The launches that
-    stay aligned are then filtered in order: truncated short of n_steps
-    rows, a != b (Prop 5.2), and curves close to one already found.
+    All launches run as one lane batch of n_steps per side at DEFAULT_STEP,
+    and a launch stops at its first row with |<H, xi>| not below
+    AUSTERE_TOL. The launches that stay aligned are then filtered in order:
+    truncated short of n_steps rows, a != b (Prop 5.2), and curves within
+    DEDUPE_DISTANCE of one already found.
     """
     grid_coords = np.atleast_2d(np.asarray(grid_coords, dtype=float))
     if grid_coords.size == 0:
         raise GeometryError("empty search grid")
+    if n_steps < 1:
+        raise GeometryError("n_steps must be at least 1")
     sp = spec.space
     law = CurveLaw("austere")
     zs = spec.section.point(grid_coords)
@@ -618,7 +633,7 @@ def austere_search(spec: PolarActionSpec, grid_coords, tol: float = 2e-3,
     starts, dirs, coords = [], [], []
     for k, hvec in zip(regular, hvecs):
         hn = float(sp.norm(hvec))
-        if hn > h_floor:
+        if hn > H_FLOOR:
             cands = [hvec / hn]
         else:
             f1, f2 = spec.section.tangent_frame(zs[k])
@@ -630,22 +645,20 @@ def austere_search(spec: PolarActionSpec, grid_coords, tol: float = 2e-3,
             coords.append(grid_coords[k])
     starts, dirs = np.array(starts), np.array(dirs)
 
-    sigmas = _launch_sigmas(spec, law, starts, dirs, step, n_steps, align_tol=tol)
+    sigmas = _launch_sigmas(spec, law, starts, dirs, DEFAULT_STEP, n_steps,
+                            align_tol=AUSTERE_TOL)
     found: list[AustereCandidate] = []
     for k, sigma in enumerate(sigmas):
         if sigma is None:
-            continue
-        resid = float(np.max(np.abs(sigma.mean_align)))
-        if resid >= tol:
             continue
         if sigma.truncated and len(sigma.ts) < n_steps:
             continue
         if float(np.max(np.abs(sigma.hopf_a - sigma.hopf_b))) > 0.05:
             continue   # Prop 5.2 filter: austere forces a = b = 1/sqrt(2)
-        if any(_curves_close(spec, sigma, other.curve, dedupe_distance) for other in found):
+        if any(_curves_close(spec, sigma, other.curve, DEDUPE_DISTANCE) for other in found):
             continue
         found.append(AustereCandidate(curve=sigma, start_coords=coords[k],
-                                      alignment_residual=resid))
+                                      alignment_residual=float(np.max(np.abs(sigma.mean_align)))))
     return found
 
 

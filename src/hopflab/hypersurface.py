@@ -37,6 +37,9 @@ from .ambient import AmbientPoint, AmbientTangent, GeometryError, SpaceForm
 TAU_MULT = 1e-4       # eigenvalue clustering, relative to spectrum spread
 TAU_PROJ = 1e-4       # Hopf projection threshold
 IMMERSION_TOL = 1e-10
+AUTO_STRONG_TOL = 1e-2  # max D-derivative of alpha, beta for the strong table in "auto" mode
+BRACKET_STEP = 1e-3    # flow time of bracket_by_flows' commutator loop
+BRACKET_RK_STEPS = 2   # RK4 steps per flow leg of that loop
 
 DEFAULT_TOLERANCES = {
     "tau_mult": TAU_MULT,
@@ -85,10 +88,10 @@ class HypersurfacePatch:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def contains(self, params, slack=1e-9):
+    def contains(self, params):
         params = np.atleast_2d(np.asarray(params, dtype=float))
         for k, (lo, hi) in enumerate(self.box):
-            if np.any(params[:, k] < lo - slack) or np.any(params[:, k] > hi + slack):
+            if np.any(params[:, k] < lo - 1e-9) or np.any(params[:, k] > hi + 1e-9):
                 return False
         return True
 
@@ -457,36 +460,34 @@ def adapted_frames(sd: ShapeData, tau_proj=TAU_PROJ, tau_mult=TAU_MULT) -> Adapt
         levi=levi[:, 0] + levi[:, 1], ruled=np.max(sp.norm(normal), axis=1))
 
 
-def shape_operator(patch: HypersurfacePatch, params, tau_mult=TAU_MULT):
+def shape_operator(patch: HypersurfacePatch, params):
     """Public per-point shape operator: (ShapeSpectrum, unit normal)."""
     sd = shape_data(patch, np.atleast_2d(params)[:1])
-    labels = adapted_frames(sd, tau_mult=tau_mult).labels[0]
+    labels = adapted_frames(sd).labels[0]
     clusters = tuple(tuple(np.flatnonzero(labels == c).tolist())
                      for c in range(labels[-1] + 1))
     point = AmbientPoint(patch.space, sd.frames.z[0])
     spectrum = ShapeSpectrum(tuple(float(x) for x in sd.eigvals[0]),
-                             sd.eigvecs[0], clusters, tau_mult)
+                             sd.eigvecs[0], clusters, TAU_MULT)
     return spectrum, AmbientTangent(point, sd.frames.xi[0])
 
 
-def hopf_projection_count(patch: HypersurfacePatch, params,
-                          tau_proj=TAU_PROJ, tau_mult=TAU_MULT) -> int:
+def hopf_projection_count(patch: HypersurfacePatch, params) -> int:
     """h = number of eigenvalue clusters onto which J xi projects."""
     sd = shape_data(patch, np.atleast_2d(params)[:1])
-    return int(adapted_frames(sd, tau_proj, tau_mult).h[0])
+    return int(adapted_frames(sd).h[0])
 
 
-def adapted_frame(patch: HypersurfacePatch, params,
-                  tau_proj=TAU_PROJ, tau_mult=TAU_MULT) -> AdaptedFrame:
+def adapted_frame(patch: HypersurfacePatch, params) -> AdaptedFrame:
     """Adapted frame of the h = 2 structure at a single parameter point."""
     sd = shape_data(patch, np.atleast_2d(params)[:1])
-    return adapted_frames(sd, tau_proj, tau_mult).at(0)
+    return adapted_frames(sd).at(0)
 
 
 # -- Levi form ------------------------------------------------------------------
 
 
-def levi_form(patch: HypersurfacePatch, params, X, Y, tol=1e-6) -> float:
+def levi_form(patch: HypersurfacePatch, params, X, Y) -> float:
     """L(X, Y) = <S X, Y> + <S JX, JY> for X, Y in the complex distribution."""
     sd = shape_data(patch, np.atleast_2d(params)[:1])
     sp = sd._sp
@@ -494,7 +495,7 @@ def levi_form(patch: HypersurfacePatch, params, X, Y, tol=1e-6) -> float:
     yv = Y.vec if isinstance(Y, AmbientTangent) else np.asarray(Y, dtype=complex)
     jxi = 1j * sd.frames.xi[0]
     for u in (xv, yv):
-        if abs(sp.g(u, jxi)) > tol * max(1.0, float(sp.norm(u))):
+        if abs(sp.g(u, jxi)) > 1e-6 * max(1.0, float(sp.norm(u))):
             raise GeometryError("Levi form arguments must be orthogonal to J xi")
     sx = _apply_shape(sd, np.stack([xv, 1j * xv])[None])[0]
     return float(sp.g(sx[0], yv) + sp.g(sx[1], 1j * yv))
@@ -663,15 +664,14 @@ def classify(patch: HypersurfacePatch, params_grid, tolerances=None,
 # -- CMC / Hopf relation -------------------------------------------------------
 
 
-def hopf_cmc_relation_check(patch: HypersurfacePatch, params,
-                            tau_proj=TAU_PROJ, tau_mult=TAU_MULT) -> float:
+def hopf_cmc_relation_check(patch: HypersurfacePatch, params) -> float:
     """|2 alpha (beta+gamma) - 4 beta gamma + c| at a Hopf point.
 
     alpha is the principal curvature of the J xi direction; beta, gamma the
     remaining ones. Raises unless the point is Hopf (h = 1).
     """
     sd = shape_data(patch, np.atleast_2d(params)[:1])
-    af = adapted_frames(sd, tau_proj, tau_mult)
+    af = adapted_frames(sd)
     if af.h[0] != 1:
         raise GeometryError(f"hopf_cmc_relation_check requires a Hopf point (h = {af.h[0]})")
     hopf = af.labels[0] == np.argmax(af.norms[0])
@@ -783,12 +783,12 @@ def _derivative_identities_strong(c, fr, s):
     return out
 
 
-def verify_connection_formulas(patch: HypersurfacePatch, params, tol=1e-3, mode="auto",
-                               tau_proj=TAU_PROJ, tau_mult=TAU_MULT) -> dict:
+def verify_connection_formulas(patch: HypersurfacePatch, params, mode="auto") -> dict:
     """Compare the numeric Levi-Civita connection against the h = 2 tables.
 
     mode: "generic" (three distinct curvatures), "strong" (strongly 2-Hopf),
-    or "auto" (strong if the D-derivatives of alpha, beta vanish at tol).
+    or "auto" (strong if the D-derivatives of alpha, beta are below
+    AUTO_STRONG_TOL).
     """
     sd = shape_data(patch, np.atleast_2d(params)[:1])
     vals = sd.eigvals[0]
@@ -797,14 +797,14 @@ def verify_connection_formulas(patch: HypersurfacePatch, params, tol=1e-3, mode=
     report = {"params": np.atleast_2d(params)[0].tolist(), "mode": mode,
               "skipped_degenerate": False, "entries": {}, "identities": {},
               "max_entry_residual": 0.0, "max_identity_residual": 0.0}
-    af, scalars, nabla = frame_derivative_data(patch, sd, [0], tau_proj, tau_mult)
+    af, scalars, nabla = frame_derivative_data(patch, sd, [0])
     fr, s = af.at(0), {key: float(val[0]) for key, val in scalars.items()}
     if mode == "auto":
         dmax = d_invariants(sd._sp, af, scalars, nabla)[1][0]
-        mode = "strong" if dmax < 10 * tol else "generic"
+        mode = "strong" if dmax < AUTO_STRONG_TOL else "generic"
         report["mode"] = mode
     c = patch.space.c
-    if mode == "generic" and min_gap < 10 * tau_mult * spread:
+    if mode == "generic" and min_gap < 10 * TAU_MULT * spread:
         report["skipped_degenerate"] = True
         return report
     table = _nabla_table_strong(c, fr) if mode == "strong" else _nabla_table_generic(c, fr, s)
@@ -834,8 +834,7 @@ def verify_connection_formulas(patch: HypersurfacePatch, params, tol=1e-3, mode=
     return report
 
 
-def bracket_by_flows(patch: HypersurfacePatch, params, x_fn, y_fn, h=1e-3,
-                     rk_steps=2):
+def bracket_by_flows(patch: HypersurfacePatch, params, x_fn, y_fn):
     """[X, Y] at params via the symmetrized commutator of coordinate flows.
 
     x_fn/y_fn map params -> ambient tangent vector of the field there.
@@ -845,9 +844,9 @@ def bracket_by_flows(patch: HypersurfacePatch, params, x_fn, y_fn, h=1e-3,
     p0 = sd.frames.params[0]
 
     def flow(p, fn, time):
-        dt = time / rk_steps
+        dt = time / BRACKET_RK_STEPS
         cur = p.copy()
-        for _ in range(rk_steps):
+        for _ in range(BRACKET_RK_STEPS):
             def vel(q):
                 sdq = shape_data(patch, q[None])
                 return tangent_param_coords(sdq, fn(q)[None, None])[0, 0]
@@ -859,7 +858,7 @@ def bracket_by_flows(patch: HypersurfacePatch, params, x_fn, y_fn, h=1e-3,
         return cur
 
     def loop(sign):
-        s = sign * h
+        s = sign * BRACKET_STEP
         q = flow(p0, x_fn, s)
         q = flow(q, y_fn, s)
         q = flow(q, x_fn, -s)
@@ -867,7 +866,7 @@ def bracket_by_flows(patch: HypersurfacePatch, params, x_fn, y_fn, h=1e-3,
         return q
 
     disp = 0.5 * (loop(+1.0) + loop(-1.0)) - p0
-    coords = disp / (h * h)
+    coords = disp / (BRACKET_STEP * BRACKET_STEP)
     v = sd.frames.v[0]
     vec = coords[0] * v[0] + coords[1] * v[1] + coords[2] * v[2]
     sp = sd._sp
@@ -875,7 +874,7 @@ def bracket_by_flows(patch: HypersurfacePatch, params, x_fn, y_fn, h=1e-3,
 
 
 def verify_gauss_codazzi(patch: HypersurfacePatch, params, rng=None, n_random=20,
-                         step=None, shape_perturbation=None) -> dict:
+                         shape_perturbation=None) -> dict:
     """Residuals of the Gauss and Codazzi equations at one parameter point p.
 
     With the offsets o = (0, +h e_1, -h e_1, +h e_2, -h e_2, +h e_3, -h e_3),
@@ -889,7 +888,7 @@ def verify_gauss_codazzi(patch: HypersurfacePatch, params, rng=None, n_random=20
     (nabla_{v_i} S) v_j. Every difference is a batched
     SpaceForm.covariant_difference; the ambient curvature uses the closed form.
 
-    The step h defaults to max(10 diff_step, 5e-4), coarser than the patch's
+    The step h is max(10 diff_step, 5e-4), coarser than the patch's
     diff_step: the v_k are themselves diff_step differences of the chart, and
     the two further levels of differencing amplify their rounding noise by
     1/h^2, which a diff_step-sized h would let swamp the O(h^2) truncation.
@@ -899,7 +898,7 @@ def verify_gauss_codazzi(patch: HypersurfacePatch, params, rng=None, n_random=20
     sp = patch.space
     rng = np.random.default_rng(0) if rng is None else rng
     params = np.atleast_2d(np.asarray(params, dtype=float))[0]
-    h = step if step is not None else max(patch.diff_step * 10, 5e-4)
+    h = max(patch.diff_step * 10, 5e-4)
     offsets = _central_offsets(h)
     inner = params + offsets               # p + o_alpha
     fz = frames_at(patch, (inner[:, None, :] + offsets).reshape(-1, 3))

@@ -22,7 +22,7 @@ from .constructor import (
     SigmaCurve,
     build_hypersurface,
 )
-from .hypersurface import TAU_MULT, TAU_PROJ, adapted_frames, shape_data
+from .hypersurface import adapted_frames, shape_data
 
 SCHEMA_VERSION = 1
 MESH_COLUMNS = ("t", "s1", "s2", "re0", "im0", "re1", "im1", "re2", "im2",
@@ -184,7 +184,7 @@ def patch_from_scene(doc: dict) -> EquivariantHypersurface:
     return ehs
 
 
-def mesh_rows(patch, params_grid, tau_proj=TAU_PROJ, tau_mult=TAU_MULT):
+def mesh_rows(patch, params_grid):
     """Per-sample rows for the CSV mesh export.
 
     alpha, beta are the two J xi-projected principal curvatures and gamma the
@@ -194,7 +194,7 @@ def mesh_rows(patch, params_grid, tau_proj=TAU_PROJ, tau_mult=TAU_MULT):
     """
     params_grid = np.atleast_2d(np.asarray(params_grid, dtype=float))
     sd = shape_data(patch, params_grid)
-    af = adapted_frames(sd, tau_proj, tau_mult)
+    af = adapted_frames(sd)
     spectrum = np.where(af.mask[:, None], np.stack([af.alpha, af.beta, af.gamma], axis=1),
                         sd.eigvals)
     z = sd.frames.z

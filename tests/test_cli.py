@@ -173,11 +173,12 @@ def test_env_seed_fallback(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", [["verify", "frames"], ["construct"]])
 def test_non_integer_env_seed(command, monkeypatch, capsys):
-    monkeypatch.setenv("HOPFLAB_SEED", "abc")
-    rc = run_cli(command)
-    assert rc == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: config field 'seed': HOPFLAB_SEED='abc' is not an integer"]
+    for raw, problem in (("abc", "is not an integer"), ("-2", "must not be negative")):
+        monkeypatch.setenv("HOPFLAB_SEED", raw)
+        rc = run_cli(command)
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: config field 'seed': HOPFLAB_SEED={raw!r} {problem}"]
 
 
 def test_sample_csv(tmp_path, capsys):
@@ -210,8 +211,12 @@ def test_sample_csv(tmp_path, capsys):
      "argument --grid: must be a positive integer, got '-1'"),
     (["hopf-directions", "--action", "cp2-torus", "--samples", "100000000000"],
      "argument --samples: must be an integer of at most 1000000, got '100000000000'"),
+    (["verify", "ambient", "--seed", "-1"],
+     "argument --seed: must be a non-negative integer, got '-1'"),
+    (["construct", "--seed", "-1"], "config field 'seed': must not be negative"),
 ], ids=["bad-action", "missing-scene", "classify-c-nan", "hopf-c-inf", "hopf-point-nan",
-        "sample-r-inf", "classify-grid-0", "sample-grid-negative", "hopf-samples-huge"])
+        "sample-r-inf", "classify-grid-0", "sample-grid-negative", "hopf-samples-huge",
+        "verify-seed-negative", "construct-seed-negative"])
 def test_validation_exit_codes(argv, message, capsys, tmp_path):
     argv = [a.format(tmp=tmp_path) for a in argv]
     with warnings.catch_warnings():
@@ -249,6 +254,9 @@ def test_construct_rejects_non_finite_config(field, flags, capsys):
     ("grid", [6, "3", 3], "needs three integer sizes, each at least 2"),
     ("tolerances", {"integrable": "x"}, "integrable must be positive"),
     ("out_scene", 5, "must be a file path"),
+    ("tolerances", {"integrabel": 1e-30},
+     "unknown name 'integrabel'; allowed: integrable, leaf_flat, leaf_totally_real, "
+     "nabla_AA, orbit_tangency, spectrum_constancy, tau_mult, tau_proj"),
 ])
 def test_construct_rejects_wrong_typed_config_file(field, value, message, tmp_path, capsys):
     cfgfile = tmp_path / "run.json"

@@ -94,18 +94,27 @@ def _integrate_entry(bad):
     return integrate_sigma(spec, p0, w0, CurveLaw("geodesic"), **bad)
 
 
-def _search_entry(bad):
-    return austere_search(load_action("cp2-torus"), [[0.1, 0.0], [0.15, 0.1]], **bad)
+def _search_entry(bad, grid=((0.1, 0.0), (0.15, 0.1))):
+    return austere_search(load_action("cp2-torus"), grid, **bad)
 
 
-@pytest.mark.parametrize("bad, message", [
-    ({"step": -1e-3}, "step must be positive"),
-    ({"step": 0.0}, "step must be positive"),
-    ({"n_steps": 0}, "n_steps must be at least 1"),
-    ({"n_steps": -5}, "n_steps must be at least 1"),
-], ids=["step-negative", "step-zero", "n_steps-zero", "n_steps-negative"])
-@pytest.mark.parametrize("entry", [_integrate_entry, _search_entry],
-                         ids=["integrate_sigma", "austere_search"])
+def _singular_search_entry(bad):
+    # no point of this grid is regular, so the search launches nothing
+    return _search_entry(bad, grid=[[-0.463, -0.82378]])
+
+
+@pytest.mark.parametrize("entry, bad, message", [
+    (_integrate_entry, {"step": -1e-3}, "step must be positive"),
+    (_integrate_entry, {"step": 0.0}, "step must be positive"),
+    (_integrate_entry, {"n_steps": 0}, "n_steps must be at least 1"),
+    (_integrate_entry, {"n_steps": -5}, "n_steps must be at least 1"),
+    (_search_entry, {"n_steps": 0}, "n_steps must be at least 1"),
+    (_search_entry, {"n_steps": -5}, "n_steps must be at least 1"),
+    (_singular_search_entry, {"n_steps": -5}, "n_steps must be at least 1"),
+], ids=["integrate_sigma-step-negative", "integrate_sigma-step-zero",
+        "integrate_sigma-n_steps-zero", "integrate_sigma-n_steps-negative",
+        "austere_search-n_steps-zero", "austere_search-n_steps-negative",
+        "austere_search-n_steps-negative-no-regular-point"])
 def test_integrate_rejects_bad_step(entry, bad, message):
     with pytest.raises(GeometryError, match=message):
         entry(bad)
@@ -197,8 +206,8 @@ def test_strongly_2hopf_certify_differentiates_each_sample_once(cmc_ehs, monkeyp
 
     for name in calls:
         monkeypatch.setattr(constructor, name, counting(name))
-    cert = strongly_2hopf_certify(cmc_ehs, grid_shape=(8, 3, 3), derivative_points=4)
-    assert cert.grids["derivative_sample"] == 4
+    cert = strongly_2hopf_certify(cmc_ehs, grid_shape=(8, 3, 3))
+    assert cert.grids["derivative_sample"] == constructor.DERIVATIVE_POINTS
     assert calls == {"frame_derivative_data": 1, "orbit_geometry": 1}
 
 
@@ -329,6 +338,7 @@ def test_austere_search_stops_misaligned_launch_early(monkeypatch):
 def test_austere_search_nan_tolerance_keeps_nothing(monkeypatch):
     # |<H, xi>| < nan is false, so every launch stops on its start row
     calls = _count_invariant_calls(monkeypatch)
+    monkeypatch.setattr(constructor, "AUSTERE_TOL", np.nan)
     spec = load_action("cp2-torus")
-    assert austere_search(spec, [[0.0, 0.0], [0.1, 0.0]], tol=np.nan, n_steps=40) == []
+    assert austere_search(spec, [[0.0, 0.0], [0.1, 0.0]], n_steps=40) == []
     assert len(calls) == 1
