@@ -6,6 +6,16 @@ orbit-normal plane spans one totally real section. Orbit shape operators,
 the mean-curvature field on the section, and the Hopf-obstruction map Phi
 with its zero set w_p all live here.
 
+The section is totally geodesic and totally real, so its representatives
+span a real form D.R^3 of C^3, where D is diagonal with unit entries 1 or i
+(``PolarActionSpec.phases``), and each generator is G_j = i D Q_j conj(D)
+with Q_j real (``frame_generators``). The orbit algebra has one body,
+``_orbit_body``: on the real frame coordinates x of section points z = D x
+it runs in real arithmetic with the Q_j, elsewhere in complex arithmetic
+with the G_j, through the same formulas. The section curve integrator, Phi,
+the mean-curvature field and the austere search's start directions take
+the real route; ``orbit_geometry`` serves any point.
+
 The generator table ships in ``data/actions.json``; its correctness is
 enforced by the invariant suites (isometry, polarity, orbit dimension), not
 assumed.
@@ -14,7 +24,7 @@ assumed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -29,6 +39,9 @@ REGULARITY_TOL = 1e-10
 EIG_DEGENERATE_TOL = 1e-14
 # max |Phi| on the sample circle below which Phi counts as identically zero
 PHI_DEGENERACY_FLOOR = 1e-6
+# round-off bound, relative to the entries, on the parts that the section's
+# real frame D.R^3 leaves out
+FRAME_TOL = 1e-12
 
 
 class SingularOrbitError(GeometryError):
@@ -54,12 +67,47 @@ _TABLE = _load_table()
 
 @dataclass(frozen=True, eq=False)
 class PolarActionSpec:
-    """One cohomogeneity-two polar action with a fixed section chart."""
+    """One cohomogeneity-two polar action with a fixed section chart.
+
+    Building it finds the section's real frame: ``phases`` (3,) holds the
+    diagonal of D, and ``frame_generators`` (2, 3, 3) the real Q_j with
+    G_j = i D Q_j conj(D). A section outside every D.R^3, or generators that
+    do not map it into i D.R^3, raise GeometryError.
+    """
 
     label: str
     space: SpaceForm
     generators: np.ndarray  # (2, 3, 3) complex
     section: SectionChart
+    phases: np.ndarray = field(init=False, repr=False)
+    frame_generators: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        sec = self.section
+        basis = np.stack([sec.origin.rep, sec.e1, sec.e2])
+        phases = np.where(np.abs(basis.imag).sum(axis=0) > np.abs(basis.real).sum(axis=0),
+                          1j, 1.0 + 0j)
+        if np.abs((np.conj(phases) * basis).imag).max() > FRAME_TOL * np.abs(basis).max():
+            raise GeometryError(f"the section of {self.label} lies in no real frame D.R^3 "
+                                "with D diagonal of entries 1 or i")
+        q = -1j * np.conj(phases)[:, None] * self.generators * phases
+        if np.abs(q.imag).max() > FRAME_TOL * max(1.0, np.abs(self.generators).max()):
+            raise GeometryError(f"the generators of {self.label} do not map the section's "
+                                "real frame D.R^3 into i D.R^3")
+        object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "frame_generators", np.ascontiguousarray(q.real))
+
+    def frame_coords(self, v):
+        """Real coordinates x of vectors v = D x (..., 3) in the section's real frame.
+
+        Section representatives and their tangent vectors lie there, as do
+        the rows of every integrated curve; anything else raises GeometryError.
+        """
+        zeta = np.conj(self.phases) * np.asarray(v, dtype=complex)
+        if np.abs(zeta.imag).max(initial=0.0) > FRAME_TOL * max(
+                1.0, np.abs(zeta.real).max(initial=0.0)):
+            raise GeometryError("vector is off the section's real frame D.R^3")
+        return zeta.real
 
     @property
     def hermitian_matrix(self):
@@ -182,6 +230,80 @@ class OrbitGeometry:
                               axis=-1))
 
 
+def _real(a):
+    """Complex conjugate of a real array: the array itself."""
+    return a
+
+
+def _orbit_body(spec: PolarActionSpec, z, require_regular=True):
+    """Orbit data at a batch of points: the one body of the orbit algebra.
+
+    z is (3, N), coordinates first, like every vector here, so that each
+    sum over coordinates reduces the leading axis. Complex z are
+    representatives anywhere, acted on by ``generators``. Real z are frame
+    coordinates x of section points D x, acted on by the real
+    ``frame_generators`` through the same formulas; there the Killing
+    vectors and the orbit basis stand for i D times the returned vectors,
+    and II and the mean curvature for D times them.
+
+    Returns (killing (3, j, N), basis (3, a, N), ii (3, a, b, N), mean (3, N),
+    det (N,)): the Killing vectors K_j, the orthonormal orbit basis X_a, the
+    second fundamental form II(X_a, X_b) (normal to the orbit), the mean
+    curvature vector and the Killing gram determinant. Every product and sum
+    runs in the order of the complex formulas, with a division by a real
+    written as the product with its reciprocal, as NumPy divides a complex
+    array by a real one. On the section the products of pure real or
+    imaginary numbers are exact, so a section point gets the same bits on
+    both routes.
+
+    With ``require_regular`` a point whose gram determinant is at most
+    REGULARITY_TOL raises SingularOrbitError. Without it such points return
+    meaningless (possibly non-finite) data that the caller must mask by det.
+    """
+    sig = spec.space._sig[:, None]
+    kinv = 1.0 / spec.space.kappa
+    on_section = not np.iscomplexobj(z)
+    conj = _real if on_section else np.conj
+    # G[j, k, l] as (l, k, j): a product with a vector over l, reduced over l
+    gens = (spec.frame_generators if on_section else spec.generators).T[..., None]
+    sz = sig * conj(z)
+    gz = np.add.reduce(gens * z[:, None, None], axis=0)                 # (k, j, N): G_j z
+    rot = np.add.reduce(sz[:, None] * gz, axis=0) * kinv                # <z, G_j z>/kappa
+    k = gz - rot * z[:, None]                                           # P(G_j z)
+    sk = sig[:, None] * conj(k)
+    gram = np.add.reduce(sk[:, :, None] * k[:, None], axis=0).real      # (i, j, N)
+    g11, g12, g22 = gram[0, 0], gram[0, 1], gram[1, 1]
+    det = g11 * g22 - g12 ** 2
+    if require_regular and np.any(det <= REGULARITY_TOL):
+        raise SingularOrbitError(
+            f"orbit through the given point has rank < 2 (gram det {np.min(det):.3e})")
+    ir11 = 1.0 / np.sqrt(g11)
+    basis = np.empty_like(k)
+    x1 = np.multiply(k[:, 0], ir11, out=basis[:, 0])
+    x2p = k[:, 1] - np.add.reduce(sk[:, 1] * x1, axis=0).real * x1
+    in2 = 1.0 / np.sqrt(np.maximum(np.add.reduce(sig * conj(x2p) * x2p, axis=0).real, 0.0))
+    np.multiply(x2p, in2, out=basis[:, 1])
+    # nabla_{X_a} K_j = P(G_j X_a) - rot_j X_a, as (3, j, a, N)
+    gx = np.add.reduce(gens[..., None] * basis[:, None, None], axis=0)
+    hz = np.add.reduce(sz[:, None, None] * gx, axis=0) * kinv
+    nabla = gx - hz * z[:, None, None] - rot[:, None] * basis[:, None]
+    # X_0 = K_0 / sqrt(g11), X_1 = (K_1 - g12/g11 K_0) / n2, so
+    # nabla_{X_a} X_b = sum_j coeff[b, j] nabla_{X_a} K_j
+    t = np.empty_like(nabla)
+    np.multiply(nabla[:, 0], ir11, out=t[:, :, 0])
+    np.multiply(nabla[:, 1] - (g12 / g11) * nabla[:, 0], in2, out=t[:, :, 1])
+    if on_section:
+        # G_j X_a = -D Q_j b_a, so t stands for -D t; its part along the
+        # orbit, which lies in i D.R^3, is exactly zero
+        ii = np.negative(t, out=t)
+    else:
+        # II(X_a, X_b): the part normal to the orbit
+        tang = np.add.reduce(sig[:, None, None, None] * np.conj(t)[:, :, :, None]
+                             * basis[:, None, None], axis=0).real       # (a, b, i, N)
+        ii = t - np.einsum("abin,kin->kabn", tang, basis)
+    return k, basis, ii, ii[:, 0, 0] + ii[:, 1, 1], det
+
+
 def orbit_geometry(spec: PolarActionSpec, z, require_regular=True) -> OrbitGeometry:
     """Orbit data at a representative z (3,) or at a batch of them (N, 3).
 
@@ -190,40 +312,12 @@ def orbit_geometry(spec: PolarActionSpec, z, require_regular=True) -> OrbitGeome
     meaningless (possibly non-finite) data that the caller must mask by
     ``gram_det``.
     """
-    sp = spec.space
     z = np.asarray(z, dtype=complex)
     single = z.ndim == 1
-    zb = z.reshape(-1, 3)
-    gens = spec.generators
-    kap = sp.kappa
-    gz = np.einsum("jkl,nl->njk", gens, zb)           # (N, j, 3): G_j z
-    rot = sp.herm(zb[:, None, :], gz) / kap            # (N, j)
-    k = gz - rot[..., None] * zb[:, None, :]           # Killing vectors P(G_j z)
-    k0, k1 = k[:, 0], k[:, 1]
-    gram = sp.g(k[:, :, None, :], k[:, None, :, :])
-    g11, g12, g22 = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
-    det = g11 * g22 - g12 ** 2
-    if require_regular and np.any(det <= REGULARITY_TOL):
-        raise SingularOrbitError(
-            f"orbit through the given point has rank < 2 (gram det {np.min(det):.3e})")
-    r11 = np.sqrt(g11)
-    x1 = k0 / r11[:, None]
-    x2p = k1 - sp.g(k1, x1)[:, None] * x1
-    n2 = sp.norm(x2p)
-    x2 = x2p / n2[:, None]
-    basis = np.stack([x1, x2], axis=1)                 # (N, a, 3)
-    # nabla_{X_a} K_j = P(G_j X_a) - rot_j X_a
-    gx = np.einsum("jkl,nal->najk", gens, basis)       # (N, a, j, 3)
-    nabla = (gx - (sp.herm(zb[:, None, None, :], gx) / kap)[..., None] * zb[:, None, None, :]
-             - rot[:, None, :, None] * basis[:, :, None, :])
-    # X_0 = K_0 / sqrt(g11), X_1 = (K_1 - g12/g11 K_0) / n2, so
-    # nabla_{X_a} X_b = sum_j coeff[b, j] nabla_{X_a} K_j
-    t = np.stack([nabla[:, :, 0] / r11[:, None, None],
-                  (nabla[:, :, 1] - (g12 / g11)[:, None, None] * nabla[:, :, 0])
-                  / n2[:, None, None]], axis=2)        # (N, a, b, 3)
-    # II(X_a, X_b): the part normal to the orbit
-    ii = t - np.einsum("nabi,nik->nabk", sp.g(t[:, :, :, None, :], basis[:, None, None]), basis)
-    mean = ii[:, 0, 0] + ii[:, 1, 1]
+    k, basis, ii, mean, det = _orbit_body(spec, z.reshape(-1, 3).T, require_regular)
+    # points first, coordinates last
+    k, basis = k.transpose(2, 1, 0), basis.transpose(2, 1, 0)
+    ii, mean = ii.transpose(3, 1, 2, 0), mean.T
     if single:
         return OrbitGeometry(spec, z, k[0], basis[0], ii[0], mean[0], float(det[0]))
     return OrbitGeometry(spec, z, k, basis, ii, mean, det)
@@ -266,7 +360,10 @@ def _eig2(s):
     v1 = np.where(degenerate, 0.0, np.where(neg, r - d, s01))
     nv = np.hypot(v0, v1)
     c, sn = v0 / nv, v1 / nv
-    vecs = np.stack([c, -sn, sn, c], axis=-1).reshape(s.shape)
+    vecs = np.empty(s.shape)
+    vecs[..., 0, 0] = vecs[..., 1, 1] = c
+    vecs[..., 1, 0] = sn
+    vecs[..., 0, 1] = -sn
     return (m + r, m - r), vecs
 
 
@@ -314,8 +411,8 @@ def orbit_shape_operator(spec: PolarActionSpec, p, xi) -> OrbitData:
 def mean_curvature_field(spec: PolarActionSpec, q) -> AmbientTangent:
     """Mean curvature vector of the orbit through section coordinates q."""
     z = spec.section.point(np.asarray(q, dtype=float))
-    geo = orbit_geometry(spec, z)
-    return AmbientTangent(AmbientPoint(spec.space, z), geo.mean_curvature)
+    mean = _orbit_body(spec, spec.frame_coords(z)[:, None])[3]
+    return AmbientTangent(AmbientPoint(spec.space, z), spec.phases * mean[:, 0])
 
 
 # -- the Hopf obstruction Phi -------------------------------------------------
@@ -330,16 +427,16 @@ def rotate90(spec: PolarActionSpec, z, w):
 
 def phi_profile(spec: PolarActionSpec, p, thetas):
     """Phi(w(theta)) for w = cos(theta) f1 + sin(theta) f2 at a section point."""
-    sp = spec.space
     z = p.rep if isinstance(p, AmbientPoint) else np.asarray(p, dtype=complex)
-    geo = orbit_geometry(spec, z)
-    f1, f2 = spec.section.tangent_frame(z)
+    _, basis, ii, _, _ = _orbit_body(spec, spec.frame_coords(z)[:, None])
+    # the section frame (f1, f2) in frame coordinates, as (3, c)
+    sf = spec.space._sig[:, None] * spec.frame_coords(np.stack(spec.section.tangent_frame(z))).T
     thetas = np.asarray(thetas, dtype=float)
     ct, st = np.cos(thetas), np.sin(thetas)
     # S_xi is linear in xi; precontract II against the frame normals
-    p1, p2 = geo.shape_matrix(f1), geo.shape_matrix(f2)
-    jf1 = np.array([sp.g(1j * f1, geo.basis[0]), sp.g(1j * f1, geo.basis[1])])
-    jf2 = np.array([sp.g(1j * f2, geo.basis[0]), sp.g(1j * f2, geo.basis[1])])
+    p1, p2 = np.add.reduce(ii[:, None, :, :, 0] * sf[:, :, None, None], axis=0)
+    # <J f_c, X_a>
+    jf1, jf2 = np.add.reduce(sf[:, :, None] * basis[:, None, :, 0], axis=0)
     # xi_w = -sin f1 + cos f2, w = cos f1 + sin f2
     s_mat = -st[:, None, None] * p1 + ct[:, None, None] * p2      # (n, 2, 2)
     jxi = -st[:, None] * jf1 + ct[:, None] * jf2                  # (n, 2)

@@ -20,6 +20,8 @@ import numpy as np
 NORMALIZATION_TOL = 1e-9
 HORIZONTALITY_TOL = 1e-9
 DEFAULT_FD_STEP = 1e-5
+# coordinate pairs (i, j), i < j, of the wedge z ^ w in SpaceForm.dist
+_WEDGE_PAIRS = (np.array([1, 0, 0]), np.array([2, 2, 1]))
 
 
 class GeometryError(ValueError):
@@ -79,8 +81,13 @@ class SpaceForm:
         return np.sqrt(np.maximum(self.g(v, v), 0.0))
 
     def project_horizontal(self, z, v):
-        """Complex projection of v onto the horizontal space at z."""
-        coef = self.herm(z, v) / self.kappa
+        """Complex projection of v onto the horizontal space at z.
+
+        Real z and v (coordinates in a section's real frame) give the same
+        bits as the complex vectors they stand for: the division is written
+        as the product with 1/kappa that NumPy uses for a complex array.
+        """
+        coef = self.herm(z, v) * (1.0 / self.kappa)
         return v - coef[..., None] * z
 
     def normalize_rep(self, z):
@@ -145,11 +152,31 @@ class SpaceForm:
         return radial + along
 
     def dist(self, z, w):
-        """Geodesic distance between points given by representatives."""
-        ratio = np.abs(self.herm(z, w)) / abs(self.kappa)
+        """Geodesic distance between points given by representatives of any scale.
+
+        The Lagrange identity <z,z><w,w> - |<z,w>|^2 = sum over i < j of
+        sig_i sig_j |z_i w_j - z_j w_i|^2 gives the sine-like part from the
+        wedge z ^ w directly, so nearby points keep full accuracy (the
+        arccos of |<z,w>|/kappa turns a normalization error eps into
+        sqrt(eps)). CP^2 takes atan2 of it against |<z,w>|, CH^2 the asinh of
+        it over sqrt(<z,z><w,w>); either way the Hermitian squares cancel.
+        The wedge is built from real products, so it vanishes exactly at w = z.
+        """
+        z = np.asarray(z, dtype=complex)
+        w = np.asarray(w, dtype=complex)
+        i, j = _WEDGE_PAIRS
+        zr, zi, wr, wi = z.real, z.imag, w.real, w.imag
+        re = ((zr[..., i] * wr[..., j] - zi[..., i] * wi[..., j])
+              - (zr[..., j] * wr[..., i] - zi[..., j] * wi[..., i]))
+        im = ((zr[..., i] * wi[..., j] + zi[..., i] * wr[..., j])
+              - (zr[..., j] * wi[..., i] + zi[..., j] * wr[..., i]))
+        pair_sig = self._sig[i] * self._sig[j]
+        wedge = np.sqrt(np.maximum(self.eps * np.add.reduce(pair_sig * (re * re + im * im),
+                                                            axis=-1), 0.0))
         if self.c > 0:
-            return 2.0 / np.sqrt(self.c) * np.arccos(np.clip(ratio, 0.0, 1.0))
-        return 2.0 / np.sqrt(-self.c) * np.arccosh(np.maximum(ratio, 1.0))
+            return self.radius * np.arctan2(wedge, np.abs(self.herm(z, w)))
+        squares = np.real(self.herm(z, z)) * np.real(self.herm(w, w))
+        return self.radius * np.arcsinh(wedge / np.sqrt(squares))
 
     def curvature(self, x, y, z):
         """Curvature tensor R(x,y)z of constant holomorphic curvature c.

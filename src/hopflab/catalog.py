@@ -15,7 +15,7 @@ import numpy as np
 from . import _kernels as kernels
 from .actions import load_action
 from .ambient import AmbientPoint, GeometryError, SpaceForm
-from .constructor import CurveLaw, build_hypersurface, integrate_sigma
+from .constructor import build_hypersurface
 from .hypersurface import HypersurfacePatch, shape_data
 
 CATALOG_NAMES = (

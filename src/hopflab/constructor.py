@@ -14,20 +14,23 @@ valid because sections are totally geodesic and totally real; gamma is the
 law's target curvature evaluated on the orbit data at the current point.
 
 Every curve comes from one lane core, ``_integrate_lanes``: classical RK4
-advancing B launches (lanes) in lockstep over (B, 3) arrays, with the orbit
-data of all live lanes evaluated in one batched ``orbit_geometry`` call per
-stage. Each lane keeps its own row count and stops, with a truncation
-reason, at the first step that leaves the regular set or turns non-finite,
-while the others go on. ``integrate_sigma`` runs the two sides of a curve as
-two lanes; ``austere_search`` runs all its launches as one batch, in which a
-launch stops at its first row whose alignment |<H, xi>| with the orbit
-mean-curvature field is not below the search tolerance.
+advancing B launches (lanes) in lockstep. The section is totally real, so
+the lane core carries (z, w, xi) as one real (3, 3, B) array of coordinates
+in the section's real frame, z = D x (see ``actions``), evaluates the orbit
+data of all live lanes in one ``_orbit_invariants`` call per stage on the
+real route of the orbit body, and turns its rows into complex
+representatives once, at the end. Each lane keeps its own row count and
+stops, with a truncation reason, at the first step that leaves the regular
+set or turns non-finite, while the others go on. ``integrate_sigma`` runs
+the two sides of a curve as two lanes; ``austere_search`` runs all its
+launches as one batch, in which a launch stops at its first row whose
+alignment |<H, xi>| with the orbit mean-curvature field is not below the
+search tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +40,7 @@ from .actions import (
     PolarActionSpec,
     SingularOrbitError,
     _eig2,
+    _orbit_body,
     orbit_geometry,
     rotate90,
 )
@@ -90,23 +94,29 @@ class CurveLaw:
             raise GeometryError(f"unknown curve law {self.kind!r}")
 
     def target(self, alpha, beta, a, b):
+        """Target curvature at arrays of orbit invariants, one value per point."""
         if self.kind == "cmc":
             return self.eta - alpha - beta
         if self.kind == "levi-flat":
             return -b * b * alpha - a * a * beta
-        return 0.0   # geodesic and austere pregeodesic
+        return np.zeros_like(alpha)   # geodesic and austere pregeodesic
 
 
-def _orbit_invariants(spec: PolarActionSpec, z, xi):
-    """(alpha, beta, a, b, mean_curvature_vec, gram_det) at a batch (z, xi), each (N, 3).
+def _orbit_invariants(spec: PolarActionSpec, x, xi):
+    """(alpha, beta, a, b, mean_curvature, gram_det) at a batch of section points.
 
-    Regularity is not enforced: the caller masks points by gram_det.
+    x and xi (3, N) are real frame coordinates of the points and of the
+    section normals, coordinates first; the mean curvature vector comes back
+    the same way. Regularity is not enforced: the caller masks points by
+    gram_det.
     """
-    geo = orbit_geometry(spec, z, require_regular=False)
-    (alpha, beta), vecs = _eig2(geo.shape_matrix(xi))
-    jxi = spec.space.g(1j * xi[:, None, :], geo.basis)          # (N, 2): <J xi, X_i>
-    ab = np.abs(np.einsum("nij,ni->nj", vecs, jxi))
-    return alpha, beta, ab[:, 0], ab[:, 1], geo.mean_curvature, geo.gram_det
+    _, basis, ii, mean, det = _orbit_body(spec, x, require_regular=False)
+    sxi = spec.space._sig[:, None] * xi
+    s = np.add.reduce(ii * sxi[:, None, None], axis=0)          # (a, b, N): S_xi
+    (alpha, beta), vecs = _eig2(s.transpose(2, 0, 1))
+    jxi = np.add.reduce(sxi[:, None] * basis, axis=0)           # (i, N): <J xi, X_i>
+    ab = np.abs(np.einsum("nij,in->jn", vecs, jxi))
+    return alpha, beta, ab[0], ab[1], mean, det
 
 
 @dataclass(eq=False)
@@ -184,8 +194,13 @@ class SigmaCurve:
         }
 
 
-def _integrate_lanes(spec, law, z0, w0, xi0, step, n_steps, n_launches, align_tol=None):
-    """RK4 on (z, w, xi) for B launches (lanes) in lockstep; z0, w0, xi0 are (B, 3).
+def _integrate_lanes(spec, law, x0, u0, v0, step, n_steps, n_launches, align_tol=None):
+    """RK4 on (z, w, xi) for B launches (lanes) in lockstep.
+
+    x0, u0, v0 (B, 3) are real frame coordinates of z, w and xi. The state
+    stays real, as a (3, 3, B) array of (x, u, v) with coordinates before
+    lanes; each operation repeats the complex one on the real parts it
+    carries, so the rows are those of complex arithmetic on z = D x.
 
     A lane stops at the first step whose stage or accepted state is
     non-finite or leaves the regular set (gram det <= REGULARITY_TOL). The
@@ -200,40 +215,37 @@ def _integrate_lanes(spec, law, z0, w0, xi0, step, n_steps, n_launches, align_to
     n_steps; rejected_at[j] is the row at which launch j was rejected, or -1.
     """
     sp = spec.space
-    kap = sp.kappa
-    n_lanes = len(z0)
+    kinv = 1.0 / sp.kappa
+    n_lanes = len(x0)
     launch = np.arange(n_lanes) % n_launches
     rejected_at = np.full(n_launches, -1)
 
     def evaluate(y):
-        alpha, beta, a, b, mean, det = _orbit_invariants(spec, y[:, 0], y[:, 2])
-        gam = np.broadcast_to(law.target(alpha, beta, a, b), det.shape)
-        return gam, (alpha, beta, a, b, mean), det
+        alpha, beta, a, b, mean, det = _orbit_invariants(spec, y[0], y[2])
+        return law.target(alpha, beta, a, b), (alpha, beta, a, b, mean), det
 
     def rhs(y, gam):
-        z, w, xi = y[:, 0], y[:, 1], y[:, 2]
-        g = gam[:, None]
-        return np.stack([w, g * xi - z / kap, -g * w], axis=1)
+        x, u, v = y
+        return np.array([u, gam * v - x * kinv, -gam * u])
 
     def renorm(y):
-        z = sp.normalize_rep(y[:, 0])
-        w = sp.project_horizontal(z, y[:, 1])
-        w = w / sp.norm(w)[:, None]
-        xi = sp.project_horizontal(z, y[:, 2])
-        xi = xi - sp.g(xi, w)[:, None] * w
-        xi = xi / sp.norm(xi)[:, None]
-        return np.stack([z, w, xi], axis=1)
+        x = sp.normalize_rep(y[0].T)
+        u = sp.project_horizontal(x, y[1].T)
+        u = u * (1.0 / sp.norm(u))[:, None]
+        v = sp.project_horizontal(x, y[2].T)
+        v = v - sp.g(v, u)[:, None] * u
+        v = v * (1.0 / sp.norm(v))[:, None]
+        return np.array([x.T, u.T, v.T])
 
-    rows = {key: np.zeros((n_lanes, n_steps + 1, 3), dtype=complex)
-            for key in ("zs", "ws", "xis")}
+    rows = {key: np.zeros((n_lanes, n_steps + 1, 3)) for key in ("zs", "ws", "xis")}
     for key in ("gammas", "alphas", "betas", "hopf_a", "hopf_b", "mean_align"):
         rows[key] = np.zeros((n_lanes, n_steps + 1))
 
     def store(lanes, i, y, gam, inv):
         alpha, beta, a, b, mean = inv
-        for key, val in (("zs", y[:, 0]), ("ws", y[:, 1]), ("xis", y[:, 2]), ("gammas", gam),
+        for key, val in (("zs", y[0].T), ("ws", y[1].T), ("xis", y[2].T), ("gammas", gam),
                          ("alphas", alpha), ("betas", beta), ("hopf_a", a), ("hopf_b", b),
-                         ("mean_align", sp.g(mean, y[:, 2]))):
+                         ("mean_align", sp.g(mean.T, y[2].T))):
             rows[key][lanes, i] = val
 
     def rejected(lanes, i, kept):
@@ -248,7 +260,7 @@ def _integrate_lanes(spec, law, z0, w0, xi0, step, n_steps, n_launches, align_to
     reasons = [""] * n_lanes
     # dying lanes compute with singular or non-finite data; they are masked out
     with np.errstate(all="ignore"):
-        y = renorm(np.stack([z0, w0, xi0], axis=1))
+        y = renorm(np.array([x0.T, u0.T, v0.T]))
         gam, inv, det = evaluate(y)
         if not np.all(det > REGULARITY_TOL):
             raise SingularOrbitError("initial point is not regular")
@@ -258,8 +270,8 @@ def _integrate_lanes(spec, law, z0, w0, xi0, step, n_steps, n_launches, align_to
         for i in range(n_steps):
             if drop.any():
                 ok = ~drop
-                alive, y, gam = alive[ok], y[ok], gam[ok]
-                inv = tuple(v[ok] for v in inv)
+                alive, y, gam = alive[ok], y[..., ok], gam[ok]
+                inv = tuple(v[..., ok] for v in inv)
                 if not len(alive):
                     break
             # a lane's reason is its first failure: stages in order, then the
@@ -276,7 +288,7 @@ def _integrate_lanes(spec, law, z0, w0, xi0, step, n_steps, n_launches, align_to
             k1, k2, k3, k4 = ks
             nxt = renorm(y + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
             gam, inv, det = evaluate(nxt)
-            nonfinite |= ~dead & ~np.isfinite(nxt).all(axis=(1, 2))
+            nonfinite |= ~dead & ~np.isfinite(nxt).all(axis=(0, 1))
             dead |= nonfinite | ~(det > REGULARITY_TOL)
             y = nxt
             # a dead lane's row lands past its count, where no reader looks
@@ -286,28 +298,30 @@ def _integrate_lanes(spec, law, z0, w0, xi0, step, n_steps, n_launches, align_to
                 reasons[lane] = ("non-finite state" if bad
                                  else f"left the regular set after {i + 1} steps")
             drop = dead | rejected(alive, i + 1, ~dead)
+    for key in ("zs", "ws", "xis"):
+        rows[key] = rows[key] * spec.phases
     return rows, counts, reasons, rejected_at
 
 
-def _launch_sigmas(spec, law, z0, w0, step, n_steps, two_sided=True, align_tol=None):
+def _launch_sigmas(spec, law, x0, u0, step, n_steps, two_sided=True, align_tol=None):
     """One SigmaCurve per launch, in order, integrated as one lane batch.
 
-    z0: (B, 3) start representatives; w0: (B, 3) section-tangent directions,
-    normalized here. A launch is one lane, or two (w0 and -w0) when
-    ``two_sided``. With ``align_tol``, a launch whose alignment |<H, xi>|
-    fails to stay below it stops at that row and its entry is None.
+    x0: (B, 3) start points and u0: (B, 3) section-tangent directions, both
+    in real frame coordinates; u0 is normalized here. A launch is one lane,
+    or two (u0 and -u0) when ``two_sided``. With ``align_tol``, a launch
+    whose alignment |<H, xi>| fails to stay below it stops at that row and
+    its entry is None.
     """
     if step <= 0:
         raise GeometryError("step must be positive")
     if n_steps < 1:
         raise GeometryError("n_steps must be at least 1")
-    sp = spec.space
-    w0 = w0 / sp.norm(w0)[:, None]
-    xi0 = rotate90(spec, z0, w0)
-    n = len(z0)
+    u0 = u0 * (1.0 / spec.space.norm(u0))[:, None]
+    v0 = spec.frame_coords(rotate90(spec, spec.phases * x0, spec.phases * u0))
+    n = len(x0)
     if two_sided:
-        z0, w0, xi0 = (np.concatenate(pair) for pair in ((z0, z0), (w0, -w0), (xi0, xi0)))
-    rows, counts, reasons, rejected_at = _integrate_lanes(spec, law, z0, w0, xi0, step,
+        x0, u0, v0 = (np.concatenate(pair) for pair in ((x0, x0), (u0, -u0), (v0, v0)))
+    rows, counts, reasons, rejected_at = _integrate_lanes(spec, law, x0, u0, v0, step,
                                                           n_steps, n, align_tol)
     curves = []
     for k in range(n):
@@ -333,10 +347,12 @@ def integrate_sigma(spec: PolarActionSpec, p0, w0, law: CurveLaw,
     """Integrate the prescribed-curvature curve through p0 with velocity w0.
 
     p0: section point (AmbientPoint, representative, or chart coordinates).
-    w0: unit tangent to the section at p0. The Frenet normal starts at the
-    +90 degree rotation of w0 in the chart orientation. With ``two_sided``
-    the curve covers t in [-n_steps*step, n_steps*step]; the two sides run
-    as two lanes of one batch.
+    w0: unit tangent to the section at p0. A representative and w0 must lie
+    in the section's real frame D.R^3, as chart points, their tangent frames
+    and curve rows do; anything else raises GeometryError. The Frenet normal
+    starts at the +90 degree rotation of w0 in the chart orientation. With
+    ``two_sided`` the curve covers t in [-n_steps*step, n_steps*step]; the
+    two sides run as two lanes of one batch.
     """
     if isinstance(p0, AmbientPoint):
         z0 = p0.rep
@@ -347,7 +363,8 @@ def integrate_sigma(spec: PolarActionSpec, p0, w0, law: CurveLaw,
     if not spec.is_regular(z0):
         raise SingularOrbitError("initial point is not regular")
     w0 = w0.vec if isinstance(w0, AmbientTangent) else np.asarray(w0, dtype=complex)
-    return _launch_sigmas(spec, law, z0[None], w0[None], step, n_steps, two_sided)[0]
+    return _launch_sigmas(spec, law, spec.frame_coords(z0)[None], spec.frame_coords(w0)[None],
+                          step, n_steps, two_sided)[0]
 
 
 # -- sweeping ------------------------------------------------------------------
@@ -626,22 +643,24 @@ def austere_search(spec: PolarActionSpec, grid_coords, n_steps: int = 150):
     sp = spec.space
     law = CurveLaw("austere")
     zs = spec.section.point(grid_coords)
-    regular = np.flatnonzero(spec.is_regular(zs))
+    xs = spec.frame_coords(zs)
+    with np.errstate(all="ignore"):   # singular grid points are masked by their gram det
+        _, _, _, hvecs, det = _orbit_body(spec, xs.T, require_regular=False)
+    regular = np.flatnonzero(det > REGULARITY_TOL)
     if not len(regular):
         return []
-    hvecs = orbit_geometry(spec, zs[regular]).mean_curvature
     starts, dirs, coords = [], [], []
-    for k, hvec in zip(regular, hvecs):
-        hn = float(sp.norm(hvec))
+    for k in regular:
+        hn = float(sp.norm(hvecs[:, k]))
         if hn > H_FLOOR:
-            cands = [hvec / hn]
+            cands = [hvecs[:, k] * (1.0 / hn)]
         else:
             f1, f2 = spec.section.tangent_frame(zs[k])
-            cands = [np.cos(theta) * f1 + np.sin(theta) * f2
-                     for theta in np.linspace(0.0, np.pi, 6, endpoint=False)]
-        for w0 in cands:
-            starts.append(zs[k])
-            dirs.append(w0)
+            cands = spec.frame_coords([np.cos(theta) * f1 + np.sin(theta) * f2
+                                       for theta in np.linspace(0.0, np.pi, 6, endpoint=False)])
+        for u0 in cands:
+            starts.append(xs[k])
+            dirs.append(u0)
             coords.append(grid_coords[k])
     starts, dirs = np.array(starts), np.array(dirs)
 

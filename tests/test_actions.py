@@ -7,8 +7,10 @@ from hopflab.actions import (
     EIG_DEGENERATE_TOL,
     LABELS,
     InconclusiveDegeneracyError,
+    PolarActionSpec,
     SingularOrbitError,
     _eig2,
+    _orbit_body,
     hopf_directions,
     killing_field,
     load_action,
@@ -19,7 +21,7 @@ from hopflab.actions import (
     phi_profile,
     rotate90,
 )
-from hopflab.ambient import AmbientPoint, GeometryError
+from hopflab.ambient import AmbientPoint, GeometryError, SectionChart
 import oracles
 
 
@@ -286,3 +288,65 @@ def test_load_action_validates_sign():
         load_action("cp2-torus", c=-4.0)
     with pytest.raises(KeyError):
         load_action("nonsense")
+
+
+# -- the section's real frame D.R^3 --------------------------------------------------
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_section_real_frame(label):
+    spec = load_action(label)
+    d, q = spec.phases, spec.frame_generators
+    assert np.all((d == 1) | (d == 1j))
+    assert q.dtype == float and q.shape == (2, 3, 3)
+    # G_j = i D Q_j conj(D) holds exactly, and the section basis lies in D.R^3
+    assert np.array_equal(1j * d[:, None] * q * np.conj(d), spec.generators)
+    sec = spec.section
+    basis = np.stack([sec.origin.rep, sec.e1, sec.e2])
+    assert np.array_equal(d * spec.frame_coords(basis), basis)
+
+
+def test_section_real_frame_negative_controls():
+    spec = load_action("cp2-torus")
+    sec = spec.section
+    # a generator table with a real part no longer maps D.R^3 into i D.R^3
+    with pytest.raises(GeometryError, match="do not map the section's real frame") as err:
+        PolarActionSpec(spec.label, spec.space, spec.generators + 0.1 * np.eye(3), sec)
+    assert "\n" not in str(err.value)
+    # the same section turned by a phase is totally real but lies in no D.R^3
+    u = np.exp(0.3j)
+    turned = SectionChart(AmbientPoint(spec.space, u * sec.origin.rep), u * sec.e1, u * sec.e2)
+    with pytest.raises(GeometryError, match="lies in no real frame") as err:
+        PolarActionSpec(spec.label, spec.space, spec.generators, turned)
+    assert "\n" not in str(err.value)
+    with pytest.raises(GeometryError, match="off the section's real frame"):
+        spec.frame_coords(u * sec.origin.rep)
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_orbit_body_matches_scalar_copy_on_and_off_section(label, rng):
+    spec = load_action(label)
+    d = spec.phases
+    zs = spec.section.point(rng.uniform(-0.25, 0.25, (6, 2)))
+    # off the section: group translates, with a phase that takes them out of D.R^3
+    off = spec.translate(rng.uniform(-0.5, 0.5, (6, 2)), zs) * np.exp(2j * np.pi * rng.random((6, 1)))
+    with pytest.raises(GeometryError):
+        spec.frame_coords(off)
+    k, b, ii, mean, det = _orbit_body(spec, spec.frame_coords(zs).T)
+    # the real route stands for K = i D k, X = i D b, II = D ii, H = D mean
+    real = {"killing": (1j * d[:, None, None] * k).transpose(2, 1, 0),
+            "basis": (1j * d[:, None, None] * b).transpose(2, 1, 0),
+            "second_fundamental": (d[:, None, None, None] * ii).transpose(3, 1, 2, 0),
+            "mean_curvature": (d[:, None] * mean).T, "gram_det": det}
+    on = orbit_geometry(spec, zs)
+    for name, val in real.items():
+        # the complex route gives the same bits on the section
+        assert np.array_equal(getattr(on, name), val), name
+    for geo, pts in ((on, zs), (orbit_geometry(spec, off), off)):
+        for n, z in enumerate(pts):
+            basis, ii_ref, mean_ref, det_ref = oracles.scalar_orbit_geometry(spec, z)
+            assert np.abs(geo.killing[n] - spec.killing_basis(z)).max() < 1e-12
+            assert np.abs(geo.basis[n] - basis).max() < 1e-12
+            assert np.abs(geo.second_fundamental[n] - ii_ref).max() < 1e-12
+            assert np.abs(geo.mean_curvature[n] - mean_ref).max() < 1e-12
+            assert abs(geo.gram_det[n] - det_ref) < 1e-12

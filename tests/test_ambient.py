@@ -258,3 +258,35 @@ def test_signature_array_cached_read_only(c):
     fresh = SpaceForm(c)
     assert fresh == sp and hash(fresh) == hash(sp)
     assert SpaceForm(-c) != sp
+
+
+@pytest.mark.parametrize("c", BOTH)
+def test_dist_vanishes_between_scalings_of_one_point(c, rng):
+    # arccos(|<z,w>|/kappa) needs <z,z> = kappa and turns a round-off eps
+    # there into sqrt(eps) (1.5e-8 and more); in the wedge form the scale
+    # cancels
+    sp = SpaceForm(c)
+    for _ in range(20):
+        z = sp.random_point(rng)
+        zs = (0.3 + 3.0 * rng.random()) * z
+        assert sp.dist(zs, zs) == 0.0
+        lam = 3.0 * (rng.standard_normal() + 1j * rng.standard_normal())
+        assert sp.dist(z, lam * z) < 1e-12
+    pts = np.stack([sp.random_point(rng) for _ in range(4)])
+    assert np.array_equal(sp.dist(2.5 * pts, 2.5 * pts), np.zeros(4))
+
+
+@pytest.mark.parametrize("c", [4.0, -4.0, 1.3, -0.7])
+def test_dist_matches_arccos_formula_on_separated_points(c, rng):
+    sp = SpaceForm(c)
+    z = np.stack([sp.random_point(rng) for _ in range(100)])
+    w = np.stack([sp.random_point(rng) for _ in range(100)])
+    ratio = np.abs(sp.herm(z, w)) / abs(sp.kappa)
+    if c > 0:
+        ref = sp.radius * np.arccos(np.clip(ratio, 0.0, 1.0))
+    else:
+        ref = sp.radius * np.arccosh(np.maximum(ratio, 1.0))
+    assert ref.min() > 1e-2
+    assert np.abs(sp.dist(z, w) - ref).max() < 1e-12
+    # and batched against one point, at any scale of the representatives
+    assert np.abs(sp.dist(3.0 * z, 0.5j * w[0]) - sp.dist(z, w[0])).max() < 1e-12

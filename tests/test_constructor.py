@@ -261,6 +261,25 @@ def test_lane_core_matches_scalar_integrator(label):
                           oracles.scalar_integrate_sigma(spec, p0.rep, w0, law, n_steps=30))
 
 
+@pytest.mark.parametrize("label", LABELS)
+def test_lane_core_states_bit_identical_for_zero_curvature(label):
+    # with gamma = 0 the state never reads the orbit data, so the real lane
+    # core must repeat the complex scalar arithmetic operation for operation
+    spec, p0, w0 = launch(label)
+    for law in (CurveLaw("geodesic"), CurveLaw("austere")):
+        new = integrate_sigma(spec, p0, w0, law, n_steps=30)
+        ref = oracles.scalar_integrate_sigma(spec, p0.rep, w0, law, n_steps=30)
+        for name in ("zs", "ws", "xis"):
+            assert np.array_equal(getattr(new, name), getattr(ref, name)), name
+
+
+def test_integrate_sigma_rejects_start_off_the_real_frame():
+    spec, p0, w0 = launch("ch2-g0")
+    with pytest.raises(GeometryError, match="real frame"):
+        integrate_sigma(spec, np.exp(0.4j) * p0.rep, np.exp(0.4j) * w0, CurveLaw("geodesic"),
+                        n_steps=5)
+
+
 def test_lane_core_matches_scalar_when_one_side_truncates():
     # close to an edge of the cp2-torus orbit triangle: the backward side
     # keeps 22 steps and leaves the regular set on the 23rd, the forward side
