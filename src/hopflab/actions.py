@@ -145,11 +145,11 @@ class PolarActionSpec:
         return np.stack([self.killing_vec(0, z), self.killing_vec(1, z)], axis=-2)
 
     def gram_det(self, z):
-        k = self.killing_basis(z)
-        g11 = self.space.g(k[..., 0, :], k[..., 0, :])
-        g22 = self.space.g(k[..., 1, :], k[..., 1, :])
-        g12 = self.space.g(k[..., 0, :], k[..., 1, :])
-        return g11 * g22 - g12 ** 2
+        """Gram determinant of the two Killing fields at representatives z (..., 3)."""
+        z = np.asarray(z, dtype=complex)
+        with np.errstate(all="ignore"):   # the other orbit data of a singular point is meaningless
+            det = _orbit_body(self, z.reshape(-1, 3).T, require_regular=False)[4]
+        return det.reshape(z.shape[:-1])[()]
 
     def is_regular(self, z, tol=REGULARITY_TOL):
         return self.gram_det(z) > tol
