@@ -14,7 +14,10 @@ with Q_j real (``frame_generators``). The orbit algebra has one body,
 it runs in real arithmetic with the Q_j, elsewhere in complex arithmetic
 with the G_j, through the same formulas. The section curve integrator, Phi,
 the mean-curvature field and the austere search's start directions take
-the real route; ``orbit_geometry`` serves any point.
+the real route; ``orbit_geometry`` serves any point. The body's prefix,
+``_killing_gram``, builds the Killing fields and their gram determinant
+and stops there: ``PolarActionSpec.gram_det`` (so ``is_regular``) and the
+curve integrator's regularity-only stages call it alone.
 
 The generator table ships in ``data/actions.json``; its correctness is
 enforced by the invariant suites (isometry, polarity, orbit dimension), not
@@ -145,10 +148,14 @@ class PolarActionSpec:
         return np.stack([self.killing_vec(0, z), self.killing_vec(1, z)], axis=-2)
 
     def gram_det(self, z):
-        """Gram determinant of the two Killing fields at representatives z (..., 3)."""
+        """Gram determinant of the two Killing fields at representatives z (..., 3).
+
+        Only the gram prefix of the orbit body runs, so the value has the
+        bits of ``orbit_geometry``'s ``gram_det``; a NaN in z gives NaN.
+        """
         z = np.asarray(z, dtype=complex)
-        with np.errstate(all="ignore"):   # the other orbit data of a singular point is meaningless
-            det = _orbit_body(self, z.reshape(-1, 3).T, require_regular=False)[4]
+        with np.errstate(all="ignore"):   # a non-finite z warns on its way to NaN
+            det = _killing_gram(self, z.reshape(-1, 3).T)[-1]
         return det.reshape(z.shape[:-1])[()]
 
     def is_regular(self, z, tol=REGULARITY_TOL):
@@ -235,6 +242,41 @@ def _real(a):
     return a
 
 
+def _route(spec: PolarActionSpec, z):
+    """(sig, conj, gens) of the orbit algebra at z (3, N).
+
+    Real z are section frame coordinates, acted on by ``frame_generators``
+    with the identity for conjugation; complex z by ``generators`` with
+    np.conj. gens holds G[j, k, l] as (l, k, j, 1): a product with a vector
+    over l, reduced over l.
+    """
+    on_section = not np.iscomplexobj(z)
+    gens = spec.frame_generators if on_section else spec.generators
+    return spec.space._sig[:, None], _real if on_section else np.conj, gens.T[..., None]
+
+
+def _killing_gram(spec: PolarActionSpec, z):
+    """The Killing fields at z (3, N) and their gram matrix: the orbit body's prefix.
+
+    Returns (sz, rot, k, sk, (g11, g12, g22), det): the signed conjugate
+    sig * conj(z), the rotation terms <z, G_j z>/kappa (j, N), the Killing
+    vectors K_j = P(G_j z) as (3, j, N) with their signed conjugates, the
+    gram entries and the gram determinant (N,). Nothing here divides, so a
+    singular point gets a det near zero and a point with a NaN coordinate a
+    NaN det, and neither touches the other points.
+    """
+    sig, conj, gens = _route(spec, z)
+    kinv = 1.0 / spec.space.kappa
+    sz = sig * conj(z)
+    gz = np.add.reduce(gens * z[:, None, None], axis=0)                 # (k, j, N): G_j z
+    rot = np.add.reduce(sz[:, None] * gz, axis=0) * kinv                # <z, G_j z>/kappa
+    k = gz - rot * z[:, None]                                           # P(G_j z)
+    sk = sig[:, None] * conj(k)
+    gram = np.add.reduce(sk[:, :, None] * k[:, None], axis=0).real      # (i, j, N)
+    g11, g12, g22 = gram[0, 0], gram[0, 1], gram[1, 1]
+    return sz, rot, k, sk, (g11, g12, g22), g11 * g22 - g12 ** 2
+
+
 def _orbit_body(spec: PolarActionSpec, z, require_regular=True):
     """Orbit data at a batch of points: the one body of the orbit algebra.
 
@@ -249,31 +291,20 @@ def _orbit_body(spec: PolarActionSpec, z, require_regular=True):
     Returns (killing (3, j, N), basis (3, a, N), ii (3, a, b, N), mean (3, N),
     det (N,)): the Killing vectors K_j, the orthonormal orbit basis X_a, the
     second fundamental form II(X_a, X_b) (normal to the orbit), the mean
-    curvature vector and the Killing gram determinant. Every product and sum
-    runs in the order of the complex formulas, with a division by a real
-    written as the product with its reciprocal, as NumPy divides a complex
-    array by a real one. On the section the products of pure real or
-    imaginary numbers are exact, so a section point gets the same bits on
-    both routes.
+    curvature vector and the Killing gram determinant, computed by the
+    prefix ``_killing_gram``. Every product and sum runs in the order of the
+    complex formulas, with a division by a real written as the product with
+    its reciprocal, as NumPy divides a complex array by a real one. On the
+    section the products of pure real or imaginary numbers are exact, so a
+    section point gets the same bits on both routes.
 
     With ``require_regular`` a point whose gram determinant is at most
     REGULARITY_TOL raises SingularOrbitError. Without it such points return
     meaningless (possibly non-finite) data that the caller must mask by det.
     """
-    sig = spec.space._sig[:, None]
+    sig, conj, gens = _route(spec, z)
     kinv = 1.0 / spec.space.kappa
-    on_section = not np.iscomplexobj(z)
-    conj = _real if on_section else np.conj
-    # G[j, k, l] as (l, k, j): a product with a vector over l, reduced over l
-    gens = (spec.frame_generators if on_section else spec.generators).T[..., None]
-    sz = sig * conj(z)
-    gz = np.add.reduce(gens * z[:, None, None], axis=0)                 # (k, j, N): G_j z
-    rot = np.add.reduce(sz[:, None] * gz, axis=0) * kinv                # <z, G_j z>/kappa
-    k = gz - rot * z[:, None]                                           # P(G_j z)
-    sk = sig[:, None] * conj(k)
-    gram = np.add.reduce(sk[:, :, None] * k[:, None], axis=0).real      # (i, j, N)
-    g11, g12, g22 = gram[0, 0], gram[0, 1], gram[1, 1]
-    det = g11 * g22 - g12 ** 2
+    sz, rot, k, sk, (g11, g12, g22), det = _killing_gram(spec, z)
     if require_regular and np.any(det <= REGULARITY_TOL):
         raise SingularOrbitError(
             f"orbit through the given point has rank < 2 (gram det {np.min(det):.3e})")
@@ -292,7 +323,7 @@ def _orbit_body(spec: PolarActionSpec, z, require_regular=True):
     t = np.empty_like(nabla)
     np.multiply(nabla[:, 0], ir11, out=t[:, :, 0])
     np.multiply(nabla[:, 1] - (g12 / g11) * nabla[:, 0], in2, out=t[:, :, 1])
-    if on_section:
+    if conj is _real:
         # G_j X_a = -D Q_j b_a, so t stands for -D t; its part along the
         # orbit, which lies in i D.R^3, is exactly zero
         ii = np.negative(t, out=t)

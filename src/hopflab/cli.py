@@ -41,7 +41,7 @@ from .scene import (
     scene_document,
     write_mesh_csv,
 )
-from .suites import SUITE_NAMES, run_suites
+from .suites import SUITE_NAMES, report_json, run_suites
 
 
 class ConfigError(ValueError):
@@ -305,11 +305,8 @@ def _cmd_verify(args) -> int:
     n = sum(len(s.checks) for s in results)
     print(f"{'OK' if all_pass else 'FAILED'}: {n} checks in {len(results)} suite(s), seed {seed}")
     if args.out:
-        doc = {"schema_version": 1, "seed": seed,
-               "suites": [s.to_dict() for s in results]}
         with open(args.out, "w") as f:
-            json.dump(doc, f, sort_keys=True, indent=1)
-            f.write("\n")
+            f.write(report_json(results, seed))
         print(f"report -> {args.out}")
     return 0 if all_pass else 2
 

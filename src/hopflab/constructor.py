@@ -16,16 +16,19 @@ law's target curvature evaluated on the orbit data at the current point.
 Every curve comes from one lane core, ``_integrate_lanes``: classical RK4
 advancing B launches (lanes) in lockstep. The section is totally real, so
 the lane core carries (z, w, xi) as one real (3, 3, B) array of coordinates
-in the section's real frame, z = D x (see ``actions``), evaluates the orbit
-data of all live lanes in one ``_orbit_invariants`` call per stage on the
-real route of the orbit body, and turns its rows into complex
-representatives once, at the end. Each lane keeps its own row count and
-stops, with a truncation reason, at the first step that leaves the regular
-set or turns non-finite, while the others go on. ``integrate_sigma`` runs
-the two sides of a curve as two lanes; ``austere_search`` runs all its
-launches as one batch, in which a launch stops at its first row whose
-alignment |<H, xi>| with the orbit mean-curvature field is not below the
-search tolerance.
+in the section's real frame, z = D x (see ``actions``), and turns its rows
+into complex representatives once, at the end. Each stored row gets the
+orbit data of all live lanes from one ``_orbit_invariants`` call on the real
+route of the orbit body. A mid-step stage needs the law's target and the
+regularity test: a law whose target reads the orbit data (CMC, Levi-flat)
+makes the same call there, while a pregeodesic law (geodesic, austere) has
+gamma = 0 and computes only the Killing gram determinant, with
+``_killing_gram``. Each lane keeps its own row count and stops, with a
+truncation reason, at the first step that leaves the regular set or turns
+non-finite, while the others go on. ``integrate_sigma`` runs the two sides
+of a curve as two lanes; ``austere_search`` runs all its launches as one
+batch, in which a launch stops at its first row whose alignment |<H, xi>|
+with the orbit mean-curvature field is not below the search tolerance.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .actions import (
     PolarActionSpec,
     SingularOrbitError,
     _eig2,
+    _killing_gram,
     _orbit_body,
     orbit_geometry,
     rotate90,
@@ -92,6 +96,11 @@ class CurveLaw:
     def __post_init__(self):
         if self.kind not in LAW_KINDS:
             raise GeometryError(f"unknown curve law {self.kind!r}")
+
+    @property
+    def reads_orbit_data(self):
+        """False for the pregeodesic laws, whose target is gamma = 0 everywhere."""
+        return self.kind in ("cmc", "levi-flat")
 
     def target(self, alpha, beta, a, b):
         """Target curvature at arrays of orbit invariants, one value per point."""
@@ -205,7 +214,11 @@ def _integrate_lanes(spec, law, x0, u0, v0, step, n_steps, n_launches, align_tol
     A lane stops at the first step whose stage or accepted state is
     non-finite or leaves the regular set (gram det <= REGULARITY_TOL). The
     invariants of a stored row double as the next step's first stage, and
-    the row computed for an accepted point supplies its regularity test.
+    the row computed for an accepted point supplies its regularity test. The
+    three mid-step stages evaluate the full orbit data only when
+    ``law.reads_orbit_data``; otherwise gamma = 0 and they compute the gram
+    determinant alone, through the same operations, so its bits and the
+    masks it sets are those of the full evaluation.
     Lane l is a side of launch l % n_launches. With ``align_tol``, a launch
     is rejected at the first stored row of any of its lanes that fails
     |<H, xi>| < align_tol (so a NaN rejects), and all its lanes stop there.
@@ -223,6 +236,14 @@ def _integrate_lanes(spec, law, x0, u0, v0, step, n_steps, n_launches, align_tol
     def evaluate(y):
         alpha, beta, a, b, mean, det = _orbit_invariants(spec, y[0], y[2])
         return law.target(alpha, beta, a, b), (alpha, beta, a, b, mean), det
+
+    def stage(y):
+        """(gamma, gram det) at a mid-step stage, from the gram alone if gamma = 0."""
+        if law.reads_orbit_data:
+            gam, _, det = evaluate(y)
+            return gam, det
+        det = _killing_gram(spec, y[0])[-1]
+        return np.zeros_like(det), det
 
     def rhs(y, gam):
         x, u, v = y
@@ -281,7 +302,7 @@ def _integrate_lanes(spec, law, x0, u0, v0, step, n_steps, n_launches, align_tol
             ks = [rhs(y, gam)]
             for frac in (0.5, 0.5, 1.0):
                 y_s = y + frac * step * ks[-1]
-                g_s, _, det_s = evaluate(y_s)
+                g_s, det_s = stage(y_s)
                 nonfinite |= ~dead & np.isnan(det_s)
                 dead |= ~(det_s > REGULARITY_TOL)
                 ks.append(rhs(y_s, g_s))

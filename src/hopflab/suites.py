@@ -8,6 +8,7 @@ double as the acceptance battery (tests/test_acceptance.py drives them).
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -679,6 +680,12 @@ _SUITES = {
     "cmc": suite_cmc,
     "levi-flat": suite_leviflat,
 }
+
+
+def report_json(results, seed: int) -> str:
+    """The ``verify --out`` report of suite results: sorted keys, indent 1, trailing newline."""
+    doc = {"schema_version": 1, "seed": seed, "suites": [s.to_dict() for s in results]}
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
 def run_suites(names, seed: int = 7):

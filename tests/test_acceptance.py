@@ -8,23 +8,32 @@ same battery. Run with -v for one pass/fail line per criterion.
 
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import subprocess_env
 from hopflab.actions import LABELS
-from hopflab.suites import run_suites
+from hopflab.suites import report_json, run_suites
 
 SEED = 7
+# the ``hopflab verify all --seed 7 --out`` report; a change that moves
+# check values on purpose regenerates it and lists the moved checks
+GOLDEN_REPORT = Path(__file__).parent / "golden" / "verify_all_seed7.json"
 
 
 @pytest.fixture(scope="module")
-def all_checks():
-    """name -> Check across all suites, computed once."""
-    results = run_suites("all", seed=SEED)
+def suite_results():
+    """The in-process ``verify all --seed 7`` run, computed once."""
+    return run_suites("all", seed=SEED)
+
+
+@pytest.fixture(scope="module")
+def all_checks(suite_results):
+    """name -> Check across all suites."""
     table = {}
-    for suite in results:
+    for suite in suite_results:
         for chk in suite.checks:
             table[f"{suite.name}::{chk.name}"] = chk
     return table
@@ -159,3 +168,7 @@ def test_criterion_12_determinism(tmp_path):
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
     report(12, "verify all --seed 7 twice: byte-identical reports")
+
+
+def test_verify_all_report_matches_golden(suite_results):
+    assert report_json(suite_results, SEED).encode() == GOLDEN_REPORT.read_bytes()

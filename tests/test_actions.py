@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 from hopflab.actions import (
     EIG_DEGENERATE_TOL,
     LABELS,
+    REGULARITY_TOL,
     InconclusiveDegeneracyError,
     PolarActionSpec,
     SingularOrbitError,
     _eig2,
+    _killing_gram,
     _orbit_body,
     hopf_directions,
     killing_field,
@@ -350,3 +352,24 @@ def test_orbit_body_matches_scalar_copy_on_and_off_section(label, rng):
             assert np.abs(geo.second_fundamental[n] - ii_ref).max() < 1e-12
             assert np.abs(geo.mean_curvature[n] - mean_ref).max() < 1e-12
             assert abs(geo.gram_det[n] - det_ref) < 1e-12
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_killing_gram_det_is_the_orbit_body_det(label, rng):
+    spec = load_action(label)
+    xs = spec.frame_coords(spec.section.point(rng.uniform(-0.25, 0.25, (6, 2))))
+    # frame point (1, 0, 0) is a zero of a Killing field, so on a singular
+    # orbit, of every action but ch2-line-g2a, whose orbits through the
+    # section are all principal; the NaN row stands for a dying lane
+    xs = np.concatenate([xs, [[1.0, 0.0, 0.0], [np.nan, 0.1, 0.2]]])
+    off = spec.translate(rng.uniform(-0.5, 0.5, (8, 2)), spec.phases * xs) \
+        * np.exp(2j * np.pi * rng.random((8, 1)))
+    for z in (xs.T, off.T):
+        with np.errstate(all="ignore"):
+            det = _killing_gram(spec, z)[-1]
+            ref = _orbit_body(spec, z, require_regular=False)[4]
+        assert np.array_equal(det, ref, equal_nan=True)
+        assert np.array_equal(np.isnan(det), np.arange(8) == 7)
+        assert np.all(det[:6] > REGULARITY_TOL)
+        assert (det[6] <= REGULARITY_TOL) == (label != "ch2-line-g2a")
+    assert np.array_equal(spec.gram_det(off), det, equal_nan=True)

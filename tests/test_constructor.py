@@ -333,14 +333,17 @@ def test_austere_search_matches_scalar_search(label, grid, n_found):
 
 
 def _count_invariant_calls(monkeypatch):
+    """Record "full" per lane-core call of the whole orbit data, "gram" per gram-only call."""
     calls = []
-    invariants = constructor._orbit_invariants
 
-    def counting(*args):
-        calls.append(1)
-        return invariants(*args)
+    def counting(seam, kind):
+        def call(*args):
+            calls.append(kind)
+            return seam(*args)
+        return call
 
-    monkeypatch.setattr(constructor, "_orbit_invariants", counting)
+    for name, kind in (("_orbit_invariants", "full"), ("_killing_gram", "gram")):
+        monkeypatch.setattr(constructor, name, counting(getattr(constructor, name), kind))
     return calls
 
 
@@ -352,6 +355,18 @@ def test_austere_search_stops_misaligned_launch_early(monkeypatch):
     calls = _count_invariant_calls(monkeypatch)
     assert austere_search(load_action("ch2-k0-g2a"), [[-0.3, 0.0]], n_steps=120) == []
     assert len(calls) == 65
+    # gamma = 0: the start row and the 16 stored rows read the whole orbit
+    # data, the three mid-step stages of each step only the gram
+    assert (calls.count("full"), calls.count("gram")) == (17, 48)
+
+
+def test_orbit_reading_law_evaluates_full_orbit_data_at_every_stage(monkeypatch):
+    # CMC reads alpha and beta at every stage: one start row plus four stages
+    # per step for the two lanes of one batch, none of them gram-only
+    calls = _count_invariant_calls(monkeypatch)
+    spec, p0, w0 = launch("cp2-torus")
+    integrate_sigma(spec, p0, w0, CurveLaw("cmc", eta=1.0), n_steps=30)
+    assert (calls.count("full"), calls.count("gram")) == (121, 0)
 
 
 def test_austere_search_nan_tolerance_keeps_nothing(monkeypatch):
@@ -360,4 +375,4 @@ def test_austere_search_nan_tolerance_keeps_nothing(monkeypatch):
     monkeypatch.setattr(constructor, "AUSTERE_TOL", np.nan)
     spec = load_action("cp2-torus")
     assert austere_search(spec, [[0.0, 0.0], [0.1, 0.0]], n_steps=40) == []
-    assert len(calls) == 1
+    assert calls == ["full"]
