@@ -17,18 +17,22 @@ Every curve comes from one lane core, ``_integrate_lanes``: classical RK4
 advancing B launches (lanes) in lockstep. The section is totally real, so
 the lane core carries (z, w, xi) as one real (3, 3, B) array of coordinates
 in the section's real frame, z = D x (see ``actions``), and turns its rows
-into complex representatives once, at the end. Each stored row gets the
-orbit data of all live lanes from one ``_orbit_invariants`` call on the real
-route of the orbit body. A mid-step stage needs the law's target and the
-regularity test: a law whose target reads the orbit data (CMC, Levi-flat)
-makes the same call there, while a pregeodesic law (geodesic, austere) has
-gamma = 0 and computes only the Killing gram determinant, with
-``_killing_gram``. Each lane keeps its own row count and stops, with a
-truncation reason, at the first step that leaves the regular set or turns
-non-finite, while the others go on. ``integrate_sigma`` runs the two sides
-of a curve as two lanes; ``austere_search`` runs all its launches as one
-batch, in which a launch stops at its first row whose alignment |<H, xi>|
-with the orbit mean-curvature field is not below the search tolerance.
+into complex representatives once, at the end. Each evaluation of the live
+lanes, at a stored row or a mid-step stage, computes only what the law and
+the stop rule read, on the real route of the orbit body. A law whose target
+reads the orbit data (CMC, Levi-flat) takes the full ``_orbit_invariants``
+everywhere. A pregeodesic law (geodesic, austere) has gamma = 0 and needs
+only the regularity test, so it computes the Killing gram determinant alone
+with ``_killing_gram``, except that the austere search's stored rows also
+take the mean curvature from ``_orbit_body`` for their alignment. Such a
+curve gets its orbit columns (alpha, beta, a, b, <H, xi>) afterwards, from
+one ``_orbit_invariants`` call on its own rows. Each lane keeps its own row
+count and stops, with a truncation reason, at the first step that leaves
+the regular set or turns non-finite, while the others go on.
+``integrate_sigma`` runs the two sides of a curve as two lanes;
+``austere_search`` runs all its launches as one batch, in which a launch
+stops at its first row whose alignment |<H, xi>| with the orbit
+mean-curvature field is not below the search tolerance.
 """
 
 from __future__ import annotations
@@ -213,19 +217,23 @@ def _integrate_lanes(spec, law, x0, u0, v0, step, n_steps, n_launches, align_tol
 
     A lane stops at the first step whose stage or accepted state is
     non-finite or leaves the regular set (gram det <= REGULARITY_TOL). The
-    invariants of a stored row double as the next step's first stage, and
-    the row computed for an accepted point supplies its regularity test. The
-    three mid-step stages evaluate the full orbit data only when
-    ``law.reads_orbit_data``; otherwise gamma = 0 and they compute the gram
-    determinant alone, through the same operations, so its bits and the
+    evaluation of a stored row doubles as the next step's first stage and
+    supplies the accepted point's regularity test. Each evaluation computes
+    only what is read: the full orbit data when ``law.reads_orbit_data``;
+    otherwise gamma = 0 and the gram determinant, plus, at a stored row with
+    ``align_tol``, the mean curvature for the alignment. Every partial
+    evaluation runs the operations of the full one, so its bits and the
     masks it sets are those of the full evaluation.
     Lane l is a side of launch l % n_launches. With ``align_tol``, a launch
     is rejected at the first stored row of any of its lanes that fails
     |<H, xi>| < align_tol (so a NaN rejects), and all its lanes stop there.
     Returns (rows, counts, reasons, rejected_at): rows maps each SigmaCurve
-    sample field to an array with lane and row axes leading, of which lane k
-    holds counts[k] valid rows; an empty reason means the lane ran all
-    n_steps; rejected_at[j] is the row at which launch j was rejected, or -1.
+    sample field that was computed to an array with lane and row axes
+    leading, of which lane k holds counts[k] valid rows, with zs, ws and xis
+    still real frame coordinates; a pregeodesic law leaves out the orbit
+    columns, except mean_align with ``align_tol``. An empty reason means the
+    lane ran all n_steps; rejected_at[j] is the row at which launch j was
+    rejected, or -1.
     """
     sp = spec.space
     kinv = 1.0 / sp.kappa
@@ -234,14 +242,23 @@ def _integrate_lanes(spec, law, x0, u0, v0, step, n_steps, n_launches, align_tol
     rejected_at = np.full(n_launches, -1)
 
     def evaluate(y):
-        alpha, beta, a, b, mean, det = _orbit_invariants(spec, y[0], y[2])
-        return law.target(alpha, beta, a, b), (alpha, beta, a, b, mean), det
+        """(gamma, orbit columns, gram det) at a stored row."""
+        if law.reads_orbit_data:
+            alpha, beta, a, b, mean, det = _orbit_invariants(spec, y[0], y[2])
+            cols = {"alphas": alpha, "betas": beta, "hopf_a": a, "hopf_b": b,
+                    "mean_align": sp.g(mean.T, y[2].T)}
+            return law.target(alpha, beta, a, b), cols, det
+        if align_tol is None:
+            det = _killing_gram(spec, y[0])[-1]
+            return np.zeros_like(det), {}, det
+        mean, det = _orbit_body(spec, y[0], require_regular=False)[3:]
+        return np.zeros_like(det), {"mean_align": sp.g(mean.T, y[2].T)}, det
 
     def stage(y):
         """(gamma, gram det) at a mid-step stage, from the gram alone if gamma = 0."""
         if law.reads_orbit_data:
-            gam, _, det = evaluate(y)
-            return gam, det
+            alpha, beta, a, b, _, det = _orbit_invariants(spec, y[0], y[2])
+            return law.target(alpha, beta, a, b), det
         det = _killing_gram(spec, y[0])[-1]
         return np.zeros_like(det), det
 
@@ -259,14 +276,10 @@ def _integrate_lanes(spec, law, x0, u0, v0, step, n_steps, n_launches, align_tol
         return np.array([x.T, u.T, v.T])
 
     rows = {key: np.zeros((n_lanes, n_steps + 1, 3)) for key in ("zs", "ws", "xis")}
-    for key in ("gammas", "alphas", "betas", "hopf_a", "hopf_b", "mean_align"):
-        rows[key] = np.zeros((n_lanes, n_steps + 1))
 
-    def store(lanes, i, y, gam, inv):
-        alpha, beta, a, b, mean = inv
+    def store(lanes, i, y, gam, cols):
         for key, val in (("zs", y[0].T), ("ws", y[1].T), ("xis", y[2].T), ("gammas", gam),
-                         ("alphas", alpha), ("betas", beta), ("hopf_a", a), ("hopf_b", b),
-                         ("mean_align", sp.g(mean.T, y[2].T))):
+                         *cols.items()):
             rows[key][lanes, i] = val
 
     def rejected(lanes, i, kept):
@@ -282,17 +295,18 @@ def _integrate_lanes(spec, law, x0, u0, v0, step, n_steps, n_launches, align_tol
     # dying lanes compute with singular or non-finite data; they are masked out
     with np.errstate(all="ignore"):
         y = renorm(np.array([x0.T, u0.T, v0.T]))
-        gam, inv, det = evaluate(y)
+        gam, cols, det = evaluate(y)
         if not np.all(det > REGULARITY_TOL):
             raise SingularOrbitError("initial point is not regular")
+        for key in ("gammas", *cols):
+            rows[key] = np.zeros((n_lanes, n_steps + 1))
         alive = np.arange(n_lanes)
-        store(alive, 0, y, gam, inv)
+        store(alive, 0, y, gam, cols)
         drop = rejected(alive, 0, True)
         for i in range(n_steps):
             if drop.any():
                 ok = ~drop
                 alive, y, gam = alive[ok], y[..., ok], gam[ok]
-                inv = tuple(v[..., ok] for v in inv)
                 if not len(alive):
                     break
             # a lane's reason is its first failure: stages in order, then the
@@ -308,19 +322,17 @@ def _integrate_lanes(spec, law, x0, u0, v0, step, n_steps, n_launches, align_tol
                 ks.append(rhs(y_s, g_s))
             k1, k2, k3, k4 = ks
             nxt = renorm(y + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
-            gam, inv, det = evaluate(nxt)
+            gam, cols, det = evaluate(nxt)
             nonfinite |= ~dead & ~np.isfinite(nxt).all(axis=(0, 1))
             dead |= nonfinite | ~(det > REGULARITY_TOL)
             y = nxt
             # a dead lane's row lands past its count, where no reader looks
-            store(alive, i + 1, y, gam, inv)
+            store(alive, i + 1, y, gam, cols)
             counts[alive[~dead]] += 1
             for lane, bad in zip(alive[dead], nonfinite[dead]):
                 reasons[lane] = ("non-finite state" if bad
                                  else f"left the regular set after {i + 1} steps")
             drop = dead | rejected(alive, i + 1, ~dead)
-    for key in ("zs", "ws", "xis"):
-        rows[key] = rows[key] * spec.phases
     return rows, counts, reasons, rejected_at
 
 
@@ -331,13 +343,17 @@ def _launch_sigmas(spec, law, x0, u0, step, n_steps, two_sided=True, align_tol=N
     in real frame coordinates; u0 is normalized here. A launch is one lane,
     or two (u0 and -u0) when ``two_sided``. With ``align_tol``, a launch
     whose alignment |<H, xi>| fails to stay below it stops at that row and
-    its entry is None.
+    its entry is None. The lane core computes the orbit columns of a law
+    that reads them; for a pregeodesic law each returned curve gets them
+    from one ``_orbit_invariants`` call on its own rows, so a rejected
+    launch never computes them.
     """
     if step <= 0:
         raise GeometryError("step must be positive")
     if n_steps < 1:
         raise GeometryError("n_steps must be at least 1")
-    u0 = u0 * (1.0 / spec.space.norm(u0))[:, None]
+    sp = spec.space
+    u0 = u0 * (1.0 / sp.norm(u0))[:, None]
     v0 = spec.frame_coords(rotate90(spec, spec.phases * x0, spec.phases * u0))
     n = len(x0)
     if two_sided:
@@ -349,13 +365,19 @@ def _launch_sigmas(spec, law, x0, u0, step, n_steps, two_sided=True, align_tol=N
         if rejected_at[k] >= 0:
             curves.append(None)
             continue
-        b = n + k if two_sided else k
-        nf, nb = counts[k], (counts[b] if two_sided else 1)
+        back = n + k if two_sided else k
+        nf, nb = counts[k], (counts[back] if two_sided else 1)
         # the backward side reversed, less its copy of the t = 0 row, then the forward side
-        cols = {key: np.concatenate([val[b, nb - 1:0:-1], val[k, :nf]])
+        cols = {key: np.concatenate([val[back, nb - 1:0:-1], val[k, :nf]])
                 for key, val in rows.items()}
+        if not law.reads_orbit_data:
+            alpha, beta, a, b, mean, _ = _orbit_invariants(spec, cols["zs"].T, cols["xis"].T)
+            cols.update(alphas=alpha, betas=beta, hopf_a=a, hopf_b=b,
+                        mean_align=sp.g(mean.T, cols["xis"]))
+        for key in ("zs", "ws", "xis"):
+            cols[key] = cols[key] * spec.phases
         cols["ws"][:nb - 1] *= -1
-        reason = [reasons[k], reasons[b]] if two_sided else [reasons[k]]
+        reason = [reasons[k], reasons[back]] if two_sided else [reasons[k]]
         curves.append(SigmaCurve(
             spec=spec, law=law, ts=np.arange(1 - nb, nf) * step, **cols, step=step,
             truncated=any(reason), truncation_reason="; ".join(x for x in reason if x)))
@@ -414,7 +436,9 @@ def build_hypersurface(spec: PolarActionSpec, sigma: SigmaCurve,
     enough" concrete.
     """
     if len(sigma.ts) < 4:
-        raise GeometryError("sigma has too few samples to sweep")
+        stopped = f" (truncated: {sigma.truncation_reason})" if sigma.truncated else ""
+        raise GeometryError(f"sigma has {len(sigma.ts)} samples, fewer than the 4 a sweep "
+                            f"needs{stopped}")
     sp = spec.space
     interp = sigma.interpolant()
     g1, g2 = spec.generators
@@ -426,7 +450,8 @@ def build_hypersurface(spec: PolarActionSpec, sigma: SigmaCurve,
     t_lo = float(sigma.ts[0] + t_margin)
     t_hi = float(sigma.ts[-1] - t_margin)
     if t_hi <= t_lo:
-        raise GeometryError("time margin leaves an empty parameter box")
+        raise GeometryError(f"sigma spans t in [{sigma.ts[0]:g}, {sigma.ts[-1]:g}], too short "
+                            f"for the time margin {t_margin:g} at each end")
 
     extent = s_extent
     for _ in range(8):
@@ -687,7 +712,9 @@ def austere_search(spec: PolarActionSpec, grid_coords, n_steps: int = 150):
 
     sigmas = _launch_sigmas(spec, law, starts, dirs, DEFAULT_STEP, n_steps,
                             align_tol=AUSTERE_TOL)
+    mesh = _orbit_mesh(spec)
     found: list[AustereCandidate] = []
+    sweeps = []   # the mesh swept through each found curve, swept once when it is kept
     for k, sigma in enumerate(sigmas):
         if sigma is None:
             continue
@@ -695,18 +722,21 @@ def austere_search(spec: PolarActionSpec, grid_coords, n_steps: int = 150):
             continue
         if float(np.max(np.abs(sigma.hopf_a - sigma.hopf_b))) > 0.05:
             continue   # Prop 5.2 filter: austere forces a = b = 1/sqrt(2)
-        if any(_curves_close(spec, sigma, other.curve, DEDUPE_DISTANCE) for other in found):
+        if any(_curves_close(sp, sigma, other.curve, sweep, DEDUPE_DISTANCE)
+               for other, sweep in zip(found, sweeps)):
             continue
         found.append(AustereCandidate(curve=sigma, start_coords=coords[k],
                                       alignment_residual=float(np.max(np.abs(sigma.mean_align)))))
+        sweeps.append(_sweep(mesh, sigma))
     return found
 
 
-def _curves_close(spec, c1: SigmaCurve, c2: SigmaCurve, tol) -> bool:
+def _curves_close(sp: SpaceForm, c1: SigmaCurve, c2: SigmaCurve, sweep2, tol) -> bool:
     """Hausdorff-style proximity of two curves modulo the group action.
 
     Compares orbit-invariant profiles: the orbit principal curvatures along
     arclength (sorted), which separate the distinct austere families.
+    sweep2 is ``_sweep`` of c2.
     """
     m = min(len(c1.ts), len(c2.ts))
     a1 = np.sort(np.stack([c1.alphas[:m], c1.betas[:m]]).ravel())
@@ -715,16 +745,23 @@ def _curves_close(spec, c1: SigmaCurve, c2: SigmaCurve, tol) -> bool:
     if prof > tol:
         return False
     # also require actual point proximity of the starting points' orbits
-    d = _orbit_distance(spec, c1.zs[len(c1.zs) // 2], c2)
+    d = _orbit_distance(sp, c1.zs[len(c1.zs) // 2], sweep2)
     return d < max(10 * tol, 5e-2)
 
 
-def _orbit_distance(spec, z, curve: SigmaCurve):
-    """Least distance from z to the group mesh swept through the sampled curve points."""
+def _orbit_mesh(spec):
+    """Group elements exp(s1 G1 + s2 G2) of the 9 x 9 mesh of s in [-0.5, 0.5]^2, (81, 3, 3)."""
     ss = np.linspace(-0.5, 0.5, 9)
-    mesh = np.stack([m.ravel() for m in np.meshgrid(ss, ss, indexing="ij")], axis=-1)
+    s = np.stack(np.meshgrid(ss, ss, indexing="ij"), axis=-1).reshape(-1, 2)
+    return spec.group_element(s)
+
+
+def _sweep(mesh, curve: SigmaCurve):
+    """The mesh elements applied to about 12 evenly spaced samples of the curve, (n, 3)."""
     zcs = curve.zs[:: max(1, len(curve.zs) // 12)]
-    s1, s2 = np.tile(mesh, (len(zcs), 1)).T
-    pts = kernels.group_orbit_apply(spec.generators[0], spec.generators[1], s1, s2,
-                                    np.repeat(zcs, len(mesh), axis=0))
-    return float(np.min(spec.space.dist(pts, z)))
+    return np.einsum("mij,nj->nmi", mesh, zcs).reshape(-1, 3)
+
+
+def _orbit_distance(sp: SpaceForm, z, sweep):
+    """Least distance from z to a swept group mesh."""
+    return float(np.min(sp.dist(sweep, z)))

@@ -236,11 +236,12 @@ def scalar_integrate_sigma(spec, z0, w0, law, step=1e-3, n_steps=200, two_sided=
 def scalar_austere_search(spec, grid_coords, tol=2e-3, step=1e-3, n_steps=150,
                           h_floor=1e-8, dedupe_distance=5e-2):
     """The scalar austere search: probe, integrate and filter one launch at a time."""
-    from hopflab.constructor import AustereCandidate, CurveLaw, _curves_close
+    from hopflab.constructor import AustereCandidate, CurveLaw, _curves_close, _orbit_mesh, _sweep
 
     sp = spec.space
     law = CurveLaw("austere")
-    found = []
+    mesh = _orbit_mesh(spec)
+    found, sweeps = [], []
     probe_steps = max(10, n_steps // 8)
 
     def consider(z0, w0, start):
@@ -274,10 +275,11 @@ def scalar_austere_search(spec, grid_coords, tol=2e-3, step=1e-3, n_steps=150,
             cand = consider(z0, w0, q)
             if cand is None:
                 continue
-            if any(_curves_close(spec, cand.curve, other.curve, dedupe_distance)
-                   for other in found):
+            if any(_curves_close(sp, cand.curve, other.curve, sweep, dedupe_distance)
+                   for other, sweep in zip(found, sweeps)):
                 continue
             found.append(cand)
+            sweeps.append(_sweep(mesh, cand.curve))
     return found
 
 

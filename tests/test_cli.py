@@ -247,6 +247,23 @@ def test_construct_rejects_non_finite_config(field, flags, capsys):
     assert err == [f"error: config field '{field}': must be finite"]
 
 
+@pytest.mark.parametrize("step, message", [
+    # a finite but huge step overflows on the first step: both sides stop on
+    # a non-finite state and keep only the start sample
+    ("1e308", "sigma has 1 samples, fewer than the 4 a sweep needs "
+              "(truncated: non-finite state; non-finite state)"),
+    # 200 steps of 1e-5 each way span less than the sweep's margins
+    ("1e-5", "sigma spans t in [-0.002, 0.002], too short for the time margin 0.02 at each end"),
+], ids=["non-finite", "short-span"])
+def test_construct_names_why_sigma_is_too_short_to_sweep(step, message, tmp_path, capsys):
+    rc = run_cli(["construct", "--action", "cp2-torus", "--law", "cmc", "--step", step,
+                  "--out-scene", str(tmp_path / "s.json"), "--out-csv", str(tmp_path / "m.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {message}"]
+    assert not (tmp_path / "s.json").exists()
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("point", 0.5, "must be a list"),
     ("n_steps", "abc", "must be an integer"),

@@ -186,9 +186,12 @@ def test_strongly_2hopf_certify_detects_wp_launch():
 
 
 def test_orbit_distance_matches_per_point_loop(cmc_ehs):
+    # the mesh is exponentiated once and swept through the curve once; every
+    # distance equals the per-point kernel loop's exactly
     spec, sigma = cmc_ehs.spec, cmc_ehs.sigma
+    sweep = constructor._sweep(constructor._orbit_mesh(spec), sigma)
     for z in (sigma.zs[len(sigma.zs) // 2], sigma.zs[0], cmc_ehs.patch.eval([0.01, 0.2, -0.1])):
-        assert constructor._orbit_distance(spec, z, sigma) == \
+        assert constructor._orbit_distance(spec.space, z, sweep) == \
             oracles.pointwise_orbit_distance(spec, z, sigma)
 
 
@@ -333,16 +336,39 @@ def test_austere_search_matches_scalar_search(label, grid, n_found):
 
 
 def _count_invariant_calls(monkeypatch):
-    """Record "full" per lane-core call of the whole orbit data, "gram" per gram-only call."""
+    """Record each orbit evaluation of the section curves, by kind.
+
+    "full" per ``_orbit_invariants`` call, "gram" per ``_killing_gram`` call
+    and "row" per ``_orbit_body`` call of the lane core. A call made inside a
+    recorded one is not recorded, nor is the search's own ``_orbit_body``
+    call on its grid, outside the lane core.
+    """
     calls = []
+    inside = {"lanes": False, "recorded": False}
 
     def counting(seam, kind):
-        def call(*args):
+        def call(*args, **kwargs):
+            if inside["recorded"] or (kind == "row" and not inside["lanes"]):
+                return seam(*args, **kwargs)
             calls.append(kind)
-            return seam(*args)
+            inside["recorded"] = True
+            try:
+                return seam(*args, **kwargs)
+            finally:
+                inside["recorded"] = False
         return call
 
-    for name, kind in (("_orbit_invariants", "full"), ("_killing_gram", "gram")):
+    def lanes(*args, **kwargs):
+        inside["lanes"] = True
+        try:
+            return integrate_lanes(*args, **kwargs)
+        finally:
+            inside["lanes"] = False
+
+    integrate_lanes = constructor._integrate_lanes
+    monkeypatch.setattr(constructor, "_integrate_lanes", lanes)
+    for name, kind in (("_orbit_invariants", "full"), ("_killing_gram", "gram"),
+                       ("_orbit_body", "row")):
         monkeypatch.setattr(constructor, name, counting(getattr(constructor, name), kind))
     return calls
 
@@ -355,18 +381,30 @@ def test_austere_search_stops_misaligned_launch_early(monkeypatch):
     calls = _count_invariant_calls(monkeypatch)
     assert austere_search(load_action("ch2-k0-g2a"), [[-0.3, 0.0]], n_steps=120) == []
     assert len(calls) == 65
-    # gamma = 0: the start row and the 16 stored rows read the whole orbit
-    # data, the three mid-step stages of each step only the gram
-    assert (calls.count("full"), calls.count("gram")) == (17, 48)
+    # gamma = 0: the start row and the 16 stored rows read only the mean
+    # curvature and the gram, the three mid-step stages of each step only the
+    # gram, and a rejected launch never computes its orbit columns
+    assert (calls.count("row"), calls.count("gram"), calls.count("full")) == (17, 48, 0)
 
 
 def test_orbit_reading_law_evaluates_full_orbit_data_at_every_stage(monkeypatch):
     # CMC reads alpha and beta at every stage: one start row plus four stages
-    # per step for the two lanes of one batch, none of them gram-only
+    # per step for the two lanes of one batch, none of them partial
     calls = _count_invariant_calls(monkeypatch)
     spec, p0, w0 = launch("cp2-torus")
     integrate_sigma(spec, p0, w0, CurveLaw("cmc", eta=1.0), n_steps=30)
-    assert (calls.count("full"), calls.count("gram")) == (121, 0)
+    assert (calls.count("full"), calls.count("gram"), calls.count("row")) == (121, 0, 0)
+
+
+def test_geodesic_law_evaluates_gram_in_the_lanes_and_orbit_data_once_per_curve(monkeypatch):
+    # the geodesic law reads nothing of the orbit but the regularity test:
+    # the start row and four stages per step take the gram alone, and the
+    # curve's orbit columns come from one full call on its 61 rows
+    calls = _count_invariant_calls(monkeypatch)
+    spec, p0, w0 = launch("cp2-torus")
+    sigma = integrate_sigma(spec, p0, w0, CurveLaw("geodesic"), n_steps=30)
+    assert len(sigma.ts) == 61
+    assert calls == ["gram"] * 121 + ["full"]
 
 
 def test_austere_search_nan_tolerance_keeps_nothing(monkeypatch):
@@ -375,4 +413,49 @@ def test_austere_search_nan_tolerance_keeps_nothing(monkeypatch):
     monkeypatch.setattr(constructor, "AUSTERE_TOL", np.nan)
     spec = load_action("cp2-torus")
     assert austere_search(spec, [[0.0, 0.0], [0.1, 0.0]], n_steps=40) == []
-    assert calls == ["full"]
+    assert calls == ["row"]
+
+
+# -- per-curve orbit columns against the per-row evaluation they replace -----------
+
+ORBIT_COLUMNS = ("alphas", "betas", "hopf_a", "hopf_b", "mean_align")
+
+
+def assert_orbit_columns_per_row(curve):
+    """The curve's orbit columns equal ``_orbit_invariants`` run on one row at a time."""
+    spec, sp = curve.spec, curve.space
+    ref = []
+    for z, xi in zip(curve.zs, curve.xis):
+        x, v = spec.frame_coords(z)[:, None], spec.frame_coords(xi)[:, None]
+        alpha, beta, a, b, mean, _ = constructor._orbit_invariants(spec, x, v)
+        ref.append((alpha[0], beta[0], a[0], b[0], sp.g(mean.T, v.T)[0]))
+    for name, col in zip(ORBIT_COLUMNS, np.array(ref).T):
+        assert np.array_equal(getattr(curve, name), col), name
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_austere_candidates_orbit_columns_and_sweeps_match_per_row(label):
+    spec = load_action(label)
+    found = austere_search(spec, [[0.0, 0.0], [0.1, 0.0], [-0.2, 0.0], [0.05, 0.1]],
+                           n_steps=40)
+    assert len(found) == (0 if label == "ch2-k0-g2a" else
+                          1 if label == "ch2-line-g2a" else 3)
+    mesh = constructor._orbit_mesh(spec)
+    for cand in found:
+        assert_orbit_columns_per_row(cand.curve)
+        sweep = constructor._sweep(mesh, cand.curve)
+        for other in found:
+            z = other.curve.zs[len(other.curve.zs) // 2]
+            assert constructor._orbit_distance(spec.space, z, sweep) == \
+                oracles.pointwise_orbit_distance(spec, z, cand.curve)
+
+
+def test_geodesic_orbit_columns_match_per_row():
+    spec, p0, w0 = launch("ch2-g0")
+    assert_orbit_columns_per_row(integrate_sigma(spec, p0, w0, CurveLaw("geodesic"),
+                                                 n_steps=30))
+    # one side truncated (see test_lane_core_matches_scalar_when_one_side_truncates)
+    spec, p0, w0 = launch("cp2-torus", theta=0.0, coords=(-0.463, -0.802))
+    sigma = integrate_sigma(spec, p0, w0, CurveLaw("geodesic"), n_steps=40)
+    assert sigma.truncated
+    assert_orbit_columns_per_row(sigma)
