@@ -26,13 +26,11 @@ __version__ = "0.1.0"
 
 def __getattr__(name):
     # heavier subsystems are imported lazily to keep `import hopflab` light
-    if name in ("load_action", "hopf_directions", "orbit_shape_operator",
-                "mean_curvature_field", "phi_map"):
+    if name in ("load_action", "hopf_directions", "mean_curvature_field"):
         from . import actions
 
         return getattr(actions, name)
-    if name in ("classify", "shape_operator", "adapted_frame", "levi_form",
-                "hopf_projection_count", "HypersurfacePatch"):
+    if name in ("classify", "adapted_frame", "levi_form", "HypersurfacePatch"):
         from . import hypersurface
 
         return getattr(hypersurface, name)

@@ -4,7 +4,10 @@ Each action is given by two commuting infinitesimal isometries (3x3 matrices,
 anti-self-adjoint for the ambient Hermitian form) plus a seed point whose
 orbit-normal plane spans one totally real section. Orbit shape operators,
 the mean-curvature field on the section, and the Hopf-obstruction map Phi
-with its zero set w_p all live here.
+with its zero set w_p all live here. An orbit shape operator S_xi comes
+from ``orbit_geometry(...).shape_matrix(xi)`` at any point, and its
+principal curvatures alpha >= beta with the Hopf components a, b of J xi
+from ``_orbit_invariants`` at a batch of section points.
 
 The section is totally geodesic and totally real, so its representatives
 span a real form D.R^3 of C^3, where D is diagonal with unit entries 1 or i
@@ -12,12 +15,13 @@ span a real form D.R^3 of C^3, where D is diagonal with unit entries 1 or i
 with Q_j real (``frame_generators``). The orbit algebra has one body,
 ``_orbit_body``: on the real frame coordinates x of section points z = D x
 it runs in real arithmetic with the Q_j, elsewhere in complex arithmetic
-with the G_j, through the same formulas. The section curve integrator, Phi,
-the mean-curvature field and the austere search's start directions take
-the real route; ``orbit_geometry`` serves any point. The body's prefix,
-``_killing_gram``, builds the Killing fields and their gram determinant
-and stops there: ``PolarActionSpec.gram_det`` (so ``is_regular``) and the
-curve integrator's regularity-only stages call it alone.
+with the G_j, through the same formulas. The section curve integrator
+(through ``_orbit_invariants``), Phi, the mean-curvature field and the
+austere search's start directions take the real route; ``orbit_geometry``
+serves any point. The body's prefix, ``_killing_gram``, builds the Killing
+fields and their gram determinant and stops there:
+``PolarActionSpec.gram_det`` (so ``is_regular``) and the curve integrator's
+regularity-only stages call it alone.
 
 The generator table ships in ``data/actions.json``; its correctness is
 enforced by the invariant suites (isometry, polarity, orbit dimension), not
@@ -111,10 +115,6 @@ class PolarActionSpec:
                 1.0, np.abs(zeta.real).max(initial=0.0)):
             raise GeometryError("vector is off the section's real frame D.R^3")
         return zeta.real
-
-    @property
-    def hermitian_matrix(self):
-        return np.diag(self.space.hermitian_signature).astype(complex)
 
     # -- group and Killing fields --------------------------------------------
 
@@ -335,6 +335,23 @@ def _orbit_body(spec: PolarActionSpec, z, require_regular=True):
     return k, basis, ii, ii[:, 0, 0] + ii[:, 1, 1], det
 
 
+def _orbit_invariants(spec: PolarActionSpec, x, xi):
+    """(alpha, beta, a, b, mean_curvature, gram_det) at a batch of section points.
+
+    x and xi (3, N) are real frame coordinates of the points and of the
+    section normals, coordinates first; the mean curvature vector comes back
+    the same way. Regularity is not enforced: the caller masks points by
+    gram_det.
+    """
+    _, basis, ii, mean, det = _orbit_body(spec, x, require_regular=False)
+    sxi = spec.space._sig[:, None] * xi
+    s = np.add.reduce(ii * sxi[:, None, None], axis=0)          # (a, b, N): S_xi
+    (alpha, beta), vecs = _eig2(s.transpose(2, 0, 1))
+    jxi = np.add.reduce(sxi[:, None] * basis, axis=0)           # (i, N): <J xi, X_i>
+    ab = np.abs(np.einsum("nij,in->jn", vecs, jxi))
+    return alpha, beta, ab[0], ab[1], mean, det
+
+
 def orbit_geometry(spec: PolarActionSpec, z, require_regular=True) -> OrbitGeometry:
     """Orbit data at a representative z (3,) or at a batch of them (N, 3).
 
@@ -352,21 +369,6 @@ def orbit_geometry(spec: PolarActionSpec, z, require_regular=True) -> OrbitGeome
     if single:
         return OrbitGeometry(spec, z, k[0], basis[0], ii[0], mean[0], float(det[0]))
     return OrbitGeometry(spec, z, k, basis, ii, mean, det)
-
-
-@dataclass(frozen=True, eq=False)
-class OrbitData:
-    """Shape data of an orbit with respect to a section-tangent normal xi."""
-
-    point: AmbientPoint
-    tangent_basis: np.ndarray
-    xi: np.ndarray
-    shape: np.ndarray                      # 2x2 symmetric
-    mean_curvature_vector: AmbientTangent
-    orbit_principal_curvatures: tuple      # (alpha, beta), alpha >= beta
-    principal_directions: np.ndarray       # (2, 3) ambient eigenvectors
-    hopf_components: tuple                 # (a, b) projections of J xi
-    residuals: dict
 
 
 def _eig2(s):
@@ -396,47 +398,6 @@ def _eig2(s):
     vecs[..., 1, 0] = sn
     vecs[..., 0, 1] = -sn
     return (m + r, m - r), vecs
-
-
-def orbit_shape_operator(spec: PolarActionSpec, p, xi) -> OrbitData:
-    """Orbit shape data S_xi at p; xi must be unit and normal to the orbit."""
-    sp = spec.space
-    z = p.rep if isinstance(p, AmbientPoint) else np.asarray(p, dtype=complex)
-    xi = np.asarray(xi.vec if isinstance(xi, AmbientTangent) else xi, dtype=complex)
-    geo = orbit_geometry(spec, z)
-    if abs(sp.norm(xi) - 1.0) > 1e-6:
-        raise GeometryError("xi must be a unit vector")
-    tang = max(abs(sp.g(xi, geo.basis[0])), abs(sp.g(xi, geo.basis[1])))
-    if tang > 1e-6:
-        raise GeometryError("xi is not normal to the orbit")
-    s = geo.shape_matrix(xi)
-    s = 0.5 * (s + s.T)
-    (alpha, beta), vecs = _eig2(s)
-    dirs = np.stack([vecs[0, 0] * geo.basis[0] + vecs[1, 0] * geo.basis[1],
-                     vecs[0, 1] * geo.basis[0] + vecs[1, 1] * geo.basis[1]])
-    jxi = 1j * xi
-    a = abs(sp.g(jxi, dirs[0]))
-    b = abs(sp.g(jxi, dirs[1]))
-    jxi_tangency = float(sp.norm(jxi - sp.g(jxi, geo.basis[0]) * geo.basis[0]
-                                 - sp.g(jxi, geo.basis[1]) * geo.basis[1]))
-    h_normality = float(max(abs(sp.g(geo.mean_curvature, geo.basis[0])),
-                            abs(sp.g(geo.mean_curvature, geo.basis[1]))))
-    point = p if isinstance(p, AmbientPoint) else AmbientPoint(sp, z)
-    return OrbitData(
-        point=point,
-        tangent_basis=geo.basis,
-        xi=xi,
-        shape=s,
-        mean_curvature_vector=AmbientTangent(point, geo.mean_curvature),
-        orbit_principal_curvatures=(float(alpha), float(beta)),
-        principal_directions=dirs,
-        hopf_components=(float(a), float(b)),
-        residuals={
-            "hopf_norm": float(a * a + b * b - 1.0),
-            "jxi_tangency": jxi_tangency,
-            "mean_curvature_normality": h_normality,
-        },
-    )
 
 
 def mean_curvature_field(spec: PolarActionSpec, q) -> AmbientTangent:
@@ -473,16 +434,6 @@ def phi_profile(spec: PolarActionSpec, p, thetas):
     jxi = -st[:, None] * jf1 + ct[:, None] * jf2                  # (n, 2)
     jw = ct[:, None] * jf1 + st[:, None] * jf2
     return np.einsum("nab,nb,na->n", s_mat, jxi, jw)
-
-
-def phi_map(spec: PolarActionSpec, p, w) -> float:
-    """Phi(w) = <S_{xi_w} J xi_w, J w> for a unit section-tangent w at p."""
-    sp = spec.space
-    z = p.rep if isinstance(p, AmbientPoint) else np.asarray(p, dtype=complex)
-    wv = w.vec if isinstance(w, AmbientTangent) else np.asarray(w, dtype=complex)
-    f1, f2 = spec.section.tangent_frame(z)
-    theta = np.arctan2(sp.g(wv, f2), sp.g(wv, f1))
-    return float(phi_profile(spec, z, [theta])[0])
 
 
 def hopf_directions(spec: PolarActionSpec, p, n_samples: int = 720, tol: float = 1e-10):
@@ -539,7 +490,3 @@ def hopf_directions(spec: PolarActionSpec, p, n_samples: int = 720, tol: float =
         out.append({"theta": float(theta), "direction": w, "phi": float(res)})
     return out
 
-
-def killing_field(spec: PolarActionSpec, index: int, p: AmbientPoint) -> AmbientTangent:
-    """Killing field of the indexed generator at p."""
-    return AmbientTangent(p, spec.killing_vec(index, p.rep))

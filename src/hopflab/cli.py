@@ -3,8 +3,8 @@
 Subcommands: construct, classify, hopf-directions, verify, sample.
 Configuration comes from flags, optionally merged over a JSON config file
 (flags win); the seed falls back to the HOPFLAB_SEED environment variable.
-Exit codes: 0 success/pass, 1 validation error, 2 certification/verification
-failure.
+Exit codes: 0 success/pass, 1 validation error or unwritable output, 2
+certification/verification failure.
 """
 
 from __future__ import annotations
@@ -413,13 +413,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SceneError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except GeometryError as exc:
+    except (ConfigError, SceneError, GeometryError, OSError) as exc:
+        # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

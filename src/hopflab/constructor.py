@@ -20,15 +20,16 @@ in the section's real frame, z = D x (see ``actions``), and turns its rows
 into complex representatives once, at the end. Each evaluation of the live
 lanes, at a stored row or a mid-step stage, computes only what the law and
 the stop rule read, on the real route of the orbit body. A law whose target
-reads the orbit data (CMC, Levi-flat) takes the full ``_orbit_invariants``
-everywhere. A pregeodesic law (geodesic, austere) has gamma = 0 and needs
-only the regularity test, so it computes the Killing gram determinant alone
-with ``_killing_gram``, except that the austere search's stored rows also
-take the mean curvature from ``_orbit_body`` for their alignment. Such a
-curve gets its orbit columns (alpha, beta, a, b, <H, xi>) afterwards, from
-one ``_orbit_invariants`` call on its own rows. Each lane keeps its own row
-count and stops, with a truncation reason, at the first step that leaves
-the regular set or turns non-finite, while the others go on.
+reads the orbit data (CMC, Levi-flat) takes the full
+``actions._orbit_invariants`` everywhere. A pregeodesic law (geodesic,
+austere) has gamma = 0 and needs only the regularity test, so it computes
+the Killing gram determinant alone with ``_killing_gram``, except that the
+austere search's stored rows also take the mean curvature from
+``_orbit_body`` for their alignment. Such a curve gets its orbit columns
+(alpha, beta, a, b, <H, xi>) afterwards, from one ``_orbit_invariants``
+call on its own rows. Each lane keeps its own row count and stops, with a
+truncation reason, at the first step that leaves the regular set or turns
+non-finite, while the others go on.
 ``integrate_sigma`` runs the two sides of a curve as two lanes;
 ``austere_search`` runs all its launches as one batch, in which a launch
 stops at its first row whose alignment |<H, xi>| with the orbit
@@ -46,9 +47,9 @@ from .actions import (
     REGULARITY_TOL,
     PolarActionSpec,
     SingularOrbitError,
-    _eig2,
     _killing_gram,
     _orbit_body,
+    _orbit_invariants,
     orbit_geometry,
     rotate90,
 )
@@ -113,23 +114,6 @@ class CurveLaw:
         if self.kind == "levi-flat":
             return -b * b * alpha - a * a * beta
         return np.zeros_like(alpha)   # geodesic and austere pregeodesic
-
-
-def _orbit_invariants(spec: PolarActionSpec, x, xi):
-    """(alpha, beta, a, b, mean_curvature, gram_det) at a batch of section points.
-
-    x and xi (3, N) are real frame coordinates of the points and of the
-    section normals, coordinates first; the mean curvature vector comes back
-    the same way. Regularity is not enforced: the caller masks points by
-    gram_det.
-    """
-    _, basis, ii, mean, det = _orbit_body(spec, x, require_regular=False)
-    sxi = spec.space._sig[:, None] * xi
-    s = np.add.reduce(ii * sxi[:, None, None], axis=0)          # (a, b, N): S_xi
-    (alpha, beta), vecs = _eig2(s.transpose(2, 0, 1))
-    jxi = np.add.reduce(sxi[:, None] * basis, axis=0)           # (i, N): <J xi, X_i>
-    ab = np.abs(np.einsum("nij,in->jn", vecs, jxi))
-    return alpha, beta, ab[0], ab[1], mean, det
 
 
 @dataclass(eq=False)
@@ -608,47 +592,6 @@ def leviflat_cmc_certify(ehs: EquivariantHypersurface, eta: float) -> Certificat
                                grids={"grid_shape": list(LEVIFLAT_GRID)})
 
 
-def equidistance_spot_check(ehs: EquivariantHypersurface, t1: float, t2: float,
-                            n_points: int = 10) -> dict:
-    """Spread of ambient distances from leaf t1 to leaf t2 (Prop 4.5)."""
-    from scipy.optimize import minimize
-
-    if not (ehs.patch.box[0][0] <= t1 <= ehs.patch.box[0][1]) or \
-       not (ehs.patch.box[0][0] <= t2 <= ehs.patch.box[0][1]):
-        raise GeometryError("t1, t2 must lie inside the patch box")
-    sp = ehs.space
-    ext = ehs.s_extent * 0.8
-    ss = np.linspace(-ext, ext, n_points)
-    src = np.stack([np.full(n_points, t1), ss, 0.3 * ss[::-1]], axis=-1)
-    pts = ehs.patch.eval(src)
-    dists = []
-    failures = 0
-    for k in range(n_points):
-        zk = pts[k]
-
-        def obj(s):
-            q = ehs.patch.eval(np.array([[t2, s[0], s[1]]]))[0]
-            return float(sp.dist(zk, q))
-
-        best = None
-        for seed in ((src[k, 1], src[k, 2]), (0.0, 0.0)):
-            r = minimize(obj, np.asarray(seed), method="Nelder-Mead",
-                         options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 400})
-            if best is None or r.fun < best.fun:
-                best = r
-        if not best.success:
-            failures += 1
-        dists.append(best.fun)
-    dists = np.asarray(dists)
-    return {
-        "t1": t1, "t2": t2,
-        "distances": dists.tolist(),
-        "spread": float(dists.max() - dists.min()),
-        "mean": float(dists.mean()),
-        "non_converged": failures,
-    }
-
-
 # -- austere search -------------------------------------------------------------
 
 
@@ -712,7 +655,7 @@ def austere_search(spec: PolarActionSpec, grid_coords, n_steps: int = 150):
 
     sigmas = _launch_sigmas(spec, law, starts, dirs, DEFAULT_STEP, n_steps,
                             align_tol=AUSTERE_TOL)
-    mesh = _orbit_mesh(spec)
+    mesh = None   # the group mesh of the dedupe, built when the first curve is kept
     found: list[AustereCandidate] = []
     sweeps = []   # the mesh swept through each found curve, swept once when it is kept
     for k, sigma in enumerate(sigmas):
@@ -727,6 +670,8 @@ def austere_search(spec: PolarActionSpec, grid_coords, n_steps: int = 150):
             continue
         found.append(AustereCandidate(curve=sigma, start_coords=coords[k],
                                       alignment_residual=float(np.max(np.abs(sigma.mean_align)))))
+        if mesh is None:
+            mesh = _orbit_mesh(spec)
         sweeps.append(_sweep(mesh, sigma))
     return found
 

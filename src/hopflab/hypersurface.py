@@ -11,8 +11,7 @@ primitive, ``adapted_frames``, over the point axis of a ShapeData: the
 eigenvalue clusters, h, the adapted frame {U, V, A} with the functions a, b
 (positive-projection conventions), alpha, beta, gamma, the frame-identity
 residuals, and the Levi scalar and ruled residual on the complex
-distribution. ``adapted_frame`` and ``hopf_projection_count`` are its
-one-point wrappers.
+distribution. ``adapted_frame`` is its one-point wrapper.
 
 The frame's derivatives come from ``frame_derivative_data`` at an index
 array of points (one shape_data call over all displaced points), and
@@ -32,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ambient import AmbientPoint, AmbientTangent, GeometryError, SpaceForm
+from .ambient import AmbientTangent, GeometryError, SpaceForm
 
 TAU_MULT = 1e-4       # eigenvalue clustering, relative to spectrum spread
 TAU_PROJ = 1e-4       # Hopf projection threshold
@@ -288,20 +287,6 @@ def shape_data(patch: HypersurfacePatch, params) -> ShapeData:
 # -- spectrum, clusters, adapted frames --------------------------------------
 
 
-@dataclass(frozen=True)
-class ShapeSpectrum:
-    """Principal curvatures (descending) with clustering at tau_mult."""
-
-    eigenvalues: tuple
-    frames: np.ndarray        # (3, 3) ambient eigenvectors
-    clusters: tuple           # tuple of index tuples
-    tau_mult: float
-
-    @property
-    def multiplicities(self):
-        return tuple(len(cl) for cl in self.clusters)
-
-
 @dataclass(frozen=True, eq=False)
 class AdaptedFrame:
     """Orthonormal frame {U, V, A} with J xi = a U + b V (a, b > 0)."""
@@ -458,24 +443,6 @@ def adapted_frames(sd: ShapeData, tau_proj=TAU_PROJ, tau_mult=TAU_MULT) -> Adapt
         alpha=scatter(alpha), beta=scatter(beta), gamma=scatter(gamma),
         residuals={key: scatter(r) for key, r in residuals.items()},
         levi=levi[:, 0] + levi[:, 1], ruled=np.max(sp.norm(normal), axis=1))
-
-
-def shape_operator(patch: HypersurfacePatch, params):
-    """Public per-point shape operator: (ShapeSpectrum, unit normal)."""
-    sd = shape_data(patch, np.atleast_2d(params)[:1])
-    labels = adapted_frames(sd).labels[0]
-    clusters = tuple(tuple(np.flatnonzero(labels == c).tolist())
-                     for c in range(labels[-1] + 1))
-    point = AmbientPoint(patch.space, sd.frames.z[0])
-    spectrum = ShapeSpectrum(tuple(float(x) for x in sd.eigvals[0]),
-                             sd.eigvecs[0], clusters, TAU_MULT)
-    return spectrum, AmbientTangent(point, sd.frames.xi[0])
-
-
-def hopf_projection_count(patch: HypersurfacePatch, params) -> int:
-    """h = number of eigenvalue clusters onto which J xi projects."""
-    sd = shape_data(patch, np.atleast_2d(params)[:1])
-    return int(adapted_frames(sd).h[0])
 
 
 def adapted_frame(patch: HypersurfacePatch, params) -> AdaptedFrame:

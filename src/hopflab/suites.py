@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import catalog as cat
-from .actions import LABELS, hopf_directions, load_action, orbit_geometry, orbit_shape_operator, phi_profile
+from .actions import LABELS, _eig2, hopf_directions, load_action, orbit_geometry, phi_profile
 from .ambient import AmbientPoint, AmbientTangent, SpaceForm, parallel_transport_along_geodesic
 from .constructor import (
     CurveLaw,
@@ -302,17 +302,15 @@ def suite_actions(ws: Workspace) -> SuiteResult:
             flow = max(flow, float(sp.norm(vel - spec.killing_vec(idx, z0))))
         res.expect(f"{label}:flow_oracle", flow, 1e-6)
         # orbit curvature constancy along 10 group translates
-        f1, f2 = sec.tangent_frame(z0)
-        od0 = orbit_shape_operator(spec, AmbientPoint(sp, z0), f1)
-        spread = 0.0
-        for _ in range(10):
-            s = rng.uniform(-1.0, 1.0, size=2)
-            m = spec.group_element(s)
-            od = orbit_shape_operator(spec, AmbientPoint(sp, sp.normalize_rep(m @ z0)),
-                                      sp.project_horizontal(m @ z0, m @ f1))
-            spread = max(spread,
-                         abs(od.orbit_principal_curvatures[0] - od0.orbit_principal_curvatures[0]),
-                         abs(od.orbit_principal_curvatures[1] - od0.orbit_principal_curvatures[1]))
+        f1, _ = sec.tangent_frame(z0)
+        ms = spec.group_element(rng.uniform(-1.0, 1.0, size=(10, 2)))
+        mz = ms @ z0
+        zs = np.concatenate([z0[None], sp.normalize_rep(mz)])
+        xis = np.concatenate([f1[None], sp.project_horizontal(mz, ms @ f1)])
+        s = orbit_geometry(spec, zs).shape_matrix(xis)
+        (alpha, beta), _ = _eig2(0.5 * (s + np.swapaxes(s, -1, -2)))
+        spread = float(max(np.max(np.abs(alpha[1:] - alpha[0])),
+                           np.max(np.abs(beta[1:] - beta[0]))))
         res.expect(f"{label}:orbit_curvature_equivariance", spread, 1e-6)
         # mean curvature field tangent to the section
         htan = 0.0

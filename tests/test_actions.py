@@ -13,13 +13,11 @@ from hopflab.actions import (
     _eig2,
     _killing_gram,
     _orbit_body,
+    _orbit_invariants,
     hopf_directions,
-    killing_field,
     load_action,
     mean_curvature_field,
     orbit_geometry,
-    orbit_shape_operator,
-    phi_map,
     phi_profile,
     rotate90,
 )
@@ -30,7 +28,7 @@ import oracles
 @pytest.mark.parametrize("label", LABELS)
 def test_generators_are_infinitesimal_isometries(label):
     spec = load_action(label)
-    h = spec.hermitian_matrix
+    h = np.diag(spec.space.hermitian_signature)
     for g in spec.generators:
         assert np.abs(g.conj().T @ h + h @ g).max() < 1e-14
     # the two generators commute for every shipped action
@@ -67,48 +65,44 @@ def test_killing_field_matches_flow_velocity(label):
     spec = load_action(label)
     sp = spec.space
     z0 = spec.section.point(np.array([0.18, -0.11]))
-    p0 = AmbientPoint(sp, z0)
     h = 1e-6
     for idx in range(2):
         s = np.eye(2)[idx]
         zp, zm = spec.translate(s * h, z0), spec.translate(-s * h, z0)
         up, um = sp.phase_align(z0, zp), sp.phase_align(z0, zm)
         vel = sp.project_horizontal(z0, (up * zp - um * zm) / (2 * h))
-        assert sp.norm(vel - killing_field(spec, idx, p0).vec) < 1e-6
+        assert sp.norm(vel - spec.killing_vec(idx, z0)) < 1e-6
 
 
 def test_killing_field_index_error():
     spec = load_action("cp2-torus")
-    p = spec.section.ambient_point([0.1, 0.1])
+    z = spec.section.point(np.array([0.1, 0.1]))
     with pytest.raises(IndexError):
-        killing_field(spec, 5, p)
+        spec.killing_vec(5, z)
 
 
-def test_orbit_shape_operator_symmetric_and_normalized(rng):
+def test_orbit_shape_operator_symmetric_and_normalized():
     for label in LABELS:
         spec = load_action(label)
         sp = spec.space
         z = spec.section.point(np.array([0.21, 0.13]))
         f1, _ = spec.section.tangent_frame(z)
-        od = orbit_shape_operator(spec, AmbientPoint(sp, z), f1)
-        assert abs(od.shape[0, 1] - od.shape[1, 0]) < 1e-10
-        a, b = od.hopf_components
-        assert abs(a * a + b * b - 1.0) < 1e-10
-        assert od.residuals["jxi_tangency"] < 1e-10
-        assert od.residuals["mean_curvature_normality"] < 1e-10
-
-
-def test_orbit_shape_operator_rejects_bad_normal():
-    spec = load_action("cp2-torus")
-    sp = spec.space
-    z = spec.section.point(np.array([0.2, 0.1]))
-    p = AmbientPoint(sp, z)
-    f1, _ = spec.section.tangent_frame(z)
-    with pytest.raises(GeometryError):
-        orbit_shape_operator(spec, p, 2.0 * f1)           # not unit
-    k = spec.killing_vec(0, z)
-    with pytest.raises(GeometryError):
-        orbit_shape_operator(spec, p, k / sp.norm(k))      # tangent, not normal
+        geo = orbit_geometry(spec, z)
+        s = geo.shape_matrix(f1)
+        assert abs(s[0, 1] - s[1, 0]) < 1e-10
+        # J xi lies in the orbit and the mean curvature vector is normal to it
+        jxi = 1j * f1
+        assert sp.norm(jxi - sp.g(jxi, geo.basis) @ geo.basis) < 1e-10
+        assert np.abs(sp.g(geo.mean_curvature, geo.basis)).max() < 1e-10
+        # the batched invariants on the real route: alpha >= beta are the
+        # eigenvalues of S_xi and (a, b) is a unit vector
+        x, v = spec.frame_coords(z)[:, None], spec.frame_coords(f1)[:, None]
+        alpha, beta, a, b, mean, det = _orbit_invariants(spec, x, v)
+        assert np.abs(np.array([beta[0], alpha[0]])
+                      - np.linalg.eigvalsh(0.5 * (s + s.T))).max() < 1e-12
+        assert abs(a[0] ** 2 + b[0] ** 2 - 1.0) < 1e-10
+        assert np.abs(spec.phases * mean[:, 0] - geo.mean_curvature).max() < 1e-12
+        assert det[0] == geo.gram_det
 
 
 @pytest.mark.parametrize("label", LABELS)
@@ -229,6 +223,15 @@ def test_phi_odd_and_not_identically_zero(label):
     assert np.abs(vals + phi_profile(spec, z, thetas + np.pi)).max() < 1e-12
 
 
+def phi_from_orbit_geometry(spec, z, w):
+    """Phi(w) = <S_xi J xi, J w> for a unit section-tangent w at z, with xi
+    the +90 degree rotation of w, from the complex route of the orbit algebra."""
+    sp = spec.space
+    geo = orbit_geometry(spec, z)
+    xi = rotate90(spec, z, w)
+    return float(sp.g(1j * w, geo.basis) @ geo.shape_matrix(xi) @ sp.g(1j * xi, geo.basis))
+
+
 @given(theta=st.floats(0, 2 * np.pi))
 @settings(max_examples=20, deadline=None)
 def test_phi_map_matches_profile(theta):
@@ -236,7 +239,7 @@ def test_phi_map_matches_profile(theta):
     z = spec.section.point(np.array([0.15, 0.05]))
     f1, f2 = spec.section.tangent_frame(z)
     w = np.cos(theta) * f1 + np.sin(theta) * f2
-    assert abs(phi_map(spec, z, w) - phi_profile(spec, z, [theta])[0]) < 1e-12
+    assert abs(phi_from_orbit_geometry(spec, z, w) - phi_profile(spec, z, [theta])[0]) < 1e-12
 
 
 @pytest.mark.parametrize("label", LABELS)
@@ -250,7 +253,7 @@ def test_hopf_directions_postconditions(label):
     for d in zeros_720:
         assert d["phi"] < 1e-10
         # each zero produces a Hopf direction: phi vanishes there
-        assert abs(phi_map(spec, p.rep, d["direction"])) < 1e-9
+        assert abs(phi_from_orbit_geometry(spec, p.rep, d["direction"])) < 1e-9
 
 
 def test_hopf_directions_requires_samples():
@@ -275,14 +278,13 @@ def test_orbit_curvatures_equivariant(label, rng):
     sp = spec.space
     z = spec.section.point(np.array([0.2, 0.12]))
     f1, _ = spec.section.tangent_frame(z)
-    base = orbit_shape_operator(spec, AmbientPoint(sp, z), f1)
-    for _ in range(5):
-        m = spec.group_element(rng.uniform(-1, 1, 2))
-        zt = sp.normalize_rep(m @ z)
-        od = orbit_shape_operator(spec, AmbientPoint(sp, zt),
-                                  sp.project_horizontal(zt, m @ f1))
-        assert np.allclose(od.orbit_principal_curvatures,
-                           base.orbit_principal_curvatures, atol=1e-8)
+    # z and five translates, with the translated normal, in one batch
+    ms = spec.group_element(rng.uniform(-1, 1, (5, 2)))
+    zs = np.concatenate([z[None], sp.normalize_rep(ms @ z)])
+    xis = np.concatenate([f1[None], sp.project_horizontal(zs[1:], ms @ f1)])
+    s = orbit_geometry(spec, zs).shape_matrix(xis)
+    curvatures = np.linalg.eigvalsh(0.5 * (s + np.swapaxes(s, -1, -2)))
+    assert np.allclose(curvatures, curvatures[0], atol=1e-8)
 
 
 def test_load_action_validates_sign():

@@ -214,9 +214,20 @@ def test_sample_csv(tmp_path, capsys):
     (["verify", "ambient", "--seed", "-1"],
      "argument --seed: must be a non-negative integer, got '-1'"),
     (["construct", "--seed", "-1"], "config field 'seed': must not be negative"),
+    # an output path in a missing directory
+    (["sample", "--catalog", "horosphere", "--grid", "2", "2", "2", "--out", "{tmp}/no/x.csv"],
+     "No such file or directory"),
+    (["verify", "levi-flat", "--out", "{tmp}/no/report.json"], "No such file or directory"),
+    (["classify", "--catalog", "horosphere", "--grid", "2", "2", "2", "--out",
+      "{tmp}/no/report.json"], "No such file or directory"),
+    (["hopf-directions", "--action", "cp2-torus", "--out", "{tmp}/no/phi.csv"],
+     "No such file or directory"),
+    (["construct", "--out-scene", "{tmp}/no/scene.json"], "No such file or directory"),
 ], ids=["bad-action", "missing-scene", "classify-c-nan", "hopf-c-inf", "hopf-point-nan",
         "sample-r-inf", "classify-grid-0", "sample-grid-negative", "hopf-samples-huge",
-        "verify-seed-negative", "construct-seed-negative"])
+        "verify-seed-negative", "construct-seed-negative", "sample-out-unwritable",
+        "verify-out-unwritable", "classify-out-unwritable", "hopf-out-unwritable",
+        "construct-out-unwritable"])
 def test_validation_exit_codes(argv, message, capsys, tmp_path):
     argv = [a.format(tmp=tmp_path) for a in argv]
     with warnings.catch_warnings():

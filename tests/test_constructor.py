@@ -10,7 +10,6 @@ from hopflab.constructor import (
     CurveLaw,
     austere_search,
     build_hypersurface,
-    equidistance_spot_check,
     integrate_sigma,
     leviflat_cmc_certify,
     strongly_2hopf_certify,
@@ -214,6 +213,46 @@ def test_strongly_2hopf_certify_differentiates_each_sample_once(cmc_ehs, monkeyp
     assert calls == {"frame_derivative_data": 1, "orbit_geometry": 1}
 
 
+def equidistance_spot_check(ehs, t1, t2, n_points=10):
+    """Spread of ambient distances from leaf t1 to leaf t2 (Prop 4.5)."""
+    from scipy.optimize import minimize
+
+    if not (ehs.patch.box[0][0] <= t1 <= ehs.patch.box[0][1]) or \
+       not (ehs.patch.box[0][0] <= t2 <= ehs.patch.box[0][1]):
+        raise GeometryError("t1, t2 must lie inside the patch box")
+    sp = ehs.space
+    ext = ehs.s_extent * 0.8
+    ss = np.linspace(-ext, ext, n_points)
+    src = np.stack([np.full(n_points, t1), ss, 0.3 * ss[::-1]], axis=-1)
+    pts = ehs.patch.eval(src)
+    dists = []
+    failures = 0
+    for k in range(n_points):
+        zk = pts[k]
+
+        def obj(s):
+            q = ehs.patch.eval(np.array([[t2, s[0], s[1]]]))[0]
+            return float(sp.dist(zk, q))
+
+        best = None
+        for seed in ((src[k, 1], src[k, 2]), (0.0, 0.0)):
+            r = minimize(obj, np.asarray(seed), method="Nelder-Mead",
+                         options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 400})
+            if best is None or r.fun < best.fun:
+                best = r
+        if not best.success:
+            failures += 1
+        dists.append(best.fun)
+    dists = np.asarray(dists)
+    return {
+        "t1": t1, "t2": t2,
+        "distances": dists.tolist(),
+        "spread": float(dists.max() - dists.min()),
+        "mean": float(dists.mean()),
+        "non_converged": failures,
+    }
+
+
 def test_equidistance_spot_check(cmc_ehs):
     box = cmc_ehs.patch.box[0]
     t1 = 0.25 * box[0] + 0.75 * box[1] - 0.05
@@ -414,6 +453,26 @@ def test_austere_search_nan_tolerance_keeps_nothing(monkeypatch):
     spec = load_action("cp2-torus")
     assert austere_search(spec, [[0.0, 0.0], [0.1, 0.0]], n_steps=40) == []
     assert calls == ["row"]
+
+
+@pytest.mark.parametrize("label, grid, n_meshes", [
+    ("ch2-k0-g2a", [[0.0, 0.0], [0.1, 0.0], [-0.2, 0.1]], 0),
+    ("cp2-torus", [[0.0, 0.0], [0.1, 0.0], [0.15, 0.1]], 1),
+])
+def test_austere_search_builds_its_dedupe_mesh_at_the_first_kept_curve(label, grid, n_meshes,
+                                                                       monkeypatch):
+    # ch2-k0-g2a keeps nothing and needs no mesh; cp2-torus keeps two curves
+    # and exponentiates the mesh once
+    meshes = []
+    orbit_mesh = constructor._orbit_mesh
+
+    def counting(spec):
+        meshes.append(spec.label)
+        return orbit_mesh(spec)
+
+    monkeypatch.setattr(constructor, "_orbit_mesh", counting)
+    found = austere_search(load_action(label), grid, n_steps=40)
+    assert (len(found), len(meshes)) == (2 * n_meshes, n_meshes)
 
 
 # -- per-curve orbit columns against the per-row evaluation they replace -----------

@@ -17,10 +17,8 @@ from hopflab.hypersurface import (
     classify,
     frame_derivative_data,
     hopf_cmc_relation_check,
-    hopf_projection_count,
     levi_form,
     shape_data,
-    shape_operator,
     verify_connection_formulas,
     verify_gauss_codazzi,
 )
@@ -46,8 +44,7 @@ def test_sphere_spectrum_cp2_against_jacobi_oracle(sphere_entry):
 def test_sphere_quarter_pi_hopf_curvature_zero():
     # r = pi/4 in CP^2(4): spectrum {2cot(pi/2), cot(pi/4), cot(pi/4)} = {0,1,1}
     entry = get_entry("geodesic-sphere", r=np.pi / 4)
-    spec, xi = shape_operator(entry.patch, [0.7, 0.8, 0.6])
-    vals = np.asarray(spec.eigenvalues)
+    vals = shape_data(entry.patch, np.array([[0.7, 0.8, 0.6]])).eigvals[0]
     assert np.abs(np.sort(vals) - np.array([0.0, 1.0, 1.0])).max() < 1e-4
 
 
@@ -86,13 +83,14 @@ def test_degenerate_parametrization_raises(cp2):
 
 
 def test_h_is_one_on_sphere(sphere_entry):
-    assert hopf_projection_count(sphere_entry.patch, [0.7, 0.7, 0.7]) == 1
+    sd = shape_data(sphere_entry.patch, np.array([[0.7, 0.7, 0.7]]))
+    assert adapted_frames(sd).h[0] == 1
 
 
 def test_h_is_two_with_a_eq_b_on_lohnherr(lohnherr_entry):
     patch = lohnherr_entry.patch
     p = patch.grid((3, 3, 3), margin=0.2)[13]
-    assert hopf_projection_count(patch, p) == 2
+    assert adapted_frames(shape_data(patch, p[None])).h[0] == 2
     fr = adapted_frame(patch, p)
     assert abs(fr.a - 1 / np.sqrt(2)) < 1e-6
     assert abs(fr.b - 1 / np.sqrt(2)) < 1e-6
@@ -387,8 +385,10 @@ def test_hopf_cmc_relation_rejects_non_hopf(lohnherr_entry):
 
 
 def test_shape_spectrum_structure(sphere_entry):
-    spec, xi = shape_operator(sphere_entry.patch, [0.7, 0.8, 0.6])
-    assert spec.multiplicities in ((2, 1), (1, 2))
-    assert len(spec.eigenvalues) == 3
+    sd = shape_data(sphere_entry.patch, np.array([[0.7, 0.8, 0.6]]))
+    labels = adapted_frames(sd).labels[0]
+    assert tuple(np.bincount(labels)) in ((2, 1), (1, 2))
+    assert sd.eigvals.shape == (1, 3)
+    xi = sd.frames.xi[0]
     sp = sphere_entry.space
-    assert abs(sp.g(xi.vec, xi.vec) - 1.0) < 1e-9
+    assert abs(sp.g(xi, xi) - 1.0) < 1e-9

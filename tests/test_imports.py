@@ -1,12 +1,15 @@
-"""Every import in the library is used.
+"""Every import and every top-level definition in the library is used.
 
 No linter ships with the project, so this is a standard-library AST scan of
 each module under src/hopflab: a name bound by an import must be read
 somewhere in its module. ``from __future__`` imports and the imports of a
-package ``__init__`` (its re-exports) count as used.
+package ``__init__`` (its re-exports) count as used. A top-level function or
+class must be read somewhere in the library, and every name the package
+exports must resolve.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -40,3 +43,84 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+# -- every library definition is read somewhere in the library ----------------------
+
+
+def unread_definitions(sources):
+    """Top-level functions and classes that no module of ``sources`` reads.
+
+    ``sources`` maps module paths to their text. A name counts as read where
+    any module loads it as a name or an attribute; a package ``__init__``
+    also reads the names it imports and every string it holds (its
+    ``__all__`` and lazy export table). Dunder hooks, such as a module
+    ``__getattr__``, are read by Python itself and are not listed.
+    """
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    read = set()
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                read.add(node.id if isinstance(node, ast.Name) else node.attr)
+            elif path.endswith("__init__.py"):
+                if isinstance(node, ast.ImportFrom):
+                    read.update(alias.asname or alias.name for alias in node.names)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    read.add(node.value)
+    return sorted((path, node.name) for path, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name not in read and not node.name.startswith("__"))
+
+
+def test_scan_flags_an_unread_definition():
+    sources = {
+        "pkg/__init__.py": "from .a import exported\n__all__ = ['listed']\n",
+        "pkg/a.py": ("def exported(): pass\ndef listed(): pass\ndef _helper(): pass\n"
+                     "def dead(): pass\nclass Used: pass\nclass Dead: pass\n"
+                     "def __getattr__(name): pass\n"),
+        "pkg/b.py": "from .a import _helper, Used\nx = _helper()\ny: Used\ndead = 1\n",
+    }
+    assert unread_definitions(sources) == [("pkg/a.py", "Dead"), ("pkg/a.py", "dead")]
+
+
+def test_every_definition_is_read_in_the_library():
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in SRC.rglob("*.py")}
+    assert unread_definitions(sources) == []
+
+
+# -- the package's export table -------------------------------------------------------
+
+# public names removed from the library, by owning module
+REMOVED = {
+    "actions": ("orbit_shape_operator", "OrbitData", "phi_map", "killing_field"),
+    "hypersurface": ("shape_operator", "ShapeSpectrum", "hopf_projection_count"),
+    "constructor": ("equidistance_spot_check",),
+}
+
+
+def lazy_exports():
+    """The names ``hopflab.__getattr__`` routes: the strings it compares ``name`` with."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "__getattr__")
+    return sorted({const.value for cmp in ast.walk(fn) if isinstance(cmp, ast.Compare)
+                   for const in ast.walk(cmp)
+                   if isinstance(const, ast.Constant) and isinstance(const.value, str)})
+
+
+def test_export_table_resolves_and_removed_names_are_gone():
+    import hopflab
+
+    lazy = lazy_exports()
+    assert len(lazy) == 14
+    for name in lazy + hopflab.__all__:
+        getattr(hopflab, name)
+    for module, names in REMOVED.items():
+        owner = importlib.import_module(f"hopflab.{module}")
+        for name in names:
+            for where in (hopflab, owner):
+                with pytest.raises(AttributeError):
+                    getattr(where, name)
+    with pytest.raises(AttributeError):
+        importlib.import_module("hopflab.actions").PolarActionSpec.hermitian_matrix
