@@ -6,20 +6,7 @@ sections with a two-parameter isometry group, plus numeric classification
 suites for the underlying tensor identities.
 """
 
-from .ambient import (
-    AmbientPoint,
-    AmbientTangent,
-    GeometryError,
-    SectionChart,
-    SpaceForm,
-    complex_structure,
-    covariant_derivative,
-    curvature_tensor,
-    distance,
-    exp_map,
-    metric,
-    section_chart,
-)
+from .ambient import GeometryError, SectionChart, SpaceForm
 
 __version__ = "0.1.0"
 
@@ -51,18 +38,9 @@ def __getattr__(name):
 
 
 __all__ = [
-    "AmbientPoint",
-    "AmbientTangent",
     "GeometryError",
     "SectionChart",
     "SpaceForm",
-    "complex_structure",
-    "covariant_derivative",
-    "curvature_tensor",
-    "distance",
-    "exp_map",
-    "metric",
-    "section_chart",
     "load_action",
     "classify",
     "CurveLaw",

@@ -37,7 +37,7 @@ from importlib import resources
 import numpy as np
 
 from . import _kernels as kernels
-from .ambient import AmbientPoint, AmbientTangent, GeometryError, SectionChart, SpaceForm
+from .ambient import GeometryError, SectionChart, SpaceForm
 
 LABELS = ("cp2-torus", "ch2-torus", "ch2-g0", "ch2-k0-g2a", "ch2-line-g2a")
 
@@ -91,7 +91,7 @@ class PolarActionSpec:
 
     def __post_init__(self):
         sec = self.section
-        basis = np.stack([sec.origin.rep, sec.e1, sec.e2])
+        basis = np.stack([sec.origin, sec.e1, sec.e2])
         phases = np.where(np.abs(basis.imag).sum(axis=0) > np.abs(basis.real).sum(axis=0),
                           1j, 1.0 + 0j)
         if np.abs((np.conj(phases) * basis).imag).max() > FRAME_TOL * np.abs(basis).max():
@@ -203,8 +203,7 @@ def _make_section(space: SpaceForm, gens, seed) -> SectionChart:
     f1, f2 = frame
     if abs(space.g(1j * f1, f2)) > 1e-8:
         raise GeometryError("orbit-normal plane at the seed is not totally real")
-    origin = AmbientPoint(space, seed)
-    return SectionChart(origin, f1, f2)
+    return SectionChart(space, seed, f1, f2)
 
 
 # -- orbit geometry ----------------------------------------------------------
@@ -400,11 +399,11 @@ def _eig2(s):
     return (m + r, m - r), vecs
 
 
-def mean_curvature_field(spec: PolarActionSpec, q) -> AmbientTangent:
-    """Mean curvature vector of the orbit through section coordinates q."""
+def mean_curvature_field(spec: PolarActionSpec, q):
+    """Mean curvature vector (3,) of the orbit through section coordinates q."""
     z = spec.section.point(np.asarray(q, dtype=float))
     mean = _orbit_body(spec, spec.frame_coords(z)[:, None])[3]
-    return AmbientTangent(AmbientPoint(spec.space, z), spec.phases * mean[:, 0])
+    return spec.phases * mean[:, 0]
 
 
 # -- the Hopf obstruction Phi -------------------------------------------------
@@ -417,9 +416,11 @@ def rotate90(spec: PolarActionSpec, z, w):
     return -sp.g(w, f2)[..., None] * f1 + sp.g(w, f1)[..., None] * f2
 
 
-def phi_profile(spec: PolarActionSpec, p, thetas):
-    """Phi(w(theta)) for w = cos(theta) f1 + sin(theta) f2 at a section point."""
-    z = p.rep if isinstance(p, AmbientPoint) else np.asarray(p, dtype=complex)
+def phi_profile(spec: PolarActionSpec, z, thetas):
+    """Phi(w(theta)) for w = cos(theta) f1 + sin(theta) f2 at a section point.
+
+    z: representative (3,) of the section point, in the section's real frame.
+    """
     _, basis, ii, _, _ = _orbit_body(spec, spec.frame_coords(z)[:, None])
     # the section frame (f1, f2) in frame coordinates, as (3, c)
     sf = spec.space._sig[:, None] * spec.frame_coords(np.stack(spec.section.tangent_frame(z))).T
@@ -436,16 +437,15 @@ def phi_profile(spec: PolarActionSpec, p, thetas):
     return np.einsum("nab,nb,na->n", s_mat, jxi, jw)
 
 
-def hopf_directions(spec: PolarActionSpec, p, n_samples: int = 720, tol: float = 1e-10):
+def hopf_directions(spec: PolarActionSpec, z, n_samples: int = 720, tol: float = 1e-10):
     """Zero set w_p of Phi on the unit circle of the section tangent space.
 
+    z: representative (3,) of the section point, as for ``phi_profile``.
     Sign-change brackets on a uniform sample refined by bisection. Returns a
     list of dicts with the angle, the unit tangent and the residual |Phi|.
     """
     if n_samples < 90:
         raise GeometryError("n_samples must be at least 90")
-    sp = spec.space
-    z = p.rep if isinstance(p, AmbientPoint) else np.asarray(p, dtype=complex)
     thetas = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
     vals = phi_profile(spec, z, thetas)
     if np.max(np.abs(vals)) < max(tol, PHI_DEGENERACY_FLOOR):

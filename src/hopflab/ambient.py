@@ -6,26 +6,25 @@ vectors are horizontal representatives (<z,v> = 0) and the Riemannian metric
 is g(v,w) = Re<v,w>. With this normalization the holomorphic sectional
 curvature is exactly c and totally real planes have curvature c/4.
 
-Everything here is a pure function of immutable values; array-level helpers
-on SpaceForm are batched over a leading axis wherever useful.
+Points and tangent vectors are passed as these representative arrays (3,),
+with leading batch axes wherever useful; SpaceForm's methods are pure
+functions of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 NORMALIZATION_TOL = 1e-9
-HORIZONTALITY_TOL = 1e-9
-DEFAULT_FD_STEP = 1e-5
 # coordinate pairs (i, j), i < j, of the wedge z ^ w in SpaceForm.dist
 _WEDGE_PAIRS = (np.array([1, 0, 0]), np.array([2, 2, 1]))
 
 
 class GeometryError(ValueError):
-    """Violated geometric precondition (base-point mismatch, bad frame, ...)."""
+    """Violated geometric precondition (unnormalized point, bad frame, ...)."""
 
 
 @dataclass(frozen=True)
@@ -151,6 +150,30 @@ class SpaceForm:
             along = (speed * np.cosh(theta))[..., None] * unit
         return radial + along
 
+    def parallel_transport_along_geodesic(self, z, direction, t1, w0, n_steps=200):
+        """Parallel transport of w0 along t -> exp_z(t*direction) up to t1 (RK4).
+
+        Returns the transported vector, horizontal at exp_z(t1*direction).
+        """
+        h = t1 / n_steps
+
+        def rhs(t, w):
+            # horizontal-lift transport: wdot = -(<zdot, w>/kappa) z
+            return -(self.herm(self.exp_velocity(z, direction, t), w) / self.kappa) \
+                * self.exp(z, direction, t)
+
+        w = np.asarray(w0, dtype=complex)
+        t = 0.0
+        for _ in range(n_steps):
+            k1 = rhs(t, w)
+            k2 = rhs(t + h / 2, w + h / 2 * k1)
+            k3 = rhs(t + h / 2, w + h / 2 * k2)
+            k4 = rhs(t + h, w + h * k3)
+            w = w + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            t += h
+            w = self.project_horizontal(self.exp(z, direction, t), w)
+        return self.project_horizontal(self.exp(z, direction, t1), w)
+
     def dist(self, z, w):
         """Geodesic distance between points given by representatives of any scale.
 
@@ -214,155 +237,26 @@ class SpaceForm:
 
 
 @dataclass(frozen=True, eq=False)
-class AmbientPoint:
-    """Point of the space form, stored as a normalized representative."""
-
-    space: SpaceForm
-    rep: np.ndarray
-
-    def __post_init__(self):
-        sq = float(np.real(self.space.herm(self.rep, self.rep)))
-        if abs(sq - self.space.kappa) > NORMALIZATION_TOL * abs(self.space.kappa):
-            raise GeometryError("representative not normalized to kappa")
-
-    @classmethod
-    def of(cls, space: SpaceForm, rep) -> "AmbientPoint":
-        return cls(space, space.normalize_rep(np.asarray(rep, dtype=complex)))
-
-    def same_point(self, other: "AmbientPoint") -> bool:
-        if self.space != other.space:
-            return False
-        ratio = abs(self.space.herm(self.rep, other.rep)) / abs(self.space.kappa)
-        return bool(abs(ratio - 1.0) < 1e-8)
-
-
-@dataclass(frozen=True, eq=False)
-class AmbientTangent:
-    """Horizontal tangent representative at a point."""
-
-    point: AmbientPoint
-    vec: np.ndarray
-
-    def __post_init__(self):
-        sp = self.point.space
-        res = abs(sp.herm(self.point.rep, self.vec))
-        scale = max(1.0, float(sp.norm(self.vec)))
-        if res > HORIZONTALITY_TOL * scale * max(1.0, abs(sp.kappa)):
-            raise GeometryError("tangent representative is not horizontal")
-
-    @classmethod
-    def of(cls, point: AmbientPoint, vec) -> "AmbientTangent":
-        sp = point.space
-        return cls(point, sp.project_horizontal(point.rep, np.asarray(vec, dtype=complex)))
-
-    @property
-    def space(self) -> SpaceForm:
-        return self.point.space
-
-
-def _require_same_base(v: AmbientTangent, w: AmbientTangent):
-    if not v.point.same_point(w.point):
-        raise GeometryError("tangent vectors based at different points")
-
-
-def metric(v: AmbientTangent, w: AmbientTangent) -> float:
-    """Riemannian inner product of two tangents at the same point."""
-    _require_same_base(v, w)
-    u = v.space.phase_align(v.point.rep, w.point.rep)
-    return float(v.space.g(v.vec, u * w.vec))
-
-
-def complex_structure(v: AmbientTangent) -> AmbientTangent:
-    """J v = i v on horizontal representatives."""
-    return AmbientTangent(v.point, 1j * v.vec)
-
-
-def curvature_tensor(x: AmbientTangent, y: AmbientTangent, z: AmbientTangent) -> AmbientTangent:
-    """R(x,y)z of the space form at the common base point."""
-    _require_same_base(x, y)
-    _require_same_base(x, z)
-    sp = x.space
-    uy = sp.phase_align(x.point.rep, y.point.rep)
-    uz = sp.phase_align(x.point.rep, z.point.rep)
-    vec = sp.curvature(x.vec, uy * y.vec, uz * z.vec)
-    return AmbientTangent(x.point, vec)
-
-
-def exp_map(p: AmbientPoint, v: AmbientTangent, t: float) -> AmbientPoint:
-    """Riemannian exponential exp_p(t v)."""
-    if not v.point.same_point(p):
-        raise GeometryError("tangent vector not based at p")
-    return AmbientPoint(p.space, p.space.exp(p.rep, v.vec, t))
-
-
-def distance(p: AmbientPoint, q: AmbientPoint) -> float:
-    return float(p.space.dist(p.rep, q.rep))
-
-
-def covariant_derivative(curve, fld, t0: float, step: float = DEFAULT_FD_STEP) -> AmbientTangent:
-    """Covariant derivative of a tangent field along a curve at t0.
-
-    ``curve(t) -> AmbientPoint`` and ``fld(t) -> AmbientTangent`` based at
-    curve(t). Central differences of the representatives, phase-aligned to
-    curve(t0), projected to the horizontal space there, with the model phase
-    correction; second-order accurate in ``step``.
-    """
-    if step <= 0:
-        raise GeometryError("step must be positive")
-    p0 = curve(t0)
-    sp = p0.space
-    w0 = fld(t0)
-    wp, wm = fld(t0 + step), fld(t0 - step)
-    vec = sp.covariant_difference(
-        p0.rep, sp.phase_align(p0.rep, w0.point.rep) * w0.vec,
-        curve(t0 + step).rep, wp.vec, curve(t0 - step).rep, wm.vec, step)
-    return AmbientTangent(p0, vec)
-
-
-def parallel_transport_along_geodesic(p: AmbientPoint, direction: AmbientTangent,
-                                      t1: float, w0: AmbientTangent, n_steps: int = 200):
-    """Parallel transport of w0 along t -> exp_p(t*direction) up to t1 (RK4)."""
-    sp = p.space
-    h = t1 / n_steps
-
-    def zdot_at(t):
-        return sp.exp_velocity(p.rep, direction.vec, t)
-
-    def rhs(t, w):
-        # horizontal-lift transport: wdot = -(<zdot, w>/kappa) z
-        return -(sp.herm(zdot_at(t), w) / sp.kappa) * sp.exp(p.rep, direction.vec, t)
-
-    w = w0.vec.copy()
-    t = 0.0
-    for _ in range(n_steps):
-        k1 = rhs(t, w)
-        k2 = rhs(t + h / 2, w + h / 2 * k1)
-        k3 = rhs(t + h / 2, w + h / 2 * k2)
-        k4 = rhs(t + h, w + h * k3)
-        w = w + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-        z = sp.exp(p.rep, direction.vec, t)
-        w = sp.project_horizontal(z, w)
-    end = AmbientPoint(sp, sp.exp(p.rep, direction.vec, t1))
-    return AmbientTangent(end, sp.project_horizontal(end.rep, w))
-
-
-@dataclass(frozen=True, eq=False)
 class SectionChart:
     """Chart of a totally geodesic, totally real surface exp_p(span{e1,e2}).
 
-    The surface is the projectivization of the real 3-space
+    ``origin`` is the representative of p, normalized to kappa, and e1, e2
+    are an orthonormal, totally real pair of tangent vectors at p. The
+    surface is the projectivization of the real 3-space
     V = span_R{origin, e1, e2}; tangent frames at chart points are computed
     exactly inside V.
     """
 
-    origin: AmbientPoint
+    space: SpaceForm
+    origin: np.ndarray
     e1: np.ndarray
     e2: np.ndarray
-    _basis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         sp = self.space
+        sq = float(np.real(sp.herm(self.origin, self.origin)))
+        if abs(sq - sp.kappa) > NORMALIZATION_TOL * abs(sp.kappa):
+            raise GeometryError("section origin is not normalized to kappa")
         g11 = sp.g(self.e1, self.e1)
         g22 = sp.g(self.e2, self.e2)
         g12 = sp.g(self.e1, self.e2)
@@ -370,11 +264,6 @@ class SectionChart:
             raise GeometryError("section frame is not orthonormal")
         if abs(sp.g(1j * self.e1, self.e2)) > 1e-8:
             raise GeometryError("section frame spans a non-totally-real plane")
-        object.__setattr__(self, "_basis", np.stack([self.origin.rep, self.e1, self.e2]))
-
-    @property
-    def space(self) -> SpaceForm:
-        return self.origin.space
 
     @property
     def curvature(self) -> float:
@@ -384,10 +273,7 @@ class SectionChart:
         """Chart map: (..., 2) coordinates -> representatives."""
         u = np.asarray(u, dtype=float)
         v = u[..., 0, None] * self.e1 + u[..., 1, None] * self.e2
-        return self.space.exp(self.origin.rep, v, 1.0)
-
-    def ambient_point(self, u) -> AmbientPoint:
-        return AmbientPoint(self.space, self.point(np.asarray(u, dtype=float)))
+        return self.space.exp(self.origin, v, 1.0)
 
     def tangent_frame(self, z):
         """Orthonormal tangent frame (f1, f2) of the section at z (in V).
@@ -403,24 +289,6 @@ class SectionChart:
         f2 = f2 / sp.norm(f2)[..., None]
         return f1, f2
 
-    def coordinates(self, z):
-        """Inverse chart for a point known to lie on the section."""
-        sp = self.space
-        z = np.asarray(z, dtype=complex)
-        u = sp.phase_align(self.origin.rep, z)
-        zal = u * z if np.ndim(u) == 0 else u[..., None] * z
-        c0 = np.real(sp.herm(self.origin.rep, zal)) / sp.kappa
-        c1 = np.real(sp.herm(self.e1, zal))
-        c2 = np.real(sp.herm(self.e2, zal))
-        r = sp.radius
-        if sp.c > 0:
-            theta = np.arccos(np.clip(c0, -1.0, 1.0))
-        else:
-            theta = np.arccosh(np.maximum(c0, 1.0))
-        rad = np.hypot(c1, c2)
-        scale = np.where(rad < 1e-14, 0.0, r * theta / np.where(rad < 1e-14, 1.0, rad))
-        return np.stack([c1 * scale, c2 * scale], axis=-1) / r
-
     def second_fundamental_form_residual(self, u) -> float:
         """Max norm of the chart surface's II at coordinates u (should be ~0)."""
         sp = self.space
@@ -428,7 +296,6 @@ class SectionChart:
         u = np.asarray(u, dtype=float)
         z0 = self.point(u)
         f10, f20 = self.tangent_frame(z0)
-        tangents = (f10, f20)
         worst = 0.0
         for i, di in enumerate(np.eye(2)):
             zp = self.point(u + step * di)
@@ -446,9 +313,3 @@ class SectionChart:
                 worst = max(worst, float(sp.norm(nor)) / speed)
         return worst
 
-
-def section_chart(p: AmbientPoint, e1: AmbientTangent, e2: AmbientTangent) -> SectionChart:
-    """Chart of the totally geodesic totally real surface spanned by (e1, e2)."""
-    if not e1.point.same_point(p) or not e2.point.same_point(p):
-        raise GeometryError("frame vectors not based at p")
-    return SectionChart(p, e1.vec, e2.vec)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels as kernels
 from .actions import load_action
-from .ambient import AmbientPoint, GeometryError, SpaceForm
+from .ambient import GeometryError, SpaceForm
 from .constructor import build_hypersurface
 from .hypersurface import HypersurfacePatch, shape_data
 
@@ -228,6 +228,7 @@ def lohnherr(space: SpaceForm) -> CatalogEntry:
 def bisector(space: SpaceForm, p1=None, p2=None) -> CatalogEntry:
     """Equidistant locus of two points of CH^2.
 
+    p1, p2: representatives (3,) of the two points, of any scale.
     Parametrized by the spine geodesic (the J-rotation of the segment's
     midpoint direction inside the complex geodesic of p1, p2) and the
     complex-geodesic slices orthogonal to it.
@@ -242,8 +243,8 @@ def bisector(space: SpaceForm, p1=None, p2=None) -> CatalogEntry:
         p1 = sp.exp(m0, e[1], -d / 2)
         p2 = sp.exp(m0, e[1], d / 2)
     else:
-        p1 = p1.rep if isinstance(p1, AmbientPoint) else np.asarray(p1, dtype=complex)
-        p2 = p2.rep if isinstance(p2, AmbientPoint) else np.asarray(p2, dtype=complex)
+        p1 = sp.normalize_rep(np.asarray(p1, dtype=complex))
+        p2 = sp.normalize_rep(np.asarray(p2, dtype=complex))
     dist = float(sp.dist(p1, p2))
     if dist < 1e-8:
         raise GeometryError("bisector needs two distinct points")
@@ -296,8 +297,8 @@ def clifford_cone(space: SpaceForm, vertex=None) -> CatalogEntry:
     else:
         spec = load_action("ch2-torus", sp.c)
         default_vertex = sp.normalize_rep(e[0])
-    vertex = default_vertex if vertex is None else (
-        vertex.rep if isinstance(vertex, AmbientPoint) else sp.normalize_rep(np.asarray(vertex, dtype=complex)))
+    vertex = default_vertex if vertex is None else sp.normalize_rep(
+        np.asarray(vertex, dtype=complex))
     kn = max(float(sp.norm(spec.killing_vec(0, vertex))),
              float(sp.norm(spec.killing_vec(1, vertex))))
     if kn > 1e-8:

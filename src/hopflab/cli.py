@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .actions import LABELS, hopf_directions, load_action
-from .ambient import AmbientPoint, GeometryError
+from .ambient import GeometryError
 from .catalog import CATALOG_NAMES, get_entry
 from .constructor import (
     CERTIFY_TOLERANCES,
@@ -42,6 +42,11 @@ from .scene import (
     write_mesh_csv,
 )
 from .suites import SUITE_NAMES, report_json, run_suites
+
+# upper bounds on size-like inputs, checked before anything is allocated
+MAX_SAMPLES = 10 ** 6        # hopf-directions --samples
+MAX_N_STEPS = 10 ** 5        # construct n_steps, per side of the curve
+MAX_GRID_POINTS = 10 ** 6    # product of a --grid (construct, classify, sample)
 
 
 class ConfigError(ValueError):
@@ -105,10 +110,13 @@ class RunConfig:
             raise ConfigError("step", "must be positive")
         if self.n_steps <= 4:
             raise ConfigError("n_steps", "must exceed 4")
+        if self.n_steps > MAX_N_STEPS:
+            raise ConfigError("n_steps", f"must be at most {MAX_N_STEPS}")
         if self.s_extent <= 0:
             raise ConfigError("s_extent", "must be positive")
         if len(self.grid) != 3 or not all(_is_int(g) and g >= 2 for g in self.grid):
             raise ConfigError("grid", "needs three integer sizes, each at least 2")
+        _check_grid_points(self.grid)
         if len(self.point) != 2:
             raise ConfigError("point", "needs two section coordinates")
         if not isinstance(self.tolerances, dict):
@@ -125,6 +133,11 @@ class RunConfig:
         d["point"] = list(self.point)
         d["grid"] = [int(g) for g in self.grid]
         return d
+
+
+def _check_grid_points(shape):
+    if math.prod(shape) > MAX_GRID_POINTS:
+        raise ConfigError("grid", f"must have at most {MAX_GRID_POINTS} points in all")
 
 
 def _env_seed(default: int) -> int:
@@ -151,6 +164,8 @@ def _merge_config(args) -> RunConfig:
                 file_vals = json.load(f)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError("config", str(exc))
+        if not isinstance(file_vals, dict):
+            raise ConfigError("config", "must be a JSON object")
     for key, val in file_vals.items():
         if not hasattr(cfg, key):
             raise ConfigError(key, "unknown config key")
@@ -173,7 +188,6 @@ def _merge_config(args) -> RunConfig:
 def _cmd_construct(args) -> int:
     cfg = _merge_config(args)
     spec = load_action(cfg.action, cfg.c)
-    sp = spec.space
     z0 = spec.section.point(np.asarray(cfg.point, dtype=float))
     if not spec.is_regular(z0):
         print("error: initial point is not regular", file=sys.stderr)
@@ -181,8 +195,7 @@ def _cmd_construct(args) -> int:
     f1, f2 = spec.section.tangent_frame(z0)
     w0 = np.cos(cfg.theta) * f1 + np.sin(cfg.theta) * f2
     law = CurveLaw(cfg.law, eta=cfg.eta)
-    sigma = integrate_sigma(spec, AmbientPoint(sp, z0), w0, law,
-                            step=cfg.step, n_steps=cfg.n_steps)
+    sigma = integrate_sigma(spec, z0, w0, law, step=cfg.step, n_steps=cfg.n_steps)
     ehs = build_hypersurface(spec, sigma, s_extent=cfg.s_extent)
     cert = strongly_2hopf_certify(ehs, tol=cfg.tolerances or None,
                                   grid_shape=tuple(int(g) for g in cfg.grid))
@@ -242,9 +255,16 @@ def _load_patch_for(args):
     raise ConfigError("input", "need --catalog NAME or --scene FILE")
 
 
+def _grid_shape(args, default):
+    """The --grid of classify or sample, else ``default``; bounded before any use."""
+    shape = tuple(args.grid) if args.grid else default
+    _check_grid_points(shape)
+    return shape
+
+
 def _cmd_classify(args) -> int:
+    shape = _grid_shape(args, (6, 4, 4))
     patch, meta = _load_patch_for(args)
-    shape = tuple(args.grid) if args.grid else (6, 4, 4)
     grid = patch.grid(shape, margin=0.05)
     report = classify(patch, grid)
     print(f"classification of {meta}")
@@ -268,8 +288,7 @@ def _cmd_hopf_directions(args) -> int:
     if not spec.is_regular(z0):
         print("error: point is not regular", file=sys.stderr)
         return 1
-    p0 = AmbientPoint(spec.space, z0)
-    zeros = hopf_directions(spec, p0, n_samples=args.samples)
+    zeros = hopf_directions(spec, z0, n_samples=args.samples)
     print(f"{len(zeros)} Hopf directions at point {list(args.point)} ({args.action}):")
     for d in zeros:
         print(f"  theta = {d['theta']:.12f}   |Phi| = {d['phi']:.3e}")
@@ -312,15 +331,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    shape = _grid_shape(args, (10, 4, 4))
     patch, meta = _load_patch_for(args)
-    shape = tuple(args.grid) if args.grid else (10, 4, 4)
     rows = mesh_rows(patch, patch.grid(shape, margin=0.03))
     write_mesh_csv(args.out, rows)
     print(f"{len(rows)} samples of {meta} -> {args.out}")
     return 0
-
-
-MAX_SAMPLES = 10 ** 6
 
 
 def _arg_type(convert, ok, requirement):

@@ -53,7 +53,7 @@ from .actions import (
     orbit_geometry,
     rotate90,
 )
-from .ambient import AmbientPoint, AmbientTangent, GeometryError, SpaceForm
+from .ambient import GeometryError, SpaceForm
 from .hypersurface import (
     DEFAULT_TOLERANCES,
     HypersurfacePatch,
@@ -368,28 +368,20 @@ def _launch_sigmas(spec, law, x0, u0, step, n_steps, two_sided=True, align_tol=N
     return curves
 
 
-def integrate_sigma(spec: PolarActionSpec, p0, w0, law: CurveLaw,
+def integrate_sigma(spec: PolarActionSpec, z0, w0, law: CurveLaw,
                     step: float = DEFAULT_STEP, n_steps: int = 200,
                     two_sided: bool = True) -> SigmaCurve:
-    """Integrate the prescribed-curvature curve through p0 with velocity w0.
+    """Integrate the prescribed-curvature curve through z0 with velocity w0.
 
-    p0: section point (AmbientPoint, representative, or chart coordinates).
-    w0: unit tangent to the section at p0. A representative and w0 must lie
-    in the section's real frame D.R^3, as chart points, their tangent frames
-    and curve rows do; anything else raises GeometryError. The Frenet normal
-    starts at the +90 degree rotation of w0 in the chart orientation. With
-    ``two_sided`` the curve covers t in [-n_steps*step, n_steps*step]; the
-    two sides run as two lanes of one batch.
+    z0: representative (3,) of the section point. w0: unit tangent (3,) to
+    the section at z0. Both must lie in the section's real frame D.R^3, as
+    chart points, their tangent frames and curve rows do; anything else
+    raises GeometryError. The Frenet normal starts at the +90 degree rotation
+    of w0 in the chart orientation. With ``two_sided`` the curve covers t in
+    [-n_steps*step, n_steps*step]; the two sides run as two lanes of one batch.
     """
-    if isinstance(p0, AmbientPoint):
-        z0 = p0.rep
-    else:
-        p0 = np.asarray(p0)
-        z0 = spec.section.point(p0.astype(float)) if p0.shape == (2,) and not np.iscomplexobj(p0) \
-            else np.asarray(p0, dtype=complex)
     if not spec.is_regular(z0):
         raise SingularOrbitError("initial point is not regular")
-    w0 = w0.vec if isinstance(w0, AmbientTangent) else np.asarray(w0, dtype=complex)
     return _launch_sigmas(spec, law, spec.frame_coords(z0)[None], spec.frame_coords(w0)[None],
                           step, n_steps, two_sided)[0]
 

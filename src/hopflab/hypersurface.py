@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ambient import AmbientTangent, GeometryError, SpaceForm
+from .ambient import GeometryError, SpaceForm
 
 TAU_MULT = 1e-4       # eigenvalue clustering, relative to spectrum spread
 TAU_PROJ = 1e-4       # Hopf projection threshold
@@ -455,17 +455,15 @@ def adapted_frame(patch: HypersurfacePatch, params) -> AdaptedFrame:
 
 
 def levi_form(patch: HypersurfacePatch, params, X, Y) -> float:
-    """L(X, Y) = <S X, Y> + <S JX, JY> for X, Y in the complex distribution."""
+    """L(X, Y) = <S X, Y> + <S JX, JY> for X, Y (3,) in the complex distribution."""
     sd = shape_data(patch, np.atleast_2d(params)[:1])
     sp = sd._sp
-    xv = X.vec if isinstance(X, AmbientTangent) else np.asarray(X, dtype=complex)
-    yv = Y.vec if isinstance(Y, AmbientTangent) else np.asarray(Y, dtype=complex)
     jxi = 1j * sd.frames.xi[0]
-    for u in (xv, yv):
+    for u in (X, Y):
         if abs(sp.g(u, jxi)) > 1e-6 * max(1.0, float(sp.norm(u))):
             raise GeometryError("Levi form arguments must be orthogonal to J xi")
-    sx = _apply_shape(sd, np.stack([xv, 1j * xv])[None])[0]
-    return float(sp.g(sx[0], yv) + sp.g(sx[1], 1j * yv))
+    sx = _apply_shape(sd, np.stack([X, 1j * X])[None])[0]
+    return float(sp.g(sx[0], Y) + sp.g(sx[1], 1j * Y))
 
 
 # -- directional machinery -----------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import catalog as cat
 from .actions import LABELS, _eig2, hopf_directions, load_action, orbit_geometry, phi_profile
-from .ambient import AmbientPoint, AmbientTangent, SpaceForm, parallel_transport_along_geodesic
+from .ambient import SpaceForm
 from .constructor import (
     CurveLaw,
     build_hypersurface,
@@ -101,20 +101,19 @@ class Workspace:
         spec = load_action(label)
         q0 = np.array([0.12, 0.07])
         z0 = spec.section.point(q0)
-        p0 = AmbientPoint(spec.space, z0)
-        zeros = hopf_directions(spec, p0, n_samples=360, tol=1e-12)
-        return spec, p0, z0, zeros
+        zeros = hopf_directions(spec, z0, n_samples=360, tol=1e-12)
+        return spec, z0, zeros
 
     def cmc_patch(self, label, eta=1.0):
         if (label, eta) not in self._cmc:
-            spec, p0, z0, zeros = self.launch_data(label)
+            spec, z0, zeros = self.launch_data(label)
             f1, f2 = spec.section.tangent_frame(z0)
             angles = np.array([d["theta"] for d in zeros])
             cand = np.linspace(0.0, 2 * np.pi, 181)
             sep = np.min(np.abs((cand[:, None] - angles[None, :] + np.pi) % (2 * np.pi) - np.pi), axis=1)
             theta0 = float(cand[np.argmax(sep)])
             w0 = np.cos(theta0) * f1 + np.sin(theta0) * f2
-            sigma = integrate_sigma(spec, p0, w0, CurveLaw("cmc", eta=eta), n_steps=200)
+            sigma = integrate_sigma(spec, z0, w0, CurveLaw("cmc", eta=eta), n_steps=200)
             ehs = build_hypersurface(spec, sigma, s_extent=0.15)
             self._cmc[(label, eta)] = ehs
         return self._cmc[(label, eta)]
@@ -122,9 +121,9 @@ class Workspace:
     def wp_patch(self, label, eta=1.0):
         """Construction launched exactly at a found w_p direction."""
         if (label, eta) not in self._wp:
-            spec, p0, z0, zeros = self.launch_data(label)
+            spec, z0, zeros = self.launch_data(label)
             w0 = zeros[0]["direction"]
-            sigma = integrate_sigma(spec, p0, w0, CurveLaw("cmc", eta=eta), n_steps=60)
+            sigma = integrate_sigma(spec, z0, w0, CurveLaw("cmc", eta=eta), n_steps=60)
             ehs = build_hypersurface(spec, sigma, s_extent=0.12, t_margin=0.005)
             self._wp[(label, eta)] = ehs
         return self._wp[(label, eta)]
@@ -219,15 +218,14 @@ def suite_ambient(ws: Workspace) -> SuiteResult:
         kah = 0.0
         rngk = ws.rng(f"kahler{c}")
         for _ in range(20):
-            p = AmbientPoint(sp, sp.random_point(rngk))
-            d = AmbientTangent(p, sp.random_tangent(rngk, p.rep))
-            v = AmbientTangent(p, sp.random_tangent(rngk, p.rep))
-            tv = parallel_transport_along_geodesic(p, d, 0.5, v, n_steps=100)
-            jtv = parallel_transport_along_geodesic(p, d, 0.5,
-                                                    AmbientTangent(p, 1j * v.vec), n_steps=100)
-            kah = max(kah, float(sp.norm(1j * tv.vec - jtv.vec)))
+            p = sp.random_point(rngk)
+            d = sp.random_tangent(rngk, p)
+            v = sp.random_tangent(rngk, p)
+            tv = sp.parallel_transport_along_geodesic(p, d, 0.5, v, n_steps=100)
+            jtv = sp.parallel_transport_along_geodesic(p, d, 0.5, 1j * v, n_steps=100)
+            kah = max(kah, float(sp.norm(1j * tv - jtv)))
         res.expect(f"kahler_parallel_J_c{c:+g}", kah, 1e-6)
-        # exp_map against an RK4 geodesic oracle, and distance additivity
+        # exp against an RK4 geodesic oracle, and distance additivity
         rngg = ws.rng(f"geo{c}")
         geo = dist_add = 0.0
         for _ in range(10):
@@ -342,9 +340,8 @@ def suite_actions(ws: Workspace) -> SuiteResult:
             phimax_min = min(phimax_min, float(np.max(np.abs(vals))))
             odd = max(odd, float(np.max(np.abs(
                 vals + phi_profile(spec, z, thetas + np.pi)))))
-            p = AmbientPoint(sp, z)
-            z360 = hopf_directions(spec, p, n_samples=360, tol=1e-12)
-            z720 = hopf_directions(spec, p, n_samples=720, tol=1e-12)
+            z360 = hopf_directions(spec, z, n_samples=360, tol=1e-12)
+            z720 = hopf_directions(spec, z, n_samples=720, tol=1e-12)
             parity_ok &= len(z720) % 2 == 0 and len(z720) >= 2
             stable_ok &= len(z360) == len(z720)
             refined = max(refined, max(d["phi"] for d in z720))
@@ -597,13 +594,12 @@ def suite_cmc(ws: Workspace) -> SuiteResult:
     # time-reversal oracle: restarting from the far endpoint with the
     # reversed velocity (and hence flipped Frenet normal, so eta -> -eta)
     # must retrace the same points
-    spec, p0, z0, zeros = ws.launch_data("cp2-torus")
+    spec, z0, zeros = ws.launch_data("cp2-torus")
     f1, f2 = spec.section.tangent_frame(z0)
     w0 = np.cos(0.4) * f1 + np.sin(0.4) * f2
-    fwd = integrate_sigma(spec, p0, w0, CurveLaw("cmc", eta=1.0),
+    fwd = integrate_sigma(spec, z0, w0, CurveLaw("cmc", eta=1.0),
                           n_steps=40, two_sided=False)
-    end = AmbientPoint(spec.space, fwd.zs[-1])
-    bwd = integrate_sigma(spec, end, -fwd.ws[-1], CurveLaw("cmc", eta=-1.0),
+    bwd = integrate_sigma(spec, fwd.zs[-1], -fwd.ws[-1], CurveLaw("cmc", eta=-1.0),
                           n_steps=40, two_sided=False)
     rev = max(float(spec.space.dist(fwd.zs[-1 - k], bwd.zs[k]))
               for k in range(len(fwd.ts)))
@@ -624,7 +620,7 @@ def suite_leviflat(ws: Workspace) -> SuiteResult:
     if found:
         sig0 = found[0].curve
         k = len(sig0.ts) // 2
-        sigma = integrate_sigma(spec, AmbientPoint(spec.space, sig0.zs[k]), sig0.ws[k],
+        sigma = integrate_sigma(spec, sig0.zs[k], sig0.ws[k],
                                 CurveLaw("levi-flat"), n_steps=120)
         ehs = build_hypersurface(spec, sigma, s_extent=0.2)
         cert = leviflat_cmc_certify(ehs, eta=0.0)
@@ -636,10 +632,10 @@ def suite_leviflat(ws: Workspace) -> SuiteResult:
         res.expect("minimal_leviflat_beta_eq_minus_alpha",
                    float(np.max(np.abs(af.alpha + af.beta))), 1e-3)
     # Levi-flat law from a generic start: Levi form vanishes along the patch
-    spec2, p0, z0, zeros = ws.launch_data("ch2-g0")
+    spec2, z0, zeros = ws.launch_data("ch2-g0")
     f1, f2 = spec2.section.tangent_frame(z0)
     w0 = np.cos(0.9) * f1 + np.sin(0.9) * f2
-    sigma2 = integrate_sigma(spec2, p0, w0, CurveLaw("levi-flat"), n_steps=150)
+    sigma2 = integrate_sigma(spec2, z0, w0, CurveLaw("levi-flat"), n_steps=150)
     ehs2 = build_hypersurface(spec2, sigma2, s_extent=0.15)
     certs = leviflat_cmc_certify(ehs2, eta=0.0)
     res.expect("leviflat_law_levi_sup", certs.residuals["levi_sup"], 1e-3)

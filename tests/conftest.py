@@ -8,7 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from hopflab.actions import load_action
-from hopflab.ambient import AmbientPoint, SpaceForm
+from hopflab.ambient import SpaceForm
 from hopflab.constructor import CurveLaw, build_hypersurface, integrate_sigma
 
 
@@ -45,8 +45,7 @@ def cmc_ehs():
     z0 = spec.section.point(np.array([0.12, 0.07]))
     f1, f2 = spec.section.tangent_frame(z0)
     w0 = np.cos(0.45) * f1 + np.sin(0.45) * f2
-    sigma = integrate_sigma(spec, AmbientPoint(spec.space, z0), w0,
-                            CurveLaw("cmc", eta=1.0), n_steps=180)
+    sigma = integrate_sigma(spec, z0, w0, CurveLaw("cmc", eta=1.0), n_steps=180)
     return build_hypersurface(spec, sigma, s_extent=0.15)
 
 

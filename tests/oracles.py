@@ -79,6 +79,38 @@ def geodesic_rk4(space, z0, v0, t1: float, n_steps: int = 400):
     return z, w
 
 
+def scalar_parallel_transport(sp, z, direction, t1, w0, n_steps=200):
+    """Frozen copy of the one-vector RK4 parallel transport along exp_z(t*direction).
+
+    The step loop of ``SpaceForm.parallel_transport_along_geodesic`` as it
+    stood when it took point and tangent objects. Tests pin the array
+    transport against it bit for bit, and a batched transport is to be
+    pinned against it the same way.
+    """
+    h = t1 / n_steps
+
+    def zdot_at(t):
+        return sp.exp_velocity(z, direction, t)
+
+    def rhs(t, w):
+        # horizontal-lift transport: wdot = -(<zdot, w>/kappa) z
+        return -(sp.herm(zdot_at(t), w) / sp.kappa) * sp.exp(z, direction, t)
+
+    w = w0.copy()
+    t = 0.0
+    for _ in range(n_steps):
+        k1 = rhs(t, w)
+        k2 = rhs(t + h / 2, w + h / 2 * k1)
+        k3 = rhs(t + h / 2, w + h / 2 * k2)
+        k4 = rhs(t + h, w + h * k3)
+        w = w + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += h
+        zt = sp.exp(z, direction, t)
+        w = sp.project_horizontal(zt, w)
+    end = sp.exp(z, direction, t1)
+    return sp.project_horizontal(end, w)
+
+
 # -- scalar section-curve integrator ---------------------------------------------
 # A frozen copy of the one-launch-at-a-time RK4 that the batched lane core in
 # hopflab.constructor replaced, with the unbatched orbit geometry it called.

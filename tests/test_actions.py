@@ -21,7 +21,7 @@ from hopflab.actions import (
     phi_profile,
     rotate90,
 )
-from hopflab.ambient import AmbientPoint, GeometryError, SectionChart
+from hopflab.ambient import GeometryError, SectionChart
 import oracles
 
 
@@ -199,14 +199,15 @@ def test_clifford_orbit_is_minimal():
     # the center of the cp2-torus section chart is the minimal Clifford torus
     spec = load_action("cp2-torus")
     h = mean_curvature_field(spec, [0.0, 0.0])
-    assert spec.space.norm(h.vec) < 1e-10
+    assert h.shape == (3,)
+    assert spec.space.norm(h) < 1e-10
 
 
 def test_mean_curvature_field_smooth_on_grid():
     spec = load_action("ch2-g0")
     sp = spec.space
     uu = np.linspace(-0.3, 0.3, 10)
-    vals = np.array([[sp.norm(mean_curvature_field(spec, [u, v]).vec)
+    vals = np.array([[sp.norm(mean_curvature_field(spec, [u, v]))
                       for v in uu] for u in uu])
     # no jumps beyond step-consistent bounds on a smooth field
     assert np.abs(np.diff(vals, axis=0)).max() < 1.0
@@ -245,22 +246,22 @@ def test_phi_map_matches_profile(theta):
 @pytest.mark.parametrize("label", LABELS)
 def test_hopf_directions_postconditions(label):
     spec = load_action(label)
-    p = spec.section.ambient_point([0.12, 0.07])
-    zeros_360 = hopf_directions(spec, p, n_samples=360, tol=1e-12)
-    zeros_720 = hopf_directions(spec, p, n_samples=720, tol=1e-12)
+    z = spec.section.point([0.12, 0.07])
+    zeros_360 = hopf_directions(spec, z, n_samples=360, tol=1e-12)
+    zeros_720 = hopf_directions(spec, z, n_samples=720, tol=1e-12)
     assert len(zeros_720) % 2 == 0 and len(zeros_720) >= 2
     assert len(zeros_360) == len(zeros_720)
     for d in zeros_720:
         assert d["phi"] < 1e-10
         # each zero produces a Hopf direction: phi vanishes there
-        assert abs(phi_from_orbit_geometry(spec, p.rep, d["direction"])) < 1e-9
+        assert abs(phi_from_orbit_geometry(spec, z, d["direction"])) < 1e-9
 
 
 def test_hopf_directions_requires_samples():
     spec = load_action("cp2-torus")
-    p = spec.section.ambient_point([0.12, 0.07])
+    z = spec.section.point([0.12, 0.07])
     with pytest.raises(GeometryError):
-        hopf_directions(spec, p, n_samples=30)
+        hopf_directions(spec, z, n_samples=30)
 
 
 def test_rotate90_is_orientation_consistent():
@@ -306,7 +307,7 @@ def test_section_real_frame(label):
     # G_j = i D Q_j conj(D) holds exactly, and the section basis lies in D.R^3
     assert np.array_equal(1j * d[:, None] * q * np.conj(d), spec.generators)
     sec = spec.section
-    basis = np.stack([sec.origin.rep, sec.e1, sec.e2])
+    basis = np.stack([sec.origin, sec.e1, sec.e2])
     assert np.array_equal(d * spec.frame_coords(basis), basis)
 
 
@@ -319,12 +320,12 @@ def test_section_real_frame_negative_controls():
     assert "\n" not in str(err.value)
     # the same section turned by a phase is totally real but lies in no D.R^3
     u = np.exp(0.3j)
-    turned = SectionChart(AmbientPoint(spec.space, u * sec.origin.rep), u * sec.e1, u * sec.e2)
+    turned = SectionChart(spec.space, u * sec.origin, u * sec.e1, u * sec.e2)
     with pytest.raises(GeometryError, match="lies in no real frame") as err:
         PolarActionSpec(spec.label, spec.space, spec.generators, turned)
     assert "\n" not in str(err.value)
     with pytest.raises(GeometryError, match="off the section's real frame"):
-        spec.frame_coords(u * sec.origin.rep)
+        spec.frame_coords(u * sec.origin)
 
 
 @pytest.mark.parametrize("label", LABELS)

@@ -3,47 +3,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopflab.ambient import (
-    AmbientPoint,
-    AmbientTangent,
-    GeometryError,
-    SpaceForm,
-    complex_structure,
-    covariant_derivative,
-    curvature_tensor,
-    distance,
-    exp_map,
-    metric,
-    parallel_transport_along_geodesic,
-    section_chart,
-)
-from oracles import geodesic_rk4
+from hopflab.ambient import GeometryError, SectionChart, SpaceForm
+from oracles import geodesic_rk4, scalar_parallel_transport
 
 BOTH = [4.0, -4.0]
 
 
 def point_and_tangents(sp, rng, n=2):
-    p = AmbientPoint(sp, sp.random_point(rng))
-    return p, [AmbientTangent(p, sp.random_tangent(rng, p.rep)) for _ in range(n)]
+    z = sp.random_point(rng)
+    return z, [sp.random_tangent(rng, z) for _ in range(n)]
+
+
+def covariant_derivative(sp, curve, fld, t0, step=1e-5):
+    """Central covariant difference of the field fld(t) along curve(t) at t0."""
+    return sp.covariant_difference(curve(t0), fld(t0), curve(t0 + step), fld(t0 + step),
+                                   curve(t0 - step), fld(t0 - step), step)
 
 
 @pytest.mark.parametrize("c", BOTH)
 def test_metric_symmetric_and_zero(c, rng):
     sp = SpaceForm(c)
     p, (v, w) = point_and_tangents(sp, rng)
-    assert abs(metric(v, w) - metric(w, v)) < 1e-12
-    zero = AmbientTangent(p, np.zeros(3, dtype=complex))
-    assert metric(zero, zero) == 0.0
-    assert abs(metric(v, complex_structure(v))) < 1e-12
-
-
-@pytest.mark.parametrize("c", BOTH)
-def test_metric_base_point_mismatch(c, rng):
-    sp = SpaceForm(c)
-    p1, (v,) = point_and_tangents(sp, rng, 1)
-    p2, (w,) = point_and_tangents(sp, rng, 1)
-    with pytest.raises(GeometryError):
-        metric(v, w)
+    assert abs(sp.g(v, w) - sp.g(w, v)) < 1e-12
+    zero = np.zeros(3, dtype=complex)
+    assert sp.g(zero, zero) == 0.0
+    assert abs(sp.g(v, 1j * v)) < 1e-12
 
 
 @given(seed=st.integers(0, 10 ** 6))
@@ -52,9 +36,9 @@ def test_complex_structure_properties(seed):
     rng = np.random.default_rng(seed)
     sp = SpaceForm(4.0 if seed % 2 else -4.0)
     p, (v, w) = point_and_tangents(sp, rng)
-    jv = complex_structure(v)
-    assert np.allclose(complex_structure(jv).vec, -v.vec)
-    assert abs(metric(jv, complex_structure(w)) - metric(v, w)) < 1e-12
+    jv = 1j * v
+    assert np.allclose(1j * jv, -v)
+    assert abs(sp.g(jv, 1j * w) - sp.g(v, w)) < 1e-12
 
 
 @pytest.mark.parametrize("c", BOTH)
@@ -62,12 +46,12 @@ def test_holomorphic_and_totally_real_sectional_curvature(c, rng):
     sp = SpaceForm(c)
     for _ in range(10):
         p, (x, y) = point_and_tangents(sp, rng)
-        jx = complex_structure(x)
-        assert abs(metric(curvature_tensor(x, jx, jx), x) - c) < 1e-10
+        jx = 1j * x
+        assert abs(sp.g(sp.curvature(x, jx, jx), x) - c) < 1e-10
         # orthonormalize y against x, Jx: totally real plane, curvature c/4
-        yv = y.vec - sp.g(y.vec, x.vec) * x.vec - sp.g(y.vec, jx.vec) * jx.vec
-        yt = AmbientTangent(p, yv / sp.norm(yv))
-        assert abs(metric(curvature_tensor(x, yt, yt), x) - c / 4) < 1e-10
+        yv = y - sp.g(y, x) * x - sp.g(y, jx) * jx
+        yt = yv / sp.norm(yv)
+        assert abs(sp.g(sp.curvature(x, yt, yt), x) - c / 4) < 1e-10
 
 
 @given(seed=st.integers(0, 10 ** 6))
@@ -76,11 +60,10 @@ def test_curvature_symmetries(seed):
     rng = np.random.default_rng(seed)
     sp = SpaceForm(4.0 if seed % 2 else -4.0)
     p, (x, y, z, w) = point_and_tangents(sp, rng, 4)
-    r_xy_z = curvature_tensor(x, y, z)
-    assert np.max(np.abs(r_xy_z.vec + curvature_tensor(y, x, z).vec)) < 1e-10
-    assert abs(metric(r_xy_z, w) + metric(curvature_tensor(x, y, w), z)) < 1e-10
-    bianchi = (r_xy_z.vec + curvature_tensor(y, z, x).vec
-               + curvature_tensor(z, x, y).vec)
+    r_xy_z = sp.curvature(x, y, z)
+    assert np.max(np.abs(r_xy_z + sp.curvature(y, x, z))) < 1e-10
+    assert abs(sp.g(r_xy_z, w) + sp.g(sp.curvature(x, y, w), z)) < 1e-10
+    bianchi = r_xy_z + sp.curvature(y, z, x) + sp.curvature(z, x, y)
     assert np.max(np.abs(bianchi)) < 1e-10
 
 
@@ -88,29 +71,29 @@ def test_curvature_symmetries(seed):
 def test_curvature_antisymmetry_degenerate(c, rng):
     sp = SpaceForm(c)
     p, (x, z) = point_and_tangents(sp, rng)
-    assert np.max(np.abs(curvature_tensor(x, x, z).vec)) < 1e-14
+    assert np.max(np.abs(sp.curvature(x, x, z))) < 1e-14
 
 
 @pytest.mark.parametrize("c", BOTH)
 def test_exp_map_basics(c, rng):
     sp = SpaceForm(c)
     p, (v,) = point_and_tangents(sp, rng, 1)
-    zero = AmbientTangent(p, np.zeros(3, dtype=complex))
-    assert exp_map(p, zero, 0.7).same_point(p)
-    assert exp_map(p, v, 0.0).same_point(p)
+    zero = np.zeros(3, dtype=complex)
+    assert sp.dist(sp.exp(p, zero, 0.7), p) < 1e-12
+    assert sp.dist(sp.exp(p, v, 0.0), p) < 1e-12
     # d/dt exp at 0 is v
     h = 1e-6
-    fd = (exp_map(p, v, h).rep - exp_map(p, v, -h).rep) / (2 * h)
-    assert sp.norm(sp.project_horizontal(p.rep, fd) - v.vec) < 1e-6
-    assert abs(distance(p, exp_map(p, v, 0.8)) - 0.8) < 1e-10
+    fd = (sp.exp(p, v, h) - sp.exp(p, v, -h)) / (2 * h)
+    assert sp.norm(sp.project_horizontal(p, fd) - v) < 1e-6
+    assert abs(sp.dist(p, sp.exp(p, v, 0.8)) - 0.8) < 1e-10
 
 
 @pytest.mark.parametrize("c", BOTH)
 def test_exp_map_matches_rk_oracle(c, rng):
     sp = SpaceForm(c)
     p, (v,) = point_and_tangents(sp, rng, 1)
-    z_oracle, _ = geodesic_rk4(sp, p.rep, v.vec, 1.0)
-    assert sp.dist(exp_map(p, v, 1.0).rep, z_oracle) < 1e-6
+    z_oracle, _ = geodesic_rk4(sp, p, v, 1.0)
+    assert sp.dist(sp.exp(p, v, 1.0), z_oracle) < 1e-6
 
 
 @pytest.mark.parametrize("c", BOTH)
@@ -119,23 +102,20 @@ def test_covariant_derivative_on_geodesics(c, rng):
     p, (v,) = point_and_tangents(sp, rng, 1)
 
     def curve(t):
-        return exp_map(p, v, t)
+        return sp.exp(p, v, t)
 
     def velocity(t):
-        q = curve(t)
-        return AmbientTangent(q, sp.exp_velocity(p.rep, v.vec, t))
+        return sp.exp_velocity(p, v, t)
 
     # tangent field of a geodesic is parallel
-    res = covariant_derivative(curve, velocity, 0.3)
-    assert sp.norm(res.vec) < 1e-6
+    assert sp.norm(covariant_derivative(sp, curve, velocity, 0.3)) < 1e-6
     # parallel-transported field differentiates to zero
-    w0 = AmbientTangent(p, sp.random_tangent(rng, p.rep))
+    w0 = sp.random_tangent(rng, p)
 
     def par(t):
-        return parallel_transport_along_geodesic(p, v, t, w0, n_steps=60)
+        return sp.parallel_transport_along_geodesic(p, v, t, w0, n_steps=60)
 
-    res2 = covariant_derivative(curve, par, 0.25)
-    assert sp.norm(res2.vec) < 1e-6
+    assert sp.norm(covariant_derivative(sp, curve, par, 0.25)) < 1e-6
 
 
 @pytest.mark.parametrize("c", BOTH)
@@ -149,23 +129,13 @@ def test_covariant_difference_batch_matches_rows_and_derivative(c, rng):
     for n in range(4):
         row = sp.covariant_difference(z0[n], w0[n], zp[n], wp[n], zm[n], wm[n], 1e-3)
         assert np.array_equal(batch[n], row)
-    # covariant_derivative is the primitive applied to curve/field samples
-    p, (v,) = point_and_tangents(sp, rng, 1)
-
-    def curve(t):
-        return exp_map(p, v, t)
-
-    def velocity(t):
-        return AmbientTangent(curve(t), sp.exp_velocity(p.rep, v.vec, t))
-
+    # a batch of geodesics: every velocity field differentiates to zero
+    v = np.stack([sp.random_tangent(rng, z) for z in z0])
     t0, h = 0.3, 1e-5
-    res = covariant_derivative(curve, velocity, t0, step=h)
-    direct = sp.covariant_difference(curve(t0).rep, velocity(t0).vec,
-                                     curve(t0 + h).rep, velocity(t0 + h).vec,
-                                     curve(t0 - h).rep, velocity(t0 - h).vec, h)
-    # covariant_derivative also phase-aligns fld(t0), a no-op here up to rounding
-    assert np.abs(res.vec - direct).max() < 1e-15
-    assert sp.norm(direct) < 1e-6
+    samples = [(sp.exp(z0, v, t), sp.exp_velocity(z0, v, t)) for t in (t0, t0 + h, t0 - h)]
+    direct = sp.covariant_difference(*(a for pair in samples for a in pair), h)
+    assert direct.shape == (4, 3)
+    assert sp.norm(direct).max() < 1e-6
 
 
 @pytest.mark.parametrize("c", BOTH)
@@ -174,75 +144,93 @@ def test_kahler_identity_along_curve(c, rng):
     p, (v, w) = point_and_tangents(sp, rng)
 
     def curve(t):
-        return exp_map(p, v, t)
+        return sp.exp(p, v, t)
 
     def fld(t):
-        q = curve(t)
-        u = sp.project_horizontal(q.rep, w.vec * np.cos(t) + 1j * w.vec * t)
-        return AmbientTangent(q, u)
+        return sp.project_horizontal(curve(t), w * np.cos(t) + 1j * w * t)
 
     def jfld(t):
-        f = fld(t)
-        return AmbientTangent(f.point, 1j * f.vec)
+        return 1j * fld(t)
 
-    d1 = covariant_derivative(curve, jfld, 0.2)
-    d2 = covariant_derivative(curve, fld, 0.2)
-    assert sp.norm(d1.vec - 1j * d2.vec) < 1e-6
+    d1 = covariant_derivative(sp, curve, jfld, 0.2)
+    d2 = covariant_derivative(sp, curve, fld, 0.2)
+    assert sp.norm(d1 - 1j * d2) < 1e-6
 
 
 @pytest.mark.parametrize("c", BOTH)
 def test_parallel_transport_commutes_with_J(c, rng):
     sp = SpaceForm(c)
     p, (d, v) = point_and_tangents(sp, rng)
-    tv = parallel_transport_along_geodesic(p, d, 0.5, v)
-    jtv = parallel_transport_along_geodesic(p, d, 0.5, AmbientTangent(p, 1j * v.vec))
-    assert sp.norm(1j * tv.vec - jtv.vec) < 1e-6
+    tv = sp.parallel_transport_along_geodesic(p, d, 0.5, v)
+    jtv = sp.parallel_transport_along_geodesic(p, d, 0.5, 1j * v)
+    assert sp.norm(1j * tv - jtv) < 1e-6
     # transport is an isometry
-    assert abs(sp.g(tv.vec, tv.vec) - sp.g(v.vec, v.vec)) < 1e-8
+    assert abs(sp.g(tv, tv) - sp.g(v, v)) < 1e-8
+
+
+@pytest.mark.parametrize("c", BOTH)
+def test_parallel_transport_matches_scalar_oracle(c, rng):
+    # the array transport keeps the bits of the loop it replaced, at the
+    # suite's step count and at the default
+    sp = SpaceForm(c)
+    for n_steps in (100, 200):
+        p, (d, v) = point_and_tangents(sp, rng)
+        for w0 in (v, 1j * v):
+            new = sp.parallel_transport_along_geodesic(p, d, 0.5, w0, n_steps=n_steps)
+            ref = scalar_parallel_transport(sp, p, d, 0.5, w0, n_steps=n_steps)
+            assert np.array_equal(new, ref)
 
 
 def test_section_chart_real_plane_cp2(cp2):
     sp = cp2
-    p = AmbientPoint.of(sp, [1.0, 0.0, 0.0])
-    e1 = AmbientTangent(p, np.array([0, 1, 0], dtype=complex))
-    e2 = AmbientTangent(p, np.array([0, 0, 1], dtype=complex))
-    chart = section_chart(p, e1, e2)
+    p = sp.normalize_rep(np.array([1.0, 0.0, 0.0], dtype=complex))
+    e1 = np.array([0, 1, 0], dtype=complex)
+    e2 = np.array([0, 0, 1], dtype=complex)
+    chart = SectionChart(sp, p, e1, e2)
     assert chart.curvature == sp.c / 4
     for u in ([0.3, -0.2], [0.7, 0.4], [-0.5, 0.1]):
         z = chart.point(np.asarray(u))
         f1, f2 = chart.tangent_frame(z)
         assert abs(sp.g(1j * f1, f2)) < 1e-12
         assert chart.second_fundamental_form_residual(np.asarray(u)) < 1e-6
-        # inverse chart
-        assert np.max(np.abs(chart.coordinates(z) - u)) < 1e-9
+        # the chart is a radial isometry from the origin
+        assert abs(sp.dist(p, z) - np.hypot(*u)) < 1e-12
 
 
 def test_section_chart_rejects_complex_plane(cp2, rng):
     sp = cp2
-    p = AmbientPoint(sp, sp.random_point(rng))
-    v = sp.random_tangent(rng, p.rep)
-    e1 = AmbientTangent(p, v)
-    e2 = AmbientTangent(p, 1j * v)
+    p = sp.random_point(rng)
+    v = sp.random_tangent(rng, p)
     with pytest.raises(GeometryError):
-        section_chart(p, e1, e2)
+        SectionChart(sp, p, v, 1j * v)
 
 
 def test_section_chart_rejects_nonorthonormal(cp2, rng):
     sp = cp2
-    p = AmbientPoint(sp, sp.random_point(rng))
-    v = sp.random_tangent(rng, p.rep)
+    p = sp.random_point(rng)
+    v = sp.random_tangent(rng, p)
     with pytest.raises(GeometryError):
-        section_chart(p, AmbientTangent(p, v), AmbientTangent(p, 0.5 * v))
+        SectionChart(sp, p, v, 0.5 * v)
+
+
+@pytest.mark.parametrize("c", BOTH)
+def test_section_chart_rejects_unnormalized_origin(c, rng):
+    sp = SpaceForm(c)
+    p = sp.random_point(rng)
+    e1 = sp.random_tangent(rng, p)
+    e2 = sp.random_tangent(rng, p)
+    e2 = e2 - sp.g(e2, e1) * e1 - sp.g(e2, 1j * e1) * (1j * e1)
+    e2 = e2 / sp.norm(e2)
+    SectionChart(sp, p, e1, e2)
+    with pytest.raises(GeometryError, match="not normalized"):
+        SectionChart(sp, 1.01 * p, e1, e2)
 
 
 @pytest.mark.parametrize("c", BOTH)
 def test_point_phase_equality(c, rng):
     sp = SpaceForm(c)
     z = sp.random_point(rng)
-    p = AmbientPoint(sp, z)
-    q = AmbientPoint(sp, np.exp(1j * 1.234) * z)
-    assert p.same_point(q)
-    assert distance(p, q) < 1e-7
+    assert sp.dist(z, np.exp(1j * 1.234) * z) < 1e-7
 
 
 @pytest.mark.parametrize("c", BOTH)

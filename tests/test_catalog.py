@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hopflab.ambient import AmbientPoint, GeometryError, SpaceForm
+from hopflab.ambient import GeometryError, SpaceForm
 from hopflab.catalog import (
     CATALOG_NAMES,
     bisector,
@@ -74,8 +74,19 @@ def test_bisector_equidistance_defect(ch2):
     assert defect.max() < 1e-6
 
 
+def test_bisector_of_rescaled_points(ch2):
+    # representatives of any scale name the same two points
+    e = np.eye(3, dtype=complex)
+    m0 = ch2.normalize_rep(e[0])
+    p1, p2 = ch2.exp(m0, e[1], -0.4), ch2.exp(m0, e[1], 0.4)
+    entry = bisector(ch2, 2.0 * p1, 0.5j * p2)
+    pts = entry.patch.eval(entry.patch.grid((3, 3, 3), margin=0.05))
+    assert np.abs(ch2.dist(pts, p1) - ch2.dist(pts, p2)).max() < 1e-6
+    assert abs(entry.parameters["distance"] - 0.8) < 1e-12
+
+
 def test_bisector_requires_distinct_points(ch2):
-    p = AmbientPoint.of(ch2, [1.0, 0, 0])
+    p = ch2.normalize_rep(np.array([1.0, 0, 0], dtype=complex))
     with pytest.raises(GeometryError):
         bisector(ch2, p, p)
 
@@ -128,7 +139,7 @@ def test_one_sided_hausdorff_matches_per_seed_scan():
     cone = get_entry("clifford-cone-ch2")
     z0 = spec.section.point(np.array([0.2, -0.1]))
     f1, f2 = spec.section.tangent_frame(z0)
-    cmc = integrate_sigma(spec, AmbientPoint(spec.space, z0), np.cos(1.2) * f1 + np.sin(1.2) * f2,
+    cmc = integrate_sigma(spec, z0, np.cos(1.2) * f1 + np.sin(1.2) * f2,
                           CurveLaw("cmc", eta=0.5), n_steps=100)
     austere = austere_search(spec, [[-0.3, 0.0]], n_steps=120)[0].curve
     nearest = set()

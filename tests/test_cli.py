@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import subprocess_env
+from hopflab import cli
 from hopflab.cli import RunConfig, ConfigError, main
 from hopflab.scene import (
     SceneError,
@@ -293,6 +294,53 @@ def test_construct_rejects_wrong_typed_config_file(field, value, message, tmp_pa
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"error: config field '{field}': {message}"]
+
+
+def test_construct_rejects_config_file_that_is_not_an_object(tmp_path, capsys):
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps([{"action": "cp2-torus"}]))
+    rc = run_cli(["construct", "--config", str(cfgfile)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: config field 'config': must be a JSON object"]
+
+
+# each bound just above its limit, as a flag and (for construct) as a config value
+_STEPS = str(cli.MAX_N_STEPS + 1)
+_GRID = ["100", "100", str(cli.MAX_GRID_POINTS // 10 ** 4 + 1)]
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["construct", "--n-steps", _STEPS], None, f"'n_steps': must be at most {cli.MAX_N_STEPS}"),
+    (["construct"], {"n_steps": int(_STEPS)}, f"'n_steps': must be at most {cli.MAX_N_STEPS}"),
+    (["construct", "--grid", *_GRID], None,
+     f"'grid': must have at most {cli.MAX_GRID_POINTS} points in all"),
+    (["construct"], {"grid": [int(g) for g in _GRID]},
+     f"'grid': must have at most {cli.MAX_GRID_POINTS} points in all"),
+    (["classify", "--catalog", "horosphere", "--grid", *_GRID], None,
+     f"'grid': must have at most {cli.MAX_GRID_POINTS} points in all"),
+    (["sample", "--catalog", "horosphere", "--grid", *_GRID, "--out", "{tmp}/m.csv"], None,
+     f"'grid': must have at most {cli.MAX_GRID_POINTS} points in all"),
+], ids=["construct-n-steps-flag", "construct-n-steps-config", "construct-grid-flag",
+        "construct-grid-config", "classify-grid", "sample-grid"])
+def test_size_bounds_reject_before_any_work(argv, config, message, tmp_path, monkeypatch,
+                                            capsys):
+    def reached(*args, **kwargs):
+        raise AssertionError("the input was used before its size bound was checked")
+
+    # no action table or catalog patch is built, so nothing is allocated
+    monkeypatch.setattr(cli, "load_action", reached)
+    monkeypatch.setattr(cli, "get_entry", reached)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    if config is not None:
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps(config))
+        argv += ["--config", str(cfgfile)]
+    rc = run_cli(argv)
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: config field {message}"]
+    assert not (tmp_path / "m.csv").exists()
 
 
 @pytest.mark.parametrize("where, key", [

@@ -5,7 +5,7 @@ import pytest
 
 from hopflab import constructor
 from hopflab.actions import LABELS, SingularOrbitError, load_action
-from hopflab.ambient import AmbientPoint, GeometryError
+from hopflab.ambient import GeometryError
 from hopflab.constructor import (
     CurveLaw,
     austere_search,
@@ -23,15 +23,15 @@ def launch(label, theta=0.45, coords=(0.12, 0.07)):
     z0 = spec.section.point(np.asarray(coords, dtype=float))
     f1, f2 = spec.section.tangent_frame(z0)
     w0 = np.cos(theta) * f1 + np.sin(theta) * f2
-    return spec, AmbientPoint(spec.space, z0), w0
+    return spec, z0, w0
 
 
 def test_geodesic_law_reproduces_exp_map():
-    spec, p0, w0 = launch("cp2-torus")
+    spec, z0, w0 = launch("cp2-torus")
     sp = spec.space
-    sigma = integrate_sigma(spec, p0, w0, CurveLaw("geodesic"), n_steps=100,
+    sigma = integrate_sigma(spec, z0, w0, CurveLaw("geodesic"), n_steps=100,
                             two_sided=False)
-    worst = max(float(sp.dist(sigma.zs[k], sp.exp(p0.rep, w0, sigma.ts[k])))
+    worst = max(float(sp.dist(sigma.zs[k], sp.exp(z0, w0, sigma.ts[k])))
                 for k in range(len(sigma.ts)))
     assert worst < 1e-6
     assert np.abs(sp.norm(sigma.ws) - 1).max() < 1e-8
@@ -41,11 +41,11 @@ def test_integrator_is_fourth_order():
     # step halving on the CMC law: global error ratio ~ 2^4. The error is
     # measured on phase-aligned representatives; the arccos distance floors
     # at sqrt(eps).
-    spec, p0, w0 = launch("cp2-torus")
+    spec, z0, w0 = launch("cp2-torus")
     sp = spec.space
 
     def endpoint(step, n):
-        s = integrate_sigma(spec, p0, w0, CurveLaw("cmc", eta=1.0),
+        s = integrate_sigma(spec, z0, w0, CurveLaw("cmc", eta=1.0),
                             step=step, n_steps=n, two_sided=False)
         return s.zs[-1]
 
@@ -59,8 +59,8 @@ def test_integrator_is_fourth_order():
 
 
 def test_cmc_law_tracks_target_curvature():
-    spec, p0, w0 = launch("ch2-g0")
-    sigma = integrate_sigma(spec, p0, w0, CurveLaw("cmc", eta=1.0), n_steps=150)
+    spec, z0, w0 = launch("ch2-g0")
+    sigma = integrate_sigma(spec, z0, w0, CurveLaw("cmc", eta=1.0), n_steps=150)
     assert np.abs(sigma.gammas + sigma.alphas + sigma.betas - 1.0).max() < 1e-12
 
 
@@ -72,8 +72,8 @@ def test_cmc_mean_curvature_measured_independently(cmc_ehs):
 
 
 def test_leviflat_law_invariant():
-    spec, p0, w0 = launch("ch2-g0", theta=0.9)
-    sigma = integrate_sigma(spec, p0, w0, CurveLaw("levi-flat"), n_steps=150)
+    spec, z0, w0 = launch("ch2-g0", theta=0.9)
+    sigma = integrate_sigma(spec, z0, w0, CurveLaw("levi-flat"), n_steps=150)
     ehs = build_hypersurface(spec, sigma, s_extent=0.15)
     cert = leviflat_cmc_certify(ehs, eta=0.0)
     assert cert.residuals["levi_sup"] < 1e-3
@@ -81,16 +81,15 @@ def test_leviflat_law_invariant():
 
 def test_integrate_requires_regular_start():
     spec = load_action("cp2-torus")
-    fp = AmbientPoint(spec.space,
-                      spec.space.normalize_rep(np.eye(3, dtype=complex)[0]))
+    fp = spec.space.normalize_rep(np.eye(3, dtype=complex)[0])
     f1 = np.array([0, 1, 0], dtype=complex)
     with pytest.raises(SingularOrbitError):
         integrate_sigma(spec, fp, f1, CurveLaw("geodesic"))
 
 
 def _integrate_entry(bad):
-    spec, p0, w0 = launch("cp2-torus")
-    return integrate_sigma(spec, p0, w0, CurveLaw("geodesic"), **bad)
+    spec, z0, w0 = launch("cp2-torus")
+    return integrate_sigma(spec, z0, w0, CurveLaw("geodesic"), **bad)
 
 
 def _search_entry(bad, grid=((0.1, 0.0), (0.15, 0.1))):
@@ -130,7 +129,7 @@ def test_truncation_near_singular_set():
     u = sp.phase_align(z0, vtx)
     d = sp.project_horizontal(z0, u * vtx)
     d = d / sp.norm(d)
-    sigma = integrate_sigma(spec, AmbientPoint(sp, z0), d,
+    sigma = integrate_sigma(spec, z0, d,
                             CurveLaw("geodesic"), n_steps=1100, two_sided=False)
     assert sigma.truncated
     assert "regular" in sigma.truncation_reason
@@ -175,9 +174,8 @@ def test_strongly_2hopf_certify_detects_wp_launch():
 
     spec = load_action("ch2-torus")
     z0 = spec.section.point(np.array([0.12, 0.07]))
-    p0 = AmbientPoint(spec.space, z0)
-    zeros = hopf_directions(spec, p0, n_samples=360, tol=1e-12)
-    sigma = integrate_sigma(spec, p0, zeros[0]["direction"],
+    zeros = hopf_directions(spec, z0, n_samples=360, tol=1e-12)
+    sigma = integrate_sigma(spec, z0, zeros[0]["direction"],
                             CurveLaw("cmc", eta=1.0), n_steps=60)
     ehs = build_hypersurface(spec, sigma, s_extent=0.1, t_margin=0.005)
     sd = shape_data(ehs.patch, np.array([[0.0, 0.0, 0.0]]))
@@ -297,28 +295,28 @@ def assert_same_sigma(new, ref, names=SIGMA_ARRAYS):
 
 @pytest.mark.parametrize("label", LABELS)
 def test_lane_core_matches_scalar_integrator(label):
-    spec, p0, w0 = launch(label)
+    spec, z0, w0 = launch(label)
     for law in LAWS:
-        assert_same_sigma(integrate_sigma(spec, p0, w0, law, n_steps=30),
-                          oracles.scalar_integrate_sigma(spec, p0.rep, w0, law, n_steps=30))
+        assert_same_sigma(integrate_sigma(spec, z0, w0, law, n_steps=30),
+                          oracles.scalar_integrate_sigma(spec, z0, w0, law, n_steps=30))
 
 
 @pytest.mark.parametrize("label", LABELS)
 def test_lane_core_states_bit_identical_for_zero_curvature(label):
     # with gamma = 0 the state never reads the orbit data, so the real lane
     # core must repeat the complex scalar arithmetic operation for operation
-    spec, p0, w0 = launch(label)
+    spec, z0, w0 = launch(label)
     for law in (CurveLaw("geodesic"), CurveLaw("austere")):
-        new = integrate_sigma(spec, p0, w0, law, n_steps=30)
-        ref = oracles.scalar_integrate_sigma(spec, p0.rep, w0, law, n_steps=30)
+        new = integrate_sigma(spec, z0, w0, law, n_steps=30)
+        ref = oracles.scalar_integrate_sigma(spec, z0, w0, law, n_steps=30)
         for name in ("zs", "ws", "xis"):
             assert np.array_equal(getattr(new, name), getattr(ref, name)), name
 
 
 def test_integrate_sigma_rejects_start_off_the_real_frame():
-    spec, p0, w0 = launch("ch2-g0")
+    spec, z0, w0 = launch("ch2-g0")
     with pytest.raises(GeometryError, match="real frame"):
-        integrate_sigma(spec, np.exp(0.4j) * p0.rep, np.exp(0.4j) * w0, CurveLaw("geodesic"),
+        integrate_sigma(spec, np.exp(0.4j) * z0, np.exp(0.4j) * w0, CurveLaw("geodesic"),
                         n_steps=5)
 
 
@@ -326,11 +324,11 @@ def test_lane_core_matches_scalar_when_one_side_truncates():
     # close to an edge of the cp2-torus orbit triangle: the backward side
     # keeps 22 steps and leaves the regular set on the 23rd, the forward side
     # runs all 40
-    spec, p0, w0 = launch("cp2-torus", theta=0.0, coords=(-0.463, -0.802))
-    sigma = integrate_sigma(spec, p0, w0, CurveLaw("geodesic"), n_steps=40)
+    spec, z0, w0 = launch("cp2-torus", theta=0.0, coords=(-0.463, -0.802))
+    sigma = integrate_sigma(spec, z0, w0, CurveLaw("geodesic"), n_steps=40)
     assert sigma.truncation_reason == "left the regular set after 23 steps"
     assert sigma.ts[0] == -22 * sigma.step and len(sigma.ts) == 22 + 1 + 40
-    ref = oracles.scalar_integrate_sigma(spec, p0.rep, w0, CurveLaw("geodesic"), n_steps=40)
+    ref = oracles.scalar_integrate_sigma(spec, z0, w0, CurveLaw("geodesic"), n_steps=40)
     hopf = ("hopf_a", "hopf_b")
     assert_same_sigma(sigma, ref, [name for name in SIGMA_ARRAYS if name not in hopf])
     # Near the edge the orbit shape matrix has |s01| << -d. The scalar copy's
@@ -343,11 +341,11 @@ def test_lane_core_matches_scalar_when_one_side_truncates():
 
 
 def test_lane_core_truncates_non_finite_lanes_without_warnings():
-    spec, p0, w0 = launch("ch2-g0")
+    spec, z0, w0 = launch("ch2-g0")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sigma = integrate_sigma(spec, p0, w0, CurveLaw("cmc", eta=np.nan), n_steps=20)
-        stepped = integrate_sigma(spec, p0, w0, CurveLaw("geodesic"), step=np.nan, n_steps=20)
+        sigma = integrate_sigma(spec, z0, w0, CurveLaw("cmc", eta=np.nan), n_steps=20)
+        stepped = integrate_sigma(spec, z0, w0, CurveLaw("geodesic"), step=np.nan, n_steps=20)
     for curve in (sigma, stepped):
         assert curve.truncated
         assert curve.truncation_reason == "non-finite state; non-finite state"
@@ -430,8 +428,8 @@ def test_orbit_reading_law_evaluates_full_orbit_data_at_every_stage(monkeypatch)
     # CMC reads alpha and beta at every stage: one start row plus four stages
     # per step for the two lanes of one batch, none of them partial
     calls = _count_invariant_calls(monkeypatch)
-    spec, p0, w0 = launch("cp2-torus")
-    integrate_sigma(spec, p0, w0, CurveLaw("cmc", eta=1.0), n_steps=30)
+    spec, z0, w0 = launch("cp2-torus")
+    integrate_sigma(spec, z0, w0, CurveLaw("cmc", eta=1.0), n_steps=30)
     assert (calls.count("full"), calls.count("gram"), calls.count("row")) == (121, 0, 0)
 
 
@@ -440,8 +438,8 @@ def test_geodesic_law_evaluates_gram_in_the_lanes_and_orbit_data_once_per_curve(
     # the start row and four stages per step take the gram alone, and the
     # curve's orbit columns come from one full call on its 61 rows
     calls = _count_invariant_calls(monkeypatch)
-    spec, p0, w0 = launch("cp2-torus")
-    sigma = integrate_sigma(spec, p0, w0, CurveLaw("geodesic"), n_steps=30)
+    spec, z0, w0 = launch("cp2-torus")
+    sigma = integrate_sigma(spec, z0, w0, CurveLaw("geodesic"), n_steps=30)
     assert len(sigma.ts) == 61
     assert calls == ["gram"] * 121 + ["full"]
 
@@ -510,11 +508,11 @@ def test_austere_candidates_orbit_columns_and_sweeps_match_per_row(label):
 
 
 def test_geodesic_orbit_columns_match_per_row():
-    spec, p0, w0 = launch("ch2-g0")
-    assert_orbit_columns_per_row(integrate_sigma(spec, p0, w0, CurveLaw("geodesic"),
+    spec, z0, w0 = launch("ch2-g0")
+    assert_orbit_columns_per_row(integrate_sigma(spec, z0, w0, CurveLaw("geodesic"),
                                                  n_steps=30))
     # one side truncated (see test_lane_core_matches_scalar_when_one_side_truncates)
-    spec, p0, w0 = launch("cp2-torus", theta=0.0, coords=(-0.463, -0.802))
-    sigma = integrate_sigma(spec, p0, w0, CurveLaw("geodesic"), n_steps=40)
+    spec, z0, w0 = launch("cp2-torus", theta=0.0, coords=(-0.463, -0.802))
+    sigma = integrate_sigma(spec, z0, w0, CurveLaw("geodesic"), n_steps=40)
     assert sigma.truncated
     assert_orbit_columns_per_row(sigma)

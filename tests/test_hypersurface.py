@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hopflab.ambient import AmbientPoint, AmbientTangent, GeometryError, SpaceForm
+from hopflab.ambient import GeometryError, SpaceForm
 from hopflab.catalog import get_entry
 from hopflab.catalog import CATALOG_NAMES
 from hopflab.hypersurface import (

@@ -4,8 +4,8 @@ No linter ships with the project, so this is a standard-library AST scan of
 each module under src/hopflab: a name bound by an import must be read
 somewhere in its module. ``from __future__`` imports and the imports of a
 package ``__init__`` (its re-exports) count as used. A top-level function or
-class must be read somewhere in the library, and every name the package
-exports must resolve.
+class, and every method of a top-level class, must be read somewhere in the
+library, and every name the package exports must resolve.
 """
 
 import ast
@@ -49,13 +49,15 @@ def test_module_has_no_unused_import(path):
 
 
 def unread_definitions(sources):
-    """Top-level functions and classes that no module of ``sources`` reads.
+    """Top-level functions and classes, and methods of top-level classes,
+    that no module of ``sources`` reads.
 
     ``sources`` maps module paths to their text. A name counts as read where
     any module loads it as a name or an attribute; a package ``__init__``
     also reads the names it imports and every string it holds (its
-    ``__all__`` and lazy export table). Dunder hooks, such as a module
-    ``__getattr__``, are read by Python itself and are not listed.
+    ``__all__`` and lazy export table). A method is listed as
+    ``Class.method``. Dunder hooks, such as a module ``__getattr__`` or a
+    ``__post_init__``, are read by Python itself and are not listed.
     """
     trees = {path: ast.parse(text) for path, text in sources.items()}
     read = set()
@@ -68,31 +70,55 @@ def unread_definitions(sources):
                     read.update(alias.asname or alias.name for alias in node.names)
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                     read.add(node.value)
-    return sorted((path, node.name) for path, tree in trees.items() for node in tree.body
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and node.name not in read and not node.name.startswith("__"))
+    defs = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((path, node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defs.extend((path, f"{node.name}.{meth.name}", meth.name) for meth in node.body
+                            if isinstance(meth, ast.FunctionDef))
+    return sorted((path, label) for path, label, name in defs
+                  if name not in read and not name.startswith("__"))
 
 
 def test_scan_flags_an_unread_definition():
     sources = {
         "pkg/__init__.py": "from .a import exported\n__all__ = ['listed']\n",
         "pkg/a.py": ("def exported(): pass\ndef listed(): pass\ndef _helper(): pass\n"
-                     "def dead(): pass\nclass Used: pass\nclass Dead: pass\n"
+                     "def dead(): pass\nclass Dead: pass\n"
+                     "class Used:\n"
+                     "    def __post_init__(self): pass\n"
+                     "    def called(self): pass\n"
+                     "    @property\n"
+                     "    def prop(self): pass\n"
+                     "    def dead_method(self): pass\n"
                      "def __getattr__(name): pass\n"),
-        "pkg/b.py": "from .a import _helper, Used\nx = _helper()\ny: Used\ndead = 1\n",
+        "pkg/b.py": ("from .a import _helper, Used\nx = _helper()\ny: Used\ndead = 1\n"
+                     "Used().called()\nz = y.prop\ny.dead_method = None\n"),
     }
-    assert unread_definitions(sources) == [("pkg/a.py", "Dead"), ("pkg/a.py", "dead")]
+    assert unread_definitions(sources) == [
+        ("pkg/a.py", "Dead"), ("pkg/a.py", "Used.dead_method"), ("pkg/a.py", "dead")]
+
+
+# methods that code outside hopflab calls by name: argparse calls error()
+PROTOCOL_METHODS = {("cli.py", "_Parser.error")}
 
 
 def test_every_definition_is_read_in_the_library():
     sources = {str(p.relative_to(SRC)): p.read_text() for p in SRC.rglob("*.py")}
-    assert unread_definitions(sources) == []
+    unread = unread_definitions(sources)
+    assert PROTOCOL_METHODS <= set(unread)
+    assert sorted(set(unread) - PROTOCOL_METHODS) == []
 
 
 # -- the package's export table -------------------------------------------------------
 
 # public names removed from the library, by owning module
 REMOVED = {
+    "ambient": ("AmbientPoint", "AmbientTangent", "metric", "complex_structure",
+                "curvature_tensor", "exp_map", "distance", "covariant_derivative",
+                "section_chart"),
     "actions": ("orbit_shape_operator", "OrbitData", "phi_map", "killing_field"),
     "hypersurface": ("shape_operator", "ShapeSpectrum", "hopf_projection_count"),
     "constructor": ("equidistance_spot_check",),
@@ -114,6 +140,7 @@ def test_export_table_resolves_and_removed_names_are_gone():
 
     lazy = lazy_exports()
     assert len(lazy) == 14
+    assert len(hopflab.__all__) == 12
     for name in lazy + hopflab.__all__:
         getattr(hopflab, name)
     for module, names in REMOVED.items():
