@@ -83,7 +83,7 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
     out_scene: str | None = None
     out_csv: str | None = None
-    seed: int = 7
+    seed: int = 7   # recorded in the scene only; construct draws no random numbers
 
     def validate(self):
         reals = {"step": [self.step], "eta": [self.eta], "theta": [self.theta],
@@ -387,7 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--s-extent", dest="s_extent", type=float)
     pc.add_argument("--out-scene", dest="out_scene")
     pc.add_argument("--out-csv", dest="out_csv")
-    pc.add_argument("--seed", type=int)
+    pc.add_argument("--seed", type=int,
+                    help="recorded in the scene only: construct is deterministic "
+                         "and draws no random numbers")
     pc.set_defaults(func=_cmd_construct)
 
     pl = sub.add_parser("classify", help="classify a scene or catalog patch")

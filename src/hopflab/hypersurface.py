@@ -21,7 +21,9 @@ classify, the certifier and the connection suite.
 Covariant derivatives of tangent fields (the frame connection nabla_X Y,
 the nested Gauss-Codazzi stencils) all go through the batched
 SpaceForm.covariant_difference, with each stencil gathered into one chart
-call.
+call. The nested stencils (p + o_a) + o_b of shape_data and
+verify_gauss_codazzi evaluate only their 31 distinct points per centre (of
+49) and gather the rest.
 """
 
 from __future__ import annotations
@@ -62,7 +64,12 @@ class FrameError(GeometryError):
 
 @dataclass(eq=False)
 class HypersurfacePatch:
-    """Parametrized hypersurface patch with a finite-difference scheme."""
+    """Parametrized hypersurface patch with a finite-difference scheme.
+
+    ``chart`` works row by row: row i of chart(P) depends only on row i of P,
+    bit for bit. The stencils rely on this when they evaluate each distinct
+    point of a nested stencil once, in one batch, and gather the rest.
+    """
 
     space: SpaceForm
     chart: Callable[[np.ndarray], np.ndarray]   # (N, 3) params -> (N, 3) reps
@@ -177,14 +184,54 @@ def _central_offsets(h):
     return offsets
 
 
-def frames_at(patch: HypersurfacePatch, params) -> PointFrames:
-    """Coordinate velocities and oriented unit normal at each parameter."""
+def _nested_stencil_layout():
+    """Distinct cells of the 7x7 nested stencil (p + o_a) + o_b.
+
+    Adding 0.0 changes no coordinate except -0.0 -> +0.0, and both orders of
+    addition do that, so (p + o_a) + 0 equals (p + 0) + o_a and offsets on
+    different axes commute bit for bit; same-axis cells (p +- h) +- h do not.
+    Returns the (a, b) pairs of the 31 distinct cells, (31, 2), in row-major
+    order of first appearance, and the (7, 7) index of each cell into them.
+    """
+    cells, index = {}, np.empty((7, 7), dtype=int)
+    for a in range(7):
+        for b in range(7):
+            same_axis = a and b and (a - 1) // 2 == (b - 1) // 2
+            key = (a, b) if same_axis else (min(a, b), max(a, b))
+            index[a, b] = cells.setdefault(key, len(cells))
+    return np.array(list(cells)), index
+
+
+_NESTED_CELLS, _NESTED_INDEX = _nested_stencil_layout()
+
+
+def _nested_stencil(params, h):
+    """(N, 31, 3) distinct points (p + o_a) + o_b of the nested stencil with
+    step h; indexing the point axis with _NESTED_INDEX gives the (7, 7) layout."""
+    offsets = _central_offsets(h)
+    return params[:, None, :] + offsets[_NESTED_CELLS[:, 0]] + offsets[_NESTED_CELLS[:, 1]]
+
+
+def _finite_params(params):
+    """params as an (N, 3) float array; GeometryError unless every entry is finite."""
+    params = np.atleast_2d(np.asarray(params, dtype=float))
+    if not np.all(np.isfinite(params)):
+        raise GeometryError("parameters must be finite numbers")
+    return params
+
+
+def frames_at(patch: HypersurfacePatch, params, zs=None) -> PointFrames:
+    """Coordinate velocities and oriented unit normal at each parameter.
+
+    ``zs`` holds the chart values on each point's central stencil, (N, 7, 3)
+    in _central_offsets order, when the caller has already evaluated them.
+    """
     sp = patch.space
     params = np.atleast_2d(np.asarray(params, dtype=float))
     n = params.shape[0]
     h = patch.diff_step
-    stencil = params[:, None, :] + _central_offsets(h)[None, :, :]
-    zs = patch.eval(stencil)                 # (N, 7, 3)
+    if zs is None:
+        zs = patch.eval(params[:, None, :] + _central_offsets(h)[None, :, :])
     z0 = zs[:, 0]
     u = sp.phase_align(z0[:, None, :], zs[:, 1:])
     aligned = u[..., None] * zs[:, 1:]
@@ -250,14 +297,21 @@ def _gram_schmidt_with_coeffs(sp: SpaceForm, v):
 
 
 def shape_data(patch: HypersurfacePatch, params) -> ShapeData:
-    """Shape operator, spectrum and eigenvectors at each parameter point."""
+    """Shape operator, spectrum and eigenvectors at each parameter point.
+
+    The normal field is differenced at the six points p + o_a, so the chart
+    is needed on the nested stencil (p + o_a) + o_b: one chart call on its
+    31 distinct cells per point, gathered into the stencils of frames_at at
+    p and at the p + o_a.
+    """
     sp = patch.space
-    params = np.atleast_2d(np.asarray(params, dtype=float))
+    params = _finite_params(params)
     n = params.shape[0]
     h = patch.diff_step
-    base = frames_at(patch, params)
+    zs = patch.eval(_nested_stencil(params, h))[:, _NESTED_INDEX]   # (N, a, b, 3)
+    base = frames_at(patch, params, zs[:, 0])
     displaced = (params[:, None, :] + _central_offsets(h)[None, 1:, :]).reshape(-1, 3)
-    disp = frames_at(patch, displaced)
+    disp = frames_at(patch, displaced, zs[:, 1:].reshape(-1, 7, 3))
     xi_d = disp.xi.reshape(n, 6, 3)
     z_d = disp.z.reshape(n, 6, 3)
     u = sp.phase_align(base.z[:, None, :], z_d)
@@ -571,7 +625,9 @@ def classify(patch: HypersurfacePatch, params_grid, tolerances=None,
     tols = dict(DEFAULT_TOLERANCES)
     if tolerances:
         tols.update(tolerances)
-    params_grid = np.atleast_2d(np.asarray(params_grid, dtype=float))
+    params_grid = _finite_params(params_grid)
+    if not len(params_grid):
+        raise GeometryError("empty classification grid")
     if not patch.contains(params_grid):
         raise GeometryError("classification grid leaves the parameter box")
     sd = shape_data(patch, params_grid)
@@ -843,8 +899,10 @@ def verify_gauss_codazzi(patch: HypersurfacePatch, params, rng=None, n_random=20
     """Residuals of the Gauss and Codazzi equations at one parameter point p.
 
     With the offsets o = (0, +h e_1, -h e_1, +h e_2, -h e_2, +h e_3, -h e_3),
-    one frames_at call evaluates the coordinate fields v_k on the 7x7 nested
-    stencil (p + o_alpha) + o_beta. Differencing over beta gives
+    the coordinate fields v_k are needed on the 7x7 nested stencil
+    (p + o_alpha) + o_beta. Only 31 of its 49 points are distinct (see
+    _nested_stencil_layout), so one frames_at call evaluates them there and
+    the 7x7 layout is gathered from it. Differencing over beta gives
     nabla_{v_i} v_k at the seven points p + o_alpha; differencing those over
     alpha gives the intrinsic curvature
     R(v_i, v_j) v_k = nabla_{v_i} nabla_{v_j} v_k - nabla_{v_j} nabla_{v_i} v_k
@@ -858,17 +916,18 @@ def verify_gauss_codazzi(patch: HypersurfacePatch, params, rng=None, n_random=20
     the two further levels of differencing amplify their rounding noise by
     1/h^2, which a diff_step-sized h would let swamp the O(h^2) truncation.
     ``shape_perturbation`` (a 3x3 symmetric array added to S in the E basis)
-    exists for negative controls in tests.
+    exists for negative controls in tests. A point outside the patch box
+    raises GeometryError rather than reading an extrapolated chart.
     """
     sp = patch.space
     rng = np.random.default_rng(0) if rng is None else rng
-    params = np.atleast_2d(np.asarray(params, dtype=float))[0]
+    params = _finite_params(params)[0]
+    if not patch.contains(params):
+        raise GeometryError(f"Gauss-Codazzi point {params.tolist()} leaves the parameter box")
     h = max(patch.diff_step * 10, 5e-4)
-    offsets = _central_offsets(h)
-    inner = params + offsets               # p + o_alpha
-    fz = frames_at(patch, (inner[:, None, :] + offsets).reshape(-1, 3))
-    z, v, xi = fz.z.reshape(7, 7, 3), fz.v.reshape(7, 7, 3, 3), fz.xi.reshape(7, 7, 3)
-    sd = shape_data(patch, inner)
+    fz = frames_at(patch, _nested_stencil(params[None], h)[0])
+    z, v, xi = (x[_NESTED_INDEX] for x in (fz.z, fz.v, fz.xi))   # (alpha, beta, ...)
+    sd = shape_data(patch, params + _central_offsets(h))   # at p + o_alpha
     z0, xi0 = sd.frames.z[0], sd.frames.xi[0]
     E0 = sd.E[0]
     S = sd.S if shape_perturbation is None else sd.S + np.asarray(shape_perturbation)

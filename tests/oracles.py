@@ -559,6 +559,108 @@ def scalar_verify_gauss_codazzi(patch, params, rng=None, n_random=20,
             "params": params.tolist(), "step": h}
 
 
+# -- two-call shape data and 49-point Gauss-Codazzi frames ------------------------
+# Frozen copies of shape_data and verify_gauss_codazzi from before the nested
+# stencil (p + o_a) + o_b was evaluated once per distinct cell: shape_data
+# makes two frames_at calls (at p and at the six p + o_a), each evaluating its
+# own 7-point stencils, and the Gauss-Codazzi verifier computes frames at all
+# 49 nested points. Tests pin the gathered versions against them bit for bit.
+
+
+def two_call_shape_data(patch, params):
+    """shape_data with one frames_at call at p and one at the six p + o_a."""
+    from hopflab.hypersurface import (ShapeData, _central_offsets,
+                                      _gram_schmidt_with_coeffs, frames_at)
+
+    sp = patch.space
+    params = np.atleast_2d(np.asarray(params, dtype=float))
+    n = params.shape[0]
+    h = patch.diff_step
+    base = frames_at(patch, params)
+    displaced = (params[:, None, :] + _central_offsets(h)[None, 1:, :]).reshape(-1, 3)
+    disp = frames_at(patch, displaced)
+    xi_d = disp.xi.reshape(n, 6, 3)
+    z_d = disp.z.reshape(n, 6, 3)
+    u = sp.phase_align(base.z[:, None, :], z_d)
+    xi_al = u[..., None] * xi_d
+    nabla_xi = np.empty((n, 3, 3), dtype=complex)
+    for k in range(3):
+        d = (xi_al[:, 2 * k] - xi_al[:, 2 * k + 1]) / (2.0 * h)
+        nabla_xi[:, k] = sp.project_horizontal(base.z, d)
+    E, W = _gram_schmidt_with_coeffs(sp, base.v)
+    st = -np.real(sp.herm(nabla_xi[:, :, None, :], E[:, None, :, :]))
+    s = np.einsum("nka,nkb->nab", W, st)
+    asym = np.abs(s - np.swapaxes(s, 1, 2)).max(axis=(1, 2))
+    s = 0.5 * (s + np.swapaxes(s, 1, 2))
+    vals, vecs = np.linalg.eigh(s)
+    vals = vals[:, ::-1]
+    vecs = vecs[:, :, ::-1]
+    ambient = np.einsum("nai,nak->nik", vecs, E)
+    jxi = 1j * base.xi
+    jc = np.real(sp.herm(E, jxi[:, None, :]))
+    out = ShapeData(frames=base, E=E, W=W, S=s, eigvals=vals, eigvecs=ambient,
+                    jxi_coords=jc, asym=asym)
+    out._sp = sp
+    return out
+
+
+def nested_49_verify_gauss_codazzi(patch, params, rng=None, n_random=20,
+                                   shape_perturbation=None) -> dict:
+    """verify_gauss_codazzi with frames at all 49 nested points and the
+    two-call shape data."""
+    from hopflab.hypersurface import _central_offsets, frames_at
+
+    sp = patch.space
+    rng = np.random.default_rng(0) if rng is None else rng
+    params = np.atleast_2d(np.asarray(params, dtype=float))[0]
+    h = max(patch.diff_step * 10, 5e-4)
+    offsets = _central_offsets(h)
+    inner = params + offsets
+    fz = frames_at(patch, (inner[:, None, :] + offsets).reshape(-1, 3))
+    z, v, xi = fz.z.reshape(7, 7, 3), fz.v.reshape(7, 7, 3, 3), fz.xi.reshape(7, 7, 3)
+    sd = two_call_shape_data(patch, inner)
+    z0, xi0 = sd.frames.z[0], sd.frames.xi[0]
+    E0 = sd.E[0]
+    S = sd.S if shape_perturbation is None else sd.S + np.asarray(shape_perturbation)
+
+    def tangential(vec, normal):
+        return vec - sp.g(vec, normal)[..., None] * normal
+
+    def along_axes(w):
+        zs = sd.frames.z.reshape((7,) + (1,) * (w.ndim - 2) + (3,))
+        return tangential(sp.covariant_difference(
+            z0, w[0], zs[1::2], w[1::2], zs[2::2], w[2::2], h), xi0)
+
+    nvv = tangential(sp.covariant_difference(
+        z[:, 0, None, None], v[:, 0, None], z[:, 1::2, None], v[:, 1::2],
+        z[:, 2::2, None], v[:, 2::2], h), xi[:, 0, None, None])
+    outer = along_axes(nvv)
+    curv = outer - outer.transpose(1, 0, 2, 3)
+
+    def s_apply(u):
+        coords = sp.g(u[..., None, :], E0)
+        return np.einsum("...a,ak->...k", coords @ S[0].T, E0)
+
+    coords = sp.g(sd.frames.v[:, :, None, :], sd.E[:, None, :, :])
+    sv = np.einsum("njb,nab,nak->njk", coords, S, sd.E)
+    nabla_s = along_axes(sv) - s_apply(nvv[0])
+
+    ci, cj, ck, cl = np.moveaxis(rng.standard_normal((n_random, 4, 3)), 1, 0)
+    v0 = sd.frames.v[0]
+    X, Y, Z, Wv = ci @ v0, cj @ v0, ck @ v0, cl @ E0
+    nx, ny, nz, nw = (np.maximum(sp.norm(u), 1e-9) for u in (X, Y, Z, Wv))
+    rbar = sp.curvature(X, Y, Z)
+    nsxy = np.einsum("ri,rj,ijk->rk", ci, cj, nabla_s - nabla_s.transpose(1, 0, 2))
+    codazzi = np.abs(sp.g(rbar, xi0) - sp.g(nsxy, Z)) / (nx * ny * nz)
+    rint = np.einsum("ri,rj,rk,ijkl->rl", ci, cj, ck, curv)
+    sx, sy = s_apply(X), s_apply(Y)
+    grhs = sp.g(rint, Wv) + sp.g(sx, Z) * sp.g(sy, Wv) - sp.g(sx, Wv) * sp.g(sy, Z)
+    gauss = np.abs(sp.g(rbar, Wv) - grhs) / (nx * ny * nz * nw)
+    return {"gauss": float(np.max(gauss, initial=0.0)),
+            "codazzi": float(np.max(codazzi, initial=0.0)),
+            "params": params.tolist(), "step": h}
+
+
 # -- per-point group orbit kernel ------------------------------------------------
 # Frozen copy of hopflab._kernels.pure.group_orbit_apply from before it
 # exponentiated each distinct (s1, s2) pair once: one matrix per point.

@@ -182,6 +182,13 @@ def test_non_integer_env_seed(command, monkeypatch, capsys):
         assert err == [f"error: config field 'seed': HOPFLAB_SEED={raw!r} {problem}"]
 
 
+def test_construct_seed_help_says_it_is_only_recorded(capsys):
+    with pytest.raises(SystemExit):
+        run_cli(["construct", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "recorded in the scene only" in text and "deterministic" in text
+
+
 def test_sample_csv(tmp_path, capsys):
     out = tmp_path / "mesh.csv"
     rc = run_cli(["sample", "--catalog", "horosphere", "--grid", "3", "2", "2",

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import hopflab.hypersurface as hypersurface
 from hopflab.ambient import GeometryError, SpaceForm
 from hopflab.catalog import get_entry
 from hopflab.catalog import CATALOG_NAMES
@@ -22,8 +25,11 @@ from hopflab.hypersurface import (
     verify_connection_formulas,
     verify_gauss_codazzi,
 )
+from hopflab.hypersurface import _NESTED_INDEX, _central_offsets, _nested_stencil
 import oracles
 from oracles import (
+    nested_49_verify_gauss_codazzi,
+    two_call_shape_data,
     scalar_frame_derivative_data,
     scalar_verify_gauss_codazzi,
     sphere_spectrum_oracle,
@@ -392,3 +398,140 @@ def test_shape_spectrum_structure(sphere_entry):
     xi = sd.frames.xi[0]
     sp = sphere_entry.space
     assert abs(sp.g(xi, xi) - 1.0) < 1e-9
+
+
+# -- nested stencils: each distinct point evaluated once --------------------------
+
+NESTED_PATCHES = CATALOG_NAMES + ("cmc",)
+
+
+def _patch(name, cmc_ehs):
+    return cmc_ehs.patch if name == "cmc" else get_entry(name).patch
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _signed_zero_probe(patch):
+    """Interior grid points, the box centre, and centres whose in-box zero
+    coordinates are set to -0.0 and +0.0, one axis at a time and all at once."""
+    box = np.array(patch.box, dtype=float)
+    mid = box.mean(axis=1)
+    zero_ok = np.flatnonzero((box[:, 0] <= 0.0) & (box[:, 1] >= 0.0))
+    rows = [mid]
+    for zero in (-0.0, 0.0):
+        every = mid.copy()
+        every[zero_ok] = zero
+        rows.append(every)
+        for k in zero_ok:
+            one = mid.copy()
+            one[k] = zero
+            rows.append(one)
+    return np.vstack([patch.grid((2, 2, 2), margin=0.2)] + rows)
+
+
+def test_nested_stencil_layout_matches_full_stencil():
+    rng = np.random.default_rng(11)
+    p = rng.uniform(-1.0, 1.0, (200, 3))
+    p[rng.random(p.shape) < 0.3] = -0.0
+    p[rng.random(p.shape) < 0.1] = 0.0
+    assert _NESTED_INDEX.shape == (7, 7)
+    assert sorted(set(_NESTED_INDEX.ravel().tolist())) == list(range(31))
+    for h in (1e-4, 1.5e-4, 4e-4, 1e-3):
+        off = _central_offsets(h)
+        full = (p[:, None, None, :] + off[None, :, None, :]) + off[None, None, :, :]
+        full[:, 0] = p[:, None, :] + off   # the base stencil is p + o_b
+        assert _same_bits(_nested_stencil(p, h)[:, _NESTED_INDEX], full)
+
+
+@pytest.mark.parametrize("name", NESTED_PATCHES)
+def test_chart_rows_are_independent(name, cmc_ehs):
+    patch = _patch(name, cmc_ehs)
+    probe = _signed_zero_probe(patch)
+    rows = np.vstack([probe, _nested_stencil(probe[-3:], patch.diff_step).reshape(-1, 3)])
+    batch = patch.chart(rows)
+    assert all(_same_bits(batch[i], patch.chart(rows[i:i + 1])[0]) for i in range(len(rows)))
+
+
+@pytest.mark.parametrize("name", NESTED_PATCHES)
+def test_shape_data_equals_two_call_route(name, cmc_ehs):
+    patch = _patch(name, cmc_ehs)
+    probe = _signed_zero_probe(patch)
+    new, old = shape_data(patch, probe), two_call_shape_data(patch, probe)
+    for attr in ("params", "z", "v", "xi", "gram_det"):
+        assert _same_bits(getattr(new.frames, attr), getattr(old.frames, attr)), attr
+    for attr in ("E", "W", "S", "eigvals", "eigvecs", "jxi_coords", "asym"):
+        assert _same_bits(getattr(new, attr), getattr(old, attr)), attr
+
+
+@pytest.mark.parametrize("name", NESTED_PATCHES)
+def test_gauss_codazzi_equals_49_point_route(name, cmc_ehs):
+    patch = _patch(name, cmc_ehs)
+    pert = np.zeros((3, 3))
+    pert[0, 1] = pert[1, 0] = 0.05
+    for p in _signed_zero_probe(patch)[[0, 8, -1]]:
+        for shape_perturbation in (None, pert):
+            rng_new, rng_old = np.random.default_rng(3), np.random.default_rng(3)
+            new = verify_gauss_codazzi(patch, p, rng=rng_new, n_random=5,
+                                       shape_perturbation=shape_perturbation)
+            old = nested_49_verify_gauss_codazzi(patch, p, rng=rng_old, n_random=5,
+                                                 shape_perturbation=shape_perturbation)
+            assert new == old
+            assert [np.signbit(x) for x in new["params"]] == [np.signbit(x) for x in p]
+
+
+def test_nested_stencils_evaluate_each_distinct_point_once(monkeypatch, lohnherr_entry):
+    base = lohnherr_entry.patch
+    chart_rows, frame_points = [], []
+
+    def chart(params):
+        chart_rows.append(len(params))
+        return base.chart(params)
+
+    patch = HypersurfacePatch(base.space, chart, base.box, diff_step=base.diff_step,
+                              orientation=base.orientation)
+    frames_at = hypersurface.frames_at
+
+    def counting_frames_at(*args, **kwargs):
+        out = frames_at(*args, **kwargs)
+        frame_points.append(len(out.params))
+        return out
+
+    monkeypatch.setattr(hypersurface, "frames_at", counting_frames_at)
+    n = 5
+    shape_data(patch, patch.grid((n, 1, 1), margin=0.2))
+    assert chart_rows == [31 * n]            # one call; 49 n rows in two calls before
+    assert frame_points == [n, 6 * n]
+    chart_rows.clear()
+    frame_points.clear()
+    verify_gauss_codazzi(patch, patch.grid((2, 2, 2), margin=0.25)[3], n_random=2)
+    assert sum(chart_rows) == 434            # 686 before
+    assert frame_points == [31, 7, 42]
+
+
+# -- bad input ---------------------------------------------------------------------
+
+
+def test_classify_rejects_empty_grid():
+    with pytest.raises(GeometryError, match="empty classification grid"):
+        classify(get_entry("horosphere").patch, np.zeros((0, 3)))
+
+
+def test_gauss_codazzi_rejects_point_outside_box():
+    with pytest.raises(GeometryError, match="leaves the parameter box"):
+        verify_gauss_codazzi(get_entry("horosphere").patch, [5.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameters_raise_one_geometry_error(bad):
+    patch = get_entry("horosphere").patch
+    params = np.array([[0.1, 0.2, 0.0], [0.0, bad, 0.1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: shape_data(patch, params),
+                     lambda: classify(patch, params),
+                     lambda: verify_gauss_codazzi(patch, params[1])):
+            with pytest.raises(GeometryError, match="finite"):
+                call()
