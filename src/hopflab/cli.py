@@ -2,7 +2,8 @@
 
 Subcommands: construct, classify, hopf-directions, verify, sample.
 Configuration comes from flags, optionally merged over a JSON config file
-(flags win); the seed falls back to the HOPFLAB_SEED environment variable.
+(flags win). verify's seed falls back to the HOPFLAB_SEED environment
+variable; construct draws no random numbers and takes no seed.
 Exit codes: 0 success/pass, 1 validation error or unwritable output, 2
 certification/verification failure.
 """
@@ -83,7 +84,6 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
     out_scene: str | None = None
     out_csv: str | None = None
-    seed: int = 7   # recorded in the scene only; construct draws no random numbers
 
     def validate(self):
         reals = {"step": [self.step], "eta": [self.eta], "theta": [self.theta],
@@ -94,11 +94,8 @@ class RunConfig:
                 problem = _number_problem(val)
                 if problem:
                     raise ConfigError(key, problem)
-        for key in ("n_steps", "seed"):
-            if not _is_int(getattr(self, key)):
-                raise ConfigError(key, "must be an integer")
-        if self.seed < 0:
-            raise ConfigError("seed", "must not be negative")
+        if not _is_int(self.n_steps):
+            raise ConfigError("n_steps", "must be an integer")
         for key in ("out_scene", "out_csv"):
             if not isinstance(getattr(self, key), (str, type(None))):
                 raise ConfigError(key, "must be a file path")
@@ -129,7 +126,10 @@ class RunConfig:
                 raise ConfigError("tolerances", f"{key} must be positive")
 
     def to_dict(self):
+        """The stored config, without the output paths: they say where a scene
+        was written, not what it holds."""
         d = asdict(self)
+        del d["out_scene"], d["out_csv"]
         d["point"] = list(self.point)
         d["grid"] = [int(g) for g in self.grid]
         return d
@@ -141,7 +141,7 @@ def _check_grid_points(shape):
 
 
 def _env_seed(default: int) -> int:
-    """The seed from HOPFLAB_SEED, or ``default`` when it is unset."""
+    """verify's seed from HOPFLAB_SEED, or ``default`` when it is unset."""
     raw = os.environ.get("HOPFLAB_SEED")
     if raw is None:
         return default
@@ -175,12 +175,10 @@ def _merge_config(args) -> RunConfig:
             val = tuple(val)
         setattr(cfg, key, val)
     for key in ("action", "c", "point", "theta", "law", "eta", "step", "n_steps",
-                "grid", "s_extent", "out_scene", "out_csv", "seed"):
+                "grid", "s_extent", "out_scene", "out_csv"):
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, tuple(val) if isinstance(val, list) else val)
-    if getattr(args, "seed", None) is None and "seed" not in file_vals:
-        cfg.seed = _env_seed(cfg.seed)
     cfg.validate()
     return cfg
 
@@ -387,9 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--s-extent", dest="s_extent", type=float)
     pc.add_argument("--out-scene", dest="out_scene")
     pc.add_argument("--out-csv", dest="out_csv")
-    pc.add_argument("--seed", type=int,
-                    help="recorded in the scene only: construct is deterministic "
-                         "and draws no random numbers")
     pc.set_defaults(func=_cmd_construct)
 
     pl = sub.add_parser("classify", help="classify a scene or catalog patch")

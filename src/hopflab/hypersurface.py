@@ -96,10 +96,9 @@ class HypersurfacePatch:
 
     def contains(self, params):
         params = np.atleast_2d(np.asarray(params, dtype=float))
-        for k, (lo, hi) in enumerate(self.box):
-            if np.any(params[:, k] < lo - 1e-9) or np.any(params[:, k] > hi + 1e-9):
-                return False
-        return True
+        # written as "inside" so that NaN and +-inf read as outside
+        return all(np.all((params[:, k] >= lo - 1e-9) & (params[:, k] <= hi + 1e-9))
+                   for k, (lo, hi) in enumerate(self.box))
 
     def with_diff_step(self, h):
         """Twin patch with a different differentiation step.
@@ -619,12 +618,10 @@ def d_invariants(sp: SpaceForm, af: AdaptedFrames, scalars, nabla):
     return integ, spec
 
 
-def classify(patch: HypersurfacePatch, params_grid, tolerances=None,
+def classify(patch: HypersurfacePatch, params_grid,
              derivative_subsample=8) -> ClassificationReport:
     """Evaluate the classification predicates over a parameter grid."""
     tols = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tols.update(tolerances)
     params_grid = _finite_params(params_grid)
     if not len(params_grid):
         raise GeometryError("empty classification grid")

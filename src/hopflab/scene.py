@@ -1,8 +1,10 @@
 """JSON scene documents and CSV mesh export.
 
 Scenes round-trip losslessly: floats are serialized with Python's shortest
-round-trip repr, keys are sorted, and no timestamps or environment data are
-embedded, so identical runs give byte-identical files.
+round-trip repr, keys are sorted, and no timestamps, output paths or
+environment data are embedded, so identical runs give byte-identical files
+wherever they are written. Format 1 differs only in indentation and its
+``config`` block, which nothing reads back, so it still loads.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .constructor import (
 )
 from .hypersurface import adapted_frames, shape_data
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 MESH_COLUMNS = ("t", "s1", "s2", "re0", "im0", "re1", "im1", "re2", "im2",
                 "alpha", "beta", "gamma", "a", "b", "residual")
 
@@ -35,7 +37,6 @@ class SceneError(GeometryError):
 
 def scene_document(config: dict, sigma: SigmaCurve | None = None,
                    ehs: EquivariantHypersurface | None = None,
-                   classification: dict | None = None,
                    certification: dict | None = None,
                    residual_tables: dict | None = None) -> dict:
     doc = {"schema_version": SCHEMA_VERSION, "config": config}
@@ -43,8 +44,6 @@ def scene_document(config: dict, sigma: SigmaCurve | None = None,
         doc["sigma"] = sigma.to_dict()
     if ehs is not None:
         doc["patch"] = dict(_patch_fields(ehs), s_extent=ehs.s_extent)
-    if classification is not None:
-        doc["classification"] = classification
     if certification is not None:
         doc["certification"] = certification
     if residual_tables is not None:
@@ -67,7 +66,8 @@ def _patch_fields(ehs: EquivariantHypersurface) -> dict:
 
 
 def dumps_scene(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=1)
+    # no indent: json then uses its C encoder
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def save_scene(path, doc: dict):
@@ -86,8 +86,10 @@ def load_scene(path) -> dict:
         raise SceneError(f"invalid scene JSON at {path}: line {exc.lineno} col {exc.colno}: {exc.msg}")
     if not isinstance(doc, dict) or "schema_version" not in doc:
         raise SceneError(f"{path} is not a scene document (missing schema_version)")
-    if doc["schema_version"] != SCHEMA_VERSION:
-        raise SceneError(f"unsupported scene schema {doc['schema_version']!r}")
+    version = doc["schema_version"]
+    # type() rather than ==, which would take true and 1.0 for 1
+    if type(version) is not int or version not in (1, SCHEMA_VERSION):
+        raise SceneError(f"unsupported scene schema {version!r}")
     return doc
 
 
@@ -205,7 +207,7 @@ def mesh_rows(patch, params_grid):
 
 def write_mesh_csv(path, rows):
     with open(path, "w") as f:
-        f.write(f"# hopflab mesh schema {SCHEMA_VERSION}\n")
+        f.write("# hopflab mesh schema 1\n")
         f.write(",".join(MESH_COLUMNS) + "\n")
         for row in rows:
             f.write(",".join(repr(float(x)) for x in row) + "\n")

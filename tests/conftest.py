@@ -11,6 +11,8 @@ from hopflab.actions import load_action
 from hopflab.ambient import SpaceForm
 from hopflab.constructor import CurveLaw, build_hypersurface, integrate_sigma
 
+DATA = Path(__file__).parent / "data"   # committed input files
+
 
 def subprocess_env(**extra):
     """os.environ with src/ first on PYTHONPATH, for ``python -m hopflab.cli``.

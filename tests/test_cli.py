@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import subprocess_env
+from conftest import DATA, subprocess_env
 from hopflab import cli
 from hopflab.cli import RunConfig, ConfigError, main
 from hopflab.scene import (
@@ -54,8 +54,11 @@ def test_construct_scene_roundtrip(tmp_path, capsys):
     assert np.abs(sigma.zs[0]).max() > 0
     ehs = patch_from_scene(doc)
     assert ehs.patch.contains(ehs.patch.grid((2, 2, 2), margin=0.2))
+    # format 2 is compact, one line
+    assert scene.read_text().count("\n") == 1
     header = csv.read_text().splitlines()
-    assert header[0].startswith("# hopflab mesh")
+    # the mesh CSV keeps its own schema number
+    assert header[0] == "# hopflab mesh schema 1"
     assert header[1].split(",")[0] == "t"
 
 
@@ -172,7 +175,7 @@ def test_env_seed_fallback(tmp_path, monkeypatch, capsys):
     assert "seed 11" in out
 
 
-@pytest.mark.parametrize("command", [["verify", "frames"], ["construct"]])
+@pytest.mark.parametrize("command", [["verify", "frames"]])
 def test_non_integer_env_seed(command, monkeypatch, capsys):
     for raw, problem in (("abc", "is not an integer"), ("-2", "must not be negative")):
         monkeypatch.setenv("HOPFLAB_SEED", raw)
@@ -182,11 +185,15 @@ def test_non_integer_env_seed(command, monkeypatch, capsys):
         assert err == [f"error: config field 'seed': HOPFLAB_SEED={raw!r} {problem}"]
 
 
-def test_construct_seed_help_says_it_is_only_recorded(capsys):
-    with pytest.raises(SystemExit):
-        run_cli(["construct", "--help"])
-    text = " ".join(capsys.readouterr().out.split())
-    assert "recorded in the scene only" in text and "deterministic" in text
+def test_construct_ignores_env_seed(tmp_path, monkeypatch, capsys):
+    # construct takes no seed, so a value verify would reject is not read
+    monkeypatch.setenv("HOPFLAB_SEED", "abc")
+    scene = tmp_path / "s.json"
+    rc = run_cli(["construct", "--n-steps", "25", "--grid", "2", "2", "2",
+                  "--out-scene", str(scene)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    assert "seed" not in load_scene(scene)["config"]
 
 
 def test_sample_csv(tmp_path, capsys):
@@ -221,7 +228,7 @@ def test_sample_csv(tmp_path, capsys):
      "argument --samples: must be an integer of at most 1000000, got '100000000000'"),
     (["verify", "ambient", "--seed", "-1"],
      "argument --seed: must be a non-negative integer, got '-1'"),
-    (["construct", "--seed", "-1"], "config field 'seed': must not be negative"),
+    (["construct", "--seed", "5"], "unrecognized arguments: --seed 5"),
     # an output path in a missing directory
     (["sample", "--catalog", "horosphere", "--grid", "2", "2", "2", "--out", "{tmp}/no/x.csv"],
      "No such file or directory"),
@@ -233,7 +240,7 @@ def test_sample_csv(tmp_path, capsys):
     (["construct", "--out-scene", "{tmp}/no/scene.json"], "No such file or directory"),
 ], ids=["bad-action", "missing-scene", "classify-c-nan", "hopf-c-inf", "hopf-point-nan",
         "sample-r-inf", "classify-grid-0", "sample-grid-negative", "hopf-samples-huge",
-        "verify-seed-negative", "construct-seed-negative", "sample-out-unwritable",
+        "verify-seed-negative", "construct-seed-removed", "sample-out-unwritable",
         "verify-out-unwritable", "classify-out-unwritable", "hopf-out-unwritable",
         "construct-out-unwritable"])
 def test_validation_exit_codes(argv, message, capsys, tmp_path):
@@ -293,6 +300,8 @@ def test_construct_names_why_sigma_is_too_short_to_sweep(step, message, tmp_path
     ("tolerances", {"integrabel": 1e-30},
      "unknown name 'integrabel'; allowed: integrable, leaf_flat, leaf_totally_real, "
      "nabla_AA, orbit_tangency, spectrum_constancy, tau_mult, tau_proj"),
+    # construct draws no random numbers, so it has no seed to configure
+    ("seed", 5, "unknown config key"),
 ])
 def test_construct_rejects_wrong_typed_config_file(field, value, message, tmp_path, capsys):
     cfgfile = tmp_path / "run.json"
@@ -438,9 +447,11 @@ def test_scene_unknown_action_label(command, cmc_ehs, tmp_path, capsys):
 
 def test_scene_error_on_wrong_schema(tmp_path):
     f = tmp_path / "x.json"
-    f.write_text(json.dumps({"schema_version": 99}))
-    with pytest.raises(SceneError):
-        load_scene(f)
+    # true and 1.0 compare equal to 1 but are not the integer 1
+    for version in (99, 3, 0, True, 1.0, "2", None):
+        f.write_text(json.dumps({"schema_version": version}))
+        with pytest.raises(SceneError, match=f"unsupported scene schema {version!r}$"):
+            load_scene(f)
     f2 = tmp_path / "y.json"
     f2.write_text(json.dumps({"foo": 1}))
     with pytest.raises(SceneError):
@@ -448,18 +459,45 @@ def test_scene_error_on_wrong_schema(tmp_path):
 
 
 def test_construct_outputs_deterministic(tmp_path, capsys):
-    # identical config + seed -> byte-identical scene and CSV (the config
-    # echo includes the output paths, so reuse one location)
-    scene, csv = tmp_path / "s.json", tmp_path / "m.csv"
+    # identical config -> byte-identical scene and CSV, wherever they are written
     outs = []
-    for _ in (1, 2):
+    for where in ("a", "somewhere/else"):
+        out = tmp_path / where
+        out.mkdir(parents=True)
         rc = run_cli(["construct", "--action", "ch2-line-g2a", "--law", "geodesic",
-                      "--n-steps", "60", "--grid", "6", "3", "3", "--seed", "5",
-                      "--out-scene", str(scene), "--out-csv", str(csv)])
+                      "--n-steps", "60", "--grid", "6", "3", "3",
+                      "--out-scene", str(out / "s.json"), "--out-csv", str(out / "m.csv")])
         assert rc == 0
-        outs.append((scene.read_bytes(), csv.read_bytes()))
+        outs.append(((out / "s.json").read_bytes(), (out / "m.csv").read_bytes()))
     capsys.readouterr()
     assert outs[0] == outs[1]
+
+
+def test_version_1_scene_loads_rebuilds_and_classifies(tmp_path, capsys):
+    # written by the format-1 writer with
+    # construct --n-steps 25 --grid 2 2 2 --out-scene construct_v1.json
+    v1 = DATA / "construct_v1.json"
+    doc = load_scene(v1)
+    assert doc["schema_version"] == 1
+    assert {"seed", "out_scene", "out_csv"} <= set(doc["config"])
+    # the rebuild checks the stored patch fields against the current sweep
+    ehs = patch_from_scene(doc)
+    assert len(ehs.sigma.ts) == 51
+    rc = run_cli(["classify", "--scene", str(v1), "--grid", "2", "2", "2"])
+    assert rc == 0
+    assert "strongly_two_hopf" in capsys.readouterr().out
+    # the same construct in format 2 has the same blocks; its config lacks
+    # only the seed and the output paths
+    scene = tmp_path / "v2.json"
+    rc = run_cli(["construct", "--n-steps", "25", "--grid", "2", "2", "2",
+                  "--out-scene", str(scene)])
+    assert rc == 0
+    capsys.readouterr()
+    new = json.loads(scene.read_text())
+    assert new["schema_version"] == 2 and set(new) == set(doc)
+    for key in ("seed", "out_scene", "out_csv"):
+        del doc["config"][key]
+    assert new["config"] == doc["config"]
 
 
 def test_mesh_rows_structure(sphere_entry):

@@ -535,3 +535,15 @@ def test_non_finite_parameters_raise_one_geometry_error(bad):
                      lambda: verify_gauss_codazzi(patch, params[1])):
             with pytest.raises(GeometryError, match="finite"):
                 call()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_contains_reads_non_finite_parameters_as_outside(bad, axis):
+    patch = get_entry("horosphere").patch
+    inside = patch.grid((2, 2, 2), margin=0.25)
+    assert patch.contains(inside)
+    params = inside.copy()
+    params[3, axis] = bad
+    assert patch.contains(params) is False
+    assert patch.contains(np.roll([bad, 0.0, 0.0], axis)) is False
