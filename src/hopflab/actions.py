@@ -3,11 +3,12 @@
 Each action is given by two commuting infinitesimal isometries (3x3 matrices,
 anti-self-adjoint for the ambient Hermitian form) plus a seed point whose
 orbit-normal plane spans one totally real section. Orbit shape operators,
-the mean-curvature field on the section, and the Hopf-obstruction map Phi
-with its zero set w_p all live here. An orbit shape operator S_xi comes
-from ``orbit_geometry(...).shape_matrix(xi)`` at any point, and its
-principal curvatures alpha >= beta with the Hopf components a, b of J xi
-from ``_orbit_invariants`` at a batch of section points.
+the mean-curvature field on the section, and the Hopf-obstruction map Phi,
+a cubic form in (cos, sin) of the angle, with its zero set w_p (the real
+roots of the cubic, with multiplicities) all live here. An orbit shape
+operator S_xi comes from ``orbit_geometry(...).shape_matrix(xi)`` at any
+point, and its principal curvatures alpha >= beta with the Hopf components
+a, b of J xi from ``_orbit_invariants`` at a batch of section points.
 
 The section is totally geodesic and totally real, so its representatives
 span a real form D.R^3 of C^3, where D is diagonal with unit entries 1 or i
@@ -44,8 +45,12 @@ LABELS = ("cp2-torus", "ch2-torus", "ch2-g0", "ch2-k0-g2a", "ch2-line-g2a")
 REGULARITY_TOL = 1e-10
 # eigenvalue half-gap below which a 2x2 orbit shape matrix counts as umbilic
 EIG_DEGENERATE_TOL = 1e-14
-# max |Phi| on the sample circle below which Phi counts as identically zero
+# max |coefficient| of the Phi cubic, per unit sqrt|c|/2, below which Phi is zero
 PHI_DEGENERACY_FLOOR = 1e-6
+# chordal distance below which roots of the Phi cubic are one repeated root:
+# round-off splits a double root by ~2e-7 and a triple one by ~2e-5, while
+# distinct roots lie >= 1e-3 apart wherever the Killing gram det exceeds 1e-6
+ROOT_SEPARATION_TOL = 2e-4
 # round-off bound, relative to the entries, on the parts that the section's
 # real frame D.R^3 leaves out
 FRAME_TOL = 1e-12
@@ -437,56 +442,51 @@ def phi_profile(spec: PolarActionSpec, z, thetas):
     return np.einsum("nab,nb,na->n", s_mat, jxi, jw)
 
 
-def hopf_directions(spec: PolarActionSpec, z, n_samples: int = 720, tol: float = 1e-10):
-    """Zero set w_p of Phi on the unit circle of the section tangent space.
+def phi_coefficients(spec: PolarActionSpec, z):
+    """(A, B, C, D) with Phi = A c^3 + B c^2 s + C c s^2 + D s^3, (c, s) = (cos, sin)
+    theta, at z: Phi(0) = A, Phi(pi/2) = D and Phi(+-pi/4) = (A +- B + C +- D)/sqrt 8."""
+    a, d, plus, minus = phi_profile(spec, z, [0.0, 0.5 * np.pi, 0.25 * np.pi, -0.25 * np.pi])
+    r2 = np.sqrt(2.0)
+    return np.array([a, r2 * (plus - minus) - d, r2 * (plus + minus) - a, d])
 
-    z: representative (3,) of the section point, as for ``phi_profile``.
-    Sign-change brackets on a uniform sample refined by bisection. Returns a
-    list of dicts with the angle, the unit tangent and the residual |Phi|.
+
+def _cubic_real_roots(a):
+    """(root, multiplicity) of each real root of a[0] y^3 + ... + a[3], a[0] != 0.
+
+    Roots closer than ROOT_SEPARATION_TOL are one repeated root, from the exact
+    formula: -a1/(3 a0) if triple; if double, the root -3q/(2p) that the
+    depressed cubic u^3 + p u + q shares with its derivative.
     """
-    if n_samples < 90:
-        raise GeometryError("n_samples must be at least 90")
-    thetas = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
-    vals = phi_profile(spec, z, thetas)
-    if np.max(np.abs(vals)) < max(tol, PHI_DEGENERACY_FLOOR):
+    r = np.roots(a)
+    i, j = np.array([0, 0, 1]), np.array([1, 2, 2])
+    close = np.abs(r[i] - r[j]) < ROOT_SEPARATION_TOL * np.sqrt(
+        (1.0 + np.abs(r[i]) ** 2) * (1.0 + np.abs(r[j]) ** 2))
+    if close.sum() >= 2:
+        return [(-a[1] / (3.0 * a[0]), 3)]
+    if close.any():
+        b2, b1, b0 = a[1:] / a[0]
+        p, q = b1 - b2 * b2 / 3.0, 2.0 * b2 ** 3 / 27.0 - b2 * b1 / 3.0 + b0
+        return [(-1.5 * q / p - b2 / 3.0, 2), (r[3 - i[close][0] - j[close][0]].real, 1)]
+    return [(x.real, 1) for x in r if x.imag == 0.0]
+
+
+def hopf_directions(spec: PolarActionSpec, z):
+    """Zero set w_p of Phi on the unit circle of the section tangent space at z.
+
+    The real roots of the ``phi_coefficients`` cubic, in cot(theta) when
+    |A| >= |D| and in tan(theta) otherwise; each gives theta and theta + pi.
+    Returns dicts sorted by theta in [0, 2 pi): the angle, the unit tangent,
+    the residual |Phi| and the multiplicity of the root.
+    """
+    coef = phi_coefficients(spec, z)
+    if np.max(np.abs(coef)) < PHI_DEGENERACY_FLOOR * 0.5 * np.sqrt(abs(spec.space.c)):
         raise InconclusiveDegeneracyError(
             "Phi is numerically zero on the whole circle; the action data is degenerate")
-
+    cot = abs(coef[0]) >= abs(coef[3])
+    lines = [(np.arctan2(1.0, y) if cot else np.arctan(y), m)
+             for y, m in _cubic_real_roots(coef if cot else coef[::-1])]
+    zeros = sorted(((t + shift) % (2.0 * np.pi), m) for t, m in lines for shift in (0.0, np.pi))
+    res = np.abs(phi_profile(spec, z, [t for t, _ in zeros]))
     f1, f2 = spec.section.tangent_frame(z)
-
-    def phi(theta):
-        return float(phi_profile(spec, z, [theta])[0])
-
-    zeros = []
-    two_pi = 2.0 * np.pi
-    for i in range(n_samples):
-        a, b = thetas[i], thetas[(i + 1) % n_samples] + (two_pi if i + 1 == n_samples else 0.0)
-        fa, fb = vals[i], vals[(i + 1) % n_samples]
-        if fa == 0.0:
-            zeros.append((a, 0.0))
-            continue
-        if fa * fb >= 0.0:
-            continue
-        lo, hi, flo = a, b, fa
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            fm = phi(mid)
-            if abs(fm) < tol:
-                lo = hi = mid
-                break
-            if flo * fm < 0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        root = 0.5 * (lo + hi)
-        zeros.append((root % two_pi, abs(phi(root))))
-    zeros.sort()
-    out = []
-    for theta, res in zeros:
-        if out and min(abs(theta - out[-1]["theta"]),
-                       two_pi - abs(theta - out[-1]["theta"])) < 1e-9:
-            continue
-        w = np.cos(theta) * f1 + np.sin(theta) * f2
-        out.append({"theta": float(theta), "direction": w, "phi": float(res)})
-    return out
-
+    return [{"theta": float(t), "direction": np.cos(t) * f1 + np.sin(t) * f2, "phi": float(r),
+             "multiplicity": m} for (t, m), r in zip(zeros, res)]

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .actions import LABELS, hopf_directions, load_action
+from .actions import LABELS, hopf_directions, load_action, phi_profile
 from .ambient import GeometryError
 from .catalog import CATALOG_NAMES, get_entry
 from .constructor import (
@@ -45,9 +45,13 @@ from .scene import (
 from .suites import SUITE_NAMES, report_json, run_suites
 
 # upper bounds on size-like inputs, checked before anything is allocated
-MAX_SAMPLES = 10 ** 6        # hopf-directions --samples
 MAX_N_STEPS = 10 ** 5        # construct n_steps, per side of the curve
 MAX_GRID_POINTS = 10 ** 6    # product of a --grid (construct, classify, sample)
+# |c| within 100 decades of 1 keeps the powers of the model radius r = 2/sqrt|c|
+# finite; beyond 4 r from the section origin CH^2 representatives (growing like
+# cosh(d/r)) lose the digits that keep repeated Hopf zeros together
+C_MAGNITUDE = (1e-100, 1e100)   # construct c, hopf-directions --c
+MAX_POINT_RADII = 4.0           # construct point, hopf-directions --point
 
 
 class ConfigError(ValueError):
@@ -109,13 +113,14 @@ class RunConfig:
             raise ConfigError("n_steps", "must exceed 4")
         if self.n_steps > MAX_N_STEPS:
             raise ConfigError("n_steps", f"must be at most {MAX_N_STEPS}")
-        if self.s_extent <= 0:
-            raise ConfigError("s_extent", "must be positive")
+        if not 0 < self.s_extent <= math.pi:   # pi: half the torus actions' angle period
+            raise ConfigError("s_extent", f"must be positive and at most pi, got {self.s_extent!r}")
         if len(self.grid) != 3 or not all(_is_int(g) and g >= 2 for g in self.grid):
             raise ConfigError("grid", "needs three integer sizes, each at least 2")
         _check_grid_points(self.grid)
         if len(self.point) != 2:
             raise ConfigError("point", "needs two section coordinates")
+        _check_scale(self.c, self.point)
         if not isinstance(self.tolerances, dict):
             raise ConfigError("tolerances", "must map names to numbers")
         for key, val in self.tolerances.items():
@@ -138,6 +143,18 @@ class RunConfig:
 def _check_grid_points(shape):
     if math.prod(shape) > MAX_GRID_POINTS:
         raise ConfigError("grid", f"must have at most {MAX_GRID_POINTS} points in all")
+
+
+def _check_scale(c, point):
+    """Bound the curvature c (None: the default |c| = 4) and a section point."""
+    lo, hi = C_MAGNITUDE
+    if c is not None and not lo <= abs(c) <= hi:
+        raise ConfigError("c", f"|c| must lie in [{lo:g}, {hi:g}], got {c!r}")
+    radius, dist = 1.0 if c is None else 2.0 / math.sqrt(abs(c)), math.hypot(*point)
+    if dist > MAX_POINT_RADII * radius:
+        raise ConfigError("point", f"{list(point)} lies {dist / radius:.3g} model radii "
+                                   f"r = 2/sqrt|c| = {radius:.3g} from the section origin; "
+                                   f"at most {MAX_POINT_RADII:g} are allowed")
 
 
 def _env_seed(default: int) -> int:
@@ -281,19 +298,19 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_hopf_directions(args) -> int:
+    _check_scale(args.c, args.point)
     spec = load_action(args.action, args.c)
     z0 = spec.section.point(np.asarray(args.point, dtype=float))
     if not spec.is_regular(z0):
         print("error: point is not regular", file=sys.stderr)
         return 1
-    zeros = hopf_directions(spec, z0, n_samples=args.samples)
+    zeros = hopf_directions(spec, z0)
     print(f"{len(zeros)} Hopf directions at point {list(args.point)} ({args.action}):")
     for d in zeros:
-        print(f"  theta = {d['theta']:.12f}   |Phi| = {d['phi']:.3e}")
+        print(f"  theta = {d['theta']:.12f}   multiplicity {d['multiplicity']}"
+              f"   |Phi| = {d['phi']:.3e}")
     if args.out:
-        from .actions import phi_profile
-
-        thetas = np.linspace(0.0, 2 * np.pi, args.samples, endpoint=False)
+        thetas = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
         vals = phi_profile(spec, z0, thetas)
         with open(args.out, "w") as f:
             f.write("# hopflab phi profile schema 1\ntheta,phi\n")
@@ -352,7 +369,6 @@ def _arg_type(convert, ok, requirement):
 
 _finite_float = _arg_type(float, math.isfinite, "a finite number")
 _positive_int = _arg_type(int, lambda n: n >= 1, "a positive integer")
-_sample_count = _arg_type(int, lambda n: n <= MAX_SAMPLES, f"an integer of at most {MAX_SAMPLES}")
 _seed = _arg_type(int, lambda n: n >= 0, "a non-negative integer")
 
 
@@ -400,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--action", choices=LABELS, required=True)
     ph.add_argument("--c", type=_finite_float)
     ph.add_argument("--point", type=_finite_float, nargs=2, default=(0.12, 0.07))
-    ph.add_argument("--samples", type=_sample_count, default=720)
     ph.add_argument("--out", help="CSV profile output")
     ph.set_defaults(func=_cmd_hopf_directions)
 

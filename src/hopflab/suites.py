@@ -14,7 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import catalog as cat
-from .actions import LABELS, _eig2, hopf_directions, load_action, orbit_geometry, phi_profile
+from .actions import (
+    LABELS,
+    _eig2,
+    hopf_directions,
+    load_action,
+    orbit_geometry,
+    phi_coefficients,
+    phi_profile,
+)
 from .ambient import SpaceForm
 from .constructor import (
     CurveLaw,
@@ -77,6 +85,28 @@ class SuiteResult:
                 "checks": [c.to_dict() for c in self.checks]}
 
 
+def launch_angle(zero_angles):
+    """The direction on a 2-degree grid of [0, pi) farthest from every zero angle.
+
+    The zero set of Phi is symmetric under theta -> theta + pi, so a grid of
+    the whole circle would hold pairs of candidates that tie up to round-off.
+    """
+    cand = np.linspace(0.0, np.pi, 91)[:-1]
+    sep = np.min(np.abs((cand[:, None] - zero_angles[None, :] + np.pi) % (2 * np.pi) - np.pi),
+                 axis=1)
+    return float(cand[np.argmax(sep)])
+
+
+def sign_change_brackets(vals):
+    """Indices i at which a cyclic sample of Phi changes sign between samples i and i + 1.
+
+    A sample that is exactly zero counts as negative, so a zero of odd
+    multiplicity lies in exactly one closed bracket even when it hits a sample.
+    """
+    pos = vals > 0
+    return np.flatnonzero(pos != np.roll(pos, -1))
+
+
 class Workspace:
     """Per-run cache of constructed patches (deterministic content)."""
 
@@ -101,17 +131,14 @@ class Workspace:
         spec = load_action(label)
         q0 = np.array([0.12, 0.07])
         z0 = spec.section.point(q0)
-        zeros = hopf_directions(spec, z0, n_samples=360, tol=1e-12)
+        zeros = hopf_directions(spec, z0)
         return spec, z0, zeros
 
     def cmc_patch(self, label, eta=1.0):
         if (label, eta) not in self._cmc:
             spec, z0, zeros = self.launch_data(label)
             f1, f2 = spec.section.tangent_frame(z0)
-            angles = np.array([d["theta"] for d in zeros])
-            cand = np.linspace(0.0, 2 * np.pi, 181)
-            sep = np.min(np.abs((cand[:, None] - angles[None, :] + np.pi) % (2 * np.pi) - np.pi), axis=1)
-            theta0 = float(cand[np.argmax(sep)])
+            theta0 = launch_angle(np.array([d["theta"] for d in zeros]))
             w0 = np.cos(theta0) * f1 + np.sin(theta0) * f2
             sigma = integrate_sigma(spec, z0, w0, CurveLaw("cmc", eta=eta), n_steps=200)
             ehs = build_hypersurface(spec, sigma, s_extent=0.15)
@@ -320,12 +347,12 @@ def suite_actions(ws: Workspace) -> SuiteResult:
             htan = max(htan, max(abs(float(sp.g(geo.mean_curvature, geo.basis[i])))
                                  for i in range(2)))
         res.expect(f"{label}:mean_curvature_in_section", htan, 1e-8)
-        # Phi: nonvanishing, odd, zero set even and resolution-stable
+        # Phi: nonvanishing and odd; its zero set from the cubic, checked
+        # against the sign changes of a 720-sample profile
         phimax_min = np.inf
-        parity_ok = True
-        stable_ok = True
-        refined = 0.0
-        odd = 0.0
+        parity_ok = stable_ok = match_ok = True
+        patterns = set()
+        refined = vanish = odd = 0.0
         npts = 0
         attempts = 0
         while npts < 5 and attempts < 40:
@@ -340,16 +367,31 @@ def suite_actions(ws: Workspace) -> SuiteResult:
             phimax_min = min(phimax_min, float(np.max(np.abs(vals))))
             odd = max(odd, float(np.max(np.abs(
                 vals + phi_profile(spec, z, thetas + np.pi)))))
-            z360 = hopf_directions(spec, z, n_samples=360, tol=1e-12)
-            z720 = hopf_directions(spec, z, n_samples=720, tol=1e-12)
-            parity_ok &= len(z720) % 2 == 0 and len(z720) >= 2
-            stable_ok &= len(z360) == len(z720)
-            refined = max(refined, max(d["phi"] for d in z720))
+            zeros = hopf_directions(spec, z)
+            roots = np.array([d["theta"] for d in zeros])
+            mult = np.array([d["multiplicity"] for d in zeros])
+            resid = max(d["phi"] for d in zeros)
+            parity_ok &= mult.sum() % 2 == 0 and mult.sum() >= 2
+            brackets = sign_change_brackets(vals)
+            stable_ok &= len(brackets) == len(sign_change_brackets(vals[::2]))
+            # each bracket holds exactly one zero of odd multiplicity, and each
+            # such zero lies in a bracket
+            odd_roots = roots[mult % 2 == 1]
+            lo = thetas[brackets, None]
+            inside = (odd_roots >= lo) & (odd_roots <= lo + 2 * np.pi / len(thetas))
+            match_ok &= bool(np.all(inside.sum(axis=1) == 1) and np.all(inside.sum(axis=0) == 1))
+            # theta and theta + pi carry the same multiplicity: one per zero line
+            patterns.add(tuple(np.sort(mult)[::2]))
+            refined = max(refined, resid)
+            vanish = max(vanish, resid / float(np.max(np.abs(phi_coefficients(spec, z)))))
         res.expect_above(f"{label}:phi_not_identically_zero", phimax_min, 1e-6)
         res.expect(f"{label}:phi_odd", odd, 1e-10)
         res.expect_true(f"{label}:phi_zeros_even_and_at_least_two", parity_ok)
         res.expect_true(f"{label}:phi_zero_count_stable", stable_ok)
         res.expect(f"{label}:phi_zero_refinement", refined, 1e-10)
+        res.expect(f"{label}:phi_algebraic_roots_vanish", vanish, 1e-12)
+        res.expect_true(f"{label}:phi_simple_roots_match_sampled", match_ok)
+        res.expect_true(f"{label}:phi_multiplicity_pattern_stable", len(patterns) == 1)
     # fixed points of the torus actions
     cp = load_action("cp2-torus")
     fp = cp.space.normalize_rep(np.eye(3, dtype=complex)[0])

@@ -851,3 +851,59 @@ def pointwise_one_sided_hausdorff(ehs, cone_entry, n_probe=5):
                      options={"xatol": 1e-12, "fatol": 1e-16, "maxiter": 600})
         worst = max(worst, float(r.fun))
     return worst
+
+
+# -- sampled Hopf zero set -------------------------------------------------------
+# Frozen copy of hopflab.actions.hopf_directions from before it solved the
+# Phi cubic: sign-change brackets on a uniform sample of Phi, each refined by
+# scalar bisection. It sees only zeros of odd multiplicity, and a triple zero
+# only to about the cube root of the bisection tolerance.
+
+
+def sampled_hopf_directions(spec, z, n_samples=720, tol=1e-10):
+    from hopflab.actions import phi_profile
+
+    if n_samples < 90:
+        raise ValueError("n_samples must be at least 90")
+    thetas = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
+    vals = phi_profile(spec, z, thetas)
+    if np.max(np.abs(vals)) < max(tol, 1e-6):
+        raise ValueError("Phi is numerically zero on the whole circle")
+
+    f1, f2 = spec.section.tangent_frame(z)
+
+    def phi(theta):
+        return float(phi_profile(spec, z, [theta])[0])
+
+    zeros = []
+    two_pi = 2.0 * np.pi
+    for i in range(n_samples):
+        a, b = thetas[i], thetas[(i + 1) % n_samples] + (two_pi if i + 1 == n_samples else 0.0)
+        fa, fb = vals[i], vals[(i + 1) % n_samples]
+        if fa == 0.0:
+            zeros.append((a, 0.0))
+            continue
+        if fa * fb >= 0.0:
+            continue
+        lo, hi, flo = a, b, fa
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            fm = phi(mid)
+            if abs(fm) < tol:
+                lo = hi = mid
+                break
+            if flo * fm < 0:
+                hi = mid
+            else:
+                lo, flo = mid, fm
+        root = 0.5 * (lo + hi)
+        zeros.append((root % two_pi, abs(phi(root))))
+    zeros.sort()
+    out = []
+    for theta, res in zeros:
+        if out and min(abs(theta - out[-1]["theta"]),
+                       two_pi - abs(theta - out[-1]["theta"])) < 1e-9:
+            continue
+        w = np.cos(theta) * f1 + np.sin(theta) * f2
+        out.append({"theta": float(theta), "direction": w, "phi": float(res)})
+    return out

@@ -6,6 +6,7 @@ session-scoped run with seed 7) so `hopflab verify all` exercises exactly the
 same battery. Run with -v for one pass/fail line per criterion.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -83,8 +84,12 @@ def test_criterion_04_phi_map(all_checks):
         require(all_checks, f"actions::{label}:phi_not_identically_zero")
         require(all_checks, f"actions::{label}:phi_zeros_even_and_at_least_two")
         require(all_checks, f"actions::{label}:phi_zero_count_stable")
+        require(all_checks, f"actions::{label}:phi_algebraic_roots_vanish")
+        require(all_checks, f"actions::{label}:phi_simple_roots_match_sampled")
+        require(all_checks, f"actions::{label}:phi_multiplicity_pattern_stable")
     report(4, "Phi never identically zero (max > 1e-6 over 720 samples), "
-              "zero sets even and stable under doubling, 5 points per action")
+              "zero sets even and stable under doubling, exact zeros vanish, match the "
+              "sampled sign changes and keep their multiplicities, 5 points per action")
 
 
 def test_criterion_05_main_theorem_pipeline(all_checks):
@@ -170,5 +175,30 @@ def test_criterion_12_determinism(tmp_path):
     report(12, "verify all --seed 7 twice: byte-identical reports")
 
 
+def _report_changes(old_text, new_text):
+    """One line per check that moved, appeared or vanished: ``suite::name old -> new``."""
+    def values(text):
+        return {f"{s['suite']}::{c['name']}": c["value"]
+                for s in json.loads(text)["suites"] for c in s["checks"]}
+
+    old, new = values(old_text), values(new_text)
+    return [f"{key} {old.get(key, '(absent)')} -> {new.get(key, '(absent)')}"
+            for key in list(old) + [k for k in new if k not in old]
+            if old.get(key) != new.get(key)]
+
+
+def test_report_changes_names_moved_checks():
+    old = json.dumps({"suites": [{"suite": "s", "checks": [
+        {"name": "a", "value": 1.0}, {"name": "b", "value": 2.0}]}]})
+    new = json.dumps({"suites": [{"suite": "s", "checks": [
+        {"name": "a", "value": 1.5}, {"name": "c", "value": 3.0}]}]})
+    assert _report_changes(old, new) == ["s::a 1.0 -> 1.5", "s::b 2.0 -> (absent)",
+                                         "s::c (absent) -> 3.0"]
+
+
 def test_verify_all_report_matches_golden(suite_results):
-    assert report_json(suite_results, SEED).encode() == GOLDEN_REPORT.read_bytes()
+    text = report_json(suite_results, SEED)
+    golden = GOLDEN_REPORT.read_text()
+    # the bytes decide; the message names what moved
+    assert text.encode() == golden.encode(), "report differs from the golden file:\n" + \
+        "\n".join(_report_changes(golden, text) or ["(same values; the bytes differ)"])

@@ -18,10 +18,13 @@ from hopflab.actions import (
     load_action,
     mean_curvature_field,
     orbit_geometry,
+    phi_coefficients,
     phi_profile,
     rotate90,
 )
+from hopflab import actions
 from hopflab.ambient import GeometryError, SectionChart
+from hopflab.suites import Workspace, launch_angle
 import oracles
 
 
@@ -243,25 +246,101 @@ def test_phi_map_matches_profile(theta):
     assert abs(phi_from_orbit_geometry(spec, z, w) - phi_profile(spec, z, [theta])[0]) < 1e-12
 
 
+# multiplicities of the zero lines of Phi at every regular section point
+MULTIPLICITY_PATTERNS = {"cp2-torus": [1, 1, 1], "ch2-torus": [1, 1, 1], "ch2-g0": [1],
+                         "ch2-k0-g2a": [1, 2], "ch2-line-g2a": [3]}
+SECTION_POINTS = [(0.12, 0.07), (-0.2, 0.1), (0.25, -0.15), (0.0, 0.3), (-0.1, -0.25),
+                  (0.3, 0.2)]
+
+
+def line_pattern(zeros):
+    """Sorted multiplicities of the zero lines: theta and theta + pi count once."""
+    return sorted(d["multiplicity"] for d in zeros)[::2]
+
+
 @pytest.mark.parametrize("label", LABELS)
 def test_hopf_directions_postconditions(label):
     spec = load_action(label)
     z = spec.section.point([0.12, 0.07])
-    zeros_360 = hopf_directions(spec, z, n_samples=360, tol=1e-12)
-    zeros_720 = hopf_directions(spec, z, n_samples=720, tol=1e-12)
-    assert len(zeros_720) % 2 == 0 and len(zeros_720) >= 2
-    assert len(zeros_360) == len(zeros_720)
-    for d in zeros_720:
-        assert d["phi"] < 1e-10
+    zeros = hopf_directions(spec, z)
+    thetas = np.array([d["theta"] for d in zeros])
+    assert np.all(np.diff(thetas) > 0) and 0.0 <= thetas[0] and thetas[-1] < 2 * np.pi
+    # the zero set is symmetric under theta -> theta + pi, multiplicities included
+    half = len(zeros) // 2
+    assert np.allclose(thetas[half:], thetas[:half] + np.pi, rtol=0, atol=1e-14)
+    assert [d["multiplicity"] for d in zeros[half:]] == [d["multiplicity"] for d in zeros[:half]]
+    assert line_pattern(zeros) == MULTIPLICITY_PATTERNS[label]
+    for d in zeros:
+        assert d["phi"] < 1e-12
         # each zero produces a Hopf direction: phi vanishes there
         assert abs(phi_from_orbit_geometry(spec, z, d["direction"])) < 1e-9
 
 
-def test_hopf_directions_requires_samples():
+@pytest.mark.parametrize("label", LABELS)
+def test_hopf_directions_match_sampled_oracle(label):
+    spec = load_action(label)
+    for q in SECTION_POINTS:
+        z = spec.section.point(q)
+        zeros = hopf_directions(spec, z)
+        assert line_pattern(zeros) == MULTIPLICITY_PATTERNS[label], q
+        roots = np.array([d["theta"] for d in zeros])
+        scale = np.max(np.abs(phi_coefficients(spec, z)))
+        assert np.max(np.abs(phi_profile(spec, z, roots))) < 1e-12 * scale
+        # the scan sees the zeros of odd multiplicity; it places a triple zero
+        # only to about the cube root of its tolerance, so compare simple ones
+        sampled = np.array([d["theta"] for d in oracles.sampled_hopf_directions(
+            spec, z, tol=1e-12)])
+        simple = roots[[d["multiplicity"] == 1 for d in zeros]]
+        triple = roots[[d["multiplicity"] == 3 for d in zeros]]
+        far = np.all(np.abs(sampled[:, None] - triple[None, :]) > 1e-3, axis=1)
+        assert len(simple) == np.count_nonzero(far), q
+        assert np.max(np.abs(sampled[far] - simple), initial=0.0) < 1e-9, q
+
+
+def test_phi_coefficients_reproduce_profile():
+    spec = load_action("ch2-k0-g2a")
+    z = spec.section.point([-0.2, 0.1])
+    a, b, c, d = phi_coefficients(spec, z)
+    th = np.linspace(0.0, 2 * np.pi, 97)
+    ct, st = np.cos(th), np.sin(th)
+    cubic = a * ct ** 3 + b * ct ** 2 * st + c * ct * st ** 2 + d * st ** 3
+    assert np.max(np.abs(cubic - phi_profile(spec, z, th))) < 1e-14 * np.max(np.abs([a, b, c, d]))
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_hopf_directions_scale_invariant(label):
+    # the homothety c -> c / lam^2, q -> lam q scales Phi by 1/lam and keeps
+    # its zero set; the degeneracy floor scales with it
+    spec = load_action(label)
+    for lam in (10.0, 1e6):
+        scaled = load_action(label, c=spec.space.c / lam ** 2)
+        for q in SECTION_POINTS[:3]:
+            zeros = hopf_directions(spec, spec.section.point(q))
+            zs = hopf_directions(scaled, scaled.section.point(lam * np.array(q)))
+            assert [d["multiplicity"] for d in zs] == [d["multiplicity"] for d in zeros]
+            assert np.max(np.abs([a["theta"] - b["theta"] for a, b in zip(zs, zeros)])) < 1e-13
+
+
+def test_hopf_directions_degenerate_profile_raises(monkeypatch):
     spec = load_action("cp2-torus")
     z = spec.section.point([0.12, 0.07])
-    with pytest.raises(GeometryError):
-        hopf_directions(spec, z, n_samples=30)
+    monkeypatch.setattr(actions, "phi_profile",
+                        lambda spec, z, thetas: 1e-9 * phi_profile(spec, z, thetas))
+    with pytest.raises(InconclusiveDegeneracyError):
+        hopf_directions(spec, z)
+
+
+def test_launch_angle_is_tie_free():
+    ws = Workspace(7)
+    for label in LABELS:
+        angles = np.array([d["theta"] for d in ws.launch_data(label)[2]])
+        theta0 = launch_angle(angles)
+        assert 0.0 <= theta0 < np.pi
+        for shift in (1e-12, -1e-12):
+            # all zeros move, or the two halves theta and theta + pi move
+            # apart, as when they come from separate computations
+            for moved in (angles + shift, np.where(angles < np.pi, shift, -shift) + angles):
+                assert launch_angle(moved) == theta0, (label, shift)
 
 
 def test_rotate90_is_orientation_consistent():

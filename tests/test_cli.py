@@ -138,15 +138,18 @@ def test_classify_corrupted_scene(tmp_path, capsys):
 
 def test_hopf_directions_cli(tmp_path, capsys):
     out = tmp_path / "phi.csv"
-    rc = run_cli(["hopf-directions", "--action", "cp2-torus",
-                  "--point", "0.12", "0.07", "--samples", "360",
-                  "--out", str(out)])
-    text = capsys.readouterr().out
+    rc = run_cli(["hopf-directions", "--action", "ch2-k0-g2a",
+                  "--point", "0.12", "0.07", "--out", str(out)])
+    text = capsys.readouterr().out.splitlines()
     assert rc == 0
-    assert "Hopf directions" in text
+    assert text[0] == "4 Hopf directions at point [0.12, 0.07] (ch2-k0-g2a):"
+    # one simple and one double zero line, each at theta and theta + pi
+    assert [line.split("multiplicity")[1].split()[0] for line in text[1:5]] == \
+        ["1", "2", "1", "2"]
+    assert text[2].startswith("  theta = 2.5452831")
     lines = out.read_text().splitlines()
-    assert lines[1] == "theta,phi"
-    assert len(lines) == 362
+    assert lines[:2] == ["# hopflab phi profile schema 1", "theta,phi"]
+    assert len(lines) == 2 + 720
 
 
 def test_verify_unknown_suite(capsys):
@@ -225,7 +228,18 @@ def test_sample_csv(tmp_path, capsys):
     (["sample", "--catalog", "bisector", "--grid", "-1", "2", "2", "--out", "{tmp}/m.csv"],
      "argument --grid: must be a positive integer, got '-1'"),
     (["hopf-directions", "--action", "cp2-torus", "--samples", "100000000000"],
-     "argument --samples: must be an integer of at most 1000000, got '100000000000'"),
+     "unrecognized arguments: --samples 100000000000"),
+    # extreme finite scales: one line naming the input, no RuntimeWarning
+    (["hopf-directions", "--action", "cp2-torus", "--point", "1e308", "0"],
+     "config field 'point': [1e+308, 0.0] lies 1e+308 model radii"),
+    (["hopf-directions", "--action", "ch2-g0", "--point", "1e10", "0"],
+     "config field 'point': [10000000000.0, 0.0] lies 1e+10 model radii"),
+    (["hopf-directions", "--action", "ch2-g0", "--c=-1e12"],
+     "config field 'point': [0.12, 0.07] lies 6.95e+04 model radii r = 2/sqrt|c| = 2e-06"),
+    (["hopf-directions", "--action", "ch2-g0", "--c=-1e300"],
+     "config field 'c': |c| must lie in [1e-100, 1e+100], got -1e+300"),
+    (["hopf-directions", "--action", "ch2-g0", "--c=-1e-300"],
+     "config field 'c': |c| must lie in [1e-100, 1e+100], got -1e-300"),
     (["verify", "ambient", "--seed", "-1"],
      "argument --seed: must be a non-negative integer, got '-1'"),
     (["construct", "--seed", "5"], "unrecognized arguments: --seed 5"),
@@ -240,6 +254,7 @@ def test_sample_csv(tmp_path, capsys):
     (["construct", "--out-scene", "{tmp}/no/scene.json"], "No such file or directory"),
 ], ids=["bad-action", "missing-scene", "classify-c-nan", "hopf-c-inf", "hopf-point-nan",
         "sample-r-inf", "classify-grid-0", "sample-grid-negative", "hopf-samples-huge",
+        "hopf-point-huge", "hopf-point-far", "hopf-c-huge", "hopf-c-1e300", "hopf-c-1e-300",
         "verify-seed-negative", "construct-seed-removed", "sample-out-unwritable",
         "verify-out-unwritable", "classify-out-unwritable", "hopf-out-unwritable",
         "construct-out-unwritable"])
@@ -307,6 +322,26 @@ def test_construct_rejects_wrong_typed_config_file(field, value, message, tmp_pa
     cfgfile = tmp_path / "run.json"
     cfgfile.write_text(json.dumps({field: value}))
     rc = run_cli(["construct", "--config", str(cfgfile)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: config field '{field}': {message}"]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("s_extent", 1e308, "must be positive and at most pi, got 1e+308"),
+    ("c", 1e-300, "|c| must lie in [1e-100, 1e+100], got 1e-300"),
+    ("c", -1e300, "|c| must lie in [1e-100, 1e+100], got -1e+300"),
+    ("point", [1e308, 0.07], "[1e+308, 0.07] lies 1e+308 model radii r = 2/sqrt|c| = 1 "
+                             "from the section origin; at most 4 are allowed"),
+])
+def test_construct_rejects_extreme_scale(field, value, message, tmp_path, capsys):
+    # bounded at the config boundary: one line, and no RuntimeWarning first
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({"action": "ch2-g0" if field == "c" and value < 0
+                                   else "cp2-torus", field: value}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli(["construct", "--config", str(cfgfile)])
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"error: config field '{field}': {message}"]

@@ -3,17 +3,19 @@
 Each input starts from a small valid one: a ``construct`` config, the
 committed version-1 scene or a freshly written version-2 scene. One
 mutation then deletes a key or list item, puts a value from a small pool of
-mostly wrong-typed values in its place, or makes it non-finite; a scene may
-instead get a ``schema_version`` of true, 1.0 or 3, which must exit 1.
-Whatever the mutation, the command must exit 0, 1 or 2 without an uncaught
-exception, and an exit 1 prints exactly one line on stderr. The examples
-are derandomized, so the test is the same on every run.
+mostly wrong-typed values in its place, or makes it non-finite or of an
+extreme finite magnitude (+-1e308, +-1e-300); a scene may instead get a
+``schema_version`` of true, 1.0 or 3, which must exit 1. Whatever the
+mutation, the command must exit 0, 1 or 2 without an uncaught exception or
+a NumPy RuntimeWarning, and an exit 1 prints exactly one line on stderr.
+The examples are derandomized, so the test is the same on every run.
 """
 
 import contextlib
 import io
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +34,7 @@ SMALL_CONFIG = {"action": "cp2-torus", "law": "cmc", "eta": 1.0, "c": None,
 WRONG_TYPES = st.sampled_from(["x", "", None, True, False, [], {}, [1.0], {"k": 1.0},
                                0, -1, 0.5])
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+EXTREME = st.sampled_from([1e308, -1e308, 1e-300, -1e-300])
 
 
 @st.composite
@@ -47,7 +50,7 @@ def mutated(draw, doc):
         node = node[key]
         if not draw(st.booleans()):
             break
-    kinds = ["delete", "wrong-type", "non-finite"]
+    kinds = ["delete", "wrong-type", "non-finite", "extreme"]
     if "schema_version" in doc:
         kinds.append("schema")
     kind = draw(st.sampled_from(kinds))
@@ -57,14 +60,18 @@ def mutated(draw, doc):
     elif kind == "delete":
         del parent[key]
     else:
-        parent[key] = draw(WRONG_TYPES if kind == "wrong-type" else NON_FINITE)
+        pools = {"wrong-type": WRONG_TYPES, "non-finite": NON_FINITE, "extreme": EXTREME}
+        parent[key] = draw(pools[kind])
     return doc
 
 
 def _run(argv):
-    """(exit code, stderr lines) of ``cli.main(argv)``; exceptions propagate."""
+    """(exit code, stderr lines) of ``cli.main(argv)``; exceptions and
+    RuntimeWarnings propagate."""
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         try:
             rc = main(argv)
         except SystemExit as exc:

@@ -174,7 +174,7 @@ def test_strongly_2hopf_certify_detects_wp_launch():
 
     spec = load_action("ch2-torus")
     z0 = spec.section.point(np.array([0.12, 0.07]))
-    zeros = hopf_directions(spec, z0, n_samples=360, tol=1e-12)
+    zeros = hopf_directions(spec, z0)
     sigma = integrate_sigma(spec, z0, zeros[0]["direction"],
                             CurveLaw("cmc", eta=1.0), n_steps=60)
     ehs = build_hypersurface(spec, sigma, s_extent=0.1, t_margin=0.005)
