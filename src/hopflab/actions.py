@@ -21,8 +21,10 @@ with the G_j, through the same formulas. The section curve integrator
 austere search's start directions take the real route; ``orbit_geometry``
 serves any point. The body's prefix, ``_killing_gram``, builds the Killing
 fields and their gram determinant and stops there:
-``PolarActionSpec.gram_det`` (so ``is_regular``) and the curve integrator's
-regularity-only stages call it alone.
+``PolarActionSpec.gram_det`` (so ``is_regular``) and the pregeodesic
+curves' regularity tests call it alone. Every regularity test compares the
+gram determinant with ``PolarActionSpec.gram_floor``, which scales with
+the curvature.
 
 The generator table ships in ``data/actions.json``; its correctness is
 enforced by the invariant suites (isometry, polarity, orbit dimension), not
@@ -163,8 +165,20 @@ class PolarActionSpec:
             det = _killing_gram(self, z.reshape(-1, 3).T)[-1]
         return det.reshape(z.shape[:-1])[()]
 
+    def gram_floor(self, tol=REGULARITY_TOL):
+        """The gram determinant at or below which a point counts as singular.
+
+        The Killing gram determinant scales like r^4 = 16/c^2 = kappa^2, so
+        the floor is tol times that scale; at c = +-4 it is tol itself. The
+        products of Python floats overflow to inf and underflow to 0 without
+        raising. Every regularity test of a gram determinant compares it
+        with this floor.
+        """
+        kappa = self.space.kappa
+        return tol * kappa * kappa
+
     def is_regular(self, z, tol=REGULARITY_TOL):
-        return self.gram_det(z) > tol
+        return self.gram_det(z) > self.gram_floor(tol)
 
 
 def load_action(label: str, c: float | None = None) -> PolarActionSpec:
@@ -303,13 +317,14 @@ def _orbit_body(spec: PolarActionSpec, z, require_regular=True):
     section point gets the same bits on both routes.
 
     With ``require_regular`` a point whose gram determinant is at most
-    REGULARITY_TOL raises SingularOrbitError. Without it such points return
-    meaningless (possibly non-finite) data that the caller must mask by det.
+    ``spec.gram_floor()`` raises SingularOrbitError. Without it such points
+    return meaningless (possibly non-finite) data that the caller must mask
+    by det.
     """
     sig, conj, gens = _route(spec, z)
     kinv = 1.0 / spec.space.kappa
     sz, rot, k, sk, (g11, g12, g22), det = _killing_gram(spec, z)
-    if require_regular and np.any(det <= REGULARITY_TOL):
+    if require_regular and np.any(det <= spec.gram_floor()):
         raise SingularOrbitError(
             f"orbit through the given point has rank < 2 (gram det {np.min(det):.3e})")
     ir11 = 1.0 / np.sqrt(g11)
@@ -360,9 +375,9 @@ def orbit_geometry(spec: PolarActionSpec, z, require_regular=True) -> OrbitGeome
     """Orbit data at a representative z (3,) or at a batch of them (N, 3).
 
     With ``require_regular`` a point whose Killing gram determinant is at most
-    REGULARITY_TOL raises SingularOrbitError. Without it such points return
-    meaningless (possibly non-finite) data that the caller must mask by
-    ``gram_det``.
+    ``spec.gram_floor()`` raises SingularOrbitError. Without it such points
+    return meaningless (possibly non-finite) data that the caller must mask
+    by ``gram_det``.
     """
     z = np.asarray(z, dtype=complex)
     single = z.ndim == 1

@@ -122,6 +122,16 @@ class SpaceForm:
         vec = self.project_horizontal(z0, wdot) - (self.herm(z0, zdot) / self.kappa)[..., None] * w0
         return self.project_horizontal(z0, vec)
 
+    def geodesic_coefficients(self, theta):
+        """(C, S) = (cos, sin) theta in CP^2, (cosh, sinh) theta in CH^2.
+
+        The geodesic of unit speed from z along a unit u is
+        C z + r S u at theta = t/r, with velocity -eps S z/r + C u.
+        """
+        if self.c > 0:
+            return np.cos(theta), np.sin(theta)
+        return np.cosh(theta), np.sinh(theta)
+
     def exp(self, z, v, t=1.0):
         """Geodesic exp_z(t v) in representatives (closed form)."""
         z = np.asarray(z, dtype=complex)
@@ -130,10 +140,7 @@ class SpaceForm:
         theta = np.asarray(t * speed / self.radius)
         small = speed < 1e-300
         unit = np.where(small[..., None], 0.0, v / np.where(small, 1.0, speed)[..., None])
-        if self.c > 0:
-            ca, sa = np.cos(theta), np.sin(theta)
-        else:
-            ca, sa = np.cosh(theta), np.sinh(theta)
+        ca, sa = self.geodesic_coefficients(theta)
         return ca[..., None] * z + self.radius * sa[..., None] * unit
 
     def exp_velocity(self, z, v, t=1.0):
@@ -142,12 +149,9 @@ class SpaceForm:
         theta = np.asarray(t * speed / self.radius)
         small = speed < 1e-300
         unit = np.where(small[..., None], 0.0, v / np.where(small, 1.0, speed)[..., None])
-        if self.c > 0:
-            radial = -(speed * np.sin(theta))[..., None] * z / self.radius
-            along = (speed * np.cos(theta))[..., None] * unit
-        else:
-            radial = (speed * np.sinh(theta))[..., None] * z / self.radius
-            along = (speed * np.cosh(theta))[..., None] * unit
+        ca, sa = self.geodesic_coefficients(theta)
+        radial = (-self.eps * speed * sa)[..., None] * z / self.radius
+        along = (speed * ca)[..., None] * unit
         return radial + along
 
     def parallel_transport_along_geodesic(self, z, direction, t1, w0, n_steps=200):

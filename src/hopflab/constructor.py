@@ -13,23 +13,21 @@ The curve state (z, w, xi) obeys the exact model equations
 valid because sections are totally geodesic and totally real; gamma is the
 law's target curvature evaluated on the orbit data at the current point.
 
-Every curve comes from one lane core, ``_integrate_lanes``: classical RK4
-advancing B launches (lanes) in lockstep. The section is totally real, so
-the lane core carries (z, w, xi) as one real (3, 3, B) array of coordinates
-in the section's real frame, z = D x (see ``actions``), and turns its rows
-into complex representatives once, at the end. Each evaluation of the live
-lanes, at a stored row or a mid-step stage, computes only what the law and
-the stop rule read, on the real route of the orbit body. A law whose target
-reads the orbit data (CMC, Levi-flat) takes the full
-``actions._orbit_invariants`` everywhere. A pregeodesic law (geodesic,
-austere) has gamma = 0 and needs only the regularity test, so it computes
-the Killing gram determinant alone with ``_killing_gram``, except that the
-austere search's stored rows also take the mean curvature from
-``_orbit_body`` for their alignment. Such a curve gets its orbit columns
-(alpha, beta, a, b, <H, xi>) afterwards, from one ``_orbit_invariants``
-call on its own rows. Each lane keeps its own row count and stops, with a
-truncation reason, at the first step that leaves the regular set or turns
-non-finite, while the others go on.
+A curve's launches run as lanes of one batch, in real coordinates of the
+section's real frame, z = D x (see ``actions``), turned into complex
+representatives once, at the end. A law whose target reads the orbit data
+(CMC, Levi-flat) runs on the RK4 lane core ``_integrate_lanes``, which
+takes gamma and the gram determinant from ``actions._orbit_invariants`` at
+every stored row and mid-step stage. A pregeodesic law (geodesic, austere)
+has gamma = 0, so its curve is the ambient geodesic exp_z0(t w0) with
+constant Frenet normal; ``_geodesic_lanes`` writes its rows in closed form,
+from the coefficients of ``SpaceForm.geodesic_coefficients``, for all live
+lanes at once in blocks of ROW_BLOCK rows, and tests regularity at every
+row and half-step, where RK4 would take its stages. Each lane keeps its own
+row count and stops, with a truncation reason, at the first step that
+leaves the regular set or turns non-finite, while the others go on. Every
+returned curve then gets its orbit columns (alpha, beta, a, b, <H, xi>)
+from one ``_orbit_invariants`` call on its own rows.
 ``integrate_sigma`` runs the two sides of a curve as two lanes;
 ``austere_search`` runs all its launches as one batch, in which a launch
 stops at its first row whose alignment |<H, xi>| with the orbit
@@ -44,7 +42,6 @@ import numpy as np
 
 from . import _kernels as kernels
 from .actions import (
-    REGULARITY_TOL,
     PolarActionSpec,
     SingularOrbitError,
     _killing_gram,
@@ -64,6 +61,10 @@ from .hypersurface import (
 )
 
 DEFAULT_STEP = 1e-3
+# rows per block of the closed-form pregeodesic lanes: a block evaluates
+# 2 * ROW_BLOCK points per live lane, and a lane that stops early wastes at
+# most one block
+ROW_BLOCK = 16
 INJECTIVITY_SEPARATION = 1e-6
 SWEEP_GRID_CHECK = 5          # samples per box axis in the sweep's regularity check
 LAW_KINDS = ("geodesic", "cmc", "levi-flat", "austere")
@@ -169,7 +170,7 @@ class SigmaCurve:
 
     def to_dict(self):
         def c2l(arr):
-            return [[float(v.real), float(v.imag)] for v in arr]
+            return np.stack([arr.real, arr.imag], -1).tolist()
 
         return {
             "action": self.spec.label,
@@ -178,119 +179,96 @@ class SigmaCurve:
             "step": float(self.step),
             "truncated": self.truncated,
             "truncation_reason": self.truncation_reason,
-            "ts": [float(t) for t in self.ts],
-            "zs": [c2l(z) for z in self.zs],
-            "ws": [c2l(w) for w in self.ws],
-            "xis": [c2l(x) for x in self.xis],
-            "gammas": [float(g) for g in self.gammas],
-            "alphas": [float(g) for g in self.alphas],
-            "betas": [float(g) for g in self.betas],
-            "hopf_a": [float(g) for g in self.hopf_a],
-            "hopf_b": [float(g) for g in self.hopf_b],
-            "mean_align": [float(g) for g in self.mean_align],
+            "ts": self.ts.tolist(),
+            "zs": c2l(self.zs),
+            "ws": c2l(self.ws),
+            "xis": c2l(self.xis),
+            "gammas": self.gammas.tolist(),
+            "alphas": self.alphas.tolist(),
+            "betas": self.betas.tolist(),
+            "hopf_a": self.hopf_a.tolist(),
+            "hopf_b": self.hopf_b.tolist(),
+            "mean_align": self.mean_align.tolist(),
         }
 
 
-def _integrate_lanes(spec, law, x0, u0, v0, step, n_steps, n_launches, align_tol=None):
-    """RK4 on (z, w, xi) for B launches (lanes) in lockstep.
+def _renorm(sp, y):
+    """(x, u, v) (3, 3, B) moved onto <x, x> = kappa with u, v horizontal and orthonormal."""
+    x = sp.normalize_rep(y[0].T)
+    u = sp.project_horizontal(x, y[1].T)
+    u = u * (1.0 / sp.norm(u))[:, None]
+    v = sp.project_horizontal(x, y[2].T)
+    v = v - sp.g(v, u)[:, None] * u
+    v = v * (1.0 / sp.norm(v))[:, None]
+    return np.array([x.T, u.T, v.T])
+
+
+def _start(spec, x0, u0, v0, evaluate):
+    """The lanes' row 0, (3, 3, B), from raw start data, and ``evaluate`` of it.
+
+    The last item of the evaluation is the gram determinant; a singular
+    start raises SingularOrbitError.
+    """
+    y = _renorm(spec.space, np.array([x0.T, u0.T, v0.T]))
+    out = evaluate(y)
+    if not np.all(out[-1] > spec.gram_floor()):
+        raise SingularOrbitError("initial point is not regular")
+    return y, out
+
+
+def _stop_reason(nonfinite, steps):
+    return "non-finite state" if nonfinite else f"left the regular set after {steps} steps"
+
+
+def _integrate_lanes(spec, law, x0, u0, v0, step, n_steps):
+    """RK4 on (z, w, xi) for B lanes of a law that reads the orbit data, in lockstep.
 
     x0, u0, v0 (B, 3) are real frame coordinates of z, w and xi. The state
     stays real, as a (3, 3, B) array of (x, u, v) with coordinates before
     lanes; each operation repeats the complex one on the real parts it
-    carries, so the rows are those of complex arithmetic on z = D x.
+    carries, so the rows are those of complex arithmetic on z = D x. Every
+    evaluation, at a stored row or a mid-step stage, computes gamma and the
+    gram determinant from ``_orbit_invariants``; the evaluation of a stored
+    row doubles as the next step's first stage.
 
     A lane stops at the first step whose stage or accepted state is
-    non-finite or leaves the regular set (gram det <= REGULARITY_TOL). The
-    evaluation of a stored row doubles as the next step's first stage and
-    supplies the accepted point's regularity test. Each evaluation computes
-    only what is read: the full orbit data when ``law.reads_orbit_data``;
-    otherwise gamma = 0 and the gram determinant, plus, at a stored row with
-    ``align_tol``, the mean curvature for the alignment. Every partial
-    evaluation runs the operations of the full one, so its bits and the
-    masks it sets are those of the full evaluation.
-    Lane l is a side of launch l % n_launches. With ``align_tol``, a launch
-    is rejected at the first stored row of any of its lanes that fails
-    |<H, xi>| < align_tol (so a NaN rejects), and all its lanes stop there.
-    Returns (rows, counts, reasons, rejected_at): rows maps each SigmaCurve
-    sample field that was computed to an array with lane and row axes
-    leading, of which lane k holds counts[k] valid rows, with zs, ws and xis
-    still real frame coordinates; a pregeodesic law leaves out the orbit
-    columns, except mean_align with ``align_tol``. An empty reason means the
-    lane ran all n_steps; rejected_at[j] is the row at which launch j was
-    rejected, or -1.
+    non-finite or leaves the regular set (gram det <= ``spec.gram_floor()``).
+    Returns (rows, counts, reasons): rows maps zs, ws, xis (real frame
+    coordinates) and gammas to arrays with lane and row axes leading, of
+    which lane k holds counts[k] valid rows. An empty reason means the lane
+    ran all n_steps.
     """
     sp = spec.space
     kinv = 1.0 / sp.kappa
+    floor = spec.gram_floor()
     n_lanes = len(x0)
-    launch = np.arange(n_lanes) % n_launches
-    rejected_at = np.full(n_launches, -1)
 
     def evaluate(y):
-        """(gamma, orbit columns, gram det) at a stored row."""
-        if law.reads_orbit_data:
-            alpha, beta, a, b, mean, det = _orbit_invariants(spec, y[0], y[2])
-            cols = {"alphas": alpha, "betas": beta, "hopf_a": a, "hopf_b": b,
-                    "mean_align": sp.g(mean.T, y[2].T)}
-            return law.target(alpha, beta, a, b), cols, det
-        if align_tol is None:
-            det = _killing_gram(spec, y[0])[-1]
-            return np.zeros_like(det), {}, det
-        mean, det = _orbit_body(spec, y[0], require_regular=False)[3:]
-        return np.zeros_like(det), {"mean_align": sp.g(mean.T, y[2].T)}, det
-
-    def stage(y):
-        """(gamma, gram det) at a mid-step stage, from the gram alone if gamma = 0."""
-        if law.reads_orbit_data:
-            alpha, beta, a, b, _, det = _orbit_invariants(spec, y[0], y[2])
-            return law.target(alpha, beta, a, b), det
-        det = _killing_gram(spec, y[0])[-1]
-        return np.zeros_like(det), det
+        alpha, beta, a, b, _, det = _orbit_invariants(spec, y[0], y[2])
+        return law.target(alpha, beta, a, b), det
 
     def rhs(y, gam):
         x, u, v = y
         return np.array([u, gam * v - x * kinv, -gam * u])
 
-    def renorm(y):
-        x = sp.normalize_rep(y[0].T)
-        u = sp.project_horizontal(x, y[1].T)
-        u = u * (1.0 / sp.norm(u))[:, None]
-        v = sp.project_horizontal(x, y[2].T)
-        v = v - sp.g(v, u)[:, None] * u
-        v = v * (1.0 / sp.norm(v))[:, None]
-        return np.array([x.T, u.T, v.T])
-
     rows = {key: np.zeros((n_lanes, n_steps + 1, 3)) for key in ("zs", "ws", "xis")}
+    rows["gammas"] = np.zeros((n_lanes, n_steps + 1))
 
-    def store(lanes, i, y, gam, cols):
-        for key, val in (("zs", y[0].T), ("ws", y[1].T), ("xis", y[2].T), ("gammas", gam),
-                         *cols.items()):
+    def store(lanes, i, y, gam):
+        for key, val in (("zs", y[0].T), ("ws", y[1].T), ("xis", y[2].T), ("gammas", gam)):
             rows[key][lanes, i] = val
-
-    def rejected(lanes, i, kept):
-        """Mask over lanes of rejected launches, after rejecting those misaligned on row i."""
-        if align_tol is None:
-            return np.zeros(len(lanes), dtype=bool)
-        bad = kept & ~(np.abs(rows["mean_align"][lanes, i]) < align_tol)
-        rejected_at[launch[lanes[bad]]] = i
-        return rejected_at[launch[lanes]] >= 0
 
     counts = np.ones(n_lanes, dtype=int)
     reasons = [""] * n_lanes
     # dying lanes compute with singular or non-finite data; they are masked out
     with np.errstate(all="ignore"):
-        y = renorm(np.array([x0.T, u0.T, v0.T]))
-        gam, cols, det = evaluate(y)
-        if not np.all(det > REGULARITY_TOL):
-            raise SingularOrbitError("initial point is not regular")
-        for key in ("gammas", *cols):
-            rows[key] = np.zeros((n_lanes, n_steps + 1))
+        y, (gam, _) = _start(spec, x0, u0, v0, evaluate)
         alive = np.arange(n_lanes)
-        store(alive, 0, y, gam, cols)
-        drop = rejected(alive, 0, True)
+        store(alive, 0, y, gam)
+        dead = np.zeros(n_lanes, dtype=bool)
         for i in range(n_steps):
-            if drop.any():
-                ok = ~drop
-                alive, y, gam = alive[ok], y[..., ok], gam[ok]
+            if dead.any():
+                alive, y, gam = alive[~dead], y[..., ~dead], gam[~dead]
                 if not len(alive):
                     break
             # a lane's reason is its first failure: stages in order, then the
@@ -300,37 +278,115 @@ def _integrate_lanes(spec, law, x0, u0, v0, step, n_steps, n_launches, align_tol
             ks = [rhs(y, gam)]
             for frac in (0.5, 0.5, 1.0):
                 y_s = y + frac * step * ks[-1]
-                g_s, det_s = stage(y_s)
+                g_s, det_s = evaluate(y_s)
                 nonfinite |= ~dead & np.isnan(det_s)
-                dead |= ~(det_s > REGULARITY_TOL)
+                dead |= ~(det_s > floor)
                 ks.append(rhs(y_s, g_s))
             k1, k2, k3, k4 = ks
-            nxt = renorm(y + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
-            gam, cols, det = evaluate(nxt)
-            nonfinite |= ~dead & ~np.isfinite(nxt).all(axis=(0, 1))
-            dead |= nonfinite | ~(det > REGULARITY_TOL)
-            y = nxt
+            y = _renorm(sp, y + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
+            gam, det = evaluate(y)
+            nonfinite |= ~dead & ~np.isfinite(y).all(axis=(0, 1))
+            dead |= nonfinite | ~(det > floor)
             # a dead lane's row lands past its count, where no reader looks
-            store(alive, i + 1, y, gam, cols)
+            store(alive, i + 1, y, gam)
             counts[alive[~dead]] += 1
             for lane, bad in zip(alive[dead], nonfinite[dead]):
-                reasons[lane] = ("non-finite state" if bad
-                                 else f"left the regular set after {i + 1} steps")
-            drop = dead | rejected(alive, i + 1, ~dead)
-    return rows, counts, reasons, rejected_at
+                reasons[lane] = _stop_reason(bad, i + 1)
+    return rows, counts, reasons
+
+
+def _geodesic_lanes(spec, x0, u0, v0, step, n_steps, n_launches, align_tol=None):
+    """Rows of B pregeodesic lanes in closed form, evaluated in blocks of ROW_BLOCK rows.
+
+    A pregeodesic (gamma = 0) curve is the ambient geodesic through its
+    start, with constant Frenet normal: in real frame coordinates, row i at
+    t = i step holds x = C x0 + r S u0, w = -eps S x0/r + C u0 and xi = v0,
+    with (C, S) from ``SpaceForm.geodesic_coefficients`` at theta = t/r and
+    (x0, u0, v0) the start state, which is row 0 itself. Each block takes
+    the gram determinant of every live lane at its rows and at the
+    half-steps before them, where RK4 takes its stages, and a lane stops, as
+    the RK4 lane core stops it, at the first step whose half-step or row is
+    non-finite or leaves the regular set. With ``align_tol``, row i also
+    takes the mean curvature H, and lane l being a side of launch
+    l % n_launches, a launch is rejected at the first accepted row of any of
+    its lanes that fails |<H, xi>| < align_tol (so a NaN rejects); all its
+    lanes stop there.
+
+    Returns (rows, counts, reasons, rejected): rows, counts and reasons as
+    ``_integrate_lanes`` returns them, and rejected (n_launches,) marks the
+    rejected launches.
+    """
+    sp = spec.space
+    floor = spec.gram_floor()
+    n_lanes = len(x0)
+    launch = np.arange(n_lanes) % n_launches
+    rejected = np.zeros(n_launches, dtype=bool)
+    rows = {key: np.zeros((n_lanes, n_steps + 1, 3)) for key in ("zs", "ws", "xis")}
+    rows["gammas"] = np.zeros((n_lanes, n_steps + 1))
+    counts = np.ones(n_lanes, dtype=int)
+    reasons = [""] * n_lanes
+
+    def aligned_and_regular(x, v):
+        """(alignment mask, gram det) at points x (3, N) with normals v (3, N)."""
+        if align_tol is None:
+            det = _killing_gram(spec, x)[-1]
+            return np.ones(len(det), dtype=bool), det
+        mean, det = _orbit_body(spec, x, require_regular=False)[3:]
+        return np.abs(sp.g(mean.T, v.T)) < align_tol, det
+
+    # dying lanes compute with singular or non-finite data; they are masked out
+    with np.errstate(all="ignore"):
+        (x0, u0, v0), (aligned, _) = _start(spec, x0, u0, v0,
+                                            lambda y: aligned_and_regular(y[0], y[2]))
+        for key, val in (("zs", x0), ("ws", u0), ("xis", v0)):
+            rows[key][:, :] = val.T[:, None]
+        rejected[launch[~aligned]] = True
+        alive = np.flatnonzero(~rejected[launch])
+        for i0 in range(1, n_steps + 1, ROW_BLOCK):
+            if not len(alive):
+                break
+            i = np.arange(i0, min(i0 + ROW_BLOCK, n_steps + 1))
+            # (3, lanes, K) points at the half-steps and at the rows
+            x, u, v = x0[:, alive, None], u0[:, alive, None], v0[:, alive, None]
+            ch, sh = sp.geodesic_coefficients((i - 0.5) * step / sp.radius)
+            half = ch * x + sp.radius * sh * u
+            c, s = sp.geodesic_coefficients(i * step / sp.radius)
+            xs = c * x + sp.radius * s * u
+            ws = -sp.eps * s * x / sp.radius + c * u
+            shape = (len(alive), len(i))
+            det_half = _killing_gram(spec, half.reshape(3, -1))[-1].reshape(shape)
+            aligned, det_row = (a.reshape(shape) for a in aligned_and_regular(
+                xs.reshape(3, -1), np.broadcast_to(v, xs.shape).reshape(3, -1)))
+            # a step's first failure: its half-step, then its row
+            nonfinite_row = ~(np.isfinite(xs).all(axis=0) & np.isfinite(ws).all(axis=0))
+            fail = ~(det_half > floor) | nonfinite_row | ~(det_row > floor)
+            stop = np.where(fail.any(axis=1), fail.argmax(axis=1), len(i))
+            rows["zs"][alive, i0:i0 + len(i)] = xs.transpose(1, 2, 0)
+            rows["ws"][alive, i0:i0 + len(i)] = ws.transpose(1, 2, 0)
+            counts[alive] += stop
+            for j in np.flatnonzero(stop < len(i)):
+                k = stop[j]
+                bad = np.isnan(det_half[j, k]) or (det_half[j, k] > floor and nonfinite_row[j, k])
+                reasons[alive[j]] = _stop_reason(bad, i0 + k)
+            # the accepted rows that are misaligned reject their launches
+            accepted = np.arange(len(i)) < stop[:, None]
+            rejected[launch[alive[(accepted & ~aligned).any(axis=1)]]] = True
+            alive = alive[(stop == len(i)) & ~rejected[launch[alive]]]
+    return rows, counts, reasons, rejected
 
 
 def _launch_sigmas(spec, law, x0, u0, step, n_steps, two_sided=True, align_tol=None):
-    """One SigmaCurve per launch, in order, integrated as one lane batch.
+    """One SigmaCurve per launch, in order, run as one lane batch.
 
     x0: (B, 3) start points and u0: (B, 3) section-tangent directions, both
     in real frame coordinates; u0 is normalized here. A launch is one lane,
-    or two (u0 and -u0) when ``two_sided``. With ``align_tol``, a launch
-    whose alignment |<H, xi>| fails to stay below it stops at that row and
-    its entry is None. The lane core computes the orbit columns of a law
-    that reads them; for a pregeodesic law each returned curve gets them
-    from one ``_orbit_invariants`` call on its own rows, so a rejected
-    launch never computes them.
+    or two (u0 and -u0) when ``two_sided``. A law that reads the orbit data
+    runs on the RK4 lane core, a pregeodesic law in closed form. With
+    ``align_tol`` (pregeodesic laws only), a launch whose alignment
+    |<H, xi>| fails to stay below it stops at that row and its entry is
+    None. Each returned curve gets its orbit columns from one
+    ``_orbit_invariants`` call on its own rows, so a rejected launch never
+    computes them.
     """
     if step <= 0:
         raise GeometryError("step must be positive")
@@ -342,11 +398,15 @@ def _launch_sigmas(spec, law, x0, u0, step, n_steps, two_sided=True, align_tol=N
     n = len(x0)
     if two_sided:
         x0, u0, v0 = (np.concatenate(pair) for pair in ((x0, x0), (u0, -u0), (v0, v0)))
-    rows, counts, reasons, rejected_at = _integrate_lanes(spec, law, x0, u0, v0, step,
-                                                          n_steps, n, align_tol)
+    if law.reads_orbit_data:
+        rows, counts, reasons = _integrate_lanes(spec, law, x0, u0, v0, step, n_steps)
+        rejected = np.zeros(n, dtype=bool)
+    else:
+        rows, counts, reasons, rejected = _geodesic_lanes(spec, x0, u0, v0, step, n_steps, n,
+                                                          align_tol)
     curves = []
     for k in range(n):
-        if rejected_at[k] >= 0:
+        if rejected[k]:
             curves.append(None)
             continue
         back = n + k if two_sided else k
@@ -354,10 +414,9 @@ def _launch_sigmas(spec, law, x0, u0, step, n_steps, two_sided=True, align_tol=N
         # the backward side reversed, less its copy of the t = 0 row, then the forward side
         cols = {key: np.concatenate([val[back, nb - 1:0:-1], val[k, :nf]])
                 for key, val in rows.items()}
-        if not law.reads_orbit_data:
-            alpha, beta, a, b, mean, _ = _orbit_invariants(spec, cols["zs"].T, cols["xis"].T)
-            cols.update(alphas=alpha, betas=beta, hopf_a=a, hopf_b=b,
-                        mean_align=sp.g(mean.T, cols["xis"]))
+        alpha, beta, a, b, mean, _ = _orbit_invariants(spec, cols["zs"].T, cols["xis"].T)
+        cols.update(alphas=alpha, betas=beta, hopf_a=a, hopf_b=b,
+                    mean_align=sp.g(mean.T, cols["xis"]))
         for key in ("zs", "ws", "xis"):
             cols[key] = cols[key] * spec.phases
         cols["ws"][:nb - 1] *= -1
@@ -420,7 +479,12 @@ def build_hypersurface(spec: PolarActionSpec, sigma: SigmaCurve,
     g1, g2 = spec.generators
 
     def chart(params):
-        z = interp(params[:, 0])
+        # the nested stencils repeat each t many times: interpolate each
+        # distinct t once, keyed by its raw bytes so that -0.0 and 0.0 stay
+        # apart and every row keeps the bits of interpolating it alone
+        t = np.ascontiguousarray(params[:, 0], dtype=float)
+        _, first, inverse = np.unique(t.view(np.int64), return_index=True, return_inverse=True)
+        z = interp(t[first])[inverse]
         return kernels.group_orbit_apply(g1, g2, params[:, 1], params[:, 2], z)
 
     t_lo = float(sigma.ts[0] + t_margin)
@@ -436,7 +500,7 @@ def build_hypersurface(spec: PolarActionSpec, sigma: SigmaCurve,
         ss = np.linspace(-extent, extent, SWEEP_GRID_CHECK)
         mesh = np.stack([m.ravel() for m in np.meshgrid(tt, ss, ss, indexing="ij")], axis=-1)
         zs = chart(mesh)
-        if not np.all(spec.gram_det(zs) > 1e-10):
+        if not np.all(spec.gram_det(zs) > spec.gram_floor()):
             extent *= 0.5
             continue
         # injectivity of the sweep on one orbit: pairwise separation of the
@@ -627,7 +691,7 @@ def austere_search(spec: PolarActionSpec, grid_coords, n_steps: int = 150):
     xs = spec.frame_coords(zs)
     with np.errstate(all="ignore"):   # singular grid points are masked by their gram det
         _, _, _, hvecs, det = _orbit_body(spec, xs.T, require_regular=False)
-    regular = np.flatnonzero(det > REGULARITY_TOL)
+    regular = np.flatnonzero(det > spec.gram_floor())
     if not len(regular):
         return []
     starts, dirs, coords = [], [], []

@@ -152,6 +152,19 @@ def test_hopf_directions_cli(tmp_path, capsys):
     assert len(lines) == 2 + 720
 
 
+def test_hopf_directions_regular_at_large_curvature(capsys):
+    # the gram floor scales like r^4 = 16/c^2: at c = 1e6 the point 1e-4 (1, 1)
+    # lies 0.05 (1, 1) model radii from the origin, as (0.05, 0.05) does at
+    # c = 4, and reads as regular with the same zero set
+    def zeros(argv):
+        assert run_cli(["hopf-directions", "--action", "cp2-torus", *argv]) == 0
+        return [line.split("|Phi|")[0] for line in capsys.readouterr().out.splitlines()[1:]]
+
+    scaled = zeros(["--c=1e6", "--point", "1e-4", "1e-4"])
+    assert len(scaled) == 6
+    assert scaled == zeros(["--point", "0.05", "0.05"])
+
+
 def test_verify_unknown_suite(capsys):
     rc = run_cli(["verify", "nosuch"])
     assert rc == 1

@@ -1,0 +1,34 @@
+"""The construct benchmark cycle's output, pinned bit for bit.
+
+``golden/construct_seed3.sha256`` holds one line per item of one
+``construct`` cycle of perfbench/workloads.py at seed 3: the action, the
+law and the SHA-256 of the item's scene bytes, a NUL byte and its CSV bytes
+(the digest the benchmark compares between runs). A change that is meant
+to keep the scenes must keep every line; one that moves a line on purpose
+regenerates the file and says which line moved and why.
+"""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from workloads import WORKLOADS  # noqa: E402
+
+GOLDEN = Path(__file__).parent / "golden" / "construct_seed3.sha256"
+
+
+def construct_cycle_lines(seed, scratch):
+    """One "action law digest" line per item of one ``construct`` cycle at ``seed``."""
+    workload = WORKLOADS["construct"](seed, str(scratch))
+    lines = []
+    for item in workload.cycle():
+        ok, digest = workload.run(item)
+        assert ok, digest
+        cfg = workload.configs[item]
+        lines.append(f"{cfg['action']} {cfg['law']} {digest.hex()}\n")
+    return lines
+
+
+def test_construct_cycle_matches_golden(tmp_path):
+    assert construct_cycle_lines(3, tmp_path) == GOLDEN.read_text().splitlines(keepends=True)

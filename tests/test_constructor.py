@@ -156,6 +156,19 @@ def test_build_box_and_orientation(cmc_ehs):
     assert np.abs(sd.eigvals - sd.eigvals[0]).max() < 1e-5
 
 
+def test_sweep_chart_interpolates_each_distinct_t_once_bit_for_bit(cmc_ehs):
+    # a batch that repeats t and mixes -0.0 with 0.0: every row has the bits
+    # of the interpolant and the group element applied to that row alone
+    t = np.array([0.0, -0.0, 0.013, 0.0, -0.0, 0.013, -0.021, 0.013])
+    s = np.linspace(-0.05, 0.05, len(t))
+    params = np.stack([t, s, s[::-1]], axis=-1)
+    batch = cmc_ehs.patch.chart(params)
+    interp = cmc_ehs.sigma.interpolant()
+    for row, p in zip(batch, params):
+        alone = cmc_ehs.spec.translate(p[1:], interp(p[:1]))[0]
+        assert row.tobytes() == alone.tobytes(), p
+
+
 def test_sigma_interpolant_accuracy(cmc_ehs):
     sigma = cmc_ehs.sigma
     interp = sigma.interpolant()
@@ -302,15 +315,23 @@ def test_lane_core_matches_scalar_integrator(label):
 
 
 @pytest.mark.parametrize("label", LABELS)
-def test_lane_core_states_bit_identical_for_zero_curvature(label):
-    # with gamma = 0 the state never reads the orbit data, so the real lane
-    # core must repeat the complex scalar arithmetic operation for operation
+def test_pregeodesic_rows_are_the_closed_form_geodesic(label):
+    # gamma = 0: the rows, times the phases, are exp and exp_velocity of the
+    # start row, on <z, z> = kappa, horizontal, with a constant normal
     spec, z0, w0 = launch(label)
+    sp = spec.space
     for law in (CurveLaw("geodesic"), CurveLaw("austere")):
-        new = integrate_sigma(spec, z0, w0, law, n_steps=30)
-        ref = oracles.scalar_integrate_sigma(spec, z0, w0, law, n_steps=30)
-        for name in ("zs", "ws", "xis"):
-            assert np.array_equal(getattr(new, name), getattr(ref, name)), name
+        sigma = integrate_sigma(spec, z0, w0, law, n_steps=30)
+        start = np.flatnonzero(sigma.ts == 0.0)[0]
+        z, w, xi = sigma.zs[start], sigma.ws[start], sigma.xis[start]
+        assert np.abs(sigma.zs - sp.exp(z, w, sigma.ts)).max() <= 1e-15
+        assert np.abs(sigma.ws - sp.exp_velocity(z, w, sigma.ts)).max() <= 1e-15
+        assert np.array_equal(sigma.xis, np.broadcast_to(xi, sigma.xis.shape))
+        assert np.abs(np.real(sp.herm(sigma.zs, sigma.zs)) - sp.kappa).max() <= 1e-15
+        for vec in (sigma.ws, sigma.xis):
+            assert np.abs(sp.herm(sigma.zs, vec)).max() <= 1e-15
+        assert np.abs(sp.norm(sigma.ws) - 1.0).max() <= 1e-15
+        assert not sigma.gammas.any()
 
 
 def test_integrate_sigma_rejects_start_off_the_real_frame():
@@ -329,15 +350,19 @@ def test_lane_core_matches_scalar_when_one_side_truncates():
     assert sigma.truncation_reason == "left the regular set after 23 steps"
     assert sigma.ts[0] == -22 * sigma.step and len(sigma.ts) == 22 + 1 + 40
     ref = oracles.scalar_integrate_sigma(spec, z0, w0, CurveLaw("geodesic"), n_steps=40)
-    hopf = ("hopf_a", "hopf_b")
-    assert_same_sigma(sigma, ref, [name for name in SIGMA_ARRAYS if name not in hopf])
-    # Near the edge the orbit shape matrix has |s01| << -d. The scalar copy's
-    # eigenvector formula cancels there (errors near 5e-12 in a and b); the
-    # Hopf components are pinned to eigh on the same points instead.
-    exact = np.array([oracles.eigh_hopf_components(spec, z, xi)
-                      for z, xi in zip(ref.zs, ref.xis)])
-    assert np.abs(sigma.hopf_a - exact[:, 0]).max() <= 1e-12
-    assert np.abs(sigma.hopf_b - exact[:, 1]).max() <= 1e-12
+    assert_same_sigma(sigma, ref, ("ts", "zs", "ws", "xis", "gammas"))
+    # Near the edge beta reaches -479, so the O(h^4) position error of the
+    # RK4 oracle moves its orbit columns by about 1e-10; they are pinned on
+    # the curve's own rows instead. The scalar copy's eigenvector formula
+    # cancels there (|s01| << -d, errors near 5e-12 in a and b), so the Hopf
+    # components are pinned to eigh on the same rows.
+    orbit = []
+    for z, xi in zip(sigma.zs, sigma.xis):
+        alpha, beta, _, _, mean, _ = oracles.scalar_orbit_invariants(spec, z, xi)
+        orbit.append((alpha, beta, spec.space.g(mean, xi),
+                      *oracles.eigh_hopf_components(spec, z, xi)))
+    for name, col in zip(("alphas", "betas", "mean_align", "hopf_a", "hopf_b"), np.array(orbit).T):
+        assert np.abs(getattr(sigma, name) - col).max() <= 1e-12, name
 
 
 def test_lane_core_truncates_non_finite_lanes_without_warnings():
@@ -376,9 +401,9 @@ def _count_invariant_calls(monkeypatch):
     """Record each orbit evaluation of the section curves, by kind.
 
     "full" per ``_orbit_invariants`` call, "gram" per ``_killing_gram`` call
-    and "row" per ``_orbit_body`` call of the lane core. A call made inside a
-    recorded one is not recorded, nor is the search's own ``_orbit_body``
-    call on its grid, outside the lane core.
+    and "row" per ``_orbit_body`` call of a lane path (RK4 or closed form).
+    A call made inside a recorded one is not recorded, nor is the search's
+    own ``_orbit_body`` call on its grid, outside the lane paths.
     """
     calls = []
     inside = {"lanes": False, "recorded": False}
@@ -395,15 +420,17 @@ def _count_invariant_calls(monkeypatch):
                 inside["recorded"] = False
         return call
 
-    def lanes(*args, **kwargs):
-        inside["lanes"] = True
-        try:
-            return integrate_lanes(*args, **kwargs)
-        finally:
-            inside["lanes"] = False
+    def in_lanes(lane_path):
+        def call(*args, **kwargs):
+            inside["lanes"] = True
+            try:
+                return lane_path(*args, **kwargs)
+            finally:
+                inside["lanes"] = False
+        return call
 
-    integrate_lanes = constructor._integrate_lanes
-    monkeypatch.setattr(constructor, "_integrate_lanes", lanes)
+    for name in ("_integrate_lanes", "_geodesic_lanes"):
+        monkeypatch.setattr(constructor, name, in_lanes(getattr(constructor, name)))
     for name, kind in (("_orbit_invariants", "full"), ("_killing_gram", "gram"),
                        ("_orbit_body", "row")):
         monkeypatch.setattr(constructor, name, counting(getattr(constructor, name), kind))
@@ -411,37 +438,39 @@ def _count_invariant_calls(monkeypatch):
 
 
 def test_austere_search_stops_misaligned_launch_early(monkeypatch):
-    # the launch at [-0.3, 0.0] fails alignment at step 16 of 120 forward and
-    # at step 17 backward, and stops at the first: one start row plus four
-    # RK4 stages per step make 65 evaluations, where probing and then
-    # re-integrating it in full made 542
+    # the launch at [-0.3, 0.0] fails alignment at row 16 of 120 forward and
+    # at row 17 backward, so it stops in the first block of rows: the start
+    # row, then the block's half-steps and rows make 3 evaluations
     calls = _count_invariant_calls(monkeypatch)
     assert austere_search(load_action("ch2-k0-g2a"), [[-0.3, 0.0]], n_steps=120) == []
-    assert len(calls) == 65
-    # gamma = 0: the start row and the 16 stored rows read only the mean
-    # curvature and the gram, the three mid-step stages of each step only the
-    # gram, and a rejected launch never computes its orbit columns
-    assert (calls.count("row"), calls.count("gram"), calls.count("full")) == (17, 48, 0)
+    assert constructor.ROW_BLOCK == 16
+    # the start row and the block's rows read the mean curvature and the
+    # gram, the half-steps only the gram, and a rejected launch never
+    # computes its orbit columns
+    assert calls == ["row", "gram", "row"]
 
 
 def test_orbit_reading_law_evaluates_full_orbit_data_at_every_stage(monkeypatch):
     # CMC reads alpha and beta at every stage: one start row plus four stages
-    # per step for the two lanes of one batch, none of them partial
+    # per step for the two lanes of one batch, none of them partial, then one
+    # call for the curve's orbit columns on its 61 rows
     calls = _count_invariant_calls(monkeypatch)
     spec, z0, w0 = launch("cp2-torus")
     integrate_sigma(spec, z0, w0, CurveLaw("cmc", eta=1.0), n_steps=30)
-    assert (calls.count("full"), calls.count("gram"), calls.count("row")) == (121, 0, 0)
+    assert (calls.count("full"), calls.count("gram"), calls.count("row")) == (122, 0, 0)
 
 
 def test_geodesic_law_evaluates_gram_in_the_lanes_and_orbit_data_once_per_curve(monkeypatch):
     # the geodesic law reads nothing of the orbit but the regularity test:
-    # the start row and four stages per step take the gram alone, and the
-    # curve's orbit columns come from one full call on its 61 rows
+    # the start row, then the half-steps and the rows of the blocks 1-16 and
+    # 17-30 take the gram alone, and the curve's orbit columns come from one
+    # full call on its 61 rows
     calls = _count_invariant_calls(monkeypatch)
     spec, z0, w0 = launch("cp2-torus")
     sigma = integrate_sigma(spec, z0, w0, CurveLaw("geodesic"), n_steps=30)
     assert len(sigma.ts) == 61
-    assert calls == ["gram"] * 121 + ["full"]
+    assert constructor.ROW_BLOCK == 16
+    assert calls == ["gram"] * 5 + ["full"]
 
 
 def test_austere_search_nan_tolerance_keeps_nothing(monkeypatch):
