@@ -304,36 +304,23 @@ def clifford_cone(space: SpaceForm, vertex=None) -> CatalogEntry:
     if kn > 1e-8:
         raise GeometryError("cone vertex must be a fixed point of the torus action")
     r = sp.radius
-    if sp.c > 0:
-        iv = int(np.argmax(np.abs(vertex)))
-        others = [i for i in range(3) if i != iv]
+    iv = int(np.argmax(np.abs(vertex)))
+    if sp.c < 0 and iv != 0:
+        raise GeometryError("the CH^2 cone vertex must be the timelike fixed point")
+    others = [i for i in range(3) if i != iv]
+    radial, spread = (np.cos, np.sin) if sp.c > 0 else (np.cosh, np.sinh)
 
-        def chart(params):
-            t, th1, th2 = params[:, 0], params[:, 1], params[:, 2]
-            out = np.empty((len(t), 3), dtype=complex)
-            out[:, others[0]] = np.sin(t / r) * np.exp(1j * th1) / np.sqrt(2)
-            out[:, others[1]] = np.sin(t / r) * np.exp(1j * th2) / np.sqrt(2)
-            out[:, iv] = np.cos(t / r)
-            return r * out
+    def chart(params):
+        t, th1, th2 = params[:, 0], params[:, 1], params[:, 2]
+        out = np.empty((len(t), 3), dtype=complex)
+        out[:, others[0]] = spread(t / r) * np.exp(1j * th1) / np.sqrt(2)
+        out[:, others[1]] = spread(t / r) * np.exp(1j * th2) / np.sqrt(2)
+        out[:, iv] = radial(t / r)
+        return r * out
 
-        tmax = np.pi / 2 * r
-        box = ((CONE_RADIAL_MARGIN + 0.3, tmax - 0.3), (-0.6, 0.6), (-0.6, 0.6))
-        name = "clifford-cone-cp2"
-    else:
-        iv = int(np.argmax(np.abs(vertex)))
-        if iv != 0:
-            raise GeometryError("the CH^2 cone vertex must be the timelike fixed point")
-
-        def chart(params):
-            t, th1, th2 = params[:, 0], params[:, 1], params[:, 2]
-            out = np.empty((len(t), 3), dtype=complex)
-            out[:, 0] = np.cosh(t / r)
-            out[:, 1] = np.sinh(t / r) * np.exp(1j * th1) / np.sqrt(2)
-            out[:, 2] = np.sinh(t / r) * np.exp(1j * th2) / np.sqrt(2)
-            return r * out
-
-        box = ((CONE_RADIAL_MARGIN + 0.3, 1.1), (-0.6, 0.6), (-0.6, 0.6))
-        name = "clifford-cone-ch2"
+    t_hi = np.pi / 2 * r - 0.3 if sp.c > 0 else 1.1
+    box = ((CONE_RADIAL_MARGIN + 0.3, t_hi), (-0.6, 0.6), (-0.6, 0.6))
+    name = "clifford-cone-cp2" if sp.c > 0 else "clifford-cone-ch2"
 
     patch = HypersurfacePatch(sp, chart, box)
     _orient_to_trace(patch, [0.5 * (box[0][0] + box[0][1]), 0.1, -0.1], 0.0)
@@ -343,6 +330,25 @@ def clifford_cone(space: SpaceForm, vertex=None) -> CatalogEntry:
                   "strongly_two_hopf": True},
         extras={"action": spec},
     )
+
+
+def clifford_cone_distances(space: SpaceForm, z):
+    """Distance of each point to the whole Clifford cone of every torus-fixed vertex.
+
+    z holds representatives (N, 3) of any scale. Column k of the (N, 3)
+    result in CP^2 is the distance to the cone with vertex e_k; CH^2 has
+    the one column of vertex e_0. The cone of e_k is the level set
+    |z_i| = |z_j| of the other two coordinates, and by the Lagrange identity
+    (Goldman, Complex Hyperbolic Geometry, 1999) the distance d to it reads
+    sin(d/r) = |m_i - m_j| / (sqrt 2 |z|) in CP^2 and
+    sinh(d/r) = |m_i - m_j| / sqrt(2 |<z,z>|) in CH^2, with m = |z|.
+    """
+    m = np.abs(z)
+    pairs = ((1, 2), (0, 2), (0, 1)) if space.c > 0 else ((1, 2),)
+    gap = np.stack([np.abs(m[..., i] - m[..., j]) for i, j in pairs], axis=-1)
+    if space.c > 0:
+        return space.radius * np.arcsin(gap / (np.sqrt(2) * np.linalg.norm(z, axis=-1))[..., None])
+    return space.radius * np.arcsinh(gap / np.sqrt(2 * np.abs(space.herm(z, z).real))[..., None])
 
 
 def get_entry(name: str, c: float | None = None, **params) -> CatalogEntry:

@@ -34,6 +34,7 @@ from .constructor import (
 )
 from .hypersurface import classify
 from .scene import (
+    C_MAGNITUDE,
     SceneError,
     load_scene,
     mesh_rows,
@@ -47,10 +48,8 @@ from .suites import SUITE_NAMES, report_json, run_suites
 # upper bounds on size-like inputs, checked before anything is allocated
 MAX_N_STEPS = 10 ** 5        # construct n_steps, per side of the curve
 MAX_GRID_POINTS = 10 ** 6    # product of a --grid (construct, classify, sample)
-# |c| within 100 decades of 1 keeps the powers of the model radius r = 2/sqrt|c|
-# finite; beyond 4 r from the section origin CH^2 representatives (growing like
+# beyond 4 r from the section origin CH^2 representatives (growing like
 # cosh(d/r)) lose the digits that keep repeated Hopf zeros together
-C_MAGNITUDE = (1e-100, 1e100)   # construct c, hopf-directions --c
 MAX_POINT_RADII = 4.0           # construct point, hopf-directions --point
 
 

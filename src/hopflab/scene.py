@@ -29,6 +29,9 @@ from .hypersurface import adapted_frames, shape_data
 SCHEMA_VERSION = 2
 MESH_COLUMNS = ("t", "s1", "s2", "re0", "im0", "re1", "im1", "re2", "im2",
                 "alpha", "beta", "gamma", "a", "b", "residual")
+# |c| within 100 decades of 1 keeps the powers of the model radius r = 2/sqrt|c|
+# finite; it bounds construct c, hopf-directions --c and a scene's sigma.c
+C_MAGNITUDE = (1e-100, 1e100)
 
 
 class SceneError(GeometryError):
@@ -129,7 +132,11 @@ def sigma_from_dict(d: dict) -> SigmaCurve:
         raise SceneError("scene field 'sigma.truncated' must be true or false")
     if not isinstance(d["truncation_reason"], str):
         raise SceneError("scene field 'sigma.truncation_reason' must be a string")
-    spec = load_action(d["action"], _finite(d["c"], "sigma.c"))
+    c = _finite(d["c"], "sigma.c")
+    lo, hi = C_MAGNITUDE
+    if not lo <= abs(c) <= hi:
+        raise SceneError(f"scene field 'sigma.c': |c| must lie in [{lo:g}, {hi:g}], got {c!r}")
+    spec = load_action(d["action"], c)
     ts = d["ts"]
     if not (isinstance(ts, list) and ts and all(map(_is_finite, ts))):
         raise SceneError("scene field 'sigma.ts' must be a non-empty list of finite numbers")

@@ -550,46 +550,26 @@ def suite_austere(ws: Workspace) -> SuiteResult:
                float(np.max(np.abs(sd.eigvals - target))), 1e-4)
     res.expect("lohnherr:spectrum_spread",
                float(np.max(sd.eigvals.max(axis=0) - sd.eigvals.min(axis=0))), 1e-4)
-    # cross-construction: search output lies on the catalog Clifford cone
-    spec, found = ws.austere_candidates("ch2-torus")
-    if found:
-        cone = ws.catalog_entry("clifford-cone-ch2")
-        ehs = build_hypersurface(spec, found[0].curve, s_extent=0.15)
-        res.expect("ch2_cone_vs_search_hausdorff",
-                   _one_sided_hausdorff(ehs, cone), 1e-4)
+    # the torus actions' austere curves lie on Clifford cones; the rows of
+    # sigma suffice, as the cones are invariant under the torus
+    for label in ("cp2-torus", "ch2-torus"):
+        spec, found = ws.austere_candidates(label)
+        res.expect(f"{label}:on_clifford_cone",
+                   max((_cone_distance(spec.space, cand.curve.zs) for cand in found),
+                       default=np.inf), 1e-4)
+        # negative controls: 1 % off |z_1|, and a CMC curve
+        if found:
+            res.expect_above(f"{label}:perturbed_candidate_off_cone",
+                             _cone_distance(spec.space, found[0].curve.zs * [1.0, 1.01, 1.0]),
+                             1e-4)
+        res.expect_above(f"cmc-{label}:off_clifford_cone",
+                         _cone_distance(spec.space, ws.cmc_patch(label).sigma.zs), 1e-4)
     return res
 
 
-def _one_sided_hausdorff(ehs, cone_entry, n_probe=5):
-    """Max over probe points of the distance to the cone patch (refined).
-
-    Each probe starts Nelder-Mead from the nearest point of the seed grid.
-    """
-    from scipy.optimize import minimize
-
-    sp = ehs.space
-    probes = ehs.patch.eval(ehs.patch.grid((n_probe, 1, 1), margin=0.2))
-    lo, hi = np.array(cone_entry.patch.box).T
-    seeds, d0 = _seed_distances(sp, cone_entry.patch, probes)
-    worst = 0.0
-    for z, dz in zip(probes, d0):
-        def obj(q):
-            return float(sp.dist(cone_entry.patch.eval(np.clip(q, lo, hi)[None])[0], z))
-
-        r = minimize(obj, seeds[int(np.argmin(dz))], method="Nelder-Mead",
-                     options={"xatol": 1e-12, "fatol": 1e-16, "maxiter": 600})
-        worst = max(worst, float(r.fun))
-    return worst
-
-
-def _seed_distances(sp, patch, probes):
-    """A 4x4x4 seed grid on ``patch`` and the (n_probe, 64) distances of the probes to it.
-
-    One chart call over the seeds and one distance call over all pairs.
-    """
-    lo, hi = np.array(patch.box).T
-    seeds = patch.grid((4, 4, 4), margin=0.05)
-    return seeds, sp.dist(patch.eval(np.clip(seeds, lo, hi))[None], probes[:, None])
+def _cone_distance(sp, zs):
+    """Least, over the torus-fixed vertices, of the largest distance of the rows to the cone."""
+    return float(np.min(np.max(cat.clifford_cone_distances(sp, zs), axis=0)))
 
 
 # -- cmc -------------------------------------------------------------------------

@@ -815,8 +815,10 @@ def pointwise_orbit_distance(spec, z, curve):
 
 
 # -- per-seed Hausdorff scan -----------------------------------------------------
-# Frozen copy of hopflab.suites._one_sided_hausdorff from before its seed scan
-# was batched: one chart evaluation and one distance per seed and probe.
+# Frozen copy of the Nelder-Mead search that the austere suite ran before the
+# closed-form catalog.clifford_cone_distances: from the nearest of a 4x4x4
+# seed grid on the cone patch's box, with one chart evaluation and one
+# distance per seed and probe.
 
 
 def pointwise_seed_distances(sp, patch, probes):

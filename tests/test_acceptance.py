@@ -123,9 +123,15 @@ def test_criterion_07_austere_classification(all_checks):
         require(all_checks, f"austere::{label}:ruled")
         require(all_checks, f"austere::{label}:levi_flat")
         require(all_checks, f"austere::{label}:a_b_sqrt2")
+    for label in ("cp2-torus", "ch2-torus"):
+        require(all_checks, f"austere::{label}:on_clifford_cone")
+        require(all_checks, f"austere::{label}:perturbed_candidate_off_cone")
+        require(all_checks, f"austere::cmc-{label}:off_clifford_cone")
     report(7, "austere search: cones for the torus actions, bisector for "
               "ch2-g0, nothing for ch2-k0-g2a, Lohnherr for ch2-line-g2a; "
-              "all austere+ruled+Levi-flat with a = b = 1/sqrt(2) +- 1e-4")
+              "all austere+ruled+Levi-flat with a = b = 1/sqrt(2) +- 1e-4; "
+              "every torus candidate within 1e-4 of a Clifford cone, a 1 % "
+              "perturbation and a CMC curve farther")
 
 
 def test_criterion_08_lohnherr_spectrum(all_checks):

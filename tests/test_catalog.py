@@ -6,6 +6,7 @@ from hopflab.catalog import (
     CATALOG_NAMES,
     bisector,
     clifford_cone,
+    clifford_cone_distances,
     geodesic_sphere,
     get_entry,
     horosphere,
@@ -13,10 +14,8 @@ from hopflab.catalog import (
     tube_spectrum,
 )
 from hopflab.hypersurface import classify, hopf_cmc_relation_check, shape_data
-from hopflab.suites import _one_sided_hausdorff, _seed_distances
 from oracles import (
     pointwise_one_sided_hausdorff,
-    pointwise_seed_distances,
     sphere_spectrum_oracle,
     tube_spectrum_oracle,
 )
@@ -129,27 +128,73 @@ def test_hopf_entries_satisfy_relation():
         assert hopf_cmc_relation_check(entry.patch, p) < 1e-6
 
 
-def test_one_sided_hausdorff_matches_per_seed_scan():
-    # the cross-construction of the austere suite (distance 0 to the cone)
-    # and a CMC patch off the cone, whose probes start from different seeds
+def nearest_cone_params(sp, z, iv):
+    """Chart parameters (t, th1, th2) of the point nearest to z on the cone of e_iv.
+
+    With phases aligned to z, the nearest point keeps |z_iv| and gives both
+    other coordinates the mean of their moduli.
+    """
+    i, j = [k for k in range(3) if k != iv]
+    m = np.abs(z)
+    rise = (m[:, i] + m[:, j]) / np.sqrt(2)
+    t = sp.radius * (np.arctan2(rise, m[:, iv]) if sp.c > 0 else np.arctanh(rise / m[:, iv]))
+    phase = np.conj(z[:, iv])
+    return np.stack([t, np.angle(z[:, i] * phase), np.angle(z[:, j] * phase)], axis=-1)
+
+
+@pytest.mark.parametrize("label, cone_name", [
+    ("ch2-torus", "clifford-cone-ch2"),
+    ("cp2-torus", "clifford-cone-cp2"),
+])
+def test_clifford_cone_distance_matches_nelder_mead_search(label, cone_name):
+    # an austere curve, on a cone (in CP^2 not the catalog's), and a CMC curve
+    # off every cone, probed as the Nelder-Mead search over the catalog cone's
+    # box probes them: the closed form is attained at the nearest cone point,
+    # never exceeds the search, and equals it, as every nearest point lies
+    # inside the box
     from hopflab.actions import load_action
     from hopflab.constructor import CurveLaw, austere_search, build_hypersurface, integrate_sigma
 
-    spec = load_action("ch2-torus")
-    cone = get_entry("clifford-cone-ch2")
+    spec = load_action(label)
+    sp = spec.space
+    cone = get_entry(cone_name)
+    iv = int(np.argmax(np.abs(cone.parameters["vertex"])))
     z0 = spec.section.point(np.array([0.2, -0.1]))
     f1, f2 = spec.section.tangent_frame(z0)
     cmc = integrate_sigma(spec, z0, np.cos(1.2) * f1 + np.sin(1.2) * f2,
                           CurveLaw("cmc", eta=0.5), n_steps=100)
     austere = austere_search(spec, [[-0.3, 0.0]], n_steps=120)[0].curve
-    nearest = set()
-    for sigma, n_probe in ((austere, 5), (cmc, 3)):
+    for sigma, n_probe, on_cone in ((austere, 5, True), (cmc, 3, False)):
         ehs = build_hypersurface(spec, sigma, s_extent=0.15)
         probes = ehs.patch.eval(ehs.patch.grid((n_probe, 1, 1), margin=0.2))
-        seeds, dists = _seed_distances(ehs.space, cone.patch, probes)
-        ref_seeds, ref_dists = pointwise_seed_distances(ehs.space, cone.patch, probes)
-        assert np.array_equal(seeds, ref_seeds) and np.array_equal(dists, ref_dists)
-        nearest.update(np.argmin(dists, axis=1).tolist())
-        assert _one_sided_hausdorff(ehs, cone, n_probe) == \
-            pointwise_one_sided_hausdorff(ehs, cone, n_probe)
-    assert len(nearest) > 1
+        every_vertex = clifford_cone_distances(sp, probes)
+        dist = every_vertex[:, iv if sp.c > 0 else 0]
+        nearest = nearest_cone_params(sp, probes, iv)
+        assert np.allclose(sp.dist(cone.patch.eval(nearest), probes), dist,
+                           rtol=1e-12, atol=1e-15)
+        searched = pointwise_one_sided_hausdorff(ehs, cone, n_probe)
+        assert dist.max() <= searched * (1 + 1e-12) + 1e-15
+        assert cone.patch.contains(nearest)
+        assert np.isclose(dist.max(), searched, rtol=1e-12, atol=1e-15)
+        assert (np.max(np.min(every_vertex, axis=1)) < 1e-15) == on_cone
+
+
+@pytest.mark.parametrize("c", [4.0, -4.0, 1.0, -9.0])
+def test_clifford_cone_distance_bounded_by_dense_chart_scan(c):
+    # every torus-fixed vertex's cone, scanned along its chart well past the
+    # catalog box; the scan's angular grid coarsens with sinh(t/r) in CH^2
+    sp = SpaceForm(c)
+    rng = np.random.default_rng(5)
+    pts = np.array([sp.random_point(rng) for _ in range(6)])
+    closed = clifford_cone_distances(sp, pts)
+    t_max = np.pi / 2 * sp.radius if c > 0 else 3.0 * sp.radius
+    ts = np.linspace(0.0, t_max, 61)
+    ths = np.linspace(-np.pi, np.pi, 72, endpoint=False)
+    mesh = np.stack([m.ravel() for m in np.meshgrid(ts, ths, ths, indexing="ij")], axis=-1)
+    vertices = np.eye(3) if c > 0 else np.eye(3)[:1]
+    assert closed.shape == (len(pts), len(vertices))
+    for k, vertex in enumerate(vertices):
+        cone = clifford_cone(sp, vertex=vertex).patch.eval(mesh)
+        scan = sp.dist(cone[None], pts[:, None]).min(axis=1)
+        assert np.all(closed[:, k] <= scan * (1 + 1e-12))
+        assert np.all(scan - closed[:, k] < 0.2 * sp.radius)

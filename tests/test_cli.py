@@ -447,6 +447,20 @@ def test_classify_scene_edited_patch_field(key, edit, cmc_ehs, tmp_path, capsys)
     assert err[0].startswith(f"error: scene field 'patch.{key}': stored ")
 
 
+@pytest.mark.parametrize("c", [1e-300, 1e-160, 1e300])
+def test_classify_scene_c_out_of_range(c, cmc_ehs, tmp_path, capsys):
+    # a tiny c used to overflow while the seed was normalized, and fail later
+    # with a message about the sweep extent
+    doc = json.loads(dumps_scene(scene_document({}, sigma=cmc_ehs.sigma, ehs=cmc_ehs)))
+    doc["sigma"]["c"] = c
+    scene = tmp_path / "scene.json"
+    save_scene(scene, doc)
+    rc = run_cli(["classify", "--scene", str(scene)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: scene field 'sigma.c': |c| must lie in [1e-100, 1e+100], got {c!r}"]
+
+
 NAN = float("nan")
 
 

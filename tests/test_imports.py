@@ -5,7 +5,8 @@ each module under src/hopflab: a name bound by an import must be read
 somewhere in its module. ``from __future__`` imports and the imports of a
 package ``__init__`` (its re-exports) count as used. A top-level function or
 class, and every method of a top-level class, must be read somewhere in the
-library, and every name the package exports must resolve.
+library, and every name the package exports must resolve. No module, not
+even inside a function, imports SciPy: it is needed only by the tests.
 """
 
 import ast
@@ -43,6 +44,33 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+# -- SciPy is a test-only dependency -------------------------------------------------
+
+
+def imported_packages(source):
+    """Top-level packages that ``source`` imports, anywhere in the module
+    (function bodies included), with the line of each import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module.split(".")[0]))
+    return sorted(found)
+
+
+def test_scan_finds_an_import_nested_in_a_function():
+    source = ("import numpy as np\nfrom . import catalog\n"
+              "def f():\n    from scipy.optimize import minimize\n    import scipy.linalg\n")
+    assert imported_packages(source) == [(1, "numpy"), (4, "scipy"), (5, "scipy")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(SRC)))
+def test_module_does_not_import_scipy(path):
+    assert [line for line, name in imported_packages(path.read_text()) if name == "scipy"] == []
 
 
 # -- every library definition is read somewhere in the library ----------------------
