@@ -27,6 +27,15 @@ class GeometryError(ValueError):
     """Violated geometric precondition (unnormalized point, bad frame, ...)."""
 
 
+def rk4_step(rhs, t, y, h):
+    """One classical Runge-Kutta step of y' = rhs(t, y) from t to t + h."""
+    k1 = rhs(t, y)
+    k2 = rhs(t + h / 2, y + h / 2 * k1)
+    k3 = rhs(t + h / 2, y + h / 2 * k2)
+    k4 = rhs(t + h, y + h * k3)
+    return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 @dataclass(frozen=True)
 class SpaceForm:
     """CP^2(c) for c > 0 or CH^2(c) for c < 0."""
@@ -157,23 +166,22 @@ class SpaceForm:
     def parallel_transport_along_geodesic(self, z, direction, t1, w0, n_steps=200):
         """Parallel transport of w0 along t -> exp_z(t*direction) up to t1 (RK4).
 
-        Returns the transported vector, horizontal at exp_z(t1*direction).
+        z, direction and w0 are batched over matching (broadcastable)
+        leading axes, which run as lanes of one step loop; t1 and n_steps
+        are shared. Returns the transported vectors, horizontal at
+        exp_z(t1*direction).
         """
         h = t1 / n_steps
 
         def rhs(t, w):
             # horizontal-lift transport: wdot = -(<zdot, w>/kappa) z
-            return -(self.herm(self.exp_velocity(z, direction, t), w) / self.kappa) \
-                * self.exp(z, direction, t)
+            coef = -(self.herm(self.exp_velocity(z, direction, t), w) / self.kappa)
+            return coef[..., None] * self.exp(z, direction, t)
 
         w = np.asarray(w0, dtype=complex)
         t = 0.0
         for _ in range(n_steps):
-            k1 = rhs(t, w)
-            k2 = rhs(t + h / 2, w + h / 2 * k1)
-            k3 = rhs(t + h / 2, w + h / 2 * k2)
-            k4 = rhs(t + h, w + h * k3)
-            w = w + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            w = rk4_step(rhs, t, w, h)
             t += h
             w = self.project_horizontal(self.exp(z, direction, t), w)
         return self.project_horizontal(self.exp(z, direction, t1), w)

@@ -203,9 +203,6 @@ def _cmd_construct(args) -> int:
     cfg = _merge_config(args)
     spec = load_action(cfg.action, cfg.c)
     z0 = spec.section.point(np.asarray(cfg.point, dtype=float))
-    if not spec.is_regular(z0):
-        print("error: initial point is not regular", file=sys.stderr)
-        return 1
     f1, f2 = spec.section.tangent_frame(z0)
     w0 = np.cos(cfg.theta) * f1 + np.sin(cfg.theta) * f2
     law = CurveLaw(cfg.law, eta=cfg.eta)
@@ -439,8 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ConfigError, SceneError, GeometryError, OSError) as exc:
+        # an overflow, invalid operation or division by zero is an input the
+        # geometry cannot carry: it stops the command like any bad input
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
+    except (ConfigError, SceneError, GeometryError, OSError, FloatingPointError) as exc:
         # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,25 +13,23 @@ The curve state (z, w, xi) obeys the exact model equations
 valid because sections are totally geodesic and totally real; gamma is the
 law's target curvature evaluated on the orbit data at the current point.
 
-A curve's launches run as lanes of one batch, in real coordinates of the
-section's real frame, z = D x (see ``actions``), turned into complex
-representatives once, at the end. A law whose target reads the orbit data
-(CMC, Levi-flat) runs on the RK4 lane core ``_integrate_lanes``, which
-takes gamma and the gram determinant from ``actions._orbit_invariants`` at
-every stored row and mid-step stage. A pregeodesic law (geodesic, austere)
-has gamma = 0, so its curve is the ambient geodesic exp_z0(t w0) with
-constant Frenet normal; ``_geodesic_lanes`` writes its rows in closed form,
-from the coefficients of ``SpaceForm.geodesic_coefficients``, for all live
-lanes at once in blocks of ROW_BLOCK rows, and tests regularity at every
-row and half-step, where RK4 would take its stages. Each lane keeps its own
-row count and stops, with a truncation reason, at the first step that
-leaves the regular set or turns non-finite, while the others go on. Every
-returned curve then gets its orbit columns (alpha, beta, a, b, <H, xi>)
-from one ``_orbit_invariants`` call on its own rows.
-``integrate_sigma`` runs the two sides of a curve as two lanes;
-``austere_search`` runs all its launches as one batch, in which a launch
-stops at its first row whose alignment |<H, xi>| with the orbit
-mean-curvature field is not below the search tolerance.
+A curve's launches run as lanes of one batch in the section's real frame,
+z = D x (see ``actions``), made complex once, at the end. One lane loop,
+``_lane_loop``, renormalizes and checks the start, keeps the rows, each
+lane's row count and truncation reason, and the launches rejected by
+alignment; a row rule writes the rows. A law whose target reads the orbit
+data (CMC, Levi-flat) takes ``_RK4Rows``, one RK4 step per call, with the
+orbit data at every row and stage. A pregeodesic law (geodesic, austere)
+has gamma = 0: its curve is the ambient geodesic exp_z0(t w0) with constant
+Frenet normal, which ``_GeodesicRows`` writes in closed form, ROW_BLOCK
+rows per call. A lane stops at the first step that leaves the regular set
+or turns non-finite, while the others go on. Every returned curve then gets
+its orbit columns (alpha, beta, a, b, <H, xi>) from one
+``_orbit_invariants`` call on its own rows. ``integrate_sigma`` runs the
+two sides of a curve as two lanes; ``austere_search`` runs all its
+launches as one batch, in which a launch stops at its first row whose
+alignment |<H, xi>| with the orbit mean-curvature field is not below the
+search tolerance.
 """
 
 from __future__ import annotations
@@ -203,175 +201,178 @@ def _renorm(sp, y):
     return np.array([x.T, u.T, v.T])
 
 
-def _start(spec, x0, u0, v0, evaluate):
-    """The lanes' row 0, (3, 3, B), from raw start data, and ``evaluate`` of it.
+class _RK4Rows:
+    """Row rule of a law that reads the orbit data: one RK4 step per call.
 
-    The last item of the evaluation is the gram determinant; a singular
-    start raises SingularOrbitError.
+    The state is real, (x, u, v) as a (3, 3, lanes) array, and each
+    operation repeats the complex one on the real parts it carries. Every
+    stored row and mid-step stage takes gamma and the gram determinant from
+    ``_orbit_invariants``; the rule keeps the live lanes' state, so a
+    stored row's evaluation is the next step's first stage. A lane stops at
+    the first stage or accepted state that is non-finite or not regular.
     """
-    y = _renorm(spec.space, np.array([x0.T, u0.T, v0.T]))
-    out = evaluate(y)
-    if not np.all(out[-1] > spec.gram_floor()):
-        raise SingularOrbitError("initial point is not regular")
-    return y, out
 
+    block = 1
 
-def _stop_reason(nonfinite, steps):
-    return "non-finite state" if nonfinite else f"left the regular set after {steps} steps"
+    def __init__(self, spec, law, step):
+        self.spec, self.law, self.step = spec, law, step
+        self.kinv, self.floor = 1.0 / spec.space.kappa, spec.gram_floor()
 
+    def _evaluate(self, y):
+        alpha, beta, a, b, _, det = _orbit_invariants(self.spec, y[0], y[2])
+        return self.law.target(alpha, beta, a, b), det
 
-def _integrate_lanes(spec, law, x0, u0, v0, step, n_steps):
-    """RK4 on (z, w, xi) for B lanes of a law that reads the orbit data, in lockstep.
-
-    x0, u0, v0 (B, 3) are real frame coordinates of z, w and xi. The state
-    stays real, as a (3, 3, B) array of (x, u, v) with coordinates before
-    lanes; each operation repeats the complex one on the real parts it
-    carries, so the rows are those of complex arithmetic on z = D x. Every
-    evaluation, at a stored row or a mid-step stage, computes gamma and the
-    gram determinant from ``_orbit_invariants``; the evaluation of a stored
-    row doubles as the next step's first stage.
-
-    A lane stops at the first step whose stage or accepted state is
-    non-finite or leaves the regular set (gram det <= ``spec.gram_floor()``).
-    Returns (rows, counts, reasons): rows maps zs, ws, xis (real frame
-    coordinates) and gammas to arrays with lane and row axes leading, of
-    which lane k holds counts[k] valid rows. An empty reason means the lane
-    ran all n_steps.
-    """
-    sp = spec.space
-    kinv = 1.0 / sp.kappa
-    floor = spec.gram_floor()
-    n_lanes = len(x0)
-
-    def evaluate(y):
-        alpha, beta, a, b, _, det = _orbit_invariants(spec, y[0], y[2])
-        return law.target(alpha, beta, a, b), det
-
-    def rhs(y, gam):
+    def _rhs(self, y, gam):
         x, u, v = y
-        return np.array([u, gam * v - x * kinv, -gam * u])
+        return np.array([u, gam * v - x * self.kinv, -gam * u])
 
-    rows = {key: np.zeros((n_lanes, n_steps + 1, 3)) for key in ("zs", "ws", "xis")}
-    rows["gammas"] = np.zeros((n_lanes, n_steps + 1))
+    def start(self, y):
+        self.y, (self.gam, det) = y, self._evaluate(y)
+        return self.gam, det, None
 
-    def store(lanes, i, y, gam):
-        for key, val in (("zs", y[0].T), ("ws", y[1].T), ("xis", y[2].T), ("gammas", gam)):
-            rows[key][lanes, i] = val
-
-    counts = np.ones(n_lanes, dtype=int)
-    reasons = [""] * n_lanes
-    # dying lanes compute with singular or non-finite data; they are masked out
-    with np.errstate(all="ignore"):
-        y, (gam, _) = _start(spec, x0, u0, v0, evaluate)
-        alive = np.arange(n_lanes)
-        store(alive, 0, y, gam)
-        dead = np.zeros(n_lanes, dtype=bool)
-        for i in range(n_steps):
-            if dead.any():
-                alive, y, gam = alive[~dead], y[..., ~dead], gam[~dead]
-                if not len(alive):
-                    break
-            # a lane's reason is its first failure: stages in order, then the
-            # accepted point; a non-finite state has a NaN gram det
-            dead = np.zeros(len(alive), dtype=bool)
-            nonfinite = np.zeros(len(alive), dtype=bool)
-            ks = [rhs(y, gam)]
-            for frac in (0.5, 0.5, 1.0):
-                y_s = y + frac * step * ks[-1]
-                g_s, det_s = evaluate(y_s)
-                nonfinite |= ~dead & np.isnan(det_s)
-                dead |= ~(det_s > floor)
-                ks.append(rhs(y_s, g_s))
-            k1, k2, k3, k4 = ks
-            y = _renorm(sp, y + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
-            gam, det = evaluate(y)
-            nonfinite |= ~dead & ~np.isfinite(y).all(axis=(0, 1))
-            dead |= nonfinite | ~(det > floor)
-            # a dead lane's row lands past its count, where no reader looks
-            store(alive, i + 1, y, gam)
-            counts[alive[~dead]] += 1
-            for lane, bad in zip(alive[dead], nonfinite[dead]):
-                reasons[lane] = _stop_reason(bad, i + 1)
-    return rows, counts, reasons
+    def rows(self, keep, i0, i1):
+        y, gam, step, floor = self.y, self.gam, self.step, self.floor
+        if keep is not None:
+            y, gam = y[..., keep], gam[keep]
+        # a lane's first failure: stages in order, then the accepted point; a
+        # non-finite state has a NaN gram det
+        dead = np.zeros(len(gam), dtype=bool)
+        nonfinite = np.zeros(len(gam), dtype=bool)
+        ks = [self._rhs(y, gam)]
+        for frac in (0.5, 0.5, 1.0):
+            y_s = y + frac * step * ks[-1]
+            g_s, det_s = self._evaluate(y_s)
+            nonfinite |= ~dead & np.isnan(det_s)
+            dead |= ~(det_s > floor)
+            ks.append(self._rhs(y_s, g_s))
+        k1, k2, k3, k4 = ks
+        y = _renorm(self.spec.space, y + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
+        gam, det = self._evaluate(y)
+        nonfinite |= ~dead & ~np.isfinite(y).all(axis=(0, 1))
+        dead |= nonfinite | ~(det > floor)
+        self.y, self.gam = y, gam
+        new = dict(zip(("zs", "ws", "xis"), y.transpose(0, 2, 1)[..., None, :]),
+                   gammas=gam[:, None])
+        return new, (~dead).astype(int), nonfinite[:, None], None
 
 
-def _geodesic_lanes(spec, x0, u0, v0, step, n_steps, n_launches, align_tol=None):
-    """Rows of B pregeodesic lanes in closed form, evaluated in blocks of ROW_BLOCK rows.
+class _GeodesicRows:
+    """Row rule of a pregeodesic law (gamma = 0): ROW_BLOCK closed-form rows per call.
 
-    A pregeodesic (gamma = 0) curve is the ambient geodesic through its
-    start, with constant Frenet normal: in real frame coordinates, row i at
-    t = i step holds x = C x0 + r S u0, w = -eps S x0/r + C u0 and xi = v0,
-    with (C, S) from ``SpaceForm.geodesic_coefficients`` at theta = t/r and
-    (x0, u0, v0) the start state, which is row 0 itself. Each block takes
-    the gram determinant of every live lane at its rows and at the
-    half-steps before them, where RK4 takes its stages, and a lane stops, as
-    the RK4 lane core stops it, at the first step whose half-step or row is
-    non-finite or leaves the regular set. With ``align_tol``, row i also
-    takes the mean curvature H, and lane l being a side of launch
-    l % n_launches, a launch is rejected at the first accepted row of any of
-    its lanes that fails |<H, xi>| < align_tol (so a NaN rejects); all its
-    lanes stop there.
-
-    Returns (rows, counts, reasons, rejected): rows, counts and reasons as
-    ``_integrate_lanes`` returns them, and rejected (n_launches,) marks the
-    rejected launches.
+    The curve is the ambient geodesic through its start with constant
+    Frenet normal: row i at t = i step holds x = C x0 + r S u0,
+    w = -eps S x0/r + C u0 and xi = v0, with (C, S) from
+    ``SpaceForm.geodesic_coefficients`` at theta = t/r. A lane stops, as
+    the RK4 rule stops it, at the first step whose half-step (where RK4
+    takes its stages) or row is non-finite or not regular. With
+    ``align_tol``, each row also reports whether |<H, xi>| < align_tol.
     """
-    sp = spec.space
-    floor = spec.gram_floor()
-    n_lanes = len(x0)
-    launch = np.arange(n_lanes) % n_launches
+
+    block = ROW_BLOCK
+
+    def __init__(self, spec, step, align_tol=None):
+        self.spec, self.step, self.align_tol = spec, step, align_tol
+
+    def _aligned_and_regular(self, x, v):
+        """(alignment mask or None, gram det) at points x (3, N) with normals v (3, N)."""
+        if self.align_tol is None:
+            return None, _killing_gram(self.spec, x)[-1]
+        mean, det = _orbit_body(self.spec, x, require_regular=False)[3:]
+        return np.abs(self.spec.space.g(mean.T, v.T)) < self.align_tol, det
+
+    def start(self, y):
+        self.y = y
+        aligned, det = self._aligned_and_regular(y[0], y[2])
+        return np.zeros(y.shape[-1]), det, aligned
+
+    def rows(self, keep, i0, i1):
+        if keep is not None:
+            self.y = self.y[..., keep]
+        sp, floor = self.spec.space, self.spec.gram_floor()
+        i = np.arange(i0, i1)
+        # (3, lanes, K) points at the half-steps and at the rows
+        x, u, v = self.y[..., None]
+        ch, sh = sp.geodesic_coefficients((i - 0.5) * self.step / sp.radius)
+        half = ch * x + sp.radius * sh * u
+        c, s = sp.geodesic_coefficients(i * self.step / sp.radius)
+        xs = c * x + sp.radius * s * u
+        ws = -sp.eps * s * x / sp.radius + c * u
+        shape = xs.shape[1:]
+        det_half = _killing_gram(self.spec, half.reshape(3, -1))[-1].reshape(shape)
+        aligned, det_row = self._aligned_and_regular(
+            xs.reshape(3, -1), np.broadcast_to(v, xs.shape).reshape(3, -1))
+        # a step's first failure: its half-step, then its row
+        nonfinite_row = ~(np.isfinite(xs).all(axis=0) & np.isfinite(ws).all(axis=0))
+        fail = ~(det_half > floor) | nonfinite_row | ~(det_row.reshape(shape) > floor)
+        stop = np.where(fail.any(axis=1), fail.argmax(axis=1), len(i))
+        nonfinite = np.isnan(det_half) | ((det_half > floor) & nonfinite_row)
+        new = {"zs": xs.transpose(1, 2, 0), "ws": ws.transpose(1, 2, 0)}
+        return new, stop, nonfinite, None if aligned is None else aligned.reshape(shape)
+
+
+def _lane_loop(spec, rule, x0, u0, v0, n_steps, n_launches):
+    """Rows of B section-curve lanes, advanced in lockstep by one row rule.
+
+    x0, u0, v0 (B, 3) are real frame coordinates of z, w and xi at the
+    start; lane l is a side of launch l % n_launches. The start is
+    renormalized, and a start that is not regular raises
+    SingularOrbitError. ``rule.start(y)`` gives the start's (gammas, gram
+    det, alignment or None); each ``rule.rows(keep, i0, i1)`` call gives,
+    for rows i0 to i1 - 1 (at most ``rule.block``) of the live lanes (keep
+    masks those of its last call, or is None when all of them go on),
+    (rows of the keys that move, accepted row counts, whether a step's
+    first failure is non-finite, alignment or None), each per live lane and
+    the last two also per row. A lane stops, with a truncation reason, at
+    the first step that leaves the regular set (gram det <=
+    ``spec.gram_floor()``) or turns non-finite; a launch is rejected, and
+    all its lanes stop, at the first accepted row of any of its lanes that
+    is misaligned.
+
+    Returns (rows, counts, reasons, rejected): rows maps zs, ws, xis (real
+    frame coordinates) and gammas to arrays with lane and row axes leading,
+    of which lane k holds counts[k] valid rows; an empty reason means the
+    lane ran all n_steps; rejected (n_launches,) marks rejected launches.
+    """
+    launch = np.arange(len(x0)) % n_launches
     rejected = np.zeros(n_launches, dtype=bool)
-    rows = {key: np.zeros((n_lanes, n_steps + 1, 3)) for key in ("zs", "ws", "xis")}
-    rows["gammas"] = np.zeros((n_lanes, n_steps + 1))
-    counts = np.ones(n_lanes, dtype=int)
-    reasons = [""] * n_lanes
-
-    def aligned_and_regular(x, v):
-        """(alignment mask, gram det) at points x (3, N) with normals v (3, N)."""
-        if align_tol is None:
-            det = _killing_gram(spec, x)[-1]
-            return np.ones(len(det), dtype=bool), det
-        mean, det = _orbit_body(spec, x, require_regular=False)[3:]
-        return np.abs(sp.g(mean.T, v.T)) < align_tol, det
-
+    counts = np.ones(len(x0), dtype=int)
+    reasons = [""] * len(x0)
     # dying lanes compute with singular or non-finite data; they are masked out
     with np.errstate(all="ignore"):
-        (x0, u0, v0), (aligned, _) = _start(spec, x0, u0, v0,
-                                            lambda y: aligned_and_regular(y[0], y[2]))
-        for key, val in (("zs", x0), ("ws", u0), ("xis", v0)):
-            rows[key][:, :] = val.T[:, None]
-        rejected[launch[~aligned]] = True
-        alive = np.flatnonzero(~rejected[launch])
-        for i0 in range(1, n_steps + 1, ROW_BLOCK):
+        y = _renorm(spec.space, np.array([x0.T, u0.T, v0.T]))
+        gam, det, aligned = rule.start(y)
+        if not np.all(det > spec.gram_floor()):
+            raise SingularOrbitError("initial point is not regular")
+        # every row starts as a copy of the start row; a rule writes the keys that move
+        rows = {key: np.repeat(val[:, None], n_steps + 1, axis=1)
+                for key, val in zip(("zs", "ws", "xis", "gammas"), (*y.transpose(0, 2, 1), gam))}
+        if aligned is not None:
+            rejected[launch[~aligned]] = True
+        keep = ~rejected[launch]
+        alive = np.flatnonzero(keep)
+        for i0 in range(1, n_steps + 1, rule.block):
             if not len(alive):
                 break
-            i = np.arange(i0, min(i0 + ROW_BLOCK, n_steps + 1))
-            # (3, lanes, K) points at the half-steps and at the rows
-            x, u, v = x0[:, alive, None], u0[:, alive, None], v0[:, alive, None]
-            ch, sh = sp.geodesic_coefficients((i - 0.5) * step / sp.radius)
-            half = ch * x + sp.radius * sh * u
-            c, s = sp.geodesic_coefficients(i * step / sp.radius)
-            xs = c * x + sp.radius * s * u
-            ws = -sp.eps * s * x / sp.radius + c * u
-            shape = (len(alive), len(i))
-            det_half = _killing_gram(spec, half.reshape(3, -1))[-1].reshape(shape)
-            aligned, det_row = (a.reshape(shape) for a in aligned_and_regular(
-                xs.reshape(3, -1), np.broadcast_to(v, xs.shape).reshape(3, -1)))
-            # a step's first failure: its half-step, then its row
-            nonfinite_row = ~(np.isfinite(xs).all(axis=0) & np.isfinite(ws).all(axis=0))
-            fail = ~(det_half > floor) | nonfinite_row | ~(det_row > floor)
-            stop = np.where(fail.any(axis=1), fail.argmax(axis=1), len(i))
-            rows["zs"][alive, i0:i0 + len(i)] = xs.transpose(1, 2, 0)
-            rows["ws"][alive, i0:i0 + len(i)] = ws.transpose(1, 2, 0)
-            counts[alive] += stop
-            for j in np.flatnonzero(stop < len(i)):
-                k = stop[j]
-                bad = np.isnan(det_half[j, k]) or (det_half[j, k] > floor and nonfinite_row[j, k])
-                reasons[alive[j]] = _stop_reason(bad, i0 + k)
-            # the accepted rows that are misaligned reject their launches
-            accepted = np.arange(len(i)) < stop[:, None]
-            rejected[launch[alive[(accepted & ~aligned).any(axis=1)]]] = True
-            alive = alive[(stop == len(i)) & ~rejected[launch[alive]]]
+            i1 = min(i0 + rule.block, n_steps + 1)
+            new, stop, nonfinite, aligned = rule.rows(keep, i0, i1)
+            # a stopped lane's rows land past its count, where no reader looks
+            for key, val in new.items():
+                rows[key][alive, i0:i1] = val
+            keep = None   # every lane goes on: the common case costs one reduction
+            if aligned is not None:
+                # the accepted rows that are misaligned reject their launches
+                accepted = np.arange(i1 - i0) < stop[:, None]
+                rejected[launch[alive[(accepted & ~aligned).any(axis=1)]]] = True
+                keep = (stop == i1 - i0) & ~rejected[launch[alive]]
+            elif stop.min() < i1 - i0:
+                keep = stop == i1 - i0
+            if keep is not None:
+                for j in np.flatnonzero(stop < i1 - i0):
+                    reasons[alive[j]] = ("non-finite state" if nonfinite[j, stop[j]] else
+                                         f"left the regular set after {i0 + stop[j]} steps")
+                counts[alive[~keep]] = i0 + stop[~keep]
+                alive = alive[keep]
+        counts[alive] = n_steps + 1
     return rows, counts, reasons, rejected
 
 
@@ -381,7 +382,7 @@ def _launch_sigmas(spec, law, x0, u0, step, n_steps, two_sided=True, align_tol=N
     x0: (B, 3) start points and u0: (B, 3) section-tangent directions, both
     in real frame coordinates; u0 is normalized here. A launch is one lane,
     or two (u0 and -u0) when ``two_sided``. A law that reads the orbit data
-    runs on the RK4 lane core, a pregeodesic law in closed form. With
+    takes the RK4 row rule, a pregeodesic law the closed form. With
     ``align_tol`` (pregeodesic laws only), a launch whose alignment
     |<H, xi>| fails to stay below it stops at that row and its entry is
     None. Each returned curve gets its orbit columns from one
@@ -398,12 +399,9 @@ def _launch_sigmas(spec, law, x0, u0, step, n_steps, two_sided=True, align_tol=N
     n = len(x0)
     if two_sided:
         x0, u0, v0 = (np.concatenate(pair) for pair in ((x0, x0), (u0, -u0), (v0, v0)))
-    if law.reads_orbit_data:
-        rows, counts, reasons = _integrate_lanes(spec, law, x0, u0, v0, step, n_steps)
-        rejected = np.zeros(n, dtype=bool)
-    else:
-        rows, counts, reasons, rejected = _geodesic_lanes(spec, x0, u0, v0, step, n_steps, n,
-                                                          align_tol)
+    rule = (_RK4Rows(spec, law, step) if law.reads_orbit_data
+            else _GeodesicRows(spec, step, align_tol))
+    rows, counts, reasons, rejected = _lane_loop(spec, rule, x0, u0, v0, n_steps, n)
     curves = []
     for k in range(n):
         if rejected[k]:
@@ -435,12 +433,11 @@ def integrate_sigma(spec: PolarActionSpec, z0, w0, law: CurveLaw,
     z0: representative (3,) of the section point. w0: unit tangent (3,) to
     the section at z0. Both must lie in the section's real frame D.R^3, as
     chart points, their tangent frames and curve rows do; anything else
-    raises GeometryError. The Frenet normal starts at the +90 degree rotation
-    of w0 in the chart orientation. With ``two_sided`` the curve covers t in
+    raises GeometryError, and a z0 that is not regular SingularOrbitError.
+    The Frenet normal starts at the +90 degree rotation of w0 in the chart
+    orientation. With ``two_sided`` the curve covers t in
     [-n_steps*step, n_steps*step]; the two sides run as two lanes of one batch.
     """
-    if not spec.is_regular(z0):
-        raise SingularOrbitError("initial point is not regular")
     return _launch_sigmas(spec, law, spec.frame_coords(z0)[None], spec.frame_coords(w0)[None],
                           step, n_steps, two_sided)[0]
 

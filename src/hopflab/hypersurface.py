@@ -33,12 +33,11 @@ from typing import Callable
 
 import numpy as np
 
-from .ambient import GeometryError, SpaceForm
+from .ambient import GeometryError, SpaceForm, rk4_step
 
 TAU_MULT = 1e-4       # eigenvalue clustering, relative to spectrum spread
 TAU_PROJ = 1e-4       # Hopf projection threshold
 IMMERSION_TOL = 1e-10
-AUTO_STRONG_TOL = 1e-2  # max D-derivative of alpha, beta for the strong table in "auto" mode
 BRACKET_STEP = 1e-3    # flow time of bracket_by_flows' commutator loop
 BRACKET_RK_STEPS = 2   # RK4 steps per flow leg of that loop
 
@@ -801,13 +800,14 @@ def _derivative_identities_strong(c, fr, s):
     return out
 
 
-def verify_connection_formulas(patch: HypersurfacePatch, params, mode="auto") -> dict:
+def verify_connection_formulas(patch: HypersurfacePatch, params, mode: str) -> dict:
     """Compare the numeric Levi-Civita connection against the h = 2 tables.
 
-    mode: "generic" (three distinct curvatures), "strong" (strongly 2-Hopf),
-    or "auto" (strong if the D-derivatives of alpha, beta are below
-    AUTO_STRONG_TOL).
+    mode: "generic" (three distinct curvatures) or "strong" (strongly
+    2-Hopf); any other mode raises GeometryError.
     """
+    if mode not in ("generic", "strong"):
+        raise GeometryError(f"unknown connection table {mode!r}; choose 'generic' or 'strong'")
     sd = shape_data(patch, np.atleast_2d(params)[:1])
     vals = sd.eigvals[0]
     spread = max(float(vals[0] - vals[2]), 1e-6)
@@ -817,10 +817,6 @@ def verify_connection_formulas(patch: HypersurfacePatch, params, mode="auto") ->
               "max_entry_residual": 0.0, "max_identity_residual": 0.0}
     af, scalars, nabla = frame_derivative_data(patch, sd, [0])
     fr, s = af.at(0), {key: float(val[0]) for key, val in scalars.items()}
-    if mode == "auto":
-        dmax = d_invariants(sd._sp, af, scalars, nabla)[1][0]
-        mode = "strong" if dmax < AUTO_STRONG_TOL else "generic"
-        report["mode"] = mode
     c = patch.space.c
     if mode == "generic" and min_gap < 10 * TAU_MULT * spread:
         report["skipped_degenerate"] = True
@@ -862,18 +858,13 @@ def bracket_by_flows(patch: HypersurfacePatch, params, x_fn, y_fn):
     p0 = sd.frames.params[0]
 
     def flow(p, fn, time):
-        dt = time / BRACKET_RK_STEPS
-        cur = p.copy()
+        def vel(_, q):
+            sdq = shape_data(patch, q[None])
+            return tangent_param_coords(sdq, fn(q)[None, None])[0, 0]
+
         for _ in range(BRACKET_RK_STEPS):
-            def vel(q):
-                sdq = shape_data(patch, q[None])
-                return tangent_param_coords(sdq, fn(q)[None, None])[0, 0]
-            k1 = vel(cur)
-            k2 = vel(cur + 0.5 * dt * k1)
-            k3 = vel(cur + 0.5 * dt * k2)
-            k4 = vel(cur + dt * k3)
-            cur = cur + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        return cur
+            p = rk4_step(vel, 0.0, p, time / BRACKET_RK_STEPS)
+        return p
 
     def loop(sign):
         s = sign * BRACKET_STEP

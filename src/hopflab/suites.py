@@ -23,7 +23,7 @@ from .actions import (
     phi_coefficients,
     phi_profile,
 )
-from .ambient import SpaceForm
+from .ambient import SpaceForm, rk4_step
 from .constructor import (
     CurveLaw,
     build_hypersurface,
@@ -213,6 +213,15 @@ def fd_curvature_residual(sp: SpaceForm, rng, n_points=50, h=2e-5):
     return worst
 
 
+def _draw_frames(sp, rng, n, n_tangents):
+    """n random points (n, 3), each drawn before its n_tangents unit tangents (n, 3)."""
+    draws = []
+    for _ in range(n):
+        p = sp.random_point(rng)
+        draws.append([p] + [sp.random_tangent(rng, p) for _ in range(n_tangents)])
+    return tuple(np.array(col) for col in zip(*draws))
+
+
 def suite_ambient(ws: Workspace) -> SuiteResult:
     res = SuiteResult("ambient")
     for c in (4.0, -4.0):
@@ -241,39 +250,28 @@ def suite_ambient(ws: Workspace) -> SuiteResult:
         res.expect(f"bianchi_c{c:+g}", bianchi, 1e-10)
         res.expect(f"fd_curvature_oracle_c{c:+g}",
                    fd_curvature_residual(sp, ws.rng(f"fd{c}"), n_points=50), 1e-3)
-        # Kaehler identity along random geodesics: transport commutes with J
-        kah = 0.0
+        # Kaehler identity along random geodesics: transport commutes with J;
+        # the 20 transports of v and of Jv run as one batch
         rngk = ws.rng(f"kahler{c}")
-        for _ in range(20):
-            p = sp.random_point(rngk)
-            d = sp.random_tangent(rngk, p)
-            v = sp.random_tangent(rngk, p)
-            tv = sp.parallel_transport_along_geodesic(p, d, 0.5, v, n_steps=100)
-            jtv = sp.parallel_transport_along_geodesic(p, d, 0.5, 1j * v, n_steps=100)
-            kah = max(kah, float(sp.norm(1j * tv - jtv)))
+        p, d, v = _draw_frames(sp, rngk, 20, 2)
+        tv, jtv = sp.parallel_transport_along_geodesic(p, d, 0.5, np.array([v, 1j * v]),
+                                                       n_steps=100)
+        kah = float(np.max(sp.norm(1j * tv - jtv)))
         res.expect(f"kahler_parallel_J_c{c:+g}", kah, 1e-6)
-        # exp against an RK4 geodesic oracle, and distance additivity
-        rngg = ws.rng(f"geo{c}")
-        geo = dist_add = 0.0
-        for _ in range(10):
-            p = sp.random_point(rngg)
-            v = sp.random_tangent(rngg, p)
-            z, w = p.copy(), v.copy()
-            n, dt = 200, 1.0 / 200
+        # exp against an RK4 geodesic oracle of 10 curves at once, and
+        # distance additivity
+        p, v = _draw_frames(sp, ws.rng(f"geo{c}"), 10, 1)
 
-            def acc(zz, ww):
-                return -(sp.g(ww, ww) / sp.kappa) * zz
+        def geodesic_rhs(_, y):
+            z, w = y
+            return np.array([w, -(sp.g(w, w) / sp.kappa)[:, None] * z])
 
-            for _ in range(n):
-                k1z, k1w = w, acc(z, w)
-                k2z, k2w = w + dt / 2 * k1w, acc(z + dt / 2 * k1z, w + dt / 2 * k1w)
-                k3z, k3w = w + dt / 2 * k2w, acc(z + dt / 2 * k2z, w + dt / 2 * k2w)
-                k4z, k4w = w + dt * k3w, acc(z + dt * k3z, w + dt * k3w)
-                z = z + dt / 6 * (k1z + 2 * k2z + 2 * k3z + k4z)
-                w = w + dt / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
-            geo = max(geo, float(sp.dist(sp.exp(p, v, 1.0), z)))
-            for t in (0.3, 0.9, 1.3):
-                dist_add = max(dist_add, abs(float(sp.dist(p, sp.exp(p, v, t))) - t))
+        y = np.array([p, v])
+        for _ in range(200):
+            y = rk4_step(geodesic_rhs, 0.0, y, 1.0 / 200)
+        geo = float(np.max(sp.dist(sp.exp(p, v, 1.0), y[0])))
+        dist_add = max(float(np.max(np.abs(sp.dist(p, sp.exp(p, v, t)) - t)))
+                       for t in (0.3, 0.9, 1.3))
         res.expect(f"exp_vs_rk_oracle_c{c:+g}", geo, 1e-6)
         res.expect(f"distance_additivity_c{c:+g}", dist_add, 1e-6)
     return res

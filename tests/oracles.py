@@ -84,8 +84,7 @@ def scalar_parallel_transport(sp, z, direction, t1, w0, n_steps=200):
 
     The step loop of ``SpaceForm.parallel_transport_along_geodesic`` as it
     stood when it took point and tangent objects. Tests pin the array
-    transport against it bit for bit, and a batched transport is to be
-    pinned against it the same way.
+    transport against it bit for bit, the batched transport lane by lane.
     """
     h = t1 / n_steps
 

@@ -181,6 +181,24 @@ def test_parallel_transport_matches_scalar_oracle(c, rng):
             assert np.array_equal(new, ref)
 
 
+@pytest.mark.parametrize("c", BOTH)
+def test_batched_parallel_transport_matches_scalar_oracle_lane_by_lane(c, rng):
+    # a (2, 6) batch, as the ambient suite runs it: six geodesics, each with
+    # v and Jv, the points and directions broadcast over the leading axis;
+    # every lane keeps the bits of the one-vector loop
+    sp = SpaceForm(c)
+    draws = [point_and_tangents(sp, rng) for _ in range(6)]
+    p = np.array([z for z, _ in draws])
+    d, v = (np.array([tangents[k] for _, tangents in draws]) for k in range(2))
+    w0 = np.array([v, 1j * v])
+    batch = sp.parallel_transport_along_geodesic(p, d, 0.5, w0, n_steps=100)
+    assert batch.shape == (2, 6, 3)
+    for j in range(2):
+        for n in range(6):
+            ref = scalar_parallel_transport(sp, p[n], d[n], 0.5, w0[j, n], n_steps=100)
+            assert np.array_equal(batch[j, n], ref)
+
+
 def test_section_chart_real_plane_cp2(cp2):
     sp = cp2
     p = sp.normalize_rep(np.array([1.0, 0.0, 0.0], dtype=complex))

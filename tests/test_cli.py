@@ -265,12 +265,26 @@ def test_sample_csv(tmp_path, capsys):
     (["hopf-directions", "--action", "cp2-torus", "--out", "{tmp}/no/phi.csv"],
      "No such file or directory"),
     (["construct", "--out-scene", "{tmp}/no/scene.json"], "No such file or directory"),
+    # on the orbit triangle's edge: integrate_sigma's start check names it
+    (["construct", "--action", "cp2-torus", "--point", "-0.44", "0.82"],
+     "initial point is not regular"),
+    # catalog boxes are absolute lengths, so at r = 2e-10 a chart overflows;
+    # every command runs with floating-point errors raised
+    (["classify", "--catalog", "clifford-cone-ch2", "--c=-1e20"],
+     "overflow encountered in sinh"),
+    (["classify", "--catalog", "bisector", "--c=-1e20"], "overflow encountered in cosh"),
+    (["classify", "--catalog", "tube-ch1", "--c=-1e20"], "overflow encountered in cosh"),
+    (["classify", "--catalog", "lohnherr", "--c=-1e20"], "overflow encountered in cosh"),
+    (["sample", "--catalog", "bisector", "--c=-1e20", "--out", "{tmp}/m.csv"],
+     "overflow encountered in cosh"),
 ], ids=["bad-action", "missing-scene", "classify-c-nan", "hopf-c-inf", "hopf-point-nan",
         "sample-r-inf", "classify-grid-0", "sample-grid-negative", "hopf-samples-huge",
         "hopf-point-huge", "hopf-point-far", "hopf-c-huge", "hopf-c-1e300", "hopf-c-1e-300",
         "verify-seed-negative", "construct-seed-removed", "sample-out-unwritable",
         "verify-out-unwritable", "classify-out-unwritable", "hopf-out-unwritable",
-        "construct-out-unwritable"])
+        "construct-out-unwritable", "construct-point-singular", "classify-cone-c-overflow",
+        "classify-bisector-c-overflow", "classify-tube-ch1-c-overflow",
+        "classify-lohnherr-c-overflow", "sample-bisector-c-overflow"])
 def test_validation_exit_codes(argv, message, capsys, tmp_path):
     argv = [a.format(tmp=tmp_path) for a in argv]
     with warnings.catch_warnings():

@@ -365,6 +365,21 @@ def test_lane_core_matches_scalar_when_one_side_truncates():
         assert np.abs(getattr(sigma, name) - col).max() <= 1e-12, name
 
 
+@pytest.mark.parametrize("law, theta", [(CurveLaw("cmc", eta=1.0), 3 * np.pi / 7),
+                                        (CurveLaw("levi-flat"), 2 * np.pi / 7)],
+                         ids=["cmc", "levi-flat"])
+def test_rk4_rule_matches_scalar_when_one_side_truncates(law, theta):
+    # the RK4 row rule at the same edge of the orbit triangle: the backward
+    # side keeps 24 steps and leaves the regular set on the 25th, the forward
+    # side runs all 300
+    spec, z0, w0 = launch("cp2-torus", theta=theta, coords=(-0.463, -0.802))
+    sigma = integrate_sigma(spec, z0, w0, law, n_steps=300)
+    assert sigma.truncation_reason == "left the regular set after 25 steps"
+    assert sigma.ts[0] == -24 * sigma.step and len(sigma.ts) == 24 + 1 + 300
+    ref = oracles.scalar_integrate_sigma(spec, z0, w0, law, n_steps=300)
+    assert_same_sigma(sigma, ref, ("ts", "zs", "ws", "xis", "gammas"))
+
+
 def test_lane_core_truncates_non_finite_lanes_without_warnings():
     spec, z0, w0 = launch("ch2-g0")
     with warnings.catch_warnings():
@@ -401,9 +416,9 @@ def _count_invariant_calls(monkeypatch):
     """Record each orbit evaluation of the section curves, by kind.
 
     "full" per ``_orbit_invariants`` call, "gram" per ``_killing_gram`` call
-    and "row" per ``_orbit_body`` call of a lane path (RK4 or closed form).
-    A call made inside a recorded one is not recorded, nor is the search's
-    own ``_orbit_body`` call on its grid, outside the lane paths.
+    and "row" per ``_orbit_body`` call inside ``_lane_loop`` (either row
+    rule). A call made inside a recorded one is not recorded, nor is the
+    search's own ``_orbit_body`` call on its grid, outside the lane loop.
     """
     calls = []
     inside = {"lanes": False, "recorded": False}
@@ -420,17 +435,15 @@ def _count_invariant_calls(monkeypatch):
                 inside["recorded"] = False
         return call
 
-    def in_lanes(lane_path):
-        def call(*args, **kwargs):
-            inside["lanes"] = True
-            try:
-                return lane_path(*args, **kwargs)
-            finally:
-                inside["lanes"] = False
-        return call
+    def in_lanes(*args, **kwargs):
+        inside["lanes"] = True
+        try:
+            return lane_loop(*args, **kwargs)
+        finally:
+            inside["lanes"] = False
 
-    for name in ("_integrate_lanes", "_geodesic_lanes"):
-        monkeypatch.setattr(constructor, name, in_lanes(getattr(constructor, name)))
+    lane_loop = constructor._lane_loop
+    monkeypatch.setattr(constructor, "_lane_loop", in_lanes)
     for name, kind in (("_orbit_invariants", "full"), ("_killing_gram", "gram"),
                        ("_orbit_body", "row")):
         monkeypatch.setattr(constructor, name, counting(getattr(constructor, name), kind))

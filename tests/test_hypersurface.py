@@ -309,8 +309,12 @@ def test_connection_formulas_strong_and_generic(cmc_ehs):
     if not generic["skipped_degenerate"]:
         assert generic["max_entry_residual"] < 1e-3
         assert generic["max_identity_residual"] < 1e-3
-    auto = verify_connection_formulas(cmc_ehs.patch, p, mode="auto")
-    assert auto["mode"] == "strong"   # construction is strongly 2-Hopf
+
+
+@pytest.mark.parametrize("mode", ["auto", "Strong", ""])
+def test_connection_formulas_reject_unknown_mode(mode, cmc_ehs):
+    with pytest.raises(GeometryError, match="unknown connection table"):
+        verify_connection_formulas(cmc_ehs.patch, np.array([0.04, 0.02, -0.05]), mode=mode)
 
 
 def test_gauss_codazzi_on_catalog_and_corruption(sphere_entry, rng):
