@@ -17,7 +17,7 @@ def __getattr__(name):
         from . import actions
 
         return getattr(actions, name)
-    if name in ("classify", "adapted_frame", "levi_form", "HypersurfacePatch"):
+    if name in ("classify", "levi_form", "HypersurfacePatch"):
         from . import hypersurface
 
         return getattr(hypersurface, name)

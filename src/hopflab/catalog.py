@@ -73,7 +73,7 @@ def geodesic_sphere(space: SpaceForm, r: float = 0.5) -> CatalogEntry:
     """Distance sphere of radius r about [1:0:0]; Hopf with constant principal curvatures."""
     sp = space
     if sp.c > 0 and not 0 < r < np.pi / np.sqrt(sp.c):
-        raise GeometryError(f"radius must lie in (0, pi/sqrt(c)) = (0, {np.pi / np.sqrt(sp.c):.4f})")
+        raise GeometryError(f"radius must lie in (0, pi/sqrt(c)) = (0, {np.pi / np.sqrt(sp.c):.6g})")
     if r <= 0:
         raise GeometryError("radius must be positive")
     center = sp.normalize_rep(np.eye(3, dtype=complex)[0])

@@ -144,11 +144,16 @@ def _check_grid_points(shape):
         raise ConfigError("grid", f"must have at most {MAX_GRID_POINTS} points in all")
 
 
-def _check_scale(c, point):
-    """Bound the curvature c (None: the default |c| = 4) and a section point."""
+def _check_c(c):
+    """Bound the curvature c (None: the default |c| = 4)."""
     lo, hi = C_MAGNITUDE
     if c is not None and not lo <= abs(c) <= hi:
         raise ConfigError("c", f"|c| must lie in [{lo:g}, {hi:g}], got {c!r}")
+
+
+def _check_scale(c, point):
+    """Bound the curvature c (None: the default |c| = 4) and a section point."""
+    _check_c(c)
     radius, dist = 1.0 if c is None else 2.0 / math.sqrt(abs(c)), math.hypot(*point)
     if dist > MAX_POINT_RADII * radius:
         raise ConfigError("point", f"{list(point)} lies {dist / radius:.3g} model radii "
@@ -253,7 +258,8 @@ def _load_patch_for(args):
         params = {}
         if getattr(args, "r", None) is not None:
             params["r"] = args.r
-        entry = get_entry(args.catalog, c=getattr(args, "c", None), **params)
+        _check_c(args.c)
+        entry = get_entry(args.catalog, c=args.c, **params)
         return entry.patch, {"catalog": entry.name,
                              "parameters": {k: _plain(v) for k, v in entry.parameters.items()
                                             if _plain(v) is not None},

@@ -72,8 +72,8 @@ LAW_KINDS = ("geodesic", "cmc", "levi-flat", "austere")
 CERTIFY_TOLERANCES = {
     "tau_proj": DEFAULT_TOLERANCES["tau_proj"],
     "tau_mult": DEFAULT_TOLERANCES["tau_mult"],
-    "integrable": 1e-5,
-    "spectrum_constancy": 1e-4,
+    "integrable": DEFAULT_TOLERANCES["integrable"],
+    "spectrum_constancy": DEFAULT_TOLERANCES["spectrum_constancy"],
     "leaf_flat": 1e-3,
     "leaf_totally_real": 1e-6,
     "nabla_AA": 1e-4,

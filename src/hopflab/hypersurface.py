@@ -11,12 +11,17 @@ primitive, ``adapted_frames``, over the point axis of a ShapeData: the
 eigenvalue clusters, h, the adapted frame {U, V, A} with the functions a, b
 (positive-projection conventions), alpha, beta, gamma, the frame-identity
 residuals, and the Levi scalar and ruled residual on the complex
-distribution. ``adapted_frame`` is its one-point wrapper.
+distribution. Callers index its arrays at the points they need, and
+``_require_h2`` is the one gate that rejects points where h != 2.
 
 The frame's derivatives come from ``frame_derivative_data`` at an index
 array of points (one shape_data call over all displaced points), and
 ``d_invariants`` reduces them to the strongly 2-Hopf D-invariants shared by
-classify, the certifier and the connection suite.
+classify, the certifier and the connection suite. The checks of the h = 2
+theory are batched over points too: ``verify_connection_formulas`` reads one
+frame_derivative_data output, ``levi_form`` and ``hopf_cmc_relation_check``
+read a ShapeData, and ``bracket_by_flows`` runs its two commutator loops as
+lanes of one flow.
 
 Covariant derivatives of tangent fields (the frame connection nabla_X Y,
 the nested Gauss-Codazzi stencils) all go through the batched
@@ -253,6 +258,7 @@ def frames_at(patch: HypersurfacePatch, params, zs=None) -> PointFrames:
 class ShapeData:
     """Batched second-order data: orthonormal tangents, S, spectrum."""
 
+    space: SpaceForm
     frames: PointFrames
     E: np.ndarray          # (N, 3, 3) orthonormal tangent basis
     W: np.ndarray          # (N, 3, 3) E_a = sum_k W[n, k, a] v[n, k]
@@ -261,18 +267,15 @@ class ShapeData:
     eigvecs: np.ndarray    # (N, 3, 3) ambient eigenvectors, eigvecs[n, i]
     jxi_coords: np.ndarray # (N, 3) coordinates of J xi in the E basis
     asym: np.ndarray       # (N,) symmetry defect of S before symmetrization
-    _sp: SpaceForm = None
 
     def take(self, idx) -> "ShapeData":
         """The same data at the points idx."""
         f = self.frames
         frames = PointFrames(params=f.params[idx], z=f.z[idx], v=f.v[idx], xi=f.xi[idx],
                              gram_det=f.gram_det[idx])
-        out = ShapeData(frames=frames, E=self.E[idx], W=self.W[idx], S=self.S[idx],
-                        eigvals=self.eigvals[idx], eigvecs=self.eigvecs[idx],
-                        jxi_coords=self.jxi_coords[idx], asym=self.asym[idx])
-        out._sp = self._sp
-        return out
+        return ShapeData(space=self.space, frames=frames, E=self.E[idx], W=self.W[idx],
+                         S=self.S[idx], eigvals=self.eigvals[idx], eigvecs=self.eigvecs[idx],
+                         jxi_coords=self.jxi_coords[idx], asym=self.asym[idx])
 
 
 def _gram_schmidt_with_coeffs(sp: SpaceForm, v):
@@ -330,29 +333,11 @@ def shape_data(patch: HypersurfacePatch, params) -> ShapeData:
     ambient = np.einsum("nai,nak->nik", vecs, E)   # (N, i, 3)
     jxi = 1j * base.xi
     jc = np.real(sp.herm(E, jxi[:, None, :]))
-    out = ShapeData(frames=base, E=E, W=W, S=s, eigvals=vals, eigvecs=ambient,
-                    jxi_coords=jc, asym=asym)
-    out._sp = sp
-    return out
+    return ShapeData(space=sp, frames=base, E=E, W=W, S=s, eigvals=vals, eigvecs=ambient,
+                     jxi_coords=jc, asym=asym)
 
 
 # -- spectrum, clusters, adapted frames --------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class AdaptedFrame:
-    """Orthonormal frame {U, V, A} with J xi = a U + b V (a, b > 0)."""
-
-    U: np.ndarray
-    V: np.ndarray
-    A: np.ndarray
-    xi: np.ndarray
-    a: float
-    b: float
-    alpha: float
-    beta: float
-    gamma: float
-    residuals: dict
 
 
 def _require_h2(h):
@@ -393,19 +378,10 @@ class AdaptedFrames:
         """(N,) largest frame-identity residual, NaN where h != 2."""
         return np.max(list(self.residuals.values()), axis=0)
 
-    def at(self, n) -> AdaptedFrame:
-        """The frame at point n; FrameError unless h = 2 there."""
-        _require_h2(self.h[[n]])
-        return AdaptedFrame(U=self.U[n], V=self.V[n], A=self.A[n], xi=self.xi[n],
-                            a=float(self.a[n]), b=float(self.b[n]),
-                            alpha=float(self.alpha[n]), beta=float(self.beta[n]),
-                            gamma=float(self.gamma[n]),
-                            residuals={k: float(v[n]) for k, v in self.residuals.items()})
-
 
 def _apply_shape(sd: ShapeData, u):
     """S u for tangent vectors u of shape (N, k, 3) at the N points of sd."""
-    coords = sd._sp.g(u[:, :, None, :], sd.E[:, None])
+    coords = sd.space.g(u[:, :, None, :], sd.E[:, None])
     out = np.matmul(sd.S[:, None], coords[..., None])[..., 0]
     return np.einsum("nka,nal->nkl", out, sd.E)
 
@@ -419,7 +395,7 @@ def adapted_frames(sd: ShapeData, tau_proj=TAU_PROJ, tau_mult=TAU_MULT) -> Adapt
     projects with norm above tau_proj. Where h = 2, J xi = a U + b V with U
     on the upper and V on the lower projected cluster.
     """
-    sp = sd._sp
+    sp = sd.space
     n = len(sd.eigvals)
     vals, xi = sd.eigvals, sd.frames.xi
     jxi = 1j * xi
@@ -497,25 +473,19 @@ def adapted_frames(sd: ShapeData, tau_proj=TAU_PROJ, tau_mult=TAU_MULT) -> Adapt
         levi=levi[:, 0] + levi[:, 1], ruled=np.max(sp.norm(normal), axis=1))
 
 
-def adapted_frame(patch: HypersurfacePatch, params) -> AdaptedFrame:
-    """Adapted frame of the h = 2 structure at a single parameter point."""
-    sd = shape_data(patch, np.atleast_2d(params)[:1])
-    return adapted_frames(sd).at(0)
-
-
 # -- Levi form ------------------------------------------------------------------
 
 
-def levi_form(patch: HypersurfacePatch, params, X, Y) -> float:
-    """L(X, Y) = <S X, Y> + <S JX, JY> for X, Y (3,) in the complex distribution."""
-    sd = shape_data(patch, np.atleast_2d(params)[:1])
-    sp = sd._sp
-    jxi = 1j * sd.frames.xi[0]
+def levi_form(sd: ShapeData, X, Y):
+    """(N,) L(X, Y) = <S X, Y> + <S JX, JY> for X, Y (N, 3) in the complex
+    distribution at the N points of sd."""
+    sp = sd.space
+    jxi = 1j * sd.frames.xi
     for u in (X, Y):
-        if abs(sp.g(u, jxi)) > 1e-6 * max(1.0, float(sp.norm(u))):
+        if np.any(np.abs(sp.g(u, jxi)) > 1e-6 * np.maximum(1.0, sp.norm(u))):
             raise GeometryError("Levi form arguments must be orthogonal to J xi")
-    sx = _apply_shape(sd, np.stack([X, 1j * X])[None])[0]
-    return float(sp.g(sx[0], Y) + sp.g(sx[1], 1j * Y))
+    sx = _apply_shape(sd, np.stack([X, 1j * X], axis=1))
+    return sp.g(sx[:, 0], Y) + sp.g(sx[:, 1], 1j * Y)
 
 
 # -- directional machinery -----------------------------------------------------
@@ -524,7 +494,7 @@ def levi_form(patch: HypersurfacePatch, params, X, Y) -> float:
 def tangent_param_coords(sd: ShapeData, u):
     """Coordinates c with u = sum_k c_k v_k (solve the Gram system), for
     tangent vectors u of shape (N, k, 3) at the N points of sd."""
-    sp = sd._sp
+    sp = sd.space
     v = sd.frames.v
     g = np.real(sp.herm(v[:, :, None, :], v[:, None, :, :]))
     rhs = sp.g(v[:, None, :, :], u[:, :, None, :])
@@ -579,7 +549,7 @@ def frame_derivative_data(patch, sd: ShapeData, idx, tau_proj=TAU_PROJ, tau_mult
     shape_data call on a coarser-step twin patch, so that the differencing
     amplifies ~1e-9 noise instead of ~1e-8.
     """
-    sp = sd._sp
+    sp = sd.space
     step = FD_FRAME_SHIFT
     base = sd.take(idx)
     af = adapted_frames(base, tau_proj, tau_mult)
@@ -641,7 +611,7 @@ def classify(patch: HypersurfacePatch, params_grid,
     integ = spec_const = 0.0
     if take:
         integ, spec_const = (float(np.max(x)) for x in d_invariants(
-            sd._sp, *frame_derivative_data(patch, sd, take, tau_proj, tau_mult)))
+            sd.space, *frame_derivative_data(patch, sd, take, tau_proj, tau_mult)))
     h_counts = {int(k): int((hs == k).sum()) for k in sorted(set(hs.tolist()))}
     h_mode = max(h_counts, key=lambda k: (h_counts[k], -k))
     all_h1 = bool(np.all(hs == 1))
@@ -681,23 +651,26 @@ def classify(patch: HypersurfacePatch, params_grid,
 # -- CMC / Hopf relation -------------------------------------------------------
 
 
-def hopf_cmc_relation_check(patch: HypersurfacePatch, params) -> float:
-    """|2 alpha (beta+gamma) - 4 beta gamma + c| at a Hopf point.
+def hopf_cmc_relation_check(sd: ShapeData):
+    """(N,) |2 alpha (beta+gamma) - 4 beta gamma + c| at the Hopf points of sd.
 
     alpha is the principal curvature of the J xi direction; beta, gamma the
-    remaining ones. Raises unless the point is Hopf (h = 1).
+    remaining ones, where alpha repeats for each further eigenvalue of its
+    cluster. Raises unless every point is Hopf (h = 1).
     """
-    sd = shape_data(patch, np.atleast_2d(params)[:1])
     af = adapted_frames(sd)
-    if af.h[0] != 1:
-        raise GeometryError(f"hopf_cmc_relation_check requires a Hopf point (h = {af.h[0]})")
-    hopf = af.labels[0] == np.argmax(af.norms[0])
-    alpha = float(np.mean(sd.eigvals[0, hopf]))
-    others = sd.eigvals[0, ~hopf].tolist()
-    others += [alpha] * (2 - len(others))   # the Hopf cluster's multiplicity repeats alpha
-    beta, gamma = others
-    c = patch.space.c
-    return abs(2.0 * alpha * (beta + gamma) - 4.0 * beta * gamma + c)
+    if np.any(af.h != 1):
+        raise GeometryError("hopf_cmc_relation_check requires Hopf points "
+                            f"(h = {af.h[af.h != 1][0]})")
+    hopf = af.labels == np.argmax(af.norms, axis=1)[:, None]
+    vals = sd.eigvals
+    alpha = np.add.reduce(np.where(hopf, vals, 0.0), axis=1) / hopf.sum(axis=1)
+    # the eigenvalues outside the Hopf cluster first, the cluster's read as alpha
+    order = np.argsort(hopf, axis=1, kind="stable")
+    others = np.where(np.take_along_axis(hopf, order, axis=1), alpha[:, None],
+                      np.take_along_axis(vals, order, axis=1))
+    beta, gamma = others[:, 0], others[:, 1]
+    return np.abs(2.0 * alpha * (beta + gamma) - 4.0 * beta * gamma + sd.space.c)
 
 
 # -- connection and curvature verifiers ----------------------------------------
@@ -800,86 +773,76 @@ def _derivative_identities_strong(c, fr, s):
     return out
 
 
-def verify_connection_formulas(patch: HypersurfacePatch, params, mode: str) -> dict:
-    """Compare the numeric Levi-Civita connection against the h = 2 tables.
+def verify_connection_formulas(sd: ShapeData, derivs, mode: str) -> dict:
+    """Compare the numeric Levi-Civita connection against the h = 2 tables
+    at every point of sd.
 
-    mode: "generic" (three distinct curvatures) or "strong" (strongly
-    2-Hopf); any other mode raises GeometryError.
+    ``derivs`` is the output of frame_derivative_data at all N points of sd,
+    in order. mode: "generic" (three distinct curvatures) or "strong"
+    (strongly 2-Hopf); any other mode raises GeometryError. Residuals are
+    (N,) arrays. The generic table is skipped, with NaN residuals, where two
+    principal curvatures lie within 10 TAU_MULT of the spread.
     """
     if mode not in ("generic", "strong"):
         raise GeometryError(f"unknown connection table {mode!r}; choose 'generic' or 'strong'")
-    sd = shape_data(patch, np.atleast_2d(params)[:1])
-    vals = sd.eigvals[0]
-    spread = max(float(vals[0] - vals[2]), 1e-6)
-    min_gap = min(vals[0] - vals[1], vals[1] - vals[2])
-    report = {"params": np.atleast_2d(params)[0].tolist(), "mode": mode,
-              "skipped_degenerate": False, "entries": {}, "identities": {},
-              "max_entry_residual": 0.0, "max_identity_residual": 0.0}
-    af, scalars, nabla = frame_derivative_data(patch, sd, [0])
-    fr, s = af.at(0), {key: float(val[0]) for key, val in scalars.items()}
-    c = patch.space.c
-    if mode == "generic" and min_gap < 10 * TAU_MULT * spread:
-        report["skipped_degenerate"] = True
-        return report
-    table = _nabla_table_strong(c, fr) if mode == "strong" else _nabla_table_generic(c, fr, s)
-    sp = sd._sp
-    basis = {"U": fr.U, "V": fr.V, "A": fr.A}
-    worst = 0.0
-    for (xn, yn), coeffs in table.items():
-        rhs = coeffs[0] * basis["U"] + coeffs[1] * basis["V"] + coeffs[2] * basis["A"]
-        lhs = nabla[(xn, yn)][0]
-        scale = max(1.0, float(sp.norm(rhs)))
-        resid = float(sp.norm(lhs - rhs)) / scale
-        report["entries"][f"nabla_{xn}{yn}"] = resid
-        worst = max(worst, resid)
-    report["max_entry_residual"] = worst
-    idents = (_derivative_identities_strong(c, fr, s) if mode == "strong"
-              else _derivative_identities_generic(c, fr, s))
-    worst_i = 0.0
-    for name, (lhs, terms) in idents.items():
-        rhs = sum(terms)
-        scale = max(1.0, sum(abs(t) for t in terms))
-        resid = abs(lhs - rhs) / scale
-        report["identities"][name] = resid
-        worst_i = max(worst_i, resid)
-    report["max_identity_residual"] = worst_i
-    report["frame"] = {"a": fr.a, "b": fr.b, "alpha": fr.alpha, "beta": fr.beta,
-                       "gamma": fr.gamma}
-    return report
+    fr, s, nabla = derivs
+    if not np.array_equal(fr.xi, sd.frames.xi):
+        raise GeometryError("connection data must come from frame_derivative_data "
+                            "at every point of the shape data")
+    sp, c, vals = sd.space, sd.space.c, sd.eigvals
+    spread = np.maximum(vals[:, 0] - vals[:, 2], 1e-6)
+    min_gap = np.minimum(vals[:, 0] - vals[:, 1], vals[:, 1] - vals[:, 2])
+    skipped = (min_gap < 10 * TAU_MULT * spread) & (mode == "generic")
+    with np.errstate(divide="ignore", invalid="ignore"):   # only skipped points divide by ~0
+        if mode == "strong":
+            table, idents = _nabla_table_strong(c, fr), _derivative_identities_strong(c, fr, s)
+        else:
+            table, idents = _nabla_table_generic(c, fr, s), _derivative_identities_generic(c, fr, s)
+        entries = {}
+        for (xn, yn), coeffs in table.items():
+            rhs = sum(np.asarray(k)[..., None] * e for k, e in zip(coeffs, (fr.U, fr.V, fr.A)))
+            entries[f"nabla_{xn}{yn}"] = (sp.norm(nabla[(xn, yn)] - rhs)
+                                          / np.maximum(1.0, sp.norm(rhs)))
+        identities = {name: np.abs(lhs - sum(terms))
+                      / np.maximum(1.0, sum(np.abs(t) for t in terms))
+                      for name, (lhs, terms) in idents.items()}
+    entries = {k: np.where(skipped, np.nan, v) for k, v in entries.items()}
+    identities = {k: np.where(skipped, np.nan, v) for k, v in identities.items()}
+    return {"skipped_degenerate": skipped, "entries": entries, "identities": identities,
+            "max_entry_residual": np.max(list(entries.values()), axis=0),
+            "max_identity_residual": np.max(list(identities.values()), axis=0)}
 
 
-def bracket_by_flows(patch: HypersurfacePatch, params, x_fn, y_fn):
+def bracket_by_flows(patch: HypersurfacePatch, params, x_field, y_field):
     """[X, Y] at params via the symmetrized commutator of coordinate flows.
 
-    x_fn/y_fn map params -> ambient tangent vector of the field there.
-    Independent of the covariant-derivative route; used as its cross-check.
+    X and Y are the adapted frame fields named x_field and y_field ("U",
+    "V" or "A"), read from the shape data of each flow stage. The + and -
+    commutator loops run as two lanes of one RK4 flow. Independent of the
+    covariant-derivative route; used as its cross-check.
     """
     sd = shape_data(patch, np.atleast_2d(params)[:1])
     p0 = sd.frames.params[0]
 
-    def flow(p, fn, time):
-        def vel(_, q):
-            sdq = shape_data(patch, q[None])
-            return tangent_param_coords(sdq, fn(q)[None, None])[0, 0]
+    def velocity(name):
+        def rhs(_, q):
+            sdq = shape_data(patch, q)
+            af = adapted_frames(sdq)
+            _require_h2(af.h)
+            return tangent_param_coords(sdq, getattr(af, name)[:, None])[:, 0]
+        return rhs
 
+    # one lane per loop orientation: flow X, Y, -X, -Y by +-BRACKET_STEP
+    dt = np.array([[BRACKET_STEP], [-BRACKET_STEP]]) / BRACKET_RK_STEPS
+    q = np.stack([p0, p0])
+    for name, sign in ((x_field, 1), (y_field, 1), (x_field, -1), (y_field, -1)):
         for _ in range(BRACKET_RK_STEPS):
-            p = rk4_step(vel, 0.0, p, time / BRACKET_RK_STEPS)
-        return p
-
-    def loop(sign):
-        s = sign * BRACKET_STEP
-        q = flow(p0, x_fn, s)
-        q = flow(q, y_fn, s)
-        q = flow(q, x_fn, -s)
-        q = flow(q, y_fn, -s)
-        return q
-
-    disp = 0.5 * (loop(+1.0) + loop(-1.0)) - p0
+            q = rk4_step(velocity(name), 0.0, q, sign * dt)
+    disp = 0.5 * (q[0] + q[1]) - p0
     coords = disp / (BRACKET_STEP * BRACKET_STEP)
     v = sd.frames.v[0]
     vec = coords[0] * v[0] + coords[1] * v[1] + coords[2] * v[2]
-    sp = sd._sp
-    return sp.project_horizontal(sd.frames.z[0], vec)
+    return sd.space.project_horizontal(sd.frames.z[0], vec)
 
 
 def verify_gauss_codazzi(patch: HypersurfacePatch, params, rng=None, n_random=20,

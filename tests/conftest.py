@@ -52,6 +52,14 @@ def cmc_ehs():
 
 
 @pytest.fixture(scope="session")
+def suite_ws():
+    """A verify-suite workspace at seed 7, shared read-only; patches build on first use."""
+    from hopflab.suites import Workspace
+
+    return Workspace(7)
+
+
+@pytest.fixture(scope="session")
 def lohnherr_entry():
     from hopflab.catalog import get_entry
 

@@ -6,6 +6,8 @@ integration of the second-order model equation, and parallel transport from
 its own first-order system.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from hopflab._kernels.pure import expm3_batch
@@ -339,7 +341,7 @@ def _phases(sp, z_ref, z):
 
 def pointwise_tangent_param_coords(sd, n, u):
     """Coordinates c with u = sum_k c_k v_k at point n (solve the Gram system)."""
-    sp = sd._sp
+    sp = sd.space
     v = sd.frames.v[n]
     g = np.real(sp.herm(v[:, None, :], v[None, :, :]))
     rhs = np.array([sp.g(v[k], u) for k in range(3)])
@@ -363,7 +365,7 @@ def scalar_frame_derivative_data(patch, sd, n, step=1e-3,
     """
     from hopflab.hypersurface import FD_FRAME_STEP, shape_data
 
-    sp = sd._sp
+    sp = sd.space
     if fd_patch is None:
         fd_patch = patch.with_diff_step(max(patch.diff_step, FD_FRAME_STEP))
     fr = pointwise_frame_of(sd, n, tau_proj, tau_mult)
@@ -597,10 +599,8 @@ def two_call_shape_data(patch, params):
     ambient = np.einsum("nai,nak->nik", vecs, E)
     jxi = 1j * base.xi
     jc = np.real(sp.herm(E, jxi[:, None, :]))
-    out = ShapeData(frames=base, E=E, W=W, S=s, eigvals=vals, eigvecs=ambient,
-                    jxi_coords=jc, asym=asym)
-    out._sp = sp
-    return out
+    return ShapeData(space=sp, frames=base, E=E, W=W, S=s, eigvals=vals, eigvecs=ambient,
+                     jxi_coords=jc, asym=asym)
 
 
 def nested_49_verify_gauss_codazzi(patch, params, rng=None, n_random=20,
@@ -694,7 +694,7 @@ def pointwise_clusters(vals, tau_mult):
 
 def pointwise_cluster_projections(sd, n, tau_mult):
     clusters = pointwise_clusters(sd.eigvals[n], tau_mult)
-    coords = np.array([float(np.real(sd._sp.herm(sd.eigvecs[n, i], 1j * sd.frames.xi[n])))
+    coords = np.array([float(np.real(sd.space.herm(sd.eigvecs[n, i], 1j * sd.frames.xi[n])))
                        for i in range(3)])
     norms = [float(np.sqrt(np.sum(coords[list(cl)] ** 2))) for cl in clusters]
     return clusters, coords, norms
@@ -705,10 +705,26 @@ def pointwise_h_of(sd, n, tau_proj, tau_mult):
     return int(sum(1 for x in norms if x > tau_proj))
 
 
-def pointwise_frame_of(sd, n, tau_proj=1e-4, tau_mult=1e-4):
-    from hopflab.hypersurface import AdaptedFrame, FrameError
+@dataclass(frozen=True, eq=False)
+class PointwiseFrame:
+    """Orthonormal frame {U, V, A} with J xi = a U + b V (a, b > 0) at one point."""
 
-    sp = sd._sp
+    U: np.ndarray
+    V: np.ndarray
+    A: np.ndarray
+    xi: np.ndarray
+    a: float
+    b: float
+    alpha: float
+    beta: float
+    gamma: float
+    residuals: dict
+
+
+def pointwise_frame_of(sd, n, tau_proj=1e-4, tau_mult=1e-4):
+    from hopflab.hypersurface import FrameError
+
+    sp = sd.space
     clusters, coords, norms = pointwise_cluster_projections(sd, n, tau_mult)
     proj_idx = [i for i, x in enumerate(norms) if x > tau_proj]
     if len(proj_idx) != 2:
@@ -752,12 +768,12 @@ def pointwise_frame_of(sd, n, tau_proj=1e-4, tau_mult=1e-4):
         "a2b2": float(abs(a * a + b * b - 1.0)),
         "A_unit": float(abs(sp.norm(A) - 1.0)),
     }
-    return AdaptedFrame(U=U, V=V, A=A, xi=xi, a=a, b=b,
-                        alpha=alpha, beta=beta, gamma=gamma, residuals=res)
+    return PointwiseFrame(U=U, V=V, A=A, xi=xi, a=a, b=b,
+                          alpha=alpha, beta=beta, gamma=gamma, residuals=res)
 
 
 def pointwise_complex_distribution_basis(sd, n):
-    sp = sd._sp
+    sp = sd.space
     jxi = 1j * sd.frames.xi[n]
     best, best_norm = None, -1.0
     for a in range(3):
@@ -769,7 +785,7 @@ def pointwise_complex_distribution_basis(sd, n):
 
 
 def pointwise_apply_S(sd, n, u):
-    sp = sd._sp
+    sp = sd.space
     coords = np.array([sp.g(u, sd.E[n, a]) for a in range(3)])
     out_coords = sd.S[n] @ coords
     return np.einsum("a,ak->k", out_coords, sd.E[n])
@@ -777,13 +793,13 @@ def pointwise_apply_S(sd, n, u):
 
 def pointwise_levi_scalar(sd, n):
     x = pointwise_complex_distribution_basis(sd, n)
-    sp = sd._sp
+    sp = sd.space
     return float(sp.g(pointwise_apply_S(sd, n, x), x)
                  + sp.g(pointwise_apply_S(sd, n, 1j * x), 1j * x))
 
 
 def pointwise_ruled_residual(sd, n):
-    sp = sd._sp
+    sp = sd.space
     jxi = 1j * sd.frames.xi[n]
     x = pointwise_complex_distribution_basis(sd, n)
     worst = 0.0
@@ -791,6 +807,89 @@ def pointwise_ruled_residual(sd, n):
         su = pointwise_apply_S(sd, n, u)
         worst = max(worst, float(sp.norm(su - sp.g(su, jxi) * jxi)))
     return worst
+
+
+# -- one-point h = 2 checks ------------------------------------------------------
+# Frozen copies of hypersurface.verify_connection_formulas, hopf_cmc_relation_check
+# and bracket_by_flows from before they were batched. Each reads one point. The
+# connection check makes its own frame_derivative_data call per table. The
+# bracket runs the + and - commutator loops one after the other, with one
+# shape_data call per RK4 stage for the field and another for the Gram solve.
+
+
+def pointwise_verify_connection_formulas(patch, params, mode):
+    """(max entry residual, max identity residual, skipped) of one table at one point."""
+    from hopflab.hypersurface import (TAU_MULT, _derivative_identities_generic,
+                                      _derivative_identities_strong, _nabla_table_generic,
+                                      _nabla_table_strong, frame_derivative_data, shape_data)
+
+    sd = shape_data(patch, np.atleast_2d(params)[:1])
+    vals = sd.eigvals[0]
+    spread = max(float(vals[0] - vals[2]), 1e-6)
+    min_gap = min(vals[0] - vals[1], vals[1] - vals[2])
+    af, scalars, nabla = frame_derivative_data(patch, sd, [0])
+    fr = PointwiseFrame(U=af.U[0], V=af.V[0], A=af.A[0], xi=af.xi[0],
+                        a=float(af.a[0]), b=float(af.b[0]), alpha=float(af.alpha[0]),
+                        beta=float(af.beta[0]), gamma=float(af.gamma[0]), residuals={})
+    s = {key: float(val[0]) for key, val in scalars.items()}
+    c = patch.space.c
+    if mode == "generic" and min_gap < 10 * TAU_MULT * spread:
+        return 0.0, 0.0, True
+    table = _nabla_table_strong(c, fr) if mode == "strong" else _nabla_table_generic(c, fr, s)
+    sp = sd.space
+    worst = 0.0
+    for (xn, yn), coeffs in table.items():
+        rhs = coeffs[0] * fr.U + coeffs[1] * fr.V + coeffs[2] * fr.A
+        scale = max(1.0, float(sp.norm(rhs)))
+        worst = max(worst, float(sp.norm(nabla[(xn, yn)][0] - rhs)) / scale)
+    idents = (_derivative_identities_strong(c, fr, s) if mode == "strong"
+              else _derivative_identities_generic(c, fr, s))
+    worst_i = 0.0
+    for lhs, terms in idents.values():
+        worst_i = max(worst_i, abs(lhs - sum(terms)) / max(1.0, sum(abs(t) for t in terms)))
+    return worst, worst_i, False
+
+
+def pointwise_hopf_cmc_relation(sd, n):
+    """|2 alpha (beta+gamma) - 4 beta gamma + c| at the Hopf point n of sd."""
+    h = pointwise_h_of(sd, n, 1e-4, 1e-4)
+    assert h == 1, h
+    clusters, _, norms = pointwise_cluster_projections(sd, n, 1e-4)
+    hopf = list(clusters[int(np.argmax(norms))])
+    alpha = float(np.mean(sd.eigvals[n, hopf]))
+    others = [float(sd.eigvals[n, i]) for i in range(3) if i not in hopf]
+    others += [alpha] * (2 - len(others))   # the Hopf cluster's multiplicity repeats alpha
+    beta, gamma = others
+    return abs(2.0 * alpha * (beta + gamma) - 4.0 * beta * gamma + sd.space.c)
+
+
+def pointwise_bracket_by_flows(patch, params, x_field, y_field, step=1e-3, rk_steps=2):
+    from hopflab.ambient import rk4_step
+    from hopflab.hypersurface import shape_data, tangent_param_coords
+
+    sd = shape_data(patch, np.atleast_2d(params)[:1])
+    p0 = sd.frames.params[0]
+
+    def flow(p, name, time):
+        def vel(_, q):
+            field = getattr(pointwise_frame_of(shape_data(patch, q[None]), 0), name)
+            return tangent_param_coords(shape_data(patch, q[None]), field[None, None])[0, 0]
+
+        for _ in range(rk_steps):
+            p = rk4_step(vel, 0.0, p, time / rk_steps)
+        return p
+
+    def loop(sign):
+        s = sign * step
+        q = flow(p0, x_field, s)
+        q = flow(q, y_field, s)
+        q = flow(q, x_field, -s)
+        return flow(q, y_field, -s)
+
+    coords = (0.5 * (loop(+1.0) + loop(-1.0)) - p0) / (step * step)
+    v = sd.frames.v[0]
+    vec = coords[0] * v[0] + coords[1] * v[1] + coords[2] * v[2]
+    return sd.space.project_horizontal(sd.frames.z[0], vec)
 
 
 # -- per-point orbit distance ----------------------------------------------------

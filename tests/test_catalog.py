@@ -124,8 +124,8 @@ def test_hopf_entries_satisfy_relation():
     for name, kwargs in (("geodesic-sphere", {"r": 0.5}), ("horosphere", {}),
                          ("tube-rp2", {"r": 0.3}), ("tube-ch1", {"r": 0.4})):
         entry = get_entry(name, **kwargs)
-        p = entry.patch.grid((2, 2, 2), margin=0.2)[1]
-        assert hopf_cmc_relation_check(entry.patch, p) < 1e-6
+        sd = shape_data(entry.patch, entry.patch.grid((2, 2, 2), margin=0.2)[[1]])
+        assert hopf_cmc_relation_check(sd)[0] < 1e-6
 
 
 def nearest_cone_params(sp, z, iv):

@@ -277,6 +277,22 @@ def test_sample_csv(tmp_path, capsys):
     (["classify", "--catalog", "lohnherr", "--c=-1e20"], "overflow encountered in cosh"),
     (["sample", "--catalog", "bisector", "--c=-1e20", "--out", "{tmp}/m.csv"],
      "overflow encountered in cosh"),
+    # a radius bound is printed with its significant digits, not rounded to 0
+    (["classify", "--catalog", "geodesic-sphere", "--c=1e20"],
+     "radius must lie in (0, pi/sqrt(c)) = (0, 3.14159e-10)"),
+    # classify and sample bound a catalog's c as construct does
+    (["classify", "--catalog", "horosphere", "--c=-1e-300"],
+     "config field 'c': |c| must lie in [1e-100, 1e+100], got -1e-300"),
+    (["classify", "--catalog", "horosphere", "--c=-1e300"],
+     "config field 'c': |c| must lie in [1e-100, 1e+100], got -1e+300"),
+    (["classify", "--catalog", "geodesic-sphere", "--c=1e-300"],
+     "config field 'c': |c| must lie in [1e-100, 1e+100], got 1e-300"),
+    (["classify", "--catalog", "geodesic-sphere", "--c=1e300"],
+     "config field 'c': |c| must lie in [1e-100, 1e+100], got 1e+300"),
+    (["sample", "--catalog", "bisector", "--c=-1e300", "--out", "{tmp}/m.csv"],
+     "config field 'c': |c| must lie in [1e-100, 1e+100], got -1e+300"),
+    (["sample", "--catalog", "tube-rp2", "--c=1e-300", "--out", "{tmp}/m.csv"],
+     "config field 'c': |c| must lie in [1e-100, 1e+100], got 1e-300"),
 ], ids=["bad-action", "missing-scene", "classify-c-nan", "hopf-c-inf", "hopf-point-nan",
         "sample-r-inf", "classify-grid-0", "sample-grid-negative", "hopf-samples-huge",
         "hopf-point-huge", "hopf-point-far", "hopf-c-huge", "hopf-c-1e300", "hopf-c-1e-300",
@@ -284,7 +300,9 @@ def test_sample_csv(tmp_path, capsys):
         "verify-out-unwritable", "classify-out-unwritable", "hopf-out-unwritable",
         "construct-out-unwritable", "construct-point-singular", "classify-cone-c-overflow",
         "classify-bisector-c-overflow", "classify-tube-ch1-c-overflow",
-        "classify-lohnherr-c-overflow", "sample-bisector-c-overflow"])
+        "classify-lohnherr-c-overflow", "sample-bisector-c-overflow",
+        "classify-sphere-radius-bound", "classify-c-minus-1e-300", "classify-c-minus-1e300",
+        "classify-c-1e-300", "classify-c-1e300", "sample-c-minus-1e300", "sample-c-1e-300"])
 def test_validation_exit_codes(argv, message, capsys, tmp_path):
     argv = [a.format(tmp=tmp_path) for a in argv]
     with warnings.catch_warnings():

@@ -15,8 +15,8 @@ from hopflab.hypersurface import (
     ImmersionError,
     PointFrames,
     ShapeData,
-    adapted_frame,
     adapted_frames,
+    bracket_by_flows,
     classify,
     frame_derivative_data,
     hopf_cmc_relation_check,
@@ -96,23 +96,25 @@ def test_h_is_one_on_sphere(sphere_entry):
 def test_h_is_two_with_a_eq_b_on_lohnherr(lohnherr_entry):
     patch = lohnherr_entry.patch
     p = patch.grid((3, 3, 3), margin=0.2)[13]
-    assert adapted_frames(shape_data(patch, p[None])).h[0] == 2
-    fr = adapted_frame(patch, p)
-    assert abs(fr.a - 1 / np.sqrt(2)) < 1e-6
-    assert abs(fr.b - 1 / np.sqrt(2)) < 1e-6
+    af = adapted_frames(shape_data(patch, p[None]))
+    assert af.h[0] == 2
+    assert abs(af.a[0] - 1 / np.sqrt(2)) < 1e-6
+    assert abs(af.b[0] - 1 / np.sqrt(2)) < 1e-6
 
 
 def test_adapted_frame_identities(cmc_ehs):
     patch = cmc_ehs.patch
-    for p in patch.grid((3, 2, 2), margin=0.1):
-        fr = adapted_frame(patch, p)
-        assert fr.a > 0 and fr.b > 0
-        assert max(fr.residuals.values()) < 1e-6
+    af = adapted_frames(shape_data(patch, patch.grid((3, 2, 2), margin=0.1)))
+    assert af.mask.all()
+    assert np.all(af.a > 0) and np.all(af.b > 0)
+    assert np.max(af.worst_residual) < 1e-6
 
 
 def test_adapted_frame_rejects_hopf_input(sphere_entry):
-    with pytest.raises(FrameError):
-        adapted_frame(sphere_entry.patch, [0.7, 0.7, 0.7])
+    af = adapted_frames(shape_data(sphere_entry.patch, np.array([[0.7, 0.7, 0.7]])))
+    assert not af.mask[0] and np.isnan(af.U[0]).all()
+    with pytest.raises(FrameError, match="found h = 1"):
+        hypersurface._require_h2(af.h)
 
 
 def test_frame_derivative_data_rejects_hopf_input(sphere_entry):
@@ -141,16 +143,16 @@ def assert_matches_pointwise(sd, af):
             with pytest.raises(FrameError, match=f"found h = {af.h[n]}"):
                 oracles.pointwise_frame_of(sd, n)
             with pytest.raises(FrameError, match=f"found h = {af.h[n]}"):
-                af.at(n)
+                hypersurface._require_h2(af.h[[n]])
             continue
-        old, new = oracles.pointwise_frame_of(sd, n), af.at(n)
+        old = oracles.pointwise_frame_of(sd, n)
         for key in ("U", "V", "A", "xi"):
-            assert np.array_equal(getattr(new, key), getattr(old, key)), key
+            assert np.array_equal(getattr(af, key)[n], getattr(old, key)), key
         for key in _FRAME_SCALARS:
-            assert abs(getattr(new, key) - getattr(old, key)) <= 1e-15, key
-        assert new.residuals.keys() == old.residuals.keys()
+            assert abs(getattr(af, key)[n] - getattr(old, key)) <= 1e-15, key
+        assert af.residuals.keys() == old.residuals.keys()
         for key in old.residuals:
-            assert abs(new.residuals[key] - old.residuals[key]) <= 1e-15, key
+            assert abs(af.residuals[key][n] - old.residuals[key]) <= 1e-15, key
 
 
 # h on each catalog entry's 4x4x4 grid: the Hopf entries and the h = 2 ones
@@ -196,11 +198,10 @@ def _synthetic_shape_data(cases, seed=3):
     n = len(cases)
     frames = PointFrames(params=np.zeros((n, 3)), z=np.tile(z, (n, 1)),
                          v=np.tile(E, (n, 1, 1)), xi=np.tile(xi, (n, 1)), gram_det=np.ones(n))
-    sd = ShapeData(frames=frames, E=np.tile(E, (n, 1, 1)), W=np.tile(np.eye(3), (n, 1, 1)),
-                   S=np.array(S), eigvals=np.array(vals, dtype=float), eigvecs=np.array(vecs),
-                   jxi_coords=np.tile(rot[:, 0], (n, 1)), asym=np.zeros(n))
-    sd._sp = sp
-    return sd
+    return ShapeData(space=sp, frames=frames, E=np.tile(E, (n, 1, 1)),
+                     W=np.tile(np.eye(3), (n, 1, 1)), S=np.array(S),
+                     eigvals=np.array(vals, dtype=float), eigvecs=np.array(vecs),
+                     jxi_coords=np.tile(rot[:, 0], (n, 1)), asym=np.zeros(n))
 
 
 def test_adapted_frames_match_pointwise_copies_on_synthetic_spectra():
@@ -230,11 +231,10 @@ def test_adapted_frames_match_pointwise_copies_on_synthetic_spectra():
     # the isolation choice: J xi = a U + b V with U the projection on the upper
     # cluster, whichever of the two vectors is built as a complement
     for n in (0, 1):
-        fr = af.at(n)
         c = np.asarray(cases[n][1])
         upper = c[:2] if n == 0 else c[1:]
-        assert abs(fr.a - upper[0]) < 1e-12 and abs(fr.b - upper[1]) < 1e-12
-        assert max(fr.residuals.values()) < 1e-12
+        assert abs(af.a[n] - upper[0]) < 1e-12 and abs(af.b[n] - upper[1]) < 1e-12
+        assert af.worst_residual[n] < 1e-12
     # the result at a point does not depend on the rest of the batch
     shuffled = sd.take([5, 3, 0, 4, 1, 2])
     assert_matches_pointwise(shuffled, adapted_frames(shuffled))
@@ -245,28 +245,32 @@ def test_adapted_frames_match_pointwise_copies_on_synthetic_spectra():
 
 def test_levi_form_frame_formula(cmc_ehs):
     patch = cmc_ehs.patch
-    p = patch.grid((3, 2, 2), margin=0.1)[4]
-    fr = adapted_frame(patch, p)
-    laa = levi_form(patch, p, fr.A, fr.A)
-    assert abs(laa - (fr.gamma + fr.b ** 2 * fr.alpha + fr.a ** 2 * fr.beta)) < 1e-6
+    sd = shape_data(patch, patch.grid((3, 2, 2), margin=0.1))
+    fr = adapted_frames(sd)
+    laa = levi_form(sd, fr.A, fr.A)
+    assert np.max(np.abs(laa - (fr.gamma + fr.b ** 2 * fr.alpha + fr.a ** 2 * fr.beta))) < 1e-6
+    # at each point it reads only that point's data, bit for bit
+    for n in (0, 4):
+        one = sd.take([n])
+        assert np.array_equal(levi_form(one, fr.A[[n]], fr.A[[n]]), laa[[n]])
 
 
 def test_levi_form_symmetry_and_domain(cmc_ehs):
     patch = cmc_ehs.patch
-    p = patch.grid((3, 2, 2), margin=0.1)[4]
-    fr = adapted_frame(patch, p)
+    sd = shape_data(patch, patch.grid((3, 2, 2), margin=0.1)[[4]])
+    fr = adapted_frames(sd)
     ja = 1j * fr.A
-    assert abs(levi_form(patch, p, fr.A, ja) - levi_form(patch, p, ja, fr.A)) < 1e-8
+    assert abs(levi_form(sd, fr.A, ja) - levi_form(sd, ja, fr.A))[0] < 1e-8
     jxi = 1j * fr.xi
     with pytest.raises(GeometryError):
-        levi_form(patch, p, jxi, fr.A)   # J xi is not in the complex distribution
+        levi_form(sd, jxi, fr.A)   # J xi is not in the complex distribution
 
 
 def test_lohnherr_levi_flat(lohnherr_entry):
     patch = lohnherr_entry.patch
-    for p in patch.grid((3, 2, 2), margin=0.15):
-        fr = adapted_frame(patch, p)
-        assert abs(levi_form(patch, p, fr.A, fr.A)) < 1e-4
+    sd = shape_data(patch, patch.grid((3, 2, 2), margin=0.15))
+    fr = adapted_frames(sd)
+    assert np.max(np.abs(levi_form(sd, fr.A, fr.A))) < 1e-4
 
 
 # -- classification -------------------------------------------------------------
@@ -302,19 +306,54 @@ def test_classify_grid_outside_box_raises(sphere_entry):
 
 def test_connection_formulas_strong_and_generic(cmc_ehs):
     p = np.array([0.04, 0.02, -0.05])
-    strong = verify_connection_formulas(cmc_ehs.patch, p, mode="strong")
-    assert strong["max_entry_residual"] < 1e-3
-    assert strong["max_identity_residual"] < 1e-3
-    generic = verify_connection_formulas(cmc_ehs.patch, p, mode="generic")
-    if not generic["skipped_degenerate"]:
-        assert generic["max_entry_residual"] < 1e-3
-        assert generic["max_identity_residual"] < 1e-3
+    sd = shape_data(cmc_ehs.patch, p[None])
+    derivs = frame_derivative_data(cmc_ehs.patch, sd, [0])
+    strong = verify_connection_formulas(sd, derivs, "strong")
+    assert strong["max_entry_residual"][0] < 1e-3
+    assert strong["max_identity_residual"][0] < 1e-3
+    generic = verify_connection_formulas(sd, derivs, "generic")
+    if not generic["skipped_degenerate"][0]:
+        assert generic["max_entry_residual"][0] < 1e-3
+        assert generic["max_identity_residual"][0] < 1e-3
+
+
+@pytest.mark.parametrize("label", ["cp2-torus", "ch2-g0"])
+def test_connection_formulas_batch_matches_one_point_copy(label, suite_ws):
+    """Over a batch of points, each table's residuals equal those of
+    one-point batches bit for bit and the frozen one-point copy's to a few
+    units in the last place: NumPy's array power may round x ** n
+    differently from libm's pow, which the copy applies to Python floats."""
+    patch = suite_ws.cmc_patch(label).patch
+    grid = patch.grid((3, 2, 2), margin=0.2)[::4]
+    sd = shape_data(patch, grid)
+    derivs = frame_derivative_data(patch, sd, np.arange(len(grid)))
+    for mode in ("strong", "generic"):
+        rep = verify_connection_formulas(sd, derivs, mode)
+        for n, p in enumerate(grid):
+            one = verify_connection_formulas(sd.take([n]), frame_derivative_data(
+                patch, sd, [n]), mode)
+            for key in ("skipped_degenerate", "max_entry_residual", "max_identity_residual"):
+                assert np.array_equal(one[key], rep[key][[n]], equal_nan=True), key
+            entry, ident, skipped = oracles.pointwise_verify_connection_formulas(patch, p, mode)
+            assert rep["skipped_degenerate"][n] == skipped
+            if not skipped:
+                assert rep["max_entry_residual"][n] == pytest.approx(entry, rel=1e-13, abs=0)
+                assert rep["max_identity_residual"][n] == pytest.approx(ident, rel=1e-13, abs=0)
+    with pytest.raises(GeometryError, match="every point of the shape data"):
+        verify_connection_formulas(sd.take([1, 0, 2]), derivs, "strong")
+
+
+def test_bracket_by_flows_matches_sequential_loops(cmc_ehs):
+    p = np.array([0.04, 0.02, -0.05])
+    got = bracket_by_flows(cmc_ehs.patch, p, "U", "V")
+    assert np.array_equal(got, oracles.pointwise_bracket_by_flows(cmc_ehs.patch, p, "U", "V"))
 
 
 @pytest.mark.parametrize("mode", ["auto", "Strong", ""])
 def test_connection_formulas_reject_unknown_mode(mode, cmc_ehs):
+    sd = shape_data(cmc_ehs.patch, np.array([[0.04, 0.02, -0.05]]))
     with pytest.raises(GeometryError, match="unknown connection table"):
-        verify_connection_formulas(cmc_ehs.patch, np.array([0.04, 0.02, -0.05]), mode=mode)
+        verify_connection_formulas(sd, None, mode)
 
 
 def test_gauss_codazzi_on_catalog_and_corruption(sphere_entry, rng):
@@ -383,15 +422,25 @@ def test_batched_frame_derivative_data_equals_per_index_calls(name, cmc_ehs):
 def test_hopf_cmc_relation(sphere_entry):
     # r = pi/4 sphere in CP^2(4): alpha=0, beta=gamma=1 -> 0 - 4 + 4 = 0
     entry = get_entry("geodesic-sphere", r=np.pi / 4)
-    assert hopf_cmc_relation_check(entry.patch, [0.7, 0.8, 0.6]) < 1e-6
+    assert hopf_cmc_relation_check(shape_data(entry.patch, [[0.7, 0.8, 0.6]]))[0] < 1e-6
     horo = get_entry("horosphere")
-    assert hopf_cmc_relation_check(horo.patch, [0.1, -0.1, 0.2]) < 1e-6
+    assert hopf_cmc_relation_check(shape_data(horo.patch, [[0.1, -0.1, 0.2]]))[0] < 1e-6
 
 
 def test_hopf_cmc_relation_rejects_non_hopf(lohnherr_entry):
     p = lohnherr_entry.patch.grid((3, 3, 3), margin=0.2)[13]
-    with pytest.raises(GeometryError):
-        hopf_cmc_relation_check(lohnherr_entry.patch, p)
+    with pytest.raises(GeometryError, match=r"requires Hopf points \(h = 2\)"):
+        hopf_cmc_relation_check(shape_data(lohnherr_entry.patch, p[None]))
+
+
+@pytest.mark.parametrize("name", ["geodesic-sphere", "horosphere", "tube-rp2", "tube-ch1"])
+def test_hopf_cmc_relation_matches_one_point_copy(name):
+    patch = get_entry(name).patch
+    sd = shape_data(patch, patch.grid((3, 3, 3), margin=0.1))
+    rel = hopf_cmc_relation_check(sd)
+    assert rel.shape == (27,) and np.max(rel) < 1e-6
+    for n in range(27):
+        assert rel[n] == oracles.pointwise_hopf_cmc_relation(sd, n)
 
 
 def test_shape_spectrum_structure(sphere_entry):

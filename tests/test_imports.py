@@ -148,7 +148,8 @@ REMOVED = {
                 "curvature_tensor", "exp_map", "distance", "covariant_derivative",
                 "section_chart"),
     "actions": ("orbit_shape_operator", "OrbitData", "phi_map", "killing_field"),
-    "hypersurface": ("shape_operator", "ShapeSpectrum", "hopf_projection_count"),
+    "hypersurface": ("shape_operator", "ShapeSpectrum", "hopf_projection_count",
+                     "AdaptedFrame", "adapted_frame"),
     "constructor": ("equidistance_spot_check",),
 }
 
@@ -167,7 +168,7 @@ def test_export_table_resolves_and_removed_names_are_gone():
     import hopflab
 
     lazy = lazy_exports()
-    assert len(lazy) == 14
+    assert len(lazy) == 13
     assert len(hopflab.__all__) == 12
     for name in lazy + hopflab.__all__:
         getattr(hopflab, name)
@@ -179,3 +180,5 @@ def test_export_table_resolves_and_removed_names_are_gone():
                     getattr(where, name)
     with pytest.raises(AttributeError):
         importlib.import_module("hopflab.actions").PolarActionSpec.hermitian_matrix
+    with pytest.raises(AttributeError):
+        importlib.import_module("hopflab.hypersurface").AdaptedFrames.at

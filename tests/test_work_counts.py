@@ -1,0 +1,72 @@
+"""Work counts of the verify suites' h = 2 checks.
+
+Counts are deterministic, so work that grows without an announcement fails
+here on any host, whatever the timing noise. Each test builds the
+workspace patches first, so that only the checks' own calls are counted.
+"""
+
+import sys
+
+import numpy as np
+
+import hopflab.hypersurface as hypersurface
+from hopflab.actions import LABELS
+from hopflab.suites import suite_cmc, suite_connection
+
+CONNECTION_LABELS = ("cp2-torus", "ch2-g0")
+HOPF_ENTRIES = ("geodesic-sphere", "horosphere", "tube-rp2", "tube-ch1")
+
+
+def count_calls(monkeypatch, fn_name):
+    """Record every call of hypersurface.<fn_name>, wherever a hopflab module binds it.
+
+    Returns the list that collects the positional arguments of each call.
+    """
+    original = getattr(hypersurface, fn_name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hopflab" and getattr(module, fn_name, None) is original:
+            monkeypatch.setattr(module, fn_name, counted)
+    return calls
+
+
+def test_suite_connection_work_per_label(suite_ws, monkeypatch):
+    for label in CONNECTION_LABELS:
+        suite_ws.cmc_patch(label)
+    shape_calls = count_calls(monkeypatch, "shape_data")
+    derivative_calls = count_calls(monkeypatch, "frame_derivative_data")
+    res = suite_connection(suite_ws)
+    assert res.passed
+    # per label: one derivative call feeds both tables and the Prop 4.2
+    # checks; shape data at the probe point, inside that derivative call,
+    # and 1 + 4 legs x 2 RK4 steps x 4 stages for the two-lane bracket flow
+    assert len(derivative_calls) == len(CONNECTION_LABELS) * 1
+    assert len(shape_calls) == len(CONNECTION_LABELS) * (1 + 1 + 1 + 4 * 2 * 4)
+    assert [list(idx) for _, _, idx in derivative_calls] == [[0], [0]]
+    # the bracket's stages evaluate its two lanes at once
+    assert sorted({len(params) for _, params in shape_calls}) == [1, 2, 6]
+
+
+def test_suite_cmc_hopf_relation_reuses_grid_shape_data(suite_ws, monkeypatch):
+    for label in LABELS:
+        suite_ws.cmc_patch(label, eta=1.0)
+        suite_ws.wp_patch(label)
+    for name in HOPF_ENTRIES:
+        suite_ws.catalog_entry(name)
+    shape_calls = count_calls(monkeypatch, "shape_data")
+    res = suite_cmc(suite_ws)
+    assert res.passed
+    # the only one-point calls are the w_p launch probes, one per action;
+    # the Hopf relation reads the catalog grids' shape data
+    catalog = {id(suite_ws.catalog_entry(name).patch) for name in HOPF_ENTRIES}
+    assert [len(params) for patch, params in shape_calls if id(patch) in catalog] == [27] * 5
+    one_point = [patch for patch, params in shape_calls if len(params) == 1]
+    assert len(one_point) == len(LABELS)
+    wp_patches = {id(suite_ws.wp_patch(label).patch) for label in LABELS}
+    assert {id(patch) for patch in one_point} == wp_patches
+
