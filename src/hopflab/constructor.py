@@ -17,19 +17,21 @@ A curve's launches run as lanes of one batch in the section's real frame,
 z = D x (see ``actions``), made complex once, at the end. One lane loop,
 ``_lane_loop``, renormalizes and checks the start, keeps the rows, each
 lane's row count and truncation reason, and the launches rejected by
-alignment; a row rule writes the rows. A law whose target reads the orbit
-data (CMC, Levi-flat) takes ``_RK4Rows``, one RK4 step per call, with the
-orbit data at every row and stage. A pregeodesic law (geodesic, austere)
-has gamma = 0: its curve is the ambient geodesic exp_z0(t w0) with constant
-Frenet normal, which ``_GeodesicRows`` writes in closed form, ROW_BLOCK
-rows per call. A lane stops at the first step that leaves the regular set
-or turns non-finite, while the others go on. Every returned curve then gets
-its orbit columns (alpha, beta, a, b, <H, xi>) from one
-``_orbit_invariants`` call on its own rows. ``integrate_sigma`` runs the
-two sides of a curve as two lanes; ``austere_search`` runs all its
-launches as one batch, in which a launch stops at its first row whose
-alignment |<H, xi>| with the orbit mean-curvature field is not below the
-search tolerance.
+alignment; a row rule writes the rows, a block of them per call. A law
+whose target reads the orbit data (CMC, Levi-flat) takes ``_GaussRows``:
+windows of GAUSS_WINDOW rows by 2-stage Gauss-Legendre collocation, whose
+node curvatures are found by Picard iteration, one batched orbit evaluation
+per iteration. A pregeodesic law (geodesic, austere) has gamma = 0: its
+curve is the ambient geodesic exp_z0(t w0) with constant Frenet normal,
+which ``_GeodesicRows`` writes in closed form, ROW_BLOCK rows per call. A
+lane stops at the first step that leaves the regular set, turns
+non-finite, does not converge or turns the frame too far in one step,
+while the others go on. Every returned curve then gets its orbit columns
+(alpha, beta, a, b, <H, xi>) and its gammas from one ``_orbit_invariants``
+call on its own rows. ``integrate_sigma`` runs the two sides of a curve as
+two lanes; ``austere_search`` runs all its launches as one batch, in which
+a launch stops at its first row whose alignment |<H, xi>| with the orbit
+mean-curvature field is not below the search tolerance.
 """
 
 from __future__ import annotations
@@ -63,6 +65,27 @@ DEFAULT_STEP = 1e-3
 # 2 * ROW_BLOCK points per live lane, and a lane that stops early wastes at
 # most one block
 ROW_BLOCK = 16
+# rows per window of the collocation lanes, and the Picard iterations a
+# window may take before its unconverged lanes stop. A lane has converged
+# once no row moves by PICARD_TOL relative to max(1, its largest entry), or
+# once its largest such move stops shrinking below PICARD_FLOOR: far out in
+# CH^2 the rounding of the orbit data, which grows with the representatives,
+# sets a floor above PICARD_TOL.
+GAUSS_WINDOW = 200
+PICARD_ITERATIONS = 100
+PICARD_TOL = 1e-12
+PICARD_FLOOR = 1e-8
+# the most a collocation step may turn the Frenet frame, h |gamma| radians:
+# rows more than a half-turn apart no longer sample the curve they follow
+MAX_STEP_TURN = np.pi
+# 2-stage Gauss-Legendre: the coefficient matrix, then the weights of a
+# step's slopes in its propagator, its two nodes and its half-step
+_GAUSS_A = np.array([[0.25, 0.25 - np.sqrt(3) / 6], [0.25 + np.sqrt(3) / 6, 0.25]])
+_GAUSS_WEIGHTS = np.array([[0.5, 0.5], *_GAUSS_A, [0.25 + np.sqrt(3) / 8, 0.25 - np.sqrt(3) / 8]])
+# why a lane stops, by the cause code a row rule reports for its first failing step
+STOP_REASONS = ("left the regular set after {} steps", "non-finite state",
+                "collocation did not converge after {} steps",
+                "curvature too large for the step after {} steps")
 INJECTIVITY_SEPARATION = 1e-6
 SWEEP_GRID_CHECK = 5          # samples per box axis in the sweep's regularity check
 LAW_KINDS = ("geodesic", "cmc", "levi-flat", "austere")
@@ -201,59 +224,131 @@ def _renorm(sp, y):
     return np.array([x.T, u.T, v.T])
 
 
-class _RK4Rows:
-    """Row rule of a law that reads the orbit data: one RK4 step per call.
+class _GaussRows:
+    """Row rule of a law that reads the orbit data: a window of GAUSS_WINDOW rows per call.
 
-    The state is real, (x, u, v) as a (3, 3, lanes) array, and each
-    operation repeats the complex one on the real parts it carries. Every
-    stored row and mid-step stage takes gamma and the gram determinant from
-    ``_orbit_invariants``; the rule keeps the live lanes' state, so a
-    stored row's evaluation is the next step's first stage. A lane stops at
-    the first stage or accepted state that is non-finite or not regular.
+    The state is real: lane l's rows (x, u, v) form a 3 x 3 matrix S whose
+    rows are frame coordinates, and S' = A(gamma) S with
+    A = [[0, 1, 0], [-1/kappa, 0, gamma], [0, -gamma, 0]]. Each step is the
+    2-stage Gauss-Legendre collocation method (order 4). With gamma fixed
+    at the two stage nodes the step is linear: its propagator S -> Phi S,
+    the stage points and the half-step of the collocation polynomial all
+    come from one 6 x 6 solve, and the rows of a window are prefix products
+    of the propagators. The nodes' gammas are found by Picard iteration, at
+    most PICARD_ITERATIONS times, until the rows before each lane's first
+    failing node have converged (see PICARD_TOL); each iteration reads the
+    orbit data at every node of the window in one ``_orbit_invariants``
+    call. The method keeps <x, x> = kappa and the orthonormality of (u, v),
+    so no step renormalizes.
+
+    A lane stops at its first step whose first node, half-step, second
+    node or row (in that order) is non-finite or not regular, or whose node
+    turns the frame by h |gamma| > MAX_STEP_TURN, or at its first step that
+    has not converged when the iterations run out. The half-step is the
+    collocation polynomial's, S + h ((1/4 + sqrt(3)/8) k_1 + (1/4 - sqrt(3)/8) k_2).
     """
 
-    block = 1
+    block = GAUSS_WINDOW
 
     def __init__(self, spec, law, step):
         self.spec, self.law, self.step = spec, law, step
-        self.kinv, self.floor = 1.0 / spec.space.kappa, spec.gram_floor()
+        self.floor = spec.gram_floor()
+        # A = A0 + gamma J at each node, so the stage system
+        # (I - h a (x) A) [k_1; k_2] = [A_1; A_2] S of the slopes k_i = P_i S
+        # is affine in the node gammas: each side is a constant plus
+        # (gamma_1, gamma_2) @ its gamma parts
+        a0 = np.array([[0.0, 1.0, 0.0], [-1.0 / spec.space.kappa, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        j = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+        ones = np.ones((2, 1))
+        rows_of_node = [np.diag(e) for e in np.eye(2)]
+        self.system = ((np.eye(6) - step * np.kron(_GAUSS_A, a0)).ravel(),
+                       np.stack([-step * np.kron(r @ _GAUSS_A, j).ravel() for r in rows_of_node]))
+        self.rhs = (np.kron(ones, a0).ravel(),
+                    np.stack([np.kron(r @ ones, j).ravel() for r in rows_of_node]))
 
-    def _evaluate(self, y):
-        alpha, beta, a, b, _, det = _orbit_invariants(self.spec, y[0], y[2])
+    def _evaluate(self, x, v):
+        alpha, beta, a, b, _, det = _orbit_invariants(self.spec, x, v)
         return self.law.target(alpha, beta, a, b), det
 
-    def _rhs(self, y, gam):
-        x, u, v = y
-        return np.array([u, gam * v - x * self.kinv, -gam * u])
+    def _propagate(self, s0, gam):
+        """Rows and step maps of a window from its start s0 (L, 3, 3) and node gammas (L, K, 2).
+
+        Returns (rows, starts, maps): the rows after each step and the
+        states before it, (L, K, 3, 3), and (L, K, 3, 3, 3) the maps of a
+        step's start to its two nodes and its half-step.
+        """
+        shape = gam.shape[:2]
+        (m0, m_gam), (r0, r_gam) = self.system, self.rhs
+        slopes = np.linalg.solve((m0 + gam @ m_gam).reshape(*shape, 6, 6),
+                                 (r0 + gam @ r_gam).reshape(*shape, 6, 3))
+        maps = np.eye(3) + self.step * (_GAUSS_WEIGHTS @ slopes.reshape(*shape, 2, 9)).reshape(
+            *shape, 4, 3, 3)
+        # rows: inclusive prefix products of the propagators, log2 K matmuls
+        prod = maps[:, :, 0].copy()
+        d = 1
+        while d < prod.shape[1]:
+            prod[:, d:] = prod[:, d:] @ prod[:, :-d]
+            d *= 2
+        rows = prod @ s0[:, None]
+        starts = np.concatenate([s0[:, None], rows[:, :-1]], axis=1)
+        return rows, starts, maps[:, :, 1:]
 
     def start(self, y):
-        self.y, (self.gam, det) = y, self._evaluate(y)
-        return self.gam, det, None
+        self.s = y.transpose(2, 0, 1)
+        self.gam, det = self._evaluate(y[0], y[2])
+        return det, None
 
     def rows(self, keep, i0, i1):
-        y, gam, step, floor = self.y, self.gam, self.step, self.floor
         if keep is not None:
-            y, gam = y[..., keep], gam[keep]
-        # a lane's first failure: stages in order, then the accepted point; a
-        # non-finite state has a NaN gram det
-        dead = np.zeros(len(gam), dtype=bool)
-        nonfinite = np.zeros(len(gam), dtype=bool)
-        ks = [self._rhs(y, gam)]
-        for frac in (0.5, 0.5, 1.0):
-            y_s = y + frac * step * ks[-1]
-            g_s, det_s = self._evaluate(y_s)
-            nonfinite |= ~dead & np.isnan(det_s)
-            dead |= ~(det_s > floor)
-            ks.append(self._rhs(y_s, g_s))
-        k1, k2, k3, k4 = ks
-        y = _renorm(self.spec.space, y + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
-        gam, det = self._evaluate(y)
-        nonfinite |= ~dead & ~np.isfinite(y).all(axis=(0, 1))
-        dead |= nonfinite | ~(det > floor)
-        self.y, self.gam = y, gam
-        new = dict(zip(("zs", "ws", "xis"), y.transpose(0, 2, 1)[..., None, :]),
-                   gammas=gam[:, None])
-        return new, (~dead).astype(int), nonfinite[:, None], None
+            self.s, self.gam = self.s[keep], self.gam[keep]
+        lanes, k = len(self.gam), i1 - i0
+        gam = np.repeat(self.gam, 2 * k).reshape(lanes, k, 2)
+        last = np.full((lanes, k, 3, 3), np.nan)
+        last_worst = np.full(lanes, np.nan)
+        settled = np.zeros(lanes, dtype=bool)
+        for _ in range(PICARD_ITERATIONS):
+            rows, starts, maps = self._propagate(self.s, gam)
+            nodes = maps[:, :, :2] @ starts[:, :, None]                   # (L, K, 2, 3, 3)
+            new, det_nodes = self._evaluate(nodes[..., 0, :].reshape(-1, 3).T,
+                                            nodes[..., 2, :].reshape(-1, 3).T)
+            new, det_nodes = new.reshape(gam.shape), det_nodes.reshape(gam.shape)
+            turned = self.step * np.abs(new) > MAX_STEP_TURN
+            # the system is causal: the steps before a lane's first failing
+            # node converge whatever the nodes past it hold
+            ok = (det_nodes > self.floor) & ~turned
+            before = np.logical_and.accumulate(ok.all(axis=2), axis=1)
+            # each row's move since the last iteration, relative to its size
+            change = np.abs(rows - last).max(axis=(2, 3)) / np.maximum(
+                1.0, np.abs(rows).max(axis=(2, 3)))
+            worst = np.where(before, change, 0.0).max(axis=1)
+            settled |= (worst <= PICARD_TOL) | ((worst >= last_worst) & (worst <= PICARD_FLOOR))
+            last, last_worst, gam = rows, worst, new
+            if settled.all():
+                break
+        # an unsettled lane stops at its first row that still moves
+        moved = before & ~(change <= PICARD_TOL) & ~settled[:, None]
+        half = maps[:, :, 2] @ starts
+        det_half, det_row = _killing_gram(
+            self.spec, np.stack([half[:, :, 0], rows[:, :, 0]]).reshape(-1, 3).T)[-1].reshape(
+            2, lanes, k)
+        det_row = np.where(np.isfinite(rows).all(axis=(2, 3)), det_row, np.nan)
+        # a step's checks in time order: each point's gram det, and at the
+        # nodes the turn; a non-finite point has a NaN gram det
+        dets = np.stack([det_nodes[..., 0], det_half, det_nodes[..., 1], det_row])
+        fail = ~(dets > self.floor)
+        fail[[0, 2]] |= turned.transpose(2, 0, 1)
+        det_first = np.take_along_axis(dets, fail.argmax(axis=0)[None], 0)[0]
+        cause = np.where(det_first > self.floor, 3, np.isnan(det_first))
+        fail = fail.any(axis=0)
+        # a step that has not converged stops its lane unless a check stopped it before
+        unconverged = np.flatnonzero(moved.any(axis=1))
+        at = moved[unconverged].argmax(axis=1)
+        fail[unconverged, at] = True
+        cause[unconverged, at] = 2
+        stop = np.where(fail.any(axis=1), fail.argmax(axis=1), k)
+        self.s, self.gam = rows[:, -1], gam[:, -1, 1]
+        new = dict(zip(("zs", "ws", "xis"), rows.transpose(2, 0, 1, 3)))
+        return new, stop, cause, None
 
 
 class _GeodesicRows:
@@ -262,9 +357,9 @@ class _GeodesicRows:
     The curve is the ambient geodesic through its start with constant
     Frenet normal: row i at t = i step holds x = C x0 + r S u0,
     w = -eps S x0/r + C u0 and xi = v0, with (C, S) from
-    ``SpaceForm.geodesic_coefficients`` at theta = t/r. A lane stops, as
-    the RK4 rule stops it, at the first step whose half-step (where RK4
-    takes its stages) or row is non-finite or not regular. With
+    ``SpaceForm.geodesic_coefficients`` at theta = t/r. A lane stops at
+    the first step whose half-step or row is non-finite or not regular
+    (the points where an RK4 step takes its stages). With
     ``align_tol``, each row also reports whether |<H, xi>| < align_tol.
     """
 
@@ -283,7 +378,7 @@ class _GeodesicRows:
     def start(self, y):
         self.y = y
         aligned, det = self._aligned_and_regular(y[0], y[2])
-        return np.zeros(y.shape[-1]), det, aligned
+        return det, aligned
 
     def rows(self, keep, i0, i1):
         if keep is not None:
@@ -305,6 +400,7 @@ class _GeodesicRows:
         nonfinite_row = ~(np.isfinite(xs).all(axis=0) & np.isfinite(ws).all(axis=0))
         fail = ~(det_half > floor) | nonfinite_row | ~(det_row.reshape(shape) > floor)
         stop = np.where(fail.any(axis=1), fail.argmax(axis=1), len(i))
+        # the cause code of a step's first failure: 1 if non-finite, else 0
         nonfinite = np.isnan(det_half) | ((det_half > floor) & nonfinite_row)
         new = {"zs": xs.transpose(1, 2, 0), "ws": ws.transpose(1, 2, 0)}
         return new, stop, nonfinite, None if aligned is None else aligned.reshape(shape)
@@ -316,22 +412,22 @@ def _lane_loop(spec, rule, x0, u0, v0, n_steps, n_launches):
     x0, u0, v0 (B, 3) are real frame coordinates of z, w and xi at the
     start; lane l is a side of launch l % n_launches. The start is
     renormalized, and a start that is not regular raises
-    SingularOrbitError. ``rule.start(y)`` gives the start's (gammas, gram
-    det, alignment or None); each ``rule.rows(keep, i0, i1)`` call gives,
-    for rows i0 to i1 - 1 (at most ``rule.block``) of the live lanes (keep
+    SingularOrbitError. ``rule.start(y)`` gives the start's (gram det,
+    alignment or None); each ``rule.rows(keep, i0, i1)`` call gives, for
+    rows i0 to i1 - 1 (at most ``rule.block``) of the live lanes (keep
     masks those of its last call, or is None when all of them go on),
-    (rows of the keys that move, accepted row counts, whether a step's
-    first failure is non-finite, alignment or None), each per live lane and
-    the last two also per row. A lane stops, with a truncation reason, at
-    the first step that leaves the regular set (gram det <=
-    ``spec.gram_floor()``) or turns non-finite; a launch is rejected, and
-    all its lanes stop, at the first accepted row of any of its lanes that
-    is misaligned.
+    (rows of the keys that move, accepted row counts, the cause code of a
+    step's first failure as an index into STOP_REASONS, alignment or None),
+    each per live lane and the last two also per row. A lane stops, with a
+    truncation reason, at the first step that leaves the regular set (gram
+    det <= ``spec.gram_floor()``) or fails another check of its rule; a
+    launch is rejected, and all its lanes stop, at the first accepted row of
+    any of its lanes that is misaligned.
 
-    Returns (rows, counts, reasons, rejected): rows maps zs, ws, xis (real
-    frame coordinates) and gammas to arrays with lane and row axes leading,
-    of which lane k holds counts[k] valid rows; an empty reason means the
-    lane ran all n_steps; rejected (n_launches,) marks rejected launches.
+    Returns (rows, counts, reasons, rejected): rows maps zs, ws and xis
+    (real frame coordinates) to arrays with lane and row axes leading, of
+    which lane k holds counts[k] valid rows; an empty reason means the lane
+    ran all n_steps; rejected (n_launches,) marks rejected launches.
     """
     launch = np.arange(len(x0)) % n_launches
     rejected = np.zeros(n_launches, dtype=bool)
@@ -340,12 +436,12 @@ def _lane_loop(spec, rule, x0, u0, v0, n_steps, n_launches):
     # dying lanes compute with singular or non-finite data; they are masked out
     with np.errstate(all="ignore"):
         y = _renorm(spec.space, np.array([x0.T, u0.T, v0.T]))
-        gam, det, aligned = rule.start(y)
+        det, aligned = rule.start(y)
         if not np.all(det > spec.gram_floor()):
             raise SingularOrbitError("initial point is not regular")
         # every row starts as a copy of the start row; a rule writes the keys that move
         rows = {key: np.repeat(val[:, None], n_steps + 1, axis=1)
-                for key, val in zip(("zs", "ws", "xis", "gammas"), (*y.transpose(0, 2, 1), gam))}
+                for key, val in zip(("zs", "ws", "xis"), y.transpose(0, 2, 1))}
         if aligned is not None:
             rejected[launch[~aligned]] = True
         keep = ~rejected[launch]
@@ -354,7 +450,7 @@ def _lane_loop(spec, rule, x0, u0, v0, n_steps, n_launches):
             if not len(alive):
                 break
             i1 = min(i0 + rule.block, n_steps + 1)
-            new, stop, nonfinite, aligned = rule.rows(keep, i0, i1)
+            new, stop, cause, aligned = rule.rows(keep, i0, i1)
             # a stopped lane's rows land past its count, where no reader looks
             for key, val in new.items():
                 rows[key][alive, i0:i1] = val
@@ -368,8 +464,7 @@ def _lane_loop(spec, rule, x0, u0, v0, n_steps, n_launches):
                 keep = stop == i1 - i0
             if keep is not None:
                 for j in np.flatnonzero(stop < i1 - i0):
-                    reasons[alive[j]] = ("non-finite state" if nonfinite[j, stop[j]] else
-                                         f"left the regular set after {i0 + stop[j]} steps")
+                    reasons[alive[j]] = STOP_REASONS[int(cause[j, stop[j]])].format(i0 + stop[j])
                 counts[alive[~keep]] = i0 + stop[~keep]
                 alive = alive[keep]
         counts[alive] = n_steps + 1
@@ -382,10 +477,10 @@ def _launch_sigmas(spec, law, x0, u0, step, n_steps, two_sided=True, align_tol=N
     x0: (B, 3) start points and u0: (B, 3) section-tangent directions, both
     in real frame coordinates; u0 is normalized here. A launch is one lane,
     or two (u0 and -u0) when ``two_sided``. A law that reads the orbit data
-    takes the RK4 row rule, a pregeodesic law the closed form. With
+    takes the collocation row rule, a pregeodesic law the closed form. With
     ``align_tol`` (pregeodesic laws only), a launch whose alignment
     |<H, xi>| fails to stay below it stops at that row and its entry is
-    None. Each returned curve gets its orbit columns from one
+    None. Each returned curve gets its orbit columns and gammas from one
     ``_orbit_invariants`` call on its own rows, so a rejected launch never
     computes them.
     """
@@ -399,7 +494,7 @@ def _launch_sigmas(spec, law, x0, u0, step, n_steps, two_sided=True, align_tol=N
     n = len(x0)
     if two_sided:
         x0, u0, v0 = (np.concatenate(pair) for pair in ((x0, x0), (u0, -u0), (v0, v0)))
-    rule = (_RK4Rows(spec, law, step) if law.reads_orbit_data
+    rule = (_GaussRows(spec, law, step) if law.reads_orbit_data
             else _GeodesicRows(spec, step, align_tol))
     rows, counts, reasons, rejected = _lane_loop(spec, rule, x0, u0, v0, n_steps, n)
     curves = []
@@ -413,8 +508,8 @@ def _launch_sigmas(spec, law, x0, u0, step, n_steps, two_sided=True, align_tol=N
         cols = {key: np.concatenate([val[back, nb - 1:0:-1], val[k, :nf]])
                 for key, val in rows.items()}
         alpha, beta, a, b, mean, _ = _orbit_invariants(spec, cols["zs"].T, cols["xis"].T)
-        cols.update(alphas=alpha, betas=beta, hopf_a=a, hopf_b=b,
-                    mean_align=sp.g(mean.T, cols["xis"]))
+        cols.update(gammas=law.target(alpha, beta, a, b), alphas=alpha, betas=beta,
+                    hopf_a=a, hopf_b=b, mean_align=sp.g(mean.T, cols["xis"]))
         for key in ("zs", "ws", "xis"):
             cols[key] = cols[key] * spec.phases
         cols["ws"][:nb - 1] *= -1

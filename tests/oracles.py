@@ -239,7 +239,13 @@ def scalar_integrate_one_direction(spec, law, z0, w0, xi0, step, n_steps):
 
 
 def scalar_integrate_sigma(spec, z0, w0, law, step=1e-3, n_steps=200, two_sided=True):
-    """The scalar integrate_sigma: one direction at a time, then joined."""
+    """The scalar integrate_sigma by RK4: one direction at a time, then joined.
+
+    It is the oracle of the retired RK4 row rule, renormalizing every step.
+    The lane core's geodesic and austere rows match it to 1e-12. The CMC and
+    Levi-flat rows come from Gauss collocation, another order-4 method, so
+    the tests pin both them and this oracle to a reference at a finer step.
+    """
     from hopflab.actions import rotate90
     from hopflab.constructor import SigmaCurve
 

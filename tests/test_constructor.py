@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hopflab import constructor
-from hopflab.actions import LABELS, SingularOrbitError, load_action
+from hopflab.actions import LABELS, SingularOrbitError, load_action, rotate90
 from hopflab.ambient import GeometryError
 from hopflab.constructor import (
     CurveLaw,
@@ -38,24 +38,19 @@ def test_geodesic_law_reproduces_exp_map():
 
 
 def test_integrator_is_fourth_order():
-    # step halving on the CMC law: global error ratio ~ 2^4. The error is
-    # measured on phase-aligned representatives; the arccos distance floors
-    # at sqrt(eps).
-    spec, z0, w0 = launch("cp2-torus")
-    sp = spec.space
-
-    def endpoint(step, n):
-        s = integrate_sigma(spec, z0, w0, CurveLaw("cmc", eta=1.0),
-                            step=step, n_steps=n, two_sided=False)
-        return s.zs[-1]
-
-    def repdist(a, b):
-        return float(np.abs(sp.phase_align(a, b) * b - a).max())
-
-    ref = endpoint(5e-4, 800)
-    e1 = repdist(endpoint(8e-3, 50), ref)
-    e2 = repdist(endpoint(4e-3, 100), ref)
-    assert 11.0 < e1 / e2 < 21.0
+    # step halving on the CMC law: every row at h = 0.02 and h/2 against the
+    # integrator at h/16; the observed orders are 3.99 (cp2-torus), 3.99
+    # (ch2-torus) and 4.00 (ch2-g0)
+    law = CurveLaw("cmc", eta=1.0)
+    for label in ("cp2-torus", "ch2-torus", "ch2-g0"):
+        spec, z0, w0 = launch(label)
+        ref = integrate_sigma(spec, z0, w0, law, step=0.02 / 16, n_steps=320, two_sided=False)
+        errors = []
+        for stride in (16, 8):
+            sigma = integrate_sigma(spec, z0, w0, law, step=stride * ref.step,
+                                    n_steps=320 // stride, two_sided=False)
+            errors.append(np.abs(sigma.zs - ref.zs[::stride]).max())
+        assert abs(np.log2(errors[0] / errors[1]) - 4.0) <= 0.3, label
 
 
 def test_cmc_law_tracks_target_curvature():
@@ -306,12 +301,42 @@ def assert_same_sigma(new, ref, names=SIGMA_ARRAYS):
     assert new.truncation_reason == ref.truncation_reason
 
 
+def reference_errors(sigma, ref, names):
+    """Largest |sigma - ref| per column over the rows both hold.
+
+    ref is the same launch at a step ten times finer; its every 10th row
+    lies at a row time of sigma (both curves have a row at t = 0).
+    """
+    i0, r0 = np.flatnonzero(sigma.ts == 0.0)[0], np.flatnonzero(ref.ts == 0.0)[0]
+    back = min(i0, r0 // 10)
+    ahead = min(len(sigma.ts) - 1 - i0, (len(ref.ts) - 1 - r0) // 10)
+    rows = slice(i0 - back, i0 + ahead + 1)
+    ref_rows = slice(r0 - 10 * back, r0 + 10 * ahead + 1, 10)
+    assert np.allclose(sigma.ts[rows], ref.ts[ref_rows], rtol=0, atol=1e-15)
+    return {name: float(np.abs(getattr(sigma, name)[rows] - getattr(ref, name)[ref_rows]).max())
+            for name in names}
+
+
 @pytest.mark.parametrize("label", LABELS)
 def test_lane_core_matches_scalar_integrator(label):
     spec, z0, w0 = launch(label)
     for law in LAWS:
-        assert_same_sigma(integrate_sigma(spec, z0, w0, law, n_steps=30),
-                          oracles.scalar_integrate_sigma(spec, z0, w0, law, n_steps=30))
+        sigma = integrate_sigma(spec, z0, w0, law, n_steps=30)
+        rk4 = oracles.scalar_integrate_sigma(spec, z0, w0, law, n_steps=30)
+        if not law.reads_orbit_data:
+            assert_same_sigma(sigma, rk4)
+            continue
+        # Collocation and the RK4 oracle are two order-4 methods, whose rows
+        # differ by their truncation errors (1.8e-12 in the gammas of
+        # ch2-torus CMC). Both are pinned to the collocation at step/10
+        # instead: the worst columns are 6.7e-13 in mean_align for
+        # collocation and 1.1e-12 in gammas for RK4, both on ch2-torus CMC.
+        ref = integrate_sigma(spec, z0, w0, law, step=1e-4, n_steps=300)
+        for curve in (sigma, rk4):
+            assert curve.ts.shape == ref.ts[::10].shape
+            assert not curve.truncated
+            errors = reference_errors(curve, ref, SIGMA_ARRAYS[1:])
+            assert max(errors.values()) <= 2e-12, errors
 
 
 @pytest.mark.parametrize("label", LABELS)
@@ -365,19 +390,106 @@ def test_lane_core_matches_scalar_when_one_side_truncates():
         assert np.abs(getattr(sigma, name) - col).max() <= 1e-12, name
 
 
-@pytest.mark.parametrize("law, theta", [(CurveLaw("cmc", eta=1.0), 3 * np.pi / 7),
+@pytest.mark.parametrize("law, theta", [(CurveLaw("cmc", eta=1.0), 2.7 * np.pi / 7),
                                         (CurveLaw("levi-flat"), 2 * np.pi / 7)],
                          ids=["cmc", "levi-flat"])
 def test_rk4_rule_matches_scalar_when_one_side_truncates(law, theta):
-    # the RK4 row rule at the same edge of the orbit triangle: the backward
-    # side keeps 24 steps and leaves the regular set on the 25th, the forward
-    # side runs all 300
+    # the collocation rule and the RK4 oracle at the same edge of the orbit
+    # triangle: the backward side keeps 24 steps and leaves the regular set
+    # on the 25th, the forward side runs all 300; the reference at step/10
+    # leaves it at t = -0.0247 (CMC) and -0.0244 (Levi-flat), inside that step
     spec, z0, w0 = launch("cp2-torus", theta=theta, coords=(-0.463, -0.802))
     sigma = integrate_sigma(spec, z0, w0, law, n_steps=300)
     assert sigma.truncation_reason == "left the regular set after 25 steps"
     assert sigma.ts[0] == -24 * sigma.step and len(sigma.ts) == 24 + 1 + 300
-    ref = oracles.scalar_integrate_sigma(spec, z0, w0, law, n_steps=300)
-    assert_same_sigma(sigma, ref, ("ts", "zs", "ws", "xis", "gammas"))
+    rk4 = oracles.scalar_integrate_sigma(spec, z0, w0, law, n_steps=300)
+    assert rk4.truncation_reason == sigma.truncation_reason
+    assert np.array_equal(rk4.ts, sigma.ts)
+    ref = integrate_sigma(spec, z0, w0, law, step=1e-4, n_steps=3000)
+    assert ref.ts[0] < sigma.ts[0]
+    # Near the edge |gamma| reaches 650 and h |gamma| 0.65, so both order-4
+    # methods are far from round-off. Worst errors against the reference:
+    # collocation zs 4.3e-8 (CMC) and 1.4e-9 (Levi-flat), ws and xis 1.4e-6,
+    # gammas 4.8e-3 (CMC); RK4 zs 7.2e-8 and 2.0e-8, ws and xis 5.0e-6
+    # (Levi-flat), gammas 7.5e-3 (CMC).
+    bounds = {"zs": 1e-7, "ws": 1e-5, "xis": 1e-5, "gammas": 1e-2}
+    for curve in (sigma, rk4):
+        errors = reference_errors(curve, ref, bounds)
+        assert all(errors[name] <= bound for name, bound in bounds.items()), errors
+
+
+def test_collocation_passes_an_edge_the_reference_passes():
+    # Launched at theta = 3 pi / 7 from the same point, the CMC curve passes
+    # the edge with a least gram det of 1.04e-10, 4 % above the floor, both
+    # at step/10 and at step 1e-3 by collocation. The RK4 oracle's stages
+    # dip below the floor and stop it after 25 steps. Passing the edge takes
+    # the window 32 Picard iterations; past it the curve carries the O(h^4)
+    # error of the edge, 3.8e-6 in zs (RK4: 4.2e-6 up to its stop).
+    law = CurveLaw("cmc", eta=1.0)
+    spec, z0, w0 = launch("cp2-torus", theta=3 * np.pi / 7, coords=(-0.463, -0.802))
+    sigma = integrate_sigma(spec, z0, w0, law, n_steps=60)
+    ref = integrate_sigma(spec, z0, w0, law, step=1e-4, n_steps=600)
+    assert not sigma.truncated and not ref.truncated
+    assert reference_errors(sigma, ref, ["zs"])["zs"] <= 1e-5
+    rk4 = oracles.scalar_integrate_sigma(spec, z0, w0, law, n_steps=30)
+    assert rk4.truncation_reason == "left the regular set after 25 steps"
+
+
+def test_collocation_stops_a_lane_whose_window_does_not_converge(monkeypatch):
+    # one Picard iteration cannot converge: both lanes stop at their first
+    # step, and no unconverged row is returned
+    monkeypatch.setattr(constructor, "PICARD_ITERATIONS", 1)
+    spec, z0, w0 = launch("cp2-torus")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sigma = integrate_sigma(spec, z0, w0, CurveLaw("cmc", eta=1.0), n_steps=30)
+    assert sigma.truncation_reason == ("collocation did not converge after 1 steps; "
+                                       "collocation did not converge after 1 steps")
+    assert len(sigma.ts) == 1
+
+
+def test_collocation_stops_a_lane_whose_step_turns_too_far():
+    # h |gamma| = 1e297 radians a step: the step converges but cannot follow
+    # the curve, so both lanes stop at their first step
+    spec, z0, w0 = launch("cp2-torus")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sigma = integrate_sigma(spec, z0, w0, CurveLaw("cmc", eta=1e300), n_steps=30)
+    assert sigma.truncation_reason == ("curvature too large for the step after 1 steps; "
+                                       "curvature too large for the step after 1 steps")
+    assert len(sigma.ts) == 1
+
+
+def test_collocation_converges_at_the_rounding_floor(monkeypatch):
+    # 6000 steps out along a ch2-g0 CMC curve the representatives reach 210,
+    # and the rounding of the orbit data moves the rows by more than
+    # PICARD_TOL from one iteration to the next: the lanes settle where that
+    # move stops shrinking. Without the floor the lane stops after 5315 steps.
+    spec, z0, w0 = launch("ch2-g0")
+    law = CurveLaw("cmc", eta=1.0)
+    sigma = integrate_sigma(spec, z0, w0, law, n_steps=6000, two_sided=False)
+    assert not sigma.truncated and np.abs(sigma.zs).max() > 200
+    monkeypatch.setattr(constructor, "PICARD_FLOOR", 0.0)
+    sigma = integrate_sigma(spec, z0, w0, law, n_steps=6000, two_sided=False)
+    assert sigma.truncation_reason.startswith("collocation did not converge after ")
+
+
+@pytest.mark.parametrize("label", ["cp2-torus", "ch2-torus", "ch2-g0"])
+def test_collocation_keeps_the_frame_without_renormalizing(label):
+    # Gauss collocation conserves quadratic invariants: over 1000 rows (five
+    # windows) <z, z> = kappa, |w| = |xi| = 1 and <z, w> = <z, xi> = <w, xi> = 0
+    # hold to round-off; the worst is 3.2e-14 in <z, z> on cp2-torus
+    spec, z0, w0 = launch(label)
+    sp = spec.space
+    sigma = integrate_sigma(spec, z0, w0, CurveLaw("cmc", eta=1.0), n_steps=1000,
+                            two_sided=False)
+    assert len(sigma.ts) == 1001 and not sigma.truncated
+    z, w, xi = sigma.zs, sigma.ws, sigma.xis
+    assert np.abs(sp.herm(z, z) - sp.kappa).max() <= 1e-13
+    assert np.abs(sp.norm(w) - 1.0).max() <= 1e-13
+    assert np.abs(sp.norm(xi) - 1.0).max() <= 1e-13
+    for a, b in ((z, w), (z, xi), (w, xi)):
+        assert np.abs(sp.herm(a, b)).max() <= 1e-13
 
 
 def test_lane_core_truncates_non_finite_lanes_without_warnings():
@@ -464,13 +576,16 @@ def test_austere_search_stops_misaligned_launch_early(monkeypatch):
 
 
 def test_orbit_reading_law_evaluates_full_orbit_data_at_every_stage(monkeypatch):
-    # CMC reads alpha and beta at every stage: one start row plus four stages
-    # per step for the two lanes of one batch, none of them partial, then one
-    # call for the curve's orbit columns on its 61 rows
+    # CMC reads alpha and beta at every stage node: one start row, then one
+    # call per Picard iteration on both nodes of every step of the two lanes
+    # (six iterations for this 30-row window), one gram call on the window's
+    # half-steps and rows, and one call for the curve's orbit columns on its
+    # 61 rows
     calls = _count_invariant_calls(monkeypatch)
     spec, z0, w0 = launch("cp2-torus")
     integrate_sigma(spec, z0, w0, CurveLaw("cmc", eta=1.0), n_steps=30)
-    assert (calls.count("full"), calls.count("gram"), calls.count("row")) == (122, 0, 0)
+    assert (calls.count("full"), calls.count("gram"), calls.count("row")) == (8, 1, 0)
+    assert calls == ["full"] * 7 + ["gram", "full"]
 
 
 def test_geodesic_law_evaluates_gram_in_the_lanes_and_orbit_data_once_per_curve(monkeypatch):
@@ -558,3 +673,28 @@ def test_geodesic_orbit_columns_match_per_row():
     sigma = integrate_sigma(spec, z0, w0, CurveLaw("geodesic"), n_steps=40)
     assert sigma.truncated
     assert_orbit_columns_per_row(sigma)
+
+
+@pytest.mark.parametrize("label", ["cp2-torus", "ch2-g0"])
+def test_collocation_checks_its_nodes_and_half_steps_on_the_curve(label):
+    # With gamma = 0 the curve is the closed-form geodesic. At h = 0.01 the
+    # rows lie on it to 1.4e-12, the nodes at t + (1/2 -+ sqrt(3)/6) h to
+    # 8.3e-9 (stage order 2) and the half-steps at t + h/2 to 3.1e-11; a
+    # half-step taken as S + h k_1 / 2 would be off by about 1e-5.
+    spec, z0, w0 = launch(label)
+    sp, h = spec.space, 0.01
+    x0, u0 = spec.frame_coords(z0).real, spec.frame_coords(w0).real
+    v0 = spec.frame_coords(rotate90(spec, z0, w0)).real
+    rows, starts, maps = constructor._GaussRows(spec, CurveLaw("cmc"), h)._propagate(
+        np.array([[x0, u0, v0]]), np.zeros((1, 10, 2)))
+
+    def geodesic(t):
+        c, s = sp.geodesic_coefficients(t / sp.radius)
+        return c[:, None] * x0 + sp.radius * s[:, None] * u0
+
+    t = h * np.arange(10)
+    assert np.abs(rows[0, :, 0] - geodesic(t + h)).max() <= 1e-11
+    points = (maps @ starts[:, :, None])[0, :, :, 0]
+    for m, (frac, bound) in enumerate([(0.5 - np.sqrt(3) / 6, 1e-8),
+                                       (0.5 + np.sqrt(3) / 6, 1e-8), (0.5, 1e-10)]):
+        assert np.abs(points[:, m] - geodesic(t + frac * h)).max() <= bound

@@ -1,17 +1,25 @@
-"""Work counts of the verify suites' h = 2 checks.
+"""Work counts of the verify suites' h = 2 checks and of the section curves.
 
 Counts are deterministic, so work that grows without an announcement fails
-here on any host, whatever the timing noise. Each test builds the
+here on any host, whatever the timing noise. Each suite test builds the
 workspace patches first, so that only the checks' own calls are counted.
 """
 
 import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import hopflab.constructor as constructor
 import hopflab.hypersurface as hypersurface
-from hopflab.actions import LABELS
+from hopflab.actions import LABELS, load_action
+from hopflab.constructor import CurveLaw, integrate_sigma
 from hopflab.suites import suite_cmc, suite_connection
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from workloads import WORKLOADS  # noqa: E402
 
 CONNECTION_LABELS = ("cp2-torus", "ch2-g0")
 HOPF_ENTRIES = ("geodesic-sphere", "horosphere", "tube-rp2", "tube-ch1")
@@ -70,3 +78,31 @@ def test_suite_cmc_hopf_relation_reuses_grid_shape_data(suite_ws, monkeypatch):
     wp_patches = {id(suite_ws.wp_patch(label).patch) for label in LABELS}
     assert {id(patch) for patch in one_point} == wp_patches
 
+
+
+@pytest.mark.parametrize("action, calls, points", [
+    # one start call on 2 points, 10 and 9 Picard iterations on the 2 nodes
+    # of each of the 200 steps of the 2 lanes, and the orbit columns of the
+    # curve's 401 rows
+    ("cp2-torus", 12, 2 + 10 * 800 + 401),
+    ("ch2-k0-g2a", 11, 2 + 9 * 800 + 401),
+], ids=["cmc", "levi-flat"])
+def test_orbit_reading_curve_work(action, calls, points, tmp_path, monkeypatch):
+    # the construct benchmark's seed-3 launch of this action, as construct makes it
+    cfg = next(c for c in WORKLOADS["construct"](3, str(tmp_path)).configs
+               if c["action"] == action)
+    spec = load_action(action)
+    z0 = spec.section.point(np.array([0.12, 0.07]))
+    f1, f2 = spec.section.tangent_frame(z0)
+    w0 = np.cos(cfg["theta"]) * f1 + np.sin(cfg["theta"]) * f2
+    sizes = []
+    original = constructor._orbit_invariants
+
+    def counted(spec, x, xi):
+        sizes.append(x.shape[1])
+        return original(spec, x, xi)
+
+    monkeypatch.setattr(constructor, "_orbit_invariants", counted)
+    sigma = integrate_sigma(spec, z0, w0, CurveLaw(cfg["law"], eta=cfg["eta"]), n_steps=200)
+    assert not sigma.truncated
+    assert (len(sizes), sum(sizes)) == (calls, points)
