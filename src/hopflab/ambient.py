@@ -47,10 +47,6 @@ class SpaceForm:
             raise GeometryError("holomorphic curvature c must be nonzero")
 
     @property
-    def kind(self) -> str:
-        return "projective" if self.c > 0 else "hyperbolic"
-
-    @property
     def eps(self) -> float:
         """Sign of the 0-th coordinate in the Hermitian form."""
         return 1.0 if self.c > 0 else -1.0
@@ -113,21 +109,33 @@ class SpaceForm:
             raise GeometryError("phase alignment of antipodal/orthogonal representatives")
         return np.sign(self.kappa) * np.conj(w) / mag
 
+    def central_difference(self, z0, zp, zm, step, *fields):
+        """Phase-aligned central differences of fields sampled at zp and zm.
+
+        zp and zm are the representatives reached at +step / -step from z0;
+        each field is a pair (fp, fm) of its values computed at zp and zm,
+        and the pair (zp, zm) itself gives the velocity representative. Both
+        displaced samples are phase-aligned to z0 (the two phases computed
+        once for all fields) and differenced: (u+ fp - u- fm) / (2 step),
+        one array per field, not yet projected horizontally at z0. All
+        arguments are batched over matching (broadcastable) leading axes.
+        """
+        up = self.phase_align(z0, zp)[..., None]
+        um = self.phase_align(z0, zm)[..., None]
+        return [(up * fp - um * fm) / (2.0 * step) for fp, fm in fields]
+
     def covariant_difference(self, z0, w0, zp, wp, zm, wm, step):
         """Central covariant difference of a tangent field along a curve.
 
         The curve passes through z0 and reaches zp / zm at +step / -step,
         where the field takes the values w0, wp, wm (wp and wm as computed at
-        the representatives zp and zm). The displaced samples are
-        phase-aligned to z0, differenced, projected horizontally at z0 and
-        corrected by the model term <z0, zdot>/kappa * w0; the result is
-        second-order accurate in ``step``. All arguments are batched over
-        matching (broadcastable) leading axes.
+        the representatives zp and zm). The central_difference of the field
+        is projected horizontally at z0 and corrected by the model term
+        <z0, zdot>/kappa * w0; the result is second-order accurate in
+        ``step``. All arguments are batched over matching (broadcastable)
+        leading axes.
         """
-        up = self.phase_align(z0, zp)[..., None]
-        um = self.phase_align(z0, zm)[..., None]
-        zdot = (up * zp - um * zm) / (2.0 * step)
-        wdot = (up * wp - um * wm) / (2.0 * step)
+        zdot, wdot = self.central_difference(z0, zp, zm, step, (zp, zm), (wp, wm))
         vec = self.project_horizontal(z0, wdot) - (self.herm(z0, zdot) / self.kappa)[..., None] * w0
         return self.project_horizontal(z0, vec)
 
@@ -301,27 +309,25 @@ class SectionChart:
         f2 = f2 / sp.norm(f2)[..., None]
         return f1, f2
 
-    def second_fundamental_form_residual(self, u) -> float:
-        """Max norm of the chart surface's II at coordinates u (should be ~0)."""
+    def second_fundamental_form_residual(self, u):
+        """Max norm of the chart surface's II at coordinates u (..., 2), as
+        an array (...) that should be ~0.
+
+        Each coordinate line's II is the normal part of the central
+        difference of the tangent frame along it, divided by the line's
+        speed (the coordinate velocity is not unit).
+        """
         sp = self.space
         step = 1e-4
-        u = np.asarray(u, dtype=float)
-        z0 = self.point(u)
+        u = np.asarray(u, dtype=float)[..., None, :]
+        z0 = self.point(u)                       # (..., 1, 3)
         f10, f20 = self.tangent_frame(z0)
-        worst = 0.0
-        for i, di in enumerate(np.eye(2)):
-            zp = self.point(u + step * di)
-            zm = self.point(u - step * di)
-            up = sp.phase_align(z0, zp)
-            um = sp.phase_align(z0, zm)
-            for which in range(2):
-                fp = self.tangent_frame(zp)[which] * up
-                fm = self.tangent_frame(zm)[which] * um
-                nab = sp.project_horizontal(z0, (fp - fm) / (2 * step))
-                nor = nab - sp.g(nab, f10) * f10 - sp.g(nab, f20) * f20
-                # velocity of the coordinate line is not unit; normalize by it
-                vel = sp.project_horizontal(z0, (up * zp - um * zm) / (2 * step))
-                speed = max(float(sp.norm(vel)), 1e-12)
-                worst = max(worst, float(sp.norm(nor)) / speed)
-        return worst
-
+        offsets = step * np.eye(2)
+        zp, zm = self.point(u + offsets), self.point(u - offsets)   # (..., i, 3)
+        (fp1, fp2), (fm1, fm2) = self.tangent_frame(zp), self.tangent_frame(zm)
+        vel, d1, d2 = sp.central_difference(z0, zp, zm, step, (zp, zm), (fp1, fm1), (fp2, fm2))
+        nab = sp.project_horizontal(z0[..., None, :], np.stack([d1, d2], axis=-2))
+        f10, f20 = f10[..., None, :], f20[..., None, :]
+        nor = nab - sp.g(nab, f10)[..., None] * f10 - sp.g(nab, f20)[..., None] * f20
+        speed = np.maximum(sp.norm(sp.project_horizontal(z0, vel)), 1e-12)   # (..., i)
+        return np.max(sp.norm(nor) / speed[..., None], axis=(-2, -1))

@@ -16,12 +16,7 @@ from . import _kernels as kernels
 from .actions import load_action
 from .ambient import GeometryError, SpaceForm
 from .constructor import build_hypersurface
-from .hypersurface import HypersurfacePatch, shape_data
-
-CATALOG_NAMES = (
-    "geodesic-sphere", "horosphere", "tube-rp2", "tube-ch1",
-    "lohnherr", "bisector", "clifford-cone-cp2", "clifford-cone-ch2",
-)
+from .hypersurface import HypersurfacePatch, _complex_frame, shape_data
 
 CONE_RADIAL_MARGIN = 1e-2   # vertex region excluded from cone boxes
 
@@ -34,21 +29,6 @@ class CatalogEntry:
     patch: HypersurfacePatch
     expected: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
-
-
-def _horizontal_unit_frame(sp: SpaceForm, z):
-    """Two H-orthonormal horizontal vectors at z (deterministic)."""
-    frame = []
-    for cand in np.eye(3, dtype=complex):
-        v = sp.project_horizontal(z, cand)
-        for f in frame:
-            v = v - sp.herm(f, v) * f
-        n = np.sqrt(max(np.real(sp.herm(v, v)), 0.0))
-        if n > 1e-8:
-            frame.append(v / n)
-        if len(frame) == 2:
-            return frame
-    raise GeometryError("could not build a horizontal frame")
 
 
 def _orient_to_trace(patch: HypersurfacePatch, probe, expected_trace):
@@ -69,7 +49,7 @@ def sphere_spectrum(c: float, r: float):
     return (s / np.tanh(s * r), (s / 2) / np.tanh(s * r / 2), (s / 2) / np.tanh(s * r / 2))
 
 
-def geodesic_sphere(space: SpaceForm, r: float = 0.5) -> CatalogEntry:
+def geodesic_sphere(space: SpaceForm, r: float) -> CatalogEntry:
     """Distance sphere of radius r about [1:0:0]; Hopf with constant principal curvatures."""
     sp = space
     if sp.c > 0 and not 0 < r < np.pi / np.sqrt(sp.c):
@@ -77,7 +57,7 @@ def geodesic_sphere(space: SpaceForm, r: float = 0.5) -> CatalogEntry:
     if r <= 0:
         raise GeometryError("radius must be positive")
     center = sp.normalize_rep(np.eye(3, dtype=complex)[0])
-    f, g = _horizontal_unit_frame(sp, center)
+    f, g = (x[0] for x in _complex_frame(sp, center[None]))
 
     def chart(params):
         t, s1, s2 = params[:, 0], params[:, 1], params[:, 2]
@@ -137,7 +117,7 @@ def tube_spectrum(c: float, r: float, core: str):
     raise GeometryError(f"unknown tube core {core!r}")
 
 
-def tube_rp2(space: SpaceForm, r: float = 0.3) -> CatalogEntry:
+def tube_rp2(space: SpaceForm, r: float) -> CatalogEntry:
     """Tube around the totally geodesic real projective plane in CP^2."""
     sp = space
     if sp.c <= 0:
@@ -169,7 +149,7 @@ def tube_rp2(space: SpaceForm, r: float = 0.3) -> CatalogEntry:
     )
 
 
-def tube_ch1(space: SpaceForm, r: float = 0.4) -> CatalogEntry:
+def tube_ch1(space: SpaceForm, r: float) -> CatalogEntry:
     """Tube around a totally geodesic complex hyperbolic line in CH^2."""
     sp = space
     if sp.c >= 0:
@@ -351,23 +331,28 @@ def clifford_cone_distances(space: SpaceForm, z):
     return space.radius * np.arcsinh(gap / np.sqrt(2 * np.abs(space.herm(z, z).real))[..., None])
 
 
-def get_entry(name: str, c: float | None = None, **params) -> CatalogEntry:
-    """Catalog entries addressable by CLI name."""
-    if name == "geodesic-sphere":
-        sp = SpaceForm(4.0 if c is None else c)
-        return geodesic_sphere(sp, r=params.get("r", 0.5))
-    if name == "horosphere":
-        return horosphere(SpaceForm(-4.0 if c is None else c))
-    if name == "tube-rp2":
-        return tube_rp2(SpaceForm(4.0 if c is None else c), r=params.get("r", 0.3))
-    if name == "tube-ch1":
-        return tube_ch1(SpaceForm(-4.0 if c is None else c), r=params.get("r", 0.4))
-    if name == "lohnherr":
-        return lohnherr(SpaceForm(-4.0 if c is None else c))
-    if name == "bisector":
-        return bisector(SpaceForm(-4.0 if c is None else c))
-    if name == "clifford-cone-cp2":
-        return clifford_cone(SpaceForm(4.0 if c is None else c))
-    if name == "clifford-cone-ch2":
-        return clifford_cone(SpaceForm(-4.0 if c is None else c))
-    raise KeyError(f"unknown catalog entry {name!r}; choose from {CATALOG_NAMES}")
+# name -> (builder, default c, default radius or None for an entry without one)
+_ENTRIES = {
+    "geodesic-sphere": (geodesic_sphere, 4.0, 0.5),
+    "horosphere": (horosphere, -4.0, None),
+    "tube-rp2": (tube_rp2, 4.0, 0.3),
+    "tube-ch1": (tube_ch1, -4.0, 0.4),
+    "lohnherr": (lohnherr, -4.0, None),
+    "bisector": (bisector, -4.0, None),
+    "clifford-cone-cp2": (clifford_cone, 4.0, None),
+    "clifford-cone-ch2": (clifford_cone, -4.0, None),
+}
+CATALOG_NAMES = tuple(_ENTRIES)
+
+
+def get_entry(name: str, c: float | None = None, r: float | None = None) -> CatalogEntry:
+    """Catalog entries addressable by CLI name; r only for the entries with a radius."""
+    if name not in _ENTRIES:
+        raise KeyError(f"unknown catalog entry {name!r}; choose from {CATALOG_NAMES}")
+    build, default_c, default_r = _ENTRIES[name]
+    if default_r is None and r is not None:
+        raise GeometryError(f"catalog entry {name!r} takes no radius")
+    sp = SpaceForm(default_c if c is None else c)
+    if default_r is None:
+        return build(sp)
+    return build(sp, r=default_r if r is None else r)

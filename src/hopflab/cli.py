@@ -255,11 +255,8 @@ def _plain(value):
 
 def _load_patch_for(args):
     if getattr(args, "catalog", None):
-        params = {}
-        if getattr(args, "r", None) is not None:
-            params["r"] = args.r
         _check_c(args.c)
-        entry = get_entry(args.catalog, c=args.c, **params)
+        entry = get_entry(args.catalog, c=args.c, r=args.r)
         return entry.patch, {"catalog": entry.name,
                              "parameters": {k: _plain(v) for k, v in entry.parameters.items()
                                             if _plain(v) is not None},

@@ -57,6 +57,7 @@ from .hypersurface import (
     adapted_frames,
     d_invariants,
     frame_derivative_data,
+    frames_at,
     shape_data,
 )
 
@@ -614,10 +615,10 @@ def build_hypersurface(spec: PolarActionSpec, sigma: SigmaCurve,
     patch = HypersurfacePatch(sp, chart, box, diff_step=1.5e-4)
     # orient the patch normal to match the curve's Frenet normal
     mid_t = 0.5 * (t_lo + t_hi)
-    sd = shape_data(patch, np.array([[mid_t, 0.0, 0.0]]))
+    fr = frames_at(patch, np.array([[mid_t, 0.0, 0.0]]))
     i = int(np.clip(round((mid_t - sigma.ts[0]) / sigma.step), 0, len(sigma.ts) - 1))
-    u = sp.phase_align(sd.frames.z[0], sigma.zs[i])
-    agree = sp.g(sd.frames.xi[0], u * sigma.xis[i])
+    u = sp.phase_align(fr.z[0], sigma.zs[i])
+    agree = sp.g(fr.xi[0], u * sigma.xis[i])
     if agree < 0:
         patch.orientation = -patch.orientation
     return EquivariantHypersurface(spec=spec, sigma=sigma, patch=patch, s_extent=extent)

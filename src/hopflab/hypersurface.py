@@ -23,8 +23,10 @@ frame_derivative_data output, ``levi_form`` and ``hopf_cmc_relation_check``
 read a ShapeData, and ``bracket_by_flows`` runs its two commutator loops as
 lanes of one flow.
 
-Covariant derivatives of tangent fields (the frame connection nabla_X Y,
-the nested Gauss-Codazzi stencils) all go through the batched
+Every difference of representatives goes through the batched
+SpaceForm.central_difference: the coordinate velocities and the normal's
+derivative directly, the covariant derivatives of tangent fields (the frame
+connection nabla_X Y, the nested Gauss-Codazzi stencils) through
 SpaceForm.covariant_difference, with each stencil gathered into one chart
 call. The nested stencils (p + o_a) + o_b of shape_data and
 verify_gauss_codazzi evaluate only their 31 distinct points per centre (of
@@ -124,7 +126,6 @@ class PointFrames:
     z: np.ndarray        # (N, 3) representatives
     v: np.ndarray        # (N, 3, 3) coordinate velocities v[n, k]
     xi: np.ndarray       # (N, 3) oriented unit normal
-    gram_det: np.ndarray # (N,)
 
 
 def _complex_frame(sp: SpaceForm, z):
@@ -231,24 +232,20 @@ def frames_at(patch: HypersurfacePatch, params, zs=None) -> PointFrames:
     """
     sp = patch.space
     params = np.atleast_2d(np.asarray(params, dtype=float))
-    n = params.shape[0]
     h = patch.diff_step
     if zs is None:
         zs = patch.eval(params[:, None, :] + _central_offsets(h)[None, :, :])
     z0 = zs[:, 0]
-    u = sp.phase_align(z0[:, None, :], zs[:, 1:])
-    aligned = u[..., None] * zs[:, 1:]
-    v = np.empty((n, 3, 3), dtype=complex)
-    for k in range(3):
-        dz = (aligned[:, 2 * k] - aligned[:, 2 * k + 1]) / (2.0 * h)
-        v[:, k] = sp.project_horizontal(z0, dz)
+    zp, zm = zs[:, 1::2], zs[:, 2::2]
+    (dz,) = sp.central_difference(z0[:, None], zp, zm, h, (zp, zm))
+    v = sp.project_horizontal(z0[:, None], dz)   # v[n, k]
     g = np.real(sp.herm(v[:, :, None, :], v[:, None, :, :]))
     gram = np.linalg.det(g)
     if np.any(gram <= IMMERSION_TOL):
         bad = params[gram <= IMMERSION_TOL][0]
         raise ImmersionError(f"immersion fails at params {bad} (gram det <= {IMMERSION_TOL})")
     xi = _oriented_normal(sp, z0, v, patch.orientation)
-    return PointFrames(params=params, z=z0, v=v, xi=xi, gram_det=gram)
+    return PointFrames(params=params, z=z0, v=v, xi=xi)
 
 
 # -- shape operator -----------------------------------------------------------
@@ -261,21 +258,18 @@ class ShapeData:
     space: SpaceForm
     frames: PointFrames
     E: np.ndarray          # (N, 3, 3) orthonormal tangent basis
-    W: np.ndarray          # (N, 3, 3) E_a = sum_k W[n, k, a] v[n, k]
     S: np.ndarray          # (N, 3, 3) symmetric shape matrix in the E basis
     eigvals: np.ndarray    # (N, 3) descending
     eigvecs: np.ndarray    # (N, 3, 3) ambient eigenvectors, eigvecs[n, i]
-    jxi_coords: np.ndarray # (N, 3) coordinates of J xi in the E basis
     asym: np.ndarray       # (N,) symmetry defect of S before symmetrization
 
     def take(self, idx) -> "ShapeData":
         """The same data at the points idx."""
         f = self.frames
-        frames = PointFrames(params=f.params[idx], z=f.z[idx], v=f.v[idx], xi=f.xi[idx],
-                             gram_det=f.gram_det[idx])
-        return ShapeData(space=self.space, frames=frames, E=self.E[idx], W=self.W[idx],
-                         S=self.S[idx], eigvals=self.eigvals[idx], eigvecs=self.eigvecs[idx],
-                         jxi_coords=self.jxi_coords[idx], asym=self.asym[idx])
+        frames = PointFrames(params=f.params[idx], z=f.z[idx], v=f.v[idx], xi=f.xi[idx])
+        return ShapeData(space=self.space, frames=frames, E=self.E[idx], S=self.S[idx],
+                         eigvals=self.eigvals[idx], eigvecs=self.eigvecs[idx],
+                         asym=self.asym[idx])
 
 
 def _gram_schmidt_with_coeffs(sp: SpaceForm, v):
@@ -315,12 +309,9 @@ def shape_data(patch: HypersurfacePatch, params) -> ShapeData:
     disp = frames_at(patch, displaced, zs[:, 1:].reshape(-1, 7, 3))
     xi_d = disp.xi.reshape(n, 6, 3)
     z_d = disp.z.reshape(n, 6, 3)
-    u = sp.phase_align(base.z[:, None, :], z_d)
-    xi_al = u[..., None] * xi_d
-    nabla_xi = np.empty((n, 3, 3), dtype=complex)   # nabla_{v_k} xi
-    for k in range(3):
-        d = (xi_al[:, 2 * k] - xi_al[:, 2 * k + 1]) / (2.0 * h)
-        nabla_xi[:, k] = sp.project_horizontal(base.z, d)
+    (dxi,) = sp.central_difference(base.z[:, None], z_d[:, 0::2], z_d[:, 1::2], h,
+                                   (xi_d[:, 0::2], xi_d[:, 1::2]))
+    nabla_xi = sp.project_horizontal(base.z[:, None], dxi)   # nabla_{v_k} xi
     E, W = _gram_schmidt_with_coeffs(sp, base.v)
     # S_tilde[k, b] = -g(nabla_{v_k} xi, E_b)
     st = -np.real(sp.herm(nabla_xi[:, :, None, :], E[:, None, :, :]))
@@ -331,10 +322,7 @@ def shape_data(patch: HypersurfacePatch, params) -> ShapeData:
     vals = vals[:, ::-1]
     vecs = vecs[:, :, ::-1]
     ambient = np.einsum("nai,nak->nik", vecs, E)   # (N, i, 3)
-    jxi = 1j * base.xi
-    jc = np.real(sp.herm(E, jxi[:, None, :]))
-    return ShapeData(space=sp, frames=base, E=E, W=W, S=s, eigvals=vals, eigvecs=ambient,
-                     jxi_coords=jc, asym=asym)
+    return ShapeData(space=sp, frames=base, E=E, S=s, eigvals=vals, eigvecs=ambient, asym=asym)
 
 
 # -- spectrum, clusters, adapted frames --------------------------------------

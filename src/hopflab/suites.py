@@ -48,6 +48,7 @@ from .hypersurface import (
 
 SUITE_NAMES = ("ambient", "actions", "frames", "connection", "gauss-codazzi",
                "austere", "cmc", "levi-flat")
+CMC_ETA = 1.0   # mean curvature of the Workspace's CMC constructions
 
 
 @dataclass
@@ -135,26 +136,25 @@ class Workspace:
         zeros = hopf_directions(spec, z0)
         return spec, z0, zeros
 
-    def cmc_patch(self, label, eta=1.0):
-        if (label, eta) not in self._cmc:
+    def cmc_patch(self, label):
+        """CMC (eta = CMC_ETA) construction launched away from every w_p."""
+        if label not in self._cmc:
             spec, z0, zeros = self.launch_data(label)
             f1, f2 = spec.section.tangent_frame(z0)
             theta0 = launch_angle(np.array([d["theta"] for d in zeros]))
             w0 = np.cos(theta0) * f1 + np.sin(theta0) * f2
-            sigma = integrate_sigma(spec, z0, w0, CurveLaw("cmc", eta=eta), n_steps=200)
-            ehs = build_hypersurface(spec, sigma, s_extent=0.15)
-            self._cmc[(label, eta)] = ehs
-        return self._cmc[(label, eta)]
+            sigma = integrate_sigma(spec, z0, w0, CurveLaw("cmc", eta=CMC_ETA), n_steps=200)
+            self._cmc[label] = build_hypersurface(spec, sigma, s_extent=0.15)
+        return self._cmc[label]
 
-    def wp_patch(self, label, eta=1.0):
-        """Construction launched exactly at a found w_p direction."""
-        if (label, eta) not in self._wp:
+    def wp_patch(self, label):
+        """CMC (eta = CMC_ETA) construction launched exactly at a found w_p direction."""
+        if label not in self._wp:
             spec, z0, zeros = self.launch_data(label)
             w0 = zeros[0]["direction"]
-            sigma = integrate_sigma(spec, z0, w0, CurveLaw("cmc", eta=eta), n_steps=60)
-            ehs = build_hypersurface(spec, sigma, s_extent=0.12, t_margin=0.005)
-            self._wp[(label, eta)] = ehs
-        return self._wp[(label, eta)]
+            sigma = integrate_sigma(spec, z0, w0, CurveLaw("cmc", eta=CMC_ETA), n_steps=60)
+            self._wp[label] = build_hypersurface(spec, sigma, s_extent=0.12, t_margin=0.005)
+        return self._wp[label]
 
     def austere_candidates(self, label):
         if label not in self._austere:
@@ -170,15 +170,20 @@ class Workspace:
 # -- ambient -------------------------------------------------------------------
 
 
-def fd_curvature_residual(sp: SpaceForm, rng, n_points=50, h=2e-5):
+FD_CURVATURE_POINTS = 50   # random points of the curvature oracle
+FD_CURVATURE_STEP = 2e-5   # geodesic step of each of its nested differences
+
+
+def fd_curvature_residual(sp: SpaceForm, rng):
     """Max relative deviation of the closed-form curvature from the FD oracle.
 
     The oracle applies nested covariant differences to fields z -> P_h(A z)
     for fixed matrices A (phase-equivariant, hence well defined on the
     manifold), entirely independent of the closed-form expression.
     """
+    h = FD_CURVATURE_STEP
     worst = 0.0
-    for _ in range(n_points):
+    for _ in range(FD_CURVATURE_POINTS):
         p = sp.random_point(rng)
         mats = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
 
@@ -187,27 +192,20 @@ def fd_curvature_residual(sp: SpaceForm, rng, n_points=50, h=2e-5):
 
         X, Y, Z = fld(mats[0]), fld(mats[1]), fld(mats[2])
 
-        def nabla_at(vfield, wfield, q):
+        def along(vfield, q, field):
+            """Horizontal difference at q of field along the geodesic of vfield(q)."""
             v = vfield(q)
-            zp = sp.exp(q, v, h)
-            zm = sp.exp(q, v, -h)
-            up = sp.phase_align(q, zp)
-            um = sp.phase_align(q, zm)
-            return sp.project_horizontal(q, (up * wfield(zp) - um * wfield(zm)) / (2 * h))
+            zp, zm = sp.exp(q, v, h), sp.exp(q, v, -h)
+            (d,) = sp.central_difference(q, zp, zm, h, (field(zp), field(zm)))
+            return sp.project_horizontal(q, d)
 
         def second(vf, wf, zf, q):
             """nabla_{vf} (r -> nabla_{wf} zf) at q."""
-            v = vf(q)
-            zp = sp.exp(q, v, h)
-            zm = sp.exp(q, v, -h)
-            up = sp.phase_align(q, zp)
-            um = sp.phase_align(q, zm)
-            return sp.project_horizontal(
-                q, (up * nabla_at(wf, zf, zp) - um * nabla_at(wf, zf, zm)) / (2 * h))
+            return along(vf, q, lambda r: along(wf, r, zf))
 
-        lie = nabla_at(X, Y, p) - nabla_at(Y, X, p)
+        lie = along(X, p, Y) - along(Y, p, X)
         r_fd = (second(X, Y, Z, p) - second(Y, X, Z, p)
-                - nabla_at(lambda q: sp.project_horizontal(q, lie), Z, p))
+                - along(lambda q: sp.project_horizontal(q, lie), p, Z))
         r_cf = sp.curvature(X(p), Y(p), Z(p))
         denom = max(float(sp.norm(r_cf)), 1e-6)
         worst = max(worst, float(sp.norm(r_fd - r_cf)) / denom)
@@ -250,7 +248,7 @@ def suite_ambient(ws: Workspace) -> SuiteResult:
         res.expect(f"curvature_symmetries_c{c:+g}", sym, 1e-10)
         res.expect(f"bianchi_c{c:+g}", bianchi, 1e-10)
         res.expect(f"fd_curvature_oracle_c{c:+g}",
-                   fd_curvature_residual(sp, ws.rng(f"fd{c}"), n_points=50), 1e-3)
+                   fd_curvature_residual(sp, ws.rng(f"fd{c}")), 1e-3)
         # Kaehler identity along random geodesics: transport commutes with J;
         # the 20 transports of v and of Jv run as one batch
         rngk = ws.rng(f"kahler{c}")
@@ -301,30 +299,23 @@ def suite_actions(ws: Workspace) -> SuiteResult:
         # section invariants at 20 chart points
         rr = 0.45 if sp.c > 0 else 0.6
         pts = rng.uniform(-rr, rr, size=(20, 2))
-        treal = korth = ii = 0.0
-        for q in pts:
-            z = sec.point(q)
-            f1, f2 = sec.tangent_frame(z)
-            treal = max(treal, abs(float(sp.g(1j * f1, f2))))
-            k = spec.killing_basis(z)
-            korth = max(korth, max(abs(float(sp.g(k[i], f))) for i in range(2)
-                                   for f in (f1, f2)))
-            ii = max(ii, sec.second_fundamental_form_residual(q))
-        res.expect(f"{label}:section_totally_real", treal, 1e-8)
-        res.expect(f"{label}:killing_orthogonal_to_section", korth, 1e-8)
-        res.expect(f"{label}:section_II", ii, 1e-6)
-        # flow oracle: velocity of exp(tG).p matches the Killing field
+        z = sec.point(pts)
+        f = np.stack(sec.tangent_frame(z), axis=1)          # (20, 2, 3)
+        k = spec.killing_basis(z)                           # (20, 2, 3)
+        res.expect(f"{label}:section_totally_real",
+                   float(np.max(np.abs(sp.g(1j * f[:, 0], f[:, 1])))), 1e-8)
+        res.expect(f"{label}:killing_orthogonal_to_section",
+                   float(np.max(np.abs(sp.g(k[:, :, None], f[:, None])))), 1e-8)
+        res.expect(f"{label}:section_II", float(np.max(sec.second_fundamental_form_residual(pts))),
+                   1e-6)
+        # flow oracle: velocity of exp(tG).p matches the Killing field, for
+        # both generators at once
         z0 = sec.point(np.array([0.2, 0.1]))
-        flow = 0.0
-        for idx in range(2):
-            h = 1e-5
-            zp = spec.translate(np.eye(2)[idx] * h, z0)
-            zm = spec.translate(-np.eye(2)[idx] * h, z0)
-            up = sp.phase_align(z0, zp)
-            um = sp.phase_align(z0, zm)
-            vel = sp.project_horizontal(z0, (up * zp - um * zm) / (2 * h))
-            flow = max(flow, float(sp.norm(vel - spec.killing_vec(idx, z0))))
-        res.expect(f"{label}:flow_oracle", flow, 1e-6)
+        h = 1e-5
+        zp, zm = spec.translate(np.eye(2) * h, z0), spec.translate(-np.eye(2) * h, z0)
+        (vel,) = sp.central_difference(z0, zp, zm, h, (zp, zm))
+        flow = np.max(sp.norm(sp.project_horizontal(z0, vel) - spec.killing_basis(z0)))
+        res.expect(f"{label}:flow_oracle", float(flow), 1e-6)
         # orbit curvature constancy along 10 group translates
         f1, _ = sec.tangent_frame(z0)
         ms = spec.group_element(rng.uniform(-1.0, 1.0, size=(10, 2)))
@@ -572,7 +563,7 @@ def _cone_distance(sp, zs):
 def suite_cmc(ws: Workspace) -> SuiteResult:
     res = SuiteResult("cmc")
     for label in LABELS:
-        ehs = ws.cmc_patch(label, eta=1.0)
+        ehs = ws.cmc_patch(label)
         cert = strongly_2hopf_certify(ehs, grid_shape=(20, 5, 5))
         r, tol = cert.residuals, cert.tolerances
         res.expect_true(f"{label}:h2_everywhere", r["h_values"] == [2])
@@ -587,7 +578,7 @@ def suite_cmc(ws: Workspace) -> SuiteResult:
         grid = ehs.patch.grid((6, 3, 3), margin=0.05)
         traces = shape_data(ehs.patch, grid).eigvals.sum(axis=1)
         res.expect(f"{label}:mean_curvature_eq_eta",
-                   float(np.max(np.abs(traces - 1.0))), 1e-3)
+                   float(np.max(np.abs(traces - CMC_ETA))), 1e-3)
         # launch exactly at a w_p direction: Hopf at the launch point
         wp = ws.wp_patch(label)
         sd = shape_data(wp.patch, np.array([[0.0, 0.0, 0.0]]))

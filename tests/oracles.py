@@ -603,10 +603,7 @@ def two_call_shape_data(patch, params):
     vals = vals[:, ::-1]
     vecs = vecs[:, :, ::-1]
     ambient = np.einsum("nai,nak->nik", vecs, E)
-    jxi = 1j * base.xi
-    jc = np.real(sp.herm(E, jxi[:, None, :]))
-    return ShapeData(space=sp, frames=base, E=E, W=W, S=s, eigvals=vals, eigvecs=ambient,
-                     jxi_coords=jc, asym=asym)
+    return ShapeData(space=sp, frames=base, E=E, S=s, eigvals=vals, eigvecs=ambient, asym=asym)
 
 
 def nested_49_verify_gauss_codazzi(patch, params, rng=None, n_random=20,
@@ -896,6 +893,37 @@ def pointwise_bracket_by_flows(patch, params, x_field, y_field, step=1e-3, rk_st
     v = sd.frames.v[0]
     vec = coords[0] * v[0] + coords[1] * v[1] + coords[2] * v[2]
     return sd.space.project_horizontal(sd.frames.z[0], vec)
+
+
+# -- per-point section II ---------------------------------------------------------
+# Frozen copy of SectionChart.second_fundamental_form_residual from before it
+# was batched over coordinates: one point at a time, each coordinate line's
+# phases and differences written out by hand. Tests pin the batched version
+# against it bit for bit.
+
+
+def pointwise_section_II_residual(chart, u) -> float:
+    """Max norm of the section chart's II at one coordinate pair u (2,)."""
+    sp = chart.space
+    step = 1e-4
+    u = np.asarray(u, dtype=float)
+    z0 = chart.point(u)
+    f10, f20 = chart.tangent_frame(z0)
+    worst = 0.0
+    for i, di in enumerate(np.eye(2)):
+        zp = chart.point(u + step * di)
+        zm = chart.point(u - step * di)
+        up = sp.phase_align(z0, zp)
+        um = sp.phase_align(z0, zm)
+        for which in range(2):
+            fp = chart.tangent_frame(zp)[which] * up
+            fm = chart.tangent_frame(zm)[which] * um
+            nab = sp.project_horizontal(z0, (fp - fm) / (2 * step))
+            nor = nab - sp.g(nab, f10) * f10 - sp.g(nab, f20) * f20
+            vel = sp.project_horizontal(z0, (up * zp - um * zm) / (2 * step))
+            speed = max(float(sp.norm(vel)), 1e-12)
+            worst = max(worst, float(sp.norm(nor)) / speed)
+    return worst
 
 
 # -- per-point orbit distance ----------------------------------------------------

@@ -77,6 +77,18 @@ def test_killing_field_matches_flow_velocity(label):
         assert sp.norm(vel - spec.killing_vec(idx, z0)) < 1e-6
 
 
+@pytest.mark.parametrize("label", LABELS)
+def test_section_II_residual_batch_equals_pointwise_copy(label):
+    sec = load_action(label).section
+    rr = 0.45 if sec.space.c > 0 else 0.6
+    pts = np.random.default_rng(11).uniform(-rr, rr, size=(4, 5, 2))
+    batch = sec.second_fundamental_form_residual(pts)
+    assert batch.shape == (4, 5)
+    ref = [[oracles.pointwise_section_II_residual(sec, q) for q in row] for row in pts]
+    assert np.array_equal(batch, ref)
+    assert batch.max() < 1e-6
+
+
 def test_killing_field_index_error():
     spec = load_action("cp2-torus")
     z = spec.section.point(np.array([0.1, 0.1]))

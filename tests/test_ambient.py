@@ -139,6 +139,28 @@ def test_covariant_difference_batch_matches_rows_and_derivative(c, rng):
 
 
 @pytest.mark.parametrize("c", BOTH)
+def test_central_difference_shares_phases_and_ignores_them(c, rng):
+    sp = SpaceForm(c)
+    z0 = np.stack([sp.random_point(rng) for _ in range(3)])
+    v = np.stack([sp.random_tangent(rng, z) for z in z0])
+    h = 1e-5
+    zp, zm = sp.exp(z0, v, h), sp.exp(z0, v, -h)
+    fp, fm = sp.exp_velocity(z0, v, h), sp.exp_velocity(z0, v, -h)
+    zdot, fdot = sp.central_difference(z0, zp, zm, h, (zp, zm), (fp, fm))
+    (alone,) = sp.central_difference(z0, zp, zm, h, (fp, fm))
+    assert np.array_equal(fdot, alone)
+    # the velocity representative of the geodesic exp_z0(t v) at t = 0 is v
+    assert sp.norm(sp.project_horizontal(z0, zdot) - v).max() < 1e-8
+    # any unit phase on a displaced representative (and the field computed
+    # there) leaves the differences unchanged up to rounding
+    up, um = (np.exp(2j * np.pi * rng.uniform(size=(3, 1))) for _ in range(2))
+    turned = sp.central_difference(z0, up * zp, um * zm, h, (up * zp, um * zm),
+                                   (up * fp, um * fm))
+    for new, old in zip(turned, (zdot, fdot)):
+        assert np.abs(new - old).max() < 1e-9
+
+
+@pytest.mark.parametrize("c", BOTH)
 def test_kahler_identity_along_curve(c, rng):
     sp = SpaceForm(c)
     p, (v, w) = point_and_tangents(sp, rng)

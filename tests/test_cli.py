@@ -127,6 +127,17 @@ def test_classify_catalog(capsys):
     assert "austere" in out
 
 
+@pytest.mark.parametrize("name, r", [("geodesic-sphere", 0.6), ("tube-rp2", 0.25),
+                                     ("tube-ch1", 0.5)])
+def test_classify_catalog_radius_reaches_the_entry(name, r, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    rc = run_cli(["classify", "--catalog", name, "--r", str(r), "--grid", "2", "2", "2",
+                  "--out", str(out)])
+    capsys.readouterr()
+    assert rc == 0
+    assert json.loads(out.read_text())["input"]["parameters"] == {"r": r}
+
+
 def test_classify_corrupted_scene(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"schema_version": 1, "config": {..broken')
@@ -293,6 +304,19 @@ def test_sample_csv(tmp_path, capsys):
      "config field 'c': |c| must lie in [1e-100, 1e+100], got -1e+300"),
     (["sample", "--catalog", "tube-rp2", "--c=1e-300", "--out", "{tmp}/m.csv"],
      "config field 'c': |c| must lie in [1e-100, 1e+100], got 1e-300"),
+    # --r on an entry that takes no radius names the entry
+    (["classify", "--catalog", "horosphere", "--r", "0.3"],
+     "catalog entry 'horosphere' takes no radius"),
+    (["classify", "--catalog", "lohnherr", "--r", "0.3"],
+     "catalog entry 'lohnherr' takes no radius"),
+    (["classify", "--catalog", "bisector", "--r", "1"],
+     "catalog entry 'bisector' takes no radius"),
+    (["classify", "--catalog", "clifford-cone-cp2", "--r", "0.3"],
+     "catalog entry 'clifford-cone-cp2' takes no radius"),
+    (["classify", "--catalog", "clifford-cone-ch2", "--r", "0.3"],
+     "catalog entry 'clifford-cone-ch2' takes no radius"),
+    (["sample", "--catalog", "bisector", "--r", "1", "--out", "{tmp}/x.csv"],
+     "catalog entry 'bisector' takes no radius"),
 ], ids=["bad-action", "missing-scene", "classify-c-nan", "hopf-c-inf", "hopf-point-nan",
         "sample-r-inf", "classify-grid-0", "sample-grid-negative", "hopf-samples-huge",
         "hopf-point-huge", "hopf-point-far", "hopf-c-huge", "hopf-c-1e300", "hopf-c-1e-300",
@@ -302,7 +326,9 @@ def test_sample_csv(tmp_path, capsys):
         "classify-bisector-c-overflow", "classify-tube-ch1-c-overflow",
         "classify-lohnherr-c-overflow", "sample-bisector-c-overflow",
         "classify-sphere-radius-bound", "classify-c-minus-1e-300", "classify-c-minus-1e300",
-        "classify-c-1e-300", "classify-c-1e300", "sample-c-minus-1e300", "sample-c-1e-300"])
+        "classify-c-1e-300", "classify-c-1e300", "sample-c-minus-1e300", "sample-c-1e-300",
+        "classify-horosphere-r", "classify-lohnherr-r", "classify-bisector-r",
+        "classify-cone-cp2-r", "classify-cone-ch2-r", "sample-bisector-r"])
 def test_validation_exit_codes(argv, message, capsys, tmp_path):
     argv = [a.format(tmp=tmp_path) for a in argv]
     with warnings.catch_warnings():

@@ -197,11 +197,10 @@ def _synthetic_shape_data(cases, seed=3):
         S.append(Q @ np.diag(eig) @ Q.T)
     n = len(cases)
     frames = PointFrames(params=np.zeros((n, 3)), z=np.tile(z, (n, 1)),
-                         v=np.tile(E, (n, 1, 1)), xi=np.tile(xi, (n, 1)), gram_det=np.ones(n))
-    return ShapeData(space=sp, frames=frames, E=np.tile(E, (n, 1, 1)),
-                     W=np.tile(np.eye(3), (n, 1, 1)), S=np.array(S),
+                         v=np.tile(E, (n, 1, 1)), xi=np.tile(xi, (n, 1)))
+    return ShapeData(space=sp, frames=frames, E=np.tile(E, (n, 1, 1)), S=np.array(S),
                      eigvals=np.array(vals, dtype=float), eigvecs=np.array(vecs),
-                     jxi_coords=np.tile(rot[:, 0], (n, 1)), asym=np.zeros(n))
+                     asym=np.zeros(n))
 
 
 def test_adapted_frames_match_pointwise_copies_on_synthetic_spectra():
@@ -513,9 +512,9 @@ def test_shape_data_equals_two_call_route(name, cmc_ehs):
     patch = _patch(name, cmc_ehs)
     probe = _signed_zero_probe(patch)
     new, old = shape_data(patch, probe), two_call_shape_data(patch, probe)
-    for attr in ("params", "z", "v", "xi", "gram_det"):
+    for attr in ("params", "z", "v", "xi"):
         assert _same_bits(getattr(new.frames, attr), getattr(old.frames, attr)), attr
-    for attr in ("E", "W", "S", "eigvals", "eigvecs", "jxi_coords", "asym"):
+    for attr in ("E", "S", "eigvals", "eigvecs", "asym"):
         assert _same_bits(getattr(new, attr), getattr(old, attr)), attr
 
 

@@ -7,6 +7,8 @@ package ``__init__`` (its re-exports) count as used. A top-level function or
 class, and every method of a top-level class, must be read somewhere in the
 library, and every name the package exports must resolve. No module, not
 even inside a function, imports SciPy: it is needed only by the tests.
+Only SpaceForm.central_difference phase-aligns representatives to difference
+them.
 """
 
 import ast
@@ -138,6 +140,64 @@ def test_every_definition_is_read_in_the_library():
     unread = unread_definitions(sources)
     assert PROTOCOL_METHODS <= set(unread)
     assert sorted(set(unread) - PROTOCOL_METHODS) == []
+
+
+# -- one phase-aligned central difference ---------------------------------------------
+
+
+def phase_align_callers(sources):
+    """(path, enclosing definition) of every call of ``phase_align`` in ``sources``.
+
+    The enclosing definition is the dotted name of the innermost function or
+    class around the call (``Class.method``, ``outer.inner``), or
+    ``<module>`` at top level.
+    """
+    found = []
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call):
+                fn = child.func
+                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+                if name == "phase_align":
+                    found.append((path, scope or "<module>"))
+            visit(child, path, inner)
+
+    for path, text in sources.items():
+        visit(ast.parse(text), path, "")
+    return sorted(found)
+
+
+def test_scan_finds_phase_align_calls_by_definition():
+    sources = {"a.py": ("u = sp.phase_align(z, w)\n"
+                        "class S:\n"
+                        "    def diff(self, z, w):\n"
+                        "        return self.phase_align(z, w)\n"
+                        "def f(sp):\n"
+                        "    def g(z):\n"
+                        "        return phase_align(z, z)\n"
+                        "    return sp.phase_align\n")}
+    assert phase_align_callers(sources) == [
+        ("a.py", "<module>"), ("a.py", "S.diff"), ("a.py", "f.g")]
+
+
+# SpaceForm.central_difference is the one phase-aligned central difference;
+# the other two callers align a single representative, not a difference
+PHASE_ALIGN_CALLERS = {
+    ("ambient.py", "SpaceForm.central_difference"),
+    ("constructor.py", "build_hypersurface"),
+    ("catalog.py", "bisector"),
+}
+
+
+def test_phase_align_is_called_only_by_the_central_difference():
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in SRC.rglob("*.py")}
+    callers = set(phase_align_callers(sources))
+    assert ("ambient.py", "SpaceForm.central_difference") in callers
+    assert callers <= PHASE_ALIGN_CALLERS, sorted(callers - PHASE_ALIGN_CALLERS)
 
 
 # -- the package's export table -------------------------------------------------------

@@ -62,7 +62,7 @@ def test_suite_connection_work_per_label(suite_ws, monkeypatch):
 
 def test_suite_cmc_hopf_relation_reuses_grid_shape_data(suite_ws, monkeypatch):
     for label in LABELS:
-        suite_ws.cmc_patch(label, eta=1.0)
+        suite_ws.cmc_patch(label)
         suite_ws.wp_patch(label)
     for name in HOPF_ENTRIES:
         suite_ws.catalog_entry(name)
