@@ -16,7 +16,7 @@ from . import _kernels as kernels
 from .actions import load_action
 from .ambient import GeometryError, SpaceForm
 from .constructor import build_hypersurface
-from .hypersurface import HypersurfacePatch, _complex_frame, shape_data
+from .hypersurface import HypersurfacePatch, shape_data
 
 CONE_RADIAL_MARGIN = 1e-2   # vertex region excluded from cone boxes
 
@@ -57,7 +57,7 @@ def geodesic_sphere(space: SpaceForm, r: float) -> CatalogEntry:
     if r <= 0:
         raise GeometryError("radius must be positive")
     center = sp.normalize_rep(np.eye(3, dtype=complex)[0])
-    f, g = (x[0] for x in _complex_frame(sp, center[None]))
+    f, g = np.eye(3, dtype=complex)[1:]   # unitary basis of the horizontal space at the centre
 
     def chart(params):
         t, s1, s2 = params[:, 0], params[:, 1], params[:, 2]

@@ -750,13 +750,6 @@ class AustereCandidate:
     start_coords: np.ndarray
     alignment_residual: float
 
-    def to_dict(self):
-        return {
-            "start": self.start_coords.tolist(),
-            "alignment_residual": self.alignment_residual,
-            "action": self.curve.spec.label,
-        }
-
 
 def austere_search(spec: PolarActionSpec, grid_coords, n_steps: int = 150):
     """Curves sigma with H.sigma austere: pregeodesics aligned with the

@@ -1,10 +1,16 @@
 """Extrinsic analysis of parametrized real hypersurfaces.
 
 A patch is a batched chart ``params (N,3) -> representatives (N,3)`` over a
-rectangular box. Shape operators come from central differences of the unit
-normal (phase-aligned representatives, horizontally projected), and the
-classification predicates (Hopf, austere, Levi-flat, ruled, CMC) are decided
-at explicit, reported tolerances.
+rectangular box. The unit normal xi at a point comes from one Hermitian
+cross product: e1 = v1/|v1| and e2, the normalized sig * conj(z x v1),
+span the horizontal space over C, and xi is the ordinary cross product of
+the coordinates of v2, v3 orthogonal to v1 in that basis. The same call
+gives the gram determinant of (v1, v2, v3), and the immersion test
+(gram det > IMMERSION_TOL) is the patch's one degeneracy test. Shape
+operators come from central differences of that normal (phase-aligned
+representatives, horizontally projected), and the classification
+predicates (Hopf, austere, Levi-flat, ruled, CMC) are decided at explicit,
+reported tolerances.
 
 Everything pointwise about the h = 2 structure comes from one batched
 primitive, ``adapted_frames``, over the point axis of a ShapeData: the
@@ -128,55 +134,36 @@ class PointFrames:
     xi: np.ndarray       # (N, 3) oriented unit normal
 
 
-def _complex_frame(sp: SpaceForm, z):
-    """Deterministic H-orthonormal basis (f1, f2) of the horizontal space."""
-    n = z.shape[0]
-    eye = np.eye(3, dtype=complex)
-    cands = np.stack([np.broadcast_to(eye[i], (n, 3)) for i in range(3)], axis=1)
-    proj = sp.project_horizontal(z[:, None, :], cands)
-    norms = np.real(sp.herm(proj, proj))
-    best = np.argmax(norms, axis=1)
-    f1 = np.take_along_axis(proj, best[:, None, None], axis=1)[:, 0]
-    f1 = f1 / np.sqrt(np.real(sp.herm(f1, f1)))[:, None]
-    rest = proj - sp.herm(f1[:, None, :], proj)[..., None] * f1[:, None, :]
-    rnorms = np.real(sp.herm(rest, rest))
-    rnorms[np.arange(n), best] = -1.0
-    best2 = np.argmax(rnorms, axis=1)
-    f2 = np.take_along_axis(rest, best2[:, None, None], axis=1)[:, 0]
-    f2 = f2 / np.sqrt(np.real(sp.herm(f2, f2)))[:, None]
-    return f1, f2
+def _unit_normal(sp: SpaceForm, z, v, orientation):
+    """Oriented unit normal to span{v1, v2, v3} in the horizontal space at z,
+    and the gram determinant of (v1, v2, v3).
 
-
-def _det3(a, b, c):
-    return (a[..., 0] * (b[..., 1] * c[..., 2] - b[..., 2] * c[..., 1])
-            - a[..., 1] * (b[..., 0] * c[..., 2] - b[..., 2] * c[..., 0])
-            + a[..., 2] * (b[..., 0] * c[..., 1] - b[..., 1] * c[..., 0]))
-
-
-def _oriented_normal(sp: SpaceForm, z, v, orientation):
-    """Unit normal to span{v1,v2,v3} in the horizontal space at z.
-
-    The sign convention makes (v1, v2, v3, xi) positively oriented for the
-    complex orientation of the horizontal plane; ``orientation`` flips it.
+    The Hermitian cross product (Goldman, Complex Hyperbolic Geometry, 1999)
+    gives a unitary basis of the horizontal space: e1 = v1/|v1| and e2 =
+    sig * conj(z x v1), normalized, which is Hermitian-orthogonal to z and
+    v1. In the real basis (e1, i e1, e2, i e2), v1 = (|v1|, 0, 0, 0), so the
+    normal is the cross product (s, p, q) = r2 x r3 of the coordinates
+    r_k = (Im<e1,v_k>, Re<e2,v_k>, Im<e2,v_k>) of v2 and v3, read as
+    i s e1 + (p + i q) e2, and the volume of (v1, v2, v3) is |v1| |r2 x r3|.
+    The sign makes (v1, v2, v3, xi) positively oriented for the complex
+    orientation of the horizontal plane; ``orientation`` flips it. Where
+    v1 = 0 or the v_k are dependent, xi is NaN and the gram determinant NaN
+    or 0, with no floating-point warning.
     """
-    f1, f2 = _complex_frame(sp, z)
-
-    def coords(u):
-        a = sp.herm(f1, u)
-        b = sp.herm(f2, u)
-        return np.stack([a.real, a.imag, b.real, b.imag], axis=-1)
-
-    rows = np.stack([coords(v[:, k]) for k in range(3)], axis=-1)  # (N, 4, 3)
-    r0, r1, r2, r3 = rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]
-    x0 = -_det3(r1, r2, r3)
-    x1 = _det3(r0, r2, r3)
-    x2 = -_det3(r0, r1, r3)
-    x3 = _det3(r0, r1, r2)
-    xi = (x0 + 1j * x1)[:, None] * f1 + (x2 + 1j * x3)[:, None] * f2
-    norms = sp.norm(xi)
-    if np.any(norms < 1e-14):
-        raise ImmersionError("degenerate tangent frame; no unit normal")
-    return orientation * xi / norms[:, None]
+    v1 = v[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n1 = sp.norm(v1)
+        e1 = v1 / n1[:, None]
+        e2 = sp._sig * np.conj(np.cross(z, v1))
+        e2 = e2 / sp.norm(e2)[:, None]
+        a = sp.herm(e1[:, None], v[:, 1:])
+        b = sp.herm(e2[:, None], v[:, 1:])
+        r = np.stack([a.imag, b.real, b.imag], axis=-1)   # (N, 2, 3): r2, r3
+        spq = np.cross(r[:, 0], r[:, 1])
+        vol = np.linalg.norm(spq, axis=-1)
+        xi = 1j * spq[:, :1] * e1 + (spq[:, 1:2] + 1j * spq[:, 2:]) * e2
+        xi *= (orientation / vol)[:, None]
+    return xi, (n1 * vol) ** 2
 
 
 def _central_offsets(h):
@@ -227,11 +214,13 @@ def _finite_params(params):
 def frames_at(patch: HypersurfacePatch, params, zs=None) -> PointFrames:
     """Coordinate velocities and oriented unit normal at each parameter.
 
-    ``zs`` holds the chart values on each point's central stencil, (N, 7, 3)
-    in _central_offsets order, when the caller has already evaluated them.
+    Raises GeometryError on non-finite parameters and ImmersionError where
+    the gram determinant of the velocities is at most IMMERSION_TOL. ``zs``
+    holds the chart values on each point's central stencil, (N, 7, 3) in
+    _central_offsets order, when the caller has already evaluated them.
     """
     sp = patch.space
-    params = np.atleast_2d(np.asarray(params, dtype=float))
+    params = _finite_params(params)
     h = patch.diff_step
     if zs is None:
         zs = patch.eval(params[:, None, :] + _central_offsets(h)[None, :, :])
@@ -239,12 +228,10 @@ def frames_at(patch: HypersurfacePatch, params, zs=None) -> PointFrames:
     zp, zm = zs[:, 1::2], zs[:, 2::2]
     (dz,) = sp.central_difference(z0[:, None], zp, zm, h, (zp, zm))
     v = sp.project_horizontal(z0[:, None], dz)   # v[n, k]
-    g = np.real(sp.herm(v[:, :, None, :], v[:, None, :, :]))
-    gram = np.linalg.det(g)
-    if np.any(gram <= IMMERSION_TOL):
-        bad = params[gram <= IMMERSION_TOL][0]
-        raise ImmersionError(f"immersion fails at params {bad} (gram det <= {IMMERSION_TOL})")
-    xi = _oriented_normal(sp, z0, v, patch.orientation)
+    xi, gram = _unit_normal(sp, z0, v, patch.orientation)
+    bad = ~(gram > IMMERSION_TOL)   # NaN where v1 = 0
+    if np.any(bad):
+        raise ImmersionError(f"immersion fails at params {params[bad][0]} (gram det <= {IMMERSION_TOL})")
     return PointFrames(params=params, z=z0, v=v, xi=xi)
 
 

@@ -1041,3 +1041,46 @@ def sampled_hopf_directions(spec, z, n_samples=720, tol=1e-10):
         w = np.cos(theta) * f1 + np.sin(theta) * f2
         out.append({"theta": float(theta), "direction": w, "phi": float(res)})
     return out
+
+
+def cofactor_unit_normal(sp, z, v, orientation):
+    """Oriented unit normal and gram determinant by the complex-frame cofactor route.
+
+    Kept frozen as the reference for hypersurface._unit_normal: a unitary
+    basis (f1, f2) of the horizontal space at z chosen by argmax over the
+    projected coordinate axes, the normal's real coordinates in (f1, i f1,
+    f2, i f2) as the four signed 3x3 cofactors of the velocities'
+    coordinates, and np.linalg.det of the 3x3 gram of v1, v2, v3.
+    """
+    n = z.shape[0]
+    eye = np.eye(3, dtype=complex)
+    cands = np.stack([np.broadcast_to(eye[i], (n, 3)) for i in range(3)], axis=1)
+    proj = sp.project_horizontal(z[:, None, :], cands)
+    norms = np.real(sp.herm(proj, proj))
+    best = np.argmax(norms, axis=1)
+    f1 = np.take_along_axis(proj, best[:, None, None], axis=1)[:, 0]
+    f1 = f1 / np.sqrt(np.real(sp.herm(f1, f1)))[:, None]
+    rest = proj - sp.herm(f1[:, None, :], proj)[..., None] * f1[:, None, :]
+    rnorms = np.real(sp.herm(rest, rest))
+    rnorms[np.arange(n), best] = -1.0
+    best2 = np.argmax(rnorms, axis=1)
+    f2 = np.take_along_axis(rest, best2[:, None, None], axis=1)[:, 0]
+    f2 = f2 / np.sqrt(np.real(sp.herm(f2, f2)))[:, None]
+
+    def coords(u):
+        a = sp.herm(f1, u)
+        b = sp.herm(f2, u)
+        return np.stack([a.real, a.imag, b.real, b.imag], axis=-1)
+
+    def det3(a, b, c):
+        return (a[..., 0] * (b[..., 1] * c[..., 2] - b[..., 2] * c[..., 1])
+                - a[..., 1] * (b[..., 0] * c[..., 2] - b[..., 2] * c[..., 0])
+                + a[..., 2] * (b[..., 0] * c[..., 1] - b[..., 1] * c[..., 0]))
+
+    rows = np.stack([coords(v[:, k]) for k in range(3)], axis=-1)   # (N, 4, 3)
+    r0, r1, r2, r3 = rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]
+    xi = ((-det3(r1, r2, r3) + 1j * det3(r0, r2, r3))[:, None] * f1
+          + (-det3(r0, r1, r3) + 1j * det3(r0, r1, r2))[:, None] * f2)
+    xi = orientation * xi / sp.norm(xi)[:, None]
+    gram = np.linalg.det(np.real(sp.herm(v[:, :, None, :], v[:, None, :, :])))
+    return xi, gram

@@ -182,24 +182,43 @@ def test_criterion_12_determinism(tmp_path):
 
 
 def _report_changes(old_text, new_text):
-    """One line per check that moved, appeared or vanished: ``suite::name old -> new``."""
-    def values(text):
-        return {f"{s['suite']}::{c['name']}": c["value"]
+    """One line per check that moved, appeared or vanished, with its headroom:
+    ``suite::name old -> new (tol T; value/tol old/T -> new/T)``, where a
+    changed tolerance reads ``tol T_old -> T_new``."""
+    def checks(text):
+        return {f"{s['suite']}::{c['name']}": (c["value"], c["tol"])
                 for s in json.loads(text)["suites"] for c in s["checks"]}
 
-    old, new = values(old_text), values(new_text)
-    return [f"{key} {old.get(key, '(absent)')} -> {new.get(key, '(absent)')}"
-            for key in list(old) + [k for k in new if k not in old]
-            if old.get(key) != new.get(key)]
+    def show(entry, ratio=False):
+        """A check's value, or its value/tol, as text; '(absent)' when it is missing."""
+        if entry is None:
+            return "(absent)"
+        return f"{entry[0] / entry[1]:.4g}" if ratio else str(entry[0])
+
+    old, new = checks(old_text), checks(new_text)
+    lines = []
+    for key in list(old) + [k for k in new if k not in old]:
+        a, b = old.get(key), new.get(key)
+        if a != b:
+            tol = " -> ".join(dict.fromkeys(str(e[1]) for e in (a, b) if e is not None))
+            lines.append(f"{key} {show(a)} -> {show(b)} "
+                         f"(tol {tol}; value/tol {show(a, True)} -> {show(b, True)})")
+    return lines
 
 
 def test_report_changes_names_moved_checks():
     old = json.dumps({"suites": [{"suite": "s", "checks": [
-        {"name": "a", "value": 1.0}, {"name": "b", "value": 2.0}]}]})
+        {"name": "a", "value": 1.0, "tol": 2.0}, {"name": "b", "value": 2.0, "tol": 4.0},
+        {"name": "d", "value": 1e-5, "tol": 1e-3}, {"name": "e", "value": 7.0, "tol": 9.0}]}]})
     new = json.dumps({"suites": [{"suite": "s", "checks": [
-        {"name": "a", "value": 1.5}, {"name": "c", "value": 3.0}]}]})
-    assert _report_changes(old, new) == ["s::a 1.0 -> 1.5", "s::b 2.0 -> (absent)",
-                                         "s::c (absent) -> 3.0"]
+        {"name": "a", "value": 1.5, "tol": 2.0}, {"name": "c", "value": 3.0, "tol": 6.0},
+        {"name": "d", "value": 1e-5, "tol": 1e-4}, {"name": "e", "value": 7.0, "tol": 9.0}]}]})
+    assert _report_changes(old, new) == [
+        "s::a 1.0 -> 1.5 (tol 2.0; value/tol 0.5 -> 0.75)",
+        "s::b 2.0 -> (absent) (tol 4.0; value/tol 0.5 -> (absent))",
+        "s::d 1e-05 -> 1e-05 (tol 0.001 -> 0.0001; value/tol 0.01 -> 0.1)",
+        "s::c (absent) -> 3.0 (tol 6.0; value/tol (absent) -> 0.5)",
+    ]
 
 
 def test_verify_all_report_matches_golden(suite_results):

@@ -1,9 +1,11 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 import hopflab.hypersurface as hypersurface
+from hopflab.actions import LABELS
 from hopflab.ambient import GeometryError, SpaceForm
 from hopflab.catalog import get_entry
 from hopflab.catalog import CATALOG_NAMES
@@ -71,18 +73,57 @@ def test_horosphere_spectrum():
 
 
 def test_degenerate_parametrization_raises(cp2):
-    # a "patch" that ignores its third parameter is not an immersion
+    # a "patch" that ignores one of its parameters is not an immersion;
+    # ignoring t makes v1 = 0 exactly, and the unit normal's 0/0 there must
+    # surface as the immersion failure, not as a NumPy floating-point error
     e1 = np.eye(3, dtype=complex)[1]
     e2 = np.eye(3, dtype=complex)[2]
     origin = cp2.normalize_rep(np.eye(3, dtype=complex)[0])
+    params = np.array([[0.1, 0.2, 0.0]])
+    message = re.escape(f"immersion fails at params {params[0]} (gram det <= 1e-10)")
+    for ignored in (2, 0):
+        def chart(params):
+            p = np.delete(params, ignored, axis=1)
+            v = p[:, 0, None] * e1 + p[:, 1, None] * e2
+            return cp2.exp(origin[None, :], v, 1.0)
 
-    def chart(params):
-        v = params[:, 0, None] * e1 + params[:, 1, None] * e2
-        return cp2.exp(origin[None, :], v, 1.0)
+        patch = HypersurfacePatch(cp2, chart, ((-0.5, 0.5), (-0.5, 0.5), (-0.5, 0.5)))
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            for call in (hypersurface.frames_at, shape_data):
+                with pytest.raises(ImmersionError, match=f"^{message}$"):
+                    call(patch, params)
 
-    patch = HypersurfacePatch(cp2, chart, ((-0.5, 0.5), (-0.5, 0.5), (-0.5, 0.5)))
-    with pytest.raises(ImmersionError):
-        shape_data(patch, np.array([[0.1, 0.2, 0.0]]))
+
+# -- frames: unit normal against the frozen cofactor route ------------------------
+
+
+def _assert_unit_normal_matches_cofactor_route(patch, params):
+    frames = hypersurface.frames_at(patch, params)
+    sp = patch.space
+    xi, gram = hypersurface._unit_normal(sp, frames.z, frames.v, patch.orientation)
+    xi_ref, gram_ref = oracles.cofactor_unit_normal(sp, frames.z, frames.v, patch.orientation)
+    assert np.array_equal(xi, frames.xi)
+    # the cofactor route leaves xi off the horizontal space by up to 6e-15
+    # (<z, xi> on the cp2-torus and ch2-k0-g2a patches); the cross product
+    # stays within 1e-15, and the two agree once that vertical part is removed
+    assert np.abs(sp.herm(frames.z, xi)).max() <= 1e-15
+    assert np.abs(xi - sp.project_horizontal(frames.z, xi_ref)).max() <= 4e-15
+    assert np.all(gram_ref > hypersurface.IMMERSION_TOL)
+    assert np.abs(gram / gram_ref - 1.0).max() <= 1e-13
+    assert np.all(sp.g(xi, xi_ref) > 0.999)   # the same orientation
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_unit_normal_matches_cofactor_route_on_catalog(name):
+    patch = get_entry(name).patch
+    _assert_unit_normal_matches_cofactor_route(patch, patch.grid((6, 5, 5), margin=0.05))
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_unit_normal_matches_cofactor_route_on_cmc_patches(label, suite_ws):
+    patch = suite_ws.cmc_patch(label).patch
+    _assert_unit_normal_matches_cofactor_route(patch, patch.grid((6, 5, 5), margin=0.05))
 
 
 # -- Hopf projection count and adapted frame -----------------------------------
@@ -582,10 +623,11 @@ def test_non_finite_parameters_raise_one_geometry_error(bad):
     params = np.array([[0.1, 0.2, 0.0], [0.0, bad, 0.1]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for call in (lambda: shape_data(patch, params),
+        for call in (lambda: hypersurface.frames_at(patch, params),
+                     lambda: shape_data(patch, params),
                      lambda: classify(patch, params),
                      lambda: verify_gauss_codazzi(patch, params[1])):
-            with pytest.raises(GeometryError, match="finite"):
+            with pytest.raises(GeometryError, match="^parameters must be finite numbers$"):
                 call()
 
 
