@@ -354,13 +354,15 @@ def _orbit_body(spec: PolarActionSpec, z, require_regular=True):
     return k, basis, ii, ii[:, 0, 0] + ii[:, 1, 1], det
 
 
-def _orbit_invariants(spec: PolarActionSpec, x, xi):
+def _orbit_invariants(spec: PolarActionSpec, x, xi, eigenframe=False):
     """(alpha, beta, a, b, mean_curvature, gram_det) at a batch of section points.
 
     x and xi (3, N) are real frame coordinates of the points and of the
     section normals, coordinates first; the mean curvature vector comes back
     the same way. Regularity is not enforced: the caller masks points by
-    gram_det.
+    gram_det. With ``eigenframe`` a seventh entry (3, 2, N) holds the unit
+    eigenvectors of S_xi for alpha and beta, which, like the orbit basis,
+    stand for i D times them.
     """
     _, basis, ii, mean, det = _orbit_body(spec, x, require_regular=False)
     sxi = spec.space._sig[:, None] * xi
@@ -368,7 +370,10 @@ def _orbit_invariants(spec: PolarActionSpec, x, xi):
     (alpha, beta), vecs = _eig2(s.transpose(2, 0, 1))
     jxi = np.add.reduce(sxi[:, None] * basis, axis=0)           # (i, N): <J xi, X_i>
     ab = np.abs(np.einsum("nij,in->jn", vecs, jxi))
-    return alpha, beta, ab[0], ab[1], mean, det
+    out = (alpha, beta, ab[0], ab[1], mean, det)
+    if eigenframe:
+        out += (np.einsum("nij,kin->kjn", vecs, basis),)
+    return out
 
 
 def orbit_geometry(spec: PolarActionSpec, z, require_regular=True) -> OrbitGeometry:

@@ -28,11 +28,12 @@ from .constructor import (
     LAW_KINDS,
     CurveLaw,
     build_hypersurface,
+    equivariant_shape_data,
     integrate_sigma,
     leviflat_cmc_certify,
     strongly_2hopf_certify,
 )
-from .hypersurface import classify
+from .hypersurface import classify, shape_data
 from .scene import (
     C_MAGNITUDE,
     SceneError,
@@ -230,7 +231,8 @@ def _cmd_construct(args) -> int:
         save_scene(cfg.out_scene, doc)
         print(f"scene -> {cfg.out_scene}")
     if cfg.out_csv:
-        write_mesh_csv(cfg.out_csv, mesh_rows(ehs.patch, ehs.patch.grid((12, 4, 4), margin=0.03)))
+        write_mesh_csv(cfg.out_csv, mesh_rows(
+            equivariant_shape_data(ehs, ehs.patch.grid((12, 4, 4), margin=0.03))))
         print(f"mesh  -> {cfg.out_csv}")
     print(f"construct {cfg.action} law={cfg.law} eta={cfg.eta}: "
           f"certified={'yes' if cert.passed else 'no'}")
@@ -254,6 +256,7 @@ def _plain(value):
 
 
 def _load_patch_for(args):
+    """(patch, meta, ehs) of the --catalog or --scene input; ehs is None for a catalog entry."""
     if getattr(args, "catalog", None):
         _check_c(args.c)
         entry = get_entry(args.catalog, c=args.c, r=args.r)
@@ -261,11 +264,11 @@ def _load_patch_for(args):
                              "parameters": {k: _plain(v) for k, v in entry.parameters.items()
                                             if _plain(v) is not None},
                              "expected": {k: _plain(v) for k, v in entry.expected.items()
-                                          if _plain(v) is not None}}
+                                          if _plain(v) is not None}}, None
     if getattr(args, "scene", None):
         doc = load_scene(args.scene)
         ehs = patch_from_scene(doc)
-        return ehs.patch, {"scene": args.scene}
+        return ehs.patch, {"scene": args.scene}, ehs
     raise ConfigError("input", "need --catalog NAME or --scene FILE")
 
 
@@ -278,7 +281,7 @@ def _grid_shape(args, default):
 
 def _cmd_classify(args) -> int:
     shape = _grid_shape(args, (6, 4, 4))
-    patch, meta = _load_patch_for(args)
+    patch, meta, _ = _load_patch_for(args)
     grid = patch.grid(shape, margin=0.05)
     report = classify(patch, grid)
     print(f"classification of {meta}")
@@ -346,8 +349,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sample(args) -> int:
     shape = _grid_shape(args, (10, 4, 4))
-    patch, meta = _load_patch_for(args)
-    rows = mesh_rows(patch, patch.grid(shape, margin=0.03))
+    patch, meta, ehs = _load_patch_for(args)
+    grid = patch.grid(shape, margin=0.03)
+    # a scene's patch is a sweep H.sigma: it reads the exact shape data of construct's CSV
+    rows = mesh_rows(shape_data(patch, grid) if ehs is None else equivariant_shape_data(ehs, grid))
     write_mesh_csv(args.out, rows)
     print(f"{len(rows)} samples of {meta} -> {args.out}")
     return 0

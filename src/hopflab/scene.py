@@ -24,7 +24,7 @@ from .constructor import (
     SigmaCurve,
     build_hypersurface,
 )
-from .hypersurface import adapted_frames, shape_data
+from .hypersurface import adapted_frames
 
 SCHEMA_VERSION = 2
 MESH_COLUMNS = ("t", "s1", "s2", "re0", "im0", "re1", "im1", "re2", "im2",
@@ -193,22 +193,20 @@ def patch_from_scene(doc: dict) -> EquivariantHypersurface:
     return ehs
 
 
-def mesh_rows(patch, params_grid):
-    """Per-sample rows for the CSV mesh export.
+def mesh_rows(sd):
+    """Per-sample rows for the CSV mesh export, from the ShapeData sd of the samples.
 
     alpha, beta are the two J xi-projected principal curvatures and gamma the
     remaining one when h = 2 (frame convention); otherwise the sorted
     spectrum is reported with a = b = nan. The residual column carries the
     worst adapted-frame identity defect (nan when no frame exists).
     """
-    params_grid = np.atleast_2d(np.asarray(params_grid, dtype=float))
-    sd = shape_data(patch, params_grid)
     af = adapted_frames(sd)
     spectrum = np.where(af.mask[:, None], np.stack([af.alpha, af.beta, af.gamma], axis=1),
                         sd.eigvals)
     z = sd.frames.z
     reim = np.stack([z.real, z.imag], axis=-1).reshape(len(z), 6)   # re0, im0, ..., im2
-    return np.column_stack([params_grid, reim, spectrum, af.a, af.b,
+    return np.column_stack([sd.frames.params, reim, spectrum, af.a, af.b,
                             af.worst_residual]).tolist()
 
 

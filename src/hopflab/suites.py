@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,16 +25,20 @@ from .actions import (
 )
 from .ambient import SpaceForm, rk4_step
 from .constructor import (
+    FD_EXACT_GAP,
     CurveLaw,
     build_hypersurface,
+    equivariant_shape_data,
     integrate_sigma,
     leviflat_cmc_certify,
+    shape_gap,
     strongly_2hopf_certify,
 )
 from .hypersurface import (
     TAU_MULT,
     TAU_PROJ,
     FrameError,
+    HypersurfacePatch,
     adapted_frames,
     bracket_by_flows,
     d_invariants,
@@ -560,6 +564,19 @@ def _cone_distance(sp, zs):
 # -- cmc -------------------------------------------------------------------------
 
 
+BEND = 1e-2   # the negative control's bend of a chart, per unit s1^2
+
+
+def _bent_patch(patch, bend=BEND):
+    """The patch with its chart's first coordinate scaled by 1 + bend s1^2."""
+    def chart(params):
+        scale = np.ones((len(params), 3))
+        scale[:, 0] += bend * params[:, 1] ** 2
+        return patch.chart(params) * scale
+
+    return HypersurfacePatch(patch.space, chart, patch.box, patch.diff_step, patch.orientation)
+
+
 def suite_cmc(ws: Workspace) -> SuiteResult:
     res = SuiteResult("cmc")
     for label in LABELS:
@@ -576,14 +593,25 @@ def suite_cmc(ws: Workspace) -> SuiteResult:
         res.expect(f"{label}:nabla_AA", r["nabla_AA"], tol["nabla_AA"])
         res.expect_true(f"{label}:certified", cert.passed)
         grid = ehs.patch.grid((6, 3, 3), margin=0.05)
-        traces = shape_data(ehs.patch, grid).eigvals.sum(axis=1)
+        sd = shape_data(ehs.patch, grid)
+        traces = sd.eigvals.sum(axis=1)
         res.expect(f"{label}:mean_curvature_eq_eta",
                    float(np.max(np.abs(traces - CMC_ETA))), 1e-3)
+        # the built chart realizes the exact equivariant shape data
+        res.expect(f"{label}:fd_matches_equivariant_shape",
+                   float(np.max(shape_gap(sd, equivariant_shape_data(ehs, grid)))), FD_EXACT_GAP)
         # launch exactly at a w_p direction: Hopf at the launch point
         wp = ws.wp_patch(label)
         sd = shape_data(wp.patch, np.array([[0.0, 0.0, 0.0]]))
         res.expect_true(f"{label}:wp_launch_hopf_at_p",
                         adapted_frames(sd, TAU_PROJ, TAU_MULT).h[0] == 1)
+    # negative control: a bent chart no longer realizes the curve's exact shape data
+    ehs = ws.cmc_patch("cp2-torus")
+    bent = replace(ehs, patch=_bent_patch(ehs.patch))
+    grid = bent.patch.grid((3, 2, 2), margin=0.1)
+    res.expect_above("negative_control:perturbed_chart_fails_fd_match",
+                     float(np.max(shape_gap(shape_data(bent.patch, grid),
+                                            equivariant_shape_data(bent, grid)))), FD_EXACT_GAP)
     # Hopf rigidity across the catalog (Theorem-level relation + constancy)
     for name in ("geodesic-sphere", "horosphere", "tube-rp2", "tube-ch1"):
         entry = ws.catalog_entry(name)

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from hopflab.actions import load_action
+from hopflab.actions import LABELS, load_action
 from hopflab.ambient import SpaceForm
 from hopflab.constructor import CurveLaw, build_hypersurface, integrate_sigma
 
@@ -49,6 +49,34 @@ def cmc_ehs():
     w0 = np.cos(0.45) * f1 + np.sin(0.45) * f2
     sigma = integrate_sigma(spec, z0, w0, CurveLaw("cmc", eta=1.0), n_steps=180)
     return build_hypersurface(spec, sigma, s_extent=0.15)
+
+
+def construct_ehs(action, law, theta, eta):
+    """The patch that ``hopflab construct`` builds at its default point, step and extent."""
+    spec = load_action(action)
+    z0 = spec.section.point(np.array([0.12, 0.07]))
+    f1, f2 = spec.section.tangent_frame(z0)
+    w0 = np.cos(theta) * f1 + np.sin(theta) * f2
+    sigma = integrate_sigma(spec, z0, w0, CurveLaw(law, eta=eta), n_steps=200)
+    return build_hypersurface(spec, sigma, s_extent=0.15)
+
+
+@pytest.fixture(scope="session")
+def pin_patches(suite_ws, tmp_path_factory):
+    """Ten equivariant patches by name: the five ``Workspace(7).cmc_patch`` patches
+    ("ws7-<action>") and the five of the seed-3 construct benchmark cycle, which
+    cover every law ("seed3-<action>")."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import WORKLOADS
+
+    patches = {f"ws7-{label}": suite_ws.cmc_patch(label) for label in LABELS}
+    for cfg in WORKLOADS["construct"](3, str(tmp_path_factory.mktemp("construct"))).configs:
+        patches[f"seed3-{cfg['action']}"] = construct_ehs(cfg["action"], cfg["law"],
+                                                          cfg["theta"], cfg["eta"])
+    return patches
+
+
+PIN_PATCHES = [f"{kind}-{label}" for kind in ("ws7", "seed3") for label in LABELS]
 
 
 @pytest.fixture(scope="session")

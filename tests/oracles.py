@@ -1084,3 +1084,53 @@ def cofactor_unit_normal(sp, z, v, orientation):
     xi = orientation * xi / sp.norm(xi)[:, None]
     gram = np.linalg.det(np.real(sp.herm(v[:, :, None, :], v[:, None, :, :])))
     return xi, gram
+
+
+# Frozen copy of strongly_2hopf_certify from before its h-grid read the exact
+# equivariant shape data: finite-difference shape data on the whole grid,
+# with the derivative sample indexed into it. Tests pin the certificate's
+# finite-difference residuals and its sample against it bit for bit.
+
+
+def fd_grid_strongly_2hopf_certify(ehs, grid_shape=(20, 5, 5)):
+    """(residuals, derivative sample indices) of the finite-difference h-grid route."""
+    from hopflab.actions import orbit_geometry
+    from hopflab.constructor import CERTIFY_TOLERANCES, DERIVATIVE_POINTS
+    from hopflab.hypersurface import (adapted_frames, d_invariants, frame_derivative_data,
+                                      shape_data)
+
+    tols = CERTIFY_TOLERANCES
+    patch = ehs.patch
+    sp = ehs.space
+    grid = patch.grid(grid_shape, margin=0.02)
+    sd = shape_data(patch, grid)
+    hs = adapted_frames(sd, tols["tau_proj"], tols["tau_mult"]).h
+    res = {"h_values": sorted(set(int(x) for x in hs)),
+           "h2_fraction": float((hs == 2).mean())}
+    idx2 = np.flatnonzero(hs == 2).tolist()
+    centers = np.array([0.5 * (lo + hi) for lo, hi in patch.box])
+    spans = np.array([max(hi - lo, 1e-12) for lo, hi in patch.box])
+    cornerness = (np.abs(grid - centers) / spans).max(axis=1)
+    idx2 = sorted(idx2, key=lambda i: (cornerness[i], i))
+    stride = max(1, len(idx2) // DERIVATIVE_POINTS)
+    sample = idx2[::stride][:DERIVATIVE_POINTS]
+    af, scalars, nabla = frame_derivative_data(patch, sd, sample, tols["tau_proj"],
+                                               tols["tau_mult"])
+    integ, spec_const = (float(np.max(x, initial=0.0))
+                         for x in d_invariants(sp, af, scalars, nabla))
+    geo = orbit_geometry(ehs.spec, sd.frames.z[sample])
+    x1, x2 = geo.basis[:, None, 0], geo.basis[:, None, 1]
+    d = np.stack([af.U, af.V], axis=1)
+    out = d - sp.g(d, x1)[..., None] * x1 - sp.g(d, x2)[..., None] * x2
+    res["integrability"] = integ
+    res["spectrum_constancy_D"] = spec_const
+    res["orbit_tangency"] = float(np.max(sp.norm(out), initial=0.0))
+    half = max(1, len(sample) // 2)
+    x1, x2 = geo.basis[:half, 0], geo.basis[:half, 1]
+    ii = geo.second_fundamental[:half]
+    k_amb = sp.g(sp.curvature(x1, x2, x2), x1)
+    k_leaf = k_amb + np.real(sp.herm(ii[:, 0, 0], ii[:, 1, 1]) - sp.herm(ii[:, 0, 1], ii[:, 0, 1]))
+    res["leaf_intrinsic_curvature"] = float(np.max(np.abs(k_leaf), initial=0.0))
+    res["leaf_totally_real_defect"] = float(np.max(np.abs(sp.g(1j * x1, x2)), initial=0.0))
+    res["nabla_AA"] = float(np.max(sp.norm(nabla[("A", "A")][:2]), initial=0.0))
+    return res, sample

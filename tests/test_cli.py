@@ -10,6 +10,7 @@ import pytest
 from conftest import DATA, subprocess_env
 from hopflab import cli
 from hopflab.cli import RunConfig, ConfigError, main
+from hopflab.hypersurface import shape_data
 from hopflab.scene import (
     SceneError,
     dumps_scene,
@@ -236,6 +237,19 @@ def test_sample_csv(tmp_path, capsys):
     assert len(vals) == 15
 
 
+@pytest.mark.parametrize("action, law", [("cp2-torus", "cmc"), ("ch2-k0-g2a", "levi-flat"),
+                                         ("ch2-g0", "geodesic")])
+def test_sample_scene_reproduces_the_construct_csv(action, law, tmp_path, capsys):
+    # both read the exact shape data of the scene's sweep on the same grid
+    scene, csv, sampled = (tmp_path / name for name in ("s.json", "m.csv", "sampled.csv"))
+    assert run_cli(["construct", "--action", action, "--law", law, "--out-scene", str(scene),
+                    "--out-csv", str(csv)]) == 0
+    assert run_cli(["sample", "--scene", str(scene), "--grid", "12", "4", "4",
+                    "--out", str(sampled)]) == 0
+    capsys.readouterr()
+    assert sampled.read_bytes() == csv.read_bytes()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["construct", "--action", "bogus"], "argument --action: invalid choice: 'bogus'"),
     (["classify", "--scene", "{tmp}/missing.json"], "cannot read scene"),
@@ -384,8 +398,8 @@ def test_construct_names_why_sigma_is_too_short_to_sweep(step, message, tmp_path
     ("tolerances", {"integrable": "x"}, "integrable must be positive"),
     ("out_scene", 5, "must be a file path"),
     ("tolerances", {"integrabel": 1e-30},
-     "unknown name 'integrabel'; allowed: integrable, leaf_flat, leaf_totally_real, "
-     "nabla_AA, orbit_tangency, spectrum_constancy, tau_mult, tau_proj"),
+     "unknown name 'integrabel'; allowed: fd_exact_gap, integrable, leaf_flat, "
+     "leaf_totally_real, nabla_AA, orbit_tangency, spectrum_constancy, tau_mult, tau_proj"),
     # construct draws no random numbers, so it has no seed to configure
     ("seed", 5, "unknown config key"),
 ])
@@ -621,7 +635,8 @@ def test_version_1_scene_loads_rebuilds_and_classifies(tmp_path, capsys):
 
 
 def test_mesh_rows_structure(sphere_entry):
-    rows = mesh_rows(sphere_entry.patch, sphere_entry.patch.grid((2, 2, 2), margin=0.2))
+    patch = sphere_entry.patch
+    rows = mesh_rows(shape_data(patch, patch.grid((2, 2, 2), margin=0.2)))
     assert len(rows) == 8
     for row in rows:
         assert len(row) == 15

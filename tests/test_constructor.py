@@ -1,20 +1,25 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import PIN_PATCHES
 from hopflab import constructor
 from hopflab.actions import LABELS, SingularOrbitError, load_action, rotate90
 from hopflab.ambient import GeometryError
 from hopflab.constructor import (
+    FD_EXACT_GAP,
     CurveLaw,
     austere_search,
     build_hypersurface,
+    equivariant_shape_data,
     integrate_sigma,
     leviflat_cmc_certify,
     strongly_2hopf_certify,
 )
-from hopflab.hypersurface import shape_data
+from hopflab.hypersurface import HypersurfacePatch, ImmersionError, adapted_frames, shape_data
+from hopflab.suites import _bent_patch
 import oracles
 
 
@@ -217,6 +222,83 @@ def test_strongly_2hopf_certify_differentiates_each_sample_once(cmc_ehs, monkeyp
     cert = strongly_2hopf_certify(cmc_ehs, grid_shape=(8, 3, 3))
     assert cert.grids["derivative_sample"] == constructor.DERIVATIVE_POINTS
     assert calls == {"frame_derivative_data": 1, "orbit_geometry": 1}
+
+
+def pin_grids(patch):
+    """The certificate's h-grid and construct's mesh grid of a patch."""
+    return patch.grid((20, 5, 5), margin=0.02), patch.grid((12, 4, 4), margin=0.03)
+
+
+@pytest.mark.parametrize("name", PIN_PATCHES)
+def test_equivariant_shape_data_matches_finite_differences(name, pin_patches):
+    ehs = pin_patches[name]
+    sp = ehs.space
+    for grid in pin_grids(ehs.patch):
+        # construct runs under raised floating-point errors: the route must not trip them
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            exact = equivariant_shape_data(ehs, grid)
+        fd = shape_data(ehs.patch, grid)
+        assert exact.frames.z.tobytes() == ehs.patch.eval(grid).tobytes()
+        assert np.array_equal(adapted_frames(exact).h, adapted_frames(fd).h)
+        assert np.abs(exact.eigvals - fd.eigvals).max() < FD_EXACT_GAP
+        up_to_sign = np.minimum(sp.norm(exact.eigvecs - fd.eigvecs),
+                                sp.norm(exact.eigvecs + fd.eigvecs))
+        assert up_to_sign.max() < FD_EXACT_GAP
+        # the chart's orientation, and the law exactly where it fixes the trace
+        assert np.all(sp.g(exact.frames.xi, fd.frames.xi) > 0.99)
+        if ehs.sigma.law.kind == "cmc":
+            assert np.abs(exact.eigvals.sum(axis=1) - ehs.sigma.law.eta).max() < 1e-12
+
+
+def test_equivariant_shape_data_keeps_the_immersion_test(cmc_ehs):
+    patch = cmc_ehs.patch
+    # a chart that forgets s2 has a zero third velocity everywhere
+    flat = HypersurfacePatch(patch.space, lambda p: patch.chart(p * [1.0, 1.0, 0.0]), patch.box,
+                             patch.diff_step, patch.orientation)
+    grid = patch.grid((2, 2, 2))
+    with pytest.raises(ImmersionError) as fd:
+        shape_data(flat, grid)
+    with pytest.raises(ImmersionError, match=r"immersion fails at params \[.*\] "
+                                             r"\(gram det <= 1e-10\)") as exact:
+        equivariant_shape_data(replace(cmc_ehs, patch=flat), grid)
+    assert str(exact.value) == str(fd.value)
+
+
+FD_RESIDUALS = ("integrability", "spectrum_constancy_D", "orbit_tangency", "nabla_AA",
+                "leaf_intrinsic_curvature", "leaf_totally_real_defect")
+
+
+@pytest.mark.parametrize("name", PIN_PATCHES)
+def test_certificate_fd_residuals_match_the_fd_grid_route(name, pin_patches, monkeypatch):
+    ehs = pin_patches[name]
+    sampled = []
+    original = constructor.shape_data
+
+    def recording(patch, params):
+        sampled.append(params)
+        return original(patch, params)
+
+    monkeypatch.setattr(constructor, "shape_data", recording)
+    cert = strongly_2hopf_certify(ehs)
+    ref, sample = oracles.fd_grid_strongly_2hopf_certify(ehs)
+    for key in FD_RESIDUALS + ("h_values", "h2_fraction"):
+        assert cert.residuals[key] == ref[key], key
+    # the certificate differences finite-difference shape data at the same sample
+    grid = ehs.patch.grid((20, 5, 5), margin=0.02)
+    assert len(sampled) == 1 and sampled[0].tobytes() == grid[sample].tobytes()
+    assert cert.passed and cert.residuals["fd_exact_gap"] < FD_EXACT_GAP
+
+
+@pytest.mark.parametrize("bend, derivatives", [(1e-5, True), (1e-2, False)])
+def test_certificate_fails_a_chart_off_its_curve(bend, derivatives, cmc_ehs):
+    # the exact h-grid reads the curve, not the chart: the gap at the
+    # derivative sample is what fails a bent chart. A small bend keeps its
+    # finite-difference frames h = 2 there; a large one loses them, and the
+    # derivative residuals read inf instead of raising
+    cert = strongly_2hopf_certify(replace(cmc_ehs, patch=_bent_patch(cmc_ehs.patch, bend)))
+    assert cert.residuals["fd_exact_gap"] > FD_EXACT_GAP and not cert.passed
+    assert np.isfinite(cert.residuals["integrability"]) == derivatives
 
 
 def equidistance_spot_check(ehs, t1, t2, n_points=10):

@@ -1,4 +1,5 @@
-"""Work counts of the verify suites' h = 2 checks and of the section curves.
+"""Work counts of the verify suites' h = 2 checks, of the section curves and of
+one construct benchmark cycle.
 
 Counts are deterministic, so work that grows without an announcement fails
 here on any host, whatever the timing noise. Each suite test builds the
@@ -6,6 +7,7 @@ workspace patches first, so that only the checks' own calls are counted.
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -106,3 +108,60 @@ def test_orbit_reading_curve_work(action, calls, points, tmp_path, monkeypatch):
     sigma = integrate_sigma(spec, z0, w0, CurveLaw(cfg["law"], eta=cfg["eta"]), n_steps=200)
     assert not sigma.truncated
     assert (len(sizes), sum(sizes)) == (calls, points)
+
+
+# the functions whose shape data a construct cycle reads, by the nearest one on the stack
+CONSTRUCT_SITES = ("strongly_2hopf_certify", "leviflat_cmc_certify", "classify",
+                   "_cmd_construct")
+
+
+def call_site(frame):
+    """(calling function, nearest CONSTRUCT_SITES function above it) of a frame."""
+    caller = frame.f_code.co_name
+    while frame is not None and frame.f_code.co_name not in CONSTRUCT_SITES:
+        frame = frame.f_back
+    return caller, frame.f_code.co_name if frame is not None else None
+
+
+def test_construct_cycle_work_per_call_site(tmp_path, monkeypatch):
+    fd_points = Counter()
+    original = hypersurface.shape_data
+
+    def counted(patch, params):
+        sd = original(patch, params)
+        fd_points[call_site(sys._getframe(1))] += len(sd.E)
+        return sd
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hopflab" and getattr(module, "shape_data", None) is original:
+            monkeypatch.setattr(module, "shape_data", counted)
+    orbit_points = {"_orbit_invariants": [], "orbit_geometry": []}
+
+    def counting(fn_name):
+        fn = getattr(constructor, fn_name)
+
+        def wrapper(spec, z, *args, **kwargs):
+            if sys._getframe(1).f_code.co_name == "equivariant_shape_data":
+                orbit_points[fn_name].append(z.size // 3)
+            return fn(spec, z, *args, **kwargs)
+
+        return wrapper
+
+    for fn_name in orbit_points:
+        monkeypatch.setattr(constructor, fn_name, counting(fn_name))
+    workload = WORKLOADS["construct"](3, str(tmp_path))
+    for item in workload.cycle():
+        ok, digest = workload.run(item)
+        assert ok, digest
+    # the 20 x 5 x 5 h-grid and the 12 x 4 x 4 mesh read exact shape data, so
+    # neither the certificate's grid nor _cmd_construct's mesh has a site here
+    assert dict(fd_points) == {
+        ("leviflat_cmc_certify", "leviflat_cmc_certify"): 4 * 160,     # cmc and levi-flat items
+        ("strongly_2hopf_certify", "strongly_2hopf_certify"): 5 * 6,   # derivative sample
+        ("frame_derivative_data", "strongly_2hopf_certify"): 5 * 36,   # its displaced frames
+        ("classify", "classify"): 72,                                  # the geodesic item
+        ("frame_derivative_data", "classify"): 18,
+    }
+    assert sum(fd_points.values()) == 940
+    # the exact route evaluates the orbit once per distinct t of each grid
+    assert orbit_points == {"_orbit_invariants": [20, 12] * 5, "orbit_geometry": []}
