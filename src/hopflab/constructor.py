@@ -38,11 +38,13 @@ builds it exactly from the curve and its orbits (the section is totally
 geodesic and meets the orbits orthogonally, so S is g_* of gamma (+) S_xi)
 at 7 chart points per point; ``hypersurface.shape_data`` differences the
 chart's normal at 31. The certificate's h-grid and the mesh CSV read the
-exact route. The finite-difference route stays wherever the built chart
-itself is the thing tested, where exact data would only restate the law:
-the certificate's derivative sample, which also reports its gap to the
-exact data (fd_exact_gap), the Levi-flat/CMC certificate, ``classify`` and
-the verify suites.
+exact route; on that grid the certificate still tests the chart itself, at
+first order, by the tilt of its velocities off the exact tangent spaces
+(``chart_tilt``). The finite-difference route stays wherever the built
+chart itself is the thing tested, where exact data would only restate the
+law: the certificate's derivative sample, which also reports its gap to
+the exact data (fd_exact_gap), the Levi-flat/CMC certificate, ``classify``
+and the verify suites.
 """
 
 from __future__ import annotations
@@ -111,6 +113,12 @@ LAW_KINDS = ("geodesic", "cmc", "levi-flat", "austere")
 # The bound is 450 h^2; the built patches show C up to about 130 (3.0e-6 on
 # the seed-3 ch2-torus construct h-grid, 8.3e-7 on the verify cmc patches).
 FD_EXACT_GAP = 1e-5
+# the largest ``chart_tilt`` allowed: on a chart that realizes its sweep,
+# what is left after the truncation allowance is rounding, about
+# eps |z| / h = 2e-12 at h = 1.5e-4 (1.7e-12 the largest seen on the built
+# patches); the bound is 500 times that. A chart bent by 1 + 1e-5 s1^2
+# tilts its orbit velocities by 1.1e-7 or more.
+CHART_TILT = 1e-9
 # strongly_2hopf_certify: default tolerances (the names a caller may override)
 # and the size of the derivative subsample
 CERTIFY_TOLERANCES = {
@@ -122,7 +130,6 @@ CERTIFY_TOLERANCES = {
     "leaf_totally_real": 1e-6,
     "nabla_AA": 1e-4,
     "orbit_tangency": 1e-5,
-    "fd_exact_gap": FD_EXACT_GAP,
 }
 DERIVATIVE_POINTS = 6
 LEVIFLAT_GRID = (10, 4, 4)
@@ -226,6 +233,11 @@ class SigmaCurve:
 
         return query
 
+    def nearest_row(self, t):
+        """Index of the curve row nearest to each t."""
+        rows = np.rint((np.asarray(t, dtype=float) - self.ts[0]) / self.step).astype(int)
+        return np.clip(rows, 0, len(self.ts) - 1)
+
     def to_dict(self):
         def c2l(arr):
             return np.stack([arr.real, arr.imag], -1).tolist()
@@ -248,6 +260,17 @@ class SigmaCurve:
             "hopf_b": self.hopf_b.tolist(),
             "mean_align": self.mean_align.tolist(),
         }
+
+
+def _distinct(t):
+    """(first, inverse) of the distinct values of t: t[first][inverse] is t.
+
+    Keyed by the raw bytes, so that -0.0 and 0.0 stay apart and every row
+    keeps the bits of evaluating its own value alone.
+    """
+    t = np.ascontiguousarray(t, dtype=float)
+    _, first, inverse = np.unique(t.view(np.int64), return_index=True, return_inverse=True)
+    return first, inverse
 
 
 def _renorm(sp, y):
@@ -608,12 +631,9 @@ def build_hypersurface(spec: PolarActionSpec, sigma: SigmaCurve,
     g1, g2 = spec.generators
 
     def chart(params):
-        # the nested stencils repeat each t many times: interpolate each
-        # distinct t once, keyed by its raw bytes so that -0.0 and 0.0 stay
-        # apart and every row keeps the bits of interpolating it alone
-        t = np.ascontiguousarray(params[:, 0], dtype=float)
-        _, first, inverse = np.unique(t.view(np.int64), return_index=True, return_inverse=True)
-        z = interp(t[first])[inverse]
+        # the nested stencils repeat each t many times: interpolate each distinct t once
+        first, inverse = _distinct(params[:, 0])
+        z = interp(params[first, 0])[inverse]
         return kernels.group_orbit_apply(g1, g2, params[:, 1], params[:, 2], z)
 
     t_lo = float(sigma.ts[0] + t_margin)
@@ -652,7 +672,7 @@ def build_hypersurface(spec: PolarActionSpec, sigma: SigmaCurve,
     # orient the patch normal to match the curve's Frenet normal
     mid_t = 0.5 * (t_lo + t_hi)
     fr = frames_at(patch, np.array([[mid_t, 0.0, 0.0]]))
-    i = int(np.clip(round((mid_t - sigma.ts[0]) / sigma.step), 0, len(sigma.ts) - 1))
+    i = int(sigma.nearest_row(mid_t))
     u = sp.phase_align(fr.z[0], sigma.zs[i])
     agree = sp.g(fr.xi[0], u * sigma.xis[i])
     if agree < 0:
@@ -682,17 +702,16 @@ def equivariant_shape_data(ehs: EquivariantHypersurface, params) -> ShapeData:
     spec, sigma = ehs.spec, ehs.sigma
     sp = spec.space
     fr = frames_at(ehs.patch, params)
-    # each distinct t once, keyed by its raw bytes like the chart
-    t = np.ascontiguousarray(fr.params[:, 0])
-    _, first, inverse = np.unique(t.view(np.int64), return_index=True, return_inverse=True)
-    z, dz = sigma.interpolant()(t[first], velocity=True)
+    # each distinct t once, like the chart
+    first, inverse = _distinct(fr.params[:, 0])
+    t = fr.params[first, 0]
+    z, dz = sigma.interpolant()(t, velocity=True)
     x, u = spec.frame_coords(z), spec.frame_coords(dz)
     tangent = sp.project_horizontal(x, u)
     tangent = tangent * (1.0 / sp.norm(tangent))[:, None]
     normal = sp._sig * np.cross(x, tangent)     # g-orthogonal to x and to the tangent
-    row = np.clip(np.rint((t[first] - sigma.ts[0]) / sigma.step).astype(int), 0, len(sigma.ts) - 1)
-    normal = normal * (np.sign(sp.g(normal, spec.frame_coords(sigma.xis[row])))
-                       / sp.norm(normal))[:, None]
+    sign = np.sign(sp.g(normal, spec.frame_coords(sigma.xis[sigma.nearest_row(t)])))
+    normal = normal * (sign / sp.norm(normal))[:, None]
     alpha, beta, a, b, _, _, eig = _orbit_invariants(spec, x.T, normal.T, eigenframe=True)
     frame = np.concatenate([tangent[:, None], 1j * eig.transpose(2, 1, 0), normal[:, None]],
                            axis=1) * spec.phases                            # (M, 4, 3)
@@ -707,7 +726,26 @@ def equivariant_shape_data(ehs: EquivariantHypersurface, params) -> ShapeData:
     frames = PointFrames(params=fr.params, z=fr.z, v=fr.v, xi=orient[:, None] * xi)
     return ShapeData(space=sp, frames=frames, E=E, S=s_mat, eigvals=vals[:, ::-1],
                      eigvecs=np.einsum("nai,nak->nik", vecs[:, :, ::-1], E),
-                     asym=np.zeros(len(t)))
+                     asym=np.zeros(len(fr.params)))
+
+
+def chart_tilt(ehs: EquivariantHypersurface, sd: ShapeData):
+    """(N,) how far the chart's velocities leave the exact tangent spaces.
+
+    sd is ``equivariant_shape_data(ehs, ...)``: its velocities are the
+    chart's, its normal the exact one. Each entry is the largest normal
+    component of a unit velocity beyond what the central difference's
+    truncation gives it. Along an orbit that truncation stays tangent to
+    the sweep; along sigma its normal part is h^2/6 gamma' (by the Frenet
+    equations the third derivative of sigma has normal part gamma'), and
+    the allowance is twice that at the curve's largest |gamma'|.
+    """
+    sp, sigma = sd.space, ehs.sigma
+    v = sd.frames.v
+    tilt = np.abs(sp.g(v, sd.frames.xi[:, None])) / sp.norm(v)
+    gamma_rate = np.max(np.abs(np.gradient(sigma.gammas, sigma.step)))
+    tilt[:, 0] -= ehs.patch.diff_step ** 2 / 3 * gamma_rate
+    return tilt.max(axis=1)
 
 
 def shape_gap(sd: ShapeData, ref: ShapeData):
@@ -741,14 +779,17 @@ def strongly_2hopf_certify(ehs: EquivariantHypersurface, tol=None,
                            grid_shape=(20, 5, 5)) -> CertificationReport:
     """Certify conditions (C1)-(C3) plus the leaf geometry spot checks.
 
-    Checks h = 2 on the full grid, from ``equivariant_shape_data``; on a
-    deterministic subsample of DERIVATIVE_POINTS points, from the chart's
-    finite-difference shape data: its gap to the exact data (fd_exact_gap),
-    integrability, D-derivatives of the spectrum, leaf flatness/total
-    realness and the A-geodesic property. The derivative residuals read
-    inf where the chart's own frames there are not h = 2. ``tol`` overrides
-    entries of CERTIFY_TOLERANCES. Failures are reported as residuals, not
-    raised.
+    Checks h = 2 on the full grid, from ``equivariant_shape_data``, and
+    there that the chart's velocities are tangent to the exact sweep
+    (``chart_tilt``); on a deterministic subsample of DERIVATIVE_POINTS points,
+    from the chart's finite-difference shape data: its gap to the exact data
+    (fd_exact_gap), integrability, D-derivatives of the spectrum, leaf
+    flatness/total realness and the A-geodesic property. The derivative
+    residuals read inf where the chart's own frames there are not h = 2.
+    ``tol`` overrides entries of CERTIFY_TOLERANCES; chart_tilt and
+    fd_exact_gap are held to the fixed CHART_TILT and FD_EXACT_GAP, which
+    tie the exact data to the built chart. Failures are reported as
+    residuals, not raised.
     """
     tols = dict(CERTIFY_TOLERANCES)
     if tol:
@@ -759,9 +800,12 @@ def strongly_2hopf_certify(ehs: EquivariantHypersurface, tol=None,
     exact = equivariant_shape_data(ehs, grid)
     hs = adapted_frames(exact, tols["tau_proj"], tols["tau_mult"]).h
     h_ok = bool(np.all(hs == 2))
+    # the exact data reads the curve; the chart's own velocities, from the
+    # same frames_at call, must lie in its tangent spaces
     res = {
         "h_values": sorted(set(int(x) for x in hs)),
         "h2_fraction": float((hs == 2).mean()),
+        "chart_tilt": float(np.max(chart_tilt(ehs, exact), initial=0.0)),
     }
     idx2 = np.flatnonzero(hs == 2).tolist()
     # derivative probes biased toward the interior, where the finite
@@ -817,11 +861,14 @@ def strongly_2hopf_certify(ehs: EquivariantHypersurface, tol=None,
               and leaf_real < tols["leaf_totally_real"]
               and naa < tols["nabla_AA"]
               and tangency < tols["orbit_tangency"]
-              and res["fd_exact_gap"] < tols["fd_exact_gap"])
+              and res["chart_tilt"] < CHART_TILT
+              and res["fd_exact_gap"] < FD_EXACT_GAP)
     grids = {"grid_shape": list(grid_shape), "derivative_sample": len(sample),
              "box": [list(b) for b in patch.box], "s_extent": ehs.s_extent}
     return CertificationReport(passed=bool(passed), residuals=res,
-                               tolerances=tols, grids=grids)
+                               tolerances=dict(tols, chart_tilt=CHART_TILT,
+                                               fd_exact_gap=FD_EXACT_GAP),
+                               grids=grids)
 
 
 def leviflat_cmc_certify(ehs: EquivariantHypersurface, eta: float) -> CertificationReport:

@@ -398,8 +398,8 @@ def test_construct_names_why_sigma_is_too_short_to_sweep(step, message, tmp_path
     ("tolerances", {"integrable": "x"}, "integrable must be positive"),
     ("out_scene", 5, "must be a file path"),
     ("tolerances", {"integrabel": 1e-30},
-     "unknown name 'integrabel'; allowed: fd_exact_gap, integrable, leaf_flat, "
-     "leaf_totally_real, nabla_AA, orbit_tangency, spectrum_constancy, tau_mult, tau_proj"),
+     "unknown name 'integrabel'; allowed: integrable, leaf_flat, leaf_totally_real, "
+     "nabla_AA, orbit_tangency, spectrum_constancy, tau_mult, tau_proj"),
     # construct draws no random numbers, so it has no seed to configure
     ("seed", 5, "unknown config key"),
 ])

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 from conftest import PIN_PATCHES
+from hopflab import _kernels as kernels
 from hopflab import constructor
 from hopflab.actions import LABELS, SingularOrbitError, load_action, rotate90
 from hopflab.ambient import GeometryError
 from hopflab.constructor import (
     FD_EXACT_GAP,
+    CHART_TILT,
     CurveLaw,
+    chart_tilt,
     austere_search,
     build_hypersurface,
     equivariant_shape_data,
@@ -288,17 +291,84 @@ def test_certificate_fd_residuals_match_the_fd_grid_route(name, pin_patches, mon
     grid = ehs.patch.grid((20, 5, 5), margin=0.02)
     assert len(sampled) == 1 and sampled[0].tobytes() == grid[sample].tobytes()
     assert cert.passed and cert.residuals["fd_exact_gap"] < FD_EXACT_GAP
+    assert cert.residuals["chart_tilt"] < CHART_TILT
 
 
 @pytest.mark.parametrize("bend, derivatives", [(1e-5, True), (1e-2, False)])
 def test_certificate_fails_a_chart_off_its_curve(bend, derivatives, cmc_ehs):
-    # the exact h-grid reads the curve, not the chart: the gap at the
-    # derivative sample is what fails a bent chart. A small bend keeps its
-    # finite-difference frames h = 2 there; a large one loses them, and the
-    # derivative residuals read inf instead of raising
-    cert = strongly_2hopf_certify(replace(cmc_ehs, patch=_bent_patch(cmc_ehs.patch, bend)))
+    # the exact h-grid reads the curve, not the chart: the chart's velocities
+    # over the grid, off the derivative sample too, and the gap at the sample
+    # are what fail a bent chart. A small bend keeps its finite-difference
+    # frames h = 2 there; a large one loses them, and the derivative
+    # residuals read inf instead of raising
+    bent = replace(cmc_ehs, patch=_bent_patch(cmc_ehs.patch, bend))
+    cert = strongly_2hopf_certify(bent)
     assert cert.residuals["fd_exact_gap"] > FD_EXACT_GAP and not cert.passed
     assert np.isfinite(cert.residuals["integrability"]) == derivatives
+    tilt = chart_tilt(bent, equivariant_shape_data(bent, bent.patch.grid((20, 5, 5), margin=0.02)))
+    _, sample = oracles.fd_grid_strongly_2hopf_certify(cmc_ehs)
+    assert np.delete(tilt, sample).max() > CHART_TILT
+    assert cert.residuals["chart_tilt"] == tilt.max()
+    # neither chart check is a tolerance a caller can raise
+    loose = strongly_2hopf_certify(bent, tol={"fd_exact_gap": 1.0, "chart_tilt": 1.0})
+    assert not loose.passed
+    assert (loose.tolerances["fd_exact_gap"], loose.tolerances["chart_tilt"]) == (FD_EXACT_GAP,
+                                                                                  CHART_TILT)
+
+
+@pytest.mark.parametrize("name", PIN_PATCHES)
+def test_chart_tilt_allows_the_truncation_along_sigma(name, pin_patches):
+    # on a chart that realizes its sweep the t velocity leaves the exact
+    # tangent spaces by the central difference's h^2/6 gamma', the orbit
+    # velocities by rounding, and chart_tilt reads rounding only
+    ehs = pin_patches[name]
+    exact = equivariant_shape_data(ehs, ehs.patch.grid((20, 5, 5), margin=0.02))
+    sp, sigma = ehs.space, ehs.sigma
+    v = exact.frames.v
+    tilt = np.abs(sp.g(v, exact.frames.xi[:, None])) / sp.norm(v)
+    leading = ehs.patch.diff_step ** 2 / 6 * np.max(np.abs(np.gradient(sigma.gammas, sigma.step)))
+    assert tilt[:, 0].max() <= 1.1 * leading + 1e-11
+    assert tilt[:, 1:].max() < 1e-11
+    assert chart_tilt(ehs, exact).max() < 1e-11
+
+
+def defect_past_t(ehs, kind, t_cut=0.12):
+    """ehs with its chart changed only at t > t_cut: "bent" scales the first
+    coordinate by 1 + 1e-3 s1^2 (t - t_cut)^2; "displaced" sweeps sigma pushed
+    along its normal by 1e-5 (t - t_cut)^2 / 0.0011 (up to 1e-5 on the box)."""
+    sp, sigma, patch = ehs.space, ehs.sigma, ehs.patch
+    interp = sigma.interpolant()
+
+    def chart(params):
+        past = np.maximum(params[:, 0] - t_cut, 0.0) ** 2
+        if kind == "bent":
+            scale = np.ones((len(params), 3))
+            scale[:, 0] += 1e-3 * params[:, 1] ** 2 * past
+            return patch.chart(params) * scale
+        t = params[:, 0]
+        push = 1e-5 * past / 0.0011
+        z = sp.exp(interp(t), push[:, None] * sigma.xis[sigma.nearest_row(t)])
+        return kernels.group_orbit_apply(*ehs.spec.generators, params[:, 1], params[:, 2], z)
+
+    return replace(ehs, patch=HypersurfacePatch(sp, chart, patch.box, patch.diff_step,
+                                                patch.orientation))
+
+
+@pytest.mark.parametrize("kind", ["bent", "displaced"])
+def test_certificate_fails_a_chart_defect_away_from_its_derivative_sample(kind, cmc_ehs):
+    # past every derivative sample point and the stencils around it, the
+    # sample keeps the bits of the unchanged chart; only the chart's
+    # velocities on the rest of the h-grid fail it. The bend tilts its orbit
+    # velocities; the displaced curve keeps them tangent to first order and
+    # tilts its t velocity
+    _, sample = oracles.fd_grid_strongly_2hopf_certify(cmc_ehs)
+    assert cmc_ehs.patch.grid((20, 5, 5), margin=0.02)[sample, 0].max() < 0.11
+    cert = strongly_2hopf_certify(defect_past_t(cmc_ehs, kind))
+    ref = strongly_2hopf_certify(cmc_ehs)
+    for key in FD_RESIDUALS + ("fd_exact_gap", "h_values", "h2_fraction"):
+        assert cert.residuals[key] == ref.residuals[key], key
+    assert ref.passed and not cert.passed
+    assert cert.residuals["chart_tilt"] > CHART_TILT
 
 
 def equidistance_spot_check(ehs, t1, t2, n_points=10):
