@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 from hopflab._kernels import expm3_batch, group_orbit_apply, pure
+from hopflab.actions import LABELS, load_action
 from oracles import pointwise_group_orbit_apply
 
 _G1 = 1j * np.diag([1.0, 1.0, -2.0])
@@ -28,10 +29,44 @@ def test_expm3_nilpotent_exact():
 
 
 def test_expm3_batch_consistent(rng):
-    ms = _complex_normal(rng, (17, 3, 3))
+    # rows that take 0, 1 and several squarings: each row is bit-identical
+    # to exponentiating it alone, wherever it sits in the batch
+    norms = np.geomspace(0.05, 40.0, 17)     # 0.05 to 0.5: none; 40: 7 squarings
+    base = _complex_normal(rng, (17, 3, 3))
+    ms = base * (norms / np.abs(base).sum(axis=-1).max(axis=-1))[:, None, None]
+    assert np.count_nonzero(norms <= pure._SCALE_LIMIT) > 1
     batch = expm3_batch(ms)
     for i in range(17):
-        assert np.abs(batch[i] - expm3_batch(ms[i:i + 1])[0]).max() < 1e-13
+        assert np.array_equal(batch[i], expm3_batch(ms[i:i + 1])[0])
+    assert np.array_equal(batch[5:12], expm3_batch(ms[5:12]))
+    assert np.array_equal(batch[::-1], expm3_batch(ms[::-1]))
+
+
+def _relative_error_to_scipy(ms):
+    """max |expm3_batch - scipy expm| per matrix, over max |exp M| of that matrix."""
+    ref = sla.expm(ms)
+    return (np.abs(expm3_batch(ms) - ref).max(axis=(-2, -1))
+            / np.abs(ref).max(axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_expm3_batch_matches_scipy_on_action_groups(label):
+    g1, g2 = load_action(label).generators
+    s = np.linspace(-1.5, 1.5, 13)
+    s1, s2 = (a.ravel() for a in np.meshgrid(s, s))
+    ms = s1[:, None, None] * g1 + s2[:, None, None] * g2
+    assert _relative_error_to_scipy(ms).max() < 1e-13
+
+
+def test_expm3_batch_matches_scipy_on_horosphere_algebra():
+    # the Iwasawa nilpotent algebra whose orbit is catalog.horosphere's chart
+    e1 = np.array([[0, 0, 1], [0, 0, 1], [1, -1, 0]], dtype=complex)
+    e2 = np.array([[0, 0, -1j], [0, 0, -1j], [1j, -1j, 0]], dtype=complex)
+    zn = 1j * np.array([[1, -1, 0], [1, -1, 0], [0, 0, 0]], dtype=complex)
+    p = np.linspace(-0.5, 0.5, 9)
+    x, y, w = (a.ravel() for a in np.meshgrid(p, p, p))
+    ms = x[:, None, None] * e1 + y[:, None, None] * e2 + w[:, None, None] * zn
+    assert _relative_error_to_scipy(ms).max() < 1e-13
 
 
 def test_expm3_batch_two_leading_axes(rng):

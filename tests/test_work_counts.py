@@ -1,5 +1,5 @@
 """Work counts of the verify suites' h = 2 checks, of the section curves and of
-one construct benchmark cycle.
+one construct benchmark cycle, its L0 kernel calls included.
 
 Counts are deterministic, so work that grows without an announcement fails
 here on any host, whatever the timing noise. Each suite test builds the
@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hopflab._kernels as kernels
 import hopflab.constructor as constructor
 import hopflab.hypersurface as hypersurface
 from hopflab.actions import LABELS, load_action
@@ -165,3 +166,34 @@ def test_construct_cycle_work_per_call_site(tmp_path, monkeypatch):
     assert sum(fd_points.values()) == 940
     # the exact route evaluates the orbit once per distinct t of each grid
     assert orbit_points == {"_orbit_invariants": [20, 12] * 5, "orbit_geometry": []}
+
+
+def test_construct_cycle_kernel_work(tmp_path, monkeypatch):
+    sizes = {"group_orbit_apply": [], "expm3_batch": []}
+
+    def counting(fn_name, size):
+        fn = getattr(kernels, fn_name)
+
+        def counted(*args):
+            out = fn(*args)
+            sizes[fn_name].append(size(out))
+            return out
+
+        return counted
+
+    # callers reach both through the package; group_orbit_apply reaches
+    # expm3_batch through its own module's global
+    for fn_name, size in (("group_orbit_apply", len), ("expm3_batch", lambda r: r.size // 9)):
+        wrapper = counting(fn_name, size)
+        monkeypatch.setattr(kernels, fn_name, wrapper)
+        monkeypatch.setattr(kernels.pure, fn_name, wrapper)
+    workload = WORKLOADS["construct"](3, str(tmp_path))
+    for item in workload.cycle():
+        ok, digest = workload.run(item)
+        assert ok, digest
+    # every exponential goes through group_orbit_apply's per-pair dedupe;
+    # 5,330 distinct pairs in all (the frame_derivative_data stencils of the
+    # cp2-torus and ch2-g0 items hold a few pairs that coincide bit for bit
+    # or not, depending on the kernel's rounding)
+    assert (len(sizes["group_orbit_apply"]), sum(sizes["group_orbit_apply"])) == (51, 67985)
+    assert (len(sizes["expm3_batch"]), sum(sizes["expm3_batch"])) == (51, 5330)
