@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels as kernels
 from .actions import load_action
-from .ambient import GeometryError, SpaceForm
+from .ambient import GeometryError, SpaceForm, cross3
 from .constructor import build_hypersurface
 from .hypersurface import HypersurfacePatch, shape_data
 
@@ -238,7 +238,7 @@ def bisector(space: SpaceForm, p1=None, p2=None) -> CatalogEntry:
     spine_dir = 1j * gdot
     # positive-definite normal direction of the complex geodesic span{m, gdot}
     sig = sp._sig
-    n = sig * np.conj(np.cross(np.conj(m), np.conj(gdot)))
+    n = sig * np.conj(cross3(np.conj(m), np.conj(gdot)))
     n = n / np.sqrt(np.real(sp.herm(n, n)))
     r = sp.radius
 

@@ -63,7 +63,7 @@ from .actions import (
     orbit_geometry,
     rotate90,
 )
-from .ambient import GeometryError, SpaceForm
+from .ambient import GeometryError, SpaceForm, cross3
 from .hypersurface import (
     DEFAULT_TOLERANCES,
     FrameError,
@@ -709,7 +709,7 @@ def equivariant_shape_data(ehs: EquivariantHypersurface, params) -> ShapeData:
     x, u = spec.frame_coords(z), spec.frame_coords(dz)
     tangent = sp.project_horizontal(x, u)
     tangent = tangent * (1.0 / sp.norm(tangent))[:, None]
-    normal = sp._sig * np.cross(x, tangent)     # g-orthogonal to x and to the tangent
+    normal = sp._sig * cross3(x, tangent)     # g-orthogonal to x and to the tangent
     sign = np.sign(sp.g(normal, spec.frame_coords(sigma.xis[sigma.nearest_row(t)])))
     normal = normal * (sign / sp.norm(normal))[:, None]
     alpha, beta, a, b, _, _, eig = _orbit_invariants(spec, x.T, normal.T, eigenframe=True)

@@ -46,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ambient import GeometryError, SpaceForm, rk4_step
+from .ambient import GeometryError, SpaceForm, cross3, rk4_step
 
 TAU_MULT = 1e-4       # eigenvalue clustering, relative to spectrum spread
 TAU_PROJ = 1e-4       # Hopf projection threshold
@@ -154,12 +154,12 @@ def _unit_normal(sp: SpaceForm, z, v, orientation):
     with np.errstate(divide="ignore", invalid="ignore"):
         n1 = sp.norm(v1)
         e1 = v1 / n1[:, None]
-        e2 = sp._sig * np.conj(np.cross(z, v1))
+        e2 = sp._sig * np.conj(cross3(z, v1))
         e2 = e2 / sp.norm(e2)[:, None]
         a = sp.herm(e1[:, None], v[:, 1:])
         b = sp.herm(e2[:, None], v[:, 1:])
         r = np.stack([a.imag, b.real, b.imag], axis=-1)   # (N, 2, 3): r2, r3
-        spq = np.cross(r[:, 0], r[:, 1])
+        spq = cross3(r[:, 0], r[:, 1])
         vol = np.linalg.norm(spq, axis=-1)
         xi = 1j * spq[:, :1] * e1 + (spq[:, 1:2] + 1j * spq[:, 2:]) * e2
         xi *= (orientation / vol)[:, None]

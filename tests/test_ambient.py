@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopflab.ambient import GeometryError, SectionChart, SpaceForm
+from hopflab.ambient import GeometryError, SectionChart, SpaceForm, cross3
 from oracles import geodesic_rk4, scalar_parallel_transport
 
 BOTH = [4.0, -4.0]
@@ -318,3 +318,28 @@ def test_dist_matches_arccos_formula_on_separated_points(c, rng):
     assert np.abs(sp.dist(z, w) - ref).max() < 1e-12
     # and batched against one point, at any scale of the representatives
     assert np.abs(sp.dist(3.0 * z, 0.5j * w[0]) - sp.dist(z, w[0])).max() < 1e-12
+
+
+def _special_rows(rng, n, complex_=False):
+    """(n, 3) rows, about a third of whose entries are signed zeros, NaN,
+    infinities or extreme magnitudes; complex rows get such parts too."""
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 1e300])
+    rows = rng.standard_normal((2 if complex_ else 1, n, 3))
+    pick = rng.random(rows.shape) < 0.3
+    rows[pick] = rng.choice(special, size=pick.sum())
+    if not complex_:
+        return rows[0]
+    out = np.empty((n, 3), dtype=complex)
+    out.real, out.imag = rows
+    return out
+
+
+@pytest.mark.parametrize("kinds", [(False, False), (True, True), (True, False)],
+                         ids=["real", "complex", "mixed"])
+def test_cross3_is_bit_identical_to_np_cross(kinds, rng):
+    a, b = (_special_rows(rng, 400, kind) for kind in kinds)
+    with np.errstate(all="ignore"):
+        for x, y in ((a, b), (a[:7], b[:7]), (a[0], b[0]), (a[:5, None], b[None, :4])):
+            out, ref = cross3(x, y), np.cross(x, y)
+            assert out.dtype == ref.dtype and out.shape == ref.shape
+            assert out.tobytes() == ref.tobytes()

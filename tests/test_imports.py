@@ -8,7 +8,7 @@ class, and every method of a top-level class, must be read somewhere in the
 library, and every name the package exports must resolve. No module, not
 even inside a function, imports SciPy: it is needed only by the tests.
 Only SpaceForm.central_difference phase-aligns representatives to difference
-them.
+them, and no module calls ``np.cross``: ``ambient.cross3`` rounds the same.
 """
 
 import ast
@@ -145,8 +145,10 @@ def test_every_definition_is_read_in_the_library():
 # -- one phase-aligned central difference ---------------------------------------------
 
 
-def phase_align_callers(sources):
-    """(path, enclosing definition) of every call of ``phase_align`` in ``sources``.
+def callers(sources, name):
+    """(path, enclosing definition) of every call of ``name`` in ``sources``.
+
+    A call matches by the called name alone: ``f(...)``, ``x.f(...)``.
 
     The enclosing definition is the dotted name of the innermost function or
     class around the call (``Class.method``, ``outer.inner``), or
@@ -161,8 +163,8 @@ def phase_align_callers(sources):
                 inner = f"{scope}.{child.name}" if scope else child.name
             if isinstance(child, ast.Call):
                 fn = child.func
-                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
-                if name == "phase_align":
+                called = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+                if called == name:
                     found.append((path, scope or "<module>"))
             visit(child, path, inner)
 
@@ -180,7 +182,7 @@ def test_scan_finds_phase_align_calls_by_definition():
                         "    def g(z):\n"
                         "        return phase_align(z, z)\n"
                         "    return sp.phase_align\n")}
-    assert phase_align_callers(sources) == [
+    assert callers(sources, "phase_align") == [
         ("a.py", "<module>"), ("a.py", "S.diff"), ("a.py", "f.g")]
 
 
@@ -195,9 +197,19 @@ PHASE_ALIGN_CALLERS = {
 
 def test_phase_align_is_called_only_by_the_central_difference():
     sources = {str(p.relative_to(SRC)): p.read_text() for p in SRC.rglob("*.py")}
-    callers = set(phase_align_callers(sources))
-    assert ("ambient.py", "SpaceForm.central_difference") in callers
-    assert callers <= PHASE_ALIGN_CALLERS, sorted(callers - PHASE_ALIGN_CALLERS)
+    found = set(callers(sources, "phase_align"))
+    assert ("ambient.py", "SpaceForm.central_difference") in found
+    assert found <= PHASE_ALIGN_CALLERS, sorted(found - PHASE_ALIGN_CALLERS)
+
+
+def test_no_module_calls_np_cross():
+    # np.cross spends most of its time moving axes; ambient.cross3 forms the
+    # same products and differences, bit for bit
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in SRC.rglob("*.py")}
+    assert callers({"a.py": "n = np.cross(u, v)\n"}, "cross") == [("a.py", "<module>")]
+    assert callers(sources, "cross") == []
+    assert {path for path, _ in callers(sources, "cross3")} == {
+        "hypersurface.py", "constructor.py", "catalog.py"}
 
 
 # -- the package's export table -------------------------------------------------------
