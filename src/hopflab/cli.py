@@ -11,6 +11,7 @@ certification/verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import numbers
@@ -387,7 +388,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     ap = _Parser(prog="hopflab", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 

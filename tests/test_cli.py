@@ -39,6 +39,16 @@ def test_config_validation():
         RunConfig(grid=(1, 1)).validate()
 
 
+def test_parser_is_built_once_and_keeps_no_state_between_parses():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    first = parser.parse_args(["construct", "--action", "cp2-torus", "--grid", "4", "5", "6"])
+    second = parser.parse_args(["construct"])
+    assert (first.action, first.grid) == ("cp2-torus", [4, 5, 6])
+    assert (second.action, second.grid) == (None, None)
+    assert parser.parse_args(["hopf-directions", "--action", "ch2-g0"]).point == (0.12, 0.07)
+
+
 def test_construct_scene_roundtrip(tmp_path, capsys):
     scene = tmp_path / "scene.json"
     csv = tmp_path / "mesh.csv"
