@@ -42,31 +42,27 @@ def test_expm3_batch_consistent(rng):
     assert np.array_equal(batch[::-1], expm3_batch(ms[::-1]))
 
 
-def _relative_error_to_scipy(ms):
-    """max |expm3_batch - scipy expm| per matrix, over max |exp M| of that matrix."""
+def _algebra_grid(family):
+    """Matrices of one group family: an action's s1 G1 + s2 G2 over [-1.5, 1.5]^2,
+    or the Iwasawa nilpotent algebra of catalog.horosphere's chart over [-0.5, 0.5]^3."""
+    if family == "horosphere":
+        gens = np.array([[[0, 0, 1], [0, 0, 1], [1, -1, 0]],
+                         [[0, 0, -1j], [0, 0, -1j], [1j, -1j, 0]],
+                         1j * np.array([[1, -1, 0], [1, -1, 0], [0, 0, 0]])], dtype=complex)
+        axis = np.linspace(-0.5, 0.5, 9)
+    else:
+        gens = load_action(family).generators
+        axis = np.linspace(-1.5, 1.5, 13)
+    coords = np.stack(np.meshgrid(*[axis] * len(gens)), axis=-1).reshape(-1, len(gens))
+    return np.einsum("nk,kij->nij", coords, gens)
+
+
+@pytest.mark.parametrize("family", LABELS + ("horosphere",))
+def test_expm3_batch_matches_scipy_on_group_families(family):
+    ms = _algebra_grid(family)
     ref = sla.expm(ms)
-    return (np.abs(expm3_batch(ms) - ref).max(axis=(-2, -1))
-            / np.abs(ref).max(axis=(-2, -1)))
-
-
-@pytest.mark.parametrize("label", LABELS)
-def test_expm3_batch_matches_scipy_on_action_groups(label):
-    g1, g2 = load_action(label).generators
-    s = np.linspace(-1.5, 1.5, 13)
-    s1, s2 = (a.ravel() for a in np.meshgrid(s, s))
-    ms = s1[:, None, None] * g1 + s2[:, None, None] * g2
-    assert _relative_error_to_scipy(ms).max() < 1e-13
-
-
-def test_expm3_batch_matches_scipy_on_horosphere_algebra():
-    # the Iwasawa nilpotent algebra whose orbit is catalog.horosphere's chart
-    e1 = np.array([[0, 0, 1], [0, 0, 1], [1, -1, 0]], dtype=complex)
-    e2 = np.array([[0, 0, -1j], [0, 0, -1j], [1j, -1j, 0]], dtype=complex)
-    zn = 1j * np.array([[1, -1, 0], [1, -1, 0], [0, 0, 0]], dtype=complex)
-    p = np.linspace(-0.5, 0.5, 9)
-    x, y, w = (a.ravel() for a in np.meshgrid(p, p, p))
-    ms = x[:, None, None] * e1 + y[:, None, None] * e2 + w[:, None, None] * zn
-    assert _relative_error_to_scipy(ms).max() < 1e-13
+    err = np.abs(expm3_batch(ms) - ref).max(axis=(-2, -1)) / np.abs(ref).max(axis=(-2, -1))
+    assert err.max() < 1e-13
 
 
 def test_expm3_batch_two_leading_axes(rng):
@@ -78,7 +74,7 @@ def test_expm3_batch_two_leading_axes(rng):
 
 def test_expm3_batch_mixed_norms_masked_squaring(rng):
     # rows below the 0.5 scaling limit take no squarings, the others take
-    # different counts, so the masked branch of the squaring loop runs
+    # different counts, so the squaring loop selects per matrix
     base = _complex_normal(rng, (6, 3, 3))
     base /= np.abs(base).sum(axis=-1).max(axis=-1)[:, None, None]
     ms = base * np.array([0.1, 0.3, 0.7, 1.5, 3.0, 6.0])[:, None, None]
