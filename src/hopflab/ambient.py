@@ -34,7 +34,6 @@ def cross3(a, b):
     ``np.cross`` forms, without its axis moves and output set-up, which
     dominate its cost on a few thousand rows.
     """
-    a, b = np.asarray(a), np.asarray(b)
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)

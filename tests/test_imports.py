@@ -202,6 +202,9 @@ def test_phase_align_is_called_only_by_the_central_difference():
     assert found <= PHASE_ALIGN_CALLERS, sorted(found - PHASE_ALIGN_CALLERS)
 
 
+# -- one cross product -----------------------------------------------------------------
+
+
 def test_no_module_calls_np_cross():
     # np.cross spends most of its time moving axes; ambient.cross3 forms the
     # same products and differences, bit for bit
