@@ -1,4 +1,4 @@
-"""Pure-NumPy kernels: batched 3x3 complex matrix exponentials.
+"""Pure-NumPy kernels: batched 3x3 complex matrix exponentials and a bitwise dedupe.
 
 exp(M) by scaling and squaring (Moler & Van Loan, SIAM Review 2003; Higham,
 SIAM J. Matrix Anal. Appl. 2005): M is divided by 2**k until its largest row
@@ -61,6 +61,24 @@ def expm3_batch(ms):
     return np.ascontiguousarray(acc.transpose(2, 0, 1)).reshape(ms.shape)
 
 
+def distinct(*keys):
+    """(first, inverse) of the distinct rows (keys[0][i], keys[1][i], ...) of (N,) floats.
+
+    ``key[first][inverse]`` is ``key``. Rows are compared by their bits (a
+    stable ``lexsort`` of the int64 views), so -0.0 and 0.0 stay apart and
+    each row keeps the bits of evaluating it alone.
+    """
+    bits = [np.ascontiguousarray(k, dtype=np.float64).view(np.int64) for k in keys]
+    order = np.lexsort(bits[::-1])
+    bits = [b[order] for b in bits]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any([b[1:] != b[:-1] for b in bits], axis=0)
+    first = order[new]
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    return first, inverse
+
+
 def group_orbit_apply(g1, g2, s1, s2, z):
     """exp(s1[i]*G1 + s2[i]*G2) @ z[i] for each i.
 
@@ -69,23 +87,14 @@ def group_orbit_apply(g1, g2, s1, s2, z):
     z      : (N, 3) complex vectors.
 
     The group element depends on (s1, s2) only, and chart batches repeat
-    each pair across many t-samples and stencil offsets, so each distinct
-    pair is exponentiated once and the results are gathered back. Pairs are
-    keyed by their raw bytes rather than by value: a stable ``lexsort`` of
-    the int64 views of s1 and s2 groups equal bit patterns, so ``-0.0`` and
-    ``0.0`` stay apart and every output row is bit-identical to
-    exponentiating it alone. Nothing is kept between calls.
+    each pair across many t-samples and stencil offsets: each ``distinct``
+    pair is exponentiated once and the results are gathered back, so every
+    output row is bit-identical to exponentiating it alone. Nothing is kept
+    between calls.
     """
     s1 = np.asarray(s1, dtype=np.float64)
     s2 = np.asarray(s2, dtype=np.float64)
     z = np.asarray(z, dtype=np.complex128)
-    b1, b2 = s1.view(np.int64), s2.view(np.int64)
-    order = np.lexsort((b2, b1))
-    b1, b2 = b1[order], b2[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (b1[1:] != b1[:-1]) | (b2[1:] != b2[:-1])
-    first = order[new]
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(new) - 1
+    first, inverse = distinct(s1, s2)
     ms = s1[first, None, None] * np.asarray(g1) + s2[first, None, None] * np.asarray(g2)
     return np.einsum("nij,nj->ni", expm3_batch(ms)[inverse], z)

@@ -260,7 +260,10 @@ def _load_patch_for(args):
     """(patch, meta, ehs) of the --catalog or --scene input; ehs is None for a catalog entry."""
     if getattr(args, "catalog", None):
         _check_c(args.c)
-        entry = get_entry(args.catalog, c=args.c, r=args.r)
+        try:
+            entry = get_entry(args.catalog, c=args.c, r=args.r)
+        except FloatingPointError as exc:   # its box is an absolute length
+            raise ConfigError("c", f"{args.c!r} overflows the {args.catalog} chart: {exc}")
         return entry.patch, {"catalog": entry.name,
                              "parameters": {k: _plain(v) for k, v in entry.parameters.items()
                                             if _plain(v) is not None},

@@ -26,9 +26,8 @@ curve is the ambient geodesic exp_z0(t w0) with constant Frenet normal,
 which ``_GeodesicRows`` writes in closed form, ROW_BLOCK rows per call. A
 lane stops at the first step that leaves the regular set, turns
 non-finite, does not converge or turns the frame too far in one step,
-while the others go on. Every returned curve then gets its orbit columns
-(alpha, beta, a, b, <H, xi>) and its gammas from one ``_orbit_invariants``
-call on its own rows. ``integrate_sigma`` runs the two sides of a curve as
+while the others go on. ``curve_from_rows`` builds every curve, launched
+or loaded, from its rows. ``integrate_sigma`` runs the two sides of a curve as
 two lanes; ``austere_search`` runs all its launches as one batch, in which
 a launch stops at its first row whose alignment |<H, xi>| with the orbit
 mean-curvature field is not below the search tolerance.
@@ -184,8 +183,11 @@ class SigmaCurve:
     hopf_b: np.ndarray       # (n,)
     mean_align: np.ndarray   # (n,) <H, xi> along the curve
     step: float = DEFAULT_STEP
-    truncated: bool = False
-    truncation_reason: str = ""
+    truncation_reason: str = ""   # why a side stopped short of its n_steps rows
+
+    @property
+    def truncated(self) -> bool:
+        return bool(self.truncation_reason)
 
     @property
     def space(self) -> SpaceForm:
@@ -247,30 +249,26 @@ class SigmaCurve:
             "c": self.spec.space.c,
             "law": {"kind": self.law.kind, "eta": self.law.eta},
             "step": float(self.step),
-            "truncated": self.truncated,
             "truncation_reason": self.truncation_reason,
             "ts": self.ts.tolist(),
             "zs": c2l(self.zs),
             "ws": c2l(self.ws),
             "xis": c2l(self.xis),
-            "gammas": self.gammas.tolist(),
-            "alphas": self.alphas.tolist(),
-            "betas": self.betas.tolist(),
-            "hopf_a": self.hopf_a.tolist(),
-            "hopf_b": self.hopf_b.tolist(),
-            "mean_align": self.mean_align.tolist(),
         }
 
 
-def _distinct(t):
-    """(first, inverse) of the distinct values of t: t[first][inverse] is t.
+def curve_from_rows(spec, law, step, ts, zs, ws, xis, reason):
+    """The SigmaCurve of rows zs, ws, xis (n, 3), in the section's real frame, at times ts.
 
-    Keyed by the raw bytes, so that -0.0 and 0.0 stay apart and every row
-    keeps the bits of evaluating its own value alone.
+    Its orbit columns (alpha, beta, a, b, <H, xi>) and gammas come from one
+    ``_orbit_invariants`` call on its rows, here for every launched or loaded curve.
     """
-    t = np.ascontiguousarray(t, dtype=float)
-    _, first, inverse = np.unique(t.view(np.int64), return_index=True, return_inverse=True)
-    return first, inverse
+    x, xi = spec.frame_coords(zs), spec.frame_coords(xis)
+    alpha, beta, a, b, mean, _ = _orbit_invariants(spec, x.T, xi.T)
+    return SigmaCurve(
+        spec=spec, law=law, ts=ts, zs=zs, ws=ws, xis=xis,
+        gammas=law.target(alpha, beta, a, b), alphas=alpha, betas=beta, hopf_a=a, hopf_b=b,
+        mean_align=spec.space.g(mean.T, xi), step=step, truncation_reason=reason)
 
 
 def _renorm(sp, y):
@@ -540,16 +538,14 @@ def _launch_sigmas(spec, law, x0, u0, step, n_steps, two_sided=True, align_tol=N
     takes the collocation row rule, a pregeodesic law the closed form. With
     ``align_tol`` (pregeodesic laws only), a launch whose alignment
     |<H, xi>| fails to stay below it stops at that row and its entry is
-    None. Each returned curve gets its orbit columns and gammas from one
-    ``_orbit_invariants`` call on its own rows, so a rejected launch never
-    computes them.
+    None. Each returned curve is built by ``curve_from_rows`` from its own
+    rows, so a rejected launch never computes its orbit columns.
     """
     if step <= 0:
         raise GeometryError("step must be positive")
     if n_steps < 1:
         raise GeometryError("n_steps must be at least 1")
-    sp = spec.space
-    u0 = u0 * (1.0 / sp.norm(u0))[:, None]
+    u0 = u0 * (1.0 / spec.space.norm(u0))[:, None]
     v0 = spec.frame_coords(rotate90(spec, spec.phases * x0, spec.phases * u0))
     n = len(x0)
     if two_sided:
@@ -565,18 +561,12 @@ def _launch_sigmas(spec, law, x0, u0, step, n_steps, two_sided=True, align_tol=N
         back = n + k if two_sided else k
         nf, nb = counts[k], (counts[back] if two_sided else 1)
         # the backward side reversed, less its copy of the t = 0 row, then the forward side
-        cols = {key: np.concatenate([val[back, nb - 1:0:-1], val[k, :nf]])
-                for key, val in rows.items()}
-        alpha, beta, a, b, mean, _ = _orbit_invariants(spec, cols["zs"].T, cols["xis"].T)
-        cols.update(gammas=law.target(alpha, beta, a, b), alphas=alpha, betas=beta,
-                    hopf_a=a, hopf_b=b, mean_align=sp.g(mean.T, cols["xis"]))
-        for key in ("zs", "ws", "xis"):
-            cols[key] = cols[key] * spec.phases
-        cols["ws"][:nb - 1] *= -1
+        zs, ws, xis = (np.concatenate([rows[key][back, nb - 1:0:-1], rows[key][k, :nf]])
+                       * spec.phases for key in ("zs", "ws", "xis"))
+        ws[:nb - 1] *= -1
         reason = [reasons[k], reasons[back]] if two_sided else [reasons[k]]
-        curves.append(SigmaCurve(
-            spec=spec, law=law, ts=np.arange(1 - nb, nf) * step, **cols, step=step,
-            truncated=any(reason), truncation_reason="; ".join(x for x in reason if x)))
+        curves.append(curve_from_rows(spec, law, step, np.arange(1 - nb, nf) * step, zs, ws,
+                                      xis, "; ".join(r for r in reason if r)))
     return curves
 
 
@@ -632,7 +622,7 @@ def build_hypersurface(spec: PolarActionSpec, sigma: SigmaCurve,
 
     def chart(params):
         # the nested stencils repeat each t many times: interpolate each distinct t once
-        first, inverse = _distinct(params[:, 0])
+        first, inverse = kernels.distinct(params[:, 0])
         z = interp(params[first, 0])[inverse]
         return kernels.group_orbit_apply(g1, g2, params[:, 1], params[:, 2], z)
 
@@ -703,7 +693,7 @@ def equivariant_shape_data(ehs: EquivariantHypersurface, params) -> ShapeData:
     sp = spec.space
     fr = frames_at(ehs.patch, params)
     # each distinct t once, like the chart
-    first, inverse = _distinct(fr.params[:, 0])
+    first, inverse = kernels.distinct(fr.params[:, 0])
     t = fr.params[first, 0]
     z, dz = sigma.interpolant()(t, velocity=True)
     x, u = spec.frame_coords(z), spec.frame_coords(dz)

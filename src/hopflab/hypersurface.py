@@ -62,7 +62,6 @@ DEFAULT_TOLERANCES = {
     "austere": 1e-3,
     "levi_flat": 1e-3,
     "ruled": 1e-4,
-    "cmc_spread": 1e-3,
 }
 
 

@@ -3,8 +3,10 @@
 Scenes round-trip losslessly: floats are serialized with Python's shortest
 round-trip repr, keys are sorted, and no timestamps, output paths or
 environment data are embedded, so identical runs give byte-identical files
-wherever they are written. Format 1 differs only in indentation and its
-``config`` block, which nothing reads back, so it still loads.
+wherever they are written. A curve's orbit columns are not stored: the
+loader recomputes them from its rows (``curve_from_rows``). Formats 1 and
+2 also stored them, and format 1 differs in indentation and its ``config``
+block; nothing reads those back, so both still load.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ from .constructor import (
     EquivariantHypersurface,
     SigmaCurve,
     build_hypersurface,
+    curve_from_rows,
 )
 from .hypersurface import adapted_frames
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 MESH_COLUMNS = ("t", "s1", "s2", "re0", "im0", "re1", "im1", "re2", "im2",
                 "alpha", "beta", "gamma", "a", "b", "residual")
 # |c| within 100 decades of 1 keeps the powers of the model radius r = 2/sqrt|c|
@@ -91,13 +94,12 @@ def load_scene(path) -> dict:
         raise SceneError(f"{path} is not a scene document (missing schema_version)")
     version = doc["schema_version"]
     # type() rather than ==, which would take true and 1.0 for 1
-    if type(version) is not int or version not in (1, SCHEMA_VERSION):
+    if type(version) is not int or not 1 <= version <= SCHEMA_VERSION:
         raise SceneError(f"unsupported scene schema {version!r}")
     return doc
 
 
-_SIGMA_FIELDS = ("action", "c", "law", "step", "truncated", "truncation_reason", "ts", "zs",
-                 "ws", "xis", "gammas", "alphas", "betas", "hopf_a", "hopf_b", "mean_align")
+_SIGMA_FIELDS = ("action", "c", "law", "step", "truncation_reason", "ts", "zs", "ws", "xis")
 
 
 def _require(d, keys, where):
@@ -128,25 +130,26 @@ def sigma_from_dict(d: dict) -> SigmaCurve:
         raise SceneError(f"scene field 'sigma.action': unknown action label {d['action']!r}")
     if d["law"]["kind"] not in LAW_KINDS:
         raise SceneError(f"scene field 'sigma.law.kind' must be one of {', '.join(LAW_KINDS)}")
-    if not isinstance(d["truncated"], bool):
-        raise SceneError("scene field 'sigma.truncated' must be true or false")
     if not isinstance(d["truncation_reason"], str):
         raise SceneError("scene field 'sigma.truncation_reason' must be a string")
     c = _finite(d["c"], "sigma.c")
     lo, hi = C_MAGNITUDE
     if not lo <= abs(c) <= hi:
         raise SceneError(f"scene field 'sigma.c': |c| must lie in [{lo:g}, {hi:g}], got {c!r}")
+    step = _finite(d["step"], "sigma.step")
+    if not step > 0:
+        raise SceneError("scene field 'sigma.step' must be a positive number")
     spec = load_action(d["action"], c)
     ts = d["ts"]
     if not (isinstance(ts, list) and ts and all(map(_is_finite, ts))):
         raise SceneError("scene field 'sigma.ts' must be a non-empty list of finite numbers")
     n = len(ts)
-
-    def reals(key):
-        vals = d[key]
-        if not (isinstance(vals, list) and len(vals) == n and all(map(_is_finite, vals))):
-            raise SceneError(f"scene field 'sigma.{key}' must be a list of {n} finite numbers")
-        return np.array(vals, dtype=float)
+    # the step's own grid, as every launch writes it: the interpolant spaces
+    # its knots by ts[1] - ts[0], nearest_row and chart_tilt by the step
+    with np.errstate(all="ignore"):
+        grid = (np.rint(ts[0] / step) + np.arange(n)) * step
+    if not np.array_equal(ts, grid):
+        raise SceneError("scene field 'sigma.ts' must be k * step for consecutive integers k")
 
     def complex_rows(key):
         rows = d[key]
@@ -156,23 +159,17 @@ def sigma_from_dict(d: dict) -> SigmaCurve:
                     for pair in row) for row in rows)):
             raise SceneError(f"scene field 'sigma.{key}' must be {n} rows of 3 finite "
                              f"[re, im] pairs")
-        return np.array([[complex(re, im) for re, im in row] for row in rows])
+        rows = np.array([[complex(re, im) for re, im in row] for row in rows])
+        try:
+            spec.frame_coords(rows)
+        except GeometryError:
+            raise SceneError(f"scene field 'sigma.{key}' must be rows in the section's "
+                             f"real frame D.R^3") from None
+        return rows
 
-    return SigmaCurve(
-        spec=spec,
-        law=CurveLaw(d["law"]["kind"], _finite(d["law"]["eta"], "sigma.law.eta")),
-        ts=np.array(ts, dtype=float),
-        zs=complex_rows("zs"), ws=complex_rows("ws"), xis=complex_rows("xis"),
-        gammas=reals("gammas"),
-        alphas=reals("alphas"),
-        betas=reals("betas"),
-        hopf_a=reals("hopf_a"),
-        hopf_b=reals("hopf_b"),
-        mean_align=reals("mean_align"),
-        step=_finite(d["step"], "sigma.step"),
-        truncated=d["truncated"],
-        truncation_reason=d["truncation_reason"],
-    )
+    law = CurveLaw(d["law"]["kind"], _finite(d["law"]["eta"], "sigma.law.eta"))
+    return curve_from_rows(spec, law, step, grid, complex_rows("zs"), complex_rows("ws"),
+                           complex_rows("xis"), d["truncation_reason"])
 
 
 def patch_from_scene(doc: dict) -> EquivariantHypersurface:

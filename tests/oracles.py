@@ -185,7 +185,7 @@ def scalar_orbit_invariants(spec, z, xi):
 
 
 def scalar_integrate_one_direction(spec, law, z0, w0, xi0, step, n_steps):
-    """RK4 on (z, w, xi); returns sample rows including t = 0."""
+    """RK4 on (z, w, xi); returns (sample rows including t = 0, truncation reason or "")."""
     from hopflab.actions import SingularOrbitError
 
     sp = spec.space
@@ -212,7 +212,6 @@ def scalar_integrate_one_direction(spec, law, z0, w0, xi0, step, n_steps):
 
     state = renorm(np.stack([z0, w0, xi0]))
     rows = []
-    truncated = False
     reason = ""
     for i in range(n_steps + 1):
         z, w, xi = state
@@ -227,15 +226,13 @@ def scalar_integrate_one_direction(spec, law, z0, w0, xi0, step, n_steps):
             k4 = rhs(state + step * k3)
             nxt = renorm(state + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
         except SingularOrbitError:
-            truncated = True
             reason = f"left the regular set after {i + 1} steps"
             break
         if not spec.is_regular(nxt[0]):
-            truncated = True
             reason = f"left the regular set after {i + 1} steps"
             break
         state = nxt
-    return rows, truncated, reason
+    return rows, reason
 
 
 def scalar_integrate_sigma(spec, z0, w0, law, step=1e-3, n_steps=200, two_sided=True):
@@ -254,11 +251,11 @@ def scalar_integrate_sigma(spec, z0, w0, law, step=1e-3, n_steps=200, two_sided=
     w0 = np.asarray(w0, dtype=complex)
     w0 = w0 / sp.norm(w0)
     xi0 = rotate90(spec, z0, w0)
-    fwd, tr_f, reason_f = scalar_integrate_one_direction(spec, law, z0, w0, xi0, step, n_steps)
+    fwd, reason_f = scalar_integrate_one_direction(spec, law, z0, w0, xi0, step, n_steps)
     if two_sided:
-        bwd, tr_b, reason_b = scalar_integrate_one_direction(spec, law, z0, -w0, xi0, step, n_steps)
+        bwd, reason_b = scalar_integrate_one_direction(spec, law, z0, -w0, xi0, step, n_steps)
     else:
-        bwd, tr_b, reason_b = [], False, ""
+        bwd, reason_b = [], ""
     rows = [(r[0], -r[1]) + r[2:] for r in reversed(bwd[1:])] + fwd
     ts = [-(len(bwd) - 1 - k) * step for k in range(len(bwd) - 1)] + \
          [k * step for k in range(len(fwd))]
@@ -268,8 +265,7 @@ def scalar_integrate_sigma(spec, z0, w0, law, step=1e-3, n_steps=200, two_sided=
         zs=np.array(cols[0]), ws=np.array(cols[1]), xis=np.array(cols[2]),
         gammas=np.array(cols[3]), alphas=np.array(cols[4]), betas=np.array(cols[5]),
         hopf_a=np.array(cols[6]), hopf_b=np.array(cols[7]), mean_align=np.array(cols[8]),
-        step=step, truncated=tr_f or tr_b,
-        truncation_reason="; ".join(x for x in (reason_f, reason_b) if x))
+        step=step, truncation_reason="; ".join(x for x in (reason_f, reason_b) if x))
 
 
 def scalar_austere_search(spec, grid_coords, tol=2e-3, step=1e-3, n_steps=150,

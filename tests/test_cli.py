@@ -65,7 +65,7 @@ def test_construct_scene_roundtrip(tmp_path, capsys):
     assert np.abs(sigma.zs[0]).max() > 0
     ehs = patch_from_scene(doc)
     assert ehs.patch.contains(ehs.patch.grid((2, 2, 2), margin=0.2))
-    # format 2 is compact, one line
+    # the format is compact, one line
     assert scene.read_text().count("\n") == 1
     header = csv.read_text().splitlines()
     # the mesh CSV keeps its own schema number
@@ -304,14 +304,19 @@ def test_sample_scene_reproduces_the_construct_csv(action, law, tmp_path, capsys
     (["construct", "--action", "cp2-torus", "--point", "-0.44", "0.82"],
      "initial point is not regular"),
     # catalog boxes are absolute lengths, so at r = 2e-10 a chart overflows;
-    # every command runs with floating-point errors raised
+    # every command runs with floating-point errors raised, and the error
+    # names --c and keeps the ufunc's text
     (["classify", "--catalog", "clifford-cone-ch2", "--c=-1e20"],
+     "config field 'c': -1e+20 overflows the clifford-cone-ch2 chart: "
      "overflow encountered in sinh"),
-    (["classify", "--catalog", "bisector", "--c=-1e20"], "overflow encountered in cosh"),
-    (["classify", "--catalog", "tube-ch1", "--c=-1e20"], "overflow encountered in cosh"),
-    (["classify", "--catalog", "lohnherr", "--c=-1e20"], "overflow encountered in cosh"),
+    (["classify", "--catalog", "bisector", "--c=-1e20"],
+     "config field 'c': -1e+20 overflows the bisector chart: overflow encountered in cosh"),
+    (["classify", "--catalog", "tube-ch1", "--c=-1e20"],
+     "config field 'c': -1e+20 overflows the tube-ch1 chart: overflow encountered in cosh"),
+    (["classify", "--catalog", "lohnherr", "--c=-1e20"],
+     "config field 'c': -1e+20 overflows the lohnherr chart: overflow encountered in cosh"),
     (["sample", "--catalog", "bisector", "--c=-1e20", "--out", "{tmp}/m.csv"],
-     "overflow encountered in cosh"),
+     "config field 'c': -1e+20 overflows the bisector chart: overflow encountered in cosh"),
     # a radius bound is printed with its significant digits, not rounded to 0
     (["classify", "--catalog", "geodesic-sphere", "--c=1e20"],
      "radius must lie in (0, pi/sqrt(c)) = (0, 3.14159e-10)"),
@@ -491,8 +496,7 @@ def test_size_bounds_reject_before_any_work(argv, config, message, tmp_path, mon
 
 @pytest.mark.parametrize("where, key", [
     ("sigma", "c"),
-    ("sigma", "mean_align"),
-    ("sigma", "truncated"),
+    ("sigma", "xis"),
     ("sigma", "truncation_reason"),
     ("sigma.law", "eta"),
     ("patch", "s_extent"),
@@ -551,19 +555,24 @@ NAN = float("nan")
     ("sigma.zs", lambda doc: doc["sigma"]["zs"][3].pop()),
     ("sigma.zs", lambda doc: doc["sigma"]["zs"][3][1].append(0.0)),
     ("sigma.zs", lambda doc: doc["sigma"]["zs"][5][0].__setitem__(1, NAN)),
-    ("sigma.gammas", lambda doc: doc["sigma"]["gammas"].__setitem__(7, NAN)),
-    ("sigma.alphas", lambda doc: doc["sigma"]["alphas"].pop()),
+    # the interpolant's knot spacing is ts[1] - ts[0], nearest_row's the step
+    ("sigma.ts", lambda doc: doc["sigma"]["ts"].__setitem__(9, doc["sigma"]["ts"][9] + 3e-4)),
+    ("sigma.ts", lambda doc: doc["sigma"].update(step=1.5 * doc["sigma"]["step"])),
+    # the rows' orbit data are computed on the section's real frame
+    ("sigma.zs", lambda doc: doc["sigma"]["zs"][4][0].reverse()),
+    ("sigma.ws", lambda doc: doc["sigma"]["ws"][4][1].reverse()),
+    ("sigma.xis", lambda doc: doc["sigma"]["xis"][4][2].reverse()),
     ("sigma.c", lambda doc: doc["sigma"].update(c="x")),
     ("sigma.step", lambda doc: doc["sigma"].update(step=None)),
+    ("sigma.step", lambda doc: doc["sigma"].update(step=-doc["sigma"]["step"])),
     ("sigma.law.eta", lambda doc: doc["sigma"]["law"].update(eta="1.0")),
     ("patch.s_extent", lambda doc: doc["patch"].update(s_extent="big")),
-    ("sigma.truncated", lambda doc: doc["sigma"].update(truncated="false")),
-    ("sigma.truncated", lambda doc: doc["sigma"].update(truncated=0)),
     ("sigma.truncation_reason", lambda doc: doc["sigma"].update(truncation_reason=5)),
     ("sigma.law.kind", lambda doc: doc["sigma"]["law"].update(kind="bogus")),
-], ids=["ts-strings", "zs-short-row", "zs-long-pair", "zs-nan", "gammas-nan", "alphas-short",
-        "c-string", "step-null", "eta-string", "s_extent-string", "truncated-string",
-        "truncated-int", "truncation_reason-int", "law-kind-unknown"])
+], ids=["ts-strings", "zs-short-row", "zs-long-pair", "zs-nan", "ts-off-grid", "ts-other-step",
+        "zs-off-frame", "ws-off-frame", "xis-off-frame", "c-string", "step-null",
+        "step-negative", "eta-string", "s_extent-string", "truncation_reason-int",
+        "law-kind-unknown"])
 def test_classify_scene_rejects_bad_values(where, edit, cmc_ehs, tmp_path, capsys):
     doc = json.loads(dumps_scene(scene_document({}, sigma=cmc_ehs.sigma, ehs=cmc_ehs)))
     edit(doc)
@@ -592,7 +601,7 @@ def test_scene_unknown_action_label(command, cmc_ehs, tmp_path, capsys):
 def test_scene_error_on_wrong_schema(tmp_path):
     f = tmp_path / "x.json"
     # true and 1.0 compare equal to 1 but are not the integer 1
-    for version in (99, 3, 0, True, 1.0, "2", None):
+    for version in (99, 4, 0, True, 1.0, "2", None):
         f.write_text(json.dumps({"schema_version": version}))
         with pytest.raises(SceneError, match=f"unsupported scene schema {version!r}$"):
             load_scene(f)
@@ -617,6 +626,38 @@ def test_construct_outputs_deterministic(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def test_version_2_scene_loads_to_the_recomputed_curve(tmp_path, capsys):
+    # written by the format-2 writer with
+    # construct --n-steps 25 --grid 2 2 2 --out-scene construct_v2.json;
+    # format 2 also stored the orbit columns, which the loader recomputes
+    v2 = DATA / "construct_v2.json"
+    doc = load_scene(v2)
+    assert doc["schema_version"] == 2
+    sigma = patch_from_scene(doc).sigma
+    stored = doc["sigma"]
+    for name in ("gammas", "alphas", "betas", "hopf_a", "hopf_b", "mean_align"):
+        assert getattr(sigma, name).tolist() == stored[name], name
+    assert sigma.truncated is stored["truncated"] is False
+    # edited stored columns are not read: the rows alone make the curve
+    stored["gammas"] = [1.5 * g for g in stored["gammas"]]
+    stored["alphas"].pop()
+    stored["betas"][7] = NAN
+    del stored["mean_align"]
+    stored["truncated"] = "false"
+    edited = sigma_from_dict(stored)
+    for f in dataclasses.fields(sigma):
+        old, new = getattr(sigma, f.name), getattr(edited, f.name)
+        if isinstance(old, np.ndarray):
+            assert old.tobytes() == new.tobytes(), f.name
+    scene = tmp_path / "edited.json"
+    save_scene(scene, doc)
+    reports = []
+    for path in (v2, scene):
+        assert run_cli(["classify", "--scene", str(path), "--grid", "2", "2", "2"]) == 0
+        reports.append(capsys.readouterr().out.splitlines()[1:])
+    assert reports[0] == reports[1]
+
+
 def test_version_1_scene_loads_rebuilds_and_classifies(tmp_path, capsys):
     # written by the format-1 writer with
     # construct --n-steps 25 --grid 2 2 2 --out-scene construct_v1.json
@@ -630,15 +671,15 @@ def test_version_1_scene_loads_rebuilds_and_classifies(tmp_path, capsys):
     rc = run_cli(["classify", "--scene", str(v1), "--grid", "2", "2", "2"])
     assert rc == 0
     assert "strongly_two_hopf" in capsys.readouterr().out
-    # the same construct in format 2 has the same blocks; its config lacks
-    # only the seed and the output paths
-    scene = tmp_path / "v2.json"
+    # the same construct in the current format has the same blocks; its
+    # config lacks only the seed and the output paths
+    scene = tmp_path / "v3.json"
     rc = run_cli(["construct", "--n-steps", "25", "--grid", "2", "2", "2",
                   "--out-scene", str(scene)])
     assert rc == 0
     capsys.readouterr()
     new = json.loads(scene.read_text())
-    assert new["schema_version"] == 2 and set(new) == set(doc)
+    assert new["schema_version"] == 3 and set(new) == set(doc)
     for key in ("seed", "out_scene", "out_csv"):
         del doc["config"][key]
     assert new["config"] == doc["config"]

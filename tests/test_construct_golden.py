@@ -5,10 +5,13 @@
 law and the SHA-256 of the item's scene bytes, a NUL byte and its CSV bytes
 (the digest the benchmark compares between runs). A change that is meant
 to keep the scenes must keep every line; one that moves a line on purpose
-regenerates the file and says which line moved and why.
+regenerates the file and says which line moved and why:
+
+    PYTHONPATH=src python tests/test_construct_golden.py
 """
 
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -32,3 +35,9 @@ def construct_cycle_lines(seed, scratch):
 
 def test_construct_cycle_matches_golden(tmp_path):
     assert construct_cycle_lines(3, tmp_path) == GOLDEN.read_text().splitlines(keepends=True)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        GOLDEN.write_text("".join(construct_cycle_lines(3, scratch)))
+    print(f"rewrote {GOLDEN}")

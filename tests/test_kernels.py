@@ -145,3 +145,16 @@ def test_group_orbit_apply_exponentiates_distinct_pairs_once(rng, monkeypatch):
     s1, s2, z = _signed_zeros(rng)
     group_orbit_apply(_G1, _G2, s1, s2, z)
     assert sizes == [4, 6]
+
+
+def test_distinct_keys_rows_by_bits(rng):
+    t = np.array([0.5, -0.0, 0.0, 0.5, -0.0, 1.0, 0.0])
+    first, inverse = pure.distinct(t)
+    # -0.0 and 0.0 are two values; one key reproduces np.unique on the int64 view
+    assert len(first) == 4 and np.array_equal(t[first][inverse].view(np.int64), t.view(np.int64))
+    _, u_first, u_inverse = np.unique(t.view(np.int64), return_index=True, return_inverse=True)
+    assert np.array_equal(first, u_first) and np.array_equal(inverse, u_inverse)
+    s = rng.choice([-1.0, -0.0, 0.0, 2.5], size=(2, 40))
+    first, inverse = pure.distinct(*s)
+    assert np.array_equal(s[:, first][:, inverse].view(np.int64), s.view(np.int64))
+    assert len(first) == len({(a.tobytes(), b.tobytes()) for a, b in s.T})
