@@ -177,6 +177,13 @@ def patch_from_scene(doc: dict) -> EquivariantHypersurface:
     if "sigma" not in doc or "patch" not in doc:
         raise SceneError("scene has no construction to rebuild")
     sigma = sigma_from_dict(doc["sigma"])
+    if doc.get("schema_version") == SCHEMA_VERSION:
+        # formats 1 and 2 stored the orbit columns and a truncated flag; in
+        # format 3 such a key would be ignored, so it is rejected instead
+        extra = sorted(set(doc["sigma"]) - set(_SIGMA_FIELDS))
+        if extra:
+            raise SceneError(f"scene field 'sigma.{extra[0]}' must be absent: a format-3 "
+                             f"sigma holds only {', '.join(_SIGMA_FIELDS)}")
     meta = doc["patch"]
     _require(meta, ("s_extent",) + _PATCH_FIELDS, "patch")
     s_extent = _finite(meta["s_extent"], "patch.s_extent")

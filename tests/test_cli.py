@@ -569,10 +569,16 @@ NAN = float("nan")
     ("patch.s_extent", lambda doc: doc["patch"].update(s_extent="big")),
     ("sigma.truncation_reason", lambda doc: doc["sigma"].update(truncation_reason=5)),
     ("sigma.law.kind", lambda doc: doc["sigma"]["law"].update(kind="bogus")),
+    # format 3 recomputes what formats 1 and 2 stored, so a stored column or
+    # truncated flag in a format-3 sigma would be ignored: it is rejected
+    ("sigma.gammas", lambda doc: doc["sigma"].update(gammas=[NAN] * len(doc["sigma"]["ts"]))),
+    ("sigma.alphas", lambda doc: doc["sigma"].update(alphas=[0.0] * (len(doc["sigma"]["ts"]) - 1))),
+    ("sigma.truncated", lambda doc: doc["sigma"].update(truncated="false")),
+    ("sigma.truncated", lambda doc: doc["sigma"].update(truncated=0)),
 ], ids=["ts-strings", "zs-short-row", "zs-long-pair", "zs-nan", "ts-off-grid", "ts-other-step",
         "zs-off-frame", "ws-off-frame", "xis-off-frame", "c-string", "step-null",
         "step-negative", "eta-string", "s_extent-string", "truncation_reason-int",
-        "law-kind-unknown"])
+        "law-kind-unknown", "gammas-nan", "alphas-short", "truncated-string", "truncated-int"])
 def test_classify_scene_rejects_bad_values(where, edit, cmc_ehs, tmp_path, capsys):
     doc = json.loads(dumps_scene(scene_document({}, sigma=cmc_ehs.sigma, ehs=cmc_ehs)))
     edit(doc)
