@@ -118,8 +118,8 @@ FD_EXACT_GAP = 1e-5
 # patches); the bound is 500 times that. A chart bent by 1 + 1e-5 s1^2
 # tilts its orbit velocities by 1.1e-7 or more.
 CHART_TILT = 1e-9
-# strongly_2hopf_certify: default tolerances (the names a caller may override)
-# and the size of the derivative subsample
+# strongly_2hopf_certify: its fixed tolerances, as every certificate reports
+# them, and the size of the derivative subsample
 CERTIFY_TOLERANCES = {
     "tau_proj": DEFAULT_TOLERANCES["tau_proj"],
     "tau_mult": DEFAULT_TOLERANCES["tau_mult"],
@@ -129,6 +129,8 @@ CERTIFY_TOLERANCES = {
     "leaf_totally_real": 1e-6,
     "nabla_AA": 1e-4,
     "orbit_tangency": 1e-5,
+    "chart_tilt": CHART_TILT,
+    "fd_exact_gap": FD_EXACT_GAP,
 }
 DERIVATIVE_POINTS = 6
 LEVIFLAT_GRID = (10, 4, 4)
@@ -239,22 +241,6 @@ class SigmaCurve:
         """Index of the curve row nearest to each t."""
         rows = np.rint((np.asarray(t, dtype=float) - self.ts[0]) / self.step).astype(int)
         return np.clip(rows, 0, len(self.ts) - 1)
-
-    def to_dict(self):
-        def c2l(arr):
-            return np.stack([arr.real, arr.imag], -1).tolist()
-
-        return {
-            "action": self.spec.label,
-            "c": self.spec.space.c,
-            "law": {"kind": self.law.kind, "eta": self.law.eta},
-            "step": float(self.step),
-            "truncation_reason": self.truncation_reason,
-            "ts": self.ts.tolist(),
-            "zs": c2l(self.zs),
-            "ws": c2l(self.ws),
-            "xis": c2l(self.xis),
-        }
 
 
 def curve_from_rows(spec, law, step, ts, zs, ws, xis, reason):
@@ -765,7 +751,7 @@ class CertificationReport:
         }
 
 
-def strongly_2hopf_certify(ehs: EquivariantHypersurface, tol=None,
+def strongly_2hopf_certify(ehs: EquivariantHypersurface,
                            grid_shape=(20, 5, 5)) -> CertificationReport:
     """Certify conditions (C1)-(C3) plus the leaf geometry spot checks.
 
@@ -776,19 +762,15 @@ def strongly_2hopf_certify(ehs: EquivariantHypersurface, tol=None,
     (fd_exact_gap), integrability, D-derivatives of the spectrum, leaf
     flatness/total realness and the A-geodesic property. The derivative
     residuals read inf where the chart's own frames there are not h = 2.
-    ``tol`` overrides entries of CERTIFY_TOLERANCES; chart_tilt and
-    fd_exact_gap are held to the fixed CHART_TILT and FD_EXACT_GAP, which
-    tie the exact data to the built chart. Failures are reported as
-    residuals, not raised.
+    Every residual is held to its fixed bound in CERTIFY_TOLERANCES.
+    Failures are reported as residuals, not raised.
     """
-    tols = dict(CERTIFY_TOLERANCES)
-    if tol:
-        tols.update(tol)
+    tols = CERTIFY_TOLERANCES
     patch = ehs.patch
     sp = ehs.space
     grid = patch.grid(grid_shape, margin=0.02)
     exact = equivariant_shape_data(ehs, grid)
-    hs = adapted_frames(exact, tols["tau_proj"], tols["tau_mult"]).h
+    hs = adapted_frames(exact).h
     h_ok = bool(np.all(hs == 2))
     # the exact data reads the curve; the chart's own velocities, from the
     # same frames_at call, must lie in its tangent spaces
@@ -812,8 +794,7 @@ def strongly_2hopf_certify(ehs: EquivariantHypersurface, tol=None,
     res["fd_exact_gap"] = float(np.max(shape_gap(sd, exact.take(sample)), initial=0.0))
     geo = orbit_geometry(ehs.spec, sd.frames.z)
     try:
-        af, scalars, nabla = frame_derivative_data(patch, sd, np.arange(len(sample)),
-                                                   tols["tau_proj"], tols["tau_mult"])
+        af, scalars, nabla = frame_derivative_data(patch, sd, np.arange(len(sample)))
     except FrameError:
         # the chart's own frames at the sample, or a shift away from it, are
         # not h = 2: it does not realize the exact data, and has no derivative
@@ -851,13 +832,11 @@ def strongly_2hopf_certify(ehs: EquivariantHypersurface, tol=None,
               and leaf_real < tols["leaf_totally_real"]
               and naa < tols["nabla_AA"]
               and tangency < tols["orbit_tangency"]
-              and res["chart_tilt"] < CHART_TILT
-              and res["fd_exact_gap"] < FD_EXACT_GAP)
+              and res["chart_tilt"] < tols["chart_tilt"]
+              and res["fd_exact_gap"] < tols["fd_exact_gap"])
     grids = {"grid_shape": list(grid_shape), "derivative_sample": len(sample),
              "box": [list(b) for b in patch.box], "s_extent": ehs.s_extent}
-    return CertificationReport(passed=bool(passed), residuals=res,
-                               tolerances=dict(tols, chart_tilt=CHART_TILT,
-                                               fd_exact_gap=FD_EXACT_GAP),
+    return CertificationReport(passed=bool(passed), residuals=res, tolerances=dict(tols),
                                grids=grids)
 
 

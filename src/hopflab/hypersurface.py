@@ -41,7 +41,7 @@ verify_gauss_codazzi evaluate only their 31 distinct points per centre (of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -110,16 +110,6 @@ class HypersurfacePatch:
         # written as "inside" so that NaN and +-inf read as outside
         return all(np.all((params[:, k] >= lo - 1e-9) & (params[:, k] <= hi + 1e-9))
                    for k, (lo, hi) in enumerate(self.box))
-
-    def with_diff_step(self, h):
-        """Twin patch with a different differentiation step.
-
-        Frame-field differencing wants a coarser step than pointwise shape
-        data: the eps/h^2 noise of the nested normal stencils passes through
-        the eigenvector pipeline and dominates second-level derivatives.
-        """
-        return HypersurfacePatch(self.space, self.chart, self.box,
-                                 diff_step=h, orientation=self.orientation)
 
 
 # -- frames: coordinate tangents and the oriented unit normal ----------------
@@ -360,13 +350,13 @@ def _apply_shape(sd: ShapeData, u):
     return np.einsum("nka,nal->nkl", out, sd.E)
 
 
-def adapted_frames(sd: ShapeData, tau_proj=TAU_PROJ, tau_mult=TAU_MULT) -> AdaptedFrames:
+def adapted_frames(sd: ShapeData) -> AdaptedFrames:
     """h, the adapted frame and the Levi/ruled data at every point of sd.
 
     Neighbouring eigenvalues share a cluster when their gap is at most
-    tau_mult * max(spread, 1e-6), so the two gaps of the descending spectrum
+    TAU_MULT * max(spread, 1e-6), so the two gaps of the descending spectrum
     give four cluster patterns; h counts the clusters onto which J xi
-    projects with norm above tau_proj. Where h = 2, J xi = a U + b V with U
+    projects with norm above TAU_PROJ. Where h = 2, J xi = a U + b V with U
     on the upper and V on the lower projected cluster.
     """
     sp = sd.space
@@ -374,13 +364,13 @@ def adapted_frames(sd: ShapeData, tau_proj=TAU_PROJ, tau_mult=TAU_MULT) -> Adapt
     vals, xi = sd.eigvals, sd.frames.xi
     jxi = 1j * xi
     gaps = vals[:, :-1] - vals[:, 1:]
-    thr = tau_mult * np.maximum(vals[:, 0] - vals[:, -1], 1e-6)
+    thr = TAU_MULT * np.maximum(vals[:, 0] - vals[:, -1], 1e-6)
     labels = np.zeros((n, 3), dtype=int)
     labels[:, 1:] = np.cumsum(gaps > thr[:, None], axis=1)
     coords = sp.g(sd.eigvecs, jxi[:, None, :])
     member = labels[:, None, :] == np.arange(3)[:, None]        # (N, cluster, i)
     norms = np.sqrt(np.add.reduce(np.where(member, coords[:, None, :] ** 2, 0.0), axis=-1))
-    proj = norms > tau_proj
+    proj = norms > TAU_PROJ
     h = proj.sum(axis=1)
     mask = h == 2
 
@@ -513,7 +503,7 @@ FD_FRAME_STEP = 4e-4   # diff step of the twin patch used for frame-field FD
 FD_FRAME_SHIFT = 1e-3  # displacement along U, V, A differenced by frame_derivative_data
 
 
-def frame_derivative_data(patch, sd: ShapeData, idx, tau_proj=TAU_PROJ, tau_mult=TAU_MULT):
+def frame_derivative_data(patch, sd: ShapeData, idx):
     """Directional derivatives of (alpha, beta, gamma, a, b) and the frame
     fields along U, V, A, plus covariant derivatives nabla_X Y for
     X, Y in {U, V, A}, at the k points idx of sd.
@@ -521,20 +511,22 @@ def frame_derivative_data(patch, sd: ShapeData, idx, tau_proj=TAU_PROJ, tau_mult
     Returns (AdaptedFrames at idx, scalars name -> (k,), nabla (X, Y) -> (k, 3)).
     The 6 k displaced frames (+-FD_FRAME_SHIFT along U, V, A) come from one
     shape_data call on a coarser-step twin patch, so that the differencing
-    amplifies ~1e-9 noise instead of ~1e-8.
+    amplifies ~1e-9 noise instead of ~1e-8: the eps/h^2 noise of the nested
+    normal stencils passes through the eigenvector pipeline and dominates
+    second-level derivatives.
     """
     sp = sd.space
     step = FD_FRAME_SHIFT
     base = sd.take(idx)
-    af = adapted_frames(base, tau_proj, tau_mult)
+    af = adapted_frames(base)
     _require_h2(af.h)
     names = ("U", "V", "A")
     dirs = np.stack([af.U, af.V, af.A], axis=1)                      # (k, X, 3)
     shift = step * tangent_param_coords(base, dirs)
     displaced = base.frames.params[:, None, None] + np.stack([shift, -shift], axis=2)
-    fd_patch = patch.with_diff_step(max(patch.diff_step, FD_FRAME_STEP))
+    fd_patch = replace(patch, diff_step=max(patch.diff_step, FD_FRAME_STEP))
     sd_pm = shape_data(fd_patch, displaced.reshape(-1, 3))            # k x (X, +-)
-    pm = adapted_frames(sd_pm, tau_proj, tau_mult)
+    pm = adapted_frames(sd_pm)
     _require_h2(pm.h)
     diffs = {attr: getattr(pm, attr).reshape(-1, 3, 2)
              for attr in ("alpha", "beta", "gamma", "a", "b")}
@@ -571,8 +563,7 @@ def classify(patch: HypersurfacePatch, params_grid,
     if not patch.contains(params_grid):
         raise GeometryError("classification grid leaves the parameter box")
     sd = shape_data(patch, params_grid)
-    tau_proj, tau_mult = tols["tau_proj"], tols["tau_mult"]
-    af = adapted_frames(sd, tau_proj, tau_mult)
+    af = adapted_frames(sd)
     hs, levi, ruled_res = af.h, af.levi, af.ruled
     traces = sd.eigvals.sum(axis=1)
     vals = sd.eigvals
@@ -585,7 +576,7 @@ def classify(patch: HypersurfacePatch, params_grid,
     integ = spec_const = 0.0
     if take:
         integ, spec_const = (float(np.max(x)) for x in d_invariants(
-            sd.space, *frame_derivative_data(patch, sd, take, tau_proj, tau_mult)))
+            sd.space, *frame_derivative_data(patch, sd, take)))
     h_counts = {int(k): int((hs == k).sum()) for k in sorted(set(hs.tolist()))}
     h_mode = max(h_counts, key=lambda k: (h_counts[k], -k))
     all_h1 = bool(np.all(hs == 1))

@@ -18,7 +18,7 @@ import numbers
 import numpy as np
 
 from .actions import LABELS, load_action
-from .ambient import GeometryError
+from .ambient import NORMALIZATION_TOL, GeometryError
 from .constructor import (
     LAW_KINDS,
     CurveLaw,
@@ -47,7 +47,7 @@ def scene_document(config: dict, sigma: SigmaCurve | None = None,
                    residual_tables: dict | None = None) -> dict:
     doc = {"schema_version": SCHEMA_VERSION, "config": config}
     if sigma is not None:
-        doc["sigma"] = sigma.to_dict()
+        doc["sigma"] = sigma_to_dict(sigma)
     if ehs is not None:
         doc["patch"] = dict(_patch_fields(ehs), s_extent=ehs.s_extent)
     if certification is not None:
@@ -100,6 +100,24 @@ def load_scene(path) -> dict:
 
 
 _SIGMA_FIELDS = ("action", "c", "law", "step", "truncation_reason", "ts", "zs", "ws", "xis")
+
+
+def sigma_to_dict(sigma: SigmaCurve) -> dict:
+    """The stored fields of a curve, _SIGMA_FIELDS; the loader recomputes the rest."""
+    def c2l(arr):
+        return np.stack([arr.real, arr.imag], -1).tolist()
+
+    return {
+        "action": sigma.spec.label,
+        "c": sigma.spec.space.c,
+        "law": {"kind": sigma.law.kind, "eta": sigma.law.eta},
+        "step": float(sigma.step),
+        "truncation_reason": sigma.truncation_reason,
+        "ts": sigma.ts.tolist(),
+        "zs": c2l(sigma.zs),
+        "ws": c2l(sigma.ws),
+        "xis": c2l(sigma.xis),
+    }
 
 
 def _require(d, keys, where):
@@ -167,8 +185,19 @@ def sigma_from_dict(d: dict) -> SigmaCurve:
                              f"real frame D.R^3") from None
         return rows
 
+    zs = complex_rows("zs")
+    # the orbit columns are recomputed at every row: a row off the normalized
+    # regular set would fail there with no field named. Under errstate a
+    # huge row's inf or NaN reads as failing instead of raising.
+    sp = spec.space
+    with np.errstate(all="ignore"):
+        usable = ((np.abs(sp.herm(zs, zs).real / sp.kappa - 1.0) <= NORMALIZATION_TOL)
+                  & (spec.gram_det(zs) > spec.gram_floor()))
+    if not usable.all():
+        raise SceneError(f"scene field 'sigma.zs' must be regular points with <z,z> = kappa; "
+                         f"row {np.flatnonzero(~usable)[0]} is not")
     law = CurveLaw(d["law"]["kind"], _finite(d["law"]["eta"], "sigma.law.eta"))
-    return curve_from_rows(spec, law, step, grid, complex_rows("zs"), complex_rows("ws"),
+    return curve_from_rows(spec, law, step, grid, zs, complex_rows("ws"),
                            complex_rows("xis"), d["truncation_reason"])
 
 
@@ -219,4 +248,4 @@ def write_mesh_csv(path, rows):
         f.write("# hopflab mesh schema 1\n")
         f.write(",".join(MESH_COLUMNS) + "\n")
         for row in rows:
-            f.write(",".join(repr(float(x)) for x in row) + "\n")
+            f.write(",".join(map(repr, row)) + "\n")

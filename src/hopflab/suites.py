@@ -35,7 +35,6 @@ from .constructor import (
     strongly_2hopf_certify,
 )
 from .hypersurface import (
-    TAU_MULT,
     TAU_PROJ,
     FrameError,
     HypersurfacePatch,
@@ -410,19 +409,19 @@ def suite_frames(ws: Workspace) -> SuiteResult:
     ehs = ws.cmc_patch("cp2-torus")
     grid = ehs.patch.grid((6, 3, 3), margin=0.05)
     sd = shape_data(ehs.patch, grid)
-    af = adapted_frames(sd, TAU_PROJ, TAU_MULT)   # NaN frame fields fail the checks
+    af = adapted_frames(sd)   # NaN frame fields fail the checks
     res.expect("cmc_patch:prop_frame_identities", float(np.max(af.worst_residual)), 1e-6)
     res.expect("cmc_patch:a2_plus_b2", float(np.max(np.abs(af.a ** 2 + af.b ** 2 - 1.0))), 1e-10)
     res.expect("cmc_patch:shape_symmetry", float(np.max(sd.asym)), 1e-8)
     loh = ws.catalog_entry("lohnherr")
     sdl = shape_data(loh.patch, loh.patch.grid((4, 3, 3), margin=0.06))
-    afl = adapted_frames(sdl, TAU_PROJ, TAU_MULT)
+    afl = adapted_frames(sdl)
     res.expect("lohnherr:a_equals_b_1_over_sqrt2",
                max(abs(afl.a[0] - 1 / np.sqrt(2)), abs(afl.b[0] - 1 / np.sqrt(2))), 1e-6)
     sphere = ws.catalog_entry("geodesic-sphere")
     probe = sphere.patch.grid((2, 2, 2), margin=0.2)
     sds = shape_data(sphere.patch, probe)
-    afs = adapted_frames(sds, TAU_PROJ, TAU_MULT)
+    afs = adapted_frames(sds)
     res.expect_true("geodesic_sphere:h_equals_1", set(afs.h.tolist()) == {1})
     try:
         frame_derivative_data(sphere.patch, sds, [0])
@@ -523,7 +522,7 @@ def suite_austere(ws: Workspace) -> SuiteResult:
         res.expect_true(f"{label}:ruled", rep.ruled)
         res.expect_true(f"{label}:levi_flat", rep.levi_flat)
         sd = shape_data(ehs.patch, ehs.patch.grid((3, 2, 2), margin=0.1))
-        af = adapted_frames(sd, TAU_PROJ, TAU_MULT)
+        af = adapted_frames(sd)
         res.expect(f"{label}:a_b_sqrt2",
                    max(abs(af.a[0] - 1 / np.sqrt(2)), abs(af.b[0] - 1 / np.sqrt(2))), 1e-4)
         # Prop 5.2 exclusion: no J xi projection onto the 0-eigenvalue space
@@ -604,7 +603,7 @@ def suite_cmc(ws: Workspace) -> SuiteResult:
         wp = ws.wp_patch(label)
         sd = shape_data(wp.patch, np.array([[0.0, 0.0, 0.0]]))
         res.expect_true(f"{label}:wp_launch_hopf_at_p",
-                        adapted_frames(sd, TAU_PROJ, TAU_MULT).h[0] == 1)
+                        adapted_frames(sd).h[0] == 1)
     # negative control: a bent chart no longer realizes the curve's exact shape data
     ehs = ws.cmc_patch("cp2-torus")
     bent = replace(ehs, patch=_bent_patch(ehs.patch))
@@ -660,7 +659,7 @@ def suite_leviflat(ws: Workspace) -> SuiteResult:
         res.expect_true("minimal_leviflat_certifies", cert.passed)
         res.expect("minimal_leviflat_levi_sup", cert.residuals["levi_sup"], 1e-3)
         grid = ehs.patch.grid((5, 3, 3), margin=0.05)
-        af = adapted_frames(shape_data(ehs.patch, grid), TAU_PROJ, TAU_MULT)
+        af = adapted_frames(shape_data(ehs.patch, grid))
         res.expect("minimal_leviflat_gamma_eq_eta_over_4", float(np.max(np.abs(af.gamma))), 1e-3)
         res.expect("minimal_leviflat_beta_eq_minus_alpha",
                    float(np.max(np.abs(af.alpha + af.beta))), 1e-3)

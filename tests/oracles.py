@@ -6,11 +6,12 @@ integration of the second-order model equation, and parallel transport from
 its own first-order system.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from hopflab._kernels.pure import expm3_batch
+from hopflab.hypersurface import TAU_MULT, TAU_PROJ
 
 
 def jacobi_principal_curvature(k_sec: float, r: float, core_tangent: bool,
@@ -356,8 +357,7 @@ def pointwise_displaced_params(sd, n, u, step):
     return p0 + step * c, p0 - step * c
 
 
-def scalar_frame_derivative_data(patch, sd, n, step=1e-3,
-                                 tau_proj=1e-4, tau_mult=1e-4, fd_patch=None):
+def scalar_frame_derivative_data(patch, sd, n, step=1e-3, fd_patch=None):
     """Directional derivatives of (alpha, beta, gamma, a, b) and the frame
     fields along U, V, A, plus covariant derivatives nabla_X Y for
     X, Y in {U, V, A}. Returns (frame, scalars dict, nabla dict, extras).
@@ -369,16 +369,15 @@ def scalar_frame_derivative_data(patch, sd, n, step=1e-3,
 
     sp = sd.space
     if fd_patch is None:
-        fd_patch = patch.with_diff_step(max(patch.diff_step, FD_FRAME_STEP))
-    fr = pointwise_frame_of(sd, n, tau_proj, tau_mult)
+        fd_patch = replace(patch, diff_step=max(patch.diff_step, FD_FRAME_STEP))
+    fr = pointwise_frame_of(sd, n)
     dirs = {"U": fr.U, "V": fr.V, "A": fr.A}
     frames_pm = {}
     for name, u in dirs.items():
         pp, pm = pointwise_displaced_params(sd, n, u, step)
         sd_p = shape_data(fd_patch, pp[None])
         sd_m = shape_data(fd_patch, pm[None])
-        frames_pm[name] = (pointwise_frame_of(sd_p, 0, tau_proj, tau_mult), sd_p,
-                           pointwise_frame_of(sd_m, 0, tau_proj, tau_mult), sd_m)
+        frames_pm[name] = (pointwise_frame_of(sd_p, 0), sd_p, pointwise_frame_of(sd_m, 0), sd_m)
     scalars = {}
     for name in dirs:
         frp, _, frm, _ = frames_pm[name]
@@ -679,9 +678,9 @@ def pointwise_group_orbit_apply(g1, g2, s1, s2, z):
 # choice, and the Levi scalar and ruled residual on the complex distribution.
 
 
-def pointwise_clusters(vals, tau_mult):
+def pointwise_clusters(vals):
     spread = float(vals[0] - vals[-1])
-    thr = tau_mult * max(spread, 1e-6)
+    thr = TAU_MULT * max(spread, 1e-6)
     groups = [[0]]
     for i in range(1, len(vals)):
         if vals[i - 1] - vals[i] > thr:
@@ -691,17 +690,17 @@ def pointwise_clusters(vals, tau_mult):
     return tuple(tuple(g) for g in groups)
 
 
-def pointwise_cluster_projections(sd, n, tau_mult):
-    clusters = pointwise_clusters(sd.eigvals[n], tau_mult)
+def pointwise_cluster_projections(sd, n):
+    clusters = pointwise_clusters(sd.eigvals[n])
     coords = np.array([float(np.real(sd.space.herm(sd.eigvecs[n, i], 1j * sd.frames.xi[n])))
                        for i in range(3)])
     norms = [float(np.sqrt(np.sum(coords[list(cl)] ** 2))) for cl in clusters]
     return clusters, coords, norms
 
 
-def pointwise_h_of(sd, n, tau_proj, tau_mult):
-    _, _, norms = pointwise_cluster_projections(sd, n, tau_mult)
-    return int(sum(1 for x in norms if x > tau_proj))
+def pointwise_h_of(sd, n):
+    _, _, norms = pointwise_cluster_projections(sd, n)
+    return int(sum(1 for x in norms if x > TAU_PROJ))
 
 
 @dataclass(frozen=True, eq=False)
@@ -720,12 +719,12 @@ class PointwiseFrame:
     residuals: dict
 
 
-def pointwise_frame_of(sd, n, tau_proj=1e-4, tau_mult=1e-4):
+def pointwise_frame_of(sd, n):
     from hopflab.hypersurface import FrameError
 
     sp = sd.space
-    clusters, coords, norms = pointwise_cluster_projections(sd, n, tau_mult)
-    proj_idx = [i for i, x in enumerate(norms) if x > tau_proj]
+    clusters, coords, norms = pointwise_cluster_projections(sd, n)
+    proj_idx = [i for i, x in enumerate(norms) if x > TAU_PROJ]
     if len(proj_idx) != 2:
         raise FrameError(f"adapted frame needs h = 2, found h = {len(proj_idx)}")
     ca, cb = proj_idx[0], proj_idx[1]
@@ -818,7 +817,7 @@ def pointwise_ruled_residual(sd, n):
 
 def pointwise_verify_connection_formulas(patch, params, mode):
     """(max entry residual, max identity residual, skipped) of one table at one point."""
-    from hopflab.hypersurface import (TAU_MULT, _derivative_identities_generic,
+    from hopflab.hypersurface import (_derivative_identities_generic,
                                       _derivative_identities_strong, _nabla_table_generic,
                                       _nabla_table_strong, frame_derivative_data, shape_data)
 
@@ -851,9 +850,9 @@ def pointwise_verify_connection_formulas(patch, params, mode):
 
 def pointwise_hopf_cmc_relation(sd, n):
     """|2 alpha (beta+gamma) - 4 beta gamma + c| at the Hopf point n of sd."""
-    h = pointwise_h_of(sd, n, 1e-4, 1e-4)
+    h = pointwise_h_of(sd, n)
     assert h == 1, h
-    clusters, _, norms = pointwise_cluster_projections(sd, n, 1e-4)
+    clusters, _, norms = pointwise_cluster_projections(sd, n)
     hopf = list(clusters[int(np.argmax(norms))])
     alpha = float(np.mean(sd.eigvals[n, hopf]))
     others = [float(sd.eigvals[n, i]) for i in range(3) if i not in hopf]
@@ -1091,16 +1090,15 @@ def cofactor_unit_normal(sp, z, v, orientation):
 def fd_grid_strongly_2hopf_certify(ehs, grid_shape=(20, 5, 5)):
     """(residuals, derivative sample indices) of the finite-difference h-grid route."""
     from hopflab.actions import orbit_geometry
-    from hopflab.constructor import CERTIFY_TOLERANCES, DERIVATIVE_POINTS
+    from hopflab.constructor import DERIVATIVE_POINTS
     from hopflab.hypersurface import (adapted_frames, d_invariants, frame_derivative_data,
                                       shape_data)
 
-    tols = CERTIFY_TOLERANCES
     patch = ehs.patch
     sp = ehs.space
     grid = patch.grid(grid_shape, margin=0.02)
     sd = shape_data(patch, grid)
-    hs = adapted_frames(sd, tols["tau_proj"], tols["tau_mult"]).h
+    hs = adapted_frames(sd).h
     res = {"h_values": sorted(set(int(x) for x in hs)),
            "h2_fraction": float((hs == 2).mean())}
     idx2 = np.flatnonzero(hs == 2).tolist()
@@ -1110,8 +1108,7 @@ def fd_grid_strongly_2hopf_certify(ehs, grid_shape=(20, 5, 5)):
     idx2 = sorted(idx2, key=lambda i: (cornerness[i], i))
     stride = max(1, len(idx2) // DERIVATIVE_POINTS)
     sample = idx2[::stride][:DERIVATIVE_POINTS]
-    af, scalars, nabla = frame_derivative_data(patch, sd, sample, tols["tau_proj"],
-                                               tols["tau_mult"])
+    af, scalars, nabla = frame_derivative_data(patch, sd, sample)
     integ, spec_const = (float(np.max(x, initial=0.0))
                          for x in d_invariants(sp, af, scalars, nabla))
     geo = orbit_geometry(ehs.spec, sd.frames.z[sample])

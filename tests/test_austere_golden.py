@@ -6,11 +6,14 @@ candidate count, then per candidate its ``start_coords`` and every
 ``SigmaCurve`` array, as raw bytes. A change that is meant to keep the
 search's output, such as a faster evaluation order with the same
 operations, must keep the digest; one that moves it on purpose regenerates
-the file and says why.
+the file and says why:
+
+    PYTHONPATH=src python tests/test_austere_golden.py
 """
 
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -40,3 +43,9 @@ def austere_cycle_digest(seed, scratch):
 
 def test_austere_cycle_matches_golden(tmp_path):
     assert austere_cycle_digest(3, tmp_path) + "\n" == GOLDEN.read_text()
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        GOLDEN.write_text(austere_cycle_digest(3, scratch) + "\n")
+    print(f"rewrote {GOLDEN}")

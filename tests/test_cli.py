@@ -47,6 +47,7 @@ def test_parser_is_built_once_and_keeps_no_state_between_parses():
     assert (first.action, first.grid) == ("cp2-torus", [4, 5, 6])
     assert (second.action, second.grid) == (None, None)
     assert parser.parse_args(["hopf-directions", "--action", "ch2-g0"]).point == (0.12, 0.07)
+    assert parser.parse_args(["verify"]).seed == 7
 
 
 def test_construct_scene_roundtrip(tmp_path, capsys):
@@ -205,26 +206,8 @@ def test_verify_small_suite_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_env_seed_fallback(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("HOPFLAB_SEED", "11")
-    rc = run_cli(["verify", "frames"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "seed 11" in out
-
-
-@pytest.mark.parametrize("command", [["verify", "frames"]])
-def test_non_integer_env_seed(command, monkeypatch, capsys):
-    for raw, problem in (("abc", "is not an integer"), ("-2", "must not be negative")):
-        monkeypatch.setenv("HOPFLAB_SEED", raw)
-        rc = run_cli(command)
-        assert rc == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"error: config field 'seed': HOPFLAB_SEED={raw!r} {problem}"]
-
-
 def test_construct_ignores_env_seed(tmp_path, monkeypatch, capsys):
-    # construct takes no seed, so a value verify would reject is not read
+    # construct takes no seed, and no command reads one from the environment
     monkeypatch.setenv("HOPFLAB_SEED", "abc")
     scene = tmp_path / "s.json"
     rc = run_cli(["construct", "--n-steps", "25", "--grid", "2", "2", "2",
@@ -410,11 +393,9 @@ def test_construct_names_why_sigma_is_too_short_to_sweep(step, message, tmp_path
     ("n_steps", "abc", "must be an integer"),
     ("c", "abc", "must be a number"),
     ("grid", [6, "3", 3], "needs three integer sizes, each at least 2"),
-    ("tolerances", {"integrable": "x"}, "integrable must be positive"),
     ("out_scene", 5, "must be a file path"),
-    ("tolerances", {"integrabel": 1e-30},
-     "unknown name 'integrabel'; allowed: integrable, leaf_flat, leaf_totally_real, "
-     "nabla_AA, orbit_tangency, spectrum_constancy, tau_mult, tau_proj"),
+    # the certificate's tolerances are fixed, so a config file cannot set them
+    ("tolerances", {"integrable": 1e-5}, "unknown config key"),
     # construct draws no random numbers, so it has no seed to configure
     ("seed", 5, "unknown config key"),
 ])
@@ -550,6 +531,15 @@ def test_classify_scene_c_out_of_range(c, cmc_ehs, tmp_path, capsys):
 NAN = float("nan")
 
 
+def v2_with(edit_zs):
+    """An edit that swaps in the format-2 scene and then edits its ``zs``."""
+    def edit(doc):
+        doc.clear()
+        doc.update(json.loads((DATA / "construct_v2.json").read_text()))
+        edit_zs(doc["sigma"]["zs"])
+    return edit
+
+
 @pytest.mark.parametrize("where, edit", [
     ("sigma.ts", lambda doc: doc["sigma"].update(ts=[str(t) for t in doc["sigma"]["ts"]])),
     ("sigma.zs", lambda doc: doc["sigma"]["zs"][3].pop()),
@@ -562,6 +552,9 @@ NAN = float("nan")
     ("sigma.zs", lambda doc: doc["sigma"]["zs"][4][0].reverse()),
     ("sigma.ws", lambda doc: doc["sigma"]["ws"][4][1].reverse()),
     ("sigma.xis", lambda doc: doc["sigma"]["xis"][4][2].reverse()),
+    # the orbit columns are recomputed at every row, inside the classify box or not
+    ("sigma.zs", v2_with(lambda zs: zs.__setitem__(10, [[0.0, 0.0]] * 3))),
+    ("sigma.zs", v2_with(lambda zs: zs[10].__setitem__(0, [1e200, 0.0]))),
     ("sigma.c", lambda doc: doc["sigma"].update(c="x")),
     ("sigma.step", lambda doc: doc["sigma"].update(step=None)),
     ("sigma.step", lambda doc: doc["sigma"].update(step=-doc["sigma"]["step"])),
@@ -576,7 +569,8 @@ NAN = float("nan")
     ("sigma.truncated", lambda doc: doc["sigma"].update(truncated="false")),
     ("sigma.truncated", lambda doc: doc["sigma"].update(truncated=0)),
 ], ids=["ts-strings", "zs-short-row", "zs-long-pair", "zs-nan", "ts-off-grid", "ts-other-step",
-        "zs-off-frame", "ws-off-frame", "xis-off-frame", "c-string", "step-null",
+        "zs-off-frame", "ws-off-frame", "xis-off-frame", "zs-v2-zero-row", "zs-v2-huge",
+        "c-string", "step-null",
         "step-negative", "eta-string", "s_extent-string", "truncation_reason-int",
         "law-kind-unknown", "gammas-nan", "alphas-short", "truncated-string", "truncated-int"])
 def test_classify_scene_rejects_bad_values(where, edit, cmc_ehs, tmp_path, capsys):
@@ -678,7 +672,7 @@ def test_version_1_scene_loads_rebuilds_and_classifies(tmp_path, capsys):
     assert rc == 0
     assert "strongly_two_hopf" in capsys.readouterr().out
     # the same construct in the current format has the same blocks; its
-    # config lacks only the seed and the output paths
+    # config lacks only the seed, the tolerances and the output paths
     scene = tmp_path / "v3.json"
     rc = run_cli(["construct", "--n-steps", "25", "--grid", "2", "2", "2",
                   "--out-scene", str(scene)])
@@ -686,7 +680,7 @@ def test_version_1_scene_loads_rebuilds_and_classifies(tmp_path, capsys):
     capsys.readouterr()
     new = json.loads(scene.read_text())
     assert new["schema_version"] == 3 and set(new) == set(doc)
-    for key in ("seed", "out_scene", "out_csv"):
+    for key in ("seed", "tolerances", "out_scene", "out_csv"):
         del doc["config"][key]
     assert new["config"] == doc["config"]
 

@@ -29,7 +29,7 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 
 SMALL_CONFIG = {"action": "cp2-torus", "law": "cmc", "eta": 1.0, "c": None,
                 "point": [0.12, 0.07], "theta": 0.45, "step": 1e-3, "n_steps": 25,
-                "grid": [2, 2, 2], "s_extent": 0.15, "tolerances": {"integrable": 1e-5}}
+                "grid": [2, 2, 2], "s_extent": 0.15}
 
 WRONG_TYPES = st.sampled_from(["x", "", None, True, False, [], {}, [1.0], {"k": 1.0},
                                0, -1, 0.5])

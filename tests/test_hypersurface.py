@@ -10,8 +10,6 @@ from hopflab.ambient import GeometryError, SpaceForm
 from hopflab.catalog import get_entry
 from hopflab.catalog import CATALOG_NAMES
 from hopflab.hypersurface import (
-    TAU_MULT,
-    TAU_PROJ,
     FrameError,
     HypersurfacePatch,
     ImmersionError,
@@ -174,7 +172,7 @@ def assert_matches_pointwise(sd, af):
     """adapted_frames agrees with the frozen per-point copies at every point:
     h exactly, U, V, A bit for bit, scalars to 1e-15, NaN frames where h != 2."""
     for n in range(len(sd.eigvals)):
-        assert af.h[n] == oracles.pointwise_h_of(sd, n, TAU_PROJ, TAU_MULT)
+        assert af.h[n] == oracles.pointwise_h_of(sd, n)
         assert abs(af.levi[n] - oracles.pointwise_levi_scalar(sd, n)) <= 1e-15
         assert abs(af.ruled[n] - oracles.pointwise_ruled_residual(sd, n)) <= 1e-15
         if af.h[n] != 2:

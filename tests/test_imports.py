@@ -9,6 +9,7 @@ library, and every name the package exports must resolve. No module, not
 even inside a function, imports SciPy: it is needed only by the tests.
 Only SpaceForm.central_difference phase-aligns representatives to difference
 them, and no module calls ``np.cross``: ``ambient.cross3`` rounds the same.
+No module reads the environment: every setting is a flag or a config key.
 """
 
 import ast
@@ -215,6 +216,34 @@ def test_no_module_calls_np_cross():
         "hypersurface.py", "constructor.py", "catalog.py"}
 
 
+# -- no setting comes from the environment ---------------------------------------------
+
+
+def environment_reads(source):
+    """Lines of ``source`` that read ``os.environ`` or ``os.getenv``, as an
+    attribute or imported by name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [node.lineno] * sum(alias.name in ("environ", "getenv")
+                                         for alias in node.names)
+    return sorted(found)
+
+
+def test_scan_finds_environment_reads():
+    source = ("import os\nfrom os import getenv, path\n"
+              "a = os.environ.get('A')\nb = os.getenv('B')\nc = os.path.join('x')\n")
+    assert environment_reads(source) == [2, 3, 4]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(SRC)))
+def test_module_does_not_read_the_environment(path):
+    assert environment_reads(path.read_text()) == []
+
+
 # -- the package's export table -------------------------------------------------------
 
 # public names removed from the library, by owning module
@@ -257,3 +286,7 @@ def test_export_table_resolves_and_removed_names_are_gone():
         importlib.import_module("hopflab.actions").PolarActionSpec.hermitian_matrix
     with pytest.raises(AttributeError):
         importlib.import_module("hopflab.hypersurface").AdaptedFrames.at
+    with pytest.raises(AttributeError):
+        importlib.import_module("hopflab.hypersurface").HypersurfacePatch.with_diff_step
+    with pytest.raises(AttributeError):   # the scene layout is scene.sigma_to_dict's
+        importlib.import_module("hopflab.constructor").SigmaCurve.to_dict

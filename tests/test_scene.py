@@ -15,7 +15,8 @@ import pytest
 
 from hopflab.actions import LABELS
 from hopflab.constructor import CurveLaw, austere_search, integrate_sigma
-from hopflab.scene import dumps_scene, scene_document, sigma_from_dict
+from hopflab.scene import (_SIGMA_FIELDS, dumps_scene, scene_document, sigma_from_dict,
+                           sigma_to_dict)
 from test_constructor import LAWS, SIGMA_ARRAYS, launch
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -34,6 +35,12 @@ def assert_round_trip(sigma):
     assert (loaded.law, loaded.step, loaded.truncation_reason) == (
         sigma.law, sigma.step, sigma.truncation_reason)
     assert dumps_scene(scene_document({}, sigma=loaded)) == text
+
+
+def test_sigma_to_dict_writes_exactly_the_sigma_fields():
+    spec, z0, w0 = launch(LABELS[0])
+    sigma = integrate_sigma(spec, z0, w0, LAWS[0], n_steps=10)
+    assert tuple(sigma_to_dict(sigma)) == _SIGMA_FIELDS
 
 
 @pytest.mark.parametrize("label", LABELS)
