@@ -24,10 +24,10 @@ node curvatures are found by Picard iteration, one batched orbit evaluation
 per iteration. A pregeodesic law (geodesic, austere) has gamma = 0: its
 curve is the ambient geodesic exp_z0(t w0) with constant Frenet normal,
 which ``_GeodesicRows`` writes in closed form, ROW_BLOCK rows per call. A
-lane stops at the first step that leaves the regular set, turns
-non-finite, does not converge or turns the frame too far in one step,
-while the others go on. ``curve_from_rows`` builds every curve, launched
-or loaded, from its rows. ``integrate_sigma`` runs the two sides of a curve as
+lane stops, while the others go on, at its first Gauss node or row that is
+non-finite, not regular or turned too far, or at its first step that does
+not converge. ``curve_from_rows`` builds every curve, launched or loaded,
+from its rows. ``integrate_sigma`` runs the two sides of a curve as
 two lanes; ``austere_search`` runs all its launches as one batch, in which
 a launch stops at its first row whose alignment |<H, xi>| with the orbit
 mean-curvature field is not below the search tolerance.
@@ -95,15 +95,15 @@ PICARD_FLOOR = 1e-8
 # rows more than a half-turn apart no longer sample the curve they follow
 MAX_STEP_TURN = np.pi
 # 2-stage Gauss-Legendre: the coefficient matrix, then the weights of a
-# step's slopes in its propagator, its two nodes and its half-step
+# step's slopes in its propagator and its two nodes
 _GAUSS_A = np.array([[0.25, 0.25 - np.sqrt(3) / 6], [0.25 + np.sqrt(3) / 6, 0.25]])
-_GAUSS_WEIGHTS = np.array([[0.5, 0.5], *_GAUSS_A, [0.25 + np.sqrt(3) / 8, 0.25 - np.sqrt(3) / 8]])
+_GAUSS_WEIGHTS = np.array([[0.5, 0.5], *_GAUSS_A])
 # why a lane stops, by the cause code a row rule reports for its first failing step
 STOP_REASONS = ("left the regular set after {} steps", "non-finite state",
                 "collocation did not converge after {} steps",
                 "curvature too large for the step after {} steps")
 INJECTIVITY_SEPARATION = 1e-6
-SWEEP_GRID_CHECK = 5          # samples per box axis in the sweep's regularity check
+SWEEP_GRID_CHECK = 5          # the sweep's regularity t-samples and injectivity s-samples per axis
 LAW_KINDS = ("geodesic", "cmc", "levi-flat", "austere")
 
 # the largest gap allowed between finite-difference and exact shape data
@@ -275,21 +275,20 @@ class _GaussRows:
     rows are frame coordinates, and S' = A(gamma) S with
     A = [[0, 1, 0], [-1/kappa, 0, gamma], [0, -gamma, 0]]. Each step is the
     2-stage Gauss-Legendre collocation method (order 4). With gamma fixed
-    at the two stage nodes the step is linear: its propagator S -> Phi S,
-    the stage points and the half-step of the collocation polynomial all
-    come from one 6 x 6 solve, and the rows of a window are prefix products
-    of the propagators. The nodes' gammas are found by Picard iteration, at
-    most PICARD_ITERATIONS times, until the rows before each lane's first
-    failing node have converged (see PICARD_TOL); each iteration reads the
-    orbit data at every node of the window in one ``_orbit_invariants``
-    call. The method keeps <x, x> = kappa and the orthonormality of (u, v),
-    so no step renormalizes.
+    at the two stage nodes the step is linear: its propagator S -> Phi S
+    and its stage points come from one 6 x 6 solve, and the rows of a
+    window are prefix products of the propagators. The nodes' gammas are
+    found by Picard iteration, at most PICARD_ITERATIONS times, until the
+    rows before each lane's first failing node have converged (see
+    PICARD_TOL); each iteration reads the orbit data at every node of the
+    window in one ``_orbit_invariants`` call. The method keeps
+    <x, x> = kappa and the orthonormality of (u, v), so no step renormalizes.
 
-    A lane stops at its first step whose first node, half-step, second
-    node or row (in that order) is non-finite or not regular, or whose node
-    turns the frame by h |gamma| > MAX_STEP_TURN, or at its first step that
-    has not converged when the iterations run out. The half-step is the
-    collocation polynomial's, S + h ((1/4 + sqrt(3)/8) k_1 + (1/4 - sqrt(3)/8) k_2).
+    A lane stops at its first step whose first node, second node or row
+    (in that order) is non-finite or not regular, or whose node turns the
+    frame by h |gamma| > MAX_STEP_TURN, or at its first step that has not
+    converged when the iterations run out. The nodes sample each step's
+    inside; they and the rows are the points whose orbit data the rule reads.
     """
 
     block = GAUSS_WINDOW
@@ -318,15 +317,15 @@ class _GaussRows:
         """Rows and step maps of a window from its start s0 (L, 3, 3) and node gammas (L, K, 2).
 
         Returns (rows, starts, maps): the rows after each step and the
-        states before it, (L, K, 3, 3), and (L, K, 3, 3, 3) the maps of a
-        step's start to its two nodes and its half-step.
+        states before it, (L, K, 3, 3), and (L, K, 2, 3, 3) the maps of a
+        step's start to its two nodes.
         """
         shape = gam.shape[:2]
         (m0, m_gam), (r0, r_gam) = self.system, self.rhs
         slopes = np.linalg.solve((m0 + gam @ m_gam).reshape(*shape, 6, 6),
                                  (r0 + gam @ r_gam).reshape(*shape, 6, 3))
         maps = np.eye(3) + self.step * (_GAUSS_WEIGHTS @ slopes.reshape(*shape, 2, 9)).reshape(
-            *shape, 4, 3, 3)
+            *shape, 3, 3, 3)
         # rows: inclusive prefix products of the propagators, log2 K matmuls
         prod = maps[:, :, 0].copy()
         d = 1
@@ -352,7 +351,7 @@ class _GaussRows:
         settled = np.zeros(lanes, dtype=bool)
         for _ in range(PICARD_ITERATIONS):
             rows, starts, maps = self._propagate(self.s, gam)
-            nodes = maps[:, :, :2] @ starts[:, :, None]                   # (L, K, 2, 3, 3)
+            nodes = maps @ starts[:, :, None]                             # (L, K, 2, 3, 3)
             new, det_nodes = self._evaluate(nodes[..., 0, :].reshape(-1, 3).T,
                                             nodes[..., 2, :].reshape(-1, 3).T)
             new, det_nodes = new.reshape(gam.shape), det_nodes.reshape(gam.shape)
@@ -371,16 +370,13 @@ class _GaussRows:
                 break
         # an unsettled lane stops at its first row that still moves
         moved = before & ~(change <= PICARD_TOL) & ~settled[:, None]
-        half = maps[:, :, 2] @ starts
-        det_half, det_row = _killing_gram(
-            self.spec, np.stack([half[:, :, 0], rows[:, :, 0]]).reshape(-1, 3).T)[-1].reshape(
-            2, lanes, k)
+        det_row = _killing_gram(self.spec, rows[:, :, 0].reshape(-1, 3).T)[-1].reshape(lanes, k)
         det_row = np.where(np.isfinite(rows).all(axis=(2, 3)), det_row, np.nan)
         # a step's checks in time order: each point's gram det, and at the
         # nodes the turn; a non-finite point has a NaN gram det
-        dets = np.stack([det_nodes[..., 0], det_half, det_nodes[..., 1], det_row])
+        dets = np.stack([det_nodes[..., 0], det_nodes[..., 1], det_row])
         fail = ~(dets > self.floor)
-        fail[[0, 2]] |= turned.transpose(2, 0, 1)
+        fail[:2] |= turned.transpose(2, 0, 1)
         det_first = np.take_along_axis(dets, fail.argmax(axis=0)[None], 0)[0]
         cause = np.where(det_first > self.floor, 3, np.isnan(det_first))
         fail = fail.any(axis=0)
@@ -402,9 +398,8 @@ class _GeodesicRows:
     Frenet normal: row i at t = i step holds x = C x0 + r S u0,
     w = -eps S x0/r + C u0 and xi = v0, with (C, S) from
     ``SpaceForm.geodesic_coefficients`` at theta = t/r. A lane stops at
-    the first step whose half-step or row is non-finite or not regular
-    (the points where an RK4 step takes its stages). With
-    ``align_tol``, each row also reports whether |<H, xi>| < align_tol.
+    its first row that is non-finite or not regular. With ``align_tol``,
+    each row also reports whether |<H, xi>| < align_tol.
     """
 
     block = ROW_BLOCK
@@ -429,23 +424,18 @@ class _GeodesicRows:
             self.y = self.y[..., keep]
         sp, floor = self.spec.space, self.spec.gram_floor()
         i = np.arange(i0, i1)
-        # (3, lanes, K) points at the half-steps and at the rows
+        # (3, lanes, K) points at the rows
         x, u, v = self.y[..., None]
-        ch, sh = sp.geodesic_coefficients((i - 0.5) * self.step / sp.radius)
-        half = ch * x + sp.radius * sh * u
         c, s = sp.geodesic_coefficients(i * self.step / sp.radius)
         xs = c * x + sp.radius * s * u
         ws = -sp.eps * s * x / sp.radius + c * u
         shape = xs.shape[1:]
-        det_half = _killing_gram(self.spec, half.reshape(3, -1))[-1].reshape(shape)
         aligned, det_row = self._aligned_and_regular(
             xs.reshape(3, -1), np.broadcast_to(v, xs.shape).reshape(3, -1))
-        # a step's first failure: its half-step, then its row
-        nonfinite_row = ~(np.isfinite(xs).all(axis=0) & np.isfinite(ws).all(axis=0))
-        fail = ~(det_half > floor) | nonfinite_row | ~(det_row.reshape(shape) > floor)
+        # the cause code of a row's failure: 1 if non-finite, else 0
+        nonfinite = ~(np.isfinite(xs).all(axis=0) & np.isfinite(ws).all(axis=0))
+        fail = nonfinite | ~(det_row.reshape(shape) > floor)
         stop = np.where(fail.any(axis=1), fail.argmax(axis=1), len(i))
-        # the cause code of a step's first failure: 1 if non-finite, else 0
-        nonfinite = np.isnan(det_half) | ((det_half > floor) & nonfinite_row)
         new = {"zs": xs.transpose(1, 2, 0), "ws": ws.transpose(1, 2, 0)}
         return new, stop, nonfinite, None if aligned is None else aligned.reshape(shape)
 
@@ -594,9 +584,11 @@ def build_hypersurface(spec: PolarActionSpec, sigma: SigmaCurve,
                        s_extent: float = 0.15, t_margin: float = 0.02) -> EquivariantHypersurface:
     """Patch map Psi(t, s1, s2) = exp(s1 G1 + s2 G2) . sigma(t).
 
-    The s-extent is shrunk until all box samples stay regular and pairwise
-    separated (injectivity), making the Main Theorem's "epsilon small
-    enough" concrete.
+    sigma must be regular at SWEEP_GRID_CHECK t-samples; the group is
+    abelian, so g carries the Killing fields at z to those at g.z and
+    regularity depends on t alone. The s-extent is halved until the s-grid
+    images of the middle sample stay pairwise separated (injectivity),
+    making the Main Theorem's "epsilon small enough" concrete.
     """
     if len(sigma.ts) < 4:
         stopped = f" (truncated: {sigma.truncation_reason})" if sigma.truncated else ""
@@ -618,16 +610,14 @@ def build_hypersurface(spec: PolarActionSpec, sigma: SigmaCurve,
         raise GeometryError(f"sigma spans t in [{sigma.ts[0]:g}, {sigma.ts[-1]:g}], too short "
                             f"for the time margin {t_margin:g} at each end")
 
+    tt = np.linspace(t_lo, t_hi, SWEEP_GRID_CHECK)
+    regular = spec.gram_det(interp(tt)) > spec.gram_floor()
+    if not regular.all():
+        raise GeometryError(f"cannot sweep sigma: it is not regular at t = {tt[regular.argmin()]:g}")
     extent = s_extent
     for _ in range(8):
         box = ((t_lo, t_hi), (-extent, extent), (-extent, extent))
-        tt = np.linspace(t_lo, t_hi, SWEEP_GRID_CHECK)
         ss = np.linspace(-extent, extent, SWEEP_GRID_CHECK)
-        mesh = np.stack([m.ravel() for m in np.meshgrid(tt, ss, ss, indexing="ij")], axis=-1)
-        zs = chart(mesh)
-        if not np.all(spec.gram_det(zs) > spec.gram_floor()):
-            extent *= 0.5
-            continue
         # injectivity of the sweep on one orbit: pairwise separation of the
         # s-grid images of the middle sample
         mid = np.full((SWEEP_GRID_CHECK ** 2, 3), 0.5 * (t_lo + t_hi))
@@ -640,7 +630,7 @@ def build_hypersurface(spec: PolarActionSpec, sigma: SigmaCurve,
             break
         extent *= 0.5
     else:
-        raise GeometryError("could not find an injective regular sweep extent")
+        raise GeometryError("could not find an injective sweep extent")
 
     # slightly coarse diff step: the interpolated chart is a touch noisier
     # than closed-form charts, and the S-symmetry invariant wants < 1e-8

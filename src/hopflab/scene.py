@@ -185,20 +185,29 @@ def sigma_from_dict(d: dict) -> SigmaCurve:
                              f"real frame D.R^3") from None
         return rows
 
-    zs = complex_rows("zs")
-    # the orbit columns are recomputed at every row: a row off the normalized
-    # regular set would fail there with no field named. Under errstate a
-    # huge row's inf or NaN reads as failing instead of raising.
-    sp = spec.space
+    zs, ws, xis = (complex_rows(key) for key in ("zs", "ws", "xis"))
+    # the orbit columns are recomputed at every row: a z off the normalized
+    # regular set would fail there, and a w or xi not a unit vector horizontal
+    # at z would load or overflow, with no field named. w and xi are held
+    # relative to the rows' sizes, their rounding scale far out in CH^2.
+    # Under errstate a huge row's inf or NaN reads as failing instead of raising.
+    sp, size = spec.space, lambda rows: np.linalg.norm(rows, axis=-1)
     with np.errstate(all="ignore"):
-        usable = ((np.abs(sp.herm(zs, zs).real / sp.kappa - 1.0) <= NORMALIZATION_TOL)
-                  & (spec.gram_det(zs) > spec.gram_floor()))
-    if not usable.all():
-        raise SceneError(f"scene field 'sigma.zs' must be regular points with <z,z> = kappa; "
-                         f"row {np.flatnonzero(~usable)[0]} is not")
+        unit = [np.abs(sp.g(w, w) - 1.0) / size(w) ** 2 for w in (ws, xis)]
+        off = [np.abs(sp.herm(a, b)) / (size(a) * size(b))
+               for a, b in ((zs, ws), (zs, xis), (ws, xis))]
+        usable = {"zs": ((np.abs(sp.herm(zs, zs).real / sp.kappa - 1.0) <= NORMALIZATION_TOL)
+                         & (spec.gram_det(zs) > spec.gram_floor())),
+                  "ws": np.maximum(unit[0], off[0]) <= NORMALIZATION_TOL,
+                  "xis": np.maximum.reduce([unit[1], *off[1:]]) <= NORMALIZATION_TOL}
+    claims = {"zs": "regular points with <z,z> = kappa", "ws": "unit vectors horizontal at zs",
+              "xis": "unit vectors horizontal at zs and orthogonal to ws"}
+    for key, ok in usable.items():
+        if not ok.all():
+            raise SceneError(f"scene field 'sigma.{key}' must be {claims[key]}; "
+                             f"row {np.flatnonzero(~ok)[0]} is not")
     law = CurveLaw(d["law"]["kind"], _finite(d["law"]["eta"], "sigma.law.eta"))
-    return curve_from_rows(spec, law, step, grid, zs, complex_rows("ws"),
-                           complex_rows("xis"), d["truncation_reason"])
+    return curve_from_rows(spec, law, step, grid, zs, ws, xis, d["truncation_reason"])
 
 
 def patch_from_scene(doc: dict) -> EquivariantHypersurface:

@@ -531,12 +531,12 @@ def test_classify_scene_c_out_of_range(c, cmc_ehs, tmp_path, capsys):
 NAN = float("nan")
 
 
-def v2_with(edit_zs):
-    """An edit that swaps in the format-2 scene and then edits its ``zs``."""
+def v2_with(key, edit_rows):
+    """An edit that swaps in the format-2 scene and then edits its rows of ``key``."""
     def edit(doc):
         doc.clear()
         doc.update(json.loads((DATA / "construct_v2.json").read_text()))
-        edit_zs(doc["sigma"]["zs"])
+        edit_rows(doc["sigma"][key])
     return edit
 
 
@@ -553,8 +553,13 @@ def v2_with(edit_zs):
     ("sigma.ws", lambda doc: doc["sigma"]["ws"][4][1].reverse()),
     ("sigma.xis", lambda doc: doc["sigma"]["xis"][4][2].reverse()),
     # the orbit columns are recomputed at every row, inside the classify box or not
-    ("sigma.zs", v2_with(lambda zs: zs.__setitem__(10, [[0.0, 0.0]] * 3))),
-    ("sigma.zs", v2_with(lambda zs: zs[10].__setitem__(0, [1e200, 0.0]))),
+    ("sigma.zs", v2_with("zs", lambda rows: rows.__setitem__(10, [[0.0, 0.0]] * 3))),
+    ("sigma.zs", v2_with("zs", lambda rows: rows[10].__setitem__(0, [1e200, 0.0]))),
+    # and so are the unit velocities and normals, which the sweep and the
+    # orbit columns read
+    ("sigma.ws", v2_with("ws", lambda rows: rows.__setitem__(10, [[0.0, 0.0]] * 3))),
+    ("sigma.xis", v2_with("xis", lambda rows: rows.__setitem__(10, [[0.0, 0.0]] * 3))),
+    ("sigma.xis", v2_with("xis", lambda rows: rows[10].__setitem__(0, [1e200, 0.0]))),
     ("sigma.c", lambda doc: doc["sigma"].update(c="x")),
     ("sigma.step", lambda doc: doc["sigma"].update(step=None)),
     ("sigma.step", lambda doc: doc["sigma"].update(step=-doc["sigma"]["step"])),
@@ -570,6 +575,7 @@ def v2_with(edit_zs):
     ("sigma.truncated", lambda doc: doc["sigma"].update(truncated=0)),
 ], ids=["ts-strings", "zs-short-row", "zs-long-pair", "zs-nan", "ts-off-grid", "ts-other-step",
         "zs-off-frame", "ws-off-frame", "xis-off-frame", "zs-v2-zero-row", "zs-v2-huge",
+        "ws-v2-zero-row", "xis-v2-zero-row", "xis-v2-huge",
         "c-string", "step-null",
         "step-negative", "eta-string", "s_extent-string", "truncation_reason-int",
         "law-kind-unknown", "gammas-nan", "alphas-short", "truncated-string", "truncated-int"])

@@ -159,6 +159,30 @@ def test_build_box_and_orientation(cmc_ehs):
     assert np.abs(sd.eigvals - sd.eigvals[0]).max() < 1e-5
 
 
+def test_sweep_rejects_a_curve_singular_between_its_rows(monkeypatch):
+    # a cp2-torus geodesic through the torus-fixed point e0 at t = h/2, with
+    # rows at t = -h, 0, h, 2h: every row is regular, but the middle sweep
+    # sample is the symmetric midpoint of two rows, where the interpolant
+    # meets e0 and the gram det is 0. The extent cannot mend that.
+    spec = load_action("cp2-torus")
+    h = 0.3
+    e0 = np.eye(3)[0]
+    u, v = np.array([[0.0, 1.0, 1.0], [0.0, 1.0, -1.0]]) / np.sqrt(2)
+    ts = h * np.arange(-1, 3)
+    s = (ts - h / 2)[:, None]
+    zs, ws = np.cos(s) * e0 + np.sin(s) * u, -np.sin(s) * e0 + np.cos(s) * u
+    sigma = constructor.curve_from_rows(spec, CurveLaw("geodesic"), h, ts, zs + 0j, ws + 0j,
+                                        np.tile(v, (4, 1)) + 0j, "")
+    assert np.all(spec.gram_det(sigma.zs) > spec.gram_floor())
+
+    def no_chart(*args):
+        raise AssertionError("the sweep evaluated its chart")
+
+    monkeypatch.setattr(kernels, "group_orbit_apply", no_chart)
+    with pytest.raises(GeometryError, match=r"^cannot sweep sigma: it is not regular at t = 0\.15$"):
+        build_hypersurface(spec, sigma)
+
+
 def test_sweep_chart_interpolates_each_distinct_t_once_bit_for_bit(cmc_ehs):
     # a batch that repeats t and mixes -0.0 with 0.0: every row has the bits
     # of the interpolant and the group element applied to that row alone
@@ -712,22 +736,20 @@ def _count_invariant_calls(monkeypatch):
 def test_austere_search_stops_misaligned_launch_early(monkeypatch):
     # the launch at [-0.3, 0.0] fails alignment at row 16 of 120 forward and
     # at row 17 backward, so it stops in the first block of rows: the start
-    # row, then the block's half-steps and rows make 3 evaluations
+    # row and the block's rows make 2 evaluations
     calls = _count_invariant_calls(monkeypatch)
     assert austere_search(load_action("ch2-k0-g2a"), [[-0.3, 0.0]], n_steps=120) == []
     assert constructor.ROW_BLOCK == 16
-    # the start row and the block's rows read the mean curvature and the
-    # gram, the half-steps only the gram, and a rejected launch never
-    # computes its orbit columns
-    assert calls == ["row", "gram", "row"]
+    # each reads the mean curvature and the gram at once, and a rejected
+    # launch never computes its orbit columns
+    assert calls == ["row", "row"]
 
 
 def test_orbit_reading_law_evaluates_full_orbit_data_at_every_stage(monkeypatch):
     # CMC reads alpha and beta at every stage node: one start row, then one
     # call per Picard iteration on both nodes of every step of the two lanes
     # (six iterations for this 30-row window), one gram call on the window's
-    # half-steps and rows, and one call for the curve's orbit columns on its
-    # 61 rows
+    # rows, and one call for the curve's orbit columns on its 61 rows
     calls = _count_invariant_calls(monkeypatch)
     spec, z0, w0 = launch("cp2-torus")
     integrate_sigma(spec, z0, w0, CurveLaw("cmc", eta=1.0), n_steps=30)
@@ -737,15 +759,15 @@ def test_orbit_reading_law_evaluates_full_orbit_data_at_every_stage(monkeypatch)
 
 def test_geodesic_law_evaluates_gram_in_the_lanes_and_orbit_data_once_per_curve(monkeypatch):
     # the geodesic law reads nothing of the orbit but the regularity test:
-    # the start row, then the half-steps and the rows of the blocks 1-16 and
-    # 17-30 take the gram alone, and the curve's orbit columns come from one
-    # full call on its 61 rows
+    # the start row, then the rows of the blocks 1-16 and 17-30 take the
+    # gram alone, and the curve's orbit columns come from one full call on
+    # its 61 rows
     calls = _count_invariant_calls(monkeypatch)
     spec, z0, w0 = launch("cp2-torus")
     sigma = integrate_sigma(spec, z0, w0, CurveLaw("geodesic"), n_steps=30)
     assert len(sigma.ts) == 61
     assert constructor.ROW_BLOCK == 16
-    assert calls == ["gram"] * 5 + ["full"]
+    assert calls == ["gram"] * 3 + ["full"]
 
 
 def test_austere_search_nan_tolerance_keeps_nothing(monkeypatch):
@@ -823,11 +845,10 @@ def test_geodesic_orbit_columns_match_per_row():
 
 
 @pytest.mark.parametrize("label", ["cp2-torus", "ch2-g0"])
-def test_collocation_checks_its_nodes_and_half_steps_on_the_curve(label):
+def test_collocation_checks_its_nodes_on_the_curve(label):
     # With gamma = 0 the curve is the closed-form geodesic. At h = 0.01 the
-    # rows lie on it to 1.4e-12, the nodes at t + (1/2 -+ sqrt(3)/6) h to
-    # 8.3e-9 (stage order 2) and the half-steps at t + h/2 to 3.1e-11; a
-    # half-step taken as S + h k_1 / 2 would be off by about 1e-5.
+    # rows lie on it to 1.4e-12 and the nodes at t + (1/2 -+ sqrt(3)/6) h to
+    # 8.3e-9 (stage order 2).
     spec, z0, w0 = launch(label)
     sp, h = spec.space, 0.01
     x0, u0 = spec.frame_coords(z0).real, spec.frame_coords(w0).real
@@ -842,6 +863,5 @@ def test_collocation_checks_its_nodes_and_half_steps_on_the_curve(label):
     t = h * np.arange(10)
     assert np.abs(rows[0, :, 0] - geodesic(t + h)).max() <= 1e-11
     points = (maps @ starts[:, :, None])[0, :, :, 0]
-    for m, (frac, bound) in enumerate([(0.5 - np.sqrt(3) / 6, 1e-8),
-                                       (0.5 + np.sqrt(3) / 6, 1e-8), (0.5, 1e-10)]):
-        assert np.abs(points[:, m] - geodesic(t + frac * h)).max() <= bound
+    for m, frac in enumerate([0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6]):
+        assert np.abs(points[:, m] - geodesic(t + frac * h)).max() <= 1e-8

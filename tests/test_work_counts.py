@@ -1,5 +1,6 @@
-"""Work counts of the verify suites' h = 2 checks, of the section curves and of
-one construct benchmark cycle, its L0 kernel calls included.
+"""Work counts of the verify suites' h = 2 checks, of the section curves, of
+one construct benchmark cycle, its L0 kernel calls included, and of the orbit
+evaluations of one austere benchmark cycle.
 
 Counts are deterministic, so work that grows without an announcement fails
 here on any host, whatever the timing noise. Each suite test builds the
@@ -190,8 +191,35 @@ def test_construct_cycle_kernel_work(tmp_path, monkeypatch):
         ok, digest = workload.run(item)
         assert ok, digest
     # every exponential goes through group_orbit_apply's per-pair dedupe;
-    # 5,330 distinct pairs in all (the frame_derivative_data stencils of the
+    # 5,205 distinct pairs in all (the frame_derivative_data stencils of the
     # cp2-torus and ch2-g0 items hold a few pairs that coincide bit for bit
     # or not, depending on the kernel's rounding)
-    assert (len(sizes["group_orbit_apply"]), sum(sizes["group_orbit_apply"])) == (51, 67985)
-    assert (len(sizes["expm3_batch"]), sum(sizes["expm3_batch"])) == (51, 5330)
+    assert (len(sizes["group_orbit_apply"]), sum(sizes["group_orbit_apply"])) == (46, 67360)
+    assert (len(sizes["expm3_batch"]), sum(sizes["expm3_batch"])) == (46, 5205)
+
+
+def test_austere_cycle_orbit_work(tmp_path, monkeypatch):
+    # the orbit evaluations of one seed-3 austere benchmark cycle, by the
+    # constructor's bindings: the search grids' bodies, the lanes' rows and
+    # the orbit columns of every curve that stays aligned
+    sizes = {"_orbit_body": [], "_orbit_invariants": [], "_killing_gram": []}
+
+    def counting(fn_name):
+        fn = getattr(constructor, fn_name)
+
+        def counted(spec, x, *args, **kwargs):
+            sizes[fn_name].append(x.shape[1])
+            return fn(spec, x, *args, **kwargs)
+
+        return counted
+
+    for fn_name in sizes:
+        monkeypatch.setattr(constructor, fn_name, counting(fn_name))
+    workload = WORKLOADS["austere"](3, str(tmp_path))
+    for item in workload.cycle():
+        ok, digest = workload.run(item)
+        assert ok, digest
+    # a pregeodesic lane tests regularity only at its rows, which the
+    # alignment's _orbit_body call reads anyway: no separate gram call
+    assert {name: (len(s), sum(s)) for name, s in sizes.items()} == {
+        "_orbit_body": (43, 12695), "_orbit_invariants": (40, 9640), "_killing_gram": (0, 0)}
