@@ -63,9 +63,11 @@ def _number_problem(value):
     """Why a config value is not a usable real number (None when it is)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return "must be a number"
-    if not math.isfinite(value):
-        return "must be finite"
-    return None
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:   # an integer beyond the float range
+        finite = False
+    return None if finite else "must be finite"
 
 
 def _is_int(value) -> bool:
@@ -158,8 +160,11 @@ def _merge_config(args) -> RunConfig:
     file_vals = {}
     if getattr(args, "config", None):
         try:
-            with open(args.config) as f:
+            with open(args.config, encoding="utf-8") as f:
                 file_vals = json.load(f)
+        except UnicodeDecodeError as exc:
+            raise ConfigError("config", f"{args.config} is not UTF-8 text ({exc.reason} "
+                                        f"at byte {exc.start})")
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError("config", str(exc))
         if not isinstance(file_vals, dict):

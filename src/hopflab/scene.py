@@ -1,16 +1,20 @@
 """JSON scene documents and CSV mesh export.
 
-Scenes round-trip losslessly: floats are serialized with Python's shortest
-round-trip repr, keys are sorted, and no timestamps, output paths or
-environment data are embedded, so identical runs give byte-identical files
-wherever they are written. A curve's orbit columns are not stored: the
-loader recomputes them from its rows (``curve_from_rows``). Formats 1 and
-2 also stored them, and format 1 differs in indentation and its ``config``
-block; nothing reads those back, so both still load.
+Scenes are deterministic: keys are sorted, numbers outside a curve's rows
+are serialized with Python's shortest round-trip repr, and no timestamps,
+output paths or environment data are embedded, so identical runs give
+byte-identical files wherever they are written. A curve's rows are stored
+as the base64 of their little-endian bytes (format 4), so they load bit for
+bit, signed zeros included. Its orbit columns are not stored: the loader
+recomputes them from its rows (``curve_from_rows``). Format 3 stored the
+rows as lists of floats; formats 1 and 2 also stored the orbit columns, and
+format 1 differs in indentation and its ``config`` block. Nothing reads
+those columns back, and all three formats still load.
 """
 
 from __future__ import annotations
 
+import binascii
 import json
 import math
 import numbers
@@ -29,7 +33,7 @@ from .constructor import (
 )
 from .hypersurface import adapted_frames
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 MESH_COLUMNS = ("t", "s1", "s2", "re0", "im0", "re1", "im1", "re2", "im2",
                 "alpha", "beta", "gamma", "a", "b", "residual")
 # |c| within 100 decades of 1 keeps the powers of the model radius r = 2/sqrt|c|
@@ -84,10 +88,13 @@ def save_scene(path, doc: dict):
 
 def load_scene(path) -> dict:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             doc = json.load(f)
     except OSError as exc:
         raise SceneError(f"cannot read scene {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise SceneError(f"invalid scene JSON at {path}: not UTF-8 text ({exc.reason} "
+                         f"at byte {exc.start})")
     except json.JSONDecodeError as exc:
         raise SceneError(f"invalid scene JSON at {path}: line {exc.lineno} col {exc.colno}: {exc.msg}")
     if not isinstance(doc, dict) or "schema_version" not in doc:
@@ -100,12 +107,20 @@ def load_scene(path) -> dict:
 
 
 _SIGMA_FIELDS = ("action", "c", "law", "step", "truncation_reason", "ts", "zs", "ws", "xis")
+# a curve's arrays in format 4: the dtype of their stored bytes and their
+# shape after the row count
+_ARRAYS = {"ts": ("<f8", []), "zs": ("<c16", [3]), "ws": ("<c16", [3]), "xis": ("<c16", [3])}
+_ARRAY_KEYS = ("b64", "dtype", "shape")
 
 
 def sigma_to_dict(sigma: SigmaCurve) -> dict:
     """The stored fields of a curve, _SIGMA_FIELDS; the loader recomputes the rest."""
-    def c2l(arr):
-        return np.stack([arr.real, arr.imag], -1).tolist()
+    def array(key):
+        arr = getattr(sigma, key)
+        dtype = _ARRAYS[key][0]
+        raw = np.asarray(arr, dtype).tobytes()
+        return {"b64": binascii.b2a_base64(raw, newline=False).decode("ascii"),
+                "dtype": dtype, "shape": list(arr.shape)}
 
     return {
         "action": sigma.spec.label,
@@ -113,10 +128,7 @@ def sigma_to_dict(sigma: SigmaCurve) -> dict:
         "law": {"kind": sigma.law.kind, "eta": sigma.law.eta},
         "step": float(sigma.step),
         "truncation_reason": sigma.truncation_reason,
-        "ts": sigma.ts.tolist(),
-        "zs": c2l(sigma.zs),
-        "ws": c2l(sigma.ws),
-        "xis": c2l(sigma.xis),
+        **{key: array(key) for key in _ARRAYS},
     }
 
 
@@ -130,8 +142,11 @@ def _require(d, keys, where):
 
 
 def _is_finite(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:   # an integer beyond the float range
+        return False
 
 
 def _finite(value, where) -> float:
@@ -141,8 +156,67 @@ def _finite(value, where) -> float:
     return float(value)
 
 
-def sigma_from_dict(d: dict) -> SigmaCurve:
+def _array_rows(d, key, n):
+    """Format 4: the array ``d[key]`` of ``n`` rows (``ts``: n is None), as a
+    writable native-order array; its byte count is checked before any allocation."""
+    where = f"scene field 'sigma.{key}'"
+    dtype, row = _ARRAYS[key]
+    obj = d[key]
+    if not (isinstance(obj, dict) and sorted(obj) == list(_ARRAY_KEYS)):
+        raise SceneError(f"{where} must be an object with exactly the keys "
+                         f"{', '.join(_ARRAY_KEYS)}")
+    if obj["dtype"] != dtype:
+        raise SceneError(f"{where} must be of dtype {dtype!r}, not {obj['dtype']!r}")
+    shape = obj["shape"]
+    # type() rather than isinstance, which would take true for 1
+    if not (isinstance(shape, list) and all(type(k) is int for k in shape)
+            and shape[1:] == row and len(shape) == 1 + len(row)
+            and (shape[0] >= 1 if n is None else shape[0] == n)):
+        want = "[n] with n >= 1" if n is None else f"{[n, *row]}, the rows of sigma.ts"
+        raise SceneError(f"{where} must be of shape {want}, not {json.dumps(shape)}")
+    try:
+        raw = binascii.a2b_base64(obj["b64"], strict_mode=True)
+    except (TypeError, ValueError) as exc:
+        raise SceneError(f"{where} must be base64 text in its b64 entry ({exc})") from None
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    if len(raw) != size:
+        raise SceneError(f"{where} must be {size} bytes, its shape {shape} of {dtype!r}; "
+                         f"b64 holds {len(raw)}")
+    arr = np.frombuffer(raw, dtype).astype(np.dtype(dtype).newbyteorder("=")).reshape(shape)
+    finite = np.isfinite(arr).reshape(len(arr), -1).all(axis=1)
+    if not finite.all():
+        raise SceneError(f"{where} must be finite numbers; row {np.flatnonzero(~finite)[0]} "
+                         f"is not")
+    return arr
+
+
+def _list_rows(d, key, n):
+    """Formats 1-3: the list ``d[key]`` of ``n`` rows (``ts``: n is None) as an array."""
+    rows = d[key]
+    if n is None:
+        if not (isinstance(rows, list) and rows and all(map(_is_finite, rows))):
+            raise SceneError("scene field 'sigma.ts' must be a non-empty list of finite numbers")
+        return np.array(rows, dtype=float)
+    if not (isinstance(rows, list) and len(rows) == n and all(
+            isinstance(row, list) and len(row) == 3 and all(
+                isinstance(pair, list) and len(pair) == 2 and all(map(_is_finite, pair))
+                for pair in row) for row in rows)):
+        raise SceneError(f"scene field 'sigma.{key}' must be {n} rows of 3 finite "
+                         f"[re, im] pairs")
+    return np.array([[complex(re, im) for re, im in row] for row in rows])
+
+
+def sigma_from_dict(d: dict, schema_version: int = SCHEMA_VERSION) -> SigmaCurve:
+    """The curve of a scene's ``sigma``, stored in format ``schema_version``."""
     _require(d, _SIGMA_FIELDS, "sigma")
+    if schema_version >= 3:
+        # formats 1 and 2 stored the orbit columns and a truncated flag; from
+        # format 3 on such a key would be ignored, so it is rejected instead
+        extra = sorted(set(d) - set(_SIGMA_FIELDS))
+        if extra:
+            raise SceneError(f"scene field 'sigma.{extra[0]}' must be absent: a "
+                             f"format-{schema_version} sigma holds only "
+                             f"{', '.join(_SIGMA_FIELDS)}")
     _require(d["law"], ("kind", "eta"), "sigma.law")
     if d["action"] not in LABELS:
         raise SceneError(f"scene field 'sigma.action': unknown action label {d['action']!r}")
@@ -158,9 +232,9 @@ def sigma_from_dict(d: dict) -> SigmaCurve:
     if not step > 0:
         raise SceneError("scene field 'sigma.step' must be a positive number")
     spec = load_action(d["action"], c)
-    ts = d["ts"]
-    if not (isinstance(ts, list) and ts and all(map(_is_finite, ts))):
-        raise SceneError("scene field 'sigma.ts' must be a non-empty list of finite numbers")
+    # only this decode depends on the format; every check after it is shared
+    decode = _array_rows if schema_version >= 4 else _list_rows
+    ts = decode(d, "ts", None)
     n = len(ts)
     # the step's own grid, as every launch writes it: the interpolant spaces
     # its knots by ts[1] - ts[0], nearest_row and chart_tilt by the step
@@ -169,23 +243,16 @@ def sigma_from_dict(d: dict) -> SigmaCurve:
     if not np.array_equal(ts, grid):
         raise SceneError("scene field 'sigma.ts' must be k * step for consecutive integers k")
 
-    def complex_rows(key):
-        rows = d[key]
-        if not (isinstance(rows, list) and len(rows) == n and all(
-                isinstance(row, list) and len(row) == 3 and all(
-                    isinstance(pair, list) and len(pair) == 2 and all(map(_is_finite, pair))
-                    for pair in row) for row in rows)):
-            raise SceneError(f"scene field 'sigma.{key}' must be {n} rows of 3 finite "
-                             f"[re, im] pairs")
-        rows = np.array([[complex(re, im) for re, im in row] for row in rows])
+    def frame_rows(key):
+        arr = decode(d, key, n)
         try:
-            spec.frame_coords(rows)
+            spec.frame_coords(arr)
         except GeometryError:
             raise SceneError(f"scene field 'sigma.{key}' must be rows in the section's "
                              f"real frame D.R^3") from None
-        return rows
+        return arr
 
-    zs, ws, xis = (complex_rows(key) for key in ("zs", "ws", "xis"))
+    zs, ws, xis = (frame_rows(key) for key in ("zs", "ws", "xis"))
     # the orbit columns are recomputed at every row: a z off the normalized
     # regular set would fail there, and a w or xi not a unit vector horizontal
     # at z would load or overflow, with no field named. w and xi are held
@@ -214,14 +281,7 @@ def patch_from_scene(doc: dict) -> EquivariantHypersurface:
     """Rebuild the swept patch of a scene (deterministic re-sweep)."""
     if "sigma" not in doc or "patch" not in doc:
         raise SceneError("scene has no construction to rebuild")
-    sigma = sigma_from_dict(doc["sigma"])
-    if doc.get("schema_version") == SCHEMA_VERSION:
-        # formats 1 and 2 stored the orbit columns and a truncated flag; in
-        # format 3 such a key would be ignored, so it is rejected instead
-        extra = sorted(set(doc["sigma"]) - set(_SIGMA_FIELDS))
-        if extra:
-            raise SceneError(f"scene field 'sigma.{extra[0]}' must be absent: a format-3 "
-                             f"sigma holds only {', '.join(_SIGMA_FIELDS)}")
+    sigma = sigma_from_dict(doc["sigma"], doc["schema_version"])
     meta = doc["patch"]
     _require(meta, ("s_extent",) + _PATCH_FIELDS, "patch")
     s_extent = _finite(meta["s_extent"], "patch.s_extent")

@@ -1,3 +1,5 @@
+import functools
+import json
 import os
 import sys
 from pathlib import Path
@@ -12,6 +14,17 @@ from hopflab.ambient import SpaceForm
 from hopflab.constructor import CurveLaw, build_hypersurface, integrate_sigma
 
 DATA = Path(__file__).parent / "data"   # committed input files
+
+
+@functools.cache
+def format4_resave_text():
+    """The committed format-3 scene ``construct_v3.json``, re-saved with its
+    curve written by the current (format-4) writer, as scene text."""
+    from hopflab.scene import SCHEMA_VERSION, dumps_scene, sigma_from_dict, sigma_to_dict
+
+    doc = json.loads((DATA / "construct_v3.json").read_text())
+    sigma = sigma_from_dict(doc["sigma"], doc["schema_version"])
+    return dumps_scene(dict(doc, schema_version=SCHEMA_VERSION, sigma=sigma_to_dict(sigma)))
 
 
 def subprocess_env(**extra):

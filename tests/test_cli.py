@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 import subprocess
@@ -7,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import DATA, subprocess_env
+from conftest import DATA, format4_resave_text, subprocess_env
 from hopflab import cli
 from hopflab.cli import RunConfig, ConfigError, main
 from hopflab.hypersurface import shape_data
@@ -62,7 +63,7 @@ def test_construct_scene_roundtrip(tmp_path, capsys):
     # lossless round trip of the document model
     assert json.loads(dumps_scene(doc)) == doc
     sigma = sigma_from_dict(doc["sigma"])
-    assert len(sigma.ts) == len(doc["sigma"]["ts"])
+    assert doc["sigma"]["ts"]["shape"] == [len(sigma.ts)]
     assert np.abs(sigma.zs[0]).max() > 0
     ehs = patch_from_scene(doc)
     assert ehs.patch.contains(ehs.patch.grid((2, 2, 2), margin=0.2))
@@ -157,6 +158,36 @@ def test_classify_corrupted_scene(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "line" in err   # parse error with location
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--scene", "{bad}"], "error: invalid scene JSON at {bad}: not UTF-8 text"),
+    (["sample", "--scene", "{bad}", "--out", "{tmp}/m.csv"],
+     "error: invalid scene JSON at {bad}: not UTF-8 text"),
+    (["construct", "--config", "{bad}"], "error: config field 'config': {bad} is not UTF-8 text"),
+], ids=["classify-scene", "sample-scene", "construct-config"])
+def test_non_utf8_input_is_one_error_line(argv, message, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe\x00garbage")
+    rc = run_cli([a.format(bad=bad, tmp=tmp_path) for a in argv])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(message.format(bad=bad))
+
+
+def test_integer_beyond_float_range_is_one_error_line(tmp_path, capsys):
+    # JSON keeps a long integer literal as an int, which math.isfinite cannot convert
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text('{"eta": 1' + "0" * 400 + "}")
+    assert run_cli(["construct", "--config", str(cfgfile)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: config field 'eta': must be finite"]
+    doc = json.loads((DATA / "construct_v3.json").read_text())
+    doc["sigma"]["c"] = 10 ** 400
+    scene = tmp_path / "scene.json"
+    save_scene(scene, doc)
+    assert run_cli(["classify", "--scene", str(scene)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: scene field 'sigma.c' must be a finite number"]
 
 
 def test_hopf_directions_cli(tmp_path, capsys):
@@ -540,6 +571,22 @@ def v2_with(key, edit_rows):
     return edit
 
 
+def recoded(key, change, dtype=None, shape=None):
+    """A format-4 sigma edit: decode the array ``key``, ``change`` it (in place,
+    or return the new array) and store it again, as ``dtype`` and with the
+    stated ``shape`` if given."""
+    def edit(sigma):
+        obj = sigma[key]
+        arr = np.frombuffer(base64.b64decode(obj["b64"]), obj["dtype"]).reshape(obj["shape"])
+        arr = arr.copy()
+        out = change(arr)
+        arr = arr if out is None else out
+        obj["dtype"] = dtype or obj["dtype"]
+        obj["b64"] = base64.b64encode(arr.astype(obj["dtype"]).tobytes()).decode()
+        obj["shape"] = shape or list(arr.shape)
+    return edit
+
+
 @pytest.mark.parametrize("where, edit", [
     ("sigma.ts", lambda doc: doc["sigma"].update(ts=[str(t) for t in doc["sigma"]["ts"]])),
     ("sigma.zs", lambda doc: doc["sigma"]["zs"][3].pop()),
@@ -579,8 +626,9 @@ def v2_with(key, edit_rows):
         "c-string", "step-null",
         "step-negative", "eta-string", "s_extent-string", "truncation_reason-int",
         "law-kind-unknown", "gammas-nan", "alphas-short", "truncated-string", "truncated-int"])
-def test_classify_scene_rejects_bad_values(where, edit, cmc_ehs, tmp_path, capsys):
-    doc = json.loads(dumps_scene(scene_document({}, sigma=cmc_ehs.sigma, ehs=cmc_ehs)))
+def test_classify_scene_rejects_bad_values(where, edit, tmp_path, capsys):
+    # the committed format-3 scene, or the scene an edit swaps in
+    doc = json.loads((DATA / "construct_v3.json").read_text())
     edit(doc)
     scene = tmp_path / "scene.json"
     save_scene(scene, doc)
@@ -588,6 +636,61 @@ def test_classify_scene_rejects_bad_values(where, edit, cmc_ehs, tmp_path, capsy
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: scene field '{where}' must be ")
+
+
+# format 4 stores each array as {"b64", "dtype", "shape"}; the loader checks
+# the object's keys, then its dtype, its shape against sigma.ts, the base64,
+# the byte count (before any allocation) and then the entries
+@pytest.mark.parametrize("where, claim, edit", [
+    ("sigma.zs", "base64 text", lambda sigma: sigma["zs"].update(b64="*" + sigma["zs"]["b64"][1:])),
+    # a lenient decoder would skip the newline and load the rows
+    ("sigma.zs", "base64 text",
+     lambda sigma: sigma["zs"].update(b64=sigma["zs"]["b64"][:4] + "\n" + sigma["zs"]["b64"][4:])),
+    ("sigma.ts", "408 bytes", lambda sigma: sigma["ts"].update(b64=sigma["ts"]["b64"][:-8])),
+    ("sigma.ts", "8000000000000 bytes", lambda sigma: sigma["ts"].update(shape=[10 ** 12])),
+    ("sigma.ts", "of dtype '<f8', not '<f4'", recoded("ts", lambda ts: None, dtype="<f4")),
+    ("sigma.zs", "of dtype '<c16', not '>c16'", recoded("zs", lambda zs: None, dtype=">c16")),
+    ("sigma.ws", "of dtype '<c16', not '|O'", lambda sigma: sigma["ws"].update(dtype="|O")),
+    ("sigma.xis", "of shape [51, 3]", recoded("xis", lambda xis: xis[:-1])),
+    ("sigma.zs", "of shape [51, 3]", recoded("zs", lambda zs: zs.reshape(-1))),
+    ("sigma.ws", "of shape [51, 3]", recoded("ws", lambda ws: ws[:, :2])),
+    # true would pass for 1: a one-row ts of shape [true] otherwise loads
+    ("sigma.ts", "of shape [n] with n >= 1, not [true]",
+     recoded("ts", lambda ts: ts[:1], shape=[True])),
+    ("sigma.zs", "of shape [51, 3]",
+     lambda sigma: sigma["zs"].update(shape=[-sigma["zs"]["shape"][0], 3])),
+    ("sigma.ws", "finite numbers; row 7", recoded("ws", lambda ws: ws.__setitem__((7, 1), NAN))),
+    ("sigma.ts", "finite numbers; row 4", recoded("ts", lambda ts: ts.__setitem__(4, np.inf))),
+    ("sigma.zs", "an object with exactly the keys", lambda sigma: sigma["zs"].update(order="C")),
+    ("sigma.xis", "an object with exactly the keys", lambda sigma: sigma["xis"].pop("dtype")),
+    ("sigma.ts", "k * step", recoded("ts", lambda ts: ts.__setitem__(9, ts[9] + 3e-4))),
+    # a format-4 sigma holds arrays, not format-3 lists, and only its nine keys
+    ("sigma.ts", "an object with exactly the keys",
+     lambda sigma: sigma.update(ts=[0.0] * sigma["ts"]["shape"][0])),
+    ("sigma.gammas", "absent", lambda sigma: sigma.update(gammas=[0.0])),
+], ids=["not-base64", "zs-newline", "ts-short-bytes", "ts-huge-shape", "ts-f4", "zs-big-endian",
+        "ws-object-dtype", "xis-fewer-rows-than-ts", "zs-flat", "ws-two-columns",
+        "ts-bool-shape", "zs-negative-shape", "ws-nan", "ts-inf", "zs-extra-key",
+        "xis-missing-dtype", "ts-off-grid", "ts-list", "gammas"])
+def test_classify_scene_rejects_bad_format_4_arrays(where, claim, edit, tmp_path, capsys):
+    doc = json.loads(format4_resave_text())
+    edit(doc["sigma"])
+    scene = tmp_path / "scene.json"
+    save_scene(scene, doc)
+    rc = run_cli(["classify", "--scene", str(scene)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: scene field '{where}' must be {claim}")
+
+
+def test_format_3_sigma_holding_format_4_arrays_is_rejected(tmp_path, capsys):
+    doc = json.loads((DATA / "construct_v3.json").read_text())
+    doc["sigma"]["zs"] = json.loads(format4_resave_text())["sigma"]["zs"]
+    scene = tmp_path / "scene.json"
+    save_scene(scene, doc)
+    assert run_cli(["classify", "--scene", str(scene)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: scene field 'sigma.zs' must be 51 rows of 3 finite [re, im] pairs"]
 
 
 @pytest.mark.parametrize("command", ["classify", "sample"])
@@ -607,7 +710,7 @@ def test_scene_unknown_action_label(command, cmc_ehs, tmp_path, capsys):
 def test_scene_error_on_wrong_schema(tmp_path):
     f = tmp_path / "x.json"
     # true and 1.0 compare equal to 1 but are not the integer 1
-    for version in (99, 4, 0, True, 1.0, "2", None):
+    for version in (99, 5, 0, True, 1.0, "2", None):
         f.write_text(json.dumps({"schema_version": version}))
         with pytest.raises(SceneError, match=f"unsupported scene schema {version!r}$"):
             load_scene(f)
@@ -650,7 +753,7 @@ def test_version_2_scene_loads_to_the_recomputed_curve(tmp_path, capsys):
     stored["betas"][7] = NAN
     del stored["mean_align"]
     stored["truncated"] = "false"
-    edited = sigma_from_dict(stored)
+    edited = sigma_from_dict(stored, 2)
     for f in dataclasses.fields(sigma):
         old, new = getattr(sigma, f.name), getattr(edited, f.name)
         if isinstance(old, np.ndarray):
@@ -679,13 +782,13 @@ def test_version_1_scene_loads_rebuilds_and_classifies(tmp_path, capsys):
     assert "strongly_two_hopf" in capsys.readouterr().out
     # the same construct in the current format has the same blocks; its
     # config lacks only the seed, the tolerances and the output paths
-    scene = tmp_path / "v3.json"
+    scene = tmp_path / "v4.json"
     rc = run_cli(["construct", "--n-steps", "25", "--grid", "2", "2", "2",
                   "--out-scene", str(scene)])
     assert rc == 0
     capsys.readouterr()
     new = json.loads(scene.read_text())
-    assert new["schema_version"] == 3 and set(new) == set(doc)
+    assert new["schema_version"] == 4 and set(new) == set(doc)
     for key in ("seed", "tolerances", "out_scene", "out_csv"):
         del doc["config"][key]
     assert new["config"] == doc["config"]

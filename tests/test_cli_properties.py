@@ -1,13 +1,14 @@
 """Property tests: mutated construct configs and scenes through ``cli.main``.
 
 Each input starts from a small valid one: a ``construct`` config, the
-committed version-1 scene or a freshly written version-3 scene. One
-mutation then deletes a key or list item, puts a value from a small pool of
-mostly wrong-typed values in its place, or makes it non-finite or of an
-extreme finite magnitude (+-1e308, +-1e-300); a scene may instead get a
-``schema_version`` of true, 1.0 or 4, which must exit 1. Whatever the
-mutation, the command must exit 0, 1 or 2 without an uncaught exception or
-a NumPy RuntimeWarning, and an exit 1 prints exactly one line on stderr.
+committed version-1 or version-3 scene, or a freshly written version-4
+scene. One mutation then deletes a key or list item, puts a value from a
+small pool of mostly wrong-typed values in its place, or makes it
+non-finite or of an extreme finite magnitude (+-1e308, +-1e-300); a scene
+may instead get a ``schema_version`` of true, 1.0 or 5, which must exit 1.
+Whatever the mutation, the command must exit 0, 1 or 2 without an uncaught
+exception or a NumPy RuntimeWarning, and an exit 1 prints exactly one line
+on stderr.
 The examples are derandomized, so the test is the same on every run.
 """
 
@@ -55,8 +56,8 @@ def mutated(draw, doc):
         kinds.append("schema")
     kind = draw(st.sampled_from(kinds))
     if kind == "schema":
-        # true and 1.0 compare equal to 1, and 4 is not a known format
-        doc["schema_version"] = draw(st.sampled_from([True, 1.0, 4]))
+        # true and 1.0 compare equal to 1, and 5 is not a known format
+        doc["schema_version"] = draw(st.sampled_from([True, 1.0, 5]))
     elif kind == "delete":
         del parent[key]
     else:
@@ -110,16 +111,17 @@ def test_mutated_construct_config_exits_cleanly(config, workdir):
 
 @pytest.fixture(scope="module")
 def scenes(workdir):
-    v3 = workdir / "v3.json"
+    v4 = workdir / "v4.json"
     rc, _ = _run(["construct", "--action", "ch2-g0", "--law", "levi-flat", "--n-steps", "25",
-                  "--grid", "2", "2", "2", "--out-scene", str(v3)])
+                  "--grid", "2", "2", "2", "--out-scene", str(v4)])
     assert rc == 0
     return {"v1": json.loads((DATA / "construct_v1.json").read_text()),
-            "v3": json.loads(v3.read_text())}
+            "v3": json.loads((DATA / "construct_v3.json").read_text()),
+            "v4": json.loads(v4.read_text())}
 
 
 @PROPERTY
-@given(data=st.data(), which=st.sampled_from(["v1", "v3"]),
+@given(data=st.data(), which=st.sampled_from(["v1", "v3", "v4"]),
        command=st.sampled_from(["classify", "sample"]))
 def test_mutated_scene_exits_cleanly(data, which, command, scenes, workdir):
     doc = data.draw(mutated(scenes[which]))
@@ -129,5 +131,5 @@ def test_mutated_scene_exits_cleanly(data, which, command, scenes, workdir):
                     "--out", str(workdir / "out")])
     _assert_clean_exit(rc, err)
     version = doc.get("schema_version")
-    if type(version) is not int or version not in (1, 2, 3):
+    if type(version) is not int or version not in (1, 2, 3, 4):
         assert rc == 1

@@ -2,14 +2,17 @@
 
 ``golden/construct_seed3.sha256`` holds one line per item of one
 ``construct`` cycle of perfbench/workloads.py at seed 3: the action, the
-law and the SHA-256 of the item's scene bytes, a NUL byte and its CSV bytes
-(the digest the benchmark compares between runs). A change that is meant
+law, the SHA-256 of the item's scene bytes, a NUL byte and its CSV bytes
+(the digest the benchmark compares between runs), and the SHA-256 of its
+CSV bytes alone. The last column shows whether a moved line moved its mesh
+or only its scene: a scene format change keeps it. A change that is meant
 to keep the scenes must keep every line; one that moves a line on purpose
 regenerates the file and says which line moved and why:
 
     PYTHONPATH=src python tests/test_construct_golden.py
 """
 
+import hashlib
 import sys
 import tempfile
 from pathlib import Path
@@ -22,14 +25,18 @@ GOLDEN = Path(__file__).parent / "golden" / "construct_seed3.sha256"
 
 
 def construct_cycle_lines(seed, scratch):
-    """One "action law digest" line per item of one ``construct`` cycle at ``seed``."""
+    """One "action law digest csv-digest" line per item of one ``construct`` cycle
+    at ``seed``."""
     workload = WORKLOADS["construct"](seed, str(scratch))
     lines = []
     for item in workload.cycle():
         ok, digest = workload.run(item)
         assert ok, digest
         cfg = workload.configs[item]
-        lines.append(f"{cfg['action']} {cfg['law']} {digest.hex()}\n")
+        # the CSV the item just wrote, where the workload writes it
+        csv = (Path(scratch) / f"construct-{item}.csv").read_bytes()
+        lines.append(f"{cfg['action']} {cfg['law']} {digest.hex()} "
+                     f"{hashlib.sha256(csv).hexdigest()}\n")
     return lines
 
 

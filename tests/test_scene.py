@@ -1,9 +1,11 @@
 """Scene round trip: a curve's rows are stored, its orbit columns recomputed on load.
 
-For every action and law, and for the austere candidates of one seed-3
-``austere`` benchmark cycle, save -> load gives a curve whose every array
-has the bits of the curve saved, and save -> load -> save gives the same
-bytes.
+Format 4 stores the rows as the base64 of their little-endian bytes. For
+every action and law, for a curve whose zero entries are all -0.0, and for
+the austere candidates of one seed-3 ``austere`` benchmark cycle, save ->
+load gives a curve whose every array has the bits of the curve saved, and
+save -> load -> save gives the same bytes. The committed format-3 scene and
+its format-4 re-save load to the same bits.
 """
 
 import json
@@ -13,10 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import DATA, format4_resave_text
 from hopflab.actions import LABELS
-from hopflab.constructor import CurveLaw, austere_search, integrate_sigma
-from hopflab.scene import (_SIGMA_FIELDS, dumps_scene, scene_document, sigma_from_dict,
-                           sigma_to_dict)
+from hopflab.constructor import CurveLaw, austere_search, curve_from_rows, integrate_sigma
+from hopflab.scene import (_SIGMA_FIELDS, dumps_scene, load_scene, patch_from_scene,
+                           scene_document, sigma_from_dict, sigma_to_dict)
 from test_constructor import LAWS, SIGMA_ARRAYS, launch
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -24,9 +27,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import AUSTERE_N_STEPS, WORKLOADS  # noqa: E402
 
 
-def assert_round_trip(sigma):
-    text = dumps_scene(scene_document({}, sigma=sigma))
-    loaded = sigma_from_dict(json.loads(text)["sigma"])
+def assert_same_bits(sigma, loaded):
     for name in SIGMA_ARRAYS:
         old, new = getattr(sigma, name), getattr(loaded, name)
         assert old.dtype == new.dtype and old.shape == new.shape, name
@@ -34,6 +35,14 @@ def assert_round_trip(sigma):
                               np.ascontiguousarray(new).view(np.int64)), name
     assert (loaded.law, loaded.step, loaded.truncation_reason) == (
         sigma.law, sigma.step, sigma.truncation_reason)
+
+
+def assert_round_trip(sigma):
+    text = dumps_scene(scene_document({}, sigma=sigma))
+    loaded = sigma_from_dict(json.loads(text)["sigma"])
+    assert_same_bits(sigma, loaded)
+    for name in ("ts", "zs", "ws", "xis"):
+        assert getattr(loaded, name).flags.writeable, name
     assert dumps_scene(scene_document({}, sigma=loaded)) == text
 
 
@@ -48,6 +57,38 @@ def test_scene_round_trip_is_bit_identical(label):
     spec, z0, w0 = launch(label)
     for law in LAWS:
         assert_round_trip(integrate_sigma(spec, z0, w0, law, n_steps=30))
+
+
+def test_negative_zero_entries_round_trip():
+    spec, z0, w0 = launch("cp2-torus")
+    sigma = integrate_sigma(spec, z0, w0, LAWS[1], n_steps=30)
+
+    def negated_zeros(rows):
+        rows = rows.copy()
+        parts = rows.view(np.float64)
+        parts[parts == 0.0] = -0.0
+        return rows
+
+    rows = [negated_zeros(getattr(sigma, name)) for name in ("zs", "ws", "xis")]
+    signed = curve_from_rows(spec, sigma.law, sigma.step, sigma.ts, *rows,
+                             sigma.truncation_reason)
+    for arr in rows:
+        parts = arr.view(np.float64)
+        assert np.count_nonzero((parts == 0.0) & np.signbit(parts)) > 0
+    assert_round_trip(signed)
+
+
+def test_format_3_scene_and_its_format_4_resave_load_bit_identical():
+    v3 = load_scene(DATA / "construct_v3.json")
+    v4 = json.loads(format4_resave_text())
+    assert (v3["schema_version"], v4["schema_version"]) == (3, 4)
+    sigma = patch_from_scene(v3).sigma
+    assert_same_bits(sigma, patch_from_scene(v4).sigma)
+    # the format-3 rows load to the floats stored
+    assert sigma.ts.tolist() == v3["sigma"]["ts"]
+    for name in ("zs", "ws", "xis"):
+        rows = getattr(sigma, name)
+        assert np.stack([rows.real, rows.imag], -1).tolist() == v3["sigma"][name], name
 
 
 def test_austere_candidates_round_trip_bit_identical(tmp_path):
