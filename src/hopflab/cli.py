@@ -36,6 +36,7 @@ from .hypersurface import classify, shape_data
 from .scene import (
     C_MAGNITUDE,
     SceneError,
+    _is_finite,
     load_scene,
     mesh_rows,
     patch_from_scene,
@@ -63,11 +64,7 @@ def _number_problem(value):
     """Why a config value is not a usable real number (None when it is)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return "must be a number"
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:   # an integer beyond the float range
-        finite = False
-    return None if finite else "must be finite"
+    return None if _is_finite(value) else "must be finite"
 
 
 def _is_int(value) -> bool:

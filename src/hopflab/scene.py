@@ -14,7 +14,7 @@ those columns back, and all three formats still load.
 
 from __future__ import annotations
 
-import binascii
+import base64
 import json
 import math
 import numbers
@@ -119,7 +119,7 @@ def sigma_to_dict(sigma: SigmaCurve) -> dict:
         arr = getattr(sigma, key)
         dtype = _ARRAYS[key][0]
         raw = np.asarray(arr, dtype).tobytes()
-        return {"b64": binascii.b2a_base64(raw, newline=False).decode("ascii"),
+        return {"b64": base64.b64encode(raw).decode("ascii"),
                 "dtype": dtype, "shape": list(arr.shape)}
 
     return {
@@ -174,9 +174,13 @@ def _array_rows(d, key, n):
             and (shape[0] >= 1 if n is None else shape[0] == n)):
         want = "[n] with n >= 1" if n is None else f"{[n, *row]}, the rows of sigma.ts"
         raise SceneError(f"{where} must be of shape {want}, not {json.dumps(shape)}")
+    if not isinstance(obj["b64"], str):
+        raise SceneError(f"{where} must be base64 text in its b64 entry, not "
+                         f"{type(obj['b64']).__name__}")
     try:
-        raw = binascii.a2b_base64(obj["b64"], strict_mode=True)
-    except (TypeError, ValueError) as exc:
+        # validate: only the base64 alphabet, with padding only at the end
+        raw = base64.b64decode(obj["b64"], validate=True)
+    except ValueError as exc:   # binascii.Error, or a non-ASCII string
         raise SceneError(f"{where} must be base64 text in its b64 entry ({exc})") from None
     size = math.prod(shape) * np.dtype(dtype).itemsize
     if len(raw) != size:
@@ -206,7 +210,7 @@ def _list_rows(d, key, n):
     return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 
-def sigma_from_dict(d: dict, schema_version: int = SCHEMA_VERSION) -> SigmaCurve:
+def sigma_from_dict(d: dict, schema_version: int) -> SigmaCurve:
     """The curve of a scene's ``sigma``, stored in format ``schema_version``."""
     _require(d, _SIGMA_FIELDS, "sigma")
     if schema_version >= 3:

@@ -13,6 +13,7 @@ from hopflab import cli
 from hopflab.cli import RunConfig, ConfigError, main
 from hopflab.hypersurface import shape_data
 from hopflab.scene import (
+    SCHEMA_VERSION,
     SceneError,
     dumps_scene,
     load_scene,
@@ -62,7 +63,7 @@ def test_construct_scene_roundtrip(tmp_path, capsys):
     doc = load_scene(scene)
     # lossless round trip of the document model
     assert json.loads(dumps_scene(doc)) == doc
-    sigma = sigma_from_dict(doc["sigma"])
+    sigma = sigma_from_dict(doc["sigma"], doc["schema_version"])
     assert doc["sigma"]["ts"]["shape"] == [len(sigma.ts)]
     assert np.abs(sigma.zs[0]).max() > 0
     ehs = patch_from_scene(doc)
@@ -77,7 +78,8 @@ def test_construct_scene_roundtrip(tmp_path, capsys):
 
 def test_sigma_scene_roundtrip_keeps_every_field(cmc_ehs):
     sigma = cmc_ehs.sigma
-    loaded = sigma_from_dict(json.loads(dumps_scene(scene_document({}, sigma=sigma)))["sigma"])
+    loaded = sigma_from_dict(json.loads(dumps_scene(scene_document({}, sigma=sigma)))["sigma"],
+                             SCHEMA_VERSION)
     assert np.abs(sigma.mean_align).max() > 0
     for f in dataclasses.fields(sigma):
         old, new = getattr(sigma, f.name), getattr(loaded, f.name)
@@ -646,6 +648,11 @@ def test_classify_scene_rejects_bad_values(where, edit, tmp_path, capsys):
     # a lenient decoder would skip the newline and load the rows
     ("sigma.zs", "base64 text",
      lambda sigma: sigma["zs"].update(b64=sigma["zs"]["b64"][:4] + "\n" + sigma["zs"]["b64"][4:])),
+    # padding only ends the text; a lenient decoder would stop at the first '='
+    ("sigma.zs", "base64 text",
+     lambda sigma: sigma["zs"].update(b64=sigma["zs"]["b64"][:4] + "====" + sigma["zs"]["b64"][4:])),
+    ("sigma.zs", "base64 text", lambda sigma: sigma["zs"].update(b64="\u00e9" + sigma["zs"]["b64"][1:])),
+    ("sigma.ws", "base64 text in its b64 entry, not int", lambda sigma: sigma["ws"].update(b64=5)),
     ("sigma.ts", "408 bytes", lambda sigma: sigma["ts"].update(b64=sigma["ts"]["b64"][:-8])),
     ("sigma.ts", "8000000000000 bytes", lambda sigma: sigma["ts"].update(shape=[10 ** 12])),
     ("sigma.ts", "of dtype '<f8', not '<f4'", recoded("ts", lambda ts: None, dtype="<f4")),
@@ -668,7 +675,8 @@ def test_classify_scene_rejects_bad_values(where, edit, tmp_path, capsys):
     ("sigma.ts", "an object with exactly the keys",
      lambda sigma: sigma.update(ts=[0.0] * sigma["ts"]["shape"][0])),
     ("sigma.gammas", "absent", lambda sigma: sigma.update(gammas=[0.0])),
-], ids=["not-base64", "zs-newline", "ts-short-bytes", "ts-huge-shape", "ts-f4", "zs-big-endian",
+], ids=["not-base64", "zs-newline", "zs-inner-padding", "zs-non-ascii", "ws-b64-number",
+        "ts-short-bytes", "ts-huge-shape", "ts-f4", "zs-big-endian",
         "ws-object-dtype", "xis-fewer-rows-than-ts", "zs-flat", "ws-two-columns",
         "ts-bool-shape", "zs-negative-shape", "ws-nan", "ts-inf", "zs-extra-key",
         "xis-missing-dtype", "ts-off-grid", "ts-list", "gammas"])

@@ -18,7 +18,7 @@ import pytest
 from conftest import DATA, format4_resave_text
 from hopflab.actions import LABELS
 from hopflab.constructor import CurveLaw, austere_search, curve_from_rows, integrate_sigma
-from hopflab.scene import (_SIGMA_FIELDS, dumps_scene, load_scene, patch_from_scene,
+from hopflab.scene import (_SIGMA_FIELDS, SCHEMA_VERSION, dumps_scene, load_scene, patch_from_scene,
                            scene_document, sigma_from_dict, sigma_to_dict)
 from test_constructor import LAWS, SIGMA_ARRAYS, launch
 
@@ -39,7 +39,7 @@ def assert_same_bits(sigma, loaded):
 
 def assert_round_trip(sigma):
     text = dumps_scene(scene_document({}, sigma=sigma))
-    loaded = sigma_from_dict(json.loads(text)["sigma"])
+    loaded = sigma_from_dict(json.loads(text)["sigma"], SCHEMA_VERSION)
     assert_same_bits(sigma, loaded)
     for name in ("ts", "zs", "ws", "xis"):
         assert getattr(loaded, name).flags.writeable, name
