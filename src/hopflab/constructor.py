@@ -23,11 +23,13 @@ windows of GAUSS_WINDOW rows by 2-stage Gauss-Legendre collocation, whose
 node curvatures are found by Picard iteration, one batched orbit evaluation
 per iteration. A pregeodesic law (geodesic, austere) has gamma = 0: its
 curve is the ambient geodesic exp_z0(t w0) with constant Frenet normal,
-which ``_GeodesicRows`` writes in closed form, ROW_BLOCK rows per call. A
+which ``_GeodesicRows`` writes in closed form, a block per call of about
+ORBIT_BATCH points over the live lanes and at least ROW_BLOCK rows. A
 lane stops, while the others go on, at its first Gauss node or row that is
 non-finite, not regular or turned too far, or at its first step that does
-not converge. ``curve_from_rows`` builds every curve, launched or loaded,
-from its rows. ``integrate_sigma`` runs the two sides of a curve as
+not converge. ``curves_from_rows`` builds every curve, launched or loaded,
+from its rows, the curves of one batch together, ORBIT_BATCH rows per
+orbit call. ``integrate_sigma`` runs the two sides of a curve as
 two lanes; ``austere_search`` runs all its launches as one batch, in which
 a launch stops at its first row whose alignment |<H, xi>| with the orbit
 mean-curvature field is not below the search tolerance.
@@ -77,9 +79,14 @@ from .hypersurface import (
 )
 
 DEFAULT_STEP = 1e-3
-# rows per block of the closed-form pregeodesic lanes: a block evaluates
-# 2 * ROW_BLOCK points per live lane, and a lane that stops early wastes at
-# most one block
+# the points of one orbit evaluation of the section-curve layer: the curve
+# columns of a batch of launches take one ``_orbit_invariants`` call per
+# ORBIT_BATCH rows, and a block of closed-form pregeodesic rows holds about
+# ORBIT_BATCH points over its live lanes. The cap bounds the memory of a call.
+ORBIT_BATCH = 800
+# the fewest rows per block of the closed-form pregeodesic lanes: a block
+# evaluates one point per row of each live lane, and a lane that stops early
+# wastes at most one block
 ROW_BLOCK = 16
 # rows per window of the collocation lanes, and the Picard iterations a
 # window may take before its unconverged lanes stop. A lane has converged
@@ -243,18 +250,29 @@ class SigmaCurve:
         return np.clip(rows, 0, len(self.ts) - 1)
 
 
-def curve_from_rows(spec, law, step, ts, zs, ws, xis, reason):
-    """The SigmaCurve of rows zs, ws, xis (n, 3), in the section's real frame, at times ts.
+def curves_from_rows(spec, law, step, rows):
+    """The SigmaCurve of each (ts, zs, ws, xis, reason) of rows, in order.
 
-    Its orbit columns (alpha, beta, a, b, <H, xi>) and gammas come from one
-    ``_orbit_invariants`` call on its rows, here for every launched or loaded curve.
+    zs, ws, xis (n, 3) are rows in the section's real frame at times ts.
+    The orbit columns (alpha, beta, a, b, <H, xi>) and gammas of all the
+    curves come from ``_orbit_invariants`` on their rows in one sequence, a
+    call per ORBIT_BATCH rows; every orbit operation is pointwise, so a
+    curve's columns do not depend on the batch it is built in. This is where
+    every launched or loaded curve gets its columns.
     """
-    x, xi = spec.frame_coords(zs), spec.frame_coords(xis)
-    alpha, beta, a, b, mean, _ = _orbit_invariants(spec, x.T, xi.T)
-    return SigmaCurve(
-        spec=spec, law=law, ts=ts, zs=zs, ws=ws, xis=xis,
-        gammas=law.target(alpha, beta, a, b), alphas=alpha, betas=beta, hopf_a=a, hopf_b=b,
-        mean_align=spec.space.g(mean.T, xi), step=step, truncation_reason=reason)
+    if not rows:
+        return []
+    x, xi = (spec.frame_coords(np.concatenate([r[k] for r in rows])) for k in (1, 3))
+    alpha, beta, a, b, mean = (np.concatenate(parts, axis=-1) for parts in zip(*(
+        _orbit_invariants(spec, x[i:i + ORBIT_BATCH].T, xi[i:i + ORBIT_BATCH].T)[:5]
+        for i in range(0, len(x), ORBIT_BATCH))))
+    cols = {"gammas": law.target(alpha, beta, a, b), "alphas": alpha, "betas": beta,
+            "hopf_a": a, "hopf_b": b, "mean_align": spec.space.g(mean.T, xi)}
+    ends = np.cumsum([len(r[0]) for r in rows])[:-1]
+    parts = {key: np.split(col, ends) for key, col in cols.items()}
+    return [SigmaCurve(spec=spec, law=law, ts=ts, zs=zs, ws=ws, xis=xis, step=step,
+                       truncation_reason=reason, **{key: p[k] for key, p in parts.items()})
+            for k, (ts, zs, ws, xis, reason) in enumerate(rows)]
 
 
 def _renorm(sp, y):
@@ -291,8 +309,6 @@ class _GaussRows:
     inside; they and the rows are the points whose orbit data the rule reads.
     """
 
-    block = GAUSS_WINDOW
-
     def __init__(self, spec, law, step):
         self.spec, self.law, self.step = spec, law, step
         self.floor = spec.gram_floor()
@@ -308,6 +324,10 @@ class _GaussRows:
                        np.stack([-step * np.kron(r @ _GAUSS_A, j).ravel() for r in rows_of_node]))
         self.rhs = (np.kron(ones, a0).ravel(),
                     np.stack([np.kron(r @ ones, j).ravel() for r in rows_of_node]))
+
+    def block(self, lanes):
+        """Rows per call: the window's, whatever the lanes, since it sets where Picard stops."""
+        return GAUSS_WINDOW
 
     def _evaluate(self, x, v):
         alpha, beta, a, b, _, det = _orbit_invariants(self.spec, x, v)
@@ -392,7 +412,7 @@ class _GaussRows:
 
 
 class _GeodesicRows:
-    """Row rule of a pregeodesic law (gamma = 0): ROW_BLOCK closed-form rows per call.
+    """Row rule of a pregeodesic law (gamma = 0): a block of closed-form rows per call.
 
     The curve is the ambient geodesic through its start with constant
     Frenet normal: row i at t = i step holds x = C x0 + r S u0,
@@ -400,12 +420,18 @@ class _GeodesicRows:
     ``SpaceForm.geodesic_coefficients`` at theta = t/r. A lane stops at
     its first row that is non-finite or not regular. With ``align_tol``,
     each row also reports whether |<H, xi>| < align_tol.
-    """
 
-    block = ROW_BLOCK
+    A block holds ORBIT_BATCH // lanes rows of its live lanes, and at least
+    ROW_BLOCK, so a call evaluates about ORBIT_BATCH points however many
+    lanes are live, and a lane that stops early wastes the rest of its block.
+    """
 
     def __init__(self, spec, step, align_tol=None):
         self.spec, self.step, self.align_tol = spec, step, align_tol
+
+    def block(self, lanes):
+        """Rows per call for ``lanes`` live lanes."""
+        return max(ROW_BLOCK, ORBIT_BATCH // lanes)
 
     def _aligned_and_regular(self, x, v):
         """(alignment mask or None, gram det) at points x (3, N) with normals v (3, N)."""
@@ -448,8 +474,9 @@ def _lane_loop(spec, rule, x0, u0, v0, n_steps, n_launches):
     renormalized, and a start that is not regular raises
     SingularOrbitError. ``rule.start(y)`` gives the start's (gram det,
     alignment or None); each ``rule.rows(keep, i0, i1)`` call gives, for
-    rows i0 to i1 - 1 (at most ``rule.block``) of the live lanes (keep
-    masks those of its last call, or is None when all of them go on),
+    rows i0 to i1 - 1 (``rule.block(lanes)`` rows for the number of lanes
+    live at i0, fewer at the end) of the live lanes (keep masks those of its
+    last call, or is None when all of them go on),
     (rows of the keys that move, accepted row counts, the cause code of a
     step's first failure as an index into STOP_REASONS, alignment or None),
     each per live lane and the last two also per row. A lane stops, with a
@@ -480,10 +507,9 @@ def _lane_loop(spec, rule, x0, u0, v0, n_steps, n_launches):
             rejected[launch[~aligned]] = True
         keep = ~rejected[launch]
         alive = np.flatnonzero(keep)
-        for i0 in range(1, n_steps + 1, rule.block):
-            if not len(alive):
-                break
-            i1 = min(i0 + rule.block, n_steps + 1)
+        i1 = 1
+        while len(alive) and i1 <= n_steps:
+            i0, i1 = i1, min(i1 + rule.block(len(alive)), n_steps + 1)
             new, stop, cause, aligned = rule.rows(keep, i0, i1)
             # a stopped lane's rows land past its count, where no reader looks
             for key, val in new.items():
@@ -514,8 +540,9 @@ def _launch_sigmas(spec, law, x0, u0, step, n_steps, two_sided=True, align_tol=N
     takes the collocation row rule, a pregeodesic law the closed form. With
     ``align_tol`` (pregeodesic laws only), a launch whose alignment
     |<H, xi>| fails to stay below it stops at that row and its entry is
-    None. Each returned curve is built by ``curve_from_rows`` from its own
-    rows, so a rejected launch never computes its orbit columns.
+    None. ``curves_from_rows`` builds the returned curves together, so their
+    orbit columns take a call per ORBIT_BATCH rows of all of them, and a
+    rejected launch never computes its own.
     """
     if step <= 0:
         raise GeometryError("step must be positive")
@@ -529,11 +556,9 @@ def _launch_sigmas(spec, law, x0, u0, step, n_steps, two_sided=True, align_tol=N
     rule = (_GaussRows(spec, law, step) if law.reads_orbit_data
             else _GeodesicRows(spec, step, align_tol))
     rows, counts, reasons, rejected = _lane_loop(spec, rule, x0, u0, v0, n_steps, n)
-    curves = []
-    for k in range(n):
-        if rejected[k]:
-            curves.append(None)
-            continue
+    kept = np.flatnonzero(~rejected)
+    curve_rows = []
+    for k in kept:
         back = n + k if two_sided else k
         nf, nb = counts[k], (counts[back] if two_sided else 1)
         # the backward side reversed, less its copy of the t = 0 row, then the forward side
@@ -541,8 +566,11 @@ def _launch_sigmas(spec, law, x0, u0, step, n_steps, two_sided=True, align_tol=N
                        * spec.phases for key in ("zs", "ws", "xis"))
         ws[:nb - 1] *= -1
         reason = [reasons[k], reasons[back]] if two_sided else [reasons[k]]
-        curves.append(curve_from_rows(spec, law, step, np.arange(1 - nb, nf) * step, zs, ws,
-                                      xis, "; ".join(r for r in reason if r)))
+        curve_rows.append((np.arange(1 - nb, nf) * step, zs, ws, xis,
+                           "; ".join(r for r in reason if r)))
+    curves = [None] * n
+    for k, curve in zip(kept, curves_from_rows(spec, law, step, curve_rows)):
+        curves[k] = curve
     return curves
 
 

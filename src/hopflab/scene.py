@@ -6,7 +6,7 @@ output paths or environment data are embedded, so identical runs give
 byte-identical files wherever they are written. A curve's rows are stored
 as the base64 of their little-endian bytes (format 4), so they load bit for
 bit, signed zeros included. Its orbit columns are not stored: the loader
-recomputes them from its rows (``curve_from_rows``). Format 3 stored the
+recomputes them from its rows (``curves_from_rows``). Format 3 stored the
 rows as lists of floats; formats 1 and 2 also stored the orbit columns, and
 format 1 differs in indentation and its ``config`` block. Nothing reads
 those columns back, and all three formats still load.
@@ -29,7 +29,7 @@ from .constructor import (
     EquivariantHypersurface,
     SigmaCurve,
     build_hypersurface,
-    curve_from_rows,
+    curves_from_rows,
 )
 from .hypersurface import adapted_frames
 
@@ -278,7 +278,7 @@ def sigma_from_dict(d: dict, schema_version: int) -> SigmaCurve:
             raise SceneError(f"scene field 'sigma.{key}' must be {claims[key]}; "
                              f"row {np.flatnonzero(~ok)[0]} is not")
     law = CurveLaw(d["law"]["kind"], _finite(d["law"]["eta"], "sigma.law.eta"))
-    return curve_from_rows(spec, law, step, grid, zs, ws, xis, d["truncation_reason"])
+    return curves_from_rows(spec, law, step, [(grid, zs, ws, xis, d["truncation_reason"])])[0]
 
 
 def patch_from_scene(doc: dict) -> EquivariantHypersurface:
@@ -289,6 +289,9 @@ def patch_from_scene(doc: dict) -> EquivariantHypersurface:
     meta = doc["patch"]
     _require(meta, ("s_extent",) + _PATCH_FIELDS, "patch")
     s_extent = _finite(meta["s_extent"], "patch.s_extent")
+    if not 0 < s_extent <= math.pi:   # construct's bound on its s_extent
+        raise SceneError(f"scene field 'patch.s_extent' must be positive and at most pi, "
+                         f"got {s_extent!r}")
     ehs = build_hypersurface(sigma.spec, sigma, s_extent=s_extent)
     # the rebuild is deterministic, so an unedited scene matches exactly
     rebuilt = _patch_fields(ehs)

@@ -614,6 +614,13 @@ def recoded(key, change, dtype=None, shape=None):
     ("sigma.step", lambda doc: doc["sigma"].update(step=-doc["sigma"]["step"])),
     ("sigma.law.eta", lambda doc: doc["sigma"]["law"].update(eta="1.0")),
     ("patch.s_extent", lambda doc: doc["patch"].update(s_extent="big")),
+    # bounded to (0, pi] like construct's s_extent, and checked before the
+    # sweep, whose own errors for these (an overflow, a box mismatch, no
+    # injective extent) name no field
+    ("patch.s_extent", lambda doc: doc["patch"].update(s_extent=1e308)),
+    ("patch.s_extent", lambda doc: doc["patch"].update(s_extent=-1e308)),
+    ("patch.s_extent", lambda doc: doc["patch"].update(s_extent=-0.1)),
+    ("patch.s_extent", lambda doc: doc["patch"].update(s_extent=0.0)),
     ("sigma.truncation_reason", lambda doc: doc["sigma"].update(truncation_reason=5)),
     ("sigma.law.kind", lambda doc: doc["sigma"]["law"].update(kind="bogus")),
     # format 3 recomputes what formats 1 and 2 stored, so a stored column or
@@ -626,7 +633,8 @@ def recoded(key, change, dtype=None, shape=None):
         "zs-off-frame", "ws-off-frame", "xis-off-frame", "zs-v2-zero-row", "zs-v2-huge",
         "ws-v2-zero-row", "xis-v2-zero-row", "xis-v2-huge",
         "c-string", "step-null",
-        "step-negative", "eta-string", "s_extent-string", "truncation_reason-int",
+        "step-negative", "eta-string", "s_extent-string", "s_extent-huge",
+        "s_extent-huge-negative", "s_extent-negative", "s_extent-zero", "truncation_reason-int",
         "law-kind-unknown", "gammas-nan", "alphas-short", "truncated-string", "truncated-int"])
 def test_classify_scene_rejects_bad_values(where, edit, tmp_path, capsys):
     # the committed format-3 scene, or the scene an edit swaps in

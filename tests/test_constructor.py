@@ -1,5 +1,7 @@
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,10 @@ from hopflab.constructor import (
 from hopflab.hypersurface import HypersurfacePatch, ImmersionError, adapted_frames, shape_data
 from hopflab.suites import _bent_patch
 import oracles
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from workloads import AUSTERE_N_STEPS, WORKLOADS  # noqa: E402
 
 
 def launch(label, theta=0.45, coords=(0.12, 0.07)):
@@ -171,8 +177,8 @@ def test_sweep_rejects_a_curve_singular_between_its_rows(monkeypatch):
     ts = h * np.arange(-1, 3)
     s = (ts - h / 2)[:, None]
     zs, ws = np.cos(s) * e0 + np.sin(s) * u, -np.sin(s) * e0 + np.cos(s) * u
-    sigma = constructor.curve_from_rows(spec, CurveLaw("geodesic"), h, ts, zs + 0j, ws + 0j,
-                                        np.tile(v, (4, 1)) + 0j, "")
+    sigma, = constructor.curves_from_rows(spec, CurveLaw("geodesic"), h,
+                                          [(ts, zs + 0j, ws + 0j, np.tile(v, (4, 1)) + 0j, "")])
     assert np.all(spec.gram_det(sigma.zs) > spec.gram_floor())
 
     def no_chart(*args):
@@ -735,11 +741,12 @@ def _count_invariant_calls(monkeypatch):
 
 def test_austere_search_stops_misaligned_launch_early(monkeypatch):
     # the launch at [-0.3, 0.0] fails alignment at row 16 of 120 forward and
-    # at row 17 backward, so it stops in the first block of rows: the start
-    # row and the block's rows make 2 evaluations
+    # at row 17 backward, so it stops in the first block of rows, which holds
+    # all 120 (ORBIT_BATCH // 2 lanes = 400 rows): the start row and the
+    # block's rows make 2 evaluations
     calls = _count_invariant_calls(monkeypatch)
     assert austere_search(load_action("ch2-k0-g2a"), [[-0.3, 0.0]], n_steps=120) == []
-    assert constructor.ROW_BLOCK == 16
+    assert (constructor.ROW_BLOCK, constructor.ORBIT_BATCH) == (16, 800)
     # each reads the mean curvature and the gram at once, and a rejected
     # launch never computes its orbit columns
     assert calls == ["row", "row"]
@@ -759,15 +766,15 @@ def test_orbit_reading_law_evaluates_full_orbit_data_at_every_stage(monkeypatch)
 
 def test_geodesic_law_evaluates_gram_in_the_lanes_and_orbit_data_once_per_curve(monkeypatch):
     # the geodesic law reads nothing of the orbit but the regularity test:
-    # the start row, then the rows of the blocks 1-16 and 17-30 take the
-    # gram alone, and the curve's orbit columns come from one full call on
-    # its 61 rows
+    # the start row, then the one block of rows 1-30 of both lanes (a block
+    # holds ORBIT_BATCH // 2 = 400 rows of 2 lanes) take the gram alone, and
+    # the curve's orbit columns come from one full call on its 61 rows
     calls = _count_invariant_calls(monkeypatch)
     spec, z0, w0 = launch("cp2-torus")
     sigma = integrate_sigma(spec, z0, w0, CurveLaw("geodesic"), n_steps=30)
     assert len(sigma.ts) == 61
-    assert constructor.ROW_BLOCK == 16
-    assert calls == ["gram"] * 3 + ["full"]
+    assert (constructor.ROW_BLOCK, constructor.ORBIT_BATCH) == (16, 800)
+    assert calls == ["gram"] * 2 + ["full"]
 
 
 def test_austere_search_nan_tolerance_keeps_nothing(monkeypatch):
@@ -842,6 +849,94 @@ def test_geodesic_orbit_columns_match_per_row():
     sigma = integrate_sigma(spec, z0, w0, CurveLaw("geodesic"), n_steps=40)
     assert sigma.truncated
     assert_orbit_columns_per_row(sigma)
+
+
+# -- the batched orbit work against one row per call ---------------------------------
+
+PINNED_ARRAYS = ("ts", "zs", "ws", "xis") + ORBIT_COLUMNS + ("gammas",)
+
+
+def curve_bytes(curve):
+    """The bytes of every array of a curve and its truncation reason, or None."""
+    if curve is None:
+        return None
+    return tuple(getattr(curve, name).tobytes() for name in PINNED_ARRAYS), \
+        curve.truncation_reason
+
+
+def at_defaults_and_one_row_per_call(monkeypatch, run):
+    """run() at the defaults, then with every block and every orbit call one row long."""
+    default = run()
+    with monkeypatch.context() as m:
+        m.setattr(constructor, "ORBIT_BATCH", 1)
+        m.setattr(constructor, "ROW_BLOCK", 1)
+        return default, run()
+
+
+@pytest.mark.parametrize("label", ["cp2-torus", "ch2-line-g2a", "ch2-k0-g2a"])
+def test_austere_search_batched_orbit_work_matches_one_row_per_call(label, tmp_path,
+                                                                    monkeypatch):
+    # the seed-3 austere benchmark grid of the action; every launch's curve,
+    # or None where alignment rejects it, is compared, not only the kept ones
+    workload = WORKLOADS["austere"](3, str(tmp_path))
+    launched = []
+    launch_sigmas = constructor._launch_sigmas
+
+    def recording(*args, **kwargs):
+        curves = launch_sigmas(*args, **kwargs)
+        launched.append([curve_bytes(c) for c in curves])
+        return curves
+
+    monkeypatch.setattr(constructor, "_launch_sigmas", recording)
+
+    def run():
+        found = austere_search(workload.specs[label], workload.grids[label],
+                               n_steps=AUSTERE_N_STEPS)
+        return [(c.start_coords.tobytes(), c.alignment_residual, curve_bytes(c.curve))
+                for c in found]
+
+    default, one_row = at_defaults_and_one_row_per_call(monkeypatch, run)
+    assert default == one_row
+    assert len(launched) == 2 and launched[0] == launched[1]
+    kept = [c for c in launched[0] if c is not None]
+    if label == "ch2-k0-g2a":
+        assert default == [] and kept == [] and len(launched[0]) > 0
+    else:
+        assert len(default) > 0 and len(kept) * 241 > constructor.ORBIT_BATCH
+
+
+@pytest.mark.parametrize("law", [CurveLaw("geodesic"), CurveLaw("cmc", eta=1.0)],
+                         ids=["geodesic", "cmc"])
+def test_launch_batch_across_an_orbit_batch_boundary_matches_one_row_per_call(law,
+                                                                            monkeypatch):
+    # three launches of 401 rows: the 800th row falls inside the second curve,
+    # whose orbit columns come from two calls at the defaults
+    spec = load_action("cp2-torus")
+    starts = [launch("cp2-torus", coords=c) for c in ((0.12, 0.07), (0.0, 0.1), (-0.1, 0.05))]
+    x0 = spec.frame_coords(np.array([z0 for _, z0, _ in starts]))
+    u0 = spec.frame_coords(np.array([w0 for _, _, w0 in starts]))
+
+    def run():
+        return [curve_bytes(c) for c in constructor._launch_sigmas(
+            spec, law, x0, u0, constructor.DEFAULT_STEP, 200)]
+
+    default, one_row = at_defaults_and_one_row_per_call(monkeypatch, run)
+    assert [len(c[0][0]) // 8 for c in default] == [401] * 3
+    assert 401 < constructor.ORBIT_BATCH < 802
+    assert default == one_row
+
+
+def test_truncated_launch_matches_one_row_per_call(monkeypatch):
+    # one side stops inside its first block at the defaults, and after 23
+    # one-row blocks here
+    spec, z0, w0 = launch("cp2-torus", theta=0.0, coords=(-0.463, -0.802))
+
+    def run():
+        return curve_bytes(integrate_sigma(spec, z0, w0, CurveLaw("geodesic"), n_steps=40))
+
+    default, one_row = at_defaults_and_one_row_per_call(monkeypatch, run)
+    assert default[1] == "left the regular set after 23 steps"
+    assert default == one_row
 
 
 @pytest.mark.parametrize("label", ["cp2-torus", "ch2-g0"])

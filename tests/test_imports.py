@@ -8,7 +8,8 @@ class, and every method of a top-level class, must be read somewhere in the
 library, and every name the package exports must resolve. No module, not
 even inside a function, imports SciPy: it is needed only by the tests.
 Only SpaceForm.central_difference phase-aligns representatives to difference
-them, and no module calls ``np.cross``: ``ambient.cross3`` rounds the same.
+them, only ``constructor.curves_from_rows`` builds a curve's orbit columns,
+and no module calls ``np.cross``: ``ambient.cross3`` rounds the same.
 No module reads the environment: every setting is a flag or a config key.
 """
 
@@ -201,6 +202,24 @@ def test_phase_align_is_called_only_by_the_central_difference():
     found = set(callers(sources, "phase_align"))
     assert ("ambient.py", "SpaceForm.central_difference") in found
     assert found <= PHASE_ALIGN_CALLERS, sorted(found - PHASE_ALIGN_CALLERS)
+
+
+# -- one place for a curve's orbit columns -------------------------------------------
+
+# inside constructor, the full orbit invariants are read by the collocation
+# nodes, by the one batched builder of every curve's orbit columns and by
+# the exact shape data; a per-curve twin of the builder would be a fourth
+ORBIT_INVARIANTS_CALLERS = {
+    ("constructor.py", "_GaussRows._evaluate"),
+    ("constructor.py", "curves_from_rows"),
+    ("constructor.py", "equivariant_shape_data"),
+}
+
+
+def test_orbit_invariants_is_called_only_by_its_three_readers():
+    source = (SRC / "constructor.py").read_text()
+    found = set(callers({"constructor.py": source}, "_orbit_invariants"))
+    assert found == ORBIT_INVARIANTS_CALLERS, sorted(found ^ ORBIT_INVARIANTS_CALLERS)
 
 
 # -- one cross product -----------------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 
 from conftest import DATA, format4_resave_text
 from hopflab.actions import LABELS
-from hopflab.constructor import CurveLaw, austere_search, curve_from_rows, integrate_sigma
+from hopflab.constructor import CurveLaw, austere_search, curves_from_rows, integrate_sigma
 from hopflab.scene import (_SIGMA_FIELDS, SCHEMA_VERSION, dumps_scene, load_scene, patch_from_scene,
                            scene_document, sigma_from_dict, sigma_to_dict)
 from test_constructor import LAWS, SIGMA_ARRAYS, launch
@@ -70,8 +70,8 @@ def test_negative_zero_entries_round_trip():
         return rows
 
     rows = [negated_zeros(getattr(sigma, name)) for name in ("zs", "ws", "xis")]
-    signed = curve_from_rows(spec, sigma.law, sigma.step, sigma.ts, *rows,
-                             sigma.truncation_reason)
+    signed, = curves_from_rows(spec, sigma.law, sigma.step,
+                               [(sigma.ts, *rows, sigma.truncation_reason)])
     for arr in rows:
         parts = arr.view(np.float64)
         assert np.count_nonzero((parts == 0.0) & np.signbit(parts)) > 0

@@ -112,6 +112,25 @@ def test_orbit_reading_curve_work(action, calls, points, tmp_path, monkeypatch):
     assert (len(sizes), sum(sizes)) == (calls, points)
 
 
+def test_construct_geodesic_item_runs_its_lanes_in_one_block(tmp_path, monkeypatch):
+    # the geodesic law reads the orbit only for the lanes' regularity test:
+    # the start's 2 points, then one block of both lanes' 200 rows, since a
+    # block holds ORBIT_BATCH // 2 = 400 rows of 2 live lanes
+    sizes = []
+    original = constructor._killing_gram
+
+    def counted(spec, x):
+        sizes.append(x.shape[1])
+        return original(spec, x)
+
+    monkeypatch.setattr(constructor, "_killing_gram", counted)
+    workload = WORKLOADS["construct"](3, str(tmp_path))
+    item = next(k for k, cfg in enumerate(workload.configs) if cfg["law"] == "geodesic")
+    ok, digest = workload.run(item)
+    assert ok, digest
+    assert sizes == [2, 2 * 200]
+
+
 # the functions whose shape data a construct cycle reads, by the nearest one on the stack
 CONSTRUCT_SITES = ("strongly_2hopf_certify", "leviflat_cmc_certify", "classify",
                    "_cmd_construct")
@@ -220,6 +239,11 @@ def test_austere_cycle_orbit_work(tmp_path, monkeypatch):
         ok, digest = workload.run(item)
         assert ok, digest
     # a pregeodesic lane tests regularity only at its rows, which the
-    # alignment's _orbit_body call reads anyway: no separate gram call
+    # alignment's _orbit_body call reads anyway: no separate gram call. The
+    # 40 curves that stay aligned (241 rows each) take their orbit columns
+    # ORBIT_BATCH rows per call, per search, and a block holds about
+    # ORBIT_BATCH points over its live lanes
+    assert constructor.ORBIT_BATCH == 800
     assert {name: (len(s), sum(s)) for name, s in sizes.items()} == {
-        "_orbit_body": (43, 12695), "_orbit_invariants": (40, 9640), "_killing_gram": (0, 0)}
+        "_orbit_body": (28, 12695), "_orbit_invariants": (14, 9640), "_killing_gram": (0, 0)}
+    assert max(sizes["_orbit_invariants"]) == constructor.ORBIT_BATCH
