@@ -24,15 +24,20 @@ node curvatures are found by Picard iteration, one batched orbit evaluation
 per iteration. A pregeodesic law (geodesic, austere) has gamma = 0: its
 curve is the ambient geodesic exp_z0(t w0) with constant Frenet normal,
 which ``_GeodesicRows`` writes in closed form, a block per call of about
-ORBIT_BATCH points over the live lanes and at least ROW_BLOCK rows. A
-lane stops, while the others go on, at its first Gauss node or row that is
-non-finite, not regular or turned too far, or at its first step that does
-not converge. ``curves_from_rows`` builds every curve, launched or loaded,
+ORBIT_BATCH points over the live lanes and at least ROW_BLOCK rows; one
+``_curve_columns`` call per block gives the rows' regularity, alignment and
+orbit columns, and the lanes keep the columns with the rows. A lane stops,
+while the others go on, at its first Gauss node or row that is non-finite,
+not regular or turned too far, or at its first step that does not
+converge. ``_curve_columns`` is the one place where orbit invariants
+become a curve's columns: a pregeodesic curve takes them from its lanes,
+and ``curves_from_rows`` builds every other curve, collocated or loaded,
 from its rows, the curves of one batch together, ORBIT_BATCH rows per
-orbit call. ``integrate_sigma`` runs the two sides of a curve as
-two lanes; ``austere_search`` runs all its launches as one batch, in which
-a launch stops at its first row whose alignment |<H, xi>| with the orbit
-mean-curvature field is not below the search tolerance.
+orbit call, with the bits the lanes give theirs. ``integrate_sigma`` runs
+the two sides of a curve as two lanes; ``austere_search`` runs all its
+launches as one batch, in which a launch stops at its first row whose
+alignment |<H, xi>| with the orbit mean-curvature field is not below the
+search tolerance.
 
 A swept patch has two routes to its shape data. ``equivariant_shape_data``
 builds it exactly from the curve and its orbits (the section is totally
@@ -80,9 +85,9 @@ from .hypersurface import (
 
 DEFAULT_STEP = 1e-3
 # the points of one orbit evaluation of the section-curve layer: the curve
-# columns of a batch of launches take one ``_orbit_invariants`` call per
-# ORBIT_BATCH rows, and a block of closed-form pregeodesic rows holds about
-# ORBIT_BATCH points over its live lanes. The cap bounds the memory of a call.
+# columns built from rows take one ``_curve_columns`` call per ORBIT_BATCH
+# rows, and a block of closed-form pregeodesic rows holds about ORBIT_BATCH
+# points over its live lanes. The cap bounds the memory of a call.
 ORBIT_BATCH = 800
 # the fewest rows per block of the closed-form pregeodesic lanes: a block
 # evaluates one point per row of each live lane, and a lane that stops early
@@ -250,29 +255,46 @@ class SigmaCurve:
         return np.clip(rows, 0, len(self.ts) - 1)
 
 
+def _curve_columns(spec, law, x, xi):
+    """(columns, gram det) of curve rows at points x (3, N) with normals xi (3, N).
+
+    x and xi are real frame coordinates. The columns map gammas, alphas,
+    betas, hopf_a, hopf_b and mean_align (<H, xi>) to (N,) arrays, all from
+    one ``_orbit_invariants`` call: the one place where orbit invariants
+    become curve columns.
+    """
+    alpha, beta, a, b, mean, det = _orbit_invariants(spec, x, xi)
+    return {"gammas": law.target(alpha, beta, a, b), "alphas": alpha, "betas": beta,
+            "hopf_a": a, "hopf_b": b, "mean_align": spec.space.g(mean.T, xi.T)}, det
+
+
+def _sigma_curve(spec, law, step, rows, cols):
+    """The SigmaCurve of rows (ts, zs, ws, xis, reason) with orbit columns cols."""
+    ts, zs, ws, xis, reason = rows
+    return SigmaCurve(spec=spec, law=law, ts=ts, zs=zs, ws=ws, xis=xis, step=step,
+                      truncation_reason=reason, **cols)
+
+
 def curves_from_rows(spec, law, step, rows):
     """The SigmaCurve of each (ts, zs, ws, xis, reason) of rows, in order.
 
     zs, ws, xis (n, 3) are rows in the section's real frame at times ts.
-    The orbit columns (alpha, beta, a, b, <H, xi>) and gammas of all the
-    curves come from ``_orbit_invariants`` on their rows in one sequence, a
-    call per ORBIT_BATCH rows; every orbit operation is pointwise, so a
-    curve's columns do not depend on the batch it is built in. This is where
-    every launched or loaded curve gets its columns.
+    The orbit columns of all the curves come from ``_curve_columns`` on
+    their rows in one sequence, a call per ORBIT_BATCH rows; every orbit
+    operation is pointwise, so a curve's columns do not depend on the batch
+    it is built in. The scene loader and the collocation lanes build their
+    curves here; a pregeodesic lane keeps the columns of its own rows, with
+    the bits this gives them.
     """
     if not rows:
         return []
     x, xi = (spec.frame_coords(np.concatenate([r[k] for r in rows])) for k in (1, 3))
-    alpha, beta, a, b, mean = (np.concatenate(parts, axis=-1) for parts in zip(*(
-        _orbit_invariants(spec, x[i:i + ORBIT_BATCH].T, xi[i:i + ORBIT_BATCH].T)[:5]
-        for i in range(0, len(x), ORBIT_BATCH))))
-    cols = {"gammas": law.target(alpha, beta, a, b), "alphas": alpha, "betas": beta,
-            "hopf_a": a, "hopf_b": b, "mean_align": spec.space.g(mean.T, xi)}
+    parts = [_curve_columns(spec, law, x[i:i + ORBIT_BATCH].T, xi[i:i + ORBIT_BATCH].T)[0]
+             for i in range(0, len(x), ORBIT_BATCH)]
     ends = np.cumsum([len(r[0]) for r in rows])[:-1]
-    parts = {key: np.split(col, ends) for key, col in cols.items()}
-    return [SigmaCurve(spec=spec, law=law, ts=ts, zs=zs, ws=ws, xis=xis, step=step,
-                       truncation_reason=reason, **{key: p[k] for key, p in parts.items()})
-            for k, (ts, zs, ws, xis, reason) in enumerate(rows)]
+    cols = {key: np.split(np.concatenate([p[key] for p in parts]), ends) for key in parts[0]}
+    return [_sigma_curve(spec, law, step, r, {key: c[k] for key, c in cols.items()})
+            for k, r in enumerate(rows)]
 
 
 def _renorm(sp, y):
@@ -359,7 +381,7 @@ class _GaussRows:
     def start(self, y):
         self.s = y.transpose(2, 0, 1)
         self.gam, det = self._evaluate(y[0], y[2])
-        return det, None
+        return det, None, {}
 
     def rows(self, keep, i0, i1):
         if keep is not None:
@@ -417,33 +439,38 @@ class _GeodesicRows:
     The curve is the ambient geodesic through its start with constant
     Frenet normal: row i at t = i step holds x = C x0 + r S u0,
     w = -eps S x0/r + C u0 and xi = v0, with (C, S) from
-    ``SpaceForm.geodesic_coefficients`` at theta = t/r. A lane stops at
-    its first row that is non-finite or not regular. With ``align_tol``,
-    each row also reports whether |<H, xi>| < align_tol.
+    ``SpaceForm.geodesic_coefficients`` at theta = t/r. One
+    ``_curve_columns`` call per block gives each row's gram det, which tests
+    regularity, and its orbit columns, which come back as row keys, so the
+    curve built from the rows reads them and evaluates nothing again. A
+    lane stops at its first row that is non-finite or not regular. With
+    ``align_tol``, each row also reports whether |<H, xi>| < align_tol.
 
     A block holds ORBIT_BATCH // lanes rows of its live lanes, and at least
     ROW_BLOCK, so a call evaluates about ORBIT_BATCH points however many
     lanes are live, and a lane that stops early wastes the rest of its block.
     """
 
-    def __init__(self, spec, step, align_tol=None):
-        self.spec, self.step, self.align_tol = spec, step, align_tol
+    def __init__(self, spec, law, step, align_tol=None):
+        self.spec, self.law, self.step, self.align_tol = spec, law, step, align_tol
 
     def block(self, lanes):
         """Rows per call for ``lanes`` live lanes."""
         return max(ROW_BLOCK, ORBIT_BATCH // lanes)
 
-    def _aligned_and_regular(self, x, v):
-        """(alignment mask or None, gram det) at points x (3, N) with normals v (3, N)."""
+    def _evaluate(self, x, v):
+        """(gram det, alignment mask or None, columns) at points x (3, N) with normals v (3, N)."""
+        # adding 0.0 gives the frame coordinates that the stored rows x * phases
+        # load back to: ``frame_coords`` turns -0.0 into +0.0, and nothing else,
+        # so the columns have the bits ``curves_from_rows`` gives the curve's rows
+        cols, det = _curve_columns(self.spec, self.law, x + 0.0, v + 0.0)
         if self.align_tol is None:
-            return None, _killing_gram(self.spec, x)[-1]
-        mean, det = _orbit_body(self.spec, x, require_regular=False)[3:]
-        return np.abs(self.spec.space.g(mean.T, v.T)) < self.align_tol, det
+            return det, None, cols
+        return det, np.abs(cols["mean_align"]) < self.align_tol, cols
 
     def start(self, y):
         self.y = y
-        aligned, det = self._aligned_and_regular(y[0], y[2])
-        return det, aligned
+        return self._evaluate(y[0], y[2])
 
     def rows(self, keep, i0, i1):
         if keep is not None:
@@ -456,13 +483,14 @@ class _GeodesicRows:
         xs = c * x + sp.radius * s * u
         ws = -sp.eps * s * x / sp.radius + c * u
         shape = xs.shape[1:]
-        aligned, det_row = self._aligned_and_regular(
+        det_row, aligned, cols = self._evaluate(
             xs.reshape(3, -1), np.broadcast_to(v, xs.shape).reshape(3, -1))
         # the cause code of a row's failure: 1 if non-finite, else 0
         nonfinite = ~(np.isfinite(xs).all(axis=0) & np.isfinite(ws).all(axis=0))
         fail = nonfinite | ~(det_row.reshape(shape) > floor)
         stop = np.where(fail.any(axis=1), fail.argmax(axis=1), len(i))
-        new = {"zs": xs.transpose(1, 2, 0), "ws": ws.transpose(1, 2, 0)}
+        new = {"zs": xs.transpose(1, 2, 0), "ws": ws.transpose(1, 2, 0),
+               **{key: col.reshape(shape) for key, col in cols.items()}}
         return new, stop, nonfinite, None if aligned is None else aligned.reshape(shape)
 
 
@@ -473,11 +501,12 @@ def _lane_loop(spec, rule, x0, u0, v0, n_steps, n_launches):
     start; lane l is a side of launch l % n_launches. The start is
     renormalized, and a start that is not regular raises
     SingularOrbitError. ``rule.start(y)`` gives the start's (gram det,
-    alignment or None); each ``rule.rows(keep, i0, i1)`` call gives, for
-    rows i0 to i1 - 1 (``rule.block(lanes)`` rows for the number of lanes
-    live at i0, fewer at the end) of the live lanes (keep masks those of its
-    last call, or is None when all of them go on),
-    (rows of the keys that move, accepted row counts, the cause code of a
+    alignment or None, the rule's own row keys: a dict, maybe empty, of
+    values per lane); each ``rule.rows(keep, i0, i1)`` call gives, for rows
+    i0 to i1 - 1 (``rule.block(lanes)`` rows for the number of lanes live
+    at i0, fewer at the end) of the live lanes (keep masks those of its last
+    call, or is None when all of them go on), (rows of the keys that move,
+    the rule's own keys among them, accepted row counts, the cause code of a
     step's first failure as an index into STOP_REASONS, alignment or None),
     each per live lane and the last two also per row. A lane stops, with a
     truncation reason, at the first step that leaves the regular set (gram
@@ -486,9 +515,10 @@ def _lane_loop(spec, rule, x0, u0, v0, n_steps, n_launches):
     any of its lanes that is misaligned.
 
     Returns (rows, counts, reasons, rejected): rows maps zs, ws and xis
-    (real frame coordinates) to arrays with lane and row axes leading, of
-    which lane k holds counts[k] valid rows; an empty reason means the lane
-    ran all n_steps; rejected (n_launches,) marks rejected launches.
+    (real frame coordinates) and the rule's own keys to arrays with lane and
+    row axes leading, of which lane k holds counts[k] valid rows; an empty
+    reason means the lane ran all n_steps; rejected (n_launches,) marks
+    rejected launches.
     """
     launch = np.arange(len(x0)) % n_launches
     rejected = np.zeros(n_launches, dtype=bool)
@@ -497,12 +527,13 @@ def _lane_loop(spec, rule, x0, u0, v0, n_steps, n_launches):
     # dying lanes compute with singular or non-finite data; they are masked out
     with np.errstate(all="ignore"):
         y = _renorm(spec.space, np.array([x0.T, u0.T, v0.T]))
-        det, aligned = rule.start(y)
+        det, aligned, own = rule.start(y)
         if not np.all(det > spec.gram_floor()):
             raise SingularOrbitError("initial point is not regular")
         # every row starts as a copy of the start row; a rule writes the keys that move
         rows = {key: np.repeat(val[:, None], n_steps + 1, axis=1)
-                for key, val in zip(("zs", "ws", "xis"), y.transpose(0, 2, 1))}
+                for key, val in (*zip(("zs", "ws", "xis"), y.transpose(0, 2, 1)),
+                                 *own.items())}
         if aligned is not None:
             rejected[launch[~aligned]] = True
         keep = ~rejected[launch]
@@ -540,9 +571,10 @@ def _launch_sigmas(spec, law, x0, u0, step, n_steps, two_sided=True, align_tol=N
     takes the collocation row rule, a pregeodesic law the closed form. With
     ``align_tol`` (pregeodesic laws only), a launch whose alignment
     |<H, xi>| fails to stay below it stops at that row and its entry is
-    None. ``curves_from_rows`` builds the returned curves together, so their
-    orbit columns take a call per ORBIT_BATCH rows of all of them, and a
-    rejected launch never computes its own.
+    None. A pregeodesic curve takes its orbit columns from its lanes, which
+    computed them with its rows; the collocation curves get theirs from
+    ``curves_from_rows``, together, a call per ORBIT_BATCH rows of all of
+    them. Either way a rejected launch is never built.
     """
     if step <= 0:
         raise GeometryError("step must be positive")
@@ -554,22 +586,28 @@ def _launch_sigmas(spec, law, x0, u0, step, n_steps, two_sided=True, align_tol=N
     if two_sided:
         x0, u0, v0 = (np.concatenate(pair) for pair in ((x0, x0), (u0, -u0), (v0, v0)))
     rule = (_GaussRows(spec, law, step) if law.reads_orbit_data
-            else _GeodesicRows(spec, step, align_tol))
+            else _GeodesicRows(spec, law, step, align_tol))
     rows, counts, reasons, rejected = _lane_loop(spec, rule, x0, u0, v0, n_steps, n)
     kept = np.flatnonzero(~rejected)
-    curve_rows = []
+    curve_rows, curve_cols = [], []
     for k in kept:
         back = n + k if two_sided else k
         nf, nb = counts[k], (counts[back] if two_sided else 1)
         # the backward side reversed, less its copy of the t = 0 row, then the forward side
-        zs, ws, xis = (np.concatenate([rows[key][back, nb - 1:0:-1], rows[key][k, :nf]])
-                       * spec.phases for key in ("zs", "ws", "xis"))
+        cols = {key: np.concatenate([val[back, nb - 1:0:-1], val[k, :nf]])
+                for key, val in rows.items()}
+        zs, ws, xis = (cols.pop(key) * spec.phases for key in ("zs", "ws", "xis"))
         ws[:nb - 1] *= -1
         reason = [reasons[k], reasons[back]] if two_sided else [reasons[k]]
         curve_rows.append((np.arange(1 - nb, nf) * step, zs, ws, xis,
                            "; ".join(r for r in reason if r)))
+        curve_cols.append(cols)
+    if law.reads_orbit_data:
+        built = curves_from_rows(spec, law, step, curve_rows)
+    else:
+        built = [_sigma_curve(spec, law, step, r, cols) for r, cols in zip(curve_rows, curve_cols)]
     curves = [None] * n
-    for k, curve in zip(kept, curves_from_rows(spec, law, step, curve_rows)):
+    for k, curve in zip(kept, built):
         curves[k] = curve
     return curves
 

@@ -272,19 +272,22 @@ def shape_data(patch: HypersurfacePatch, params) -> ShapeData:
 
     The normal field is differenced at the six points p + o_a, so the chart
     is needed on the nested stencil (p + o_a) + o_b: one chart call on its
-    31 distinct cells per point, gathered into the stencils of frames_at at
-    p and at the p + o_a.
+    31 distinct cells per point, gathered into the stencils of one frames_at
+    call at the p and the p + o_a.
     """
     sp = patch.space
     params = _finite_params(params)
     n = params.shape[0]
     h = patch.diff_step
     zs = patch.eval(_nested_stencil(params, h))[:, _NESTED_INDEX]   # (N, a, b, 3)
-    base = frames_at(patch, params, zs[:, 0])
+    # one frames_at call, the base points first, so an ImmersionError names
+    # the first failing base point before any displaced one
     displaced = (params[:, None, :] + _central_offsets(h)[None, 1:, :]).reshape(-1, 3)
-    disp = frames_at(patch, displaced, zs[:, 1:].reshape(-1, 7, 3))
-    xi_d = disp.xi.reshape(n, 6, 3)
-    z_d = disp.z.reshape(n, 6, 3)
+    fr = frames_at(patch, np.concatenate([params, displaced]),
+                   np.concatenate([zs[:, 0], zs[:, 1:].reshape(-1, 7, 3)]))
+    base = PointFrames(params=fr.params[:n], z=fr.z[:n], v=fr.v[:n], xi=fr.xi[:n])
+    xi_d = fr.xi[n:].reshape(n, 6, 3)
+    z_d = fr.z[n:].reshape(n, 6, 3)
     (dxi,) = sp.central_difference(base.z[:, None], z_d[:, 0::2], z_d[:, 1::2], h,
                                    (xi_d[:, 0::2], xi_d[:, 1::2]))
     nabla_xi = sp.project_horizontal(base.z[:, None], dxi)   # nabla_{v_k} xi

@@ -704,37 +704,19 @@ def test_austere_search_matches_scalar_search(label, grid, n_found):
 def _count_invariant_calls(monkeypatch):
     """Record each orbit evaluation of the section curves, by kind.
 
-    "full" per ``_orbit_invariants`` call, "gram" per ``_killing_gram`` call
-    and "row" per ``_orbit_body`` call inside ``_lane_loop`` (either row
-    rule). A call made inside a recorded one is not recorded, nor is the
-    search's own ``_orbit_body`` call on its grid, outside the lane loop.
+    "full" per ``_orbit_invariants`` call and "gram" per ``_killing_gram``
+    call. The search's own ``_orbit_body`` call on its grid is not recorded;
+    nothing else in ``constructor`` calls the body (``test_imports``).
     """
     calls = []
-    inside = {"lanes": False, "recorded": False}
 
     def counting(seam, kind):
         def call(*args, **kwargs):
-            if inside["recorded"] or (kind == "row" and not inside["lanes"]):
-                return seam(*args, **kwargs)
             calls.append(kind)
-            inside["recorded"] = True
-            try:
-                return seam(*args, **kwargs)
-            finally:
-                inside["recorded"] = False
+            return seam(*args, **kwargs)
         return call
 
-    def in_lanes(*args, **kwargs):
-        inside["lanes"] = True
-        try:
-            return lane_loop(*args, **kwargs)
-        finally:
-            inside["lanes"] = False
-
-    lane_loop = constructor._lane_loop
-    monkeypatch.setattr(constructor, "_lane_loop", in_lanes)
-    for name, kind in (("_orbit_invariants", "full"), ("_killing_gram", "gram"),
-                       ("_orbit_body", "row")):
+    for name, kind in (("_orbit_invariants", "full"), ("_killing_gram", "gram")):
         monkeypatch.setattr(constructor, name, counting(getattr(constructor, name), kind))
     return calls
 
@@ -747,9 +729,9 @@ def test_austere_search_stops_misaligned_launch_early(monkeypatch):
     calls = _count_invariant_calls(monkeypatch)
     assert austere_search(load_action("ch2-k0-g2a"), [[-0.3, 0.0]], n_steps=120) == []
     assert (constructor.ROW_BLOCK, constructor.ORBIT_BATCH) == (16, 800)
-    # each reads the mean curvature and the gram at once, and a rejected
-    # launch never computes its orbit columns
-    assert calls == ["row", "row"]
+    # each gives the rows' columns, gram and alignment at once, and a
+    # rejected launch builds no curve that would evaluate them again
+    assert calls == ["full", "full"]
 
 
 def test_orbit_reading_law_evaluates_full_orbit_data_at_every_stage(monkeypatch):
@@ -760,21 +742,21 @@ def test_orbit_reading_law_evaluates_full_orbit_data_at_every_stage(monkeypatch)
     calls = _count_invariant_calls(monkeypatch)
     spec, z0, w0 = launch("cp2-torus")
     integrate_sigma(spec, z0, w0, CurveLaw("cmc", eta=1.0), n_steps=30)
-    assert (calls.count("full"), calls.count("gram"), calls.count("row")) == (8, 1, 0)
     assert calls == ["full"] * 7 + ["gram", "full"]
 
 
-def test_geodesic_law_evaluates_gram_in_the_lanes_and_orbit_data_once_per_curve(monkeypatch):
-    # the geodesic law reads nothing of the orbit but the regularity test:
-    # the start row, then the one block of rows 1-30 of both lanes (a block
-    # holds ORBIT_BATCH // 2 = 400 rows of 2 lanes) take the gram alone, and
-    # the curve's orbit columns come from one full call on its 61 rows
+def test_geodesic_law_evaluates_orbit_data_once_per_row_in_the_lanes(monkeypatch):
+    # the geodesic law's lanes read the full orbit data at their rows, the
+    # regularity test and the curve's orbit columns in one call: the start
+    # row, then the one block of rows 1-30 of both lanes (a block holds
+    # ORBIT_BATCH // 2 = 400 rows of 2 lanes); the curve built from the
+    # lanes evaluates nothing again
     calls = _count_invariant_calls(monkeypatch)
     spec, z0, w0 = launch("cp2-torus")
     sigma = integrate_sigma(spec, z0, w0, CurveLaw("geodesic"), n_steps=30)
     assert len(sigma.ts) == 61
     assert (constructor.ROW_BLOCK, constructor.ORBIT_BATCH) == (16, 800)
-    assert calls == ["gram"] * 2 + ["full"]
+    assert calls == ["full"] * 2
 
 
 def test_austere_search_nan_tolerance_keeps_nothing(monkeypatch):
@@ -783,7 +765,7 @@ def test_austere_search_nan_tolerance_keeps_nothing(monkeypatch):
     monkeypatch.setattr(constructor, "AUSTERE_TOL", np.nan)
     spec = load_action("cp2-torus")
     assert austere_search(spec, [[0.0, 0.0], [0.1, 0.0]], n_steps=40) == []
-    assert calls == ["row"]
+    assert calls == ["full"]
 
 
 @pytest.mark.parametrize("label, grid, n_meshes", [
@@ -849,6 +831,70 @@ def test_geodesic_orbit_columns_match_per_row():
     sigma = integrate_sigma(spec, z0, w0, CurveLaw("geodesic"), n_steps=40)
     assert sigma.truncated
     assert_orbit_columns_per_row(sigma)
+
+
+# -- a pregeodesic lane's columns against the curve's own rows ----------------------
+
+
+def assert_lane_columns_are_the_rows_columns(curve):
+    """The curve's orbit columns and gammas have, bit for bit, what
+    ``curves_from_rows`` gives its stored rows, as the scene loader does.
+
+    Compared as int64 views, so -0.0 and +0.0 differ: rows that reach the
+    columns through ``frame_coords`` of their stored form lose -0.0.
+    """
+    ref, = constructor.curves_from_rows(curve.spec, curve.law, curve.step, [
+        (curve.ts, curve.zs, curve.ws, curve.xis, curve.truncation_reason)])
+    for name in ("gammas",) + ORBIT_COLUMNS:
+        assert np.array_equal(getattr(curve, name).view(np.int64),
+                              getattr(ref, name).view(np.int64)), name
+
+
+def test_austere_cycle_lane_columns_are_their_rows_columns(tmp_path, monkeypatch):
+    # every launch that alignment keeps in one seed-3 austere benchmark
+    # cycle, before the search filters them
+    workload = WORKLOADS["austere"](3, str(tmp_path))
+    kept = []
+    launch_sigmas = constructor._launch_sigmas
+
+    def recording(*args, **kwargs):
+        curves = launch_sigmas(*args, **kwargs)
+        kept.extend(c for c in curves if c is not None)
+        return curves
+
+    monkeypatch.setattr(constructor, "_launch_sigmas", recording)
+    for label in workload.cycle():
+        austere_search(workload.specs[label], workload.grids[label], n_steps=AUSTERE_N_STEPS)
+    assert len(kept) == 40
+    for curve in kept:
+        assert_lane_columns_are_the_rows_columns(curve)
+
+
+def test_pregeodesic_lane_columns_are_their_rows_columns_on_the_q2_axis():
+    # starts on the line q2 = 0, along it and across it: on ch2-g0, ch2-k0-g2a
+    # and ch2-line-g2a the rows there have zero frame coordinates, some -0.0
+    zeros = negative = 0
+    for label in LABELS:
+        for law in (CurveLaw("geodesic"), CurveLaw("austere")):
+            for coords in ((0.1, 0.0), (-0.2, 0.0), (0.0, 0.0)):
+                for theta in (0.0, np.pi / 2):
+                    spec, z0, w0 = launch(label, theta=theta, coords=coords)
+                    sigma = integrate_sigma(spec, z0, w0, law, n_steps=30)
+                    assert len(sigma.ts) == 61
+                    assert_lane_columns_are_the_rows_columns(sigma)
+                    parts = np.concatenate([sigma.zs, sigma.xis]).view(np.float64)
+                    zeros += np.count_nonzero(spec.frame_coords(sigma.zs) == 0.0)
+                    negative += np.count_nonzero((parts == 0.0) & np.signbit(parts))
+    assert zeros > 0 and negative > 0
+
+
+def test_truncated_lane_columns_are_their_rows_columns():
+    # one side truncated (see test_lane_core_matches_scalar_when_one_side_truncates)
+    spec, z0, w0 = launch("cp2-torus", theta=0.0, coords=(-0.463, -0.802))
+    for law in (CurveLaw("geodesic"), CurveLaw("austere")):
+        sigma = integrate_sigma(spec, z0, w0, law, n_steps=40)
+        assert sigma.truncation_reason == "left the regular set after 23 steps"
+        assert_lane_columns_are_the_rows_columns(sigma)
 
 
 # -- the batched orbit work against one row per call ---------------------------------

@@ -594,12 +594,12 @@ def test_nested_stencils_evaluate_each_distinct_point_once(monkeypatch, lohnherr
     n = 5
     shape_data(patch, patch.grid((n, 1, 1), margin=0.2))
     assert chart_rows == [31 * n]            # one call; 49 n rows in two calls before
-    assert frame_points == [n, 6 * n]
+    assert frame_points == [n + 6 * n]       # the base points and their 6 n displaced ones
     chart_rows.clear()
     frame_points.clear()
     verify_gauss_codazzi(patch, patch.grid((2, 2, 2), margin=0.25)[3], n_random=2)
     assert sum(chart_rows) == 434            # 686 before
-    assert frame_points == [31, 7, 42]
+    assert frame_points == [31, 7 + 42]
 
 
 # -- bad input ---------------------------------------------------------------------

@@ -8,8 +8,10 @@ class, and every method of a top-level class, must be read somewhere in the
 library, and every name the package exports must resolve. No module, not
 even inside a function, imports SciPy: it is needed only by the tests.
 Only SpaceForm.central_difference phase-aligns representatives to difference
-them, only ``constructor.curves_from_rows`` builds a curve's orbit columns,
-and no module calls ``np.cross``: ``ambient.cross3`` rounds the same.
+them, only ``constructor._curve_columns`` turns orbit invariants into a
+curve's columns, only the austere search's grid calls the orbit body in
+``constructor``, and no module calls ``np.cross``: ``ambient.cross3``
+rounds the same.
 No module reads the environment: every setting is a flag or a config key.
 """
 
@@ -207,11 +209,12 @@ def test_phase_align_is_called_only_by_the_central_difference():
 # -- one place for a curve's orbit columns -------------------------------------------
 
 # inside constructor, the full orbit invariants are read by the collocation
-# nodes, by the one batched builder of every curve's orbit columns and by
-# the exact shape data; a per-curve twin of the builder would be a fourth
+# nodes, by the one helper that turns them into curve columns (for the
+# pregeodesic lanes and for every curve built from its rows) and by the exact
+# shape data; a per-curve twin of the helper would be a fourth
 ORBIT_INVARIANTS_CALLERS = {
     ("constructor.py", "_GaussRows._evaluate"),
-    ("constructor.py", "curves_from_rows"),
+    ("constructor.py", "_curve_columns"),
     ("constructor.py", "equivariant_shape_data"),
 }
 
@@ -220,6 +223,15 @@ def test_orbit_invariants_is_called_only_by_its_three_readers():
     source = (SRC / "constructor.py").read_text()
     found = set(callers({"constructor.py": source}, "_orbit_invariants"))
     assert found == ORBIT_INVARIANTS_CALLERS, sorted(found ^ ORBIT_INVARIANTS_CALLERS)
+
+
+def test_orbit_body_is_called_in_constructor_only_by_the_search_grid():
+    # the austere search reads H on its grid once to pick its launches; a
+    # curve's rows take the orbit body inside ``_orbit_invariants`` alone, so
+    # no row pays for a second body evaluation
+    source = (SRC / "constructor.py").read_text()
+    assert callers({"constructor.py": source}, "_orbit_body") == [
+        ("constructor.py", "austere_search")]
 
 
 # -- one cross product -----------------------------------------------------------------

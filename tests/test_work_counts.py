@@ -112,23 +112,38 @@ def test_orbit_reading_curve_work(action, calls, points, tmp_path, monkeypatch):
     assert (len(sizes), sum(sizes)) == (calls, points)
 
 
+def count_orbit_points(monkeypatch, fn_names):
+    """Record the points (3, N) of every call of each constructor.<fn_name>, by name."""
+    sizes = {fn_name: [] for fn_name in fn_names}
+
+    def counting(fn_name):
+        fn = getattr(constructor, fn_name)
+
+        def counted(spec, x, *args, **kwargs):
+            sizes[fn_name].append(x.shape[1])
+            return fn(spec, x, *args, **kwargs)
+
+        return counted
+
+    for fn_name in sizes:
+        monkeypatch.setattr(constructor, fn_name, counting(fn_name))
+    return sizes
+
+
 def test_construct_geodesic_item_runs_its_lanes_in_one_block(tmp_path, monkeypatch):
-    # the geodesic law reads the orbit only for the lanes' regularity test:
-    # the start's 2 points, then one block of both lanes' 200 rows, since a
-    # block holds ORBIT_BATCH // 2 = 400 rows of 2 live lanes
-    sizes = []
-    original = constructor._killing_gram
-
-    def counted(spec, x):
-        sizes.append(x.shape[1])
-        return original(spec, x)
-
-    monkeypatch.setattr(constructor, "_killing_gram", counted)
+    # the geodesic law's lanes read the orbit data at their rows, for the
+    # regularity test and the curve's columns at once: the start's 2 points,
+    # then one block of both lanes' 200 rows, since a block holds
+    # ORBIT_BATCH // 2 = 400 rows of 2 live lanes. The curve built from the
+    # lanes evaluates nothing again, and no row takes a gram-only call; the
+    # last two calls are the exact shape data's, on the 20 distinct t of the
+    # certificate's grid and the 12 of the mesh.
+    sizes = count_orbit_points(monkeypatch, ("_orbit_invariants", "_killing_gram"))
     workload = WORKLOADS["construct"](3, str(tmp_path))
     item = next(k for k, cfg in enumerate(workload.configs) if cfg["law"] == "geodesic")
     ok, digest = workload.run(item)
     assert ok, digest
-    assert sizes == [2, 2 * 200]
+    assert sizes == {"_orbit_invariants": [2, 2 * 200, 20, 12], "_killing_gram": []}
 
 
 # the functions whose shape data a construct cycle reads, by the nearest one on the stack
@@ -221,29 +236,21 @@ def test_austere_cycle_orbit_work(tmp_path, monkeypatch):
     # the orbit evaluations of one seed-3 austere benchmark cycle, by the
     # constructor's bindings: the search grids' bodies, the lanes' rows and
     # the orbit columns of every curve that stays aligned
-    sizes = {"_orbit_body": [], "_orbit_invariants": [], "_killing_gram": []}
-
-    def counting(fn_name):
-        fn = getattr(constructor, fn_name)
-
-        def counted(spec, x, *args, **kwargs):
-            sizes[fn_name].append(x.shape[1])
-            return fn(spec, x, *args, **kwargs)
-
-        return counted
-
-    for fn_name in sizes:
-        monkeypatch.setattr(constructor, fn_name, counting(fn_name))
+    sizes = count_orbit_points(monkeypatch, ("_orbit_body", "_orbit_invariants", "_killing_gram"))
     workload = WORKLOADS["austere"](3, str(tmp_path))
     for item in workload.cycle():
         ok, digest = workload.run(item)
         assert ok, digest
-    # a pregeodesic lane tests regularity only at its rows, which the
-    # alignment's _orbit_body call reads anyway: no separate gram call. The
-    # 40 curves that stay aligned (241 rows each) take their orbit columns
-    # ORBIT_BATCH rows per call, per search, and a block holds about
-    # ORBIT_BATCH points over its live lanes
+    # the search grids' 25 points per action take the only _orbit_body calls.
+    # A pregeodesic lane reads its rows' regularity, alignment and orbit
+    # columns from one _orbit_invariants call per block, a block holding
+    # about ORBIT_BATCH points over its live lanes, so the 12,570 row points
+    # are evaluated once and the 40 curves that stay aligned (241 rows each,
+    # 9,640 points) are built from them with no call of their own
     assert constructor.ORBIT_BATCH == 800
     assert {name: (len(s), sum(s)) for name, s in sizes.items()} == {
-        "_orbit_body": (28, 12695), "_orbit_invariants": (14, 9640), "_killing_gram": (0, 0)}
+        "_orbit_body": (5, 125), "_orbit_invariants": (23, 12570), "_killing_gram": (0, 0)}
+    assert sizes["_orbit_body"] == [25] * 5
+    # every orbit-body point of the cycle, those inside _orbit_invariants included
+    assert sum(sizes["_orbit_body"]) + sum(sizes["_orbit_invariants"]) == 12695
     assert max(sizes["_orbit_invariants"]) == constructor.ORBIT_BATCH
