@@ -71,12 +71,7 @@ def _decode(obj):
     return np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
 
 
-def _load_table():
-    with resources.files("hopflab.data").joinpath("actions.json").open() as f:
-        return json.load(f)
-
-
-_TABLE = _load_table()
+_TABLE = json.loads(resources.files("hopflab.data").joinpath("actions.json").read_text())
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,14 +109,22 @@ class PolarActionSpec:
     def frame_coords(self, v):
         """Real coordinates x of vectors v = D x (..., 3) in the section's real frame.
 
-        Section representatives and their tangent vectors lie there, as do
-        the rows of every integrated curve; anything else raises GeometryError.
+        Each is read off its real or imaginary part, so this inverts
+        ``from_frame`` bit for bit. Section representatives and their
+        tangent vectors lie in the frame; anything else raises GeometryError.
         """
-        zeta = np.conj(self.phases) * np.asarray(v, dtype=complex)
-        if np.abs(zeta.imag).max(initial=0.0) > FRAME_TOL * max(
-                1.0, np.abs(zeta.real).max(initial=0.0)):
+        v = np.asarray(v, dtype=complex)
+        x, off = np.where(self.phases.imag != 0, (v.imag, v.real), (v.real, v.imag))
+        if np.abs(off).max(initial=0.0) > FRAME_TOL * max(1.0, np.abs(x).max(initial=0.0)):
             raise GeometryError("vector is off the section's real frame D.R^3")
-        return zeta.real
+        return np.where(np.isnan(off), np.nan, x)   # a NaN off the frame makes x NaN
+
+    def from_frame(self, x):
+        """D x for real frame coordinates x (..., 3), placed exactly; the other parts are +0.0."""
+        on_i = self.phases.imag != 0
+        z = np.zeros(np.shape(x), dtype=complex)
+        z.real, z.imag = np.where(on_i, 0.0, x), np.where(on_i, x, 0.0)
+        return z
 
     # -- group and Killing fields --------------------------------------------
 
@@ -157,10 +160,11 @@ class PolarActionSpec:
     def gram_det(self, z):
         """Gram determinant of the two Killing fields at representatives z (..., 3).
 
-        Only the gram prefix of the orbit body runs, so the value has the
-        bits of ``orbit_geometry``'s ``gram_det``; a NaN in z gives NaN.
+        Real z are frame coordinates of section points. Only the gram prefix
+        of the orbit body runs, so the value has the bits of
+        ``orbit_geometry``'s ``gram_det``; a NaN in z gives NaN.
         """
-        z = np.asarray(z, dtype=complex)
+        z = np.asarray(z)
         with np.errstate(all="ignore"):   # a non-finite z warns on its way to NaN
             det = _killing_gram(self, z.reshape(-1, 3).T)[-1]
         return det.reshape(z.shape[:-1])[()]
@@ -255,22 +259,17 @@ class OrbitGeometry:
                               axis=-1))
 
 
-def _real(a):
-    """Complex conjugate of a real array: the array itself."""
-    return a
-
-
 def _route(spec: PolarActionSpec, z):
     """(sig, conj, gens) of the orbit algebra at z (3, N).
 
     Real z are section frame coordinates, acted on by ``frame_generators``
-    with the identity for conjugation; complex z by ``generators`` with
-    np.conj. gens holds G[j, k, l] as (l, k, j, 1): a product with a vector
+    with np.real, the identity, for conjugation; complex z by ``generators``
+    with np.conj. gens holds G[j, k, l] as (l, k, j, 1): a product with a vector
     over l, reduced over l.
     """
     on_section = not np.iscomplexobj(z)
     gens = spec.frame_generators if on_section else spec.generators
-    return spec.space._sig[:, None], _real if on_section else np.conj, gens.T[..., None]
+    return spec.space._sig[:, None], np.real if on_section else np.conj, gens.T[..., None]
 
 
 def _killing_gram(spec: PolarActionSpec, z):
@@ -342,7 +341,7 @@ def _orbit_body(spec: PolarActionSpec, z, require_regular=True):
     t = np.empty_like(nabla)
     np.multiply(nabla[:, 0], ir11, out=t[:, :, 0])
     np.multiply(nabla[:, 1] - (g12 / g11) * nabla[:, 0], in2, out=t[:, :, 1])
-    if conj is _real:
+    if conj is np.real:
         # G_j X_a = -D Q_j b_a, so t stands for -D t; its part along the
         # orbit, which lies in i D.R^3, is exactly zero
         ii = np.negative(t, out=t)
@@ -428,14 +427,17 @@ def mean_curvature_field(spec: PolarActionSpec, q):
     """Mean curvature vector (3,) of the orbit through section coordinates q."""
     z = spec.section.point(np.asarray(q, dtype=float))
     mean = _orbit_body(spec, spec.frame_coords(z)[:, None])[3]
-    return spec.phases * mean[:, 0]
+    return spec.from_frame(mean[:, 0])
 
 
 # -- the Hopf obstruction Phi -------------------------------------------------
 
 
 def rotate90(spec: PolarActionSpec, z, w):
-    """+90 degree rotation of a section-tangent vector in the chart orientation."""
+    """+90 degree rotation of a section-tangent vector in the chart orientation
+    (in frame coordinates where z and w are real)."""
+    if not np.iscomplexobj(z):
+        return spec.frame_coords(rotate90(spec, spec.from_frame(z), spec.from_frame(w)))
     f1, f2 = spec.section.tangent_frame(z)
     sp = spec.space
     return -sp.g(w, f2)[..., None] * f1 + sp.g(w, f1)[..., None] * f2

@@ -14,30 +14,20 @@ valid because sections are totally geodesic and totally real; gamma is the
 law's target curvature evaluated on the orbit data at the current point.
 
 A curve's launches run as lanes of one batch in the section's real frame,
-z = D x (see ``actions``), made complex once, at the end. One lane loop,
-``_lane_loop``, renormalizes and checks the start, keeps the rows, each
-lane's row count and truncation reason, and the launches rejected by
-alignment; a row rule writes the rows, a block of them per call. A law
-whose target reads the orbit data (CMC, Levi-flat) takes ``_GaussRows``:
-windows of GAUSS_WINDOW rows by 2-stage Gauss-Legendre collocation, whose
-node curvatures are found by Picard iteration, one batched orbit evaluation
-per iteration. A pregeodesic law (geodesic, austere) has gamma = 0: its
-curve is the ambient geodesic exp_z0(t w0) with constant Frenet normal,
-which ``_GeodesicRows`` writes in closed form, a block per call of about
-ORBIT_BATCH points over the live lanes and at least ROW_BLOCK rows; one
-``_curve_columns`` call per block gives the rows' regularity, alignment and
-orbit columns, and the lanes keep the columns with the rows. A lane stops,
-while the others go on, at its first Gauss node or row that is non-finite,
-not regular or turned too far, or at its first step that does not
-converge. ``_curve_columns`` is the one place where orbit invariants
-become a curve's columns: a pregeodesic curve takes them from its lanes,
-and ``curves_from_rows`` builds every other curve, collocated or loaded,
-from its rows, the curves of one batch together, ORBIT_BATCH rows per
-orbit call, with the bits the lanes give theirs. ``integrate_sigma`` runs
-the two sides of a curve as two lanes; ``austere_search`` runs all its
-launches as one batch, in which a launch stops at its first row whose
-alignment |<H, xi>| with the orbit mean-curvature field is not below the
-search tolerance.
+z = D x (see ``actions``), and its rows stay real: D x is taken, by
+``PolarActionSpec.from_frame``, only at the chart and the scene. One lane
+loop, ``_lane_loop``, advances the lanes by a row rule: ``_GaussRows``
+collocates a law that reads the orbit data (CMC, Levi-flat), and
+``_GeodesicRows`` writes a pregeodesic law's (gamma = 0) geodesic in
+closed form and keeps the orbit columns it computes with the rows. A lane
+stops, while the others go on, at its first point that is non-finite, not
+regular or turned too far, or at its first step that does not converge.
+``_curve_columns`` is the one place where orbit invariants become a curve's
+columns; ``curves_from_rows`` builds every curve but a pregeodesic lane's,
+collocated or loaded, from its rows. ``integrate_sigma`` runs the two sides
+of a curve as two lanes; ``austere_search`` runs all its launches as one
+batch, each stopping at its first row misaligned with the orbit
+mean-curvature field.
 
 A swept patch has two routes to its shape data. ``equivariant_shape_data``
 builds it exactly from the curve and its orbits (the section is totally
@@ -61,6 +51,7 @@ import numpy as np
 
 from . import _kernels as kernels
 from .actions import (
+    FRAME_TOL,
     PolarActionSpec,
     SingularOrbitError,
     _killing_gram,
@@ -182,14 +173,14 @@ class CurveLaw:
 
 @dataclass(eq=False)
 class SigmaCurve:
-    """Discretized unit-speed curve in the regular part of a section."""
+    """Discretized unit-speed curve in the regular part of a section, as real frame rows."""
 
     spec: PolarActionSpec
     law: CurveLaw
     ts: np.ndarray           # (n,)
-    zs: np.ndarray           # (n, 3) horizontal-lift representatives
-    ws: np.ndarray           # (n, 3) unit velocities
-    xis: np.ndarray          # (n, 3) unit normals in the section
+    xs: np.ndarray           # (n, 3) points, normalized representatives
+    us: np.ndarray           # (n, 3) unit velocities
+    vs: np.ndarray           # (n, 3) unit Frenet normals in the section
     gammas: np.ndarray       # (n,) achieved target curvature
     alphas: np.ndarray       # (n,) orbit principal curvature alpha(xi)
     betas: np.ndarray        # (n,)
@@ -207,15 +198,19 @@ class SigmaCurve:
     def space(self) -> SpaceForm:
         return self.spec.space
 
+    zs = property(lambda self: self.spec.from_frame(self.xs), doc="(n, 3) points D xs")
+    ws = property(lambda self: self.spec.from_frame(self.us), doc="(n, 3) velocities D us")
+    xis = property(lambda self: self.spec.from_frame(self.vs), doc="(n, 3) normals D vs")
+
     def interpolant(self):
-        """C^2 quintic-Hermite interpolant of the representative curve.
+        """C^2 quintic-Hermite interpolant of the curve's real frame rows.
 
         ``query(t)`` gives the points; ``query(t, velocity=True)`` gives
-        (points, their t-derivatives).
+        (points, their t-derivatives). A division by a real is the product
+        with its reciprocal, as NumPy divides a complex array.
         """
-        sp = self.space
-        ts, zs, ws = self.ts, self.zs, self.ws
-        accs = self.gammas[:, None] * self.xis - zs / sp.kappa
+        ts, zs, ws = self.ts, self.xs, self.us
+        accs = self.gammas[:, None] * self.vs - zs * (1.0 / self.space.kappa)
         h = ts[1] - ts[0]
 
         def query(t, velocity=False):
@@ -245,7 +240,7 @@ class SigmaCurve:
             d21 = 1.5 * t2 - 4 * t3 + 2.5 * t4
             dz = (d00[..., None] * (p0 - p1) + d10[..., None] * m0 + d20[..., None] * a0
                   + d11[..., None] * m1 + d21[..., None] * a1)
-            return z, dz / h
+            return z, dz * (1.0 / h)
 
         return query
 
@@ -269,16 +264,16 @@ def _curve_columns(spec, law, x, xi):
 
 
 def _sigma_curve(spec, law, step, rows, cols):
-    """The SigmaCurve of rows (ts, zs, ws, xis, reason) with orbit columns cols."""
-    ts, zs, ws, xis, reason = rows
-    return SigmaCurve(spec=spec, law=law, ts=ts, zs=zs, ws=ws, xis=xis, step=step,
+    """The SigmaCurve of rows (ts, xs, us, vs, reason) with orbit columns cols."""
+    ts, xs, us, vs, reason = rows
+    return SigmaCurve(spec=spec, law=law, ts=ts, xs=xs, us=us, vs=vs, step=step,
                       truncation_reason=reason, **cols)
 
 
 def curves_from_rows(spec, law, step, rows):
-    """The SigmaCurve of each (ts, zs, ws, xis, reason) of rows, in order.
+    """The SigmaCurve of each (ts, xs, us, vs, reason) of rows, in order.
 
-    zs, ws, xis (n, 3) are rows in the section's real frame at times ts.
+    xs, us, vs (n, 3) are real frame coordinates of the rows at times ts.
     The orbit columns of all the curves come from ``_curve_columns`` on
     their rows in one sequence, a call per ORBIT_BATCH rows; every orbit
     operation is pointwise, so a curve's columns do not depend on the batch
@@ -288,7 +283,7 @@ def curves_from_rows(spec, law, step, rows):
     """
     if not rows:
         return []
-    x, xi = (spec.frame_coords(np.concatenate([r[k] for r in rows])) for k in (1, 3))
+    x, xi = (np.concatenate([r[k] for r in rows]) for k in (1, 3))
     parts = [_curve_columns(spec, law, x[i:i + ORBIT_BATCH].T, xi[i:i + ORBIT_BATCH].T)[0]
              for i in range(0, len(x), ORBIT_BATCH)]
     ends = np.cumsum([len(r[0]) for r in rows])[:-1]
@@ -429,7 +424,7 @@ class _GaussRows:
         cause[unconverged, at] = 2
         stop = np.where(fail.any(axis=1), fail.argmax(axis=1), k)
         self.s, self.gam = rows[:, -1], gam[:, -1, 1]
-        new = dict(zip(("zs", "ws", "xis"), rows.transpose(2, 0, 1, 3)))
+        new = dict(zip(("xs", "us", "vs"), rows.transpose(2, 0, 1, 3)))
         return new, stop, cause, None
 
 
@@ -460,13 +455,9 @@ class _GeodesicRows:
 
     def _evaluate(self, x, v):
         """(gram det, alignment mask or None, columns) at points x (3, N) with normals v (3, N)."""
-        # adding 0.0 gives the frame coordinates that the stored rows x * phases
-        # load back to: ``frame_coords`` turns -0.0 into +0.0, and nothing else,
-        # so the columns have the bits ``curves_from_rows`` gives the curve's rows
-        cols, det = _curve_columns(self.spec, self.law, x + 0.0, v + 0.0)
-        if self.align_tol is None:
-            return det, None, cols
-        return det, np.abs(cols["mean_align"]) < self.align_tol, cols
+        cols, det = _curve_columns(self.spec, self.law, x, v)
+        aligned = None if self.align_tol is None else np.abs(cols["mean_align"]) < self.align_tol
+        return det, aligned, cols
 
     def start(self, y):
         self.y = y
@@ -481,15 +472,15 @@ class _GeodesicRows:
         x, u, v = self.y[..., None]
         c, s = sp.geodesic_coefficients(i * self.step / sp.radius)
         xs = c * x + sp.radius * s * u
-        ws = -sp.eps * s * x / sp.radius + c * u
+        us = -sp.eps * s * x / sp.radius + c * u
         shape = xs.shape[1:]
         det_row, aligned, cols = self._evaluate(
             xs.reshape(3, -1), np.broadcast_to(v, xs.shape).reshape(3, -1))
         # the cause code of a row's failure: 1 if non-finite, else 0
-        nonfinite = ~(np.isfinite(xs).all(axis=0) & np.isfinite(ws).all(axis=0))
+        nonfinite = ~(np.isfinite(xs).all(axis=0) & np.isfinite(us).all(axis=0))
         fail = nonfinite | ~(det_row.reshape(shape) > floor)
         stop = np.where(fail.any(axis=1), fail.argmax(axis=1), len(i))
-        new = {"zs": xs.transpose(1, 2, 0), "ws": ws.transpose(1, 2, 0),
+        new = {"xs": xs.transpose(1, 2, 0), "us": us.transpose(1, 2, 0),
                **{key: col.reshape(shape) for key, col in cols.items()}}
         return new, stop, nonfinite, None if aligned is None else aligned.reshape(shape)
 
@@ -497,9 +488,9 @@ class _GeodesicRows:
 def _lane_loop(spec, rule, x0, u0, v0, n_steps, n_launches):
     """Rows of B section-curve lanes, advanced in lockstep by one row rule.
 
-    x0, u0, v0 (B, 3) are real frame coordinates of z, w and xi at the
-    start; lane l is a side of launch l % n_launches. The start is
-    renormalized, and a start that is not regular raises
+    x0, u0, v0 (B, 3) are real frame coordinates of the point, velocity and
+    Frenet normal at the start; lane l is a side of launch l % n_launches.
+    The start is renormalized, and a start that is not regular raises
     SingularOrbitError. ``rule.start(y)`` gives the start's (gram det,
     alignment or None, the rule's own row keys: a dict, maybe empty, of
     values per lane); each ``rule.rows(keep, i0, i1)`` call gives, for rows
@@ -514,7 +505,7 @@ def _lane_loop(spec, rule, x0, u0, v0, n_steps, n_launches):
     launch is rejected, and all its lanes stop, at the first accepted row of
     any of its lanes that is misaligned.
 
-    Returns (rows, counts, reasons, rejected): rows maps zs, ws and xis
+    Returns (rows, counts, reasons, rejected): rows maps xs, us and vs
     (real frame coordinates) and the rule's own keys to arrays with lane and
     row axes leading, of which lane k holds counts[k] valid rows; an empty
     reason means the lane ran all n_steps; rejected (n_launches,) marks
@@ -532,7 +523,7 @@ def _lane_loop(spec, rule, x0, u0, v0, n_steps, n_launches):
             raise SingularOrbitError("initial point is not regular")
         # every row starts as a copy of the start row; a rule writes the keys that move
         rows = {key: np.repeat(val[:, None], n_steps + 1, axis=1)
-                for key, val in (*zip(("zs", "ws", "xis"), y.transpose(0, 2, 1)),
+                for key, val in (*zip(("xs", "us", "vs"), y.transpose(0, 2, 1)),
                                  *own.items())}
         if aligned is not None:
             rejected[launch[~aligned]] = True
@@ -566,7 +557,9 @@ def _launch_sigmas(spec, law, x0, u0, step, n_steps, two_sided=True, align_tol=N
     """One SigmaCurve per launch, in order, run as one lane batch.
 
     x0: (B, 3) start points and u0: (B, 3) section-tangent directions, both
-    in real frame coordinates; u0 is normalized here. A launch is one lane,
+    in real frame coordinates; u0 is normalized here, and GeometryError is
+    raised where the part of the unit u0 tangent to the section at x0 is
+    round-off (at most FRAME_TOL) or non-finite. A launch is one lane,
     or two (u0 and -u0) when ``two_sided``. A law that reads the orbit data
     takes the collocation row rule, a pregeodesic law the closed form. With
     ``align_tol`` (pregeodesic laws only), a launch whose alignment
@@ -580,8 +573,14 @@ def _launch_sigmas(spec, law, x0, u0, step, n_steps, two_sided=True, align_tol=N
         raise GeometryError("step must be positive")
     if n_steps < 1:
         raise GeometryError("n_steps must be at least 1")
-    u0 = u0 * (1.0 / spec.space.norm(u0))[:, None]
-    v0 = spec.frame_coords(rotate90(spec, spec.phases * x0, spec.phases * u0))
+    sp = spec.space
+    with np.errstate(all="ignore"):   # a zero, subnormal or non-finite direction or start warns
+        u0 = u0 * (1.0 / sp.norm(u0))[:, None]
+        tangent = sp.norm(sp.project_horizontal(sp.normalize_rep(x0), u0))
+        v0 = rotate90(spec, x0, u0)
+    # a non-finite start is left to the lane loop, which finds it not regular
+    if not np.all((np.isfinite(tangent) & (tangent > FRAME_TOL)) | ~np.isfinite(x0).all(axis=1)):
+        raise GeometryError("launch direction has no finite part tangent to the section")
     n = len(x0)
     if two_sided:
         x0, u0, v0 = (np.concatenate(pair) for pair in ((x0, x0), (u0, -u0), (v0, v0)))
@@ -596,10 +595,10 @@ def _launch_sigmas(spec, law, x0, u0, step, n_steps, two_sided=True, align_tol=N
         # the backward side reversed, less its copy of the t = 0 row, then the forward side
         cols = {key: np.concatenate([val[back, nb - 1:0:-1], val[k, :nf]])
                 for key, val in rows.items()}
-        zs, ws, xis = (cols.pop(key) * spec.phases for key in ("zs", "ws", "xis"))
-        ws[:nb - 1] *= -1
+        xs, us, vs = (cols.pop(key) for key in ("xs", "us", "vs"))
+        us[:nb - 1] *= -1
         reason = [reasons[k], reasons[back]] if two_sided else [reasons[k]]
-        curve_rows.append((np.arange(1 - nb, nf) * step, zs, ws, xis,
+        curve_rows.append((np.arange(1 - nb, nf) * step, xs, us, vs,
                            "; ".join(r for r in reason if r)))
         curve_cols.append(cols)
     if law.reads_orbit_data:
@@ -667,7 +666,7 @@ def build_hypersurface(spec: PolarActionSpec, sigma: SigmaCurve,
     def chart(params):
         # the nested stencils repeat each t many times: interpolate each distinct t once
         first, inverse = kernels.distinct(params[:, 0])
-        z = interp(params[first, 0])[inverse]
+        z = spec.from_frame(interp(params[first, 0]))[inverse]
         return kernels.group_orbit_apply(g1, g2, params[:, 1], params[:, 2], z)
 
     t_lo = float(sigma.ts[0] + t_margin)
@@ -737,16 +736,16 @@ def equivariant_shape_data(ehs: EquivariantHypersurface, params) -> ShapeData:
     # each distinct t once, like the chart
     first, inverse = kernels.distinct(fr.params[:, 0])
     t = fr.params[first, 0]
-    z, dz = sigma.interpolant()(t, velocity=True)
-    x, u = spec.frame_coords(z), spec.frame_coords(dz)
+    x, u = sigma.interpolant()(t, velocity=True)
     tangent = sp.project_horizontal(x, u)
     tangent = tangent * (1.0 / sp.norm(tangent))[:, None]
     normal = sp._sig * cross3(x, tangent)     # g-orthogonal to x and to the tangent
-    sign = np.sign(sp.g(normal, spec.frame_coords(sigma.xis[sigma.nearest_row(t)])))
+    sign = np.sign(sp.g(normal, sigma.vs[sigma.nearest_row(t)]))
     normal = normal * (sign / sp.norm(normal))[:, None]
     alpha, beta, a, b, _, _, eig = _orbit_invariants(spec, x.T, normal.T, eigenframe=True)
-    frame = np.concatenate([tangent[:, None], 1j * eig.transpose(2, 1, 0), normal[:, None]],
-                           axis=1) * spec.phases                            # (M, 4, 3)
+    frame = spec.from_frame(np.concatenate([tangent[:, None], eig.transpose(2, 1, 0),
+                                            normal[:, None]], axis=1))      # (M, 4, 3)
+    frame[:, 1:3] *= 1j   # the orbit eigenvectors stand for i D times them
     s = np.repeat(fr.params[:, 1:], 4, axis=0)
     moved = kernels.group_orbit_apply(*spec.generators, s[:, 0], s[:, 1],
                                       frame[inverse].reshape(-1, 3)).reshape(-1, 4, 3)
@@ -1011,8 +1010,9 @@ def _curves_close(sp: SpaceForm, c1: SigmaCurve, c2: SigmaCurve, sweep2, tol) ->
     prof = float(np.max(np.abs(a1 - a2)))
     if prof > tol:
         return False
-    # also require actual point proximity of the starting points' orbits
-    d = _orbit_distance(sp, c1.zs[len(c1.zs) // 2], sweep2)
+    # also require actual point proximity of the starting points' orbits: the
+    # least distance from c1's middle row to c2's swept group mesh
+    d = float(np.min(sp.dist(sweep2, c1.spec.from_frame(c1.xs[len(c1.xs) // 2]))))
     return d < max(10 * tol, 5e-2)
 
 
@@ -1025,10 +1025,5 @@ def _orbit_mesh(spec):
 
 def _sweep(mesh, curve: SigmaCurve):
     """The mesh elements applied to about 12 evenly spaced samples of the curve, (n, 3)."""
-    zcs = curve.zs[:: max(1, len(curve.zs) // 12)]
+    zcs = curve.spec.from_frame(curve.xs[:: max(1, len(curve.xs) // 12)])
     return np.einsum("mij,nj->nmi", mesh, zcs).reshape(-1, 3)
-
-
-def _orbit_distance(sp: SpaceForm, z, sweep):
-    """Least distance from z to a swept group mesh."""
-    return float(np.min(sp.dist(sweep, z)))

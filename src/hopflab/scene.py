@@ -3,9 +3,10 @@
 Scenes are deterministic: keys are sorted, numbers outside a curve's rows
 are serialized with Python's shortest round-trip repr, and no timestamps,
 output paths or environment data are embedded, so identical runs give
-byte-identical files wherever they are written. A curve's rows are stored
-as the base64 of their little-endian bytes (format 4), so they load bit for
-bit, signed zeros included. Its orbit columns are not stored: the loader
+byte-identical files wherever they are written. A curve's rows are real
+frame coordinates x; format 4 stores D x (``from_frame``) as the base64 of
+its little-endian bytes, and the loader's ``frame_coords`` reads x back bit
+for bit, signed zeros included. Its orbit columns are not stored: the loader
 recomputes them from its rows (``curves_from_rows``). Format 3 stored the
 rows as lists of floats; formats 1 and 2 also stored the orbit columns, and
 format 1 differs in indentation and its ``config`` block. Nothing reads
@@ -250,13 +251,13 @@ def sigma_from_dict(d: dict, schema_version: int) -> SigmaCurve:
     def frame_rows(key):
         arr = decode(d, key, n)
         try:
-            spec.frame_coords(arr)
+            return spec.frame_coords(arr)
         except GeometryError:
             raise SceneError(f"scene field 'sigma.{key}' must be rows in the section's "
                              f"real frame D.R^3") from None
-        return arr
 
-    zs, ws, xis = (frame_rows(key) for key in ("zs", "ws", "xis"))
+    # the curve's real rows: the frame coordinates x of the stored D x
+    xs, us, vs = (frame_rows(key) for key in ("zs", "ws", "xis"))
     # the orbit columns are recomputed at every row: a z off the normalized
     # regular set would fail there, and a w or xi not a unit vector horizontal
     # at z would load or overflow, with no field named. w and xi are held
@@ -264,11 +265,11 @@ def sigma_from_dict(d: dict, schema_version: int) -> SigmaCurve:
     # Under errstate a huge row's inf or NaN reads as failing instead of raising.
     sp, size = spec.space, lambda rows: np.linalg.norm(rows, axis=-1)
     with np.errstate(all="ignore"):
-        unit = [np.abs(sp.g(w, w) - 1.0) / size(w) ** 2 for w in (ws, xis)]
+        unit = [np.abs(sp.g(w, w) - 1.0) / size(w) ** 2 for w in (us, vs)]
         off = [np.abs(sp.herm(a, b)) / (size(a) * size(b))
-               for a, b in ((zs, ws), (zs, xis), (ws, xis))]
-        usable = {"zs": ((np.abs(sp.herm(zs, zs).real / sp.kappa - 1.0) <= NORMALIZATION_TOL)
-                         & (spec.gram_det(zs) > spec.gram_floor())),
+               for a, b in ((xs, us), (xs, vs), (us, vs))]
+        usable = {"zs": ((np.abs(sp.herm(xs, xs) / sp.kappa - 1.0) <= NORMALIZATION_TOL)
+                         & (spec.gram_det(xs) > spec.gram_floor())),
                   "ws": np.maximum(unit[0], off[0]) <= NORMALIZATION_TOL,
                   "xis": np.maximum.reduce([unit[1], *off[1:]]) <= NORMALIZATION_TOL}
     claims = {"zs": "regular points with <z,z> = kappa", "ws": "unit vectors horizontal at zs",
@@ -278,7 +279,7 @@ def sigma_from_dict(d: dict, schema_version: int) -> SigmaCurve:
             raise SceneError(f"scene field 'sigma.{key}' must be {claims[key]}; "
                              f"row {np.flatnonzero(~ok)[0]} is not")
     law = CurveLaw(d["law"]["kind"], _finite(d["law"]["eta"], "sigma.law.eta"))
-    return curves_from_rows(spec, law, step, [(grid, zs, ws, xis, d["truncation_reason"])])[0]
+    return curves_from_rows(spec, law, step, [(grid, xs, us, vs, d["truncation_reason"])])[0]
 
 
 def patch_from_scene(doc: dict) -> EquivariantHypersurface:

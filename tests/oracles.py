@@ -263,7 +263,8 @@ def scalar_integrate_sigma(spec, z0, w0, law, step=1e-3, n_steps=200, two_sided=
     cols = list(zip(*rows))
     return SigmaCurve(
         spec=spec, law=law, ts=np.asarray(ts),
-        zs=np.array(cols[0]), ws=np.array(cols[1]), xis=np.array(cols[2]),
+        xs=spec.frame_coords(np.array(cols[0])), us=spec.frame_coords(np.array(cols[1])),
+        vs=spec.frame_coords(np.array(cols[2])),
         gammas=np.array(cols[3]), alphas=np.array(cols[4]), betas=np.array(cols[5]),
         hopf_a=np.array(cols[6]), hopf_b=np.array(cols[7]), mean_align=np.array(cols[8]),
         step=step, truncation_reason="; ".join(x for x in (reason_f, reason_b) if x))

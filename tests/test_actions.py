@@ -419,6 +419,41 @@ def test_section_real_frame_negative_controls():
         spec.frame_coords(u * sec.origin)
 
 
+# finite floats, with both signed zeros drawn often
+FRAME_FLOATS = st.one_of(st.sampled_from([0.0, -0.0]),
+                         st.floats(allow_nan=False, allow_infinity=False))
+FRAME_SPECS = {label: load_action(label) for label in LABELS}
+
+
+@settings(max_examples=200, deadline=None)
+@given(label=st.sampled_from(LABELS), data=st.data(),
+       rows=st.lists(st.lists(FRAME_FLOATS, min_size=3, max_size=3), min_size=1, max_size=4))
+def test_frame_conversions_are_exact_inverses(label, data, rows):
+    spec = FRAME_SPECS[label]
+    x = np.array(rows)
+    on_i = spec.phases == 1j
+    # D x built entry by entry: complex() keeps the sign of each part
+    z = np.array([[complex(0.0, v) if i else complex(v, 0.0) for v, i in zip(row, on_i)]
+                  for row in rows])
+    assert spec.from_frame(x).tobytes() == z.tobytes()
+    assert spec.frame_coords(z).tobytes() == x.tobytes()
+    assert spec.frame_coords(spec.from_frame(x)).tobytes() == x.tobytes()
+    assert spec.from_frame(spec.frame_coords(z)).tobytes() == z.tobytes()
+    # a part off the frame above the round-off bound raises; a NaN there
+    # makes the coordinate NaN, and leaves the others
+    row, col = data.draw(st.integers(0, len(x) - 1)), data.draw(st.integers(0, 2))
+    bad = z.copy()
+    bad[row, col] = complex(np.nan, x[row, col]) if on_i[col] else complex(x[row, col], np.nan)
+    nan_at = np.zeros(x.shape, dtype=bool)
+    nan_at[row, col] = True
+    assert np.array_equal(np.isnan(spec.frame_coords(bad)), nan_at)
+    assert spec.frame_coords(bad)[~nan_at].tobytes() == x[~nan_at].tobytes()
+    off = 2 * actions.FRAME_TOL * max(1.0, np.abs(x).max())
+    bad[row, col] = complex(off, x[row, col]) if on_i[col] else complex(x[row, col], off)
+    with pytest.raises(GeometryError, match="off the section's real frame"):
+        spec.frame_coords(bad)
+
+
 @pytest.mark.parametrize("label", LABELS)
 def test_orbit_body_matches_scalar_copy_on_and_off_section(label, rng):
     spec = load_action(label)

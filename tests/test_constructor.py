@@ -94,6 +94,10 @@ def test_integrate_requires_regular_start():
     f1 = np.array([0, 1, 0], dtype=complex)
     with pytest.raises(SingularOrbitError):
         integrate_sigma(spec, fp, f1, CurveLaw("geodesic"))
+    # a non-finite start is not regular, and its direction is not blamed
+    for bad in (np.full(3, np.nan + 0j), np.array([np.inf, 0.0, 0.0], dtype=complex)):
+        with pytest.raises(SingularOrbitError, match="^initial point is not regular$"):
+            integrate_sigma(spec, bad, f1, CurveLaw("geodesic"))
 
 
 def _integrate_entry(bad):
@@ -125,6 +129,22 @@ def _singular_search_entry(bad):
 def test_integrate_rejects_bad_step(entry, bad, message):
     with pytest.raises(GeometryError, match=message):
         entry(bad)
+
+
+@pytest.mark.parametrize("direction", ["zero", "nan", "subnormal", "radial"])
+def test_integrate_rejects_a_direction_not_tangent_to_the_section(direction):
+    # the radial z0 lies in the section's real frame but leaves only
+    # round-off once projected onto the section's tangent plane
+    spec, z0, w0 = launch("cp2-torus")
+    f1, _ = spec.section.tangent_frame(z0)
+    w0 = {"zero": np.zeros(3, dtype=complex), "nan": np.full(3, np.nan + 0j),
+          "subnormal": 1e-320 * f1, "radial": z0}[direction]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for law in (CurveLaw("geodesic"), CurveLaw("cmc", eta=1.0)):
+            with pytest.raises(GeometryError, match="^launch direction has no finite part "
+                                                    "tangent to the section$"):
+                integrate_sigma(spec, z0, w0, law, n_steps=10)
 
 
 def test_truncation_near_singular_set():
@@ -178,7 +198,7 @@ def test_sweep_rejects_a_curve_singular_between_its_rows(monkeypatch):
     s = (ts - h / 2)[:, None]
     zs, ws = np.cos(s) * e0 + np.sin(s) * u, -np.sin(s) * e0 + np.cos(s) * u
     sigma, = constructor.curves_from_rows(spec, CurveLaw("geodesic"), h,
-                                          [(ts, zs + 0j, ws + 0j, np.tile(v, (4, 1)) + 0j, "")])
+                                          [(ts, zs, ws, np.tile(v, (4, 1)), "")])
     assert np.all(spec.gram_det(sigma.zs) > spec.gram_floor())
 
     def no_chart(*args):
@@ -234,7 +254,7 @@ def test_orbit_distance_matches_per_point_loop(cmc_ehs):
     spec, sigma = cmc_ehs.spec, cmc_ehs.sigma
     sweep = constructor._sweep(constructor._orbit_mesh(spec), sigma)
     for z in (sigma.zs[len(sigma.zs) // 2], sigma.zs[0], cmc_ehs.patch.eval([0.01, 0.2, -0.1])):
-        assert constructor._orbit_distance(spec.space, z, sweep) == \
+        assert float(np.min(spec.space.dist(sweep, z))) == \
             oracles.pointwise_orbit_distance(spec, z, sigma)
 
 
@@ -466,7 +486,7 @@ def test_austere_search_finds_lohnherr_curve():
 
 LAWS = (CurveLaw("geodesic"), CurveLaw("cmc", eta=1.0), CurveLaw("levi-flat"),
         CurveLaw("austere"))
-SIGMA_ARRAYS = ("ts", "zs", "ws", "xis", "gammas", "alphas", "betas", "hopf_a", "hopf_b",
+SIGMA_ARRAYS = ("ts", "xs", "us", "vs", "gammas", "alphas", "betas", "hopf_a", "hopf_b",
                 "mean_align")
 
 
@@ -518,7 +538,7 @@ def test_lane_core_matches_scalar_integrator(label):
 
 @pytest.mark.parametrize("label", LABELS)
 def test_pregeodesic_rows_are_the_closed_form_geodesic(label):
-    # gamma = 0: the rows, times the phases, are exp and exp_velocity of the
+    # gamma = 0: the rows' vectors D x are exp and exp_velocity of the
     # start row, on <z, z> = kappa, horizontal, with a constant normal
     spec, z0, w0 = launch(label)
     sp = spec.space
@@ -794,11 +814,10 @@ ORBIT_COLUMNS = ("alphas", "betas", "hopf_a", "hopf_b", "mean_align")
 
 
 def assert_orbit_columns_per_row(curve):
-    """The curve's orbit columns equal ``_orbit_invariants`` run on one row at a time."""
+    """The curve's orbit columns equal ``_orbit_invariants`` run on one real row at a time."""
     spec, sp = curve.spec, curve.space
     ref = []
-    for z, xi in zip(curve.zs, curve.xis):
-        x, v = spec.frame_coords(z)[:, None], spec.frame_coords(xi)[:, None]
+    for x, v in zip(curve.xs[:, :, None], curve.vs[:, :, None]):
         alpha, beta, a, b, mean, _ = constructor._orbit_invariants(spec, x, v)
         ref.append((alpha[0], beta[0], a[0], b[0], sp.g(mean.T, v.T)[0]))
     for name, col in zip(ORBIT_COLUMNS, np.array(ref).T):
@@ -818,7 +837,7 @@ def test_austere_candidates_orbit_columns_and_sweeps_match_per_row(label):
         sweep = constructor._sweep(mesh, cand.curve)
         for other in found:
             z = other.curve.zs[len(other.curve.zs) // 2]
-            assert constructor._orbit_distance(spec.space, z, sweep) == \
+            assert float(np.min(spec.space.dist(sweep, z))) == \
                 oracles.pointwise_orbit_distance(spec, z, cand.curve)
 
 
@@ -838,13 +857,12 @@ def test_geodesic_orbit_columns_match_per_row():
 
 def assert_lane_columns_are_the_rows_columns(curve):
     """The curve's orbit columns and gammas have, bit for bit, what
-    ``curves_from_rows`` gives its stored rows, as the scene loader does.
+    ``curves_from_rows`` gives its real rows, as the scene loader does.
 
-    Compared as int64 views, so -0.0 and +0.0 differ: rows that reach the
-    columns through ``frame_coords`` of their stored form lose -0.0.
+    Compared as int64 views, so -0.0 and +0.0 differ.
     """
     ref, = constructor.curves_from_rows(curve.spec, curve.law, curve.step, [
-        (curve.ts, curve.zs, curve.ws, curve.xis, curve.truncation_reason)])
+        (curve.ts, curve.xs, curve.us, curve.vs, curve.truncation_reason)])
     for name in ("gammas",) + ORBIT_COLUMNS:
         assert np.array_equal(getattr(curve, name).view(np.int64),
                               getattr(ref, name).view(np.int64)), name
@@ -882,9 +900,9 @@ def test_pregeodesic_lane_columns_are_their_rows_columns_on_the_q2_axis():
                     sigma = integrate_sigma(spec, z0, w0, law, n_steps=30)
                     assert len(sigma.ts) == 61
                     assert_lane_columns_are_the_rows_columns(sigma)
-                    parts = np.concatenate([sigma.zs, sigma.xis]).view(np.float64)
-                    zeros += np.count_nonzero(spec.frame_coords(sigma.zs) == 0.0)
-                    negative += np.count_nonzero((parts == 0.0) & np.signbit(parts))
+                    rows = np.concatenate([sigma.xs, sigma.us, sigma.vs])
+                    zeros += np.count_nonzero(sigma.xs == 0.0)
+                    negative += np.count_nonzero((rows == 0.0) & np.signbit(rows))
     assert zeros > 0 and negative > 0
 
 
@@ -899,7 +917,7 @@ def test_truncated_lane_columns_are_their_rows_columns():
 
 # -- the batched orbit work against one row per call ---------------------------------
 
-PINNED_ARRAYS = ("ts", "zs", "ws", "xis") + ORBIT_COLUMNS + ("gammas",)
+PINNED_ARRAYS = ("ts", "xs", "us", "vs") + ORBIT_COLUMNS + ("gammas",)
 
 
 def curve_bytes(curve):

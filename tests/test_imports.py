@@ -10,8 +10,9 @@ even inside a function, imports SciPy: it is needed only by the tests.
 Only SpaceForm.central_difference phase-aligns representatives to difference
 them, only ``constructor._curve_columns`` turns orbit invariants into a
 curve's columns, only the austere search's grid calls the orbit body in
-``constructor``, and no module calls ``np.cross``: ``ambient.cross3``
-rounds the same.
+``constructor``, only launch inputs and stored scene rows go through
+``frame_coords``, only ``actions`` reads the frame's phases, and no module
+calls ``np.cross``: ``ambient.cross3`` rounds the same.
 No module reads the environment: every setting is a flag or a config key.
 """
 
@@ -232,6 +233,29 @@ def test_orbit_body_is_called_in_constructor_only_by_the_search_grid():
     source = (SRC / "constructor.py").read_text()
     assert callers({"constructor.py": source}, "_orbit_body") == [
         ("constructor.py", "austere_search")]
+
+
+# -- one route from a complex vector to frame coordinates ------------------------------
+
+# a curve's rows are real from launch to scene: inside constructor only the
+# entry points that take complex launch inputs read frame coordinates off
+# them, and inside scene only the loader, once per stored array. The other
+# way runs through ``from_frame``: no module but actions reads the phases.
+FRAME_COORDS_CALLERS = {
+    ("constructor.py", "integrate_sigma"),
+    ("constructor.py", "austere_search"),
+    ("scene.py", "sigma_from_dict.frame_rows"),
+}
+
+
+def test_frame_coords_is_called_only_on_launch_inputs_and_stored_rows():
+    sources = {name: (SRC / name).read_text() for name in ("constructor.py", "scene.py")}
+    found = set(callers(sources, "frame_coords"))
+    assert found == FRAME_COORDS_CALLERS, sorted(found ^ FRAME_COORDS_CALLERS)
+    readers = {str(p.relative_to(SRC)) for p in SRC.rglob("*.py")
+               for node in ast.walk(ast.parse(p.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "phases"}
+    assert readers == {"actions.py"}
 
 
 # -- one cross product -----------------------------------------------------------------

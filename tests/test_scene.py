@@ -1,11 +1,12 @@
 """Scene round trip: a curve's rows are stored, its orbit columns recomputed on load.
 
-Format 4 stores the rows as the base64 of their little-endian bytes. For
-every action and law, for a curve whose zero entries are all -0.0, and for
-the austere candidates of one seed-3 ``austere`` benchmark cycle, save ->
-load gives a curve whose every array has the bits of the curve saved, and
-save -> load -> save gives the same bytes. The committed format-3 scene and
-its format-4 re-save load to the same bits.
+A curve holds real frame rows x; format 4 stores D x as the base64 of its
+little-endian bytes. For every action and law, for curves whose zero frame
+coordinates are all -0.0, and for the austere candidates of one seed-3
+``austere`` benchmark cycle, save -> load gives a curve whose real rows and
+every other array have the bits of the curve saved, and save -> load ->
+save gives the same bytes. The committed format-3 scene and its format-4
+re-save load to the same bits.
 """
 
 import json
@@ -41,7 +42,7 @@ def assert_round_trip(sigma):
     text = dumps_scene(scene_document({}, sigma=sigma))
     loaded = sigma_from_dict(json.loads(text)["sigma"], SCHEMA_VERSION)
     assert_same_bits(sigma, loaded)
-    for name in ("ts", "zs", "ws", "xis"):
+    for name in ("ts", "xs", "us", "vs"):
         assert getattr(loaded, name).flags.writeable, name
     assert dumps_scene(scene_document({}, sigma=loaded)) == text
 
@@ -60,22 +61,17 @@ def test_scene_round_trip_is_bit_identical(label):
 
 
 def test_negative_zero_entries_round_trip():
-    spec, z0, w0 = launch("cp2-torus")
-    sigma = integrate_sigma(spec, z0, w0, LAWS[1], n_steps=30)
-
-    def negated_zeros(rows):
-        rows = rows.copy()
-        parts = rows.view(np.float64)
-        parts[parts == 0.0] = -0.0
-        return rows
-
-    rows = [negated_zeros(getattr(sigma, name)) for name in ("zs", "ws", "xis")]
-    signed, = curves_from_rows(spec, sigma.law, sigma.step,
-                               [(sigma.ts, *rows, sigma.truncation_reason)])
-    for arr in rows:
-        parts = arr.view(np.float64)
-        assert np.count_nonzero((parts == 0.0) & np.signbit(parts)) > 0
-    assert_round_trip(signed)
+    # launched along the line q2 = 0 of ch2-line-g2a, whose third frame
+    # coordinate is i-phased: every law's rows hold zero frame coordinates
+    spec, z0, w0 = launch("ch2-line-g2a", theta=0.0, coords=(0.1, 0.0))
+    for law in LAWS:
+        sigma = integrate_sigma(spec, z0, w0, law, n_steps=30)
+        assert_round_trip(sigma)
+        rows = [np.where(r == 0.0, -0.0, r) for r in (sigma.xs, sigma.us, sigma.vs)]
+        assert sum(np.count_nonzero(r == 0.0) for r in rows) > 0, law
+        signed, = curves_from_rows(spec, law, sigma.step,
+                                   [(sigma.ts, *rows, sigma.truncation_reason)])
+        assert_round_trip(signed)
 
 
 def test_format_3_scene_and_its_format_4_resave_load_bit_identical():
