@@ -21,10 +21,11 @@ with the G_j, through the same formulas. The section curve integrator
 austere search's start directions take the real route; ``orbit_geometry``
 serves any point. The body's prefix, ``_killing_gram``, builds the Killing
 fields and their gram determinant and stops there:
-``PolarActionSpec.gram_det`` (so ``is_regular``) and the regularity test
-of the collocated curves' rows call it alone. Every regularity test
-compares the gram determinant with ``PolarActionSpec.gram_floor``, which
-scales with the curvature.
+``PolarActionSpec.gram_det`` (so ``is_regular``) calls it alone. The rows
+of a section curve, collocated or pregeodesic, read their gram determinant
+from the ``_orbit_invariants`` call that gives their orbit columns. Every
+regularity test compares the gram determinant with
+``PolarActionSpec.gram_floor``, which scales with the curvature.
 
 The generator table ships in ``data/actions.json``; its correctness is
 enforced by the invariant suites (isometry, polarity, orbit dimension), not

@@ -15,7 +15,7 @@ import numpy as np
 from . import _kernels as kernels
 from .actions import load_action
 from .ambient import GeometryError, SpaceForm, cross3
-from .constructor import build_hypersurface
+from .constructor import austere_search, build_hypersurface
 from .hypersurface import HypersurfacePatch, shape_data
 
 CONE_RADIAL_MARGIN = 1e-2   # vertex region excluded from cone boxes
@@ -187,8 +187,6 @@ def lohnherr(space: SpaceForm) -> CatalogEntry:
         raise GeometryError("the Lohnherr hypersurface lives in CH^2 (c < 0)")
     spec = load_action("ch2-line-g2a", c)
     sp = spec.space
-    from .constructor import austere_search
-
     cands = austere_search(spec, [[0.0, 0.0], [0.1, -0.05]], n_steps=150)
     if not cands:
         raise GeometryError("austere search failed to produce the Lohnherr curve")

@@ -16,7 +16,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -174,8 +174,7 @@ def _merge_config(args) -> RunConfig:
                 raise ConfigError(key, "must be a list")
             val = tuple(val)
         setattr(cfg, key, val)
-    for key in ("action", "c", "point", "theta", "law", "eta", "step", "n_steps",
-                "grid", "s_extent", "out_scene", "out_csv"):
+    for key in (f.name for f in fields(RunConfig)):
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, tuple(val) if isinstance(val, list) else val)

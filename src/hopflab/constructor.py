@@ -19,15 +19,17 @@ z = D x (see ``actions``), and its rows stay real: D x is taken, by
 loop, ``_lane_loop``, advances the lanes by a row rule: ``_GaussRows``
 collocates a law that reads the orbit data (CMC, Levi-flat), and
 ``_GeodesicRows`` writes a pregeodesic law's (gamma = 0) geodesic in
-closed form and keeps the orbit columns it computes with the rows. A lane
+closed form. Either rule reads its rows' regularity and orbit columns from
+one ``_curve_columns`` call and returns the columns with the rows, so a
+launched curve is built from its lanes and evaluates nothing again. A lane
 stops, while the others go on, at its first point that is non-finite, not
 regular or turned too far, or at its first step that does not converge.
-``_curve_columns`` is the one place where orbit invariants become a curve's
-columns; ``curves_from_rows`` builds every curve but a pregeodesic lane's,
-collocated or loaded, from its rows. ``integrate_sigma`` runs the two sides
-of a curve as two lanes; ``austere_search`` runs all its launches as one
-batch, each stopping at its first row misaligned with the orbit
-mean-curvature field.
+Given an alignment tolerance, the loop also rejects a launch at its first
+row misaligned with the orbit mean-curvature field. ``_curve_columns`` is
+the one place where orbit invariants become a curve's columns; the scene
+loader builds its curve from its rows through it (``curve_from_rows``).
+``integrate_sigma`` runs the two sides of a curve as two lanes;
+``austere_search`` runs all its launches as one batch.
 
 A swept patch has two routes to its shape data. ``equivariant_shape_data``
 builds it exactly from the curve and its orbits (the section is totally
@@ -54,7 +56,6 @@ from .actions import (
     FRAME_TOL,
     PolarActionSpec,
     SingularOrbitError,
-    _killing_gram,
     _orbit_body,
     _orbit_invariants,
     orbit_geometry,
@@ -263,33 +264,19 @@ def _curve_columns(spec, law, x, xi):
             "hopf_a": a, "hopf_b": b, "mean_align": spec.space.g(mean.T, xi.T)}, det
 
 
-def _sigma_curve(spec, law, step, rows, cols):
-    """The SigmaCurve of rows (ts, xs, us, vs, reason) with orbit columns cols."""
-    ts, xs, us, vs, reason = rows
+def curve_from_rows(spec, law, step, ts, xs, us, vs, reason):
+    """The SigmaCurve of real frame rows xs, us, vs (n, 3) at times ts.
+
+    reason is its truncation reason. The orbit columns come from
+    ``_curve_columns``, a call per ORBIT_BATCH rows; every orbit operation
+    is pointwise, so they have the bits that the lanes give a launched
+    curve's rows. The scene loader builds its curve here.
+    """
+    parts = [_curve_columns(spec, law, xs[i:i + ORBIT_BATCH].T, vs[i:i + ORBIT_BATCH].T)[0]
+             for i in range(0, len(xs), ORBIT_BATCH)]
+    cols = {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
     return SigmaCurve(spec=spec, law=law, ts=ts, xs=xs, us=us, vs=vs, step=step,
                       truncation_reason=reason, **cols)
-
-
-def curves_from_rows(spec, law, step, rows):
-    """The SigmaCurve of each (ts, xs, us, vs, reason) of rows, in order.
-
-    xs, us, vs (n, 3) are real frame coordinates of the rows at times ts.
-    The orbit columns of all the curves come from ``_curve_columns`` on
-    their rows in one sequence, a call per ORBIT_BATCH rows; every orbit
-    operation is pointwise, so a curve's columns do not depend on the batch
-    it is built in. The scene loader and the collocation lanes build their
-    curves here; a pregeodesic lane keeps the columns of its own rows, with
-    the bits this gives them.
-    """
-    if not rows:
-        return []
-    x, xi = (np.concatenate([r[k] for r in rows]) for k in (1, 3))
-    parts = [_curve_columns(spec, law, x[i:i + ORBIT_BATCH].T, xi[i:i + ORBIT_BATCH].T)[0]
-             for i in range(0, len(x), ORBIT_BATCH)]
-    ends = np.cumsum([len(r[0]) for r in rows])[:-1]
-    cols = {key: np.split(np.concatenate([p[key] for p in parts]), ends) for key in parts[0]}
-    return [_sigma_curve(spec, law, step, r, {key: c[k] for key, c in cols.items()})
-            for k, r in enumerate(rows)]
 
 
 def _renorm(sp, y):
@@ -316,8 +303,10 @@ class _GaussRows:
     found by Picard iteration, at most PICARD_ITERATIONS times, until the
     rows before each lane's first failing node have converged (see
     PICARD_TOL); each iteration reads the orbit data at every node of the
-    window in one ``_orbit_invariants`` call. The method keeps
-    <x, x> = kappa and the orthonormality of (u, v), so no step renormalizes.
+    window in one ``_curve_columns`` call. One more call on the window's
+    rows gives their gram det and their orbit columns, which come back as
+    row keys. The method keeps <x, x> = kappa and the orthonormality of
+    (u, v), so no step renormalizes.
 
     A lane stops at its first step whose first node, second node or row
     (in that order) is non-finite or not regular, or whose node turns the
@@ -346,10 +335,6 @@ class _GaussRows:
         """Rows per call: the window's, whatever the lanes, since it sets where Picard stops."""
         return GAUSS_WINDOW
 
-    def _evaluate(self, x, v):
-        alpha, beta, a, b, _, det = _orbit_invariants(self.spec, x, v)
-        return self.law.target(alpha, beta, a, b), det
-
     def _propagate(self, s0, gam):
         """Rows and step maps of a window from its start s0 (L, 3, 3) and node gammas (L, K, 2).
 
@@ -375,8 +360,9 @@ class _GaussRows:
 
     def start(self, y):
         self.s = y.transpose(2, 0, 1)
-        self.gam, det = self._evaluate(y[0], y[2])
-        return det, None, {}
+        cols, det = _curve_columns(self.spec, self.law, y[0], y[2])
+        self.gam = cols["gammas"]
+        return det, cols
 
     def rows(self, keep, i0, i1):
         if keep is not None:
@@ -389,9 +375,10 @@ class _GaussRows:
         for _ in range(PICARD_ITERATIONS):
             rows, starts, maps = self._propagate(self.s, gam)
             nodes = maps @ starts[:, :, None]                             # (L, K, 2, 3, 3)
-            new, det_nodes = self._evaluate(nodes[..., 0, :].reshape(-1, 3).T,
-                                            nodes[..., 2, :].reshape(-1, 3).T)
-            new, det_nodes = new.reshape(gam.shape), det_nodes.reshape(gam.shape)
+            at_nodes, det_nodes = _curve_columns(self.spec, self.law,
+                                                 nodes[..., 0, :].reshape(-1, 3).T,
+                                                 nodes[..., 2, :].reshape(-1, 3).T)
+            new, det_nodes = at_nodes["gammas"].reshape(gam.shape), det_nodes.reshape(gam.shape)
             turned = self.step * np.abs(new) > MAX_STEP_TURN
             # the system is causal: the steps before a lane's first failing
             # node converge whatever the nodes past it hold
@@ -407,8 +394,9 @@ class _GaussRows:
                 break
         # an unsettled lane stops at its first row that still moves
         moved = before & ~(change <= PICARD_TOL) & ~settled[:, None]
-        det_row = _killing_gram(self.spec, rows[:, :, 0].reshape(-1, 3).T)[-1].reshape(lanes, k)
-        det_row = np.where(np.isfinite(rows).all(axis=(2, 3)), det_row, np.nan)
+        cols, det_row = _curve_columns(self.spec, self.law, rows[:, :, 0].reshape(-1, 3).T,
+                                       rows[:, :, 2].reshape(-1, 3).T)
+        det_row = np.where(np.isfinite(rows).all(axis=(2, 3)), det_row.reshape(lanes, k), np.nan)
         # a step's checks in time order: each point's gram det, and at the
         # nodes the turn; a non-finite point has a NaN gram det
         dets = np.stack([det_nodes[..., 0], det_nodes[..., 1], det_row])
@@ -424,8 +412,9 @@ class _GaussRows:
         cause[unconverged, at] = 2
         stop = np.where(fail.any(axis=1), fail.argmax(axis=1), k)
         self.s, self.gam = rows[:, -1], gam[:, -1, 1]
-        new = dict(zip(("xs", "us", "vs"), rows.transpose(2, 0, 1, 3)))
-        return new, stop, cause, None
+        new = {**dict(zip(("xs", "us", "vs"), rows.transpose(2, 0, 1, 3))),
+               **{key: col.reshape(lanes, k) for key, col in cols.items()}}
+        return new, stop, cause
 
 
 class _GeodesicRows:
@@ -436,32 +425,25 @@ class _GeodesicRows:
     w = -eps S x0/r + C u0 and xi = v0, with (C, S) from
     ``SpaceForm.geodesic_coefficients`` at theta = t/r. One
     ``_curve_columns`` call per block gives each row's gram det, which tests
-    regularity, and its orbit columns, which come back as row keys, so the
-    curve built from the rows reads them and evaluates nothing again. A
-    lane stops at its first row that is non-finite or not regular. With
-    ``align_tol``, each row also reports whether |<H, xi>| < align_tol.
+    regularity, and its orbit columns, which come back as row keys. A lane
+    stops at its first row that is non-finite or not regular.
 
     A block holds ORBIT_BATCH // lanes rows of its live lanes, and at least
     ROW_BLOCK, so a call evaluates about ORBIT_BATCH points however many
     lanes are live, and a lane that stops early wastes the rest of its block.
     """
 
-    def __init__(self, spec, law, step, align_tol=None):
-        self.spec, self.law, self.step, self.align_tol = spec, law, step, align_tol
+    def __init__(self, spec, law, step):
+        self.spec, self.law, self.step = spec, law, step
 
     def block(self, lanes):
         """Rows per call for ``lanes`` live lanes."""
         return max(ROW_BLOCK, ORBIT_BATCH // lanes)
 
-    def _evaluate(self, x, v):
-        """(gram det, alignment mask or None, columns) at points x (3, N) with normals v (3, N)."""
-        cols, det = _curve_columns(self.spec, self.law, x, v)
-        aligned = None if self.align_tol is None else np.abs(cols["mean_align"]) < self.align_tol
-        return det, aligned, cols
-
     def start(self, y):
         self.y = y
-        return self._evaluate(y[0], y[2])
+        cols, det = _curve_columns(self.spec, self.law, y[0], y[2])
+        return det, cols
 
     def rows(self, keep, i0, i1):
         if keep is not None:
@@ -474,40 +456,41 @@ class _GeodesicRows:
         xs = c * x + sp.radius * s * u
         us = -sp.eps * s * x / sp.radius + c * u
         shape = xs.shape[1:]
-        det_row, aligned, cols = self._evaluate(
-            xs.reshape(3, -1), np.broadcast_to(v, xs.shape).reshape(3, -1))
+        cols, det_row = _curve_columns(self.spec, self.law, xs.reshape(3, -1),
+                                       np.broadcast_to(v, xs.shape).reshape(3, -1))
         # the cause code of a row's failure: 1 if non-finite, else 0
         nonfinite = ~(np.isfinite(xs).all(axis=0) & np.isfinite(us).all(axis=0))
         fail = nonfinite | ~(det_row.reshape(shape) > floor)
         stop = np.where(fail.any(axis=1), fail.argmax(axis=1), len(i))
         new = {"xs": xs.transpose(1, 2, 0), "us": us.transpose(1, 2, 0),
                **{key: col.reshape(shape) for key, col in cols.items()}}
-        return new, stop, nonfinite, None if aligned is None else aligned.reshape(shape)
+        return new, stop, nonfinite
 
 
-def _lane_loop(spec, rule, x0, u0, v0, n_steps, n_launches):
-    """Rows of B section-curve lanes, advanced in lockstep by one row rule.
+def _lane_loop(spec, rule, x0, u0, v0, n_steps, n_launches, align_tol=None):
+    """Rows and orbit columns of B section-curve lanes, advanced in lockstep by one row rule.
 
     x0, u0, v0 (B, 3) are real frame coordinates of the point, velocity and
     Frenet normal at the start; lane l is a side of launch l % n_launches.
     The start is renormalized, and a start that is not regular raises
     SingularOrbitError. ``rule.start(y)`` gives the start's (gram det,
-    alignment or None, the rule's own row keys: a dict, maybe empty, of
-    values per lane); each ``rule.rows(keep, i0, i1)`` call gives, for rows
-    i0 to i1 - 1 (``rule.block(lanes)`` rows for the number of lanes live
-    at i0, fewer at the end) of the live lanes (keep masks those of its last
-    call, or is None when all of them go on), (rows of the keys that move,
-    the rule's own keys among them, accepted row counts, the cause code of a
-    step's first failure as an index into STOP_REASONS, alignment or None),
-    each per live lane and the last two also per row. A lane stops, with a
-    truncation reason, at the first step that leaves the regular set (gram
-    det <= ``spec.gram_floor()``) or fails another check of its rule; a
-    launch is rejected, and all its lanes stop, at the first accepted row of
-    any of its lanes that is misaligned.
+    columns), the columns a dict of ``_curve_columns`` values per lane; each
+    ``rule.rows(keep, i0, i1)`` call gives, for rows i0 to i1 - 1
+    (``rule.block(lanes)`` rows for the number of lanes live at i0, fewer at
+    the end) of the live lanes (keep masks those of its last call, or is
+    None when all of them go on), (rows, accepted row counts, the cause
+    code of a step's first failure as an index into STOP_REASONS): rows
+    maps xs, us, vs and the columns to arrays per live lane and row, and
+    the cause is per live lane and row. A lane stops, with a truncation
+    reason, at the first step that leaves the regular set (gram det <=
+    ``spec.gram_floor()``) or fails another check of its rule. With
+    ``align_tol``, a launch is rejected, and all its lanes stop, at the
+    first accepted row of any of its lanes whose |<H, xi>| (the mean_align
+    column) is not below align_tol.
 
     Returns (rows, counts, reasons, rejected): rows maps xs, us and vs
-    (real frame coordinates) and the rule's own keys to arrays with lane and
-    row axes leading, of which lane k holds counts[k] valid rows; an empty
+    (real frame coordinates) and the columns to arrays with lane and row
+    axes leading, of which lane k holds counts[k] valid rows; an empty
     reason means the lane ran all n_steps; rejected (n_launches,) marks
     rejected launches.
     """
@@ -515,32 +498,36 @@ def _lane_loop(spec, rule, x0, u0, v0, n_steps, n_launches):
     rejected = np.zeros(n_launches, dtype=bool)
     counts = np.ones(len(x0), dtype=int)
     reasons = [""] * len(x0)
+
+    def misaligned(cols):
+        return ~(np.abs(cols["mean_align"]) < align_tol)
+
     # dying lanes compute with singular or non-finite data; they are masked out
     with np.errstate(all="ignore"):
         y = _renorm(spec.space, np.array([x0.T, u0.T, v0.T]))
-        det, aligned, own = rule.start(y)
+        det, cols = rule.start(y)
         if not np.all(det > spec.gram_floor()):
             raise SingularOrbitError("initial point is not regular")
-        # every row starts as a copy of the start row; a rule writes the keys that move
+        # every row starts as a copy of the start row; the rule writes the rows after it
         rows = {key: np.repeat(val[:, None], n_steps + 1, axis=1)
                 for key, val in (*zip(("xs", "us", "vs"), y.transpose(0, 2, 1)),
-                                 *own.items())}
-        if aligned is not None:
-            rejected[launch[~aligned]] = True
+                                 *cols.items())}
+        if align_tol is not None:
+            rejected[launch[misaligned(cols)]] = True
         keep = ~rejected[launch]
         alive = np.flatnonzero(keep)
         i1 = 1
         while len(alive) and i1 <= n_steps:
             i0, i1 = i1, min(i1 + rule.block(len(alive)), n_steps + 1)
-            new, stop, cause, aligned = rule.rows(keep, i0, i1)
+            new, stop, cause = rule.rows(keep, i0, i1)
             # a stopped lane's rows land past its count, where no reader looks
             for key, val in new.items():
                 rows[key][alive, i0:i1] = val
             keep = None   # every lane goes on: the common case costs one reduction
-            if aligned is not None:
+            if align_tol is not None:
                 # the accepted rows that are misaligned reject their launches
                 accepted = np.arange(i1 - i0) < stop[:, None]
-                rejected[launch[alive[(accepted & ~aligned).any(axis=1)]]] = True
+                rejected[launch[alive[(accepted & misaligned(new)).any(axis=1)]]] = True
                 keep = (stop == i1 - i0) & ~rejected[launch[alive]]
             elif stop.min() < i1 - i0:
                 keep = stop == i1 - i0
@@ -562,12 +549,10 @@ def _launch_sigmas(spec, law, x0, u0, step, n_steps, two_sided=True, align_tol=N
     round-off (at most FRAME_TOL) or non-finite. A launch is one lane,
     or two (u0 and -u0) when ``two_sided``. A law that reads the orbit data
     takes the collocation row rule, a pregeodesic law the closed form. With
-    ``align_tol`` (pregeodesic laws only), a launch whose alignment
-    |<H, xi>| fails to stay below it stops at that row and its entry is
-    None. A pregeodesic curve takes its orbit columns from its lanes, which
-    computed them with its rows; the collocation curves get theirs from
-    ``curves_from_rows``, together, a call per ORBIT_BATCH rows of all of
-    them. Either way a rejected launch is never built.
+    ``align_tol``, a launch whose alignment |<H, xi>| fails to stay below
+    it stops at that row and its entry is None. Every other launch is built
+    from its lanes' rows and orbit columns, which the rule computed
+    together, so no curve evaluates its orbit data again.
     """
     if step <= 0:
         raise GeometryError("step must be positive")
@@ -584,30 +569,19 @@ def _launch_sigmas(spec, law, x0, u0, step, n_steps, two_sided=True, align_tol=N
     n = len(x0)
     if two_sided:
         x0, u0, v0 = (np.concatenate(pair) for pair in ((x0, x0), (u0, -u0), (v0, v0)))
-    rule = (_GaussRows(spec, law, step) if law.reads_orbit_data
-            else _GeodesicRows(spec, law, step, align_tol))
-    rows, counts, reasons, rejected = _lane_loop(spec, rule, x0, u0, v0, n_steps, n)
-    kept = np.flatnonzero(~rejected)
-    curve_rows, curve_cols = [], []
-    for k in kept:
+    rule = (_GaussRows if law.reads_orbit_data else _GeodesicRows)(spec, law, step)
+    rows, counts, reasons, rejected = _lane_loop(spec, rule, x0, u0, v0, n_steps, n, align_tol)
+    curves = [None] * n
+    for k in np.flatnonzero(~rejected):
         back = n + k if two_sided else k
         nf, nb = counts[k], (counts[back] if two_sided else 1)
         # the backward side reversed, less its copy of the t = 0 row, then the forward side
         cols = {key: np.concatenate([val[back, nb - 1:0:-1], val[k, :nf]])
                 for key, val in rows.items()}
-        xs, us, vs = (cols.pop(key) for key in ("xs", "us", "vs"))
-        us[:nb - 1] *= -1
+        cols["us"][:nb - 1] *= -1
         reason = [reasons[k], reasons[back]] if two_sided else [reasons[k]]
-        curve_rows.append((np.arange(1 - nb, nf) * step, xs, us, vs,
-                           "; ".join(r for r in reason if r)))
-        curve_cols.append(cols)
-    if law.reads_orbit_data:
-        built = curves_from_rows(spec, law, step, curve_rows)
-    else:
-        built = [_sigma_curve(spec, law, step, r, cols) for r, cols in zip(curve_rows, curve_cols)]
-    curves = [None] * n
-    for k, curve in zip(kept, built):
-        curves[k] = curve
+        curves[k] = SigmaCurve(spec=spec, law=law, ts=np.arange(1 - nb, nf) * step, step=step,
+                               truncation_reason="; ".join(r for r in reason if r), **cols)
     return curves
 
 

@@ -7,7 +7,7 @@ byte-identical files wherever they are written. A curve's rows are real
 frame coordinates x; format 4 stores D x (``from_frame``) as the base64 of
 its little-endian bytes, and the loader's ``frame_coords`` reads x back bit
 for bit, signed zeros included. Its orbit columns are not stored: the loader
-recomputes them from its rows (``curves_from_rows``). Format 3 stored the
+recomputes them from its rows (``curve_from_rows``). Format 3 stored the
 rows as lists of floats; formats 1 and 2 also stored the orbit columns, and
 format 1 differs in indentation and its ``config`` block. Nothing reads
 those columns back, and all three formats still load.
@@ -30,7 +30,7 @@ from .constructor import (
     EquivariantHypersurface,
     SigmaCurve,
     build_hypersurface,
-    curves_from_rows,
+    curve_from_rows,
 )
 from .hypersurface import adapted_frames
 
@@ -279,7 +279,7 @@ def sigma_from_dict(d: dict, schema_version: int) -> SigmaCurve:
             raise SceneError(f"scene field 'sigma.{key}' must be {claims[key]}; "
                              f"row {np.flatnonzero(~ok)[0]} is not")
     law = CurveLaw(d["law"]["kind"], _finite(d["law"]["eta"], "sigma.law.eta"))
-    return curves_from_rows(spec, law, step, [(grid, xs, us, vs, d["truncation_reason"])])[0]
+    return curve_from_rows(spec, law, step, grid, xs, us, vs, d["truncation_reason"])
 
 
 def patch_from_scene(doc: dict) -> EquivariantHypersurface:

@@ -27,6 +27,7 @@ from .ambient import SpaceForm, rk4_step
 from .constructor import (
     FD_EXACT_GAP,
     CurveLaw,
+    austere_search,
     build_hypersurface,
     equivariant_shape_data,
     integrate_sigma,
@@ -40,6 +41,7 @@ from .hypersurface import (
     HypersurfacePatch,
     adapted_frames,
     bracket_by_flows,
+    classify,
     d_invariants,
     frame_derivative_data,
     hopf_cmc_relation_check,
@@ -161,8 +163,6 @@ class Workspace:
 
     def austere_candidates(self, label):
         if label not in self._austere:
-            from .constructor import austere_search
-
             spec = load_action(label)
             uu = np.linspace(-0.3, 0.3, 5)
             grid = np.stack([m.ravel() for m in np.meshgrid(uu, uu, indexing="ij")], axis=-1)
@@ -501,8 +501,6 @@ def suite_gauss_codazzi(ws: Workspace) -> SuiteResult:
 
 
 def suite_austere(ws: Workspace) -> SuiteResult:
-    from .hypersurface import classify
-
     res = SuiteResult("austere")
     expected_nonempty = {"cp2-torus": True, "ch2-torus": True, "ch2-g0": True,
                          "ch2-k0-g2a": False, "ch2-line-g2a": True}

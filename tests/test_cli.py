@@ -106,6 +106,35 @@ def test_construct_config_file_and_flag_override(tmp_path, capsys):
     assert doc["config"]["eta"] == 0.5              # flag wins
 
 
+# one (config-file value, construct flag, merged value) per RunConfig field
+FLAG_OVERRIDES = {
+    "action": ("ch2-torus", ["--action", "ch2-g0"], "ch2-g0"),
+    "c": (2.0, ["--c", "3.0"], 3.0),
+    "point": ([0.1, 0.0], ["--point", "0.05", "0.02"], (0.05, 0.02)),
+    "theta": (0.2, ["--theta", "0.3"], 0.3),
+    "law": ("geodesic", ["--law", "levi-flat"], "levi-flat"),
+    "eta": (2.0, ["--eta", "0.5"], 0.5),
+    "step": (2e-3, ["--step", "5e-4"], 5e-4),
+    "n_steps": (60, ["--n-steps", "80"], 80),
+    "grid": ([6, 3, 3], ["--grid", "4", "2", "2"], (4, 2, 2)),
+    "s_extent": (0.1, ["--s-extent", "0.05"], 0.05),
+    "out_scene": ("a.json", ["--out-scene", "b.json"], "b.json"),
+    "out_csv": ("a.csv", ["--out-csv", "b.csv"], "b.csv"),
+}
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RunConfig)])
+def test_construct_flag_overrides_its_config_file_value(field, tmp_path):
+    file_val, flag, merged = FLAG_OVERRIDES[field]
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({field: file_val}))
+    args = cli.build_parser().parse_args(["construct", "--config", str(cfgfile)])
+    from_file = getattr(cli._merge_config(args), field)
+    assert from_file == (tuple(file_val) if isinstance(file_val, list) else file_val)
+    args = cli.build_parser().parse_args(["construct", "--config", str(cfgfile), *flag])
+    assert getattr(cli._merge_config(args), field) == merged
+
+
 def test_construct_geodesic_from_bisector_direction_is_austere(tmp_path, capsys):
     # the geodesic sweep launched along an angle bisector of the cp2-torus
     # orbit triangle produces the Clifford cone

@@ -197,8 +197,8 @@ def test_sweep_rejects_a_curve_singular_between_its_rows(monkeypatch):
     ts = h * np.arange(-1, 3)
     s = (ts - h / 2)[:, None]
     zs, ws = np.cos(s) * e0 + np.sin(s) * u, -np.sin(s) * e0 + np.cos(s) * u
-    sigma, = constructor.curves_from_rows(spec, CurveLaw("geodesic"), h,
-                                          [(ts, zs, ws, np.tile(v, (4, 1)), "")])
+    sigma = constructor.curve_from_rows(spec, CurveLaw("geodesic"), h, ts, zs, ws,
+                                        np.tile(v, (4, 1)), "")
     assert np.all(spec.gram_det(sigma.zs) > spec.gram_floor())
 
     def no_chart(*args):
@@ -724,20 +724,19 @@ def test_austere_search_matches_scalar_search(label, grid, n_found):
 def _count_invariant_calls(monkeypatch):
     """Record each orbit evaluation of the section curves, by kind.
 
-    "full" per ``_orbit_invariants`` call and "gram" per ``_killing_gram``
-    call. The search's own ``_orbit_body`` call on its grid is not recorded;
-    nothing else in ``constructor`` calls the body (``test_imports``).
+    "full" per ``_orbit_invariants`` call, the only orbit evaluation of the
+    rows: ``constructor`` binds no gram-only seam. The search's own
+    ``_orbit_body`` call on its grid is not recorded; nothing else in
+    ``constructor`` calls the body (``test_imports``).
     """
     calls = []
+    seam = constructor._orbit_invariants
 
-    def counting(seam, kind):
-        def call(*args, **kwargs):
-            calls.append(kind)
-            return seam(*args, **kwargs)
-        return call
+    def call(*args, **kwargs):
+        calls.append("full")
+        return seam(*args, **kwargs)
 
-    for name, kind in (("_orbit_invariants", "full"), ("_killing_gram", "gram")):
-        monkeypatch.setattr(constructor, name, counting(getattr(constructor, name), kind))
+    monkeypatch.setattr(constructor, "_orbit_invariants", call)
     return calls
 
 
@@ -757,12 +756,13 @@ def test_austere_search_stops_misaligned_launch_early(monkeypatch):
 def test_orbit_reading_law_evaluates_full_orbit_data_at_every_stage(monkeypatch):
     # CMC reads alpha and beta at every stage node: one start row, then one
     # call per Picard iteration on both nodes of every step of the two lanes
-    # (six iterations for this 30-row window), one gram call on the window's
-    # rows, and one call for the curve's orbit columns on its 61 rows
+    # (six iterations for this 30-row window), and one call on the window's
+    # rows for their gram det and orbit columns; the curve built from the
+    # lanes evaluates nothing again
     calls = _count_invariant_calls(monkeypatch)
     spec, z0, w0 = launch("cp2-torus")
     integrate_sigma(spec, z0, w0, CurveLaw("cmc", eta=1.0), n_steps=30)
-    assert calls == ["full"] * 7 + ["gram", "full"]
+    assert calls == ["full"] * 8
 
 
 def test_geodesic_law_evaluates_orbit_data_once_per_row_in_the_lanes(monkeypatch):
@@ -852,17 +852,17 @@ def test_geodesic_orbit_columns_match_per_row():
     assert_orbit_columns_per_row(sigma)
 
 
-# -- a pregeodesic lane's columns against the curve's own rows ----------------------
+# -- a lane's columns against the curve's own rows -----------------------------------
 
 
 def assert_lane_columns_are_the_rows_columns(curve):
     """The curve's orbit columns and gammas have, bit for bit, what
-    ``curves_from_rows`` gives its real rows, as the scene loader does.
+    ``curve_from_rows`` gives its real rows, as the scene loader does.
 
     Compared as int64 views, so -0.0 and +0.0 differ.
     """
-    ref, = constructor.curves_from_rows(curve.spec, curve.law, curve.step, [
-        (curve.ts, curve.xs, curve.us, curve.vs, curve.truncation_reason)])
+    ref = constructor.curve_from_rows(curve.spec, curve.law, curve.step, curve.ts, curve.xs,
+                                      curve.us, curve.vs, curve.truncation_reason)
     for name in ("gammas",) + ORBIT_COLUMNS:
         assert np.array_equal(getattr(curve, name).view(np.int64),
                               getattr(ref, name).view(np.int64)), name
@@ -888,12 +888,13 @@ def test_austere_cycle_lane_columns_are_their_rows_columns(tmp_path, monkeypatch
         assert_lane_columns_are_the_rows_columns(curve)
 
 
-def test_pregeodesic_lane_columns_are_their_rows_columns_on_the_q2_axis():
-    # starts on the line q2 = 0, along it and across it: on ch2-g0, ch2-k0-g2a
-    # and ch2-line-g2a the rows there have zero frame coordinates, some -0.0
+def test_lane_columns_are_their_rows_columns_on_the_q2_axis():
+    # starts on the line q2 = 0, along it and across it, for the pregeodesic
+    # and the collocated laws: on ch2-g0, ch2-k0-g2a and ch2-line-g2a the
+    # rows there have zero frame coordinates, some -0.0
     zeros = negative = 0
     for label in LABELS:
-        for law in (CurveLaw("geodesic"), CurveLaw("austere")):
+        for law in LAWS:
             for coords in ((0.1, 0.0), (-0.2, 0.0), (0.0, 0.0)):
                 for theta in (0.0, np.pi / 2):
                     spec, z0, w0 = launch(label, theta=theta, coords=coords)
@@ -907,12 +908,17 @@ def test_pregeodesic_lane_columns_are_their_rows_columns_on_the_q2_axis():
 
 
 def test_truncated_lane_columns_are_their_rows_columns():
-    # one side truncated (see test_lane_core_matches_scalar_when_one_side_truncates)
+    # one side truncated (see test_lane_core_matches_scalar_when_one_side_truncates
+    # and, for the collocation lane, test_rk4_rule_matches_scalar_when_one_side_truncates)
     spec, z0, w0 = launch("cp2-torus", theta=0.0, coords=(-0.463, -0.802))
     for law in (CurveLaw("geodesic"), CurveLaw("austere")):
         sigma = integrate_sigma(spec, z0, w0, law, n_steps=40)
         assert sigma.truncation_reason == "left the regular set after 23 steps"
         assert_lane_columns_are_the_rows_columns(sigma)
+    spec, z0, w0 = launch("cp2-torus", theta=2.7 * np.pi / 7, coords=(-0.463, -0.802))
+    sigma = integrate_sigma(spec, z0, w0, CurveLaw("cmc", eta=1.0), n_steps=40)
+    assert sigma.truncation_reason == "left the regular set after 25 steps"
+    assert_lane_columns_are_the_rows_columns(sigma)
 
 
 # -- the batched orbit work against one row per call ---------------------------------

@@ -9,7 +9,9 @@ library, and every name the package exports must resolve. No module, not
 even inside a function, imports SciPy: it is needed only by the tests.
 Only SpaceForm.central_difference phase-aligns representatives to difference
 them, only ``constructor._curve_columns`` turns orbit invariants into a
-curve's columns, only the austere search's grid calls the orbit body in
+curve's columns (inside ``constructor`` it and the exact shape data are the
+only callers of ``_orbit_invariants``, and no gram-only ``_killing_gram`` is
+bound there), only the austere search's grid calls the orbit body in
 ``constructor``, only launch inputs and stored scene rows go through
 ``frame_coords``, only ``actions`` reads the frame's phases, and no module
 calls ``np.cross``: ``ambient.cross3`` rounds the same.
@@ -209,21 +211,30 @@ def test_phase_align_is_called_only_by_the_central_difference():
 
 # -- one place for a curve's orbit columns -------------------------------------------
 
-# inside constructor, the full orbit invariants are read by the collocation
-# nodes, by the one helper that turns them into curve columns (for the
-# pregeodesic lanes and for every curve built from its rows) and by the exact
-# shape data; a per-curve twin of the helper would be a fourth
+# inside constructor, the full orbit invariants are read by the one helper
+# that turns them into curve columns (for the rows and nodes of every lane and
+# for a curve loaded from its rows) and by the exact shape data; a row rule's
+# own evaluation or a per-curve twin of the helper would be a third
 ORBIT_INVARIANTS_CALLERS = {
-    ("constructor.py", "_GaussRows._evaluate"),
     ("constructor.py", "_curve_columns"),
     ("constructor.py", "equivariant_shape_data"),
 }
 
 
-def test_orbit_invariants_is_called_only_by_its_three_readers():
+def test_orbit_invariants_is_called_only_by_its_two_readers():
     source = (SRC / "constructor.py").read_text()
     found = set(callers({"constructor.py": source}, "_orbit_invariants"))
     assert found == ORBIT_INVARIANTS_CALLERS, sorted(found ^ ORBIT_INVARIANTS_CALLERS)
+
+
+def test_constructor_binds_no_gram_only_seam():
+    # a lane's rows read their gram det from the ``_curve_columns`` call that
+    # gives their orbit columns, never from the gram prefix alone
+    tree = ast.parse((SRC / "constructor.py").read_text())
+    bound = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert "_killing_gram" not in bound | named
 
 
 def test_orbit_body_is_called_in_constructor_only_by_the_search_grid():
@@ -309,7 +320,7 @@ REMOVED = {
     "actions": ("orbit_shape_operator", "OrbitData", "phi_map", "killing_field"),
     "hypersurface": ("shape_operator", "ShapeSpectrum", "hopf_projection_count",
                      "AdaptedFrame", "adapted_frame"),
-    "constructor": ("equidistance_spot_check",),
+    "constructor": ("equidistance_spot_check", "curves_from_rows"),
 }
 
 

@@ -18,7 +18,7 @@ import pytest
 
 from conftest import DATA, format4_resave_text
 from hopflab.actions import LABELS
-from hopflab.constructor import CurveLaw, austere_search, curves_from_rows, integrate_sigma
+from hopflab.constructor import CurveLaw, austere_search, curve_from_rows, integrate_sigma
 from hopflab.scene import (_SIGMA_FIELDS, SCHEMA_VERSION, dumps_scene, load_scene, patch_from_scene,
                            scene_document, sigma_from_dict, sigma_to_dict)
 from test_constructor import LAWS, SIGMA_ARRAYS, launch
@@ -69,8 +69,8 @@ def test_negative_zero_entries_round_trip():
         assert_round_trip(sigma)
         rows = [np.where(r == 0.0, -0.0, r) for r in (sigma.xs, sigma.us, sigma.vs)]
         assert sum(np.count_nonzero(r == 0.0) for r in rows) > 0, law
-        signed, = curves_from_rows(spec, law, sigma.step,
-                                   [(sigma.ts, *rows, sigma.truncation_reason)])
+        signed = curve_from_rows(spec, law, sigma.step, sigma.ts, *rows,
+                                 sigma.truncation_reason)
         assert_round_trip(signed)
 
 

@@ -86,10 +86,10 @@ def test_suite_cmc_hopf_relation_reuses_grid_shape_data(suite_ws, monkeypatch):
 
 @pytest.mark.parametrize("action, calls, points", [
     # one start call on 2 points, 10 and 9 Picard iterations on the 2 nodes
-    # of each of the 200 steps of the 2 lanes, and the orbit columns of the
-    # curve's 401 rows
-    ("cp2-torus", 12, 2 + 10 * 800 + 401),
-    ("ch2-k0-g2a", 11, 2 + 9 * 800 + 401),
+    # of each of the 200 steps of the 2 lanes, and the gram det and orbit
+    # columns of the window's 2 x 200 rows, which the curve is built from
+    ("cp2-torus", 12, 2 + 10 * 800 + 400),
+    ("ch2-k0-g2a", 11, 2 + 9 * 800 + 400),
 ], ids=["cmc", "levi-flat"])
 def test_orbit_reading_curve_work(action, calls, points, tmp_path, monkeypatch):
     # the construct benchmark's seed-3 launch of this action, as construct makes it
@@ -135,15 +135,15 @@ def test_construct_geodesic_item_runs_its_lanes_in_one_block(tmp_path, monkeypat
     # regularity test and the curve's columns at once: the start's 2 points,
     # then one block of both lanes' 200 rows, since a block holds
     # ORBIT_BATCH // 2 = 400 rows of 2 live lanes. The curve built from the
-    # lanes evaluates nothing again, and no row takes a gram-only call; the
-    # last two calls are the exact shape data's, on the 20 distinct t of the
-    # certificate's grid and the 12 of the mesh.
-    sizes = count_orbit_points(monkeypatch, ("_orbit_invariants", "_killing_gram"))
+    # lanes evaluates nothing again; the last two calls are the exact shape
+    # data's, on the 20 distinct t of the certificate's grid and the 12 of
+    # the mesh.
+    sizes = count_orbit_points(monkeypatch, ("_orbit_invariants",))
     workload = WORKLOADS["construct"](3, str(tmp_path))
     item = next(k for k, cfg in enumerate(workload.configs) if cfg["law"] == "geodesic")
     ok, digest = workload.run(item)
     assert ok, digest
-    assert sizes == {"_orbit_invariants": [2, 2 * 200, 20, 12], "_killing_gram": []}
+    assert sizes == {"_orbit_invariants": [2, 2 * 200, 20, 12]}
 
 
 # the functions whose shape data a construct cycle reads, by the nearest one on the stack
@@ -236,7 +236,7 @@ def test_austere_cycle_orbit_work(tmp_path, monkeypatch):
     # the orbit evaluations of one seed-3 austere benchmark cycle, by the
     # constructor's bindings: the search grids' bodies, the lanes' rows and
     # the orbit columns of every curve that stays aligned
-    sizes = count_orbit_points(monkeypatch, ("_orbit_body", "_orbit_invariants", "_killing_gram"))
+    sizes = count_orbit_points(monkeypatch, ("_orbit_body", "_orbit_invariants"))
     workload = WORKLOADS["austere"](3, str(tmp_path))
     for item in workload.cycle():
         ok, digest = workload.run(item)
@@ -249,7 +249,7 @@ def test_austere_cycle_orbit_work(tmp_path, monkeypatch):
     # 9,640 points) are built from them with no call of their own
     assert constructor.ORBIT_BATCH == 800
     assert {name: (len(s), sum(s)) for name, s in sizes.items()} == {
-        "_orbit_body": (5, 125), "_orbit_invariants": (23, 12570), "_killing_gram": (0, 0)}
+        "_orbit_body": (5, 125), "_orbit_invariants": (23, 12570)}
     assert sizes["_orbit_body"] == [25] * 5
     # every orbit-body point of the cycle, those inside _orbit_invariants included
     assert sum(sizes["_orbit_body"]) + sum(sizes["_orbit_invariants"]) == 12695
