@@ -79,8 +79,8 @@ class RunConfig:
     theta: float = 0.45
     law: str = "cmc"
     eta: float = 1.0
-    step: float = 1e-3
-    n_steps: int = 200
+    step: float = 1.6e-3
+    n_steps: int = 125
     grid: tuple = (20, 5, 5)
     s_extent: float = 0.15
     out_scene: str | None = None

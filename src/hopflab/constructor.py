@@ -43,6 +43,17 @@ chart itself is the thing tested, where exact data would only restate the
 law: the certificate's derivative sample, which also reports its gap to
 the exact data (fd_exact_gap), the Levi-flat/CMC certificate, ``classify``
 and the verify suites.
+
+The chart sweeps the curve's quintic interpolant, not its rows, so the
+certificate also measures how far that curve leaves its law between the
+rows: ``curve_defect``, the miss of its curvature at each step's Gauss
+points and midpoint. The interpolant's second derivative carries the
+collocation's order-4 error of the rows' velocities divided by the step,
+so the miss is of order 3 in the step. It is what shows a step fine enough
+for its law, so a step too coarse fails the certificate by name. The
+``construct`` default step, 1.6e-3, keeps it under half its bound on the
+benchmark's launches; ``DEFAULT_STEP`` (1e-3), the step of the austere
+search and of ``integrate_sigma`` by default, under a seventh of it.
 """
 
 from __future__ import annotations
@@ -85,13 +96,15 @@ ORBIT_BATCH = 800
 # evaluates one point per row of each live lane, and a lane that stops early
 # wastes at most one block
 ROW_BLOCK = 16
-# rows per window of the collocation lanes, and the Picard iterations a
-# window may take before its unconverged lanes stop. A lane has converged
-# once no row moves by PICARD_TOL relative to max(1, its largest entry), or
-# once its largest such move stops shrinking below PICARD_FLOOR: far out in
-# CH^2 the rounding of the orbit data, which grows with the representatives,
-# sets a floor above PICARD_TOL.
-GAUSS_WINDOW = 200
+# the t-span of a window of the collocation lanes, round(GAUSS_SPAN / step)
+# rows and at least one, and the Picard iterations a window may take before
+# its unconverged lanes stop. Picard iterations grow with a window's t-span,
+# not its row count, so the span is fixed whatever the step. A lane has
+# converged once no row moves by PICARD_TOL relative to max(1, its largest
+# entry), or once its largest such move stops shrinking below PICARD_FLOOR:
+# far out in CH^2 the rounding of the orbit data, which grows with the
+# representatives, sets a floor above PICARD_TOL.
+GAUSS_SPAN = 0.2
 PICARD_ITERATIONS = 100
 PICARD_TOL = 1e-12
 PICARD_FLOOR = 1e-8
@@ -122,6 +135,16 @@ FD_EXACT_GAP = 1e-5
 # patches); the bound is 500 times that. A chart bent by 1 + 1e-5 s1^2
 # tilts its orbit velocities by 1.1e-7 or more.
 CHART_TILT = 1e-9
+# the largest ``curve_defect`` allowed, a tenth of FD_EXACT_GAP: the
+# defect is of order 3 in the step. Over the 150 launches of the construct
+# benchmark's seeds 1 to 30 the largest is 5.0e-7 at the ``construct``
+# default step 1.6e-3 (a ch2-torus CMC curve) and 1.1e-7 at step 1e-3; at
+# step 4e-3 it is 7.9e-6, and 22 of the 150 fail. The verify cmc patches
+# read at most 2.4e-8, and the ch2-torus CMC curve at step 0.05 reads 1.5e-2.
+CURVE_DEFECT = 1e-6
+# where ``curve_defect`` reads each step, as fractions of it: the step's two
+# Gauss points and its midpoint
+DEFECT_TAUS = np.array([0.5 - np.sqrt(3) / 6, 0.5, 0.5 + np.sqrt(3) / 6])
 # strongly_2hopf_certify: its fixed tolerances, as every certificate reports
 # them, and the size of the derivative subsample
 CERTIFY_TOLERANCES = {
@@ -135,6 +158,7 @@ CERTIFY_TOLERANCES = {
     "orbit_tangency": 1e-5,
     "chart_tilt": CHART_TILT,
     "fd_exact_gap": FD_EXACT_GAP,
+    "curve_defect": CURVE_DEFECT,
 }
 DERIVATIVE_POINTS = 6
 LEVIFLAT_GRID = (10, 4, 4)
@@ -203,15 +227,22 @@ class SigmaCurve:
     ws = property(lambda self: self.spec.from_frame(self.us), doc="(n, 3) velocities D us")
     xis = property(lambda self: self.spec.from_frame(self.vs), doc="(n, 3) normals D vs")
 
+    @property
+    def accs(self):
+        """(n, 3) accelerations gamma vs - xs / kappa of the rows, by the model equations.
+
+        A division by a real is the product with its reciprocal, as NumPy
+        divides a complex array.
+        """
+        return self.gammas[:, None] * self.vs - self.xs * (1.0 / self.space.kappa)
+
     def interpolant(self):
         """C^2 quintic-Hermite interpolant of the curve's real frame rows.
 
         ``query(t)`` gives the points; ``query(t, velocity=True)`` gives
-        (points, their t-derivatives). A division by a real is the product
-        with its reciprocal, as NumPy divides a complex array.
+        (points, their t-derivatives).
         """
-        ts, zs, ws = self.ts, self.xs, self.us
-        accs = self.gammas[:, None] * self.vs - zs * (1.0 / self.space.kappa)
+        ts, zs, ws, accs = self.ts, self.xs, self.us, self.accs
         h = ts[1] - ts[0]
 
         def query(t, velocity=False):
@@ -272,11 +303,15 @@ def curve_from_rows(spec, law, step, ts, xs, us, vs, reason):
     is pointwise, so they have the bits that the lanes give a launched
     curve's rows. The scene loader builds its curve here.
     """
+    return SigmaCurve(spec=spec, law=law, ts=ts, xs=xs, us=us, vs=vs, step=step,
+                      truncation_reason=reason, **_batched_columns(spec, law, xs, vs))
+
+
+def _batched_columns(spec, law, xs, vs):
+    """The ``_curve_columns`` columns of points xs with normals vs (n, 3), a call per ORBIT_BATCH."""
     parts = [_curve_columns(spec, law, xs[i:i + ORBIT_BATCH].T, vs[i:i + ORBIT_BATCH].T)[0]
              for i in range(0, len(xs), ORBIT_BATCH)]
-    cols = {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
-    return SigmaCurve(spec=spec, law=law, ts=ts, xs=xs, us=us, vs=vs, step=step,
-                      truncation_reason=reason, **cols)
+    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 
 
 def _renorm(sp, y):
@@ -291,7 +326,7 @@ def _renorm(sp, y):
 
 
 class _GaussRows:
-    """Row rule of a law that reads the orbit data: a window of GAUSS_WINDOW rows per call.
+    """Row rule of a law that reads the orbit data: a window spanning GAUSS_SPAN per call.
 
     The state is real: lane l's rows (x, u, v) form a 3 x 3 matrix S whose
     rows are frame coordinates, and S' = A(gamma) S with
@@ -333,7 +368,7 @@ class _GaussRows:
 
     def block(self, lanes):
         """Rows per call: the window's, whatever the lanes, since it sets where Picard stops."""
-        return GAUSS_WINDOW
+        return max(1, round(GAUSS_SPAN / self.step))
 
     def _propagate(self, s0, gam):
         """Rows and step maps of a window from its start s0 (L, 3, 3) and node gammas (L, K, 2).
@@ -685,6 +720,22 @@ def build_hypersurface(spec: PolarActionSpec, sigma: SigmaCurve,
     return EquivariantHypersurface(spec=spec, sigma=sigma, patch=patch, s_extent=extent)
 
 
+def _swept_frame(sigma: SigmaCurve, t):
+    """(x, u, T, xi), (M, 3) each, of the curve the chart sweeps at times t (M,).
+
+    x and its velocity u come from the quintic interpolant, T is the unit
+    horizontal part of u, and xi the section's cross product of x and T,
+    signed like the Frenet normal of the nearest curve row.
+    """
+    sp = sigma.space
+    x, u = sigma.interpolant()(t, velocity=True)
+    tangent = sp.project_horizontal(x, u)
+    tangent = tangent * (1.0 / sp.norm(tangent))[:, None]
+    normal = sp._sig * cross3(x, tangent)     # g-orthogonal to x and to the tangent
+    sign = np.sign(sp.g(normal, sigma.vs[sigma.nearest_row(t)]))
+    return x, u, tangent, normal * (sign / sp.norm(normal))[:, None]
+
+
 def equivariant_shape_data(ehs: EquivariantHypersurface, params) -> ShapeData:
     """Shape data of H.sigma from the curve and its orbits, with no difference of the normal.
 
@@ -709,13 +760,7 @@ def equivariant_shape_data(ehs: EquivariantHypersurface, params) -> ShapeData:
     fr = frames_at(ehs.patch, params)
     # each distinct t once, like the chart
     first, inverse = kernels.distinct(fr.params[:, 0])
-    t = fr.params[first, 0]
-    x, u = sigma.interpolant()(t, velocity=True)
-    tangent = sp.project_horizontal(x, u)
-    tangent = tangent * (1.0 / sp.norm(tangent))[:, None]
-    normal = sp._sig * cross3(x, tangent)     # g-orthogonal to x and to the tangent
-    sign = np.sign(sp.g(normal, sigma.vs[sigma.nearest_row(t)]))
-    normal = normal * (sign / sp.norm(normal))[:, None]
+    x, _, tangent, normal = _swept_frame(sigma, fr.params[first, 0])
     alpha, beta, a, b, _, _, eig = _orbit_invariants(spec, x.T, normal.T, eigenframe=True)
     frame = spec.from_frame(np.concatenate([tangent[:, None], eig.transpose(2, 1, 0),
                                             normal[:, None]], axis=1))      # (M, 4, 3)
@@ -753,6 +798,45 @@ def chart_tilt(ehs: EquivariantHypersurface, sd: ShapeData):
     return tilt.max(axis=1)
 
 
+def curve_defect(sigma: SigmaCurve):
+    """(n - 1,) how far the curve the chart sweeps leaves its law, per step.
+
+    The chart sweeps the quintic interpolant q of the rows. Its curvature is
+    g(q'', xi) / |q'|^2, with q' and the section normal xi as
+    ``equivariant_shape_data`` reads them (``_swept_frame``) and q'' the
+    quintic's second derivative, from the rows' velocities and
+    accelerations. Each entry is its largest distance to the law's target
+    at (q, xi) over the step's DEFECT_TAUS, read from one ``_curve_columns``
+    call per ORBIT_BATCH points, less what the rows' rounding allows. The
+    rows' velocities carry the collocation's order-4 error, which over a
+    step of h bends q'' by O(h^3): that part of the miss is odd about the
+    step's midpoint, zero there, with its extremes at the step's Gauss
+    points; the even part, O(h^4), peaks at the midpoint. A pregeodesic
+    curve, whose rows are exact, reads rounding.
+    """
+    sp, h, taus = sigma.space, sigma.step, DEFECT_TAUS
+    x, u, _, normal = _swept_frame(sigma, (sigma.ts[:-1, None] + h * taus).ravel())
+    # the quintic-Hermite basis' second tau-derivatives at each tau, weighing
+    # x_1 - x_0, u_0 h, u_1 h, acc_0 h^2 and acc_1 h^2; q'' is their sum over h^2
+    t2, t3 = taus * taus, taus ** 3
+    basis = np.stack([60 * taus - 180 * t2 + 120 * t3, -36 * taus + 96 * t2 - 60 * t3,
+                      -24 * taus + 84 * t2 - 60 * t3, 1 - 9 * taus + 18 * t2 - 10 * t3,
+                      3 * taus - 12 * t2 + 10 * t3])
+    xs, us, accs = sigma.xs, sigma.us, sigma.accs
+    rows = np.stack([(xs[1:] - xs[:-1]) * (1.0 / (h * h)), us[:-1] * (1.0 / h),
+                     us[1:] * (1.0 / h), accs[:-1], accs[1:]])
+    q2 = np.einsum("kj,kni->nji", basis, rows).reshape(-1, 3)
+    target = _batched_columns(sigma.spec, sigma.law, x, normal)["gammas"]
+    # rows off by two ulps of their largest entry move g(q'', xi) by up to
+    # 4 eps |basis_0| max|x| sum|xi| / h^2, the rounding floor of a fine
+    # step; it is no miss
+    rounding = (4 * np.finfo(float).eps / (h * h)) * np.tile(np.abs(basis[0]), len(xs) - 1) * (
+        np.abs(x).max(axis=1) * np.abs(normal).sum(axis=1))
+    speed2 = sp.g(u, u)
+    miss = np.abs(sp.g(q2, normal) / speed2 - target) - rounding / speed2
+    return miss.reshape(-1, len(taus)).max(axis=1)
+
+
 def shape_gap(sd: ShapeData, ref: ShapeData):
     """(N,) largest difference of two ShapeData at the same points: of the
     spectra, and of the ambient eigenvectors up to sign."""
@@ -786,13 +870,14 @@ def strongly_2hopf_certify(ehs: EquivariantHypersurface,
 
     Checks h = 2 on the full grid, from ``equivariant_shape_data``, and
     there that the chart's velocities are tangent to the exact sweep
-    (``chart_tilt``); on a deterministic subsample of DERIVATIVE_POINTS points,
-    from the chart's finite-difference shape data: its gap to the exact data
-    (fd_exact_gap), integrability, D-derivatives of the spectrum, leaf
-    flatness/total realness and the A-geodesic property. The derivative
-    residuals read inf where the chart's own frames there are not h = 2.
-    Every residual is held to its fixed bound in CERTIFY_TOLERANCES.
-    Failures are reported as residuals, not raised.
+    (``chart_tilt``); that the curve the chart sweeps keeps its law between
+    its rows (``curve_defect``); on a deterministic subsample of
+    DERIVATIVE_POINTS points, from the chart's finite-difference shape data:
+    its gap to the exact data (fd_exact_gap), integrability, D-derivatives
+    of the spectrum, leaf flatness/total realness and the A-geodesic
+    property. The derivative residuals read inf where the chart's own
+    frames there are not h = 2. Every residual is held to its fixed bound
+    in CERTIFY_TOLERANCES. Failures are reported as residuals, not raised.
     """
     tols = CERTIFY_TOLERANCES
     patch = ehs.patch
@@ -804,17 +889,18 @@ def strongly_2hopf_certify(ehs: EquivariantHypersurface,
     # the exact data reads the curve; the chart's own velocities, from the
     # same frames_at call, must lie in its tangent spaces
     res = {
-        "h_values": sorted(set(int(x) for x in hs)),
+        "h_values": np.unique(hs).tolist(),
         "h2_fraction": float((hs == 2).mean()),
         "chart_tilt": float(np.max(chart_tilt(ehs, exact), initial=0.0)),
+        "curve_defect": float(np.max(curve_defect(ehs.sigma), initial=0.0)),
     }
-    idx2 = np.flatnonzero(hs == 2).tolist()
+    idx2 = np.flatnonzero(hs == 2)
     # derivative probes biased toward the interior, where the finite
     # differences are best conditioned; the report records the sample size
     centers = np.array([0.5 * (lo + hi) for lo, hi in patch.box])
     spans = np.array([max(hi - lo, 1e-12) for lo, hi in patch.box])
     cornerness = (np.abs(grid - centers) / spans).max(axis=1)
-    idx2 = sorted(idx2, key=lambda i: (cornerness[i], i))
+    idx2 = idx2[np.lexsort((idx2, cornerness[idx2]))]
     stride = max(1, len(idx2) // DERIVATIVE_POINTS)
     sample = idx2[::stride][:DERIVATIVE_POINTS]
     # the derivative sample reads finite-difference shape data, the evidence
@@ -862,7 +948,8 @@ def strongly_2hopf_certify(ehs: EquivariantHypersurface,
               and naa < tols["nabla_AA"]
               and tangency < tols["orbit_tangency"]
               and res["chart_tilt"] < tols["chart_tilt"]
-              and res["fd_exact_gap"] < tols["fd_exact_gap"])
+              and res["fd_exact_gap"] < tols["fd_exact_gap"]
+              and res["curve_defect"] < tols["curve_defect"])
     grids = {"grid_shape": list(grid_shape), "derivative_sample": len(sample),
              "box": [list(b) for b in patch.box], "s_extent": ehs.s_extent}
     return CertificationReport(passed=bool(passed), residuals=res, tolerances=dict(tols),

@@ -11,6 +11,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from hopflab.actions import LABELS, load_action
 from hopflab.ambient import SpaceForm
+from hopflab.cli import RunConfig
 from hopflab.constructor import CurveLaw, build_hypersurface, integrate_sigma
 
 DATA = Path(__file__).parent / "data"   # committed input files
@@ -70,8 +71,10 @@ def construct_ehs(action, law, theta, eta):
     z0 = spec.section.point(np.array([0.12, 0.07]))
     f1, f2 = spec.section.tangent_frame(z0)
     w0 = np.cos(theta) * f1 + np.sin(theta) * f2
-    sigma = integrate_sigma(spec, z0, w0, CurveLaw(law, eta=eta), n_steps=200)
-    return build_hypersurface(spec, sigma, s_extent=0.15)
+    cfg = RunConfig()
+    sigma = integrate_sigma(spec, z0, w0, CurveLaw(law, eta=eta), step=cfg.step,
+                            n_steps=cfg.n_steps)
+    return build_hypersurface(spec, sigma, s_extent=cfg.s_extent)
 
 
 @pytest.fixture(scope="session")

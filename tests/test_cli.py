@@ -438,8 +438,9 @@ def test_construct_rejects_non_finite_config(field, flags, capsys):
     # a non-finite state and keep only the start sample
     ("1e308", "sigma has 1 samples, fewer than the 4 a sweep needs "
               "(truncated: non-finite state; non-finite state)"),
-    # 200 steps of 1e-5 each way span less than the sweep's margins
-    ("1e-5", "sigma spans t in [-0.002, 0.002], too short for the time margin 0.02 at each end"),
+    # the default 125 steps of 1e-5 each way span less than the sweep's margins
+    ("1e-5", "sigma spans t in [-0.00125, 0.00125], too short for the time margin 0.02 at "
+             "each end"),
 ], ids=["non-finite", "short-span"])
 def test_construct_names_why_sigma_is_too_short_to_sweep(step, message, tmp_path, capsys):
     rc = run_cli(["construct", "--action", "cp2-torus", "--law", "cmc", "--step", step,
@@ -448,6 +449,27 @@ def test_construct_names_why_sigma_is_too_short_to_sweep(step, message, tmp_path
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"error: {message}"]
     assert not (tmp_path / "s.json").exists()
+
+
+def test_construct_fails_a_step_too_coarse_for_its_law(tmp_path, capsys):
+    # construct's defaults curve at step 1.6e-3 and 125 steps, t in
+    # [-0.2, 0.2]. At step 0.05 the ch2-torus CMC curve the chart sweeps
+    # misses its law by 1.5e-2 between its rows: the certificate names the
+    # residual and construct exits 2, with the scene written
+    cfg = RunConfig()
+    assert (cfg.step, cfg.n_steps) == (1.6e-3, 125)
+    scene = tmp_path / "s.json"
+    rc = run_cli(["construct", "--action", "ch2-torus", "--law", "cmc", "--step", "0.05",
+                  "--n-steps", "5", "--out-scene", str(scene)])
+    assert rc == 2
+    assert "certified=no" in capsys.readouterr().out
+    cert = json.loads(scene.read_text())["certification"]
+    assert not cert["passed"]
+    assert cert["residuals"]["curve_defect"] > cert["tolerances"]["curve_defect"] == 1e-6
+    rc = run_cli(["construct", "--action", "ch2-torus", "--law", "cmc", "--out-scene", str(scene)])
+    assert rc == 0
+    cert = json.loads(scene.read_text())["certification"]
+    assert cert["passed"] and cert["residuals"]["curve_defect"] < 1e-6
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -826,9 +848,10 @@ def test_version_1_scene_loads_rebuilds_and_classifies(tmp_path, capsys):
     assert rc == 0
     assert "strongly_two_hopf" in capsys.readouterr().out
     # the same construct in the current format has the same blocks; its
-    # config lacks only the seed, the tolerances and the output paths
+    # config lacks only the seed, the tolerances and the output paths. The
+    # v1 file's step was the default then, so it is passed here
     scene = tmp_path / "v4.json"
-    rc = run_cli(["construct", "--n-steps", "25", "--grid", "2", "2", "2",
+    rc = run_cli(["construct", "--step", "1e-3", "--n-steps", "25", "--grid", "2", "2", "2",
                   "--out-scene", str(scene)])
     assert rc == 0
     capsys.readouterr()

@@ -14,8 +14,10 @@ from hopflab.ambient import GeometryError
 from hopflab.constructor import (
     FD_EXACT_GAP,
     CHART_TILT,
+    CURVE_DEFECT,
     CurveLaw,
     chart_tilt,
+    curve_defect,
     austere_search,
     build_hypersurface,
     equivariant_shape_data,
@@ -377,6 +379,70 @@ def test_chart_tilt_allows_the_truncation_along_sigma(name, pin_patches):
     assert chart_tilt(ehs, exact).max() < 1e-11
 
 
+def test_curve_defect_is_of_third_order_and_its_midpoint_part_of_fourth(monkeypatch):
+    # step halving on the ch2-torus CMC curve of construct's default launch,
+    # each curve spanning t in [-0.2, 0.2], at steps 1e-3, 2e-3 and 4e-3. The
+    # largest defect reads 1.0e-7, 8.3e-7 and 6.6e-6, ratios 8.0 and 8.0: the
+    # rows' velocities err at the collocation's order 4, and the quintic's
+    # second derivative divides that by the step. That part is odd about a
+    # step's midpoint; read there alone, the defect is the even part, 3.5e-10,
+    # 5.4e-9 and 8.5e-8, ratios 15.6 and 15.7
+    spec, z0, w0 = launch("ch2-torus")
+    law = CurveLaw("cmc", eta=1.0)
+    curves = [integrate_sigma(spec, z0, w0, law, step=step, n_steps=n_steps)
+              for step, n_steps in ((1e-3, 200), (2e-3, 100), (4e-3, 50))]
+    readings = {}
+    for where, taus in (("gauss", constructor.DEFECT_TAUS), ("midpoint", np.array([0.5]))):
+        monkeypatch.setattr(constructor, "DEFECT_TAUS", taus)
+        readings[where] = [float(curve_defect(sigma).max()) for sigma in curves]
+    for where, ratio in (("gauss", 8.0), ("midpoint", 16.0)):
+        defects = readings[where]
+        for fine, coarse in zip(defects, defects[1:]):
+            assert abs(coarse / fine - ratio) <= ratio / 8, readings
+    # the odd part, zero at the midpoints, is by far the larger
+    assert readings["gauss"][-1] > 50 * readings["midpoint"][-1]
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_geodesic_curve_defect_reads_rounding(label):
+    # the pregeodesic rows are the exact geodesic, and the interpolant's
+    # error at a midpoint lies along the point, normal to the section normal
+    spec, z0, w0 = launch(label)
+    for step, n_steps in ((1e-3, 200), (1.6e-3, 125), (0.05, 5)):
+        sigma = integrate_sigma(spec, z0, w0, CurveLaw("geodesic"), step=step, n_steps=n_steps)
+        defect = curve_defect(sigma)
+        assert len(defect) == len(sigma.ts) - 1 and defect.max() < 1e-12
+
+
+@pytest.mark.parametrize("law", [CurveLaw("geodesic"), CurveLaw("cmc", eta=1.0)],
+                         ids=["geodesic", "cmc"])
+def test_curve_defect_allows_for_the_rounding_of_a_fine_step(law):
+    # at a Gauss point the rows' rounding, divided by h^2, bends the
+    # quintic's second derivative: at step 1e-5 the ch2-torus curves read
+    # about 1e-5 without the residual's rounding allowance, under 1e-8 with it
+    spec, z0, w0 = launch("ch2-torus")
+    sigma = integrate_sigma(spec, z0, w0, law, step=1e-5, n_steps=2000)
+    assert curve_defect(sigma).max() < CURVE_DEFECT / 10
+
+
+def test_curve_defect_fails_the_certificate(cmc_ehs):
+    # the defect is joined to the certificate's pass: a curve whose stored
+    # gammas miss the law by 1e-5 fails it on curve_defect alone (a step's
+    # midpoint reads half of it). The chart and its finite-difference
+    # residuals are those of the certified patch, and the exact data, which
+    # read the law, move only with the interpolant
+    ref = strongly_2hopf_certify(cmc_ehs)
+    assert ref.passed and ref.residuals["curve_defect"] < CURVE_DEFECT
+    assert ref.tolerances["curve_defect"] == CURVE_DEFECT
+    off = replace(cmc_ehs, sigma=replace(cmc_ehs.sigma, gammas=cmc_ehs.sigma.gammas + 1e-5))
+    cert = strongly_2hopf_certify(off)
+    assert not cert.passed and 4e-6 < cert.residuals["curve_defect"] < 6e-6
+    for key in FD_RESIDUALS + ("h_values", "h2_fraction"):
+        assert cert.residuals[key] == ref.residuals[key], key
+    assert cert.residuals["fd_exact_gap"] < FD_EXACT_GAP
+    assert cert.residuals["chart_tilt"] < CHART_TILT
+
+
 def defect_past_t(ehs, kind, t_cut=0.12):
     """ehs with its chart changed only at t > t_cut: "bent" scales the first
     coordinate by 1 + 1e-3 s1^2 (t - t_cut)^2; "displaced" sweeps sigma pushed
@@ -669,6 +735,44 @@ def test_collocation_converges_at_the_rounding_floor(monkeypatch):
     monkeypatch.setattr(constructor, "PICARD_FLOOR", 0.0)
     sigma = integrate_sigma(spec, z0, w0, law, n_steps=6000, two_sided=False)
     assert sigma.truncation_reason.startswith("collocation did not converge after ")
+
+
+def test_collocation_windows_span_a_fixed_time(monkeypatch):
+    # a window holds round(GAUSS_SPAN / step) rows, at least one: at step
+    # 4e-3 a 200-row curve side runs four windows of 50 rows, like one of
+    # 800 rows at step 1e-3, and not one window 0.8 long. Each window's
+    # Picard iterations read both nodes of its 50 steps of both lanes (200
+    # points a call), then its rows (100 points)
+    assert constructor.GAUSS_SPAN == 0.2
+    spec, z0, w0 = launch("ch2-torus")
+    law = CurveLaw("cmc", eta=1.0)
+    blocks = [constructor._GaussRows(spec, law, step).block(2)
+              for step in (1e-3, 4e-3, 0.05, 0.1, 1.0)]
+    assert blocks == [200, 50, 4, 2, 1]
+    sizes = []
+    seam = constructor._curve_columns
+
+    def counted(spec, law, x, xi):
+        sizes.append(x.shape[1])
+        return seam(spec, law, x, xi)
+
+    monkeypatch.setattr(constructor, "_curve_columns", counted)
+    sigma = integrate_sigma(spec, z0, w0, law, step=4e-3, n_steps=200)
+    assert not sigma.truncated
+    assert set(sizes) == {2, 200, 100} and sizes.count(100) == 4
+
+
+@pytest.mark.parametrize("step, steps", [(0.05, (153, 153)), (0.1, (79, 77))])
+def test_coarse_step_windows_converge_past_a_fixed_row_window(step, steps):
+    # the ch2-g0 CMC curve of construct's default launch at a coarse step:
+    # windows of 200 rows (10 long at step 0.05) stopped its lanes after 88
+    # and 87 steps at step 0.05 and 40 and 40 at step 0.1. Windows of
+    # GAUSS_SPAN take each side further, still short of its 200 steps
+    spec, z0, w0 = launch("ch2-g0")
+    sigma = integrate_sigma(spec, z0, w0, CurveLaw("cmc", eta=1.0), step=step, n_steps=200)
+    assert sigma.truncation_reason == "; ".join(
+        f"collocation did not converge after {n} steps" for n in steps)
+    assert len(sigma.ts) == sum(steps) - 1
 
 
 @pytest.mark.parametrize("label", ["cp2-torus", "ch2-torus", "ch2-g0"])

@@ -133,17 +133,19 @@ def count_orbit_points(monkeypatch, fn_names):
 def test_construct_geodesic_item_runs_its_lanes_in_one_block(tmp_path, monkeypatch):
     # the geodesic law's lanes read the orbit data at their rows, for the
     # regularity test and the curve's columns at once: the start's 2 points,
-    # then one block of both lanes' 200 rows, since a block holds
+    # then one block of both lanes' 125 rows, since a block holds
     # ORBIT_BATCH // 2 = 400 rows of 2 live lanes. The curve built from the
-    # lanes evaluates nothing again; the last two calls are the exact shape
-    # data's, on the 20 distinct t of the certificate's grid and the 12 of
-    # the mesh.
+    # lanes evaluates nothing again. The certificate reads the exact shape
+    # data on the 20 distinct t of its grid, then the law's target at the
+    # two Gauss points and the midpoint of the curve's 250 steps
+    # (curve_defect); the last call is the exact shape data's on the 12
+    # distinct t of the mesh.
     sizes = count_orbit_points(monkeypatch, ("_orbit_invariants",))
     workload = WORKLOADS["construct"](3, str(tmp_path))
     item = next(k for k, cfg in enumerate(workload.configs) if cfg["law"] == "geodesic")
     ok, digest = workload.run(item)
     assert ok, digest
-    assert sizes == {"_orbit_invariants": [2, 2 * 200, 20, 12]}
+    assert sizes == {"_orbit_invariants": [2, 2 * 125, 20, 3 * 250, 12]}
 
 
 # the functions whose shape data a construct cycle reads, by the nearest one on the stack
@@ -225,11 +227,11 @@ def test_construct_cycle_kernel_work(tmp_path, monkeypatch):
         ok, digest = workload.run(item)
         assert ok, digest
     # every exponential goes through group_orbit_apply's per-pair dedupe;
-    # 5,205 distinct pairs in all (the frame_derivative_data stencils of the
+    # 5,215 distinct pairs in all (the frame_derivative_data stencils of the
     # cp2-torus and ch2-g0 items hold a few pairs that coincide bit for bit
     # or not, depending on the kernel's rounding)
     assert (len(sizes["group_orbit_apply"]), sum(sizes["group_orbit_apply"])) == (46, 67360)
-    assert (len(sizes["expm3_batch"]), sum(sizes["expm3_batch"])) == (46, 5205)
+    assert (len(sizes["expm3_batch"]), sum(sizes["expm3_batch"])) == (46, 5215)
 
 
 def test_austere_cycle_orbit_work(tmp_path, monkeypatch):
