@@ -44,10 +44,12 @@ law: the certificate's derivative sample, which also reports its gap to
 the exact data (fd_exact_gap), the Levi-flat/CMC certificate, ``classify``
 and the verify suites.
 
-The chart sweeps the curve's quintic interpolant, not its rows, so the
-certificate also measures how far that curve leaves its law between the
-rows: ``curve_defect``, the miss of its curvature at each step's Gauss
-points and midpoint. The interpolant's second derivative carries the
+The chart sweeps the curve's quintic interpolant, not its rows; the chart,
+the exact shape data and the certificate read its points and derivatives
+from ``SigmaCurve.swept``, one table of coefficients. So the certificate
+also measures how far that curve leaves its law between the rows:
+``curve_defect``, the miss of its curvature at each step's Gauss points
+and midpoint. The interpolant's second derivative carries the
 collocation's order-4 error of the rows' velocities divided by the step,
 so the miss is of order 3 in the step. It is what shows a step fine enough
 for its law, so a step too coarse fails the certificate by name. The
@@ -58,6 +60,7 @@ search and of ``integrate_sigma`` by default, under a seventh of it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,6 +148,17 @@ CURVE_DEFECT = 1e-6
 # where ``curve_defect`` reads each step, as fractions of it: the step's two
 # Gauss points and its midpoint
 DEFECT_TAUS = np.array([0.5 - np.sqrt(3) / 6, 0.5, 0.5 + np.sqrt(3) / 6])
+# the quintic-Hermite basis of the swept curve (``SigmaCurve.swept``): per
+# weight x_i, h u_i, h^2 acc_i, x_{i+1}, h u_{i+1}, h^2 acc_{i+1}, the
+# coefficients of tau^0 to tau^5
+_QUINTIC = np.array([[1, 0, 0, -10, 15, -6], [0, 1, 0, -6, 8, -3], [0, 0, 0.5, -1.5, 1.5, -0.5],
+                     [0, 0, 0, 10, -15, 6], [0, 0, 0, -4, 7, -3], [0, 0, 0, 0.5, -1, 0.5]])
+# its k-th tau-derivatives for k = 0, 1, 2: per weight, the nonzero terms
+# c tau^p as (c, p), in ascending powers. Past k = 0 the weight of x_{i+1}
+# is left out: the two point weights sum to 1, so a derivative weighs
+# x_i - x_{i+1} by that of x_i
+_QUINTIC_TERMS = [[[(float(c) * math.perm(p, k), p - k) for p, c in enumerate(row) if c and p >= k]
+                   for j, row in enumerate(_QUINTIC) if not (k and j == 3)] for k in range(3)]
 # strongly_2hopf_certify: its fixed tolerances, as every certificate reports
 # them, and the size of the derivative subsample
 CERTIFY_TOLERANCES = {
@@ -196,6 +210,15 @@ class CurveLaw:
         return np.zeros_like(alpha)   # geodesic and austere pregeodesic
 
 
+def _quintic_basis(tau, orders):
+    """Per k in ``orders``, each ``_QUINTIC`` weight's k-th tau-derivative at tau:
+    its nonzero terms summed in ascending powers, tau^2 as tau * tau."""
+    powers = (1.0, tau, tau * tau, tau ** 3, tau ** 4, tau ** 5)
+    polys = [[[powers[p] if c == 1 else c * powers[p] for c, p in row] for row in _QUINTIC_TERMS[k]]
+             for k in orders]
+    return [[sum(terms[1:], terms[0]) for terms in rows] for rows in polys]
+
+
 @dataclass(eq=False)
 class SigmaCurve:
     """Discretized unit-speed curve in the regular part of a section, as real frame rows."""
@@ -227,54 +250,33 @@ class SigmaCurve:
     ws = property(lambda self: self.spec.from_frame(self.us), doc="(n, 3) velocities D us")
     xis = property(lambda self: self.spec.from_frame(self.vs), doc="(n, 3) normals D vs")
 
-    @property
-    def accs(self):
-        """(n, 3) accelerations gamma vs - xs / kappa of the rows, by the model equations.
+    def swept(self, t, order):
+        """The swept curve at times t and its t-derivatives up to ``order`` (0, 1 or 2).
 
-        A division by a real is the product with its reciprocal, as NumPy
-        divides a complex array.
+        The chart sweeps the C^2 quintic-Hermite interpolant of the rows: at
+        tau = (t - t_i) / h, h = ts[1] - ts[0], the ``_QUINTIC`` basis weighs
+        x_i, h u_i, h^2 acc_i, x_{i+1}, h u_{i+1} and h^2 acc_{i+1}, with
+        acc = gamma v - x / kappa (the model equations); a k-th derivative is
+        over h^k. Returns order + 1 arrays of t's shape plus (3,).
         """
-        return self.gammas[:, None] * self.vs - self.xs * (1.0 / self.space.kappa)
-
-    def interpolant(self):
-        """C^2 quintic-Hermite interpolant of the curve's real frame rows.
-
-        ``query(t)`` gives the points; ``query(t, velocity=True)`` gives
-        (points, their t-derivatives).
-        """
-        ts, zs, ws, accs = self.ts, self.xs, self.us, self.accs
-        h = ts[1] - ts[0]
-
-        def query(t, velocity=False):
-            t = np.asarray(t, dtype=float)
-            idx = np.clip(np.floor((t - ts[0]) / h).astype(int), 0, len(ts) - 2)
-            tau = (t - ts[idx]) / h
-            t2, t3 = tau * tau, tau ** 3
-            t4, t5 = tau ** 4, tau ** 5
-            h00 = 1 - 10 * t3 + 15 * t4 - 6 * t5
-            h10 = tau - 6 * t3 + 8 * t4 - 3 * t5
-            h20 = 0.5 * t2 - 1.5 * t3 + 1.5 * t4 - 0.5 * t5
-            h01 = 10 * t3 - 15 * t4 + 6 * t5
-            h11 = -4 * t3 + 7 * t4 - 3 * t5
-            h21 = 0.5 * t3 - t4 + 0.5 * t5
-            p0, p1 = zs[idx], zs[idx + 1]
-            m0, m1 = ws[idx] * h, ws[idx + 1] * h
-            a0, a1 = accs[idx] * h * h, accs[idx + 1] * h * h
-            z = (h00[..., None] * p0 + h10[..., None] * m0 + h20[..., None] * a0
-                 + h01[..., None] * p1 + h11[..., None] * m1 + h21[..., None] * a1)
-            if not velocity:
-                return z
-            # the basis' tau-derivatives, then d/dt = (d/dtau) / h
-            d00 = -30 * t2 + 60 * t3 - 30 * t4
-            d10 = 1 - 18 * t2 + 32 * t3 - 15 * t4
-            d20 = tau - 4.5 * t2 + 6 * t3 - 2.5 * t4
-            d11 = -12 * t2 + 28 * t3 - 15 * t4
-            d21 = 1.5 * t2 - 4 * t3 + 2.5 * t4
-            dz = (d00[..., None] * (p0 - p1) + d10[..., None] * m0 + d20[..., None] * a0
-                  + d11[..., None] * m1 + d21[..., None] * a1)
-            return z, dz * (1.0 / h)
-
-        return query
+        ts, h = self.ts, self.ts[1] - self.ts[0]
+        t = np.asarray(t, dtype=float)
+        idx = np.clip(np.floor((t - ts[0]) / h).astype(int), 0, len(ts) - 2)
+        ends = np.add.outer((0, 1), idx)
+        x, u = self.xs[ends], self.us[ends] * h
+        # a division by a real is the product with its reciprocal, as NumPy
+        # divides a complex array
+        acc = (self.gammas[ends][..., None] * self.vs[ends] - x * (1.0 / self.space.kappa)) * h * h
+        weights = [x[0], u[0], acc[0], x[1], u[1], acc[1]]
+        out = []
+        tau = ((t - ts[idx]) / h)[..., None]
+        for k, basis in enumerate(_quintic_basis(tau, range(order + 1))):
+            if k == 1:
+                weights = [x[0] - x[1], u[0], acc[0], u[1], acc[1]]
+            terms = [b * w for b, w in zip(basis, weights)]
+            total = sum(terms[1:], terms[0])
+            out.append(total * (1.0 / h ** k) if k else total)
+        return out
 
     def nearest_row(self, t):
         """Index of the curve row nearest to each t."""
@@ -575,6 +577,16 @@ def _lane_loop(spec, rule, x0, u0, v0, n_steps, n_launches, align_tol=None):
     return rows, counts, reasons, rejected
 
 
+def _check_steps(step, n_steps):
+    """Raise GeometryError unless step is positive and finite and n_steps a positive integer."""
+    if not (np.isfinite(step) and step > 0):
+        raise GeometryError("step must be positive and finite")
+    if not isinstance(n_steps, (int, np.integer)):
+        raise GeometryError("n_steps must be an integer")
+    if n_steps < 1:
+        raise GeometryError("n_steps must be at least 1")
+
+
 def _launch_sigmas(spec, law, x0, u0, step, n_steps, two_sided=True, align_tol=None):
     """One SigmaCurve per launch, in order, run as one lane batch.
 
@@ -589,10 +601,7 @@ def _launch_sigmas(spec, law, x0, u0, step, n_steps, two_sided=True, align_tol=N
     from its lanes' rows and orbit columns, which the rule computed
     together, so no curve evaluates its orbit data again.
     """
-    if step <= 0:
-        raise GeometryError("step must be positive")
-    if n_steps < 1:
-        raise GeometryError("n_steps must be at least 1")
+    _check_steps(step, n_steps)
     sp = spec.space
     with np.errstate(all="ignore"):   # a zero, subnormal or non-finite direction or start warns
         u0 = u0 * (1.0 / sp.norm(u0))[:, None]
@@ -669,13 +678,12 @@ def build_hypersurface(spec: PolarActionSpec, sigma: SigmaCurve,
         raise GeometryError(f"sigma has {len(sigma.ts)} samples, fewer than the 4 a sweep "
                             f"needs{stopped}")
     sp = spec.space
-    interp = sigma.interpolant()
     g1, g2 = spec.generators
 
     def chart(params):
         # the nested stencils repeat each t many times: interpolate each distinct t once
         first, inverse = kernels.distinct(params[:, 0])
-        z = spec.from_frame(interp(params[first, 0]))[inverse]
+        z = spec.from_frame(sigma.swept(params[first, 0], 0)[0])[inverse]
         return kernels.group_orbit_apply(g1, g2, params[:, 1], params[:, 2], z)
 
     t_lo = float(sigma.ts[0] + t_margin)
@@ -685,7 +693,7 @@ def build_hypersurface(spec: PolarActionSpec, sigma: SigmaCurve,
                             f"for the time margin {t_margin:g} at each end")
 
     tt = np.linspace(t_lo, t_hi, SWEEP_GRID_CHECK)
-    regular = spec.gram_det(interp(tt)) > spec.gram_floor()
+    regular = spec.gram_det(sigma.swept(tt, 0)[0]) > spec.gram_floor()
     if not regular.all():
         raise GeometryError(f"cannot sweep sigma: it is not regular at t = {tt[regular.argmin()]:g}")
     extent = s_extent
@@ -709,31 +717,32 @@ def build_hypersurface(spec: PolarActionSpec, sigma: SigmaCurve,
     # slightly coarse diff step: the interpolated chart is a touch noisier
     # than closed-form charts, and the S-symmetry invariant wants < 1e-8
     patch = HypersurfacePatch(sp, chart, box, diff_step=1.5e-4)
-    # orient the patch normal to match the curve's Frenet normal
+    # orient the patch normal to match the curve's Frenet normal; at s = 0
+    # the chart point is D x, so the nearest row's normal needs no phase
     mid_t = 0.5 * (t_lo + t_hi)
     fr = frames_at(patch, np.array([[mid_t, 0.0, 0.0]]))
     i = int(sigma.nearest_row(mid_t))
-    u = sp.phase_align(fr.z[0], sigma.zs[i])
-    agree = sp.g(fr.xi[0], u * sigma.xis[i])
-    if agree < 0:
+    if sp.g(fr.xi[0], spec.from_frame(sigma.vs[i])) < 0:
         patch.orientation = -patch.orientation
     return EquivariantHypersurface(spec=spec, sigma=sigma, patch=patch, s_extent=extent)
 
 
-def _swept_frame(sigma: SigmaCurve, t):
-    """(x, u, T, xi), (M, 3) each, of the curve the chart sweeps at times t (M,).
+def _swept_frame(sigma: SigmaCurve, t, order=1):
+    """(derivatives, T, xi) of the curve the chart sweeps at times t (M,).
 
-    x and its velocity u come from the quintic interpolant, T is the unit
-    horizontal part of u, and xi the section's cross product of x and T,
-    signed like the Frenet normal of the nearest curve row.
+    derivatives is ``sigma.swept(t, order)``, order 1 or 2: the point x,
+    its velocity u and, at order 2, its acceleration, (M, 3) each. T is the
+    unit horizontal part of u, and xi the section's cross product of x and
+    T, signed like the Frenet normal of the nearest curve row.
     """
     sp = sigma.space
-    x, u = sigma.interpolant()(t, velocity=True)
+    derivatives = sigma.swept(t, order)
+    x, u = derivatives[:2]
     tangent = sp.project_horizontal(x, u)
     tangent = tangent * (1.0 / sp.norm(tangent))[:, None]
     normal = sp._sig * cross3(x, tangent)     # g-orthogonal to x and to the tangent
     sign = np.sign(sp.g(normal, sigma.vs[sigma.nearest_row(t)]))
-    return x, u, tangent, normal * (sign / sp.norm(normal))[:, None]
+    return derivatives, tangent, normal * (sign / sp.norm(normal))[:, None]
 
 
 def equivariant_shape_data(ehs: EquivariantHypersurface, params) -> ShapeData:
@@ -760,7 +769,7 @@ def equivariant_shape_data(ehs: EquivariantHypersurface, params) -> ShapeData:
     fr = frames_at(ehs.patch, params)
     # each distinct t once, like the chart
     first, inverse = kernels.distinct(fr.params[:, 0])
-    x, _, tangent, normal = _swept_frame(sigma, fr.params[first, 0])
+    (x, _), tangent, normal = _swept_frame(sigma, fr.params[first, 0])
     alpha, beta, a, b, _, _, eig = _orbit_invariants(spec, x.T, normal.T, eigenframe=True)
     frame = spec.from_frame(np.concatenate([tangent[:, None], eig.transpose(2, 1, 0),
                                             normal[:, None]], axis=1))      # (M, 4, 3)
@@ -802,10 +811,9 @@ def curve_defect(sigma: SigmaCurve):
     """(n - 1,) how far the curve the chart sweeps leaves its law, per step.
 
     The chart sweeps the quintic interpolant q of the rows. Its curvature is
-    g(q'', xi) / |q'|^2, with q' and the section normal xi as
-    ``equivariant_shape_data`` reads them (``_swept_frame``) and q'' the
-    quintic's second derivative, from the rows' velocities and
-    accelerations. Each entry is its largest distance to the law's target
+    g(q'', xi) / |q'|^2, with q, q', q'' from one ``SigmaCurve.swept`` call
+    and the section normal xi as ``equivariant_shape_data`` reads it
+    (``_swept_frame``). Each entry is its largest distance to the law's target
     at (q, xi) over the step's DEFECT_TAUS, read from one ``_curve_columns``
     call per ORBIT_BATCH points, less what the rows' rounding allows. The
     rows' velocities carry the collocation's order-4 error, which over a
@@ -815,22 +823,13 @@ def curve_defect(sigma: SigmaCurve):
     curve, whose rows are exact, reads rounding.
     """
     sp, h, taus = sigma.space, sigma.step, DEFECT_TAUS
-    x, u, _, normal = _swept_frame(sigma, (sigma.ts[:-1, None] + h * taus).ravel())
-    # the quintic-Hermite basis' second tau-derivatives at each tau, weighing
-    # x_1 - x_0, u_0 h, u_1 h, acc_0 h^2 and acc_1 h^2; q'' is their sum over h^2
-    t2, t3 = taus * taus, taus ** 3
-    basis = np.stack([60 * taus - 180 * t2 + 120 * t3, -36 * taus + 96 * t2 - 60 * t3,
-                      -24 * taus + 84 * t2 - 60 * t3, 1 - 9 * taus + 18 * t2 - 10 * t3,
-                      3 * taus - 12 * t2 + 10 * t3])
-    xs, us, accs = sigma.xs, sigma.us, sigma.accs
-    rows = np.stack([(xs[1:] - xs[:-1]) * (1.0 / (h * h)), us[:-1] * (1.0 / h),
-                     us[1:] * (1.0 / h), accs[:-1], accs[1:]])
-    q2 = np.einsum("kj,kni->nji", basis, rows).reshape(-1, 3)
+    (x, u, q2), _, normal = _swept_frame(sigma, (sigma.ts[:-1, None] + h * taus).ravel(), 2)
     target = _batched_columns(sigma.spec, sigma.law, x, normal)["gammas"]
     # rows off by two ulps of their largest entry move g(q'', xi) by up to
-    # 4 eps |basis_0| max|x| sum|xi| / h^2, the rounding floor of a fine
-    # step; it is no miss
-    rounding = (4 * np.finfo(float).eps / (h * h)) * np.tile(np.abs(basis[0]), len(xs) - 1) * (
+    # 4 eps |B_0''| max|x| sum|xi| / h^2, B_0 the basis weight of x_i: the
+    # rounding floor of a fine step; it is no miss
+    b0 = np.abs(_quintic_basis(taus, [2])[0][0])
+    rounding = (4 * np.finfo(float).eps / (h * h)) * np.tile(b0, len(sigma.ts) - 1) * (
         np.abs(x).max(axis=1) * np.abs(normal).sum(axis=1))
     speed2 = sp.g(u, u)
     miss = np.abs(sp.g(q2, normal) / speed2 - target) - rounding / speed2
@@ -1009,8 +1008,7 @@ def austere_search(spec: PolarActionSpec, grid_coords, n_steps: int = 150):
     grid_coords = np.atleast_2d(np.asarray(grid_coords, dtype=float))
     if grid_coords.size == 0:
         raise GeometryError("empty search grid")
-    if n_steps < 1:
-        raise GeometryError("n_steps must be at least 1")
+    _check_steps(DEFAULT_STEP, n_steps)
     sp = spec.space
     law = CurveLaw("austere")
     zs = spec.section.point(grid_coords)

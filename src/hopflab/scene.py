@@ -241,8 +241,8 @@ def sigma_from_dict(d: dict, schema_version: int) -> SigmaCurve:
     decode = _array_rows if schema_version >= 4 else _list_rows
     ts = decode(d, "ts", None)
     n = len(ts)
-    # the step's own grid, as every launch writes it: the interpolant spaces
-    # its knots by ts[1] - ts[0], nearest_row and chart_tilt by the step
+    # the step's own grid, as every launch writes it: SigmaCurve.swept spaces
+    # its knots by ts[1] - ts[0], nearest_row, chart_tilt and curve_defect by the step
     with np.errstate(all="ignore"):
         grid = (np.rint(ts[0] / step) + np.arange(n)) * step
     if not np.array_equal(ts, grid):

@@ -645,7 +645,7 @@ def recoded(key, change, dtype=None, shape=None):
     ("sigma.zs", lambda doc: doc["sigma"]["zs"][3].pop()),
     ("sigma.zs", lambda doc: doc["sigma"]["zs"][3][1].append(0.0)),
     ("sigma.zs", lambda doc: doc["sigma"]["zs"][5][0].__setitem__(1, NAN)),
-    # the interpolant's knot spacing is ts[1] - ts[0], nearest_row's the step
+    # SigmaCurve.swept's knot spacing is ts[1] - ts[0], nearest_row's the step
     ("sigma.ts", lambda doc: doc["sigma"]["ts"].__setitem__(9, doc["sigma"]["ts"][9] + 3e-4)),
     ("sigma.ts", lambda doc: doc["sigma"].update(step=1.5 * doc["sigma"]["step"])),
     # the rows' orbit data are computed on the section's real frame

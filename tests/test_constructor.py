@@ -124,13 +124,32 @@ def _singular_search_entry(bad):
     (_search_entry, {"n_steps": 0}, "n_steps must be at least 1"),
     (_search_entry, {"n_steps": -5}, "n_steps must be at least 1"),
     (_singular_search_entry, {"n_steps": -5}, "n_steps must be at least 1"),
+    (_search_entry, {"n_steps": 2.5}, "^n_steps must be an integer$"),
+    (_singular_search_entry, {"n_steps": 2.5}, "^n_steps must be an integer$"),
 ], ids=["integrate_sigma-step-negative", "integrate_sigma-step-zero",
         "integrate_sigma-n_steps-zero", "integrate_sigma-n_steps-negative",
         "austere_search-n_steps-zero", "austere_search-n_steps-negative",
-        "austere_search-n_steps-negative-no-regular-point"])
+        "austere_search-n_steps-negative-no-regular-point",
+        "austere_search-n_steps-fractional",
+        "austere_search-n_steps-fractional-no-regular-point"])
 def test_integrate_rejects_bad_step(entry, bad, message):
     with pytest.raises(GeometryError, match=message):
         entry(bad)
+
+
+@pytest.mark.parametrize("law", ["geodesic", "cmc", "levi-flat"])
+@pytest.mark.parametrize("bad, message", [
+    ({"step": np.nan}, "^step must be positive and finite$"),
+    ({"step": np.inf}, "^step must be positive and finite$"),
+    ({"n_steps": 2.5}, "^n_steps must be an integer$"),
+], ids=["step-nan", "step-inf", "n_steps-fractional"])
+def test_integrate_rejects_a_non_finite_step_or_fractional_count(law, bad, message):
+    # each is refused by name before any lane runs, with no floating-point warning
+    spec, z0, w0 = launch("cp2-torus")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError, match=message):
+            integrate_sigma(spec, z0, w0, CurveLaw(law, eta=1.0), **bad)
 
 
 @pytest.mark.parametrize("direction", ["zero", "nan", "subnormal", "radial"])
@@ -218,22 +237,45 @@ def test_sweep_chart_interpolates_each_distinct_t_once_bit_for_bit(cmc_ehs):
     s = np.linspace(-0.05, 0.05, len(t))
     params = np.stack([t, s, s[::-1]], axis=-1)
     batch = cmc_ehs.patch.chart(params)
-    interp = cmc_ehs.sigma.interpolant()
     for row, p in zip(batch, params):
-        alone = cmc_ehs.spec.translate(p[1:], interp(p[:1]))[0]
+        alone = cmc_ehs.spec.translate(p[1:], cmc_ehs.sigma.swept(p[:1], 0)[0])[0]
         assert row.tobytes() == alone.tobytes(), p
 
 
 def test_sigma_interpolant_accuracy(cmc_ehs):
     sigma = cmc_ehs.sigma
-    interp = sigma.interpolant()
-    # interpolant reproduces the stored samples and midpoints smoothly
+    # the swept curve reproduces the stored samples and midpoints smoothly
     mid = 0.5 * (sigma.ts[:-1] + sigma.ts[1:])
-    zs = interp(sigma.ts)
+    zs = sigma.swept(sigma.ts, 0)[0]
     assert np.abs(zs - sigma.zs).max() < 1e-14
     sp = sigma.space
-    sq = np.real(sp.herm(interp(mid), interp(mid)))
+    at_mid = sigma.swept(mid, 0)[0]
+    sq = np.real(sp.herm(at_mid, at_mid))
     assert np.abs(sq - sp.kappa).max() < 1e-12
+    # each order is the t-derivative of the one below: inside each step
+    # (tau = 1/4, 1/2, 3/4) against a central difference at d = h / 100,
+    # whose truncation d^2/6 |q'''| and rounding eps |q| / d read below
+    # 2e-10 here
+    h = sigma.step
+    t = (sigma.ts[:-1, None] + h * np.array([0.25, 0.5, 0.75])).ravel()
+    d = h / 100
+    derivatives = sigma.swept(t, 2)
+    after, before = sigma.swept(t + d, 1), sigma.swept(t - d, 1)
+    for k in (1, 2):
+        difference = (after[k - 1] - before[k - 1]) * (1.0 / (2 * d))
+        assert np.abs(difference - derivatives[k]).max() < 1e-9, k
+    # every order reads the same points
+    for k in (0, 1):
+        assert np.array_equal(sigma.swept(t, k)[0], derivatives[0]), k
+    # at the knots the orders give each row's point, velocity and
+    # acceleration gamma v - x / kappa (the model equations). A knot's tau
+    # carries rounding, which the second derivative divides by h: about
+    # 60 eps / h = 1e-11
+    x, u, acc = sigma.swept(sigma.ts, 2)
+    assert np.abs(x - sigma.xs).max() < 1e-14
+    assert np.abs(u - sigma.us).max() < 1e-13
+    rows_acc = sigma.gammas[:, None] * sigma.vs - sigma.xs / sp.kappa
+    assert np.abs(acc - rows_acc).max() < 1e-9
 
 
 def test_strongly_2hopf_certify_detects_wp_launch():
@@ -448,7 +490,6 @@ def defect_past_t(ehs, kind, t_cut=0.12):
     coordinate by 1 + 1e-3 s1^2 (t - t_cut)^2; "displaced" sweeps sigma pushed
     along its normal by 1e-5 (t - t_cut)^2 / 0.0011 (up to 1e-5 on the box)."""
     sp, sigma, patch = ehs.space, ehs.sigma, ehs.patch
-    interp = sigma.interpolant()
 
     def chart(params):
         past = np.maximum(params[:, 0] - t_cut, 0.0) ** 2
@@ -458,7 +499,7 @@ def defect_past_t(ehs, kind, t_cut=0.12):
             return patch.chart(params) * scale
         t = params[:, 0]
         push = 1e-5 * past / 0.0011
-        z = sp.exp(interp(t), push[:, None] * sigma.xis[sigma.nearest_row(t)])
+        z = sp.exp(sigma.swept(t, 0)[0], push[:, None] * sigma.xis[sigma.nearest_row(t)])
         return kernels.group_orbit_apply(*ehs.spec.generators, params[:, 1], params[:, 2], z)
 
     return replace(ehs, patch=HypersurfacePatch(sp, chart, patch.box, patch.diff_step,
@@ -798,7 +839,8 @@ def test_lane_core_truncates_non_finite_lanes_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sigma = integrate_sigma(spec, z0, w0, CurveLaw("cmc", eta=np.nan), n_steps=20)
-        stepped = integrate_sigma(spec, z0, w0, CurveLaw("geodesic"), step=np.nan, n_steps=20)
+        # a finite step whose first row overflows CH^2's cosh
+        stepped = integrate_sigma(spec, z0, w0, CurveLaw("geodesic"), step=1e3, n_steps=20)
     for curve in (sigma, stepped):
         assert curve.truncated
         assert curve.truncation_reason == "non-finite state; non-finite state"
