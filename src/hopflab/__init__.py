@@ -6,48 +6,36 @@ sections with a two-parameter isometry group, plus numeric classification
 suites for the underlying tensor identities.
 """
 
+from importlib import import_module
+
 from .ambient import GeometryError, SectionChart, SpaceForm
 
 __version__ = "0.1.0"
 
 
+# the heavier subsystems are imported lazily to keep `import hopflab` light:
+# each lazy export, by the submodule that defines it
+_LAZY = {
+    "load_action": "actions",
+    "hopf_directions": "actions",
+    "mean_curvature_field": "actions",
+    "classify": "hypersurface",
+    "levi_form": "hypersurface",
+    "HypersurfacePatch": "hypersurface",
+    "CurveLaw": "constructor",
+    "integrate_sigma": "constructor",
+    "build_hypersurface": "constructor",
+    "austere_search": "constructor",
+    "strongly_2hopf_certify": "constructor",
+    "get_entry": "catalog",
+    "run_suites": "suites",
+}
+
+
 def __getattr__(name):
-    # heavier subsystems are imported lazily to keep `import hopflab` light
-    if name in ("load_action", "hopf_directions", "mean_curvature_field"):
-        from . import actions
-
-        return getattr(actions, name)
-    if name in ("classify", "levi_form", "HypersurfacePatch"):
-        from . import hypersurface
-
-        return getattr(hypersurface, name)
-    if name in ("CurveLaw", "integrate_sigma", "build_hypersurface",
-                "austere_search", "strongly_2hopf_certify"):
-        from . import constructor
-
-        return getattr(constructor, name)
-    if name == "get_entry":
-        from . import catalog
-
-        return catalog.get_entry
-    if name == "run_suites":
-        from . import suites
-
-        return suites.run_suites
+    if name in _LAZY:
+        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
     raise AttributeError(f"module 'hopflab' has no attribute {name!r}")
 
 
-__all__ = [
-    "GeometryError",
-    "SectionChart",
-    "SpaceForm",
-    "load_action",
-    "classify",
-    "CurveLaw",
-    "integrate_sigma",
-    "build_hypersurface",
-    "austere_search",
-    "get_entry",
-    "run_suites",
-    "__version__",
-]
+__all__ = ["GeometryError", "SectionChart", "SpaceForm", *_LAZY, "__version__"]

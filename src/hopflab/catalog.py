@@ -187,7 +187,11 @@ def lohnherr(space: SpaceForm) -> CatalogEntry:
         raise GeometryError("the Lohnherr hypersurface lives in CH^2 (c < 0)")
     spec = load_action("ch2-line-g2a", c)
     sp = spec.space
-    cands = austere_search(spec, [[0.0, 0.0], [0.1, -0.05]], n_steps=150)
+    grid = [[0.0, 0.0], [0.1, -0.05]]
+    # the grid is an absolute length, like the box; the search skips a grid
+    # point whose chart overflows, so a raising policy meets the overflow here
+    spec.section.point(grid)
+    cands = austere_search(spec, grid, n_steps=150)
     if not cands:
         raise GeometryError("austere search failed to produce the Lohnherr curve")
     sigma = cands[0].curve

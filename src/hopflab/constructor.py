@@ -179,10 +179,12 @@ LEVIFLAT_GRID = (10, 4, 4)
 LEVIFLAT_TOL = 1e-3
 
 # austere_search: alignment tolerance on |<H, xi>|, the ||H|| below which a
-# grid point launches the fan of directions, and the dedupe distance
+# grid point launches the fan of directions, and the dedupe's two bounds: on
+# the orbit-curvature profiles and on the section distance between the curves
 AUSTERE_TOL = 2e-3
 H_FLOOR = 1e-8
 DEDUPE_DISTANCE = 5e-2
+DEDUPE_REACH = 0.5
 
 
 @dataclass(frozen=True)
@@ -999,23 +1001,35 @@ def austere_search(spec: PolarActionSpec, grid_coords, n_steps: int = 150):
     Where ||H|| < H_FLOOR on an open set, geodesics in a fan of directions
     are admitted and filtered the same way plus the a = b criterion.
 
+    grid_coords are (N, 2) finite section coordinates, else GeometryError;
+    a grid point whose chart point is singular or overflows launches nothing.
+
     All launches run as one lane batch of n_steps per side at DEFAULT_STEP,
     and a launch stops at its first row with |<H, xi>| not below
     AUSTERE_TOL. The launches that stay aligned are then filtered in order:
-    truncated short of n_steps rows, a != b (Prop 5.2), and curves within
-    DEDUPE_DISTANCE of one already found.
+    truncated short of n_steps rows, a != b (Prop 5.2), and repeats of a
+    curve already found: orbit profiles within DEDUPE_DISTANCE and rows
+    within DEDUPE_REACH (``_curves_close``). H acts polarly, so a shortest
+    path from a section point to an orbit ends in the section, and the
+    dedupe measures distance in the section, moving nothing by the group.
     """
-    grid_coords = np.atleast_2d(np.asarray(grid_coords, dtype=float))
-    if grid_coords.size == 0:
-        raise GeometryError("empty search grid")
+    try:
+        grid_coords = np.atleast_2d(np.asarray(grid_coords, dtype=float))
+    except (TypeError, ValueError):
+        grid_coords = None
+    if (grid_coords is None or grid_coords.ndim != 2 or grid_coords.shape[1] != 2
+            or not len(grid_coords) or not np.isfinite(grid_coords).all()):
+        raise GeometryError("search grid must be N > 0 rows of 2 finite numbers")
     _check_steps(DEFAULT_STEP, n_steps)
     sp = spec.space
     law = CurveLaw("austere")
-    zs = spec.section.point(grid_coords)
-    xs = spec.frame_coords(zs)
-    with np.errstate(all="ignore"):   # singular grid points are masked by their gram det
+    # singular grid points are masked by their gram det, and points whose
+    # chart point overflows by their non-finite frame coordinates
+    with np.errstate(all="ignore"):
+        zs = spec.section.point(grid_coords)
+        xs = spec.frame_coords(zs)
         _, _, _, hvecs, det = _orbit_body(spec, xs.T, require_regular=False)
-    regular = np.flatnonzero(det > spec.gram_floor())
+    regular = np.flatnonzero((det > spec.gram_floor()) & np.isfinite(xs).all(axis=1))
     if not len(regular):
         return []
     starts, dirs, coords = [], [], []
@@ -1035,9 +1049,7 @@ def austere_search(spec: PolarActionSpec, grid_coords, n_steps: int = 150):
 
     sigmas = _launch_sigmas(spec, law, starts, dirs, DEFAULT_STEP, n_steps,
                             align_tol=AUSTERE_TOL)
-    mesh = None   # the group mesh of the dedupe, built when the first curve is kept
     found: list[AustereCandidate] = []
-    sweeps = []   # the mesh swept through each found curve, swept once when it is kept
     for k, sigma in enumerate(sigmas):
         if sigma is None:
             continue
@@ -1045,44 +1057,28 @@ def austere_search(spec: PolarActionSpec, grid_coords, n_steps: int = 150):
             continue
         if float(np.max(np.abs(sigma.hopf_a - sigma.hopf_b))) > 0.05:
             continue   # Prop 5.2 filter: austere forces a = b = 1/sqrt(2)
-        if any(_curves_close(sp, sigma, other.curve, sweep, DEDUPE_DISTANCE)
-               for other, sweep in zip(found, sweeps)):
+        if any(_curves_close(sigma, other.curve) for other in found):
             continue
         found.append(AustereCandidate(curve=sigma, start_coords=coords[k],
                                       alignment_residual=float(np.max(np.abs(sigma.mean_align)))))
-        if mesh is None:
-            mesh = _orbit_mesh(spec)
-        sweeps.append(_sweep(mesh, sigma))
     return found
 
 
-def _curves_close(sp: SpaceForm, c1: SigmaCurve, c2: SigmaCurve, sweep2, tol) -> bool:
-    """Hausdorff-style proximity of two curves modulo the group action.
+def _curves_close(c1: SigmaCurve, c2: SigmaCurve) -> bool:
+    """Whether c1 repeats c2: their orbit profiles and their rows are close.
 
-    Compares orbit-invariant profiles: the orbit principal curvatures along
-    arclength (sorted), which separate the distinct austere families.
-    sweep2 is ``_sweep`` of c2.
+    The profiles, the sorted orbit principal curvatures alpha, beta of the
+    first m rows, separate the distinct austere families and must agree
+    within DEDUPE_DISTANCE. Then c1's middle row must lie within
+    DEDUPE_REACH of c2's rows. H acts polarly: every orbit meets the section
+    orthogonally, so no group element brings c2's rows nearer than the
+    identity does (mirror images of c2 in the section are not tried). D is
+    a diagonal unitary, an isometry, so the distance is read on the real
+    rows and no D x is formed.
     """
     m = min(len(c1.ts), len(c2.ts))
     a1 = np.sort(np.stack([c1.alphas[:m], c1.betas[:m]]).ravel())
     a2 = np.sort(np.stack([c2.alphas[:m], c2.betas[:m]]).ravel())
-    prof = float(np.max(np.abs(a1 - a2)))
-    if prof > tol:
+    if float(np.max(np.abs(a1 - a2))) > DEDUPE_DISTANCE:
         return False
-    # also require actual point proximity of the starting points' orbits: the
-    # least distance from c1's middle row to c2's swept group mesh
-    d = float(np.min(sp.dist(sweep2, c1.spec.from_frame(c1.xs[len(c1.xs) // 2]))))
-    return d < max(10 * tol, 5e-2)
-
-
-def _orbit_mesh(spec):
-    """Group elements exp(s1 G1 + s2 G2) of the 9 x 9 mesh of s in [-0.5, 0.5]^2, (81, 3, 3)."""
-    ss = np.linspace(-0.5, 0.5, 9)
-    s = np.stack(np.meshgrid(ss, ss, indexing="ij"), axis=-1).reshape(-1, 2)
-    return spec.group_element(s)
-
-
-def _sweep(mesh, curve: SigmaCurve):
-    """The mesh elements applied to about 12 evenly spaced samples of the curve, (n, 3)."""
-    zcs = curve.spec.from_frame(curve.xs[:: max(1, len(curve.xs) // 12)])
-    return np.einsum("mij,nj->nmi", mesh, zcs).reshape(-1, 3)
+    return float(np.min(c1.space.dist(c2.xs, c1.xs[len(c1.xs) // 2]))) < DEDUPE_REACH

@@ -292,16 +292,6 @@ def test_strongly_2hopf_certify_detects_wp_launch():
     assert adapted_frames(sd).h[0] == 1
 
 
-def test_orbit_distance_matches_per_point_loop(cmc_ehs):
-    # the mesh is exponentiated once and swept through the curve once; every
-    # distance equals the per-point kernel loop's exactly
-    spec, sigma = cmc_ehs.spec, cmc_ehs.sigma
-    sweep = constructor._sweep(constructor._orbit_mesh(spec), sigma)
-    for z in (sigma.zs[len(sigma.zs) // 2], sigma.zs[0], cmc_ehs.patch.eval([0.01, 0.2, -0.1])):
-        assert float(np.min(spec.space.dist(sweep, z))) == \
-            oracles.pointwise_orbit_distance(spec, z, sigma)
-
-
 def test_strongly_2hopf_certify_differentiates_each_sample_once(cmc_ehs, monkeypatch):
     calls = {"frame_derivative_data": 0, "orbit_geometry": 0}
 
@@ -855,9 +845,15 @@ def test_lane_core_truncates_non_finite_lanes_without_warnings():
     ("ch2-k0-g2a", [[-0.3, 0.0], [-0.3, -0.2]], 0),
     # [0.05, 0.1] is rejected at step 22 and [-0.1, 0.15] at step 11
     ("cp2-torus", [[0.0, 0.0], [0.1, 0.0], [0.05, 0.1], [-0.1, 0.15]], 2),
+    # the austere benchmark's seed-3 grid: its 40 dedupe comparisons all pass
+    # the profile test, and 22 of them are judged close by distance
+    ("ch2-line-g2a", "benchmark-seed-3", 3),
 ])
-def test_austere_search_matches_scalar_search(label, grid, n_found):
+def test_austere_search_matches_scalar_search(label, grid, n_found, tmp_path):
+    # the scalar search dedupes through the group mesh, the search in the section
     spec = load_action(label)
+    if grid == "benchmark-seed-3":
+        grid = WORKLOADS["austere"](3, str(tmp_path)).grids[label]
     found = austere_search(spec, grid, n_steps=40)
     ref = oracles.scalar_austere_search(spec, grid, n_steps=40)
     assert len(found) == len(ref) == n_found
@@ -934,24 +930,33 @@ def test_austere_search_nan_tolerance_keeps_nothing(monkeypatch):
     assert calls == ["full"]
 
 
-@pytest.mark.parametrize("label, grid, n_meshes", [
-    ("ch2-k0-g2a", [[0.0, 0.0], [0.1, 0.0], [-0.2, 0.1]], 0),
-    ("cp2-torus", [[0.0, 0.0], [0.1, 0.0], [0.15, 0.1]], 1),
+@pytest.mark.parametrize("grid", [
+    [0.1, 0.0, 5.0], [[0.1, 0.0, 5.0]], [[0.1]], [[[0.1, 0.0]]], [[0.1, 0.0], [0.2]],
+    [["a", "b"]], [[np.nan, 0.0]], [[0.1, 0.0], [np.inf, 0.0]], [], np.zeros((0, 2)),
 ])
-def test_austere_search_builds_its_dedupe_mesh_at_the_first_kept_curve(label, grid, n_meshes,
-                                                                       monkeypatch):
-    # ch2-k0-g2a keeps nothing and needs no mesh; cp2-torus keeps two curves
-    # and exponentiates the mesh once
-    meshes = []
-    orbit_mesh = constructor._orbit_mesh
+def test_austere_search_rejects_a_malformed_grid(grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError) as err:
+            austere_search(load_action("cp2-torus"), grid, n_steps=20)
+    assert str(err.value) == "search grid must be N > 0 rows of 2 finite numbers"
 
-    def counting(spec):
-        meshes.append(spec.label)
-        return orbit_mesh(spec)
 
-    monkeypatch.setattr(constructor, "_orbit_mesh", counting)
-    found = austere_search(load_action(label), grid, n_steps=40)
-    assert (len(found), len(meshes)) == (2 * n_meshes, n_meshes)
+@pytest.mark.parametrize("label", LABELS)
+def test_austere_search_skips_grid_points_whose_chart_point_overflows(label):
+    # a finite grid point far out is masked like a singular one, without a
+    # warning, and the rest of the grid searches as it does alone
+    spec = load_action(label)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for far in ([1e300, 0.0], [0.0, 1e300], [1e200, 1e200]):
+            assert austere_search(spec, [far], n_steps=20) == []
+        mixed = austere_search(spec, [[1e300, 0.0], [0.1, 0.0]], n_steps=20)
+    alone = austere_search(spec, [[0.1, 0.0]], n_steps=20)
+    assert len(mixed) == len(alone)
+    for new, old in zip(mixed, alone):
+        assert np.array_equal(new.start_coords, old.start_coords)
+        assert np.array_equal(new.curve.xs, old.curve.xs)
 
 
 # -- per-curve orbit columns against the per-row evaluation they replace -----------
@@ -972,19 +977,26 @@ def assert_orbit_columns_per_row(curve):
 
 @pytest.mark.parametrize("label", LABELS)
 def test_austere_candidates_orbit_columns_and_sweeps_match_per_row(label):
+    # the section distance the dedupe reads: over the rows the group mesh
+    # sweeps, the mesh's least distance is the identity element's, bit for
+    # bit (the action is polar), and on all rows the distance of the real
+    # rows is that of their D x, bit for bit (D is an isometry)
     spec = load_action(label)
+    sp = spec.space
     found = austere_search(spec, [[0.0, 0.0], [0.1, 0.0], [-0.2, 0.0], [0.05, 0.1]],
                            n_steps=40)
     assert len(found) == (0 if label == "ch2-k0-g2a" else
                           1 if label == "ch2-line-g2a" else 3)
-    mesh = constructor._orbit_mesh(spec)
+    mesh = oracles.orbit_mesh(spec)
     for cand in found:
         assert_orbit_columns_per_row(cand.curve)
-        sweep = constructor._sweep(mesh, cand.curve)
+        sweep = oracles.mesh_sweep(mesh, cand.curve)
+        sample = spec.from_frame(oracles.mesh_sample(cand.curve))
         for other in found:
-            z = other.curve.zs[len(other.curve.zs) // 2]
-            assert float(np.min(spec.space.dist(sweep, z))) == \
-                oracles.pointwise_orbit_distance(spec, z, cand.curve)
+            x = other.curve.xs[len(other.curve.xs) // 2]
+            z = spec.from_frame(x)
+            assert float(np.min(sp.dist(sweep, z))) == float(np.min(sp.dist(sample, z)))
+            assert np.array_equal(sp.dist(cand.curve.xs, x), sp.dist(cand.curve.zs, z))
 
 
 def test_geodesic_orbit_columns_match_per_row():

@@ -205,7 +205,9 @@ def test_construct_cycle_work_per_call_site(tmp_path, monkeypatch):
     assert orbit_points == {"_orbit_invariants": [20, 12] * 5, "orbit_geometry": []}
 
 
-def test_construct_cycle_kernel_work(tmp_path, monkeypatch):
+def count_kernel_calls(monkeypatch):
+    """Record the size of every L0 kernel call: the points of each
+    ``group_orbit_apply`` call and the matrices of each ``expm3_batch`` call."""
     sizes = {"group_orbit_apply": [], "expm3_batch": []}
 
     def counting(fn_name, size):
@@ -222,6 +224,11 @@ def test_construct_cycle_kernel_work(tmp_path, monkeypatch):
         monkeypatch.setattr(kernels, fn_name, counting(fn_name, size))
     # group_orbit_apply reaches expm3_batch through its own module's global
     monkeypatch.setattr(kernels.pure, "expm3_batch", kernels.expm3_batch)
+    return sizes
+
+
+def test_construct_cycle_kernel_work(tmp_path, monkeypatch):
+    sizes = count_kernel_calls(monkeypatch)
     workload = WORKLOADS["construct"](3, str(tmp_path))
     for item in workload.cycle():
         ok, digest = workload.run(item)
@@ -239,6 +246,7 @@ def test_austere_cycle_orbit_work(tmp_path, monkeypatch):
     # constructor's bindings: the search grids' bodies, the lanes' rows and
     # the orbit columns of every curve that stays aligned
     sizes = count_orbit_points(monkeypatch, ("_orbit_body", "_orbit_invariants"))
+    kernel_sizes = count_kernel_calls(monkeypatch)
     workload = WORKLOADS["austere"](3, str(tmp_path))
     for item in workload.cycle():
         ok, digest = workload.run(item)
@@ -256,3 +264,6 @@ def test_austere_cycle_orbit_work(tmp_path, monkeypatch):
     # every orbit-body point of the cycle, those inside _orbit_invariants included
     assert sum(sizes["_orbit_body"]) + sum(sizes["_orbit_invariants"]) == 12695
     assert max(sizes["_orbit_invariants"]) == constructor.ORBIT_BATCH
+    # the search moves no point through the group: its dedupe reads the
+    # distance between the curves' rows in the section
+    assert kernel_sizes == {"group_orbit_apply": [], "expm3_batch": []}
