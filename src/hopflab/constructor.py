@@ -46,22 +46,27 @@ and the verify suites.
 
 The chart sweeps the curve's quintic interpolant, not its rows; the chart,
 the exact shape data and the certificate read its points and derivatives
-from ``SigmaCurve.swept``, one table of coefficients. So the certificate
+from ``SigmaCurve.swept``, one table of coefficients. Its knot velocities
+agree with its rows: a collocated curve's are refit once from the rows'
+points by a 9-point finite-difference stencil (``refit_velocities``),
+since its rows' own velocities err at the collocation's order 4 and the
+interpolant's second derivative would divide that by the step; a
+pregeodesic curve keeps its rows' exact velocities. So the certificate
 also measures how far that curve leaves its law between the rows:
 ``curve_defect``, the miss of its curvature at each step's Gauss points
-and midpoint. The interpolant's second derivative carries the
-collocation's order-4 error of the rows' velocities divided by the step,
-so the miss is of order 3 in the step. It is what shows a step fine enough
+and midpoint, of order 4 in the step. It is what shows a step fine enough
 for its law, so a step too coarse fails the certificate by name. The
-``construct`` default step, 1.6e-3, keeps it under half its bound on the
-benchmark's launches; ``DEFAULT_STEP`` (1e-3), the step of the austere
-search and of ``integrate_sigma`` by default, under a seventh of it.
+``construct`` default step, 4e-3, keeps it under 0.38 of its bound on the
+300 launches of the benchmark's seeds 1 to 60; ``DEFAULT_STEP`` (1e-3),
+the step of the austere search and of ``integrate_sigma`` by default, is
+far finer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -138,19 +143,22 @@ FD_EXACT_GAP = 1e-5
 # patches); the bound is 500 times that. A chart bent by 1 + 1e-5 s1^2
 # tilts its orbit velocities by 1.1e-7 or more.
 CHART_TILT = 1e-9
-# the largest ``curve_defect`` allowed, a tenth of FD_EXACT_GAP: the
-# defect is of order 3 in the step. Over the 150 launches of the construct
-# benchmark's seeds 1 to 30 the largest is 5.0e-7 at the ``construct``
-# default step 1.6e-3 (a ch2-torus CMC curve) and 1.1e-7 at step 1e-3; at
-# step 4e-3 it is 7.9e-6, and 22 of the 150 fail. The verify cmc patches
-# read at most 2.4e-8, and the ch2-torus CMC curve at step 0.05 reads 1.5e-2.
+# the largest ``curve_defect`` allowed, a tenth of FD_EXACT_GAP: with the
+# knot velocities refit from the rows, the defect is of order 4 in the
+# step. Over the 300 launches of the construct benchmark's seeds 1 to 60
+# the largest is 3.8e-7 at the ``construct`` default step 4e-3 (seeds 1-30:
+# 3.78e-7, seed 8; seeds 31-60: 3.77e-7, seed 53; both ch2-torus CMC
+# curves), and all 300 certify. The ch2-torus CMC curve at step 0.05
+# reads 0.40.
 CURVE_DEFECT = 1e-6
 # where ``curve_defect`` reads each step, as fractions of it: the step's two
 # Gauss points and its midpoint
 DEFECT_TAUS = np.array([0.5 - np.sqrt(3) / 6, 0.5, 0.5 + np.sqrt(3) / 6])
 # the quintic-Hermite basis of the swept curve (``SigmaCurve.swept``): per
 # weight x_i, h u_i, h^2 acc_i, x_{i+1}, h u_{i+1}, h^2 acc_{i+1}, the
-# coefficients of tau^0 to tau^5
+# coefficients of tau^0 to tau^5. u is the knot velocity, refit from the
+# rows for a collocated curve: the rows' own velocities would leave the
+# swept curve's curvature off its law at order 3, the refit at order 4
 _QUINTIC = np.array([[1, 0, 0, -10, 15, -6], [0, 1, 0, -6, 8, -3], [0, 0, 0.5, -1.5, 1.5, -0.5],
                      [0, 0, 0, 10, -15, 6], [0, 0, 0, -4, 7, -3], [0, 0, 0, 0.5, -1, 0.5]])
 # its k-th tau-derivatives for k = 0, 1, 2: per weight, the nonzero terms
@@ -159,6 +167,9 @@ _QUINTIC = np.array([[1, 0, 0, -10, 15, -6], [0, 1, 0, -6, 8, -3], [0, 0, 0.5, -
 # x_i - x_{i+1} by that of x_i
 _QUINTIC_TERMS = [[[(float(c) * math.perm(p, k), p - k) for p, c in enumerate(row) if c and p >= k]
                    for j, row in enumerate(_QUINTIC) if not (k and j == 3)] for k in range(3)]
+# the rows of the finite-difference stencil of the velocity refit
+# (``refit_velocities``): a centred 9-point derivative is of order 8
+REFIT_ROWS = 9
 # strongly_2hopf_certify: its fixed tolerances, as every certificate reports
 # them, and the size of the derivative subsample
 CERTIFY_TOLERANCES = {
@@ -212,6 +223,46 @@ class CurveLaw:
         return np.zeros_like(alpha)   # geodesic and austere pregeodesic
 
 
+@cache
+def _refit_stencil(m):
+    """(m, m) weights of the velocity refit on m rows in steps of 1: row r
+    holds each row k's weight L_k'(r) in the derivative at row r, L_k the
+    Lagrange basis of the rows (the finite-difference weights of Fornberg,
+    Math. Comp. 51, 1988), each a ratio of integers rounded once."""
+    table = np.empty((m, m))
+    for r, k in np.ndindex(m, m):
+        others = [j for j in range(m) if j != k]
+        num = sum(math.prod(r - j for j in others if j != i) for i in others)
+        table[r, k] = num / math.prod(k - j for j in others)
+    return table
+
+
+def _stencil_sums(table, rows):
+    """Each row's stencil sum: rows (n, ...) weighed by the (m, m) table,
+    m = min(REFIT_ROWS, n). The middle row of the table serves every row
+    with m // 2 rows on each side, the rest the rows nearer an end."""
+    c = len(table) // 2
+    middle = np.lib.stride_tricks.sliding_window_view(rows, len(table), axis=0) @ table[c]
+    return np.concatenate([np.tensordot(table[:c], rows[:len(table)], 1), middle,
+                           np.tensordot(table[c + 1:], rows[-len(table):], 1)])
+
+
+def refit_velocities(space, xs, h):
+    """(n, 3) velocities of rows xs (n, 3) at spacing h, from their points alone.
+
+    Each row's velocity is the REFIT_ROWS-point finite-difference derivative
+    of xs, centred where the curve has 4 rows on each side of the row and
+    one-sided over the first or last REFIT_ROWS rows near an end, then made
+    horizontal at the row. A curve of fewer rows takes its stencil over all
+    n of them, of order n - 1 (two rows give the secant). For rows of the
+    collocation's order-4 error, whose global error is a smooth function of
+    t, the refit errs by that error's derivative, O(h^4), plus the
+    stencil's truncation, O(h^8).
+    """
+    table = _refit_stencil(min(REFIT_ROWS, len(xs)))
+    return space.project_horizontal(xs, _stencil_sums(table, xs) * (1.0 / h))
+
+
 def _quintic_basis(tau, orders):
     """Per k in ``orders``, each ``_QUINTIC`` weight's k-th tau-derivative at tau:
     its nonzero terms summed in ascending powers, tau^2 as tau * tau."""
@@ -252,20 +303,36 @@ class SigmaCurve:
     ws = property(lambda self: self.spec.from_frame(self.us), doc="(n, 3) velocities D us")
     xis = property(lambda self: self.spec.from_frame(self.vs), doc="(n, 3) normals D vs")
 
+    @cached_property
+    def knot_velocities(self):
+        """(n, 3) the swept curve's velocities at the rows, computed once per curve.
+
+        A pregeodesic curve's rows are the exact geodesic, and it keeps their
+        velocities. A law that reads the orbit data collocates its rows, whose
+        velocities err at order 4; the quintic's second derivative would
+        divide that by the step. So its velocities are refit from the rows'
+        points (``refit_velocities``), which agree with them to O(h^4) and
+        whose error is smooth in t.
+        """
+        if not self.law.reads_orbit_data:
+            return self.us
+        return refit_velocities(self.space, self.xs, self.ts[1] - self.ts[0])
+
     def swept(self, t, order):
         """The swept curve at times t and its t-derivatives up to ``order`` (0, 1 or 2).
 
         The chart sweeps the C^2 quintic-Hermite interpolant of the rows: at
         tau = (t - t_i) / h, h = ts[1] - ts[0], the ``_QUINTIC`` basis weighs
-        x_i, h u_i, h^2 acc_i, x_{i+1}, h u_{i+1} and h^2 acc_{i+1}, with
-        acc = gamma v - x / kappa (the model equations); a k-th derivative is
-        over h^k. Returns order + 1 arrays of t's shape plus (3,).
+        x_i, h u_i, h^2 acc_i, x_{i+1}, h u_{i+1} and h^2 acc_{i+1}, with u
+        the ``knot_velocities`` and acc = gamma v - x / kappa (the model
+        equations); a k-th derivative is over h^k. Returns order + 1 arrays
+        of t's shape plus (3,).
         """
         ts, h = self.ts, self.ts[1] - self.ts[0]
         t = np.asarray(t, dtype=float)
         idx = np.clip(np.floor((t - ts[0]) / h).astype(int), 0, len(ts) - 2)
         ends = np.add.outer((0, 1), idx)
-        x, u = self.xs[ends], self.us[ends] * h
+        x, u = self.xs[ends], self.knot_velocities[ends] * h
         # a division by a real is the product with its reciprocal, as NumPy
         # divides a complex array
         acc = (self.gammas[ends][..., None] * self.vs[ends] - x * (1.0 / self.space.kappa)) * h * h
@@ -817,21 +884,27 @@ def curve_defect(sigma: SigmaCurve):
     and the section normal xi as ``equivariant_shape_data`` reads it
     (``_swept_frame``). Each entry is its largest distance to the law's target
     at (q, xi) over the step's DEFECT_TAUS, read from one ``_curve_columns``
-    call per ORBIT_BATCH points, less what the rows' rounding allows. The
-    rows' velocities carry the collocation's order-4 error, which over a
-    step of h bends q'' by O(h^3): that part of the miss is odd about the
-    step's midpoint, zero there, with its extremes at the step's Gauss
-    points; the even part, O(h^4), peaks at the midpoint. A pregeodesic
-    curve, whose rows are exact, reads rounding.
+    call per ORBIT_BATCH points, less what the rows' rounding allows. A
+    collocated curve's knot velocities are refit from its rows, so q errs by
+    the rows' order-4 error, smooth in t, and q'' misses the law at order 4
+    in the step. A pregeodesic curve, whose rows are exact, reads rounding.
     """
-    sp, h, taus = sigma.space, sigma.step, DEFECT_TAUS
+    sp, h, taus, n = sigma.space, sigma.step, DEFECT_TAUS, len(sigma.ts)
     (x, u, q2), _, normal = _swept_frame(sigma, (sigma.ts[:-1, None] + h * taus).ravel(), 2)
     target = _batched_columns(sigma.spec, sigma.law, x, normal)["gammas"]
-    # rows off by two ulps of their largest entry move g(q'', xi) by up to
-    # 4 eps |B_0''| max|x| sum|xi| / h^2, B_0 the basis weight of x_i: the
-    # rounding floor of a fine step; it is no miss
-    b0 = np.abs(_quintic_basis(taus, [2])[0][0])
-    rounding = (4 * np.finfo(float).eps / (h * h)) * np.tile(b0, len(sigma.ts) - 1) * (
+    # rows off by two ulps of their largest entry move h^2 g(q'', xi) by up
+    # to 2 eps max|x| sum|xi| times 2 |B_0''| (x_i - x_{i+1}, B_0 the basis
+    # weight of x_i) plus, for refit knot velocities h u_i = sum_j w_ij x_j,
+    # |B_1''| sum_j |w_ij| and |B_4''| sum_j |w_{i+1,j}| (B_1, B_4 the
+    # weights of h u_i, h u_{i+1}): the rounding floor of a fine step, over
+    # h^2; it is no miss. Near an end the one-sided stencil weighs up to 78
+    # rows' worth of rounding
+    b = np.abs(np.array(_quintic_basis(taus, [2])[0]))
+    gain = np.zeros(n)
+    if sigma.law.reads_orbit_data:
+        gain = _stencil_sums(np.abs(_refit_stencil(min(REFIT_ROWS, n))), np.ones(n))
+    scale = 2 * b[0] + b[1] * gain[:-1, None] + b[3] * gain[1:, None]
+    rounding = (2 * np.finfo(float).eps / (h * h)) * scale.ravel() * (
         np.abs(x).max(axis=1) * np.abs(normal).sum(axis=1))
     speed2 = sp.g(u, u)
     miss = np.abs(sp.g(q2, normal) / speed2 - target) - rounding / speed2
@@ -1002,7 +1075,9 @@ def austere_search(spec: PolarActionSpec, grid_coords, n_steps: int = 150):
     are admitted and filtered the same way plus the a = b criterion.
 
     grid_coords are (N, 2) finite section coordinates, else GeometryError;
-    a grid point whose chart point is singular or overflows launches nothing.
+    a grid point whose chart point is singular or overflows, or whose
+    representative has lost the sign of <x, x> to rounding (far out in
+    CH^2), launches nothing.
 
     All launches run as one lane batch of n_steps per side at DEFAULT_STEP,
     and a launch stops at its first row with |<H, xi>| not below
@@ -1023,13 +1098,16 @@ def austere_search(spec: PolarActionSpec, grid_coords, n_steps: int = 150):
     _check_steps(DEFAULT_STEP, n_steps)
     sp = spec.space
     law = CurveLaw("austere")
-    # singular grid points are masked by their gram det, and points whose
-    # chart point overflows by their non-finite frame coordinates
+    # singular grid points are masked by their gram det; points whose chart
+    # point overflows, and points far out in CH^2 whose representative has
+    # lost the sign of <x, x> to rounding, by the finiteness of <x, x> and
+    # the sign test of ``normalize_rep``
     with np.errstate(all="ignore"):
         zs = spec.section.point(grid_coords)
         xs = spec.frame_coords(zs)
+        sq = np.real(sp.herm(xs, xs))
         _, _, _, hvecs, det = _orbit_body(spec, xs.T, require_regular=False)
-    regular = np.flatnonzero((det > spec.gram_floor()) & np.isfinite(xs).all(axis=1))
+    regular = np.flatnonzero((det > spec.gram_floor()) & np.isfinite(sq) & (sq * sp.kappa > 0))
     if not len(regular):
         return []
     starts, dirs, coords = [], [], []

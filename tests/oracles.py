@@ -6,6 +6,7 @@ integration of the second-order model equation, and parallel transport from
 its own first-order system.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -1146,3 +1147,46 @@ def fd_grid_strongly_2hopf_certify(ehs, grid_shape=(20, 5, 5)):
     res["leaf_totally_real_defect"] = float(np.max(np.abs(sp.g(1j * x1, x2)), initial=0.0))
     res["nabla_AA"] = float(np.max(sp.norm(nabla[("A", "A")][:2]), initial=0.0))
     return res, sample
+
+
+# the quintic-Hermite basis of the swept curve, as it stood when the chart
+# took every curve's rows' velocities as its knot velocities: per weight
+# x_i, h u_i, h^2 acc_i, x_{i+1}, h u_{i+1}, h^2 acc_{i+1}, the coefficients
+# of tau^0 to tau^5, and their k-th tau-derivatives as (c, p) terms c tau^p
+# with the weight of x_{i+1} left out past k = 0
+ROWS_QUINTIC = np.array([[1, 0, 0, -10, 15, -6], [0, 1, 0, -6, 8, -3],
+                         [0, 0, 0.5, -1.5, 1.5, -0.5], [0, 0, 0, 10, -15, 6],
+                         [0, 0, 0, -4, 7, -3], [0, 0, 0, 0.5, -1, 0.5]])
+ROWS_QUINTIC_TERMS = [[[(float(c) * math.perm(p, k), p - k) for p, c in enumerate(row)
+                        if c and p >= k]
+                       for j, row in enumerate(ROWS_QUINTIC) if not (k and j == 3)]
+                      for k in range(3)]
+
+
+def rows_velocity_quintic(sigma, t, order):
+    """The swept curve of ``sigma`` at times t, up to its ``order``-th derivative,
+    with the rows' own velocities at the knots: a frozen copy of
+    ``SigmaCurve.swept`` from before collocated curves refit their velocities.
+    A pregeodesic curve keeps its rows' velocities, so its swept curve must
+    equal this one bit for bit."""
+    ts, h = sigma.ts, sigma.ts[1] - sigma.ts[0]
+    t = np.asarray(t, dtype=float)
+    idx = np.clip(np.floor((t - ts[0]) / h).astype(int), 0, len(ts) - 2)
+    ends = np.add.outer((0, 1), idx)
+    x, u = sigma.xs[ends], sigma.us[ends] * h
+    acc = (sigma.gammas[ends][..., None] * sigma.vs[ends]
+           - x * (1.0 / sigma.space.kappa)) * h * h
+    weights = [x[0], u[0], acc[0], x[1], u[1], acc[1]]
+    tau = ((t - ts[idx]) / h)[..., None]
+    powers = (1.0, tau, tau * tau, tau ** 3, tau ** 4, tau ** 5)
+    out = []
+    for k in range(order + 1):
+        basis = [sum(terms[1:], terms[0]) for terms in
+                 [[powers[p] if c == 1 else c * powers[p] for c, p in row]
+                  for row in ROWS_QUINTIC_TERMS[k]]]
+        if k == 1:
+            weights = [x[0] - x[1], u[0], acc[0], u[1], acc[1]]
+        terms = [b * w for b, w in zip(basis, weights)]
+        total = sum(terms[1:], terms[0])
+        out.append(total * (1.0 / h ** k) if k else total)
+    return out

@@ -94,7 +94,7 @@ def test_sigma_scene_roundtrip_keeps_every_field(cmc_ehs):
 def test_construct_config_file_and_flag_override(tmp_path, capsys):
     cfgfile = tmp_path / "run.json"
     cfgfile.write_text(json.dumps({"action": "ch2-torus", "law": "cmc",
-                                   "eta": 1.0, "n_steps": 60,
+                                   "eta": 1.0, "n_steps": 24,
                                    "grid": [6, 3, 3]}))
     scene = tmp_path / "s.json"
     rc = run_cli(["construct", "--config", str(cfgfile), "--eta", "0.5",
@@ -438,8 +438,8 @@ def test_construct_rejects_non_finite_config(field, flags, capsys):
     # a non-finite state and keep only the start sample
     ("1e308", "sigma has 1 samples, fewer than the 4 a sweep needs "
               "(truncated: non-finite state; non-finite state)"),
-    # the default 125 steps of 1e-5 each way span less than the sweep's margins
-    ("1e-5", "sigma spans t in [-0.00125, 0.00125], too short for the time margin 0.02 at "
+    # the default 50 steps of 1e-5 each way span less than the sweep's margins
+    ("1e-5", "sigma spans t in [-0.0005, 0.0005], too short for the time margin 0.02 at "
              "each end"),
 ], ids=["non-finite", "short-span"])
 def test_construct_names_why_sigma_is_too_short_to_sweep(step, message, tmp_path, capsys):
@@ -452,12 +452,14 @@ def test_construct_names_why_sigma_is_too_short_to_sweep(step, message, tmp_path
 
 
 def test_construct_fails_a_step_too_coarse_for_its_law(tmp_path, capsys):
-    # construct's defaults curve at step 1.6e-3 and 125 steps, t in
+    # construct's defaults curve at step 4e-3 and 50 steps, t in
     # [-0.2, 0.2]. At step 0.05 the ch2-torus CMC curve the chart sweeps
-    # misses its law by 1.5e-2 between its rows: the certificate names the
-    # residual and construct exits 2, with the scene written
+    # misses its law by 0.40 between its rows: the certificate names the
+    # residual and construct exits 2, with the scene written. At the
+    # defaults this law's curve, the closest of the benchmark's to the
+    # bound, reads 2.8e-7
     cfg = RunConfig()
-    assert (cfg.step, cfg.n_steps) == (1.6e-3, 125)
+    assert (cfg.step, cfg.n_steps) == (4e-3, 50)
     scene = tmp_path / "s.json"
     rc = run_cli(["construct", "--action", "ch2-torus", "--law", "cmc", "--step", "0.05",
                   "--n-steps", "5", "--out-scene", str(scene)])
