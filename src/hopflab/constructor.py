@@ -190,12 +190,16 @@ LEVIFLAT_GRID = (10, 4, 4)
 LEVIFLAT_TOL = 1e-3
 
 # austere_search: alignment tolerance on |<H, xi>|, the ||H|| below which a
-# grid point launches the fan of directions, and the dedupe's two bounds: on
-# the orbit-curvature profiles and on the section distance between the curves
+# grid point launches the fan of directions, and the dedupe's bound on the
+# sine between the planes span{x0, u0} of two launches. Over the austere
+# grids of seeds 1-30 and verify's grid, launches on one geodesic read at
+# most 3.4e-14 and distinct geodesics at least 1.24e-2 (ch2-line-g2a, seed
+# 6); launches on ch2-torus's mirror line at 3.9 model radii read up to
+# 2.8e-10, the rounding of H's direction far out. 1e-6 clears both by
+# orders of magnitude, where 1e-9 would clear the far-out arcs by only 3.5x
 AUSTERE_TOL = 2e-3
 H_FLOOR = 1e-8
-DEDUPE_DISTANCE = 5e-2
-DEDUPE_REACH = 0.5
+PLANE_SINE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -650,7 +654,7 @@ def _check_steps(step, n_steps):
     """Raise GeometryError unless step is positive and finite and n_steps a positive integer."""
     if not (np.isfinite(step) and step > 0):
         raise GeometryError("step must be positive and finite")
-    if not isinstance(n_steps, (int, np.integer)):
+    if not isinstance(n_steps, (int, np.integer)) or isinstance(n_steps, bool):
         raise GeometryError("n_steps must be an integer")
     if n_steps < 1:
         raise GeometryError("n_steps must be at least 1")
@@ -1081,12 +1085,17 @@ def austere_search(spec: PolarActionSpec, grid_coords, n_steps: int = 150):
 
     All launches run as one lane batch of n_steps per side at DEFAULT_STEP,
     and a launch stops at its first row with |<H, xi>| not below
-    AUSTERE_TOL. The launches that stay aligned are then filtered in order:
-    truncated short of n_steps rows, a != b (Prop 5.2), and repeats of a
-    curve already found: orbit profiles within DEDUPE_DISTANCE and rows
-    within DEDUPE_REACH (``_curves_close``). H acts polarly, so a shortest
-    path from a section point to an orbit ends in the section, and the
-    dedupe measures distance in the section, moving nothing by the group.
+    AUSTERE_TOL. The launches that stay aligned are then filtered:
+    truncated short of n_steps rows, and a != b (Prop 5.2). Each survivor
+    is a pregeodesic, so a geodesic of the totally geodesic section, the
+    projectivized 2-plane of the real frame D.R^3 spanned by any of its
+    rows' x and u (Palais & Terng, Trans. AMS 300, 1987): the closed-form
+    rows x_i = C x0 + r S u0, u_i = -eps S x0 / r + C u0 have
+    x_i x u_i = (C^2 + eps S^2) x0 x u0 = x0 x u0. A survivor repeats an
+    earlier one, and is dropped, when the unit normals x0 x u0 of their
+    start rows are parallel: the sine between them is below PLANE_SINE. So
+    the dedupe reads no orbit data and no distance, and the first survivor
+    is always kept.
     """
     try:
         grid_coords = np.atleast_2d(np.asarray(grid_coords, dtype=float))
@@ -1127,36 +1136,16 @@ def austere_search(spec: PolarActionSpec, grid_coords, n_steps: int = 150):
 
     sigmas = _launch_sigmas(spec, law, starts, dirs, DEFAULT_STEP, n_steps,
                             align_tol=AUSTERE_TOL)
-    found: list[AustereCandidate] = []
-    for k, sigma in enumerate(sigmas):
-        if sigma is None:
-            continue
-        if sigma.truncated and len(sigma.ts) < n_steps:
-            continue
-        if float(np.max(np.abs(sigma.hopf_a - sigma.hopf_b))) > 0.05:
-            continue   # Prop 5.2 filter: austere forces a = b = 1/sqrt(2)
-        if any(_curves_close(sigma, other.curve) for other in found):
-            continue
-        found.append(AustereCandidate(curve=sigma, start_coords=coords[k],
-                                      alignment_residual=float(np.max(np.abs(sigma.mean_align)))))
-    return found
-
-
-def _curves_close(c1: SigmaCurve, c2: SigmaCurve) -> bool:
-    """Whether c1 repeats c2: their orbit profiles and their rows are close.
-
-    The profiles, the sorted orbit principal curvatures alpha, beta of the
-    first m rows, separate the distinct austere families and must agree
-    within DEDUPE_DISTANCE. Then c1's middle row must lie within
-    DEDUPE_REACH of c2's rows. H acts polarly: every orbit meets the section
-    orthogonally, so no group element brings c2's rows nearer than the
-    identity does (mirror images of c2 in the section are not tried). D is
-    a diagonal unitary, an isometry, so the distance is read on the real
-    rows and no D x is formed.
-    """
-    m = min(len(c1.ts), len(c2.ts))
-    a1 = np.sort(np.stack([c1.alphas[:m], c1.betas[:m]]).ravel())
-    a2 = np.sort(np.stack([c2.alphas[:m], c2.betas[:m]]).ravel())
-    if float(np.max(np.abs(a1 - a2))) > DEDUPE_DISTANCE:
-        return False
-    return float(np.min(c1.space.dist(c2.xs, c1.xs[len(c1.xs) // 2]))) < DEDUPE_REACH
+    # the aligned launches that ran their n_steps rows and have a = b (Prop
+    # 5.2: austere forces a = b = 1/sqrt(2))
+    kept = [k for k, sigma in enumerate(sigmas)
+            if sigma is not None and not (sigma.truncated and len(sigma.ts) < n_steps)
+            and not float(np.max(np.abs(sigma.hopf_a - sigma.hopf_b))) > 0.05]
+    # a launch repeats an earlier one when their planes' unit normals are parallel
+    normals = cross3(starts[kept], dirs[kept])
+    normals *= (1.0 / np.linalg.norm(normals, axis=1))[:, None]
+    sines = np.linalg.norm(cross3(normals[:, None], normals[None]), axis=-1)
+    repeats = np.tril(sines < PLANE_SINE, -1).any(axis=1)
+    return [AustereCandidate(curve=sigmas[k], start_coords=coords[k],
+                             alignment_residual=float(np.max(np.abs(sigmas[k].mean_align))))
+            for k, repeat in zip(kept, repeats) if not repeat]

@@ -272,15 +272,14 @@ def scalar_integrate_sigma(spec, z0, w0, law, step=1e-3, n_steps=200, two_sided=
 
 
 def scalar_austere_search(spec, grid_coords, tol=2e-3, step=1e-3, n_steps=150,
-                          h_floor=1e-8, dedupe_distance=5e-2):
+                          h_floor=1e-8, plane_sine=1e-6):
     """The scalar austere search: probe, integrate and filter one launch at a
-    time, and dedupe through the group mesh (``mesh_curves_close``)."""
+    time, and dedupe by the plane of each curve (``in_plane_of``)."""
     from hopflab.constructor import AustereCandidate, CurveLaw
 
     sp = spec.space
     law = CurveLaw("austere")
-    mesh = orbit_mesh(spec)
-    found, sweeps = [], []
+    found = []
     probe_steps = max(10, n_steps // 8)
 
     def consider(z0, w0, start):
@@ -314,49 +313,21 @@ def scalar_austere_search(spec, grid_coords, tol=2e-3, step=1e-3, n_steps=150,
             cand = consider(z0, w0, q)
             if cand is None:
                 continue
-            if any(mesh_curves_close(cand.curve, other.curve, sweep, dedupe_distance)
-                   for other, sweep in zip(found, sweeps)):
+            if any(in_plane_of(cand.curve, other.curve, plane_sine) for other in found):
                 continue
             found.append(cand)
-            sweeps.append(mesh_sweep(mesh, cand.curve))
     return found
 
 
-# -- the group-mesh dedupe ---------------------------------------------------------
-# Frozen copy of the austere search's dedupe from before it measured distance
-# in the section: each kept curve's ~12 sampled rows swept through a 9 x 9
-# mesh of group elements, and the least distance from the other curve's
-# middle row to that sweep.
-
-
-def orbit_mesh(spec):
-    """Group elements exp(s1 G1 + s2 G2) of the 9 x 9 mesh of s in [-0.5, 0.5]^2, (81, 3, 3)."""
-    ss = np.linspace(-0.5, 0.5, 9)
-    s = np.stack(np.meshgrid(ss, ss, indexing="ij"), axis=-1).reshape(-1, 2)
-    return spec.group_element(s)
-
-
-def mesh_sample(curve):
-    """The about 12 evenly spaced rows of the curve that the mesh sweeps, (n, 3)."""
-    return curve.xs[:: max(1, len(curve.xs) // 12)]
-
-
-def mesh_sweep(mesh, curve):
-    """The mesh elements applied to D x of the curve's sampled rows, (n, 3)."""
-    zcs = curve.spec.from_frame(mesh_sample(curve))
-    return np.einsum("mij,nj->nmi", mesh, zcs).reshape(-1, 3)
-
-
-def mesh_curves_close(c1, c2, sweep2, tol):
-    """The profile test against tol, then the least distance from D x of c1's
-    middle row to c2's mesh sweep against max(10 tol, 5e-2)."""
-    m = min(len(c1.ts), len(c2.ts))
-    a1 = np.sort(np.stack([c1.alphas[:m], c1.betas[:m]]).ravel())
-    a2 = np.sort(np.stack([c2.alphas[:m], c2.betas[:m]]).ravel())
-    if float(np.max(np.abs(a1 - a2))) > tol:
-        return False
-    d = float(np.min(c1.space.dist(sweep2, c1.spec.from_frame(c1.xs[len(c1.xs) // 2]))))
-    return d < max(10 * tol, 5e-2)
+def in_plane_of(c1, c2, tol):
+    """Whether the point and the velocity of c1's middle row both lie in the
+    plane of the real frame that c2's middle row spans: each one's 3 x 3
+    determinant with that row's x and u, over its length and the area of x
+    and u, is the sine of its angle to the plane, and must be below tol."""
+    x2, u2 = c2.xs[len(c2.xs) // 2], c2.us[len(c2.us) // 2]
+    area = np.sqrt((x2 @ x2) * (u2 @ u2) - (x2 @ u2) ** 2)
+    return all(abs(np.linalg.det(np.array([v, x2, u2]))) < tol * np.sqrt(v @ v) * area
+               for v in (c1.xs[len(c1.xs) // 2], c1.us[len(c1.us) // 2]))
 
 
 def eigh_hopf_components(spec, z, xi):

@@ -320,7 +320,8 @@ REMOVED = {
     "actions": ("orbit_shape_operator", "OrbitData", "phi_map", "killing_field"),
     "hypersurface": ("shape_operator", "ShapeSpectrum", "hopf_projection_count",
                      "AdaptedFrame", "adapted_frame"),
-    "constructor": ("equidistance_spot_check", "curves_from_rows", "_orbit_mesh", "_sweep"),
+    "constructor": ("equidistance_spot_check", "curves_from_rows", "_orbit_mesh", "_sweep",
+                    "_curves_close", "DEDUPE_DISTANCE", "DEDUPE_REACH"),
 }
 
 

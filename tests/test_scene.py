@@ -96,4 +96,5 @@ def test_austere_candidates_round_trip_bit_identical(tmp_path):
             assert cand.curve.law == CurveLaw("austere")
             assert_round_trip(cand.curve)
             count += 1
-    assert count == 18
+    # 1 + 1 + 1 + 0 + 21: one candidate per geodesic
+    assert count == 24

@@ -264,6 +264,6 @@ def test_austere_cycle_orbit_work(tmp_path, monkeypatch):
     # every orbit-body point of the cycle, those inside _orbit_invariants included
     assert sum(sizes["_orbit_body"]) + sum(sizes["_orbit_invariants"]) == 12695
     assert max(sizes["_orbit_invariants"]) == constructor.ORBIT_BATCH
-    # the search moves no point through the group: its dedupe reads the
-    # distance between the curves' rows in the section
+    # the search moves no point through the group, and its dedupe reads
+    # only the launches' start rows
     assert kernel_sizes == {"group_orbit_apply": [], "expm3_batch": []}
