@@ -29,7 +29,8 @@ row misaligned with the orbit mean-curvature field. ``_curve_columns`` is
 the one place where orbit invariants become a curve's columns; the scene
 loader builds its curve from its rows through it (``curve_from_rows``).
 ``integrate_sigma`` runs the two sides of a curve as two lanes;
-``austere_search`` runs all its launches as one batch.
+``austere_search`` runs one launch per section geodesic as one batch, and
+a second batch only where a first launch fails.
 
 A swept patch has two routes to its shape data. ``equivariant_shape_data``
 builds it exactly from the curve and its orbits (the section is totally
@@ -196,10 +197,15 @@ LEVIFLAT_TOL = 1e-3
 # most 3.4e-14 and distinct geodesics at least 1.24e-2 (ch2-line-g2a, seed
 # 6); launches on ch2-torus's mirror line at 3.9 model radii read up to
 # 2.8e-10, the rounding of H's direction far out. 1e-6 clears both by
-# orders of magnitude, where 1e-9 would clear the far-out arcs by only 3.5x
+# orders of magnitude, where 1e-9 would clear the far-out arcs by only 3.5x.
+# AB_GAP bounds a survivor's max |a - b| (Prop 5.2: austere forces
+# a = b = 1/sqrt(2)). PLANE_PAIRS caps the launch pairs one plane
+# comparison holds, so a large grid costs no N^2 memory
 AUSTERE_TOL = 2e-3
 H_FLOOR = 1e-8
 PLANE_SINE = 1e-6
+AB_GAP = 0.05
+PLANE_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -1069,6 +1075,30 @@ class AustereCandidate:
     alignment_residual: float
 
 
+def _survives(sigma, n_steps):
+    """Whether an austere launch's curve is kept: it stayed aligned (it is not
+    None), is not truncated short of n_steps rows, and has a = b to AB_GAP."""
+    return (sigma is not None and not (sigma.truncated and len(sigma.ts) < n_steps)
+            and not float(np.max(np.abs(sigma.hopf_a - sigma.hopf_b))) > AB_GAP)
+
+
+def _held(normals, ks, holders):
+    """Whether an earlier holder's plane holds each launch of ks.
+
+    normals (N, 3) are the launches' unit plane normals; ks and holders are
+    increasing launch indices. Launch k is held when some holder j < k has
+    a normal at a sine below PLANE_SINE from k's. At most PLANE_PAIRS pairs
+    are compared at once.
+    """
+    out = np.zeros(len(ks), dtype=bool)
+    size = max(1, PLANE_PAIRS // max(1, len(holders)))
+    for i in range(0, len(ks), size):
+        block = ks[i:i + size]
+        sines = np.linalg.norm(cross3(normals[block, None], normals[None, holders]), axis=-1)
+        out[i:i + size] = ((sines < PLANE_SINE) & (holders < block[:, None])).any(axis=1)
+    return out
+
+
 def austere_search(spec: PolarActionSpec, grid_coords, n_steps: int = 150):
     """Curves sigma with H.sigma austere: pregeodesics aligned with the
     orbit mean-curvature field.
@@ -1083,19 +1113,33 @@ def austere_search(spec: PolarActionSpec, grid_coords, n_steps: int = 150):
     representative has lost the sign of <x, x> to rounding (far out in
     CH^2), launches nothing.
 
-    All launches run as one lane batch of n_steps per side at DEFAULT_STEP,
-    and a launch stops at its first row with |<H, xi>| not below
-    AUSTERE_TOL. The launches that stay aligned are then filtered:
-    truncated short of n_steps rows, and a != b (Prop 5.2). Each survivor
-    is a pregeodesic, so a geodesic of the totally geodesic section, the
-    projectivized 2-plane of the real frame D.R^3 spanned by any of its
-    rows' x and u (Palais & Terng, Trans. AMS 300, 1987): the closed-form
-    rows x_i = C x0 + r S u0, u_i = -eps S x0 / r + C u0 have
-    x_i x u_i = (C^2 + eps S^2) x0 x u0 = x0 x u0. A survivor repeats an
-    earlier one, and is dropped, when the unit normals x0 x u0 of their
-    start rows are parallel: the sine between them is below PLANE_SINE. So
-    the dedupe reads no orbit data and no distance, and the first survivor
-    is always kept.
+    A launch runs n_steps rows per side at DEFAULT_STEP and stops at its
+    first row with |<H, xi>| not below AUSTERE_TOL. A launch that stays
+    aligned survives unless it is truncated short of n_steps rows or has
+    a != b (Prop 5.2). Each survivor is a pregeodesic, so a geodesic of the
+    totally geodesic section, the projectivized 2-plane of the real frame
+    D.R^3 spanned by any of its rows' x and u (Palais & Terng, Trans. AMS
+    300, 1987): the closed-form rows x_i = C x0 + r S u0,
+    u_i = -eps S x0 / r + C u0 have x_i x u_i = (C^2 + eps S^2) x0 x u0
+    = x0 x u0. So a launch's plane is known before it runs, by the unit
+    normal x0 x u0 of its start, and two launches share a plane when the
+    sine between their normals is below PLANE_SINE. A survivor that shares
+    its plane with an earlier survivor repeats it and is dropped; the first
+    survivor is always kept. The plane test reads no orbit data and no
+    distance.
+
+    The test runs before the lanes, so no launch is integrated whose
+    geodesic an earlier survivor already holds. The launches run in at
+    most two lane batches: the first takes every launch that shares its
+    plane with no earlier launch; the second, which runs only if some of
+    those fail, every other launch that shares its plane with no earlier
+    first-batch survivor. The dedupe above then runs over the survivors
+    of both. A launch's rows have the same bits in either batch (lanes are
+    pointwise), and a skipped launch is one the dedupe would drop, so the
+    result is that of launching everything at once, unless three planes
+    chain: two pairs at a sine below PLANE_SINE whose ends are between
+    PLANE_SINE and 2 PLANE_SINE apart. Measured launches on one geodesic
+    read at most 2.8e-10 and distinct ones at least 1.24e-2, so none do.
     """
     try:
         grid_coords = np.atleast_2d(np.asarray(grid_coords, dtype=float))
@@ -1133,19 +1177,23 @@ def austere_search(spec: PolarActionSpec, grid_coords, n_steps: int = 150):
             dirs.append(u0)
             coords.append(grid_coords[k])
     starts, dirs = np.array(starts), np.array(dirs)
-
-    sigmas = _launch_sigmas(spec, law, starts, dirs, DEFAULT_STEP, n_steps,
-                            align_tol=AUSTERE_TOL)
-    # the aligned launches that ran their n_steps rows and have a = b (Prop
-    # 5.2: austere forces a = b = 1/sqrt(2))
-    kept = [k for k, sigma in enumerate(sigmas)
-            if sigma is not None and not (sigma.truncated and len(sigma.ts) < n_steps)
-            and not float(np.max(np.abs(sigma.hopf_a - sigma.hopf_b))) > 0.05]
-    # a launch repeats an earlier one when their planes' unit normals are parallel
-    normals = cross3(starts[kept], dirs[kept])
+    normals = cross3(starts, dirs)
     normals *= (1.0 / np.linalg.norm(normals, axis=1))[:, None]
-    sines = np.linalg.norm(cross3(normals[:, None], normals[None]), axis=-1)
-    repeats = np.tril(sines < PLANE_SINE, -1).any(axis=1)
+    sigmas = [None] * len(starts)
+
+    def launch(ks):
+        curves = _launch_sigmas(spec, law, starts[ks], dirs[ks], DEFAULT_STEP, n_steps,
+                                align_tol=AUSTERE_TOL)
+        for k, sigma in zip(ks, curves):
+            sigmas[k] = sigma
+        return np.array([k for k in ks if _survives(sigmas[k], n_steps)], dtype=int)
+
+    every = np.arange(len(starts))
+    first = ~_held(normals, every, every)
+    survivors = launch(every[first])
+    rest = every[~first & ~_held(normals, every, survivors)]
+    if len(rest):
+        survivors = np.sort(np.concatenate([survivors, launch(rest)]))
     return [AustereCandidate(curve=sigmas[k], start_coords=coords[k],
                              alignment_residual=float(np.max(np.abs(sigmas[k].mean_align))))
-            for k, repeat in zip(kept, repeats) if not repeat]
+            for k in survivors[~_held(normals, survivors, survivors)]]

@@ -989,6 +989,48 @@ def test_austere_search_keeps_one_candidate_per_geodesic(monkeypatch, tmp_path):
         assert len(found) == len(q1s), label
 
 
+
+def test_austere_search_launches_each_geodesic_once(monkeypatch, tmp_path):
+    # the plane test runs before the lanes: a launch whose geodesic an
+    # earlier survivor holds is never integrated
+    launch_sigmas = constructor._launch_sigmas
+    sizes, reject_first = [], [False]
+
+    def recording(spec, law, x0, *args, **kwargs):
+        sizes.append(len(x0))
+        curves = launch_sigmas(spec, law, x0, *args, **kwargs)
+        if reject_first[0] and len(sizes) == 1:
+            curves[0] = None
+        return curves
+
+    monkeypatch.setattr(constructor, "_launch_sigmas", recording)
+    # one batch per seed-3 benchmark grid, less the four followers of the
+    # mirror line or of a ch2-line-g2a geodesic; ch2-k0-g2a has none
+    workload = WORKLOADS["austere"](3, str(tmp_path))
+    per_grid = []
+    for label in LABELS:
+        sizes.clear()
+        austere_search(workload.specs[label], workload.grids[label], n_steps=AUSTERE_N_STEPS)
+        per_grid.append(list(sizes))
+    assert per_grid == [[21], [21], [21], [25], [21]]
+    # two identical grid points on a mirror line launch once
+    spec = load_action("cp2-torus")
+    sizes.clear()
+    assert len(austere_search(spec, [[0.1, 0.0], [0.1, 0.0]], n_steps=40)) == 1
+    assert sizes == [1]
+    # a first mirror-line launch that fails leaves its follower to a second
+    # batch, which keeps it with the bits it has searched alone; the launch
+    # at [0.15, 0.1], which alignment rejects, does not run again
+    alone = austere_search(spec, [[0.2, 0.0]], n_steps=40)
+    sizes.clear()
+    reject_first[0] = True
+    found = austere_search(spec, [[0.1, 0.0], [0.2, 0.0], [0.15, 0.1]], n_steps=40)
+    assert sizes == [2, 1]
+    assert len(alone) == len(found) == 1
+    assert found[0].start_coords.tolist() == [0.2, 0.0]
+    assert found[0].alignment_residual == alone[0].alignment_residual
+    assert curve_bytes(found[0].curve) == curve_bytes(alone[0].curve)
+
 def _count_invariant_calls(monkeypatch):
     """Record each orbit evaluation of the section curves, by kind.
 
@@ -1048,12 +1090,23 @@ def test_geodesic_law_evaluates_orbit_data_once_per_row_in_the_lanes(monkeypatch
 
 
 def test_austere_search_nan_tolerance_keeps_nothing(monkeypatch):
-    # |<H, xi>| < nan is false, so every launch stops on its start row
+    # |<H, xi>| < nan is false, so every launch stops on its start row: the
+    # origin's six-direction fan first, then, since the fan's line through
+    # [0.1, 0.0] failed, that point's launch on it in a second batch
     calls = _count_invariant_calls(monkeypatch)
+    sizes = []
+    launch_sigmas = constructor._launch_sigmas
+
+    def recording(spec, law, x0, *args, **kwargs):
+        sizes.append(len(x0))
+        return launch_sigmas(spec, law, x0, *args, **kwargs)
+
+    monkeypatch.setattr(constructor, "_launch_sigmas", recording)
     monkeypatch.setattr(constructor, "AUSTERE_TOL", np.nan)
     spec = load_action("cp2-torus")
     assert austere_search(spec, [[0.0, 0.0], [0.1, 0.0]], n_steps=40) == []
-    assert calls == ["full"]
+    assert sizes == [6, 1]
+    assert calls == ["full", "full"]
 
 
 @pytest.mark.parametrize("grid", [
@@ -1146,7 +1199,8 @@ def assert_lane_columns_are_the_rows_columns(curve):
 
 def test_austere_cycle_lane_columns_are_their_rows_columns(tmp_path, monkeypatch):
     # every launch that alignment keeps in one seed-3 austere benchmark
-    # cycle, before the search filters them
+    # cycle, before the search filters them; followers of a survivor's
+    # geodesic are never launched
     workload = WORKLOADS["austere"](3, str(tmp_path))
     kept = []
     launch_sigmas = constructor._launch_sigmas
@@ -1159,7 +1213,7 @@ def test_austere_cycle_lane_columns_are_their_rows_columns(tmp_path, monkeypatch
     monkeypatch.setattr(constructor, "_launch_sigmas", recording)
     for label in workload.cycle():
         austere_search(workload.specs[label], workload.grids[label], n_steps=AUSTERE_N_STEPS)
-    assert len(kept) == 40
+    assert len(kept) == 24
     for curve in kept:
         assert_lane_columns_are_the_rows_columns(curve)
 
@@ -1247,7 +1301,11 @@ def test_austere_search_batched_orbit_work_matches_one_row_per_call(label, tmp_p
     kept = [c for c in launched[0] if c is not None]
     if label == "ch2-k0-g2a":
         assert default == [] and kept == [] and len(launched[0]) > 0
+    elif label == "cp2-torus":
+        # one aligned lane pair: the mirror line's followers never launch
+        assert len(default) == len(kept) == 1
     else:
+        # 21 kept curves of 241 rows cross ORBIT_BATCH
         assert len(default) > 0 and len(kept) * 241 > constructor.ORBIT_BATCH
 
 

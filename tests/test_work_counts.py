@@ -254,15 +254,17 @@ def test_austere_cycle_orbit_work(tmp_path, monkeypatch):
     # the search grids' 25 points per action take the only _orbit_body calls.
     # A pregeodesic lane reads its rows' regularity, alignment and orbit
     # columns from one _orbit_invariants call per block, a block holding
-    # about ORBIT_BATCH points over its live lanes, so the 12,570 row points
-    # are evaluated once and the 40 curves that stay aligned (241 rows each,
-    # 9,640 points) are built from them with no call of their own
+    # about ORBIT_BATCH points over its live lanes, so the 9,058 row points
+    # are evaluated once and the 24 curves that stay aligned (241 rows each,
+    # 5,784 points) are built from them with no call of their own. The
+    # 4 + 4 + 4 + 4 launches that follow a surviving mirror-line or
+    # ch2-line-g2a launch onto its geodesic are never integrated
     assert constructor.ORBIT_BATCH == 800
     assert {name: (len(s), sum(s)) for name, s in sizes.items()} == {
-        "_orbit_body": (5, 125), "_orbit_invariants": (23, 12570)}
+        "_orbit_body": (5, 125), "_orbit_invariants": (19, 9058)}
     assert sizes["_orbit_body"] == [25] * 5
     # every orbit-body point of the cycle, those inside _orbit_invariants included
-    assert sum(sizes["_orbit_body"]) + sum(sizes["_orbit_invariants"]) == 12695
+    assert sum(sizes["_orbit_body"]) + sum(sizes["_orbit_invariants"]) == 9183
     assert max(sizes["_orbit_invariants"]) == constructor.ORBIT_BATCH
     # the search moves no point through the group, and its dedupe reads
     # only the launches' start rows
