@@ -41,7 +41,7 @@ from importlib import resources
 import numpy as np
 
 from . import _kernels as kernels
-from .ambient import GeometryError, SectionChart, SpaceForm
+from .ambient import GeometryError, SectionChart, SpaceForm, cross3
 
 LABELS = ("cp2-torus", "ch2-torus", "ch2-g0", "ch2-k0-g2a", "ch2-line-g2a")
 
@@ -434,14 +434,18 @@ def mean_curvature_field(spec: PolarActionSpec, q):
 # -- the Hopf obstruction Phi -------------------------------------------------
 
 
-def rotate90(spec: PolarActionSpec, z, w):
-    """+90 degree rotation of a section-tangent vector in the chart orientation
-    (in frame coordinates where z and w are real)."""
-    if not np.iscomplexobj(z):
-        return spec.frame_coords(rotate90(spec, spec.from_frame(z), spec.from_frame(w)))
-    f1, f2 = spec.section.tangent_frame(z)
+def rotate90(spec: PolarActionSpec, x, u):
+    """The Frenet normal sigma o (x X u) / |.| of a section curve at x with velocity u.
+
+    x and u (..., 3) are real frame coordinates; the normal is the +90 degree
+    rotation of u's horizontal part in the chart orientation. Complex D x and
+    D u are read through ``frame_coords`` and give D xi.
+    """
+    if np.iscomplexobj(x) or np.iscomplexobj(u):
+        return spec.from_frame(rotate90(spec, spec.frame_coords(x), spec.frame_coords(u)))
     sp = spec.space
-    return -sp.g(w, f2)[..., None] * f1 + sp.g(w, f1)[..., None] * f2
+    normal = sp._sig * cross3(x, u)
+    return normal * (1.0 / sp.norm(normal))[..., None]
 
 
 def phi_profile(spec: PolarActionSpec, z, thetas):

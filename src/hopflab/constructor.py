@@ -12,6 +12,8 @@ The curve state (z, w, xi) obeys the exact model equations
 
 valid because sections are totally geodesic and totally real; gamma is the
 law's target curvature evaluated on the orbit data at the current point.
+xi has one rule, ``actions.rotate90``: a launch starts it there,
+collocation keeps the rows on it and the sweep reads it (``_swept_frame``).
 
 A curve's launches run as lanes of one batch in the section's real frame,
 z = D x (see ``actions``), and its rows stay real: D x is taken, by
@@ -357,11 +359,6 @@ class SigmaCurve:
             out.append(total * (1.0 / h ** k) if k else total)
         return out
 
-    def nearest_row(self, t):
-        """Index of the curve row nearest to each t."""
-        rows = np.rint((np.asarray(t, dtype=float) - self.ts[0]) / self.step).astype(int)
-        return np.clip(rows, 0, len(self.ts) - 1)
-
 
 def _curve_columns(spec, law, x, xi):
     """(columns, gram det) of curve rows at points x (3, N) with normals xi (3, N).
@@ -393,17 +390,6 @@ def _batched_columns(spec, law, xs, vs):
     parts = [_curve_columns(spec, law, xs[i:i + ORBIT_BATCH].T, vs[i:i + ORBIT_BATCH].T)[0]
              for i in range(0, len(xs), ORBIT_BATCH)]
     return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
-
-
-def _renorm(sp, y):
-    """(x, u, v) (3, 3, B) moved onto <x, x> = kappa with u, v horizontal and orthonormal."""
-    x = sp.normalize_rep(y[0].T)
-    u = sp.project_horizontal(x, y[1].T)
-    u = u * (1.0 / sp.norm(u))[:, None]
-    v = sp.project_horizontal(x, y[2].T)
-    v = v - sp.g(v, u)[:, None] * u
-    v = v * (1.0 / sp.norm(v))[:, None]
-    return np.array([x.T, u.T, v.T])
 
 
 class _GaussRows:
@@ -588,8 +574,8 @@ def _lane_loop(spec, rule, x0, u0, v0, n_steps, n_launches, align_tol=None):
 
     x0, u0, v0 (B, 3) are real frame coordinates of the point, velocity and
     Frenet normal at the start; lane l is a side of launch l % n_launches.
-    The start is renormalized, and a start that is not regular raises
-    SingularOrbitError. ``rule.start(y)`` gives the start's (gram det,
+    The start comes normalized (``_launch_sigmas``); one that is not regular
+    raises SingularOrbitError. ``rule.start(y)`` gives the start's (gram det,
     columns), the columns a dict of ``_curve_columns`` values per lane; each
     ``rule.rows(keep, i0, i1)`` call gives, for rows i0 to i1 - 1
     (``rule.block(lanes)`` rows for the number of lanes live at i0, fewer at
@@ -620,7 +606,7 @@ def _lane_loop(spec, rule, x0, u0, v0, n_steps, n_launches, align_tol=None):
 
     # dying lanes compute with singular or non-finite data; they are masked out
     with np.errstate(all="ignore"):
-        y = _renorm(spec.space, np.array([x0.T, u0.T, v0.T]))
+        y = np.array([x0.T, u0.T, v0.T])
         det, cols = rule.start(y)
         if not np.all(det > spec.gram_floor()):
             raise SingularOrbitError("initial point is not regular")
@@ -670,10 +656,11 @@ def _launch_sigmas(spec, law, x0, u0, step, n_steps, two_sided=True, align_tol=N
     """One SigmaCurve per launch, in order, run as one lane batch.
 
     x0: (B, 3) start points and u0: (B, 3) section-tangent directions, both
-    in real frame coordinates; u0 is normalized here, and GeometryError is
-    raised where the part of the unit u0 tangent to the section at x0 is
-    round-off (at most FRAME_TOL) or non-finite. A launch is one lane,
-    or two (u0 and -u0) when ``two_sided``. A law that reads the orbit data
+    in real frame coordinates; both are normalized here, u0 to the unit
+    horizontal part of the unit u0, and GeometryError is raised where that
+    part is round-off (at most FRAME_TOL) or non-finite. The normal starts
+    at ``rotate90``. A launch is one lane, or two (u0 and -u0) when
+    ``two_sided``. A law that reads the orbit data
     takes the collocation row rule, a pregeodesic law the closed form. With
     ``align_tol``, a launch whose alignment |<H, xi>| fails to stay below
     it stops at that row and its entry is None. Every other launch is built
@@ -683,17 +670,19 @@ def _launch_sigmas(spec, law, x0, u0, step, n_steps, two_sided=True, align_tol=N
     _check_steps(step, n_steps)
     sp = spec.space
     with np.errstate(all="ignore"):   # a zero, subnormal or non-finite direction or start warns
-        u0 = u0 * (1.0 / sp.norm(u0))[:, None]
-        tangent = sp.norm(sp.project_horizontal(sp.normalize_rep(x0), u0))
-        v0 = rotate90(spec, x0, u0)
+        x = sp.normalize_rep(x0)
+        u = sp.project_horizontal(x, u0 * (1.0 / sp.norm(u0))[:, None])
+        tangent = sp.norm(u)
+        u = u * (1.0 / tangent)[:, None]
+        v = rotate90(spec, x, u)
     # a non-finite start is left to the lane loop, which finds it not regular
     if not np.all((np.isfinite(tangent) & (tangent > FRAME_TOL)) | ~np.isfinite(x0).all(axis=1)):
         raise GeometryError("launch direction has no finite part tangent to the section")
     n = len(x0)
     if two_sided:
-        x0, u0, v0 = (np.concatenate(pair) for pair in ((x0, x0), (u0, -u0), (v0, v0)))
+        x, u, v = (np.concatenate(pair) for pair in ((x, x), (u, -u), (v, v)))
     rule = (_GaussRows if law.reads_orbit_data else _GeodesicRows)(spec, law, step)
-    rows, counts, reasons, rejected = _lane_loop(spec, rule, x0, u0, v0, n_steps, n, align_tol)
+    rows, counts, reasons, rejected = _lane_loop(spec, rule, x, u, v, n_steps, n, align_tol)
     curves = [None] * n
     for k in np.flatnonzero(~rejected):
         back = n + k if two_sided else k
@@ -750,8 +739,12 @@ def build_hypersurface(spec: PolarActionSpec, sigma: SigmaCurve,
     abelian, so g carries the Killing fields at z to those at g.z and
     regularity depends on t alone. The s-extent is halved until the s-grid
     images of the middle sample stay pairwise separated (injectivity),
-    making the Main Theorem's "epsilon small enough" concrete.
+    making the Main Theorem's "epsilon small enough" concrete. A spec of
+    another label or c than sigma's raises GeometryError.
     """
+    if (spec.label, spec.space.c) != (sigma.spec.label, sigma.space.c):
+        raise GeometryError(f"sigma is a curve of {sigma.spec.label} at c = {sigma.space.c:g}; "
+                            f"it cannot be swept by {spec.label} at c = {spec.space.c:g}")
     if len(sigma.ts) < 4:
         stopped = f" (truncated: {sigma.truncation_reason})" if sigma.truncated else ""
         raise GeometryError(f"sigma has {len(sigma.ts)} samples, fewer than the 4 a sweep "
@@ -797,11 +790,10 @@ def build_hypersurface(spec: PolarActionSpec, sigma: SigmaCurve,
     # than closed-form charts, and the S-symmetry invariant wants < 1e-8
     patch = HypersurfacePatch(sp, chart, box, diff_step=1.5e-4)
     # orient the patch normal to match the curve's Frenet normal; at s = 0
-    # the chart point is D x, so the nearest row's normal needs no phase
-    mid_t = 0.5 * (t_lo + t_hi)
-    fr = frames_at(patch, np.array([[mid_t, 0.0, 0.0]]))
-    i = int(sigma.nearest_row(mid_t))
-    if sp.g(fr.xi[0], spec.from_frame(sigma.vs[i])) < 0:
+    # the chart point is D x, so the swept normal D xi needs no phase
+    mid = np.array([[0.5 * (t_lo + t_hi), 0.0, 0.0]])
+    fr = frames_at(patch, mid)
+    if sp.g(fr.xi[0], spec.from_frame(_swept_frame(sigma, mid[:, 0])[2][0])) < 0:
         patch.orientation = -patch.orientation
     return EquivariantHypersurface(spec=spec, sigma=sigma, patch=patch, s_extent=extent)
 
@@ -811,17 +803,15 @@ def _swept_frame(sigma: SigmaCurve, t, order=1):
 
     derivatives is ``sigma.swept(t, order)``, order 1 or 2: the point x,
     its velocity u and, at order 2, its acceleration, (M, 3) each. T is the
-    unit horizontal part of u, and xi the section's cross product of x and
-    T, signed like the Frenet normal of the nearest curve row.
+    unit horizontal part of u, and xi its Frenet normal ``rotate90(x, T)``,
+    the rule that launched the curve's rows.
     """
     sp = sigma.space
     derivatives = sigma.swept(t, order)
     x, u = derivatives[:2]
     tangent = sp.project_horizontal(x, u)
     tangent = tangent * (1.0 / sp.norm(tangent))[:, None]
-    normal = sp._sig * cross3(x, tangent)     # g-orthogonal to x and to the tangent
-    sign = np.sign(sp.g(normal, sigma.vs[sigma.nearest_row(t)]))
-    return derivatives, tangent, normal * (sign / sp.norm(normal))[:, None]
+    return derivatives, tangent, rotate90(sigma.spec, x, tangent)
 
 
 def equivariant_shape_data(ehs: EquivariantHypersurface, params) -> ShapeData:

@@ -22,7 +22,7 @@ import numbers
 
 import numpy as np
 
-from .actions import LABELS, load_action
+from .actions import LABELS, load_action, rotate90
 from .ambient import NORMALIZATION_TOL, GeometryError
 from .constructor import (
     LAW_KINDS,
@@ -242,7 +242,7 @@ def sigma_from_dict(d: dict, schema_version: int) -> SigmaCurve:
     ts = decode(d, "ts", None)
     n = len(ts)
     # the step's own grid, as every launch writes it: SigmaCurve.swept spaces
-    # its knots by ts[1] - ts[0], nearest_row, chart_tilt and curve_defect by the step
+    # its knots by ts[1] - ts[0], chart_tilt and curve_defect by the step
     with np.errstate(all="ignore"):
         grid = (np.rint(ts[0] / step) + np.arange(n)) * step
     if not np.array_equal(ts, grid):
@@ -259,21 +259,23 @@ def sigma_from_dict(d: dict, schema_version: int) -> SigmaCurve:
     # the curve's real rows: the frame coordinates x of the stored D x
     xs, us, vs = (frame_rows(key) for key in ("zs", "ws", "xis"))
     # the orbit columns are recomputed at every row: a z off the normalized
-    # regular set would fail there, and a w or xi not a unit vector horizontal
-    # at z would load or overflow, with no field named. w and xi are held
-    # relative to the rows' sizes, their rounding scale far out in CH^2.
-    # Under errstate a huge row's inf or NaN reads as failing instead of raising.
+    # regular set would fail there, and a w not a unit vector horizontal at z,
+    # or a xi not its rotate90 (a negated one flips the patch orientation),
+    # would load or overflow, with no field named. w and xi are held relative
+    # to the rows' sizes, their rounding scale far out in CH^2: xi's miss
+    # relative to |z| |w| / r, that of the cross product. Under errstate a
+    # huge row's inf or NaN reads as failing instead of raising.
     sp, size = spec.space, lambda rows: np.linalg.norm(rows, axis=-1)
     with np.errstate(all="ignore"):
-        unit = [np.abs(sp.g(w, w) - 1.0) / size(w) ** 2 for w in (us, vs)]
-        off = [np.abs(sp.herm(a, b)) / (size(a) * size(b))
-               for a, b in ((xs, us), (xs, vs), (us, vs))]
+        unit = np.abs(sp.g(us, us) - 1.0) / size(us) ** 2
+        off = np.abs(sp.herm(xs, us)) / (size(xs) * size(us))
+        miss = size(vs - rotate90(spec, xs, us)) * sp.radius / (size(xs) * size(us))
         usable = {"zs": ((np.abs(sp.herm(xs, xs) / sp.kappa - 1.0) <= NORMALIZATION_TOL)
                          & (spec.gram_det(xs) > spec.gram_floor())),
-                  "ws": np.maximum(unit[0], off[0]) <= NORMALIZATION_TOL,
-                  "xis": np.maximum.reduce([unit[1], *off[1:]]) <= NORMALIZATION_TOL}
+                  "ws": np.maximum(unit, off) <= NORMALIZATION_TOL,
+                  "xis": miss <= NORMALIZATION_TOL}
     claims = {"zs": "regular points with <z,z> = kappa", "ws": "unit vectors horizontal at zs",
-              "xis": "unit vectors horizontal at zs and orthogonal to ws"}
+              "xis": "the Frenet normals rotate90(zs, ws)"}
     for key, ok in usable.items():
         if not ok.all():
             raise SceneError(f"scene field 'sigma.{key}' must be {claims[key]}; "

@@ -356,12 +356,24 @@ def test_launch_angle_is_tie_free():
 
 
 def test_rotate90_is_orientation_consistent():
-    spec = load_action("ch2-g0")
-    sp = spec.space
-    z = spec.section.point(np.array([0.1, -0.2]))
-    f1, f2 = spec.section.tangent_frame(z)
-    assert sp.norm(rotate90(spec, z, f1) - f2) < 1e-12
-    assert sp.norm(rotate90(spec, z, f2) + f1) < 1e-12
+    # on every action the signed cross product sigma o (x X u) is the
+    # chart's +90 degree rotation at regular points, from real or complex input
+    q = np.array([[0.1, -0.2], [0.0, 0.0], [-0.25, 0.15], [0.3, 0.28], [-0.05, -0.3]])
+    theta = np.linspace(0.0, 2.0 * np.pi, len(q), endpoint=False)[:, None] + 0.3
+    for label in LABELS:
+        spec = load_action(label)
+        sp = spec.space
+        z = spec.section.point(q)
+        assert spec.is_regular(z).all()
+        f1, f2 = spec.section.tangent_frame(z)
+        w = np.cos(theta) * f1 + np.sin(theta) * f2
+        turned = -np.sin(theta) * f1 + np.cos(theta) * f2
+        for u, xi in ((f1, f2), (f2, -f1), (w, turned), (2.5 * w + 0.7 * z, turned)):
+            assert sp.norm(rotate90(spec, z, u) - xi).max() < 1e-14, label
+            real = rotate90(spec, spec.frame_coords(z), spec.frame_coords(u))
+            assert not np.iscomplexobj(real)
+            assert np.abs(real - spec.frame_coords(xi)).max() < 1e-14, label
+            assert np.array_equal(spec.from_frame(real), rotate90(spec, z, u))
 
 
 @pytest.mark.parametrize("label", LABELS)

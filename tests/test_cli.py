@@ -647,7 +647,8 @@ def recoded(key, change, dtype=None, shape=None):
     ("sigma.zs", lambda doc: doc["sigma"]["zs"][3].pop()),
     ("sigma.zs", lambda doc: doc["sigma"]["zs"][3][1].append(0.0)),
     ("sigma.zs", lambda doc: doc["sigma"]["zs"][5][0].__setitem__(1, NAN)),
-    # SigmaCurve.swept's knot spacing is ts[1] - ts[0], nearest_row's the step
+    # SigmaCurve.swept's knot spacing is ts[1] - ts[0], chart_tilt's and
+    # curve_defect's the step
     ("sigma.ts", lambda doc: doc["sigma"]["ts"].__setitem__(9, doc["sigma"]["ts"][9] + 3e-4)),
     ("sigma.ts", lambda doc: doc["sigma"].update(step=1.5 * doc["sigma"]["step"])),
     # the rows' orbit data are computed on the section's real frame
@@ -862,6 +863,30 @@ def test_version_1_scene_loads_rebuilds_and_classifies(tmp_path, capsys):
     for key in ("seed", "tolerances", "out_scene", "out_csv"):
         del doc["config"][key]
     assert new["config"] == doc["config"]
+
+
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
+def test_scene_with_negated_normals_names_sigma_xis(version, tmp_path, capsys):
+    # a stored xi must be rotate90 of its row's z and w. A negated one would
+    # otherwise fail only through the patch orientation it flips, naming
+    # 'patch.orientation'
+    if version == 4:
+        doc = json.loads(format4_resave_text())
+    else:
+        doc = json.loads((DATA / f"construct_v{version}.json").read_text())
+    scene = tmp_path / "scene.json"
+    save_scene(scene, doc)
+    assert run_cli(["classify", "--scene", str(scene), "--grid", "2", "2", "2"]) == 0
+    capsys.readouterr()
+    if version == 4:
+        recoded("xis", np.negative)(doc["sigma"])
+    else:
+        doc["sigma"]["xis"] = [[[-re, -im] for re, im in row] for row in doc["sigma"]["xis"]]
+    save_scene(scene, doc)
+    assert run_cli(["classify", "--scene", str(scene)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: scene field 'sigma.xis' must be the Frenet normals rotate90(zs, ws); "
+        "row 0 is not"]
 
 
 def test_mesh_rows_structure(sphere_entry):

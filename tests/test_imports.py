@@ -279,7 +279,7 @@ def test_no_module_calls_np_cross():
     assert callers({"a.py": "n = np.cross(u, v)\n"}, "cross") == [("a.py", "<module>")]
     assert callers(sources, "cross") == []
     assert {path for path, _ in callers(sources, "cross3")} == {
-        "hypersurface.py", "constructor.py", "catalog.py"}
+        "hypersurface.py", "constructor.py", "catalog.py", "actions.py"}
 
 
 # -- no setting comes from the environment ---------------------------------------------
@@ -321,7 +321,7 @@ REMOVED = {
     "hypersurface": ("shape_operator", "ShapeSpectrum", "hopf_projection_count",
                      "AdaptedFrame", "adapted_frame"),
     "constructor": ("equidistance_spot_check", "curves_from_rows", "_orbit_mesh", "_sweep",
-                    "_curves_close", "DEDUPE_DISTANCE", "DEDUPE_REACH"),
+                    "_curves_close", "DEDUPE_DISTANCE", "DEDUPE_REACH", "_renorm"),
 }
 
 
@@ -357,3 +357,5 @@ def test_export_table_resolves_and_removed_names_are_gone():
         importlib.import_module("hopflab.hypersurface").HypersurfacePatch.with_diff_step
     with pytest.raises(AttributeError):   # the scene layout is scene.sigma_to_dict's
         importlib.import_module("hopflab.constructor").SigmaCurve.to_dict
+    with pytest.raises(AttributeError):   # the swept normal is actions.rotate90's
+        importlib.import_module("hopflab.constructor").SigmaCurve.nearest_row
