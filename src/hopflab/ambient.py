@@ -87,7 +87,9 @@ class SpaceForm:
 
     def herm(self, z, w):
         """Hermitian form <z,w>, conjugate-linear in the first slot."""
-        return np.add.reduce(self._sig * np.conj(z) * w, axis=-1)
+        p = self._sig * np.conj(z) * w
+        # the sum np.add.reduce forms, from its identity +0.0, without its set-up
+        return 0.0 + p[..., 0] + p[..., 1] + p[..., 2]
 
     def g(self, v, w):
         """Riemannian metric on horizontal vectors."""

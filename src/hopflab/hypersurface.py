@@ -13,12 +13,12 @@ predicates (Hopf, austere, Levi-flat, ruled, CMC) are decided at explicit,
 reported tolerances.
 
 Everything pointwise about the h = 2 structure comes from one batched
-primitive, ``adapted_frames``, over the point axis of a ShapeData: the
-eigenvalue clusters, h, the adapted frame {U, V, A} with the functions a, b
-(positive-projection conventions), alpha, beta, gamma, the frame-identity
-residuals, and the Levi scalar and ruled residual on the complex
-distribution. Callers index its arrays at the points they need, and
-``_require_h2`` is the one gate that rejects points where h != 2.
+primitive, ``adapted_frames``, over the point axis of a ShapeData. It builds h
+and the eigenvalue clusters at once, and each other part on the first read of
+one of its fields: the adapted frame {U, V, A} with a, b (positive-projection
+conventions), alpha, beta, gamma and the frame-identity residuals; the Levi
+scalar and ruled residual. Callers index its arrays at the points they need,
+and ``_require_h2`` is the one gate that rejects points where h != 2.
 
 The frame's derivatives come from ``frame_derivative_data`` at an index
 array of points (one shape_data call over all displaced points), and
@@ -42,6 +42,7 @@ verify_gauss_codazzi evaluate only their 31 distinct points per centre (of
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -318,27 +319,98 @@ def _require_h2(h):
 class AdaptedFrames:
     """The h = 2 structure at every point of a ShapeData (leading point axis).
 
-    The frame fields U, V, A, a, b, alpha, beta, gamma and the identity
-    residuals are NaN where h != 2; levi and ruled are defined everywhere.
+    The cluster part (h, labels, coords, norms, mask, xi) is built with it;
+    the frame part (U, V, A, a, b, alpha, beta, gamma, residuals, NaN where
+    h != 2) and the Levi part (levi, ruled) each from ``sd`` on the first
+    read of one of its fields, so no caller may write into sd's arrays.
     """
 
+    sd: ShapeData
     h: np.ndarray          # (N,) number of clusters onto which J xi projects
     labels: np.ndarray     # (N, 3) cluster index of each eigenvalue, 0 at the top
     coords: np.ndarray     # (N, 3) J xi coordinates on the eigenvectors
     norms: np.ndarray      # (N, 3) norm of the J xi projection on each cluster
     mask: np.ndarray       # (N,) h == 2
     xi: np.ndarray         # (N, 3)
-    U: np.ndarray          # (N, 3)
-    V: np.ndarray          # (N, 3)
-    A: np.ndarray          # (N, 3)
-    a: np.ndarray          # (N,)
-    b: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
-    residuals: dict        # identity name -> (N,)
-    levi: np.ndarray       # (N,) L(X, X) for the unit X of the complex distribution
-    ruled: np.ndarray      # (N,) larger part of S X, S JX orthogonal to J xi
+
+    @cached_property
+    def _frame(self):
+        """The frame part by field name: U, V, A (N, 3), a, b, alpha, beta,
+        gamma (N,) and residuals (identity name -> (N,))."""
+        sd, sp = self.sd, self.sd.space
+        k = np.flatnonzero(self.mask)
+        lab, vk, xk = self.labels[k], sd.eigvals[k], self.xi[k]
+        gk = vk[:, :-1] - vk[:, 1:]
+        proj = self.norms[k] > TAU_PROJ
+
+        def cluster(c):
+            inside = lab == c[:, None]
+            # a contiguous cluster is isolated by the smaller of its boundary gaps
+            iso = np.min(np.where(inside[:, :-1] != inside[:, 1:], gk, np.inf), axis=1)
+            mean = np.add.reduce(np.where(inside, vk, 0.0), axis=1) / inside.sum(axis=1)
+            return inside, iso, mean
+
+        in_a, iso_a, alpha = cluster(np.argmax(proj, axis=1))
+        in_b, iso_b, beta = cluster(2 - np.argmax(proj[:, ::-1], axis=1))
+        terms = self.coords[k, :, None] * sd.eigvecs[k]             # c_i e_i
+        full = terms[:, 0] + terms[:, 1] + terms[:, 2]
+        # J xi has no component outside the two projected clusters, so the
+        # second vector is the complement of the better-isolated projection:
+        # this stays well conditioned when the third eigenvalue nearly crosses
+        # one of the projected ones.
+        first = iso_a >= iso_b
+        part = np.where(np.where(first[:, None], in_a, in_b)[..., None], terms, 0)
+        part = part[:, 0] + part[:, 1] + part[:, 2]
+        uvec = np.where(first[:, None], part, full - part)
+        vvec = np.where(first[:, None], full - part, part)
+        a, b = sp.norm(uvec), sp.norm(vvec)
+        ac, bc = a[:, None], b[:, None]
+        U, V = uvec / ac, vvec / bc
+        A = -(1j * U + ac * xk) / bc
+        # gamma from the quadratic form; robust when gamma's cluster merged
+        acoords = sp.g(A[:, None, :], sd.E[k])
+        gamma = np.matmul(np.matmul(acoords[:, None, :], sd.S[k]), acoords[:, :, None])[:, 0, 0]
+        residuals = {
+            "frame_jxi": sp.norm(1j * xk - ac * U - bc * V),
+            "frame_ju": sp.norm(1j * U + bc * A + ac * xk),
+            "frame_jv": sp.norm(1j * V - ac * A + bc * xk),
+            "frame_ja": sp.norm(1j * A - bc * U + ac * V),
+            "a2b2": np.abs(a * a + b * b - 1.0),
+            "A_unit": np.abs(sp.norm(A) - 1.0),
+        }
+
+        def scatter(x):
+            out = np.full((len(self.h),) + x.shape[1:], np.nan, dtype=x.dtype)
+            out[k] = x
+            return out
+
+        return dict(U=scatter(U), V=scatter(V), A=scatter(A), a=scatter(a), b=scatter(b),
+                    alpha=scatter(alpha), beta=scatter(beta), gamma=scatter(gamma),
+                    residuals={key: scatter(r) for key, r in residuals.items()})
+
+    @cached_property
+    def _levi(self):
+        """The Levi part: levi, (N,) L(X, X) for the unit X of the complex
+        distribution, and ruled, (N,) the larger part of S X, S JX orthogonal to J xi."""
+        sd, sp = self.sd, self.sd.space
+        jxi = 1j * self.xi
+        # unit X orthogonal to J xi, from the E_a with the largest such part;
+        # (X, JX) spans the complex distribution
+        cands = sd.E - sp.g(sd.E, jxi[:, None, :])[..., None] * jxi[:, None, :]
+        cn = sp.norm(cands)
+        best = np.argmax(cn, axis=1)
+        rows = np.arange(len(cn))
+        x = cands[rows, best] / cn[rows, best, None]
+        X = np.stack([x, 1j * x], axis=1)
+        SX = _apply_shape(sd, X)
+        levi = sp.g(SX, X)
+        normal = SX - sp.g(SX, jxi[:, None, :])[..., None] * jxi[:, None, :]
+        return {"levi": levi[:, 0] + levi[:, 1], "ruled": np.max(sp.norm(normal), axis=1)}
+
+    U, V, A, a, b, alpha, beta, gamma, residuals = (
+        property(lambda self, key=key: self._frame[key])
+        for key in ("U", "V", "A", "a", "b", "alpha", "beta", "gamma", "residuals"))
+    levi, ruled = (property(lambda self, key=key: self._levi[key]) for key in ("levi", "ruled"))
 
     @property
     def worst_residual(self):
@@ -354,7 +426,7 @@ def _apply_shape(sd: ShapeData, u):
 
 
 def adapted_frames(sd: ShapeData) -> AdaptedFrames:
-    """h, the adapted frame and the Levi/ruled data at every point of sd.
+    """h, and on first read the adapted frame and Levi/ruled data, at every point of sd.
 
     Neighbouring eigenvalues share a cluster when their gap is at most
     TAU_MULT * max(spread, 1e-6), so the two gaps of the descending spectrum
@@ -362,82 +434,18 @@ def adapted_frames(sd: ShapeData) -> AdaptedFrames:
     projects with norm above TAU_PROJ. Where h = 2, J xi = a U + b V with U
     on the upper and V on the lower projected cluster.
     """
-    sp = sd.space
     n = len(sd.eigvals)
     vals, xi = sd.eigvals, sd.frames.xi
-    jxi = 1j * xi
     gaps = vals[:, :-1] - vals[:, 1:]
     thr = TAU_MULT * np.maximum(vals[:, 0] - vals[:, -1], 1e-6)
     labels = np.zeros((n, 3), dtype=int)
     labels[:, 1:] = np.cumsum(gaps > thr[:, None], axis=1)
-    coords = sp.g(sd.eigvecs, jxi[:, None, :])
+    coords = sd.space.g(sd.eigvecs, 1j * xi[:, None, :])
     member = labels[:, None, :] == np.arange(3)[:, None]        # (N, cluster, i)
     norms = np.sqrt(np.add.reduce(np.where(member, coords[:, None, :] ** 2, 0.0), axis=-1))
-    proj = norms > TAU_PROJ
-    h = proj.sum(axis=1)
-    mask = h == 2
-
-    k = np.flatnonzero(mask)
-    lab, vk, gk, xk = labels[k], vals[k], gaps[k], xi[k]
-
-    def cluster(c):
-        inside = lab == c[:, None]
-        # a contiguous cluster is isolated by the smaller of its boundary gaps
-        iso = np.min(np.where(inside[:, :-1] != inside[:, 1:], gk, np.inf), axis=1)
-        mean = np.add.reduce(np.where(inside, vk, 0.0), axis=1) / inside.sum(axis=1)
-        return inside, iso, mean
-
-    in_a, iso_a, alpha = cluster(np.argmax(proj[k], axis=1))
-    in_b, iso_b, beta = cluster(2 - np.argmax(proj[k, ::-1], axis=1))
-    terms = coords[k, :, None] * sd.eigvecs[k]                  # c_i e_i
-    full = terms[:, 0] + terms[:, 1] + terms[:, 2]
-    # J xi has no component outside the two projected clusters, so the
-    # second vector is the complement of the better-isolated projection:
-    # this stays well conditioned when the third eigenvalue nearly crosses
-    # one of the projected ones.
-    first = iso_a >= iso_b
-    part = np.where(np.where(first[:, None], in_a, in_b)[..., None], terms, 0)
-    part = part[:, 0] + part[:, 1] + part[:, 2]
-    uvec = np.where(first[:, None], part, full - part)
-    vvec = np.where(first[:, None], full - part, part)
-    a, b = sp.norm(uvec), sp.norm(vvec)
-    ac, bc = a[:, None], b[:, None]
-    U, V = uvec / ac, vvec / bc
-    A = -(1j * U + ac * xk) / bc
-    # gamma from the quadratic form; robust when gamma's cluster merged
-    acoords = sp.g(A[:, None, :], sd.E[k])
-    gamma = np.matmul(np.matmul(acoords[:, None, :], sd.S[k]), acoords[:, :, None])[:, 0, 0]
-    residuals = {
-        "frame_jxi": sp.norm(jxi[k] - ac * U - bc * V),
-        "frame_ju": sp.norm(1j * U + bc * A + ac * xk),
-        "frame_jv": sp.norm(1j * V - ac * A + bc * xk),
-        "frame_ja": sp.norm(1j * A - bc * U + ac * V),
-        "a2b2": np.abs(a * a + b * b - 1.0),
-        "A_unit": np.abs(sp.norm(A) - 1.0),
-    }
-
-    def scatter(x):
-        out = np.full((n,) + x.shape[1:], np.nan, dtype=x.dtype)
-        out[k] = x
-        return out
-
-    # unit X orthogonal to J xi, from the E_a with the largest such part;
-    # (X, JX) spans the complex distribution
-    cands = sd.E - sp.g(sd.E, jxi[:, None, :])[..., None] * jxi[:, None, :]
-    cn = sp.norm(cands)
-    best = np.argmax(cn, axis=1)
-    rows = np.arange(n)
-    x = cands[rows, best] / cn[rows, best, None]
-    X = np.stack([x, 1j * x], axis=1)
-    SX = _apply_shape(sd, X)
-    levi = sp.g(SX, X)
-    normal = SX - sp.g(SX, jxi[:, None, :])[..., None] * jxi[:, None, :]
-    return AdaptedFrames(
-        h=h, labels=labels, coords=coords, norms=norms, mask=mask, xi=xi,
-        U=scatter(U), V=scatter(V), A=scatter(A), a=scatter(a), b=scatter(b),
-        alpha=scatter(alpha), beta=scatter(beta), gamma=scatter(gamma),
-        residuals={key: scatter(r) for key, r in residuals.items()},
-        levi=levi[:, 0] + levi[:, 1], ruled=np.max(sp.norm(normal), axis=1))
+    h = (norms > TAU_PROJ).sum(axis=1)
+    return AdaptedFrames(sd=sd, h=h, labels=labels, coords=coords, norms=norms, mask=h == 2,
+                         xi=xi)
 
 
 # -- Levi form ------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -343,3 +345,35 @@ def test_cross3_is_bit_identical_to_np_cross(kinds, rng):
             out, ref = cross3(x, y), np.cross(x, y)
             assert out.dtype == ref.dtype and out.shape == ref.shape
             assert out.tobytes() == ref.tobytes()
+
+
+def _parts(x):
+    """(real, imag) parts of a complex array, (x,) of a real one."""
+    return (x.real, x.imag) if np.iscomplexobj(x) else (x,)
+
+
+@pytest.mark.parametrize("c", BOTH)
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_herm_is_bit_identical_to_the_reduce_form(c, complex_, rng):
+    sp = SpaceForm(c)
+    # every sign pattern of zeros against +-1, so some rows' products are all -0.0
+    zeros = np.repeat(list(itertools.product((0.0, -0.0), repeat=3)), 8, axis=0)
+    units = np.tile(list(itertools.product((1.0, -1.0), repeat=3)), (8, 1))
+    z = np.concatenate([_special_rows(rng, 320, complex_), zeros])
+    w = np.concatenate([_special_rows(rng, 320, complex_), units])
+    with np.errstate(all="ignore"):
+        for x, y in ((z, w), (z[:20, None], w[None, :30]), (z.reshape(-1, 3, 3), w.reshape(-1, 3, 3)),
+                     (z[0], w[0])):
+            out, ref = sp.herm(x, y), np.add.reduce(sp._sig * np.conj(x) * y, axis=-1)
+            assert out.dtype == ref.dtype and out.shape == ref.shape
+            # the same bits, but for the sign of a NaN: NumPy's complex add
+            # keeps either operand's NaN, by the loop it picks for the length
+            for o, r in zip(_parts(out), _parts(ref)):
+                nan = np.isnan(r)
+                assert np.array_equal(np.isnan(o), nan)
+                assert o[~nan].tobytes() == r[~nan].tobytes()
+        # some zero rows' products are all -0.0, whose plain sum is -0.0;
+        # herm sums them to +0.0, as reduce does from its identity
+        p = (sp._sig * np.conj(z) * w)[320:]
+        assert np.signbit((p[:, 0] + p[:, 1] + p[:, 2]).real).any()
+        assert not np.signbit(sp.herm(z, w)[320:].real).any()

@@ -166,11 +166,35 @@ def test_frame_derivative_data_rejects_hopf_input(sphere_entry):
 
 
 _FRAME_SCALARS = ("a", "b", "alpha", "beta", "gamma")
+_FRAME_FIELDS = ("U", "V", "A") + _FRAME_SCALARS + ("residuals",)
+# the orders in which the lazily built fields of an AdaptedFrames are first read
+READ_ORDERS = {"levi_first": ("levi", "ruled") + _FRAME_FIELDS,
+               "frame_first": _FRAME_FIELDS + ("levi", "ruled")}
 
 
-def assert_matches_pointwise(sd, af):
+def _lazy_fields(af, order):
+    """af's lazily built fields by name, first read in the given order; the
+    residuals dict is flattened into one entry per identity."""
+    out = {}
+    for key in READ_ORDERS[order]:
+        val = getattr(af, key)
+        out.update({f"residuals.{k}": r for k, r in val.items()} if key == "residuals"
+                   else {key: val})
+    return out
+
+
+def assert_matches_pointwise(sd, af, order):
     """adapted_frames agrees with the frozen per-point copies at every point:
-    h exactly, U, V, A bit for bit, scalars to 1e-15, NaN frames where h != 2."""
+    h exactly, U, V, A bit for bit, scalars to 1e-15, NaN frames where h != 2.
+
+    af's lazy fields are first read in ``order`` and equal, bit for bit, those
+    of a fresh adapted_frames(sd) read in the other order."""
+    assert not {"_frame", "_levi"} & vars(af).keys()   # no part built before its first read
+    fields = _lazy_fields(af, order)
+    other = _lazy_fields(adapted_frames(sd), next(o for o in READ_ORDERS if o != order))
+    assert fields.keys() == other.keys()
+    for key, val in fields.items():
+        assert np.array_equal(val, other[key], equal_nan=True), key
     for n in range(len(sd.eigvals)):
         assert af.h[n] == oracles.pointwise_h_of(sd, n)
         assert abs(af.levi[n] - oracles.pointwise_levi_scalar(sd, n)) <= 1e-15
@@ -199,13 +223,15 @@ CATALOG_H = {"geodesic-sphere": 1, "horosphere": 1, "tube-rp2": 1, "tube-ch1": 1
              "lohnherr": 2, "bisector": 2, "clifford-cone-cp2": 2, "clifford-cone-ch2": 2}
 
 
-@pytest.mark.parametrize("name", CATALOG_NAMES)
-def test_adapted_frames_match_pointwise_copies_on_catalog(name):
+@pytest.mark.parametrize("name, order", [
+    pytest.param(name, order, id=name if order == "levi_first" else f"{name}-{order}")
+    for order in READ_ORDERS for name in CATALOG_NAMES])
+def test_adapted_frames_match_pointwise_copies_on_catalog(name, order):
     patch = get_entry(name).patch
     sd = shape_data(patch, patch.grid((4, 4, 4), margin=0.05))
     af = adapted_frames(sd)
     assert set(af.h.tolist()) == {CATALOG_H[name]}
-    assert_matches_pointwise(sd, af)
+    assert_matches_pointwise(sd, af, order)
 
 
 def _synthetic_shape_data(cases, seed=3):
@@ -242,7 +268,8 @@ def _synthetic_shape_data(cases, seed=3):
                      asym=np.zeros(n))
 
 
-def test_adapted_frames_match_pointwise_copies_on_synthetic_spectra():
+@pytest.mark.parametrize("order", READ_ORDERS)
+def test_adapted_frames_match_pointwise_copies_on_synthetic_spectra(order):
     near = 3e-4   # a few clustering thresholds (1e-4 times a spread of 0.7 to 1.3)
     cases = [
         # J xi on eigenvalues 0 and 1; eigenvalue 2 nearly crosses 1, so
@@ -265,7 +292,7 @@ def test_adapted_frames_match_pointwise_copies_on_synthetic_spectra():
     assert af.h.tolist() == [2, 2, 2, 1, 1, 3]
     assert af.labels.tolist() == [[0, 1, 2], [0, 1, 2], [0, 1, 1], [0, 1, 2],
                                   [0, 0, 0], [0, 1, 2]]
-    assert_matches_pointwise(sd, af)
+    assert_matches_pointwise(sd, af, order)
     # the isolation choice: J xi = a U + b V with U the projection on the upper
     # cluster, whichever of the two vectors is built as a complement
     for n in (0, 1):
@@ -275,7 +302,7 @@ def test_adapted_frames_match_pointwise_copies_on_synthetic_spectra():
         assert af.worst_residual[n] < 1e-12
     # the result at a point does not depend on the rest of the batch
     shuffled = sd.take([5, 3, 0, 4, 1, 2])
-    assert_matches_pointwise(shuffled, adapted_frames(shuffled))
+    assert_matches_pointwise(shuffled, adapted_frames(shuffled), order)
 
 
 # -- Levi form ------------------------------------------------------------------

@@ -8,7 +8,9 @@ workspace patches first, so that only the checks' own calls are counted.
 """
 
 import sys
+import weakref
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -29,21 +31,29 @@ CONNECTION_LABELS = ("cp2-torus", "ch2-g0")
 HOPF_ENTRIES = ("geodesic-sphere", "horosphere", "tube-rp2", "tube-ch1")
 
 
+def rebind(monkeypatch, fn_name, wrap):
+    """Replace hypersurface.<fn_name> by wrap(it), wherever a hopflab module binds it."""
+    original = getattr(hypersurface, fn_name)
+    wrapped = wrap(original)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hopflab" and getattr(module, fn_name, None) is original:
+            monkeypatch.setattr(module, fn_name, wrapped)
+
+
 def count_calls(monkeypatch, fn_name):
     """Record every call of hypersurface.<fn_name>, wherever a hopflab module binds it.
 
     Returns the list that collects the positional arguments of each call.
     """
-    original = getattr(hypersurface, fn_name)
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def wrap(original):
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        return counted
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "hopflab" and getattr(module, fn_name, None) is original:
-            monkeypatch.setattr(module, fn_name, counted)
+    rebind(monkeypatch, fn_name, wrap)
     return calls
 
 
@@ -161,18 +171,50 @@ def call_site(frame):
     return caller, frame.f_code.co_name if frame is not None else None
 
 
+def count_frame_parts(monkeypatch):
+    """Count the points on which each part of an AdaptedFrames is built, by
+    the call site of the adapted_frames call that made it.
+
+    Returns a Counter of ((caller, site), part) -> points, the part being
+    "cluster" (built with the object), "_frame" or "_levi" (built on first read).
+    """
+    points, made_at = Counter(), weakref.WeakKeyDictionary()
+
+    def wrap(original):
+        def counted(sd):
+            af = original(sd)
+            made_at[af] = call_site(sys._getframe(1))
+            points[made_at[af], "cluster"] += len(af.h)
+            return af
+        return counted
+
+    rebind(monkeypatch, "adapted_frames", wrap)
+    for part in ("_frame", "_levi"):
+        build = getattr(hypersurface.AdaptedFrames, part).func
+
+        def counted_part(af, build=build, part=part):
+            # a part built inside adapted_frames itself counts under None
+            points[made_at.get(af), part] += len(af.h)
+            return build(af)
+
+        prop = cached_property(counted_part)
+        prop.__set_name__(hypersurface.AdaptedFrames, part)
+        monkeypatch.setattr(hypersurface.AdaptedFrames, part, prop)
+    return points
+
+
 def test_construct_cycle_work_per_call_site(tmp_path, monkeypatch):
     fd_points = Counter()
-    original = hypersurface.shape_data
 
-    def counted(patch, params):
-        sd = original(patch, params)
-        fd_points[call_site(sys._getframe(1))] += len(sd.E)
-        return sd
+    def wrap(original):
+        def counted(patch, params):
+            sd = original(patch, params)
+            fd_points[call_site(sys._getframe(1))] += len(sd.E)
+            return sd
+        return counted
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "hopflab" and getattr(module, "shape_data", None) is original:
-            monkeypatch.setattr(module, "shape_data", counted)
+    rebind(monkeypatch, "shape_data", wrap)
+    part_points = count_frame_parts(monkeypatch)
     orbit_points = {"_orbit_invariants": [], "orbit_geometry": []}
 
     def counting(fn_name):
@@ -201,6 +243,23 @@ def test_construct_cycle_work_per_call_site(tmp_path, monkeypatch):
         ("frame_derivative_data", "classify"): 18,
     }
     assert sum(fd_points.values()) == 940
+    # each adapted-frame part is built only where it is read: the h-grid reads
+    # h alone, the Levi-flat/CMC certificate only levi, the mesh and the
+    # derivative data only frame fields; classify reads all three
+    assert dict(part_points) == {
+        (("strongly_2hopf_certify", "strongly_2hopf_certify"), "cluster"): 5 * 500,
+        (("frame_derivative_data", "strongly_2hopf_certify"), "cluster"): 5 * (6 + 36),
+        (("frame_derivative_data", "strongly_2hopf_certify"), "_frame"): 5 * (6 + 36),
+        (("leviflat_cmc_certify", "leviflat_cmc_certify"), "cluster"): 4 * 160,
+        (("leviflat_cmc_certify", "leviflat_cmc_certify"), "_levi"): 4 * 160,
+        (("classify", "classify"), "cluster"): 72,
+        (("classify", "classify"), "_frame"): 72,
+        (("classify", "classify"), "_levi"): 72,
+        (("frame_derivative_data", "classify"), "cluster"): 3 + 18,
+        (("frame_derivative_data", "classify"), "_frame"): 3 + 18,
+        (("mesh_rows", "_cmd_construct"), "cluster"): 5 * 192,
+        (("mesh_rows", "_cmd_construct"), "_frame"): 5 * 192,
+    }
     # the exact route evaluates the orbit once per distinct t of each grid
     assert orbit_points == {"_orbit_invariants": [20, 12] * 5, "orbit_geometry": []}
 
